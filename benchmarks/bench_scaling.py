@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Measured wall-clock scaling of the process engine (Fig-4 style, real).
+"""Measured wall-clock scaling of the native thread team (Fig-4 style, real).
 
 Times synchronous extraction on R-MAT graphs at three implementations:
 
-* ``loop``    — the seed Python pair-loop superstep engine (the baseline
-  every speedup is reported against),
+* ``reference`` — the literal pseudocode engine (the seed implementation
+  style every speedup is reported against),
 * ``kernels`` — the vectorized serial engine (bulk NumPy supersteps),
-* ``process@W`` — the shared-memory worker-process engine at each worker
-  count in the sweep (persistent pool; fork cost excluded, matching the
-  paper's exclusion of thread-team spin-up).
+* ``native@W`` — the compiled nogil thread team at each thread count in
+  the sweep (team spin-up excluded, matching the paper's exclusion of
+  thread-team spin-up).
 
 Unlike ``repro.experiments.fig4`` (which replays instrumented traces on
 calibrated machine models), every number here is a real measurement on
-this host.  On a single-core container the worker sweep is flat — the
+this host.  On a single-core container the thread sweep is flat — the
 kernels row is then the honest source of speedup.
 
 Run:
@@ -41,13 +41,13 @@ def measure_scaling(
     seed: int = DEFAULT_SEED,
     repeats: int = 3,
 ) -> dict:
-    """Wall-clock seconds for reference / kernels / process@W on one graph.
+    """Wall-clock seconds for reference / kernels / native@W on one graph.
 
     Thin wrapper over :func:`repro.experiments.scaling_measured
     .measure_engines` (the one measurement protocol both this script and
     the registered experiment report) adding graph identification.
 
-    Returns ``{"graph", "n", "m", "reference", "kernels", "process":
+    Returns ``{"graph", "n", "m", "reference", "kernels", "native":
     {W: t}, "speedup": {label: x}}`` with speedups relative to the
     reference engine (the seed implementation style).
     """
@@ -88,7 +88,7 @@ def main() -> None:
         results.append(r)
 
     headers = ["Graph", "n", "m", "reference s", "kernels s"] + [
-        f"proc@{w} s" for w in args.workers
+        f"native@{w} s" for w in args.workers
     ] + ["best speedup"]
     rows = []
     for r in results:
@@ -96,11 +96,11 @@ def main() -> None:
         rows.append(
             [r["graph"], r["n"], r["m"], round(r["reference"], 3),
              round(r["kernels"], 3)]
-            + [round(r["process"][w], 3) for w in args.workers]
+            + [round(r["native"][w], 3) for w in args.workers]
             + [f"{best:.1f}x"]
         )
     print(format_table(headers, rows))
-    print("\nspeedup vs seed loop engine:")
+    print("\nspeedup vs the reference engine:")
     for r in results:
         parts = ", ".join(f"{k} {v:.1f}x" for k, v in r["speedup"].items())
         print(f"  {r['graph']}: {parts}")

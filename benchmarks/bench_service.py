@@ -2,11 +2,11 @@
 """Record the extraction-service baseline (BENCH_service.json).
 
 Measures `repro serve` end-to-end over its unix-socket wire protocol:
-one in-process :class:`~repro.service.server.ReproServer` with a warm
-worker pool, driven by ``NUM_CLIENTS`` concurrent
+one in-process :class:`~repro.service.server.ReproServer`, driven by
+``NUM_CLIENTS`` concurrent
 :class:`~repro.service.client.ServiceClient` threads over a mixed
-workload — small and mid-size RMAT-B graphs, pool-backed (``process``)
-and inline (``superstep``) engines, repeated graphs that exercise the
+workload — small and mid-size RMAT-B graphs, the thread-team
+(``process``) and serial (``superstep``) engines, repeated graphs that exercise the
 content-hash result cache and ``no_cache`` requests that force real
 dispatches.  Every request round-trips the full stack: framing, JSON
 decode, cache lookup, admission queue, dispatch, encode.
@@ -39,7 +39,6 @@ NUM_CLIENTS = 8
 #: Requests issued by each client over the mixed workload.
 REQUESTS_PER_CLIENT = 12
 
-NUM_POOLS = 1
 NUM_WORKERS = 2
 SEED = 7
 
@@ -47,7 +46,7 @@ SEED = 7
 def _workload():
     """The per-client request menu: (graph, config, no_cache) triples.
 
-    Mixed by design — two sizes, a pool-backed and an inline engine,
+    Mixed by design — two sizes, a thread-team and a serial engine,
     repeats that hit the cache, and ``no_cache`` rows that always reach
     a dispatcher.  Every client walks the same menu (offset by its id)
     so cache hits and real dispatches interleave under contention.
@@ -100,7 +99,6 @@ def measure_service(
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
             socket_path=str(Path(tmp) / "bench.sock"),
-            num_pools=NUM_POOLS,
             num_workers=NUM_WORKERS,
             queue_depth=max(32, 4 * num_clients),
         )
@@ -138,8 +136,7 @@ def measure_service(
             "max": float(flat[-1]) * 1e3,
         },
         "cache_hits": stats["cache_hits"],
-        "pool_dispatches": stats["pool_dispatches"],
-        "inline_dispatches": stats["inline_dispatches"],
+        "dispatches": stats["dispatches"],
     }
 
 
@@ -147,7 +144,6 @@ def record(path: Path = SERVICE_PATH) -> dict:
     measured = measure_service()
     payload = {
         **measured,
-        "num_pools": NUM_POOLS,
         "num_workers": NUM_WORKERS,
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }

@@ -4,17 +4,12 @@
 Runs the instrumented algorithm on an R-MAT graph of your chosen scale,
 replays the measured work trace on the calibrated Cray XMT and AMD
 Opteron models, and prints the scaling curves and speedup rows the paper
-reports.  The XMT/Opteron numbers are *modeled* (DESIGN.md §3: the
-threaded engine is GIL-bound), but the final section is **measured**: the
-``engine="process"`` worker team runs the synchronous schedule over
-shared memory on this host's real cores, next to the literal reference
-engine it is compared against (the seed implementation style; the
-historical Python pair loop was absorbed into the unified runtime).
-Representative run on the recording container (1 core, RMAT-ER scale
-14): seed-style loop 0.25 s → bulk kernels 0.04 s → process@4 0.054 s, a
-4.6x measured speedup from vectorization alone; on a multi-core host the
-worker sweep descends further.  (``benchmarks/bench_scaling.py`` prints
-the full curve.)
+reports.  The XMT/Opteron numbers are *modeled*, but the final section
+is **measured**: the ``engine="native"`` thread team (compiled round
+bodies that release the GIL) runs the synchronous schedule on this
+host's real cores, next to the literal reference engine it is compared
+against (the seed implementation style) and the vectorized serial
+engine.  (``benchmarks/bench_scaling.py`` prints the full curve.)
 
 Run:
     python examples/platform_scaling.py [--kind RMAT-B] [--scale 12]
@@ -36,23 +31,23 @@ MEASURED_SWEEP = [1, 2, 4]
 
 
 def measured_scaling(graph, workers=MEASURED_SWEEP) -> None:
-    """Wall-clock of the process engine on this host (synchronous schedule).
+    """Wall-clock of the native thread team on this host (synchronous schedule).
 
     Every configuration below returns the identical edge set — the
-    snapshot semantics make worker count invisible — so the only thing
+    snapshot semantics make thread count invisible — so the only thing
     that varies is time.  Delegates to the one measurement protocol
     (``repro.experiments.scaling_measured.measure_engines``) shared with
     ``benchmarks/bench_scaling.py`` and the registered experiment.
     """
-    print("--- measured on this host: engine='process' (synchronous) ---")
+    print("--- measured on this host: engine='native' (synchronous) ---")
     m = measure_engines(graph, workers=workers)
     print(f"reference engine (seed)  : {format_seconds(m['reference'])}")
     print(f"vectorized kernel engine : {format_seconds(m['kernels'])} "
           f"({m['speedup']['kernels']:.1f}x vs reference)")
     for w in workers:
-        print(f"process engine, {w} worker(s): "
-              f"{format_seconds(m['process'][w])} "
-              f"({m['speedup'][f'process@{w}']:.1f}x vs reference)")
+        print(f"native engine, {w} thread(s): "
+              f"{format_seconds(m['native'][w])} "
+              f"({m['speedup'][f'native@{w}']:.1f}x vs reference)")
 
 
 def main() -> None:
@@ -63,7 +58,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=20120910)
     parser.add_argument("--measured-workers", nargs="+", type=int,
                         default=MEASURED_SWEEP,
-                        help="worker sweep for the measured process-engine "
+                        help="thread sweep for the measured native-engine "
                              "section (0 to skip)")
     args = parser.parse_args()
 

@@ -5,7 +5,7 @@ Generates one of the paper's R-MAT test graphs, runs Algorithm 1 in all
 registered engines, verifies the output with the chordality oracle,
 prints the statistics the paper reports (chordal-edge fraction,
 iteration profile), demonstrates the session API (``ExtractionConfig``
-+ ``Extractor`` streaming a batch through one worker pool), and
++ ``Extractor`` streaming a batch), and
 finishes with the file-based CLI workflow (``repro generate`` / ``repro
 extract`` on a MatrixMarket file).
 
@@ -58,27 +58,26 @@ def main() -> None:
     assert is_chordal(result.subgraph), "Theorem 1 violated?!"
 
     # --- all engines agree on validity ------------------------------------
-    # The asynchronous schedule is any-valid: the process engine's
-    # live-parallel sweep may return a different — but equally valid —
+    # The asynchronous schedule is any-valid: the native engine's
+    # live-parallel rounds may return a different — but equally valid —
     # edge set than the serial engines.  Engines come from the registry
     # (repro.core.engines), so a third-party register_engine() call
     # would show up in this sweep automatically.
     from repro import engine_names
 
-    print("\nCross-engine check (asynchronous schedule):")
+    print("\nCross-engine check (each engine's default schedule):")
     for engine in engine_names():
         r = extract_maximal_chordal_subgraph(
-            graph, engine=engine, num_threads=4, num_workers=4
+            graph, engine=engine, schedule=None, num_threads=4, num_workers=4
         )
         marker = "ok" if is_chordal(r.subgraph) else "FAIL"
         print(f"  {engine:10s}: {r.num_chordal_edges} edges, "
               f"{r.num_iterations} iterations [{marker}]")
 
-    # --- the session API: many graphs, one config, one pool spawn ---------
-    # ExtractionConfig validates every knob once; Extractor owns the
-    # process pool for its whole lifetime, and stream() yields results
-    # lazily — a million-graph batch never materialises a list.
-    config = ExtractionConfig(engine="process", num_workers=4)
+    # --- the session API: many graphs, one config ---------------------------
+    # ExtractionConfig validates every knob once, and stream() yields
+    # results lazily — a million-graph batch never materialises a list.
+    config = ExtractionConfig(engine="native", num_threads=4)
     print(f"\nSession API ({config.engine} engine, "
           f"schedule resolves to {config.resolved().schedule!r}):")
     with Extractor(config) as extractor, Timer() as t:
@@ -86,7 +85,7 @@ def main() -> None:
                 rmat_b(args.scale - 2, seed=s) for s in range(4))):
             print(f"  graph {i}: {r.num_chordal_edges} chordal edges "
                   f"({100 * r.chordal_fraction:.1f}%)")
-    print(f"  4 extractions, one worker-team spawn: {format_seconds(t.elapsed)}")
+    print(f"  4 extractions: {format_seconds(t.elapsed)}")
 
     # --- deterministic equality between serial engines --------------------
     ref = extract_maximal_chordal_subgraph(graph, engine="reference")
@@ -128,8 +127,8 @@ def main() -> None:
         assert np.array_equal(from_file.edge_array(), result.edges)
         print(f"  -> {from_file.num_edges} chordal edges, "
               "bit-identical to the API result")
-        print("  (batches share one worker pool: "
-              "repro extract *.mtx --out-dir out/ --engine process)")
+        print("  (batches run in one session: "
+              "repro extract *.mtx --out-dir out/ --engine native)")
 
 
 if __name__ == "__main__":

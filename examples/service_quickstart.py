@@ -4,9 +4,9 @@
 Starts the daemon as a real subprocess on a unix socket, then walks the
 client workflow end to end:
 
-1. extract over the wire on the warm worker pool (``engine=process``);
+1. extract over the wire (``engine=native``; a dispatcher thread runs it);
 2. repeat the identical request and observe the content-hash result
-   cache answering without touching the pool;
+   cache answering without dispatching;
 3. request server-side verification (``verify=True``) on a maximalized
    extraction — the response is certified chordal *and* maximal;
 4. read the live ``stats`` counters;
@@ -52,7 +52,6 @@ def main() -> None:
         [
             sys.executable, "-m", "repro", "serve",
             "--socket", sock,
-            "--num-workers", "2",
         ],
         env=env,
     )
@@ -62,14 +61,15 @@ def main() -> None:
         with ServiceClient(socket_path=sock) as client:
             assert client.ping()["ok"]
 
-            # 1. first extraction runs on the server's warm pool
-            first = client.extract(graph, config={"engine": "process"})
-            assert not first.cached and first.served_by == "pool"
-            print(f"pool    : {first.num_edges} chordal edges "
+            # 1. first extraction runs on a dispatcher thread
+            config = {"engine": "native", "schedule": "synchronous"}
+            first = client.extract(graph, config=config)
+            assert not first.cached and first.served_by == "inline"
+            print(f"inline  : {first.num_edges} chordal edges "
                   f"in {first.num_iterations} iterations")
 
             # 2. identical request -> content-hash cache, bit-identical
-            again = client.extract(graph, config={"engine": "process"})
+            again = client.extract(graph, config=config)
             assert again.cached and again.served_by == "cache"
             assert (again.edges == first.edges).all()
             print(f"cache   : {again.num_edges} edges (hit, no dispatch)")
@@ -77,7 +77,7 @@ def main() -> None:
             # 3. server-side verification of a maximalized extraction
             certified = client.extract(
                 graph,
-                config={"engine": "process", "maximalize": True},
+                config={**config, "maximalize": True},
                 verify=True,
             )
             assert certified.verified
@@ -88,10 +88,10 @@ def main() -> None:
             # 4. live counters
             stats = client.stats()
             assert stats["cache_hits"] >= 1
-            assert stats["pool_dispatches"] >= 2
+            assert stats["dispatches"] >= 2
             print(f"stats   : {stats['requests']} requests, "
                   f"{stats['cache_hits']} cache hits, "
-                  f"{stats['pool_dispatches']} pool dispatches")
+                  f"{stats['dispatches']} dispatches")
 
         # 5. graceful drain on SIGTERM
         server.send_signal(signal.SIGTERM)

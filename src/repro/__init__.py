@@ -3,8 +3,8 @@
 A complete reproduction of *"A Novel Multithreaded Algorithm for Extracting
 Maximal Chordal Subgraphs"* (Halappanavar, Feo, Dempsey, Ali, Bhowmick —
 ICPP 2012), including the graph substrate, the paper's test-suite
-generators, the serial/threaded/process extraction engines, the batch
-pipeline (:func:`extract_many` over a persistent process pool), graph-file
+generators, the serial and native (nogil thread team) extraction
+engines, the batch pipeline (:func:`extract_many`), graph-file
 IO (:func:`load_graph` / :func:`save_graph` for MatrixMarket, SNAP, METIS,
 gzip edge lists, npz), the Dearing–Shier–Warner and distributed baselines,
 chordality verification, machine models for the Cray XMT and AMD Opteron
@@ -20,7 +20,7 @@ Quickstart
 True
 
 Many graphs under one regime are a session — one validated
-:class:`ExtractionConfig`, one :class:`Extractor`, one worker-team spawn:
+:class:`ExtractionConfig`, one :class:`Extractor`:
 
 >>> with Extractor(ExtractionConfig()) as ex:
 ...     results = ex.extract_many([g, g])

@@ -12,8 +12,7 @@ Subcommands
     :class:`repro.core.config.ExtractionConfig`; ``--engine`` /
     ``--schedule`` choices come from the engine registry
     (:mod:`repro.core.engines`).  The whole invocation runs through one
-    :class:`repro.core.session.Extractor`, so multiple inputs share one
-    persistent process pool (``--engine process``).  ``--verify`` certifies
+    :class:`repro.core.session.Extractor`.  ``--verify`` certifies
     every output through :func:`repro.chordality.verify_extraction`
     (chordality always; maximality when ``--maximalize`` guarantees it) —
     the supported way to validate the nondeterministic asynchronous
@@ -40,10 +39,10 @@ Subcommands
     ``repro extract --sharded --shards N --spill-dir DIR`` is the
     one-shot form.
 ``serve``
-    Run the extraction service (:mod:`repro.service`): a daemon owning
-    warm worker pools behind a unix socket (and/or TCP), with an
-    admission queue, per-request deadlines and a content-hash result
-    cache.  ``repro extract --server`` routes through it.
+    Run the extraction service (:mod:`repro.service`): a daemon behind a
+    unix socket (and/or TCP), with an admission queue, dispatcher
+    threads, per-request deadlines and a content-hash result cache.
+    ``repro extract --server`` routes through it.
 ``bench``
     One-command performance *and quality* guard: runs
     ``benchmarks/bench_regression_guard.py`` (the 2x kernel-regression
@@ -59,10 +58,10 @@ Examples
 
     repro --version
     repro generate rmat-b --scale 12 --seed 1 -o graph.mtx
-    repro extract graph.mtx -o chordal.txt --engine process --num-workers 4
+    repro extract graph.mtx -o chordal.txt --engine native --num-threads 4
     repro generate rmat-er --scale 8 | repro extract - --quiet
-    repro extract data/*.mtx --out-dir results/ --engine process
-    repro serve --socket /tmp/repro.sock --pools 2 --num-workers 4 &
+    repro extract data/*.mtx --out-dir results/ --engine native
+    repro serve --socket /tmp/repro.sock --dispatchers 2 &
     repro extract graph.mtx --server /tmp/repro.sock
     repro bench
     repro experiments table1 --scales 8,9
@@ -175,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "extract",
         help="extract maximal chordal subgraphs from graph files",
         description="Read graph file(s), run Algorithm 1, write the chordal "
-        "edge set.  Multiple inputs share one persistent worker pool with "
-        "--engine process.",
+        "edge set.",
     )
     ex.add_argument(
         "inputs", nargs="+", help="input graph file(s); '-' reads an edge list from stdin"
@@ -221,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-workers",
         type=int,
         default=None,
-        help="process-engine workers (default 4; server-owned with --server)",
+        help="threads of the deprecated process alias (default 4; "
+        "server-owned with --server)",
     )
-    ex.add_argument("--num-threads", type=int, default=4, help="threaded-engine threads")
+    ex.add_argument("--num-threads", type=int, default=4, help="native-engine threads")
     ex.add_argument(
         "--renumber", choices=("bfs",), default=None, help="BFS-renumber before extraction"
     )
@@ -250,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ADDR",
         help="route extraction through a running `repro serve` daemon: a "
         "unix-socket path, or HOST:PORT for TCP.  --verify then certifies "
-        "server-side; --num-workers is rejected (the server sizes its own "
-        "pools)",
+        "server-side; --num-workers is rejected (server-owned)",
     )
     ex.add_argument(
         "--sharded",
@@ -335,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run the extraction service daemon (warm pools, cache)",
+        help="run the extraction service daemon (queue, cache)",
         description="Serve extraction requests over a unix socket (and/or "
-        "TCP): warm worker-process pools, a bounded admission queue "
-        "(explicit BUSY backpressure), per-request deadlines, a "
-        "content-hash result cache, and worker-death recovery.  Clients: "
+        "TCP): dispatcher threads behind a bounded admission queue "
+        "(explicit BUSY backpressure), per-request deadlines and a "
+        "content-hash result cache.  Clients: "
         "`repro extract --server ADDR` or repro.service.ServiceClient.  "
         "Stop with SIGINT/SIGTERM (drains in-flight requests first).",
     )
@@ -353,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also (or instead) listen on TCP; port 0 picks a free port",
     )
     srv.add_argument(
-        "--pools", type=int, default=1, help="warm worker pools (default 1)"
-    )
-    srv.add_argument(
-        "--num-workers", type=int, default=2, help="worker processes per pool (default 2)"
+        "--dispatchers",
+        type=int,
+        default=1,
+        help="threads executing admitted requests (default 1)",
     )
     srv.add_argument(
         "--queue-depth",
@@ -381,13 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256 * 1024 * 1024,
         help="result-cache byte ceiling (default 256 MiB)",
-    )
-    srv.add_argument(
-        "--barrier-timeout",
-        type=float,
-        default=None,
-        help="seconds before a silent worker team is declared dead "
-        "(default: the pool's 120s)",
     )
     srv.add_argument(
         "--no-remote-shutdown",
@@ -498,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=VARIANTS, default="optimized")
         p.add_argument("--schedule", choices=schedule_names(), default=None)
         p.add_argument("--num-threads", type=int, default=4)
-        p.add_argument("--num-workers", type=int, default=None)
         p.add_argument("--renumber", choices=("bfs",), default=None)
         p.add_argument(
             "--no-maximalize",
@@ -690,7 +680,7 @@ def _extract_via_server(args: argparse.Namespace, out_dir, out_ext) -> int:
     if args.num_workers is not None:
         print(
             "repro extract: error: --num-workers is server-owned with "
-            "--server (the daemon sizes its pools at startup)",
+            "--server",
             file=sys.stderr,
         )
         return 2
@@ -858,7 +848,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         return _extract_via_server(args, out_dir, out_ext)
     # One validated config for the whole invocation; schedule=None
     # resolves to the engine's registered default (synchronous for
-    # process — deterministic output files — asynchronous otherwise).
+    # process, asynchronous otherwise).
     config = ExtractionConfig(
         engine=args.engine,
         variant=args.variant,
@@ -869,8 +859,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         stitch=args.stitch,
         maximalize=args.maximalize,
     )
-    # One session for the whole batch: the pool is spawned on first use
-    # and rebound per graph (the extract_many amortisation).
+    # One session for the whole batch.
     with Extractor(config) as extractor:
         for source in args.inputs:
             if source == "-":
@@ -1067,7 +1056,6 @@ def _shard_config(args: argparse.Namespace) -> ExtractionConfig:
         variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
-        num_workers=args.num_workers,
         renumber=args.renumber,
         maximalize=not args.no_maximalize,
     )
@@ -1251,13 +1239,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         host=host,
         port=port,
-        num_pools=args.pools,
-        num_workers=args.num_workers,
+        num_dispatchers=args.dispatchers,
         queue_depth=args.queue_depth,
         request_timeout=args.request_timeout,
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,
-        barrier_timeout=args.barrier_timeout,
         allow_remote_shutdown=not args.no_remote_shutdown,
     )
     server = ReproServer(config)
@@ -1275,7 +1261,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         listening.append("%s:%d" % server.tcp_address)
     print(
         f"repro serve: listening on {' and '.join(listening)} "
-        f"({config.num_pools} pool(s) x {config.num_workers} workers, "
+        f"({config.num_dispatchers} dispatcher(s), "
         f"queue depth {config.queue_depth})",
         file=sys.stderr,
         flush=True,

@@ -1,11 +1,11 @@
 """The paper's contribution: multithreaded maximal chordal subgraph extraction.
 
-Algorithm 1 of the paper, in four interchangeable engines that all produce
+Algorithm 1 of the paper, in interchangeable engines that all produce
 *identical* chordal edge sets under the canonical snapshot-per-superstep
 semantics (see DESIGN.md §5).  The schedule loop itself is implemented
-once, in the unified runtime (:mod:`repro.core.runtime`: one driver over
-pluggable StateBackend × ExecutorBackend pairings); the engine modules
-are the thin pairings:
+once, in the unified in-process runtime (:mod:`repro.core.runtime`: one
+driver over ``LocalState`` × executor pairings); the engines are thin
+pairings:
 
 * :mod:`repro.core.reference` — literal pure-Python transcription of the
   pseudocode (dicts and sets; the readable spec — deliberately not
@@ -13,21 +13,19 @@ are the thin pairings:
 * :mod:`repro.core.superstep` — ``LocalState`` × ``SerialExecutor``: the
   serial array engine with the paper's *optimized* / *unoptimized*
   parent-advance cost models.
-* :mod:`repro.core.threaded` — ``LocalState`` × ``ThreadTeamExecutor``:
-  real ``threading`` threads with per-iteration barriers (GIL-bound;
-  demonstrates the concurrency structure).
-* :mod:`repro.core.procpool` — ``SharedSegmentState`` ×
-  ``ProcessTeamExecutor``: worker *processes* over shared memory,
-  executing the bulk kernels of :mod:`repro.core.kernels` with real
-  core-level parallelism (both schedules).
+* ``native`` — ``LocalState`` × ``NativeThreadTeamExecutor``: compiled
+  round bodies on a nogil thread team (real core-level parallelism).
+
+:mod:`repro.core.threaded` and :mod:`repro.core.procpool` keep the
+deprecated entry points of the retired threaded and process engines.
 
 The public face is the session API:
 
 * :class:`repro.core.config.ExtractionConfig` — every knob, validated once;
 * :mod:`repro.core.engines` — the engine registry (capability flags,
   :func:`~repro.core.engines.register_engine` for third-party engines);
-* :class:`repro.core.session.Extractor` — session object owning the pool
-  lifecycle, with ``.extract()`` / ``.extract_many()`` / ``.stream()``;
+* :class:`repro.core.session.Extractor` — session object with
+  ``.extract()`` / ``.extract_many()`` / ``.stream()``;
 * :func:`repro.core.extract.extract_maximal_chordal_subgraph` /
   :func:`~repro.core.extract.extract_many` — the legacy one-call shims.
 """
@@ -61,10 +59,8 @@ from repro.core.connect import stitch_components
 from repro.core.instrument import WorkTrace, IterationTrace, CostModelParams
 from repro.core.runtime import (
     LocalState,
-    ProcessTeamExecutor,
+    NativeThreadTeamExecutor,
     SerialExecutor,
-    SharedSegmentState,
-    ThreadTeamExecutor,
     backend_run_fn,
     drive,
 )
@@ -100,8 +96,6 @@ __all__ = [
     "drive",
     "backend_run_fn",
     "LocalState",
-    "SharedSegmentState",
     "SerialExecutor",
-    "ThreadTeamExecutor",
-    "ProcessTeamExecutor",
+    "NativeThreadTeamExecutor",
 ]

@@ -34,10 +34,10 @@ __all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS", "DEFAULT_NUM_W
 #: Parent-advance variants (the paper's Opt / Unopt pair).
 VARIANTS = ("optimized", "unoptimized")
 
-#: Thread-team size the threaded engine uses when none is given.
+#: Thread-team size the native engine uses when none is given.
 DEFAULT_NUM_THREADS = 4
 
-#: Worker-process count the process engine uses when none is given.
+#: Thread-team size the deprecated ``process`` alias uses when none is given.
 DEFAULT_NUM_WORKERS = 4
 
 
@@ -56,8 +56,9 @@ class ExtractionConfig:
     engine:
         Registered engine name (see
         :func:`repro.core.engines.engine_names`; built-ins:
-        ``superstep``, ``threaded``, ``process``, ``reference``, and the
-        weight-aware ``weighted`` MAXCHORD portfolio).  Engines declare a
+        ``superstep``, ``native``, ``reference``, the weight-aware
+        ``weighted`` MAXCHORD portfolio, and the deprecated aliases
+        ``threaded`` / ``process``).  Engines declare a
         ``supports_weights`` capability; handing a graph that carries
         edge weights (``graph.has_weights``) to an engine without it is a
         :class:`~repro.errors.ConfigError` at extraction time — weights
@@ -68,13 +69,14 @@ class ExtractionConfig:
     schedule:
         ``"asynchronous"``, ``"synchronous"``, or ``None`` (default) for
         the engine's declared ``default_schedule`` — ``synchronous`` for
-        the process engine (deterministic outputs), ``asynchronous``
-        elsewhere.  The engine must support the requested schedule.
+        the ``process`` alias, ``asynchronous`` elsewhere.  The engine
+        must support the requested schedule.
     num_threads:
-        Thread-team size (threaded engine).
+        Thread-team size (native engine).
     num_workers:
-        Worker-process count (process engine); ``None`` resolves to the
-        bound pool's size, else :data:`DEFAULT_NUM_WORKERS`.  Giving
+        Thread-team size of the deprecated ``process`` alias; ``None``
+        resolves to the bound pool's size, else
+        :data:`DEFAULT_NUM_WORKERS`.  Giving
         both an explicit count and a conflicting pool is a
         :class:`~repro.errors.ConfigError` (it used to be silently
         ignored).

@@ -4,8 +4,7 @@ The paper's contribution is *one* algorithm run under many execution
 regimes, and this module is where those regimes become data: every engine
 registers an :class:`EngineSpec` describing its capabilities — supported
 schedules, which of them are deterministic, whether it can produce a
-:class:`~repro.core.instrument.WorkTrace`, whether it runs on a
-:class:`~repro.core.procpool.ProcessPool` — plus a ``run`` callable with a
+:class:`~repro.core.instrument.WorkTrace` — plus a ``run`` callable with a
 uniform signature.  Dispatch, validation, error messages and the CLI's
 ``--engine`` / ``--schedule`` choices are all derived from the registry,
 so a third-party engine registered with :func:`register_engine` plugs into
@@ -18,37 +17,39 @@ The legacy module-level tuples ``repro.core.extract.ENGINES`` /
 
 Built-in engines
 ----------------
-All four are pairings of the unified runtime's backends
-(:mod:`repro.core.runtime`): one schedule driver over a StateBackend ×
-ExecutorBackend choice.
+The Algorithm-1 engines are pairings of the unified in-process runtime
+(:mod:`repro.core.runtime`): one schedule driver over a ``LocalState`` ×
+executor choice.
 
 ``superstep``
-    ``LocalState`` × ``SerialExecutor`` (vectorized kernels);
-    deterministic under both schedules; collects work traces.
-``threaded``
-    ``LocalState`` × ``ThreadTeamExecutor`` — real threads with
-    per-iteration barriers (GIL-bound); asynchronous output may differ
-    run to run; collects work traces (its synchronous trace is identical
-    to ``superstep``'s, the trace being a property of the schedule).
+    ``LocalState`` × ``SerialExecutor`` (vectorized kernels, the paper's
+    maximal-progress sweep for the asynchronous schedule); deterministic
+    under both schedules; collects work traces.  The default.
 ``native``
-    ``LocalState(edge_claims=True)`` × ``NativeThreadTeamExecutor`` —
-    the same thread team dispatching the *compiled* round bodies
+    ``LocalState(edge_claims=True)`` × ``NativeThreadTeamExecutor`` — a
+    thread team dispatching the *compiled* round bodies
     (:mod:`repro.core.native`), which release the GIL: genuinely
-    parallel threads over shared arrays with no fork, segment or
-    barrier-agent machinery.  Falls back to the NumPy bodies (same
-    results, GIL-bound) when no compiled backend is available
+    parallel threads over shared arrays.  Falls back to the NumPy bodies
+    (same results, GIL-bound) when no compiled backend is available
     (``supports_native`` flags the capability; availability is a
     runtime question — ``repro --version`` reports it).
-``process``
-    ``SharedSegmentState`` × ``ProcessTeamExecutor`` — worker processes
-    over shared memory, real core-level speedup; runs on a reusable
-    :class:`~repro.core.procpool.ProcessPool` (``supports_pool``);
-    synchronous output is bit-identical to ``superstep`` for any worker
-    count.
 ``reference``
     Literal pseudocode transcription; deterministic under both
     schedules; the readable spec (kept loop-for-loop with the paper, so
     deliberately *not* rewritten over the runtime).
+
+Two names survive as deprecated aliases of retired engines, so existing
+configs and CLI invocations keep working:
+
+``threaded``
+    Alias of ``superstep`` (``num_threads`` is ignored).  The GIL-bound
+    Python thread team it ran was slower than the serial engine in every
+    measured cell.
+``process``
+    The ``native`` pairing sized by ``num_workers``, with the synchronous
+    schedule as its default.  It is the only engine with
+    ``supports_pool``: a caller-held (deprecated)
+    :class:`~repro.core.procpool.ProcessPool` fixes that size.
 
 One engine implements a *different algorithm* (``algorithm="maxchord"``
 rather than the paper's ``"algorithm1"``):
@@ -71,13 +72,11 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.instrument import WorkTrace
-from repro.core.procpool import ProcessPool
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
     LocalState,
     NativeThreadTeamExecutor,
     SerialExecutor,
-    ThreadTeamExecutor,
     backend_run_fn,
 )
 from repro.errors import ConfigError
@@ -85,6 +84,7 @@ from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (type hints only)
     from repro.core.config import ExtractionConfig
+    from repro.core.procpool import ProcessPool
 
 __all__ = [
     "Engine",
@@ -124,7 +124,7 @@ class Engine(Protocol):
         self,
         graph: CSRGraph,
         config: "ExtractionConfig",
-        pool: ProcessPool | None = None,
+        pool: "ProcessPool | None" = None,
     ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
         """Run one extraction; return ``(edges, queue_sizes, trace)``."""
         ...  # pragma: no cover - protocol stub
@@ -149,17 +149,16 @@ class EngineSpec:
         :class:`~repro.errors.ConfigError` naming this tuple).
     default_schedule:
         What ``ExtractionConfig(schedule=None)`` resolves to — the
-        engine's natural schedule (``synchronous`` for ``process``,
-        whose deterministic outputs make batches reproducible;
-        ``asynchronous`` elsewhere, matching the paper).
+        engine's natural schedule (``synchronous`` for ``process``, as
+        it always was; ``asynchronous`` elsewhere, matching the paper).
     deterministic_schedules:
         Schedules under which the edge set is bit-reproducible across
         runs and thread/worker counts.
     supports_trace:
         Whether ``collect_trace=True`` is accepted.
     supports_pool:
-        Whether extraction runs on (and can reuse) a
-        :class:`~repro.core.procpool.ProcessPool`.
+        Whether the engine accepts a caller-held (deprecated)
+        :class:`~repro.core.procpool.ProcessPool` (only ``process``).
     supports_native:
         Whether the engine dispatches the compiled nogil round bodies
         (:mod:`repro.core.native`) when they are available.  This is a
@@ -212,7 +211,7 @@ class EngineSpec:
         self,
         graph: CSRGraph,
         config: "ExtractionConfig",
-        pool: ProcessPool | None = None,
+        pool: "ProcessPool | None" = None,
     ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
         return self.run_fn(graph, config, pool)
 
@@ -380,28 +379,18 @@ class RegistryView(Sequence):
 
 # ---------------------------------------------------------------------------
 # Built-in engine registrations.  ``run_fn`` receives the (possibly
-# renumbered) work graph plus the *resolved* ExtractionConfig; resource
-# ownership (pool lifecycle) lives in repro.core.session.
-#
-# The in-process engines are pure backend pairings over the unified
-# runtime (:mod:`repro.core.runtime`): a StateBackend factory plus an
-# ExecutorBackend factory, glued by ``backend_run_fn``.  The process
-# engine pairs SharedSegmentState with ProcessTeamExecutor through the
-# pool the session supplies (the pool owns the segment/team lifecycle).
+# renumbered) work graph plus the *resolved* ExtractionConfig.  The
+# runtime engines are backend pairings (a LocalState factory plus an
+# executor factory, glued by ``backend_run_fn``).
 
 _run_superstep = backend_run_fn(
     lambda graph, num_slices, config: LocalState(graph, num_slices),
     lambda config: SerialExecutor(),
 )
 
-_run_threaded = backend_run_fn(
-    lambda graph, num_slices, config: LocalState(graph, num_slices),
-    lambda config: ThreadTeamExecutor(config.num_threads),
-)
-
 # edge_claims=True: the native pairing runs the asynchronous schedule as
-# lock-free live rounds in process, so the local state carries real
-# edge-claim words (the sweep-based engines never read them).
+# lock-free live rounds, so the state carries real edge-claim words (the
+# serial sweep never reads them).
 _run_native = backend_run_fn(
     lambda graph, num_slices, config: LocalState(graph, num_slices, edge_claims=True),
     lambda config: NativeThreadTeamExecutor(config.num_threads),
@@ -409,14 +398,11 @@ _run_native = backend_run_fn(
 
 
 def _run_process(graph, config, pool):
-    # The dispatcher always supplies the pool for supports_pool engines
-    # (Extractor._ensure_pool sized it with config.num_workers); variant
-    # is validated config-side and does not change the pooled kernels'
-    # edge sets (see process_max_chordal).
-    edges, queue_sizes = pool.extract(
-        graph, schedule=config.schedule, max_iterations=config.max_iterations
-    )
-    return edges, queue_sizes, None
+    # The native pairing sized by num_workers.  A caller-held pool only
+    # carries that size (resolved() copied it into the config).
+    if pool is not None:
+        pool.check_open()
+    return _run_native(graph, config.replace(num_threads=config.num_workers))
 
 
 def _run_reference(graph, config, pool):
@@ -451,9 +437,9 @@ register_engine(
 register_engine(
     EngineSpec(
         name="threaded",
-        run_fn=_run_threaded,
-        description="real thread team with per-iteration barriers (GIL-bound)",
-        deterministic_schedules=("synchronous",),
+        run_fn=_run_superstep,
+        description="deprecated alias of superstep",
+        deterministic_schedules=("asynchronous", "synchronous"),
         supports_trace=True,
     )
 )
@@ -471,10 +457,12 @@ register_engine(
     EngineSpec(
         name="process",
         run_fn=_run_process,
-        description="worker processes over shared memory (real multi-core speedup)",
+        description="deprecated alias of native, sized by --num-workers, "
+        "synchronous by default",
         default_schedule="synchronous",
         deterministic_schedules=("synchronous",),
         supports_pool=True,
+        supports_native=True,
     )
 )
 register_engine(

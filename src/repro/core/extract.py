@@ -4,10 +4,9 @@ The primary API lives one layer down and is what new code should use:
 
 * :class:`repro.core.config.ExtractionConfig` — every knob, captured and
   validated once against the engine registry;
-* :class:`repro.core.session.Extractor` — the session object owning the
-  execution resources (one :class:`~repro.core.procpool.ProcessPool`
-  spawn for any number of extractions), with ``.extract()``,
-  ``.extract_many()`` and the lazy ``.stream()`` generator;
+* :class:`repro.core.session.Extractor` — the session object, with
+  ``.extract()``, ``.extract_many()`` and the lazy ``.stream()``
+  generator;
 * :mod:`repro.core.engines` — the registry third-party engines plug into
   (:func:`~repro.core.engines.register_engine`).
 
@@ -66,21 +65,19 @@ def extract_maximal_chordal_subgraph(
     """Extract a maximal chordal subgraph with Algorithm 1.
 
     Equivalent to ``Extractor(ExtractionConfig(...), pool=pool)
-    .extract(graph)`` with a session per call; hold an
-    :class:`~repro.core.session.Extractor` instead when extracting more
-    than one graph with the process engine (one worker-team spawn for
-    the whole session).
+    .extract(graph)`` with a session per call.
 
     Parameters
     ----------
     graph:
         Input graph (any :class:`~repro.graph.csr.CSRGraph`).
     engine:
-        ``"superstep"`` (serial array engine, default), ``"threaded"``
-        (real thread team; GIL-bound), ``"process"`` (worker-process team
-        over shared memory — the only engine with real core-level
-        speedup; both schedules) or ``"reference"`` (literal
-        pseudocode).  Any engine added via
+        ``"superstep"`` (serial array engine, default), ``"native"``
+        (compiled round bodies on a nogil thread team — real core-level
+        speedup; both schedules), ``"reference"`` (literal pseudocode),
+        ``"weighted"``, or the deprecated aliases ``"threaded"`` (=
+        superstep) and ``"process"`` (= native sized by
+        ``num_workers``, synchronous by default).  Any engine added via
         :func:`repro.core.engines.register_engine` is accepted too.
     variant:
         ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
@@ -91,24 +88,21 @@ def extract_maximal_chordal_subgraph(
         on the gene networks).  ``"synchronous"`` uses barrier-snapshot
         semantics (one parent per vertex per superstep) — deterministic
         across engines and thread/worker counts, with iteration count
-        equal to the maximum lower-degree; under it the ``process``
+        equal to the maximum lower-degree; under it the ``native``
         engine returns edge sets bit-identical to ``engine="superstep"``.
-        Under ``"asynchronous"`` the ``process`` engine runs the paper's
-        live-state sweep true-parallel: any run yields a valid chordal
-        edge set (certify with
-        :func:`repro.chordality.verify_extraction`), but the edge set is
-        not bit-reproducible across runs or worker counts.  ``None`` is
-        also accepted and resolves to the engine's *registered* default
-        schedule — ``synchronous`` for ``process``, ``asynchronous``
-        otherwise, exactly like :func:`extract_many` and
-        ``ExtractionConfig(schedule=None)``; note this differs from this
-        function's own keyword default for the process engine
-        (historically ``None`` was rejected here).
+        Under ``"asynchronous"`` the ``native`` engine runs live rounds
+        true-parallel: any run yields a valid chordal edge set (certify
+        with :func:`repro.chordality.verify_extraction`), but the edge
+        set is not bit-reproducible across runs or thread counts.
+        ``None`` is also accepted and resolves to the engine's
+        *registered* default schedule — ``synchronous`` for ``process``,
+        ``asynchronous`` otherwise, exactly like :func:`extract_many` and
+        ``ExtractionConfig(schedule=None)``.
     num_threads:
-        Thread-team size for the threaded engine.
+        Thread-team size for the native engine.
     num_workers:
-        Worker-process count for the process engine (default 4 —
-        explicitly ``None`` means "the pool's size" when ``pool=`` is
+        Thread-team size for the deprecated ``process`` alias (default 4
+        — explicitly ``None`` means "the pool's size" when ``pool=`` is
         given; an explicit count conflicting with the pool raises
         :class:`~repro.errors.ConfigError`).
     renumber:
@@ -128,17 +122,13 @@ def extract_maximal_chordal_subgraph(
         of edges the pass added is reported as ``result.maximality_gap``.
     collect_trace:
         Capture the work trace for the machine models (``supports_trace``
-        engines only — of the built-ins, ``superstep`` and ``threaded``;
-        their synchronous traces are identical, the trace being a
-        property of the schedule).
+        engines only — of the built-ins, ``superstep`` and its
+        ``threaded`` alias).
     cost_params / max_iterations:
         Forwarded to the engine.
     pool:
-        An open :class:`~repro.core.procpool.ProcessPool` to run on
-        (pool-capable engines only).  The pool is rebound to this graph
-        and left open, so repeated calls share one worker team instead of
-        spawning one per call — :class:`~repro.core.session.Extractor`
-        and :func:`extract_many` manage this automatically.
+        Deprecated: an open :class:`~repro.core.procpool.ProcessPool`
+        whose size the ``process`` alias adopts (left open).
 
     Returns
     -------
@@ -179,14 +169,8 @@ def extract_many(
 
     Equivalent to ``Extractor(ExtractionConfig(...), pool=pool)
     .extract_many(graphs)`` — every result is bit-identical to its
-    single-call counterpart — with the per-call setup amortised: for
-    ``engine="process"`` one persistent
-    :class:`~repro.core.procpool.ProcessPool` (worker team + shared-memory
-    arena) is spawned up front, rebound to each graph in turn, and torn
-    down once at the end.  ``benchmarks/record_batch_baseline.py`` records
-    the resulting throughput gap as ``BENCH_batch.json``.  For lazy
-    results (no materialised list), use
-    :meth:`~repro.core.session.Extractor.stream`.
+    single-call counterpart.  For lazy results (no materialised list),
+    use :meth:`~repro.core.session.Extractor.stream`.
 
     Parameters
     ----------
@@ -195,15 +179,11 @@ def extract_many(
         lazily, but all results are materialised into the returned list).
     schedule:
         ``None`` (default) picks the engine's registered
-        ``default_schedule``: ``"synchronous"`` for the process engine
-        (deterministic outputs — every result stays bit-identical to its
-        single-call counterpart), ``"asynchronous"`` otherwise.  Pass
-        ``"asynchronous"`` explicitly to run the process engine's
-        live-state sweep over the batch.
+        ``default_schedule``: ``"synchronous"`` for the ``process``
+        alias, ``"asynchronous"`` otherwise.
     pool:
-        An existing open pool to reuse (pool-capable engines only); the
-        caller keeps ownership and must close it.  With ``pool=None`` a
-        temporary pool is created and closed internally.
+        Deprecated: an open pool whose size the ``process`` alias
+        adopts; the caller keeps ownership and must close it.
     engine / variant / num_threads / num_workers / renumber / stitch /
     maximalize / max_iterations:
         As in :func:`extract_maximal_chordal_subgraph`, applied to every

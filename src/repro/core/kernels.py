@@ -5,9 +5,8 @@ The serial synchronous engine in :mod:`repro.core.superstep` services one
 every pair in a superstep is independent, so the whole superstep can be
 reformulated as a handful of bulk array operations over *all* active
 vertices at once.  This module is that reformulation; it is the hot path of
-the synchronous superstep engine (``collect_trace=False``) and the compute
-body each worker of the ``process`` engine executes on its shared-memory
-slice.
+the synchronous superstep engine and the NumPy fallback of the native
+thread team's slices.
 
 The kernels operate on the canonical flat data layout of
 :mod:`repro.core.runtime.layout`:
@@ -31,9 +30,8 @@ call — no per-vertex Python work at all.  This is the vectorized analogue
 of the paper's "ordered chordal set" observation: sortedness is what makes
 the subset test batchable.
 
-All kernels are pure functions over arrays (no object state), so the
-process engine can apply them directly to ``multiprocessing.shared_memory``
-views.
+All kernels are pure functions over arrays (no object state), so any
+slice of a round can apply them to the shared schema arrays.
 """
 
 from __future__ import annotations
@@ -103,8 +101,8 @@ def build_arena_keys(
 
     Returns the strictly increasing array ``[v * n + e for v ascending,
     e in C[v] ascending]`` over the snapshot ``counts``.  When ``out`` is
-    given (the process engine's shared scratch, capacity = arena size) the
-    keys are written into its prefix and that prefix is returned.
+    given (the state's ``keys`` scratch, capacity = arena size) the keys
+    are written into its prefix and that prefix is returned.
     """
     total = int(counts.sum())
     if out is None:
@@ -233,8 +231,8 @@ def append_accepted(
     ``ws`` entries are distinct (one service per vertex per superstep), so
     the scatter writes below have unique targets.  Parents arrive in
     increasing order, so each run stays sorted.  ``counts`` here is the
-    *live* array (== the snapshot at superstep start in the serial driver;
-    a separate view of the same shared block in the process engine).
+    *live* array (== the snapshot at superstep start under the
+    synchronous schedule).
     """
     w_ok = ws[ok]
     v_ok = vs[ok]

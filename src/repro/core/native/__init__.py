@@ -1,16 +1,14 @@
 """Native (compiled, nogil) kernel backend for the unified runtime.
 
 The paper's headline claim is multithreaded scaling on shared memory;
-CPython's GIL forced this reproduction's true-parallel path through
-worker *processes* (fork + shared segment + barrier protocol).  This
-package closes that gap: the round bodies of
+CPython's GIL keeps Python round bodies on one core.  This package
+closes that gap: the round bodies of
 :mod:`repro.core.runtime.rounds` translated to C, compiled once via cffi
 into a cached ``.so`` (:mod:`~repro.core.native.build`), and exposed as
 drop-in slice functions (:mod:`~repro.core.native.bodies`) that operate
 on the canonical schema arrays in place and release the GIL — so the
 ``native`` engine (:mod:`repro.core.engines`) runs a plain thread team
-genuinely in parallel: no segment remap protocol, no barrier agent, no
-worker reaping.
+genuinely in parallel in one process.
 
 Everything degrades cleanly: when no toolchain (or no cffi) is present,
 :func:`native_available` is ``False`` with a specific reason in

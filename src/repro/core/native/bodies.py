@@ -5,10 +5,9 @@ These have the exact ``(tid, arrays)`` signature of
 :func:`~repro.core.runtime.rounds.run_async_slice`, so the
 :class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` swaps
 them in without the driver noticing.  Each call hands the C function raw
-pointers into the canonical schema arrays — the same buffers whether
-they are :class:`~repro.core.runtime.state.LocalState` NumPy arrays or
-:class:`~repro.core.runtime.state.SharedSegmentState` shared-memory
-views — and cffi releases the GIL for the duration of the C call, which
+pointers into the canonical schema arrays of a
+:class:`~repro.core.runtime.state.LocalState` — and cffi releases the GIL
+for the duration of the C call, which
 is what lets a thread team run slices genuinely in parallel.
 
 Equivalence to the NumPy bodies (the determinism contract):
@@ -82,8 +81,8 @@ def _module():
 #: id(arrays-dict) -> (strong refs to every array handed to C, pointer
 #: dict).  A hit requires each schema entry to be the *same ndarray
 #: object* as the cached one; the held references keep those objects
-#: alive, so id() reuse after GC is impossible and a remapped segment
-#: (fresh view objects) misses and rebuilds.  An ndarray's buffer cannot
+#: alive, so id() reuse after GC is impossible and a replaced array
+#: (fresh object) misses and rebuilds.  An ndarray's buffer cannot
 #: move while referenced (in-place resize refuses when references
 #: exist), so object identity implies pointer validity — and the
 #: identity probe is far cheaper than re-deriving thirteen addresses.
@@ -150,7 +149,7 @@ def native_run_async_slice(tid: int, a: dict[str, np.ndarray]) -> None:
     if not a["edge_state"].size:
         raise ReproError(
             "asynchronous live rounds need edge-claim words; build the state "
-            "with LocalState(graph, edge_claims=True) (or a SharedSegmentState)"
+            "with LocalState(graph, edge_claims=True)"
         )
     cuts = a["cuts"]
     start, stop = int(cuts[tid]), int(cuts[tid + 1])

@@ -23,8 +23,8 @@ Why C at all: the round bodies are memory-bound pointer-chasing loops
 (per-pair binary searches over sorted arena runs), the shape where a
 compiled inner loop beats further NumPy batching.  The C functions take
 raw pointers into the *same* canonical schema arrays
-(:mod:`repro.core.runtime.layout`) — LocalState NumPy buffers and
-SharedSegmentState views alike, zero copies — and cffi releases the GIL
+(:mod:`repro.core.runtime.layout`) — the LocalState NumPy buffers,
+zero copies — and cffi releases the GIL
 around every call, so a thread team running them is genuinely parallel.
 """
 

@@ -1,198 +1,74 @@
-"""True-parallel process engine for Algorithm 1 (both schedules).
+"""Deprecated process-engine API: thin handles over the ``process`` alias.
 
-The CPython GIL means the ``threaded`` engine demonstrates the paper's
-concurrency structure without ever running faster than one core.  This
-engine escapes the GIL: a persistent team of **worker processes**
-(:class:`~repro.core.runtime.executors.ProcessTeamExecutor`) executes
-either schedule over state held in a single
-``multiprocessing.shared_memory`` segment
-(:class:`~repro.core.runtime.state.SharedSegmentState`), so iterations
-run on real cores with zero per-iteration serialisation of the graph or
-the chordal arena.
-
-Since the unified-runtime refactor the schedule loop itself lives in
-:func:`repro.core.runtime.driver.drive` — shared verbatim with the serial
-and threaded engines — and this module owns only what is specific to the
-process pairing: the pool lifecycle (bind / capacity growth / teardown)
-and the worker-team restart protocol.
-
-Execution shape per round (mirrors the paper's "for all v in Q1 in
-parallel" with an implicit barrier): the driver publishes the active set,
-cost-balanced slice cuts and (synchronous schedule) the barrier snapshot
-+ compressed key array into the segment; every worker runs the bulk
-kernel round body of :mod:`repro.core.runtime.rounds` on its slice; the
-barrier agent joins the team.  Because every synchronous subset test is
-evaluated against the same barrier snapshot regardless of worker count or
-timing, the edge set is **bit-identical** to the serial synchronous
-engine for any number of workers.
-
-Asynchronous schedule
----------------------
-``extract(schedule="asynchronous")`` runs the paper's headline schedule
-true-parallel: per round, vertex-partitioned workers sweep their slices of
-the live active set **without a snapshot** — subset tests probe whatever
-prefix of each parent's chordal set other workers have published by probe
-time (:func:`~repro.core.kernels.subset_mask_live`).  Correctness under
-the races this admits rests on three pillars (see
-:func:`~repro.core.runtime.rounds.run_async_slice` for the mechanics):
-
-1. *Unique writer* — within a round each child vertex belongs to exactly
-   one worker's slice, so its ``counts`` / ``cursor`` / ``lp`` words, its
-   arena run and its edge-claim words have a single mutator at any
-   instant; cross-round ownership handoffs are sequenced by the round
-   barriers.
-2. *Ordered publication* — :func:`~repro.core.kernels.append_accepted`
-   writes every arena slot before bumping the owner's ``counts`` word, so
-   a concurrently gathered prefix length always covers fully-written,
-   sorted elements.  A racing read can therefore only *reject* an edge,
-   never admit a chord-violating one.
-3. *Lock-free edge claims* — every ``(child, parent)`` arc owns one
-   shared edge-state word, flipped ``UNDECIDED -> ACCEPTED/REJECTED``
-   exactly once; the final claim/append/edge accounting is verified by
-   the driver after every asynchronous run.
-
-The output is *any-valid* (exactly like the Cray XMT runs the paper
-reports), certified by :func:`repro.chordality.verify_extraction` rather
-than by bit-identity.  Per-worker **epoch counters** let the executor
-assert, after every round, that each worker actually swept its slice.
-
-Batch amortisation
-------------------
-The pool is *rebindable*: one team of workers and one shared segment serve
-any number of graphs (:meth:`ProcessPool.bind` /
-``pool.extract(next_graph)``), which is what
-:func:`repro.core.extract.extract_many` builds on.  The segment is laid
-out for *capacities* rather than one graph's exact sizes, with per-graph
-sizes published through the control block; graphs that fit the current
-capacities rebind with zero process churn.  A graph that outgrows the
-capacities triggers one of two growth paths:
-
-* the new (doubled) layout still fits the over-allocated segment — the
-  coordinator bumps a layout generation in the control block and every
-  worker remaps its views in place at the next superstep; the team
-  survives;
-* the segment itself is too small — the team is torn down and restarted
-  over a fresh, geometrically larger segment (amortised O(log) restarts
-  over any batch).
+The worker-process engine is retired; ``engine="process"`` runs the
+native thread team (compiled round bodies that release the GIL, one
+process) sized by ``num_workers``.  :class:`ProcessPool` and
+:func:`process_max_chordal` keep their signatures so existing callers
+keep running, and both go through that one engine: synchronous output
+is bit-identical to the serial ``superstep`` engine for any worker
+count, asynchronous output is any valid chordal edge set (live rounds;
+certify with :func:`repro.chordality.verify_extraction`).  New code
+should use ``engine="native"`` instead.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from repro.core.kernels import arena_offsets, lower_counts
-from repro.core.runtime.driver import drive
-from repro.core.runtime.executors import ProcessTeamExecutor, WorkerTeamError
-from repro.core.runtime.state import SharedSegmentState
+from repro.core.config import ExtractionConfig
 from repro.errors import ConfigError, SessionClosedError
 from repro.graph.csr import CSRGraph
 
 __all__ = ["ProcessPool", "process_max_chordal"]
 
 
+def _deprecated(name: str) -> None:
+    warnings.warn(
+        f"{name} is deprecated: extraction no longer uses worker processes; "
+        "use engine='native' (a nogil thread team) instead",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
+def _run(graph: CSRGraph, config: ExtractionConfig, pool=None):
+    config = config.resolved(pool)
+    edges, queue_sizes, _ = config.engine_spec.run(graph, config, pool)
+    return edges, queue_sizes
+
+
 class ProcessPool:
-    """Persistent, rebindable worker-process team.
+    """Deprecated: a ``num_workers`` size and a bound graph.
 
-    Creating the pool pays the fork/spawn and shared-segment cost once;
-    :meth:`extract` can then run any number of extractions — repeats on
-    one graph *or* a whole batch of different graphs — with only superstep
-    barriers (and the rare capacity growth) as overhead.  This is the
-    amortisation step that makes ``extract_many`` serve many requests
-    without per-request pool spawn.
-
-    Use as a context manager, or call :meth:`close` explicitly::
-
-        with ProcessPool(num_workers=4) as pool:
-            for g in graphs:
-                edges, queue_sizes = pool.extract(g)
-
-    The constructor optionally takes a first graph (``ProcessPool(graph,
-    num_workers=4)``), binding it immediately; ``pool.extract()`` with no
-    argument then runs on the bound graph.
+    Keeps the historical surface — ``ProcessPool(graph=None,
+    num_workers=4)``, :meth:`bind`, :meth:`extract`, :meth:`close` and
+    the context manager.  Passed as ``pool=``, it fixes the ``process``
+    alias's team size; a closed pool refuses further work.
     """
 
-    #: Default seconds the coordinator waits on a superstep barrier before
-    #: declaring the team dead.  One superstep is a handful of bulk NumPy
-    #: calls, so exceeding this means a dead/stuck worker on any graph
-    #: that fits in memory; raise ``barrier_timeout`` for hosts where a
-    #: single superstep can legitimately run longer.
-    BARRIER_TIMEOUT = 120.0
-
-    #: Default byte-headroom factor for the shared segment.  Over-allocating
-    #: lets moderately larger graphs rebind via an in-place remap (team
-    #: survives) instead of a segment reallocation (team restart).
-    HEADROOM = 1.5
-
-    def __init__(
-        self,
-        graph: CSRGraph | None = None,
-        num_workers: int = 4,
-        *,
-        barrier_timeout: float | None = None,
-        headroom: float | None = None,
-    ) -> None:
+    def __init__(self, graph: CSRGraph | None = None, num_workers: int = 4) -> None:
+        _deprecated("ProcessPool")
         if num_workers < 1:
             raise ConfigError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        self.barrier_timeout = (
-            self.BARRIER_TIMEOUT if barrier_timeout is None else barrier_timeout
-        )
-        self._state = SharedSegmentState(
-            num_workers, self.HEADROOM if headroom is None else headroom
-        )
-        self._executor: ProcessTeamExecutor | None = None
-        self._closed = False
+        self.closed = False
         self._bound: CSRGraph | None = None
-        self._trivial_bound = True
         if graph is not None:
             self.bind(graph)
 
-    @property
-    def _procs(self) -> list:
-        """The live worker processes (tests poke these to kill workers)."""
-        return self._executor.procs if self._executor is not None else []
-
-    # ------------------------------------------------------------------
-    def bind(self, graph: CSRGraph) -> "ProcessPool":
-        """Load ``graph`` into the shared arena, growing it if needed.
-
-        Idempotent per graph object; :meth:`extract` calls this
-        automatically when handed a graph that is not currently bound.
-        """
-        if self._closed:
+    def check_open(self) -> None:
+        """Raise :class:`~repro.errors.SessionClosedError` once closed."""
+        if self.closed:
             raise SessionClosedError("ProcessPool is closed")
-        g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
-        lower = lower_counts(g.indptr, g.indices)
-        offsets = arena_offsets(lower)
-        cap = int(offsets[-1])
-        n = g.num_vertices
-        nnz = int(g.indices.size)
+
+    def bind(self, graph: CSRGraph) -> "ProcessPool":
+        """Make ``graph`` the one :meth:`extract` runs on by default."""
+        self.check_open()
         self._bound = graph
-        self._trivial_bound = n == 0 or cap == 0
-        if self._trivial_bound:
-            return self
-        if self._executor is None or not self._state.fits(n, nnz, cap):
-            new_caps = self._state.plan_growth(n, nnz, cap)
-            if self._executor is not None and self._state.can_remap(new_caps):
-                # In-place growth: the team survives; workers remap at the
-                # next superstep when they observe the bumped generation.
-                self._state.remap(new_caps)
-            else:
-                # The segment itself is too small: shut the team down on
-                # the old segment, then reallocate and restart below.
-                self._stop_team()
-                self._state.reallocate(new_caps)
-        if self._executor is None:
-            self._executor = ProcessTeamExecutor(
-                self.num_workers,
-                self._state.block.name,
-                self._state.caps,
-                self.barrier_timeout,
-            )
-        self._state.bind_graph(g, lower, offsets)
         return self
 
-    # ------------------------------------------------------------------
     def extract(
         self,
         graph: CSRGraph | None = None,
@@ -202,88 +78,29 @@ class ProcessPool:
     ) -> tuple[np.ndarray, list[int]]:
         """Run one extraction; returns ``(edges, queue_sizes)``.
 
-        With ``graph`` given, rebinds the pool to it first (cheap when the
-        graph fits the current capacities).  With ``graph=None``, runs on
-        the currently bound graph.  Resets the shared Algorithm 1 state,
-        then drives barrier-separated rounds until no vertex has a parent
-        left.
-
-        ``schedule="synchronous"`` (default) is deterministic: the result
-        is bit-identical to the serial superstep engine, independent of
-        ``num_workers`` and of whatever graphs the pool served before.
-        ``schedule="asynchronous"`` sweeps live state (see the module
-        docstring): the result is any valid chordal edge set and may
-        differ run to run — certify it with
-        :func:`repro.chordality.verify_extraction`.
+        With ``graph`` given, rebinds to it first; with ``graph=None``,
+        runs on the bound graph.
         """
-        if self._closed:
-            raise SessionClosedError("ProcessPool is closed")
-        if schedule not in ("synchronous", "asynchronous"):
-            raise ConfigError(
-                "schedule must be 'synchronous' or 'asynchronous', "
-                f"got {schedule!r}"
-            )
-        if graph is not None and graph is not self._bound:
+        self.check_open()
+        if graph is not None:
             self.bind(graph)
         if self._bound is None:
-            raise RuntimeError(
-                "no graph bound; pass one to extract() or bind() first"
-            )
-        if self._trivial_bound:
-            return np.empty((0, 2), dtype=np.int64), []
-        try:
-            edges, queue_sizes, _ = drive(
-                self._state,
-                self._executor,
-                schedule=schedule,
-                max_iterations=max_iterations,
-            )
-        except WorkerTeamError:
-            # The team is unusable (dead worker / wedged barrier); release
-            # the segment so the failure cannot leak shared memory.
-            self.close()
-            raise
-        return edges, queue_sizes
-
-    # ------------------------------------------------------------------
-    def _stop_team(self) -> None:
-        if self._executor is not None:
-            ctrl = (
-                self._state.arrays["control"]
-                if self._state.block is not None
-                else None
-            )
-            self._executor.close(ctrl)
-            self._executor = None
-
-    def _teardown(self) -> None:
-        """Stop the current team (if any) and release the segment.
-
-        Robust to partially-constructed pools; the pool stays usable — a
-        later bind starts a fresh team.
-        """
-        self._stop_team()
-        self._state.release()
+            raise RuntimeError("no graph bound; pass one to extract() or bind() first")
+        config = ExtractionConfig(
+            engine="process", schedule=schedule, max_iterations=max_iterations
+        )
+        return _run(self._bound, config, self)
 
     def close(self) -> None:
-        """Shut the team down and release the shared segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Refuse further work (idempotent)."""
+        self.closed = True
         self._bound = None
-        self._teardown()
 
     def __enter__(self) -> "ProcessPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def process_max_chordal(
@@ -294,24 +111,17 @@ def process_max_chordal(
     schedule: str = "synchronous",
     max_iterations: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
-    """Extract the maximal chordal edge set with a process team.
-
-    Returns ``(edges, queue_sizes)``.  With ``schedule="synchronous"``
-    (default) the edge set is bit-identical to the serial synchronous
-    superstep engine for every ``num_workers``; with
-    ``schedule="asynchronous"`` it is any valid chordal edge set produced
-    by the live-state sweep (may vary run to run — see the module
-    docstring).  Spawns (and tears down) a one-shot :class:`ProcessPool`;
-    batch callers should hold a pool and call :meth:`ProcessPool.extract`
-    per graph instead — see :func:`repro.core.extract.extract_many`.
+    """Deprecated: the ``process`` alias's raw ``(edges, queue_sizes)``.
 
     ``variant`` is validated for API symmetry; Opt/Unopt visit identical
-    parents (see :mod:`repro.core.state`) and the bulk kernels do no cost
-    accounting, so both run the sorted-adjacency path.
+    parents, so both produce the same edge set.
     """
-    if variant not in ("optimized", "unoptimized"):
-        raise ConfigError(
-            f"unknown variant {variant!r}; expected 'optimized' or 'unoptimized'"
-        )
-    with ProcessPool(graph, num_workers=num_workers) as pool:
-        return pool.extract(schedule=schedule, max_iterations=max_iterations)
+    _deprecated("process_max_chordal")
+    config = ExtractionConfig(
+        engine="process",
+        variant=variant,
+        schedule=schedule,
+        num_workers=num_workers,
+        max_iterations=max_iterations,
+    )
+    return _run(graph, config)

@@ -1,16 +1,13 @@
 """Unified extraction runtime: one schedule driver, pluggable backends.
 
-The paper's algorithm is one loop run under many execution regimes.  This
-package implements that loop **once** (:mod:`~repro.core.runtime.driver`)
-and parameterizes it along two axes:
+The paper's algorithm is one loop run under several execution regimes.
+This package implements that loop **once** (:mod:`~repro.core.runtime.driver`)
+and parameterizes it along two axes, both in-process:
 
-* **StateBackend** — where the algorithm's arrays live
-  (:class:`LocalState` in-process, :class:`SharedSegmentState` in a
-  shared-memory segment), both exposing the same canonical array schema
-  (:mod:`~repro.core.runtime.layout`);
-* **ExecutorBackend** — who runs each round's slices
-  (:class:`SerialExecutor`, :class:`ThreadTeamExecutor`,
-  :class:`NativeThreadTeamExecutor`, :class:`ProcessTeamExecutor`).
+* **state** — :class:`LocalState`, the algorithm's arrays in the canonical
+  schema (:mod:`~repro.core.runtime.layout`);
+* **executor** — who runs each round's slices (:class:`SerialExecutor`,
+  :class:`NativeThreadTeamExecutor`).
 
 The built-in engines are thin pairings of these (see
 :mod:`repro.core.engines`); a third-party backend is one new class plus a
@@ -19,30 +16,19 @@ section.
 """
 
 from repro.core.runtime.driver import SCHEDULES, VARIANTS, backend_run_fn, drive
-from repro.core.runtime.executors import (
-    NativeThreadTeamExecutor,
-    ProcessTeamExecutor,
-    SerialExecutor,
-    ThreadTeamExecutor,
-    WorkerTeamError,
-)
+from repro.core.runtime.executors import NativeThreadTeamExecutor, SerialExecutor
 from repro.core.runtime.layout import build_spec
 from repro.core.runtime.rounds import round_body, run_async_slice, run_sync_slice
-from repro.core.runtime.state import LocalState, SharedSegmentState, StateBackend
+from repro.core.runtime.state import LocalState
 
 __all__ = [
     "drive",
     "backend_run_fn",
     "SCHEDULES",
     "VARIANTS",
-    "StateBackend",
     "LocalState",
-    "SharedSegmentState",
     "SerialExecutor",
-    "ThreadTeamExecutor",
     "NativeThreadTeamExecutor",
-    "ProcessTeamExecutor",
-    "WorkerTeamError",
     "build_spec",
     "round_body",
     "run_sync_slice",

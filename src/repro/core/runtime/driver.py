@@ -4,38 +4,34 @@ The paper describes *one* algorithm with two intra-iteration schedules;
 this module is the one place the repo runs it.  :func:`drive` owns the
 outer loop — active-set discovery, queue-size accounting, the iteration
 budget, edge gathering, work-trace collection — and delegates each
-round's compute to a (:class:`~repro.core.runtime.state.StateBackend`,
+round's compute to a (:class:`~repro.core.runtime.state.LocalState`,
 executor) pairing:
 
 * ``schedule="synchronous"`` — barrier rounds against a frozen snapshot
   (:func:`~repro.core.runtime.rounds.run_sync_slice`).  Every subset test
   is evaluated against the same snapshot regardless of slice count or
-  timing, so the edge set is **bit-identical** across every backend
-  pairing — serial, thread team and process team all reproduce the same
-  rows.
-* ``schedule="asynchronous"`` on an in-process executor — the paper's
+  timing, so the edge set is **bit-identical** across every pairing —
+  serial executor and thread team of any width reproduce the same rows.
+* ``schedule="asynchronous"`` on the serial executor — the paper's
   maximal-progress sweep: ascending turns over a live children map, where
   a vertex whose next parent is a later queue member is served again
-  within the same iteration.  Deterministic when serial (reproduces the
-  paper's headline iteration counts: ~3 for R-MAT, k-1 for a k-clique);
-  any-valid when thread-sliced (the platform's benign races).
-* ``schedule="asynchronous"`` on a process team — or any executor that
-  sets ``live_rounds = True``, like the native thread team — live
-  barrier rounds: one service per vertex per round against whatever
-  chordal-set prefixes other workers have published, with lock-free
-  edge-claim words (:func:`~repro.core.runtime.rounds.run_async_slice`).
-  Any-valid; certify with :func:`repro.chordality.verify_extraction`.
+  within the same iteration.  Deterministic; reproduces the paper's
+  headline iteration counts (~3 for R-MAT, k-1 for a k-clique).
+* ``schedule="asynchronous"`` on an executor that sets
+  ``live_rounds = True`` (the native thread team) — live barrier rounds:
+  one service per vertex per round against whatever chordal-set prefixes
+  other threads have published, with lock-free edge-claim words
+  (:func:`~repro.core.runtime.rounds.run_async_slice`).  Any-valid;
+  certify with :func:`repro.chordality.verify_extraction`.
 
 Work traces are a **driver** feature: for synchronous rounds the trace is
 reconstructed from each round's snapshot in canonical ascending order, so
 it is identical for every executor (the trace is a property of the
 schedule, not of who ran it); for the asynchronous sweep events are
-recorded at service time (under a lock when thread-sliced).
+recorded at service time.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -77,8 +73,9 @@ def drive(
         so the edge set is variant-independent — only trace costs differ.
     collect_trace:
         Record the per-LP-vertex work trace for the machine models.
-        Supported by in-process executors (the live process rounds have
-        no well-defined per-pair costs to charge).
+        Supported by the sweep and by synchronous rounds (the live
+        asynchronous rounds have no well-defined per-pair costs to
+        charge).
     cost_params / max_iterations:
         Trace op weights; iteration safety bound (default
         ``max_degree + 2``).
@@ -102,19 +99,17 @@ def drive(
         )
     state.reset(schedule)
     limit = max_iterations if max_iterations is not None else state.max_degree + 2
-    live_rounds = getattr(executor, "live_rounds", False)
-    if schedule == "asynchronous" and executor.in_process and not live_rounds:
-        if not hasattr(state, "set_mirrors"):
+    if schedule == "asynchronous" and not getattr(executor, "live_rounds", False):
+        if executor.num_slices != 1:
             raise ConfigError(
-                "the asynchronous in-process sweep needs a state backend "
-                "with set_mirrors() (StateBackend subclasses provide it); "
-                f"got {type(state).__name__}"
+                "the asynchronous sweep is serial; drive it with a "
+                f"single-slice executor, not {executor.num_slices} slices"
             )
         return _drive_sweep(state, executor, variant, builder, limit)
     if collect_trace and schedule == "asynchronous":
         raise ConfigError(
             "collect_trace is not supported for asynchronous live rounds "
-            "(process-team / native executors); use the sweep executors"
+            "(the native thread team); use the serial sweep"
         )
     return _drive_rounds(state, executor, schedule, variant, builder, limit)
 
@@ -128,9 +123,10 @@ def backend_run_fn(state_factory, executor_factory):
     The returned callable has the registry's uniform ``(graph, config,
     pool)`` signature — this is the whole recipe for plugging a new
     in-process backend into :func:`~repro.core.engines.register_engine`.
-    The executor only needs the documented five-method surface
-    (``num_slices`` / ``in_process`` / ``run_round`` / ``map`` /
-    ``close``); its ``close()`` is always called, even on failure.
+    The executor only needs the documented surface (``num_slices`` /
+    ``run_round`` / ``close``, plus ``map`` for the asynchronous sweep or
+    ``live_rounds = True`` for live asynchronous rounds); its ``close()``
+    is always called, even on failure.
     """
 
     def run_fn(graph, config, pool=None):
@@ -153,7 +149,7 @@ def backend_run_fn(state_factory, executor_factory):
 
 
 # ---------------------------------------------------------------------------
-# Barrier rounds (synchronous everywhere; asynchronous on process teams)
+# Barrier rounds (synchronous everywhere; asynchronous on live-round teams)
 
 
 def _drive_rounds(
@@ -166,8 +162,7 @@ def _drive_rounds(
     if live and not a["edge_state"].size:
         raise ConfigError(
             "asynchronous live rounds need edge-claim words; build the "
-            "state with LocalState(graph, edge_claims=True) (or a "
-            "SharedSegmentState)"
+            "state with LocalState(graph, edge_claims=True)"
         )
     num_slices = executor.num_slices
     degrees = state.degrees() if builder.enabled else None
@@ -281,23 +276,17 @@ def _record_sync_round(
 
 
 # ---------------------------------------------------------------------------
-# Maximal-progress sweep (asynchronous on in-process executors)
+# Maximal-progress sweep (asynchronous on the serial executor)
 
 
 def _drive_sweep(
     state, executor, variant: str, builder: TraceBuilder, limit: int
 ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
-    a = state.arrays
     n = state.n
-    lp = a["lp"]
+    lp = state.arrays["lp"]
     degrees = state.degrees()
     sets = state.set_mirrors()
-    num_slices = executor.num_slices
-    traced = builder.enabled
-    # Single-slice sweeps own every turn: no stale children-map entries
-    # can exist, no trace lock is needed, and served lists are cleared.
-    exclusive = num_slices == 1
-    lock = threading.Lock() if (traced and not exclusive) else None
+    traced = builder if builder.enabled else None
 
     # children[v] = vertices whose current lowest parent is v.
     children: list[list[int]] = [[] for _ in range(n)]
@@ -308,8 +297,8 @@ def _drive_sweep(
     q1: list[int] = sorted({int(lp[w]) for w in range(n) if lp[w] >= 0})
 
     queue_sizes: list[int] = []
-    local_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_slices)]
-    next_parts: list[set[int]] = [set() for _ in range(num_slices)]
+    edges_out: list[tuple[int, int]] = []
+    next_q: set[int] = set()
 
     while q1:
         queue_sizes.append(len(q1))
@@ -318,72 +307,45 @@ def _drive_sweep(
                 f"exceeded iteration budget {limit} (queue={len(q1)}); "
                 "this indicates an internal bug"
             )
-        # Partition Q1 contiguously, weighted by expected service cost
-        # (child count proxied by degree).
-        chunk_of = balanced_chunks(degrees[q1].astype(np.float64) + 1.0, num_slices)
-        q1_list = q1
-
-        def sweep(tid: int) -> None:
-            start, stop = chunk_of[tid]
-            _serve_turns(
-                state,
-                q1_list,
-                start,
-                stop,
-                children,
-                sets,
-                degrees,
-                exclusive,
-                variant == "unoptimized",
-                local_edges[tid],
-                next_parts[tid],
-                builder if traced else None,
-                lock,
+        queue = q1
+        executor.map(
+            lambda _tid: _serve_turns(
+                state, queue, children, sets, degrees,
+                variant == "unoptimized", edges_out, next_q, traced,
             )
-
-        executor.map(sweep)
-        merged: set[int] = set()
-        for part in next_parts:
-            merged |= part
-            part.clear()
-        q1 = sorted(merged)
-        if traced:
+        )
+        q1 = sorted(next_q)
+        next_q.clear()
+        if traced is not None:
             builder.flush()
 
-    # Merge per-slice edge lists deterministically (slice id order).
-    rows = [pair for out in local_edges for pair in out]
     edges = (
-        np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-        if rows
+        np.asarray(edges_out, dtype=np.int64).reshape(-1, 2)
+        if edges_out
         else np.empty((0, 2), dtype=np.int64)
     )
-    return edges, queue_sizes, builder.trace if traced else None
+    return edges, queue_sizes, builder.trace if traced is not None else None
 
 
 def _serve_turns(
     state,
-    q1_list: list[int],
-    start: int,
-    stop: int,
+    q1: list[int],
     children: list[list[int]],
     sets: list[set[int]],
     degrees: np.ndarray,
-    exclusive: bool,
     unopt: bool,
     out_edges: list[tuple[int, int]],
     next_q: set[int],
     builder: TraceBuilder | None,
-    lock: threading.Lock | None,
 ) -> None:
-    """One slice's turns of one sweep iteration (lines 13-22 per turn).
+    """One sweep iteration's turns (lines 13-22 per turn).
 
-    Serves the children of each owned queue vertex against live state:
-    the parent's chordal-set prefix is frozen once per turn (``C[v]``
-    cannot change during its own turn when exclusive; when thread-sliced
-    a concurrent append is invisible to the frozen prefix, which can only
-    reject — the paper's benign race).  Each served child appends to its
-    own chordal set, advances to its next parent, and re-enters the
-    children map under it.
+    Serves the children of each queue vertex in ascending order against
+    live state.  The parent's chordal-set prefix is frozen once per turn:
+    ``C[v]`` cannot change during its own turn (all of v's same-iteration
+    gains happen at its parents' earlier turns), so the freeze is exact.
+    Each served child appends to its own chordal set, advances to its
+    next parent, and re-enters the children map under it.
     """
     a = state.arrays
     arena = a["arena"]
@@ -395,29 +357,19 @@ def _serve_turns(
     indptr = a["indptr"]
     indices = a["indices"]
 
-    for qi in range(start, stop):
-        v = q1_list[qi]
+    for v in q1:
         kids = children[v]
         if builder is not None:
-            if lock is not None:
-                with lock:
-                    builder.scan(v, int(degrees[v]))
-            else:
-                builder.scan(v, int(degrees[v]))
-        # Live prefix: frozen once per turn.  When exclusive, C[v] cannot
-        # change during v's own turn (all of v's same-iteration gains
-        # happen at its parents' earlier turns), so the freeze is exact.
+            builder.scan(v, int(degrees[v]))
         cv = int(counts[v])
         bound = int(arena[int(offsets[v]) + cv - 1]) if cv else -1
         set_v = sets[v]
-        # len(kids) re-read each step: other slices may append while we
-        # sweep (a child arriving at v mid-turn).
+        # len(kids) re-read each step: a child served at an earlier turn
+        # of this iteration may arrive at v while we sweep it.
         i = 0
         while i < len(kids):
             w = kids[i]
             i += 1
-            if not exclusive and int(lp[w]) != v:
-                continue  # stale entry (served at an earlier turn elsewhere)
             # Line 15: is C[w] a subset of the frozen prefix of C[v]?
             # Cost is min(|C[w]|, prefix) + 1 — linear in the smallest
             # set thanks to the ordered chordal sets (1 when the
@@ -438,8 +390,7 @@ def _serve_turns(
                 else:
                     ok = set_v.issuperset(cw_view.tolist())
             if ok:
-                # Lines 16-17: C[w] += {v}; record (v, w).  Arena slot is
-                # written before the count bump (ordered publication).
+                # Lines 16-17: C[w] += {v}; record (v, w).
                 arena[int(offsets[w]) + cw] = v
                 sets[w].add(v)
                 counts[w] = cw + 1
@@ -457,14 +408,5 @@ def _serve_turns(
                 children[x].append(w)
                 next_q.add(x)
             if builder is not None:
-                ac = int(degrees[w]) if unopt else 1
-                if lock is not None:
-                    with lock:
-                        builder.service(v, w, tc, ac, ok)
-                else:
-                    builder.service(v, w, tc, ac, ok)
-        if exclusive:
-            # No other slice can append a late child, so the served list
-            # can be dropped; when thread-sliced the entries survive for
-            # the next iteration and the lp check skips them.
-            children[v] = []
+                builder.service(v, w, tc, int(degrees[w]) if unopt else 1, ok)
+        children[v] = []

@@ -1,82 +1,40 @@
 """Executor backends: who runs a round's slices.
 
 An *executor backend* turns one round of the schedule driver into
-slice-level work.  Three implementations cover the paper's execution
-regimes; all expose the same two-method surface so the driver never
-branches on the concrete type:
+slice-level work.  Both implementations run in the calling process and
+expose the same surface, so the driver never branches on the concrete
+type:
 
 * ``run_round(state, schedule)`` — execute one published barrier round
   (the kernel bodies of :mod:`repro.core.runtime.rounds`) over every
   slice and return after the implicit barrier.
-* ``map(body)`` — run an arbitrary in-process callable ``body(tid)`` on
-  every slice (the asynchronous sweep's turn loop).  Only in-process
-  executors support this; the process team's workers execute the fixed
-  kernel repertoire selected through the shared control block instead.
+* ``map(body)`` — run an in-process callable ``body(0)`` for the serial
+  executor's one slice (the asynchronous sweep's turn loop).
 
 :class:`SerialExecutor`
-    One slice, the calling thread.  Pairs with
+    One slice, the calling thread, NumPy bodies.  Pairs with
     :class:`~repro.core.runtime.state.LocalState` as the ``superstep``
-    engine.
-:class:`ThreadTeamExecutor`
-    A persistent :class:`~repro.parallel.runtime.ThreadTeam` (GIL-bound;
-    demonstrates the concurrency structure).  Pairs with ``LocalState``
-    as the ``threaded`` engine.
+    engine; the only executor that runs the paper's asynchronous sweep.
 :class:`NativeThreadTeamExecutor`
-    The same thread team dispatching the *compiled* round bodies
-    (:mod:`repro.core.native`), which release the GIL — genuinely
-    parallel threads over shared arrays, the paper's execution model
-    without fork/IPC.  Pairs with ``LocalState(edge_claims=True)`` as
-    the ``native`` engine; falls back to the NumPy bodies (identical
-    results, GIL-bound speed) when no compiled backend is available.
-:class:`ProcessTeamExecutor`
-    A persistent team of worker processes attached to one shared-memory
-    segment, with the barrier-agent thread that keeps a SIGKILLed worker
-    from wedging the coordinator.  Pairs with
-    :class:`~repro.core.runtime.state.SharedSegmentState` as the
-    ``process`` engine (see :class:`~repro.core.procpool.ProcessPool`).
+    A persistent :class:`~repro.parallel.runtime.ThreadTeam` dispatching
+    the *compiled* round bodies (:mod:`repro.core.native`), which release
+    the GIL — genuinely parallel threads over shared arrays.  Pairs with
+    ``LocalState(edge_claims=True)`` as the ``native`` engine; falls back
+    to the NumPy bodies (identical synchronous results, GIL-bound speed)
+    when no compiled backend is available.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-
-import numpy as np
-
-from repro.core.runtime.layout import (
-    CMD_RUN,
-    CMD_SHUTDOWN,
-    CTRL_ARENA_CAP,
-    CTRL_CMD,
-    CTRL_ERROR,
-    CTRL_GEN,
-    CTRL_N_CAP,
-    CTRL_NNZ_CAP,
-    CTRL_SCHEDULE,
-    SCHED_ASYNC,
-    build_spec,
-)
-from repro.core.runtime.rounds import round_body, run_async_slice, run_sync_slice
+from repro.core.runtime.rounds import round_body
 from repro.parallel.runtime import ThreadTeam
-from repro.parallel.shm import SharedArrayBlock
 
-__all__ = [
-    "SerialExecutor",
-    "ThreadTeamExecutor",
-    "NativeThreadTeamExecutor",
-    "ProcessTeamExecutor",
-    "WorkerTeamError",
-]
-
-
-class WorkerTeamError(RuntimeError):
-    """A worker team failed mid-round (dead worker, wedged barrier)."""
+__all__ = ["SerialExecutor", "NativeThreadTeamExecutor"]
 
 
 class SerialExecutor:
     """Single-slice executor running everything in the calling thread."""
 
-    #: Round bodies and sweep turns run in the driver's own process.
-    in_process = True
     num_slices = 1
 
     def run_round(self, state, schedule: str) -> None:
@@ -86,7 +44,7 @@ class SerialExecutor:
         body(0)
 
     def close(self) -> None:
-        """Nothing to release (symmetry with the team executors)."""
+        """Nothing to release (symmetry with the team executor)."""
 
     def __enter__(self) -> "SerialExecutor":
         return self
@@ -95,57 +53,18 @@ class SerialExecutor:
         self.close()
 
 
-class ThreadTeamExecutor:
-    """Persistent thread team; one slice per thread, barrier per round."""
-
-    in_process = True
-
-    def __init__(self, num_threads: int) -> None:
-        if num_threads < 1:
-            raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        self.num_slices = num_threads
-        self._team: ThreadTeam | None = None
-
-    def _ensure_team(self) -> ThreadTeam:
-        if self._team is None:
-            self._team = ThreadTeam(self.num_slices)
-        return self._team
-
-    def run_round(self, state, schedule: str) -> None:
-        body = round_body(schedule)
-        arrays = state.arrays
-        self._ensure_team().run(lambda tid: body(tid, arrays))
-
-    def map(self, body) -> None:
-        self._ensure_team().run(body)
-
-    def close(self) -> None:
-        if self._team is not None:
-            self._team.close()
-            self._team = None
-
-    def __enter__(self) -> "ThreadTeamExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class NativeThreadTeamExecutor(ThreadTeamExecutor):
+class NativeThreadTeamExecutor:
     """Thread team dispatching the compiled (GIL-releasing) round bodies.
 
-    Structurally a :class:`ThreadTeamExecutor`; the differences are all
-    about *what* runs per slice:
-
-    * rounds call the C bodies of :mod:`repro.core.native`, which
-      operate on the schema arrays in place and release the GIL, so the
-      slices of a round execute concurrently on real cores;
-    * ``live_rounds`` tells the driver to run the asynchronous schedule
-      as lock-free live rounds (the process engine's regime — per-arc
-      CAS claim words) instead of the in-process children-map sweep;
-    * ``needs_keys`` is ``False`` on the compiled path: the C subset
-      test binary-searches each parent's arena run directly, so the
-      driver skips building the global key array every round.
+    * Rounds call the C bodies of :mod:`repro.core.native`, which operate
+      on the schema arrays in place and release the GIL, so the slices of
+      a round execute concurrently on real cores.
+    * ``live_rounds`` tells the driver to run the asynchronous schedule as
+      lock-free live rounds (per-arc CAS claim words) instead of the
+      serial children-map sweep.
+    * ``needs_keys`` is ``False`` on the compiled path: the C subset test
+      binary-searches each parent's arena run directly, so the driver
+      skips building the global key array every round.
 
     When the compiled backend is unavailable (no toolchain, no cffi,
     ``REPRO_NATIVE=0``), the executor transparently runs the NumPy round
@@ -157,11 +76,14 @@ class NativeThreadTeamExecutor(ThreadTeamExecutor):
     live_rounds = True
 
     def __init__(self, num_threads: int) -> None:
-        super().__init__(num_threads)
+        if num_threads < 1:
+            raise ValueError(f"num_threads must be >= 1, got {num_threads}")
         from repro.core.native import native_available, native_round_body
 
+        self.num_slices = num_threads
+        self._team: ThreadTeam | None = None
         self._native = native_available()
-        self._native_body = native_round_body if self._native else None
+        self._body_for = native_round_body if self._native else round_body
 
     @property
     def needs_keys(self) -> bool:
@@ -174,265 +96,24 @@ class NativeThreadTeamExecutor(ThreadTeamExecutor):
         return "native" if self._native else "numpy"
 
     def run_round(self, state, schedule: str) -> None:
-        if not self._native:
-            return super().run_round(state, schedule)
-        body = self._native_body(schedule)
+        body = self._body_for(schedule)
         arrays = state.arrays
         if self.num_slices == 1:
             # One slice owns the whole round: the barrier team would only
-            # add handoff latency around a single GIL-releasing call.
+            # add handoff latency around a single call.
             body(0, arrays)
             return
-        self._ensure_team().run(lambda tid: body(tid, arrays))
+        if self._team is None:
+            self._team = ThreadTeam(self.num_slices)
+        self._team.run(lambda tid: body(tid, arrays))
 
+    def close(self) -> None:
+        if self._team is not None:
+            self._team.close()
+            self._team = None
 
-# ---------------------------------------------------------------------------
-# Process team
+    def __enter__(self) -> "NativeThreadTeamExecutor":
+        return self
 
-
-def _worker_main(tid, shm_name, caps, num_workers, start_barrier, done_barrier) -> None:
-    """Worker loop: wait at the start barrier, remap if the coordinator
-    published a new layout generation, run a slice, join the done barrier;
-    repeat until the shutdown command (or the coordinator breaks the
-    barriers — a quiet exit, the coordinator already raised)."""
-    import signal
-    import threading
-
-    # A fork inherits the parent's Python signal handlers.  When the
-    # embedding application handles SIGTERM/SIGINT (e.g. `repro serve`'s
-    # graceful drain), an inherited handler would swallow the
-    # coordinator's terminate() during reaping — the handler runs its
-    # (meaningless, forked-copy) cleanup and the worker resumes its
-    # barrier wait, leaving an unkillable orphan.  Workers take the
-    # default dispositions instead: terminate() terminates.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-    block = SharedArrayBlock.attach(shm_name, build_spec(*caps, num_workers))
-    ctrl = block.arrays["control"]
-    # Workers only read/write shared state between the two barriers, while
-    # the coordinator waits — so the generation check below cannot race
-    # with a coordinator-side remap.
-    gen = -1
-    try:
-        while True:
-            start_barrier.wait()
-            if int(ctrl[CTRL_CMD]) == CMD_SHUTDOWN:
-                return
-            if int(ctrl[CTRL_GEN]) != gen:
-                gen = int(ctrl[CTRL_GEN])
-                block.remap(
-                    build_spec(
-                        int(ctrl[CTRL_N_CAP]),
-                        int(ctrl[CTRL_NNZ_CAP]),
-                        int(ctrl[CTRL_ARENA_CAP]),
-                        num_workers,
-                    )
-                )
-                ctrl = block.arrays["control"]
-            run = (
-                run_async_slice
-                if int(ctrl[CTRL_SCHEDULE]) == SCHED_ASYNC
-                else run_sync_slice
-            )
-            try:
-                run(tid, block.arrays)
-            except BaseException:  # noqa: BLE001 - flag forwarded to coordinator
-                ctrl[CTRL_ERROR] = tid + 1
-            # Publish liveness: the coordinator zeroed the epoch words
-            # before releasing the start barrier and asserts every worker
-            # reached this line (single aligned-word store per worker).
-            block.arrays["epochs"][tid] += 1
-            done_barrier.wait()
-    except threading.BrokenBarrierError:
-        return
-    finally:
-        block.close()
-
-
-def _context():
-    """Prefer fork (cheap, inherits nothing mutable we rely on); fall back
-    to the platform default (spawn) — the worker protocol supports both."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else None)
-
-
-def _barrier_agent(req, resp, start, done, timeout) -> None:
-    """Coordinator-side barrier waiter (one daemon thread per team).
-
-    ``multiprocessing`` barriers can block *unboundedly* — beyond any
-    ``wait(timeout)`` — when a participant is killed while holding the
-    barrier's internal condition state, so the coordinator's main thread
-    must never wait on them directly.  It enqueues ``"superstep"`` (start
-    + done barrier) or ``"shutdown"`` (start barrier only; workers exit
-    before the done barrier) requests here and waits on ``resp`` with a
-    real timeout; if this thread wedges, it is simply abandoned (daemon)
-    and the team torn down.  ``None`` retires the agent.
-    """
-    while True:
-        cmd = req.get()
-        if cmd is None:
-            return
-        try:
-            start.wait(timeout=timeout)
-            if cmd == "superstep":
-                done.wait(timeout=timeout)
-            resp.put(None)
-        except Exception as exc:  # BrokenBarrierError or timeout
-            resp.put(exc)
-            return
-
-
-class ProcessTeamExecutor:
-    """Persistent worker-process team over one shared segment.
-
-    Spawning the executor starts the workers (attached to ``shm_name``
-    with the ``caps`` layout) and the barrier agent.  Rounds are
-    published through the shared control block — the workers' round
-    repertoire is fixed (:mod:`repro.core.runtime.rounds`), selected per
-    round by the schedule control word — so :meth:`map` (arbitrary
-    Python bodies) is deliberately unsupported.
-    """
-
-    in_process = False
-
-    def __init__(
-        self,
-        num_workers: int,
-        shm_name: str,
-        caps: tuple[int, int, int],
-        barrier_timeout: float,
-    ) -> None:
-        import queue
-        import threading
-
-        self.num_slices = num_workers
-        self.barrier_timeout = barrier_timeout
-        ctx = _context()
-        self._start = ctx.Barrier(num_workers + 1)
-        self._done = ctx.Barrier(num_workers + 1)
-        # The coordinator never touches the barriers directly: a worker
-        # killed mid-wait (OOM killer, external SIGKILL) can leave the
-        # barrier's internal condition state permanently unreleasable, and
-        # Barrier.wait(timeout) does not bound that lock/drain phase.  A
-        # per-team agent thread does the waiting instead; the coordinator
-        # waits on the response queue with a real timeout and sacrifices
-        # the (daemon) agent if the barrier state is wedged.
-        self._agent_req: queue.Queue = queue.Queue()
-        self._agent_resp: queue.Queue = queue.Queue()
-        self._agent = threading.Thread(
-            target=_barrier_agent,
-            args=(
-                self._agent_req,
-                self._agent_resp,
-                self._start,
-                self._done,
-                barrier_timeout,
-            ),
-            daemon=True,
-            name="repro-procpool-barrier-agent",
-        )
-        self._agent.start()
-        self.procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(tid, shm_name, caps, num_workers, self._start, self._done),
-                daemon=True,
-                name=f"repro-procworker-{tid}",
-            )
-            for tid in range(num_workers)
-        ]
-        for p in self.procs:
-            p.start()
-
-    # ------------------------------------------------------------------
-    def run_round(self, state, schedule: str) -> None:
-        """Release the team into one published round and join the barrier.
-
-        The driver has already written the round inputs (active set,
-        cuts, snapshot/keys, control words); this publishes the RUN
-        command, waits the round out through the barrier agent, and
-        checks the two per-round invariants: no worker flagged an
-        exception, and every worker bumped its epoch word exactly once
-        (it actually swept its slice).
-        """
-        a = state.arrays
-        ctrl = a["control"]
-        a["epochs"][: self.num_slices] = 0
-        ctrl[CTRL_CMD] = CMD_RUN
-        ctrl[CTRL_ERROR] = 0
-        self._superstep_barrier()
-        if int(ctrl[CTRL_ERROR]) != 0:
-            raise WorkerTeamError(
-                f"worker {int(ctrl[CTRL_ERROR]) - 1} failed during a superstep"
-            )
-        lagging = np.flatnonzero(a["epochs"][: self.num_slices] != 1)
-        if lagging.size:  # pragma: no cover - structural invariant
-            raise WorkerTeamError(
-                f"workers {lagging.tolist()} missed a round (epoch "
-                "counter not bumped); the shared segment is inconsistent"
-            )
-
-    def map(self, body) -> None:
-        raise NotImplementedError(
-            "the process team runs the fixed kernel rounds published through "
-            "the control block; arbitrary in-process bodies need the serial "
-            "or thread-team executor"
-        )
-
-    def _superstep_barrier(self) -> None:
-        import queue
-
-        self._agent_req.put("superstep")
-        try:
-            # The agent's two waits are bounded by barrier_timeout each;
-            # the slack covers queue latency.  Hitting Empty means the
-            # barrier state itself is wedged (worker died holding it).
-            failure = self._agent_resp.get(timeout=2 * self.barrier_timeout + 5.0)
-        except queue.Empty:
-            failure = RuntimeError(
-                "superstep barrier deadlocked (a worker likely died while "
-                "holding barrier state)"
-            )
-        if failure is not None:
-            dead = [p.name for p in self.procs if not p.is_alive()]
-            raise WorkerTeamError(
-                f"process-engine superstep barrier failed ({failure!r}); "
-                f"dead workers: {dead or 'none'}"
-            ) from failure
-
-    # ------------------------------------------------------------------
-    @property
-    def all_alive(self) -> bool:
-        return all(p.pid is not None and p.is_alive() for p in self.procs)
-
-    def close(self, ctrl: np.ndarray | None = None) -> None:
-        """Stop the team (idempotent; best-effort reaping).
-
-        With ``ctrl`` given and the whole team alive, workers are asked
-        for a clean exit through the shutdown command + start barrier; a
-        worker killed mid-wait leaves the barrier unreleasable, so dead
-        or part-dead teams are reaped directly instead.  The barrier poke
-        goes through the agent thread and is abandoned on timeout.
-        """
-        if not self.procs:
-            return
-        try:
-            if ctrl is not None and self.all_alive:
-                ctrl[CTRL_CMD] = CMD_SHUTDOWN
-                self._agent_req.put("shutdown")
-                self._agent_resp.get(timeout=10.0)
-        except Exception:  # queue.Empty, or workers died under us; reap below
-            pass
-        self._agent_req.put(None)  # retire an idle agent (stuck one is daemon)
-        for p in self.procs:
-            try:
-                if p.pid is None:  # Process.start() never ran
-                    continue
-                p.join(timeout=5.0)
-                if p.is_alive():  # pragma: no cover - hard-kill safety net
-                    p.terminate()
-                    p.join(timeout=5.0)
-            except Exception:  # pragma: no cover - reaping is best-effort
-                pass
-        self.procs = []
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -1,11 +1,9 @@
-"""Canonical array layout shared by every state backend.
+"""Canonical array layout of the extraction state.
 
 The unified runtime expresses Algorithm 1's state as one *named array
-schema* — the same dictionary of NumPy arrays whether they live in local
-process memory (:class:`~repro.core.runtime.state.LocalState`) or inside a
-``multiprocessing.shared_memory`` segment
-(:class:`~repro.core.runtime.state.SharedSegmentState`).  The round bodies
-in :mod:`repro.core.runtime.rounds` and the schedule driver in
+schema* (:class:`~repro.core.runtime.state.LocalState` allocates it).  The
+round bodies in :mod:`repro.core.runtime.rounds` (and their compiled
+twins in :mod:`repro.core.native`) and the schedule driver in
 :mod:`repro.core.runtime.driver` only ever touch the schema, so one
 implementation of the paper's loop serves every engine.
 
@@ -17,31 +15,17 @@ Schema entries (``{name: (dtype, shape)}``, see :func:`build_spec`):
   paper's lowest parents, consumed-parent cursors and chordal sets;
 * per-round scratch: ``active`` / ``parents`` / ``snapshot`` / ``keys`` /
   ``ok`` / ``cuts`` — the barrier snapshot and slice plumbing;
-* concurrency words: ``edge_state`` claim words (asynchronous live
-  rounds), ``epochs`` liveness counters, and the ``control`` block.
-
-The ``control`` array is the first entry of every spec, so it sits at
-offset 0 of a shared segment across remaps and is the one
-layout-independent channel between a coordinator and its workers.
+* ``edge_state`` claim words (asynchronous live rounds) and the
+  ``control`` block carrying the bound graph's size and the round's key
+  count to the bodies.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "CTRL_CMD",
     "CTRL_NKEYS",
-    "CTRL_ERROR",
     "CTRL_N",
-    "CTRL_GEN",
-    "CTRL_N_CAP",
-    "CTRL_NNZ_CAP",
-    "CTRL_ARENA_CAP",
-    "CTRL_SCHEDULE",
     "CTRL_SLOTS",
-    "CMD_RUN",
-    "CMD_SHUTDOWN",
-    "SCHED_SYNC",
-    "SCHED_ASYNC",
     "EDGE_UNDECIDED",
     "EDGE_ACCEPTED",
     "EDGE_REJECTED",
@@ -49,22 +33,9 @@ __all__ = [
 ]
 
 # Control-block slots (int64 each).
-CTRL_CMD = 0
-CTRL_NKEYS = 1
-CTRL_ERROR = 2
-CTRL_N = 3
-CTRL_GEN = 4
-CTRL_N_CAP = 5
-CTRL_NNZ_CAP = 6
-CTRL_ARENA_CAP = 7
-CTRL_SCHEDULE = 8
-CTRL_SLOTS = 9
-
-CMD_RUN = 0
-CMD_SHUTDOWN = 1
-
-SCHED_SYNC = 0
-SCHED_ASYNC = 1
+CTRL_NKEYS = 0
+CTRL_N = 1
+CTRL_SLOTS = 2
 
 #: Edge-state claim words: one per (child, parent) arc, indexed by
 #: ``offsets[w] + cursor`` (the arc's position in the child's lower-
@@ -75,29 +46,26 @@ EDGE_REJECTED = 2
 
 
 def build_spec(
-    n_cap: int, nnz_cap: int, arena_cap: int, num_slices: int
+    n: int, nnz: int, arena: int, num_slices: int
 ) -> dict[str, tuple[str, tuple[int, ...]]]:
-    """Array schema with room for any graph of at most ``n_cap`` vertices,
-    ``nnz_cap`` arcs and ``arena_cap`` arena slots (== undirected edges).
-    The bound graph's actual sizes live in the control block; every array
-    is used as a prefix.  ``num_slices`` is the executor's slice count
-    (worker processes, threads, or 1 for the serial executor)."""
+    """Array schema for a graph of ``n`` vertices, ``nnz`` arcs and
+    ``arena`` arena slots (== undirected edges); ``num_slices`` is the
+    executor's slice count (threads, or 1 for the serial executor)."""
     return {
         "control": ("int64", (CTRL_SLOTS,)),
         "cuts": ("int64", (num_slices + 1,)),
-        "indptr": ("int64", (n_cap + 1,)),
-        "indices": ("int64", (nnz_cap,)),
-        "lower": ("int64", (n_cap,)),
-        "offsets": ("int64", (n_cap + 1,)),
-        "arena": ("int64", (arena_cap,)),
-        "keys": ("int64", (arena_cap,)),
-        "counts": ("int64", (n_cap,)),
-        "snapshot": ("int64", (n_cap,)),
-        "cursor": ("int64", (n_cap,)),
-        "lp": ("int64", (n_cap,)),
-        "active": ("int64", (n_cap,)),
-        "parents": ("int64", (n_cap,)),
-        "edge_state": ("int64", (arena_cap,)),
-        "epochs": ("int64", (num_slices,)),
-        "ok": ("uint8", (n_cap,)),
+        "indptr": ("int64", (n + 1,)),
+        "indices": ("int64", (nnz,)),
+        "lower": ("int64", (n,)),
+        "offsets": ("int64", (n + 1,)),
+        "arena": ("int64", (arena,)),
+        "keys": ("int64", (arena,)),
+        "counts": ("int64", (n,)),
+        "snapshot": ("int64", (n,)),
+        "cursor": ("int64", (n,)),
+        "lp": ("int64", (n,)),
+        "active": ("int64", (n,)),
+        "parents": ("int64", (n,)),
+        "edge_state": ("int64", (arena,)),
+        "ok": ("uint8", (n,)),
     }

@@ -1,9 +1,9 @@
 """Round bodies: one executor slice's share of one barrier round.
 
 These are the compute kernels of the unified runtime — pure functions
-over the array schema of :mod:`repro.core.runtime.layout`, so the same
-code runs on local NumPy arrays (serial / thread-team executors) and on
-``multiprocessing.shared_memory`` views (process-team workers).
+over the array schema of :mod:`repro.core.runtime.layout`, run by the
+serial executor and by the thread team's NumPy fallback (the compiled
+twins live in :mod:`repro.core.native`).
 
 Both bodies assume the driver has already published the round: ``active``
 / ``parents`` hold the vertices to serve, ``cuts`` the slice boundaries,
@@ -36,9 +36,8 @@ __all__ = ["run_sync_slice", "run_async_slice", "round_body"]
 def run_sync_slice(tid: int, a: dict[str, np.ndarray]) -> None:
     """One slice's share of one synchronous superstep (pure kernel calls).
 
-    All arrays are capacity-sized; per-vertex indexing (``ws`` / ``vs``
-    are ids of the bound graph) and the ``nkeys`` prefix keep every access
-    inside the bound graph's live region.  Subset tests run against the
+    The ``nkeys`` prefix bounds the probe to the keys the driver built
+    for this round.  Subset tests run against the
     barrier snapshot, so the accepted edge set is independent of slice
     count and timing — the determinism contract of the synchronous
     schedule.

@@ -1,22 +1,11 @@
-"""State backends: where Algorithm 1's arrays live.
+"""The state backend: where Algorithm 1's arrays live.
 
-A *state backend* owns one instance of the canonical array schema
-(:func:`~repro.core.runtime.layout.build_spec`) plus the per-run reset
-logic.  The schedule driver (:mod:`repro.core.runtime.driver`) and the
-round bodies (:mod:`repro.core.runtime.rounds`) are written against this
-interface only, so the same loop runs on either backend:
-
-* :class:`LocalState` — plain NumPy arrays in the calling process; pairs
-  with the serial and thread-team executors (``superstep`` and
-  ``threaded`` engines).
-* :class:`SharedSegmentState` — the same schema carved out of one
-  ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.parallel.shm.SharedArrayBlock`), capacity-sized and
-  rebindable across graphs; pairs with the process-team executor (the
-  ``process`` engine / :class:`~repro.core.procpool.ProcessPool`).
-
-Both expose the same lp / cursor / arena / edge-claim words, so a
-backend-generic driver round cannot tell them apart.
+:class:`LocalState` owns one instance of the canonical array schema
+(:func:`~repro.core.runtime.layout.build_spec`) as plain NumPy arrays in
+the calling process, bound to one graph, plus the per-run reset logic.
+The schedule driver (:mod:`repro.core.runtime.driver`) and the round
+bodies (:mod:`repro.core.runtime.rounds`, :mod:`repro.core.native`) are
+written against the schema only.
 """
 
 from __future__ import annotations
@@ -24,36 +13,52 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import arena_offsets, initial_parents, lower_counts
-from repro.core.runtime.layout import (
-    CTRL_N,
-    CTRL_SCHEDULE,
-    EDGE_ACCEPTED,
-    EDGE_UNDECIDED,
-    SCHED_ASYNC,
-    SCHED_SYNC,
-    build_spec,
-)
+from repro.core.runtime.layout import CTRL_N, EDGE_ACCEPTED, EDGE_UNDECIDED, build_spec
 from repro.graph.csr import CSRGraph
-from repro.parallel.shm import SharedArrayBlock, layout_size
 
-__all__ = ["StateBackend", "LocalState", "SharedSegmentState"]
+__all__ = ["LocalState"]
 
 
-class StateBackend:
-    """Shared behaviour of the two array-schema owners.
+class LocalState:
+    """The array schema as ordinary NumPy arrays, bound to one graph.
 
-    Subclasses populate :attr:`arrays` (the schema dict) and the bound-
-    graph metadata (:attr:`n`, :attr:`nnz`, :attr:`arena_used`,
-    :attr:`max_degree`); everything the driver needs on top is defined
-    here once.
+    Graph CSR arrays are aliased (not copied) when their dtype already
+    matches the schema.  ``num_slices`` sizes the ``cuts`` scratch for the
+    widest executor this state will be driven by.  ``edge_claims=True``
+    allocates the per-arc claim words the asynchronous *live rounds* need
+    (the native thread team); the serial sweep never reads them, so they
+    default to a size-0 stub.
     """
 
-    arrays: dict[str, np.ndarray]
-    n: int = 0
-    nnz: int = 0
-    arena_used: int = 0
-    max_degree: int = 0
-    _sets: list[set[int]] | None = None
+    def __init__(
+        self, graph: CSRGraph, num_slices: int = 1, *, edge_claims: bool = False
+    ) -> None:
+        g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
+        self.graph = g
+        n = g.num_vertices
+        indices = np.ascontiguousarray(g.indices, dtype=np.int64)
+        lower = lower_counts(g.indptr, indices)
+        offsets = arena_offsets(lower)
+        self.n = n
+        self.nnz = int(indices.size)
+        self.arena_used = int(offsets[-1])
+        self.max_degree = g.max_degree()
+        self._sets: list[set[int]] | None = None
+        spec = build_spec(n, self.nnz, self.arena_used, max(1, num_slices))
+        aliased = ("indptr", "indices", "lower", "offsets", "edge_state")
+        self.arrays = {
+            name: np.zeros(shape, dtype=dtype)
+            for name, (dtype, shape) in spec.items()
+            if name not in aliased
+        }
+        self.arrays["indptr"] = g.indptr
+        self.arrays["indices"] = indices
+        self.arrays["lower"] = lower
+        self.arrays["offsets"] = offsets
+        self.arrays["edge_state"] = np.zeros(
+            self.arena_used if edge_claims else 0, dtype=np.int64
+        )
+        self.arrays["control"][CTRL_N] = n
 
     @property
     def trivial(self) -> bool:
@@ -69,9 +74,7 @@ class StateBackend:
 
         The asynchronous sweep's per-pair subset test is O(|small set|)
         against these (the historical ``ChordalState`` trick, kept for
-        the scalar sweep).  They live in the *driving* process regardless
-        of where the arrays do — the sweep only ever runs on in-process
-        executors — and are rebuilt lazily per run by :meth:`reset`.
+        the scalar sweep).  Rebuilt lazily per run by :meth:`reset`.
         """
         if self._sets is None:
             self._sets = [set() for _ in range(self.n)]
@@ -82,8 +85,7 @@ class StateBackend:
 
         Zeroes the chordal sets and cursors, points every vertex at its
         lowest parent, and rewinds the edge-claim words (asynchronous
-        schedule, backends that carry them — the in-process sweep never
-        reads claims, so :class:`LocalState` keeps a size-0 stub).
+        schedule, when the state carries them).
         """
         a = self.arrays
         n = self.n
@@ -92,10 +94,8 @@ class StateBackend:
         a["lp"][:n] = initial_parents(
             a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
         )
-        is_async = schedule == "asynchronous"
-        if is_async and a["edge_state"].size:
+        if schedule == "asynchronous" and a["edge_state"].size:
             a["edge_state"][: self.arena_used] = EDGE_UNDECIDED
-        a["control"][CTRL_SCHEDULE] = SCHED_ASYNC if is_async else SCHED_SYNC
         self._sets = None
 
     def verify_async_accounting(self, num_edges: int) -> None:
@@ -116,164 +116,3 @@ class StateBackend:
                 f"{claimed} accepted claims, {appended} arena appends, "
                 f"{num_edges} reported edges"
             )
-
-
-class LocalState(StateBackend):
-    """The array schema as ordinary NumPy arrays, bound to one graph.
-
-    Graph CSR arrays are aliased (not copied) when their dtype already
-    matches the schema.  ``num_slices`` sizes the ``cuts`` / ``epochs``
-    scratch for the widest executor this state will be driven by.
-    """
-
-    def __init__(
-        self, graph: CSRGraph, num_slices: int = 1, *, edge_claims: bool = False
-    ) -> None:
-        g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
-        self.graph = g
-        n = g.num_vertices
-        indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-        lower = lower_counts(g.indptr, indices)
-        offsets = arena_offsets(lower)
-        self.n = n
-        self.nnz = int(indices.size)
-        self.arena_used = int(offsets[-1])
-        self.max_degree = g.max_degree()
-        spec = build_spec(n, self.nnz, self.arena_used, max(1, num_slices))
-        # Graph arrays are aliased below, not allocated.  The edge-claim
-        # words default to a size-0 stub (the in-process sweep — the
-        # historical asynchronous path of a local state — never reads
-        # claims); ``edge_claims=True`` allocates the full claim array
-        # for executors that run asynchronous *live rounds* in process
-        # (the native thread team).
-        aliased = ("indptr", "indices", "lower", "offsets", "edge_state")
-        self.arrays = {
-            name: np.zeros(shape, dtype=dtype)
-            for name, (dtype, shape) in spec.items()
-            if name not in aliased
-        }
-        self.arrays["indptr"] = g.indptr
-        self.arrays["indices"] = indices
-        self.arrays["lower"] = lower
-        self.arrays["offsets"] = offsets
-        self.arrays["edge_state"] = np.zeros(
-            self.arena_used if edge_claims else 0, dtype=np.int64
-        )
-        self.arrays["control"][CTRL_N] = n
-
-
-class SharedSegmentState(StateBackend):
-    """The array schema inside one shared-memory segment.
-
-    Capacity-sized: the segment is laid out for ``caps = (n_cap, nnz_cap,
-    arena_cap)`` rather than one graph's exact sizes, with the bound
-    graph's live sizes published through the control block.  Graphs that
-    fit the capacities rebind with zero reallocation; :meth:`grow`
-    implements the two growth paths (in-place remap when the
-    over-allocated segment still fits the new layout, geometric segment
-    reallocation otherwise).  The worker-team lifecycle that reacts to
-    those paths lives in :class:`~repro.core.procpool.ProcessPool`.
-    """
-
-    def __init__(self, num_slices: int, headroom: float = 1.5) -> None:
-        self.num_slices = num_slices
-        self.headroom = max(1.0, headroom)
-        self.block: SharedArrayBlock | None = None
-        self.caps: tuple[int, int, int] = (0, 0, 0)
-        self.generation = 0
-
-    @property
-    def arrays(self) -> dict[str, np.ndarray]:
-        return self.block.arrays
-
-    def fits(self, n: int, nnz: int, cap: int) -> bool:
-        """Whether an (n, nnz, cap) graph fits the current capacities."""
-        n_cap, nnz_cap, arena_cap = self.caps
-        return n <= n_cap and nnz <= nnz_cap and cap <= arena_cap
-
-    def plan_growth(self, n: int, nnz: int, cap: int) -> tuple[int, int, int]:
-        """Capacities a segment must have to hold an (n, nnz, cap) graph.
-
-        Geometric growth keeps a batch of increasing graphs to O(log)
-        reallocations; caps never shrink (high-water mark), so
-        alternating graph shapes settle into the zero-churn fast path
-        instead of remapping every bind.
-        """
-        n_cap, nnz_cap, arena_cap = self.caps
-        if self.block is None:
-            return (n, nnz, cap)
-        return (
-            n_cap if n <= n_cap else max(n, 2 * n_cap),
-            nnz_cap if nnz <= nnz_cap else max(nnz, 2 * nnz_cap),
-            arena_cap if cap <= arena_cap else max(cap, 2 * arena_cap),
-        )
-
-    def can_remap(self, new_caps: tuple[int, int, int]) -> bool:
-        """Whether the existing segment fits a ``new_caps`` layout in place."""
-        return self.block is not None and self.block.fits(
-            build_spec(*new_caps, self.num_slices)
-        )
-
-    def remap(self, new_caps: tuple[int, int, int]) -> None:
-        """In-place growth: same segment, new layout, bumped generation
-        (attached workers remap at their next round)."""
-        self.block.remap(build_spec(*new_caps, self.num_slices))
-        self.caps = new_caps
-        self.generation += 1
-        self.publish_layout()
-
-    def reallocate(self, new_caps: tuple[int, int, int]) -> None:
-        """Replace the segment with a fresh, headroom-padded one.
-
-        The caller must detach/stop anything attached to the old segment
-        *before* calling this (the old segment is released here).
-        """
-        spec = build_spec(*new_caps, self.num_slices)
-        self.release()
-        self.block = SharedArrayBlock.create(
-            spec, size=int(layout_size(spec) * self.headroom)
-        )
-        self.caps = new_caps
-        self.generation += 1
-        self.publish_layout()
-
-    def publish_layout(self) -> None:
-        """Write the generation + capacities workers remap against."""
-        from repro.core.runtime.layout import (
-            CTRL_ARENA_CAP,
-            CTRL_GEN,
-            CTRL_N_CAP,
-            CTRL_NNZ_CAP,
-        )
-
-        ctrl = self.arrays["control"]
-        ctrl[CTRL_GEN] = self.generation
-        ctrl[CTRL_N_CAP] = self.caps[0]
-        ctrl[CTRL_NNZ_CAP] = self.caps[1]
-        ctrl[CTRL_ARENA_CAP] = self.caps[2]
-
-    def bind_graph(
-        self,
-        g: CSRGraph,
-        lower: np.ndarray,
-        offsets: np.ndarray,
-    ) -> None:
-        """Load a (sorted-adjacency) graph into the segment's live region."""
-        n = g.num_vertices
-        self.n = n
-        self.nnz = int(g.indices.size)
-        self.arena_used = int(offsets[-1])
-        self.max_degree = g.max_degree()
-        a = self.arrays
-        a["indptr"][: n + 1] = g.indptr
-        a["indices"][: self.nnz] = g.indices
-        a["lower"][:n] = lower
-        a["offsets"][: n + 1] = offsets
-        a["control"][CTRL_N] = n
-
-    def release(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        if self.block is not None:
-            self.block.close()
-            self.block.unlink()
-            self.block = None

@@ -1,11 +1,8 @@
 """The session API: :class:`Extractor` and :class:`ChordalResult`.
 
 An :class:`Extractor` binds one validated
-:class:`~repro.core.config.ExtractionConfig` to owned execution resources
-— for the process engine, one persistent
-:class:`~repro.core.procpool.ProcessPool` spawned lazily on first use and
-reused for every subsequent extraction — and exposes the three ways to
-run it:
+:class:`~repro.core.config.ExtractionConfig` to a session and exposes the
+three ways to run it:
 
 * :meth:`Extractor.extract` — one graph, one :class:`ChordalResult`;
 * :meth:`Extractor.extract_many` — a batch, materialised in input order;
@@ -13,11 +10,10 @@ run it:
   finishes, so a million-graph batch never materialises a list (and the
   input iterable itself is consumed one graph at a time).
 
-Use it as a context manager (or call :meth:`Extractor.close`) so the
-worker team is torn down deterministically::
+Use it as a context manager (or call :meth:`Extractor.close`)::
 
-    with Extractor(ExtractionConfig(engine="process", num_workers=4)) as ex:
-        for result in ex.stream(graphs):          # one pool spawn total
+    with Extractor(ExtractionConfig(engine="native", num_threads=4)) as ex:
+        for result in ex.stream(graphs):
             print(result.num_chordal_edges)
 
 The legacy functions ``extract_maximal_chordal_subgraph`` /
@@ -142,22 +138,20 @@ def _canonical_edges(edges: np.ndarray) -> np.ndarray:
 
 
 class Extractor:
-    """Reusable extraction session: one config, one set of resources.
+    """Reusable extraction session: one validated config.
 
     Parameters
     ----------
     config:
         The regime to run; ``None`` means ``ExtractionConfig()``.
     pool:
-        An open caller-owned :class:`~repro.core.procpool.ProcessPool`
-        to run on (pool-capable engines only).  The caller keeps
-        ownership: :meth:`close` leaves it open.  Without one, a
-        pool-capable engine lazily spawns a pool sized
-        ``config.num_workers`` on first use, owned (and closed) by this
-        session — N extractions cost one worker-team spawn.
+        Deprecated: an open caller-owned
+        :class:`~repro.core.procpool.ProcessPool` whose size the
+        ``process`` alias adopts.  The caller keeps ownership:
+        :meth:`close` leaves it open.
     **overrides:
-        Convenience: ``Extractor(engine="process", num_workers=2)`` is
-        ``Extractor(ExtractionConfig(engine="process", num_workers=2))``;
+        Convenience: ``Extractor(engine="native", num_threads=2)`` is
+        ``Extractor(ExtractionConfig(engine="native", num_threads=2))``;
         with ``config`` given, overrides are applied on top via
         :meth:`ExtractionConfig.replace`.
 
@@ -166,7 +160,7 @@ class Extractor:
     ConfigError
         On any invalid field, a pool with a pool-incapable engine, or a
         ``num_workers`` conflicting with the supplied pool's size — all
-        at construction time, before any resource is spawned.
+        at construction time.
     """
 
     def __init__(
@@ -182,21 +176,8 @@ class Extractor:
             config = config.replace(**overrides)
         self.config = config.resolved(pool)
         self._spec = self.config.engine_spec
-        self._external_pool = pool
-        self._own_pool: ProcessPool | None = None
+        self.pool = pool
         self._closed = False
-
-    @property
-    def pool(self) -> ProcessPool | None:
-        """The pool this session runs on (``None`` until one exists)."""
-        return self._external_pool if self._external_pool is not None else self._own_pool
-
-    def _ensure_pool(self) -> ProcessPool:
-        if self._external_pool is not None:
-            return self._external_pool
-        if self._own_pool is None:
-            self._own_pool = ProcessPool(num_workers=self.config.num_workers)
-        return self._own_pool
 
     def extract(self, graph: CSRGraph) -> ChordalResult:
         """Run one extraction under this session's config."""
@@ -215,8 +196,6 @@ class Extractor:
                 f"weight-capable engine {capable} or strip them with "
                 f"graph.without_weights()"
             )
-        pool = self._ensure_pool() if self._spec.supports_pool else None
-
         work_graph = graph
         old_of_new: np.ndarray | None = None
         if cfg.renumber == "bfs":
@@ -234,7 +213,7 @@ class Extractor:
                     },
                 )
 
-        edges, queue_sizes, trace = self._spec.run(work_graph, cfg, pool)
+        edges, queue_sizes, trace = self._spec.run(work_graph, cfg, self.pool)
 
         kernel_path = "numpy"
         if getattr(self._spec, "supports_native", False):
@@ -284,8 +263,7 @@ class Extractor:
         Closing the session (or its caller-supplied pool) while the
         generator is mid-iteration makes the next ``next()`` raise
         :class:`~repro.errors.SessionClosedError` — a clean
-        :class:`~repro.errors.ReproError`, never a half-torn-down
-        ``AttributeError`` from inside the pool machinery.
+        :class:`~repro.errors.ReproError`.
         """
         for graph in graphs:
             if self._closed:
@@ -296,32 +274,18 @@ class Extractor:
             yield self.extract(graph)
 
     def close(self) -> None:
-        """Release owned resources (idempotent).
+        """End the session (idempotent).
 
-        Closes the session-owned pool, if one was spawned; a caller-
-        supplied pool is left open.  Further :meth:`extract` calls raise
-        ``RuntimeError``.
+        A caller-supplied pool is left open.  Further :meth:`extract`
+        calls raise :class:`~repro.errors.SessionClosedError`.
         """
-        if self._closed:
-            return
         self._closed = True
-        if self._own_pool is not None:
-            try:
-                self._own_pool.close()
-            finally:
-                self._own_pool = None
 
     def __enter__(self) -> "Extractor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -2,8 +2,7 @@
 
 The algorithm's *data* — lowest parents, cursors, the flat chordal-set
 arena — lives in the canonical array schema of
-:mod:`repro.core.runtime.layout` (one layout for local arrays and
-shared-memory segments alike; the historical ``ChordalState`` object was
+:mod:`repro.core.runtime.layout` (the historical ``ChordalState`` object was
 absorbed into :class:`repro.core.runtime.state.LocalState` when the
 engines were unified over one schedule driver).  What remains here is the
 paper's cost model for *finding the next parent*:

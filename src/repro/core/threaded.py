@@ -1,50 +1,19 @@
-"""Multithreaded engine for Algorithm 1 (real ``threading`` threads).
+"""Deprecated threaded-engine entry point, now the serial engine.
 
-Faithful to the paper's execution shape: per outer iteration, the queue Q1
-is partitioned across a persistent thread team, every thread serves the
-children of its queue vertices, and an implicit barrier (the team join)
-separates iterations.  Since the unified-runtime refactor this module is
-a thin pairing of the shared schedule driver with local state and a
-thread-team executor:
-
-    drive(LocalState(graph, num_threads), ThreadTeamExecutor(num_threads))
-
-Two schedules, with the same semantics as :mod:`repro.core.superstep`:
-
-* ``"asynchronous"`` (default, paper-matching) — threads sweep their Q1
-  partition in ascending order over *live* shared state.  A vertex whose
-  next parent belongs to another thread's partition may be served again in
-  the same iteration if that thread has not passed the parent yet — the
-  same benign race the Cray XMT implementation exhibits.  Output is a
-  valid maximal chordal subgraph for every interleaving (paper's proofs),
-  but the edge set and iteration count may vary run to run, exactly like
-  the real platform.
-
-* ``"synchronous"`` — barrier-snapshot semantics over the bulk kernels;
-  bit-identical to the serial synchronous engine regardless of thread
-  count or timing (and its driver-reconstructed work trace is identical
-  to the serial engine's).
-
-Correctness relies on the unique-writer discipline: at any instant each
-vertex ``w`` has one current LP, and only the thread serving that LP
-touches ``counts[w]``, ``cursor[w]``, ``lp[w]`` and ``w``'s arena slice;
-the LP hand-off is sequenced by the CPython GIL (and would be a
-release/acquire pair in a native port).  Chordal edges accumulate in
-per-thread lists merged after the run, so no shared append ordering is
-needed.
-
-On CPython the GIL serialises bytecode, so this engine demonstrates and
-*tests* the concurrency structure rather than producing speedup; the
-speedup experiments replay the work trace on the machine models
-(DESIGN.md §3).
+The GIL-bound Python thread team was slower than the serial
+``superstep`` engine in every measured cell, so it is retired:
+``engine="threaded"`` is an alias of ``superstep`` and
+:func:`threaded_max_chordal` keeps its signature for existing callers.
+For real thread parallelism use ``engine="native"``.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from repro.core.runtime import LocalState, ThreadTeamExecutor, drive
-from repro.errors import ConfigError
+from repro.core.config import ExtractionConfig
 from repro.graph.csr import CSRGraph
 
 __all__ = ["threaded_max_chordal"]
@@ -58,23 +27,24 @@ def threaded_max_chordal(
     schedule: str = "asynchronous",
     max_iterations: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
-    """Extract the maximal chordal edge set with a real thread team.
+    """Deprecated: the ``threaded`` alias's raw ``(edges, queue_sizes)``.
 
-    Returns ``(edges, queue_sizes)``.  With ``schedule="synchronous"`` the
-    edge set equals the serial synchronous engine's bit-for-bit; with
-    ``"asynchronous"`` it is a valid maximal chordal edge set that may
-    differ across runs (as on the paper's hardware).  Work traces are
-    available through the session API (``collect_trace=True`` with
-    ``engine="threaded"``), which calls the runtime driver directly.
+    ``num_threads`` is validated and otherwise ignored.  Both schedules
+    are deterministic; the synchronous edge set is bit-identical to
+    every other engine's, as before.
     """
-    if num_threads < 1:
-        raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
-    with ThreadTeamExecutor(num_threads) as executor:
-        edges, queue_sizes, _ = drive(
-            LocalState(graph, num_threads),
-            executor,
-            schedule=schedule,
-            variant=variant,
-            max_iterations=max_iterations,
-        )
+    warnings.warn(
+        "threaded_max_chordal is deprecated: the threaded engine is an alias "
+        "of superstep; use engine='native' for a real thread team",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    config = ExtractionConfig(
+        engine="threaded",
+        variant=variant,
+        schedule=schedule,
+        num_threads=num_threads,
+        max_iterations=max_iterations,
+    ).resolved()
+    edges, queue_sizes, _ = config.engine_spec.run(graph, config)
     return edges, queue_sizes

@@ -28,10 +28,10 @@ class ConfigError(ReproError, ValueError):
 
     Examples: unknown engine/variant/schedule names, a schedule the
     selected engine does not support, ``collect_trace`` on an engine
-    without trace capability, ``pool=`` with a non-process engine or a
-    conflicting ``num_workers``.  Subclasses ``ValueError`` so callers
-    written against the pre-session API (which raised bare
-    ``ValueError``) are unaffected.
+    without trace capability, ``pool=`` with an engine other than the
+    ``process`` alias or a conflicting ``num_workers``.  Subclasses
+    ``ValueError`` so callers written against the pre-session API (which
+    raised bare ``ValueError``) are unaffected.
     """
 
 

@@ -1,28 +1,27 @@
-"""Measured (not modeled) strong-scaling of the process engine.
+"""Measured (not modeled) strong-scaling of the native thread team.
 
 Every other scaling artifact in this reproduction replays an instrumented
-work trace on the calibrated Cray XMT / Opteron machine models, because
-the GIL-bound ``threaded`` engine cannot speed anything up on CPython.
-This experiment is the real thing: it times the ``process`` engine's
-shared-memory worker team on the host's actual cores and reports a
-Figure-4-style wall-clock curve, next to the serial synchronous baselines
-(the literal ``reference`` engine — the seed implementation style, dicts
-and sets — and the vectorized kernel engine; the historical Python pair
-loop was absorbed into the unified runtime, which always runs the
-kernels).
+work trace on the calibrated Cray XMT / Opteron machine models.  This
+experiment is the real thing: it times the ``native`` engine's thread
+team (compiled round bodies that release the GIL) on the host's actual
+cores and reports a Figure-4-style wall-clock curve, next to the serial
+synchronous baselines (the literal ``reference`` engine — the seed
+implementation style, dicts and sets — and the vectorized kernel
+engine).
 
-On a single-core host the worker sweep degenerates to coordination
+On a single-core host the thread sweep degenerates to coordination
 overhead — the honest result — while the kernel-vs-reference row still
-shows the vectorization speedup.  ``notes`` records the core count so
-recorded runs are interpretable.
+shows the vectorization speedup.  ``notes`` records the core count and
+the kernel path so recorded runs are interpretable.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core.procpool import ProcessPool
+from repro.core.native import native_available
 from repro.core.reference import reference_max_chordal
+from repro.core.runtime import LocalState, NativeThreadTeamExecutor, drive
 from repro.core.superstep import superstep_max_chordal
 from repro.experiments.report import ExperimentResult
 from repro.experiments.testsuite import DEFAULT_SEED, build_graph_cached, rmat_spec
@@ -30,7 +29,7 @@ from repro.util.timing import best_of
 
 __all__ = ["run", "measure_engines"]
 
-#: Worker sweep (kept modest: forks are per-pool, not per-superstep).
+#: Thread-count sweep.
 DEFAULT_WORKERS = (1, 2, 4)
 
 
@@ -40,8 +39,8 @@ def measure_engines(graph, workers=DEFAULT_WORKERS, repeats: int = 2) -> dict:
     Best-of-``repeats`` wall-clock seconds of synchronous extraction on
     ``graph`` for the literal reference engine (``"reference"`` — the
     seed implementation style), the vectorized serial engine
-    (``"kernels"``) and the process engine at each worker count
-    (``"process"``: ``{W: seconds}``, warm-up extraction excluded), plus
+    (``"kernels"``) and the native thread team at each thread count
+    (``"native"``: ``{W: seconds}``, warm-up extraction excluded), plus
     ``"speedup"`` ratios relative to the reference engine.
     """
     t_ref = best_of(
@@ -50,14 +49,19 @@ def measure_engines(graph, workers=DEFAULT_WORKERS, repeats: int = 2) -> dict:
     t_vec = best_of(
         lambda: superstep_max_chordal(graph, schedule="synchronous"), repeats
     )
-    proc: dict[int, float] = {}
+    team: dict[int, float] = {}
     for w in workers:
-        with ProcessPool(graph, num_workers=w) as pool:
-            pool.extract()  # warm-up: fault in the shared segment
-            proc[w] = best_of(pool.extract, repeats)
+        with NativeThreadTeamExecutor(w) as executor:
+
+            def once():
+                drive(LocalState(graph, w, edge_claims=True), executor,
+                      schedule="synchronous")
+
+            once()  # warm-up: spawn the team, resolve the compiled bodies
+            team[w] = best_of(once, repeats)
     speedup = {"kernels": t_ref / t_vec}
-    speedup.update({f"process@{w}": t_ref / t for w, t in proc.items()})
-    return {"reference": t_ref, "kernels": t_vec, "process": proc, "speedup": speedup}
+    speedup.update({f"native@{w}": t_ref / t for w, t in team.items()})
+    return {"reference": t_ref, "kernels": t_vec, "native": team, "speedup": speedup}
 
 
 def run(
@@ -67,12 +71,12 @@ def run(
     seed: int = DEFAULT_SEED,
     repeats: int = 2,
 ) -> ExperimentResult:
-    """Measure wall-clock synchronous extraction across engines and workers.
+    """Measure wall-clock synchronous extraction across engines and threads.
 
-    Series: ``{kind}/S{scale}/process`` maps worker count to seconds;
-    rows add the serial reference/kernel baselines and the speedup of the
-    best process configuration over the reference engine (the seed
-    implementation style).
+    Series: ``{kind}/S{scale}/native`` maps thread count to seconds; rows
+    add the serial reference/kernel baselines and the speedup of the best
+    thread count over the reference engine (the seed implementation
+    style).
     """
     workers = tuple(workers)
     series: dict[str, list[tuple]] = {}
@@ -81,35 +85,36 @@ def run(
         for scale in scales:
             graph = build_graph_cached(rmat_spec(kind, scale, seed))
             m = measure_engines(graph, workers=workers, repeats=repeats)
-            points = [(w, m["process"][w]) for w in workers]
-            series[f"{kind}/S{scale}/process"] = points
-            best_proc = min(m["process"].values())
+            points = [(w, m["native"][w]) for w in workers]
+            series[f"{kind}/S{scale}/native"] = points
+            best = min(m["native"].values())
             rows.append(
                 [
                     f"{kind}({scale})",
                     round(m["reference"] * 1e3, 3),
                     round(m["kernels"] * 1e3, 3),
                     round(points[0][1] * 1e3, 3),
-                    round(best_proc * 1e3, 3),
-                    round(m["reference"] / best_proc, 2),
+                    round(best * 1e3, 3),
+                    round(m["reference"] / best, 2),
                 ]
             )
     return ExperimentResult(
         experiment_id="scaling_measured",
-        title="Measured process-engine scaling (wall clock, this host)",
+        title="Measured native thread-team scaling (wall clock, this host)",
         headers=[
             "Graph",
             "reference ms",
             "kernels ms",
-            f"proc@{workers[0]} ms",
-            "proc@best ms",
+            f"native@{workers[0]} ms",
+            "native@best ms",
             "speedup vs reference",
         ],
         rows=rows,
         series=series,
         notes=[
             f"host cores: {os.cpu_count()}",
-            f"workers swept: {tuple(workers)}; best of {repeats} repeats",
+            f"kernel path: {'native' if native_available() else 'numpy'}",
+            f"threads swept: {tuple(workers)}; best of {repeats} repeats",
             "reference = literal pseudocode engine (seed style); "
             "kernels = vectorized serial",
         ],

@@ -1,11 +1,8 @@
 """Thread runtime: persistent worker team, partitioners, atomic helpers.
 
-This is the shared-memory substrate the threaded engine runs on.  On
-CPython the GIL serialises bytecode, so these primitives demonstrate and
-test the *structure* of the parallel algorithm (barriers, unique-writer
-discipline, per-thread accumulation) rather than deliver wall-clock
-speedup — the speedup experiments run on the machine models instead
-(DESIGN.md §3, substitution 1).
+This is the substrate the native engine's thread team runs on:
+barrier-separated supersteps, slice partitioners and the claim-word
+atomics of the asynchronous live rounds.
 """
 
 from repro.parallel.runtime import ThreadTeam, parallel_for

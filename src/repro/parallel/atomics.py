@@ -1,5 +1,5 @@
-"""Small atomic helpers — in-process lock-based counters and the shared-
-memory word primitives of the asynchronous process engine.
+"""Small atomic helpers — in-process lock-based counters and the claim-
+word primitives of the asynchronous live rounds.
 
 The Cray XMT provides full/empty-bit atomics in hardware; in CPython the
 GIL already makes single-bytecode operations atomic, but relying on that is
@@ -7,33 +7,32 @@ fragile under free-threaded builds, so the in-process helpers below use
 explicit locks.  The synchronous core engine itself needs *no* atomics
 thanks to the unique-writer discipline (see :mod:`repro.core.state`).
 
-Shared-memory word primitives
------------------------------
-The asynchronous process engine coordinates workers through single
-``int64`` words in the shared segment (:mod:`repro.parallel.shm`): edge-
-state claim words and per-worker epoch counters.  CPython cannot issue a
-hardware compare-and-swap, so the primitives below spell out exactly what
-they *do* guarantee and what the engine must supply:
+Claim-word primitives
+---------------------
+The asynchronous live rounds (:func:`repro.core.runtime.rounds.run_async_slice`,
+the NumPy fallback of the native thread team) decide each arc through a
+single ``int64`` edge-state claim word.  CPython cannot issue a hardware
+compare-and-swap, so the primitives below spell out exactly what they
+*do* guarantee and what the caller must supply:
 
-* every word lives in an 8-byte-aligned ``int64`` NumPy view over shared
-  memory (:data:`repro.parallel.shm.ALIGN` — enforced here), so a single
-  load or store is one aligned machine word: **readers never observe a
-  torn value**, only the old word or the new word;
+* every word lives in an 8-byte-aligned ``int64`` NumPy array (:data:`ALIGN`
+  — enforced here), so a single load or store is one aligned machine
+  word: **readers never observe a torn value**, only the old word or the
+  new word;
 * the read-modify-write of :func:`compare_and_set` /
   :func:`bulk_compare_and_set` is atomic only under a **single-mutator-
-  per-slot** discipline: at most one process may attempt to mutate a given
-  slot at a time.  The async engine guarantees this structurally — each
+  per-slot** discipline: at most one thread may attempt to mutate a given
+  slot at a time.  The live rounds guarantee this structurally — each
   edge-claim slot belongs to exactly one child vertex, each vertex to
-  exactly one worker slice per round, and handoffs between rounds are
+  exactly one slice per round, and handoffs between rounds are
   barrier-sequenced — and a failed compare (slot already decided) is how
   a violation of that discipline is *detected* rather than silently
-  double-applied.  A native port maps these calls 1:1 onto real CAS
-  instructions (``int_fetch_add`` / ``writexf`` on the XMT).
+  double-applied.  The compiled bodies (:mod:`repro.core.native`) map
+  these calls 1:1 onto real CAS instructions (``int_fetch_add`` /
+  ``writexf`` on the XMT).
 
-Cross-process visibility relies on total-store-order semantics for aligned
-stores (x86) or the inter-process release/acquire pairing provided by the
-engine's barriers; the engine never lets an unsynchronised reader make a
-*admitting* decision from a racing word — stale reads can only reject.
+The rounds never let an unsynchronised reader make an *admitting*
+decision from a racing word — stale reads can only reject.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ import threading
 
 import numpy as np
 
-from repro.parallel.shm import ALIGN
+#: Byte alignment every claim-word array must have (one int64 word).
+ALIGN = 8
 
 __all__ = [
     "AtomicCounter",

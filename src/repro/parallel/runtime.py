@@ -6,8 +6,8 @@ shape: ``team.run(task)`` releases all workers into ``task(thread_id)`` and
 returns when every worker has finished — one superstep.  Worker threads
 persist across supersteps (thread creation is not paid per iteration, as
 on the real platforms).  The unified runtime's
-:class:`~repro.core.runtime.executors.ThreadTeamExecutor` is the adapter
-that plugs this team into the shared schedule driver.
+:class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` is the
+adapter that plugs this team into the shared schedule driver.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """Extraction service: a long-lived daemon serving concurrent clients.
 
-The session API (:class:`~repro.core.session.Extractor`) amortises one
-worker-team spawn across a batch; this package lifts that amortisation
-into a *server process* that owns a fleet of warm
-:class:`~repro.core.procpool.ProcessPool` teams and multiplexes any
-number of clients onto them over a unix-socket (or TCP) connection —
-the ROADMAP's "millions of users" direction made concrete.
+The session API (:class:`~repro.core.session.Extractor`) runs one
+regime over a batch in-process; this package puts it behind a *server
+process* that multiplexes any number of clients over a unix-socket (or
+TCP) connection, with a result cache in front of the dispatchers.
 
 Modules
 -------
@@ -15,8 +13,8 @@ Modules
 :mod:`repro.service.server`
     :class:`ReproServer` — admission queue with explicit backpressure
     (bounded depth → ``BUSY``, per-request deadline → ``TIMEOUT``), a
-    content-hash × resolved-config result cache, and worker-death
-    recovery (pool rebuilt, in-flight request retried once).
+    content-hash × resolved-config result cache, and dispatcher threads
+    that run each request in-process.
 :mod:`repro.service.client`
     :class:`ServiceClient` — the blocking client the CLI's ``--server``
     flag uses; one socket, sequential framed requests.
@@ -29,7 +27,7 @@ while the server evicts exactly the pre-mutation graph's cache keys.
 
 Quickstart::
 
-    repro serve --socket /tmp/repro.sock --pools 2 --num-workers 4 &
+    repro serve --socket /tmp/repro.sock --dispatchers 2 &
     repro extract graph.mtx --server /tmp/repro.sock
 
 or in Python::

@@ -47,7 +47,6 @@ class ServiceResult:
     graph: CSRGraph
     cached: bool
     served_by: str
-    pool: int | None
     engine: str
     schedule: str
     num_iterations: int
@@ -188,7 +187,7 @@ class ServiceClient:
         return self._request({"op": "ping"})
 
     def stats(self) -> dict[str, Any]:
-        """The server's counter snapshot (queue depth, cache, pools…)."""
+        """The server's counter snapshot (queue depth, cache, dispatches…)."""
         return self._request({"op": "stats"})["stats"]
 
     def shutdown(self) -> dict[str, Any]:
@@ -235,7 +234,6 @@ class ServiceClient:
             graph=graph,
             cached=bool(response.get("cached", False)),
             served_by=str(response.get("served_by", "")),
-            pool=response.get("pool"),
             engine=str(response.get("engine", "")),
             schedule=str(response.get("schedule", "")),
             num_iterations=int(response.get("num_iterations", 0)),

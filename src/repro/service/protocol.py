@@ -41,7 +41,7 @@ Graph payloads come in two interchangeable shapes (see
 Responses are ``{"ok": true, ...}`` or a *typed* error
 ``{"ok": false, "error": {"code": <ERROR_CODES>, "message": ...}}``.
 Extraction responses return the edge set base64-encoded
-(:func:`encode_edges`), plus ``cached`` / ``pool`` / ``served_by`` /
+(:func:`encode_edges`), plus ``cached`` / ``served_by`` /
 ``num_iterations`` metadata.
 
 Content hashing
@@ -119,7 +119,6 @@ BAD_GRAPH = "BAD_GRAPH"  # graph payload rejected
 INVALID_CONFIG = "INVALID_CONFIG"  # config rejected (unknown field/value)
 BUSY = "BUSY"  # admission queue full (backpressure)
 TIMEOUT = "TIMEOUT"  # per-request deadline expired
-WORKER_DIED = "WORKER_DIED"  # pool died; retry also failed
 SHUTTING_DOWN = "SHUTTING_DOWN"  # server draining; no new admissions
 VERIFY_FAILED = "VERIFY_FAILED"  # requested verification rejected output
 INTERNAL = "INTERNAL"  # anything else (message only, no traceback)
@@ -131,14 +130,13 @@ ERROR_CODES = (
     INVALID_CONFIG,
     BUSY,
     TIMEOUT,
-    WORKER_DIED,
     SHUTTING_DOWN,
     VERIFY_FAILED,
     INTERNAL,
 )
 
 #: Config fields a request may set.  ``num_workers`` is server-owned
-#: (the warm pools are sized at startup), ``collect_trace`` /
+#: (the server sizes the thread team), ``collect_trace`` /
 #: ``cost_params`` are not servable (traces are not JSON), so all three
 #: are rejected explicitly rather than silently ignored.
 ALLOWED_CONFIG_FIELDS = (
@@ -508,7 +506,7 @@ def decode_config(payload: Any) -> ExtractionConfig:
             code=INVALID_CONFIG,
         )
     for field, why in (
-        ("num_workers", "server-owned (the warm pools are sized at startup)"),
+        ("num_workers", "server-owned (the server sizes the thread team)"),
         ("collect_trace", "not servable (work traces are not serialisable)"),
         ("cost_params", "not servable (cost params are not serialisable)"),
     ):

@@ -1,4 +1,4 @@
-"""The ``repro serve`` daemon: warm pools, backpressure, result cache.
+"""The ``repro serve`` daemon: backpressure, deadlines, result cache.
 
 Architecture (all threads daemonic, one process)::
 
@@ -14,21 +14,14 @@ Architecture (all threads daemonic, one process)::
         |                  ``BUSY`` immediately (explicit backpressure,
         |                  never unbounded buffering).
         v
-    dispatcher threads -- one per warm ProcessPool; each owns its pool
-                           exclusively (no pool locking).  Pool-capable
-                           engines run on the pool; in-process engines
-                           (superstep/threaded/reference/weighted) run
-                           inline on the dispatcher thread, so every
-                           request shares one backpressure policy.
+    dispatcher threads -- ``num_dispatchers`` of them; each runs its
+                           request inline through an
+                           :class:`~repro.core.session.Extractor`.  The
+                           native engine's compiled bodies release the
+                           GIL, so dispatchers run extractions in parallel.
 
 Fault containment
 -----------------
-* **Worker death** — a SIGKILLed/OOM-killed pool worker surfaces as
-  :class:`~repro.core.runtime.executors.WorkerTeamError` via the barrier
-  agent (the pool self-closes).  The dispatcher rebuilds a fresh warm
-  pool and retries the in-flight request once; a second failure answers
-  a typed ``WORKER_DIED``.  The server — and every other connection —
-  survives.
 * **Client death** — a client that disconnects mid-request costs nothing
   but the discarded result: dispatchers never touch sockets, so the
   admission queue cannot wedge; the connection thread notices on write
@@ -37,16 +30,19 @@ Fault containment
   field, default ``request_timeout``).  Expiring while *queued* skips
   execution entirely; expiring mid-execution answers ``TIMEOUT`` while
   the computed result still lands in the cache (the work is not wasted).
+* **Failures** — any exception inside one extraction becomes a typed
+  ``INTERNAL`` error for that request alone; the server and every other
+  connection carry on.
 * **Shutdown** — :meth:`ReproServer.shutdown` stops admissions
   (``SHUTTING_DOWN``), drains in-flight requests through the queue's
-  FIFO order, joins every thread and closes the pools.
+  FIFO order and joins every thread.
 
 Result cache
 ------------
 Keyed by :func:`~repro.service.protocol.graph_content_hash` ×
 :func:`~repro.service.protocol.config_cache_key` (the *resolved*
 config).  A hit returns the bit-identical stored edge set without
-touching a pool.  Entries are LRU-evicted beyond ``cache_entries`` or
+dispatching.  Entries are LRU-evicted beyond ``cache_entries`` or
 ``cache_bytes`` — both ceilings hold at all times.  Nondeterministic
 (asynchronous) regimes cache their first answer, which is exactly as
 valid as any other the engine could return.
@@ -66,11 +62,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import ExtractionConfig
-from repro.core.procpool import ProcessPool
-from repro.core.runtime.executors import WorkerTeamError
 from repro.core.session import Extractor
 from repro.errors import ConfigError, ReproError
-from repro.graph.builder import build_graph
 from repro.graph.csr import CSRGraph
 from repro.service import protocol
 from repro.service.protocol import (
@@ -81,7 +74,6 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     TIMEOUT,
     VERIFY_FAILED,
-    WORKER_DIED,
     ProtocolError,
     error_response,
 )
@@ -100,7 +92,11 @@ class ServiceConfig:
     """Knobs of one :class:`ReproServer`, validated at construction.
 
     At least one listener (``socket_path`` and/or ``host``) is required.
-    ``dispatch_delay_s`` is a fault-injection seam: an artificial pause
+    ``num_dispatchers`` threads execute admitted requests;
+    ``num_workers`` is the thread-team width the server gives requests
+    for the ``process`` engine alias (server-owned, as a request may not
+    set it).  ``dispatch_delay_s`` is a fault-injection seam: an
+    artificial pause
     a dispatcher takes before executing each request, letting the test
     suite fill the admission queue and expire deadlines
     deterministically; it is 0 in production.
@@ -109,14 +105,13 @@ class ServiceConfig:
     socket_path: str | None = None
     host: str | None = None
     port: int = 0
-    num_pools: int = 1
+    num_dispatchers: int = 1
     num_workers: int = 2
     queue_depth: int = 32
     request_timeout: float = 30.0
     drain_timeout: float = 10.0
     cache_entries: int = 128
     cache_bytes: int = 256 * 1024 * 1024
-    barrier_timeout: float | None = None
     max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME
     allow_remote_shutdown: bool = True
     dispatch_delay_s: float = 0.0
@@ -128,7 +123,7 @@ class ServiceConfig:
                 "and/or host (TCP)"
             )
         for name, minimum in (
-            ("num_pools", 1),
+            ("num_dispatchers", 1),
             ("num_workers", 1),
             ("queue_depth", 1),
             ("cache_entries", 0),
@@ -298,7 +293,6 @@ class ReproServer:
         self.config = config
         self.cache = ResultCache(config.cache_entries, config.cache_bytes)
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self._pools: list[ProcessPool | None] = [None] * config.num_pools
         self._listeners: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
         self._conn_threads: set[threading.Thread] = set()
@@ -308,12 +302,13 @@ class ReproServer:
             "requests": 0,
             "extractions": 0,
             "cache_hits": 0,
-            "pool_dispatches": 0,
-            "inline_dispatches": 0,
+            "dispatches": 0,
             "busy_rejections": 0,
             "timeouts": 0,
+            # No request is ever retried (there is no worker team to lose
+            # mid-request); the counter stays in the stats schema so
+            # existing consumers keep their keys.
             "retries": 0,
-            "pool_rebuilds": 0,
             "protocol_errors": 0,
             "connections": 0,
             "verifications": 0,
@@ -331,15 +326,13 @@ class ReproServer:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ReproServer":
-        """Bind listeners, spawn warm pools, dispatchers and acceptors."""
+        """Bind listeners, start dispatchers and acceptors."""
         if self._stopping.is_set():
             raise ReproError("ReproServer cannot be restarted after shutdown")
         if self._started:
             return self
         self._started = True
         cfg = self.config
-        for idx in range(cfg.num_pools):
-            self._pools[idx] = self._fresh_pool()
         if cfg.socket_path is not None:
             path = cfg.socket_path
             if os.path.exists(path):
@@ -364,26 +357,15 @@ class ReproServer:
             )
             thread.start()
             self._threads.append(thread)
-        for idx in range(cfg.num_pools):
+        for idx in range(cfg.num_dispatchers):
             thread = threading.Thread(
                 target=self._dispatch_loop,
-                args=(idx,),
                 daemon=True,
                 name=f"repro-serve-dispatch-{idx}",
             )
             thread.start()
             self._threads.append(thread)
         return self
-
-    def _fresh_pool(self) -> ProcessPool:
-        """A warm pool: the worker team is spawned *now*, not on the
-        first request — pre-binding a seed graph forces the spawn."""
-        pool = ProcessPool(
-            num_workers=self.config.num_workers,
-            barrier_timeout=self.config.barrier_timeout,
-        )
-        pool.bind(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
-        return pool
 
     @property
     def tcp_address(self) -> tuple[str, int] | None:
@@ -403,7 +385,7 @@ class ReproServer:
         self._stopping.set()
 
     def shutdown(self) -> None:
-        """Graceful stop: refuse new work, drain in-flight, tear down.
+        """Graceful stop: refuse new work, drain in-flight, join threads.
 
         Idempotent and callable from any thread (including a connection
         thread serving a ``shutdown`` op — joins skip the caller).
@@ -420,7 +402,7 @@ class ReproServer:
             # FIFO sentinels: every request admitted before shutdown is
             # executed (drained) before its dispatcher sees the sentinel.
             deadline = time.monotonic() + self.config.drain_timeout
-            for _ in range(self.config.num_pools):
+            for _ in range(self.config.num_dispatchers):
                 try:
                     self._queue.put(
                         _QUEUE_SENTINEL,
@@ -437,10 +419,6 @@ class ReproServer:
             for thread in conns:
                 if thread is not me:
                     thread.join(timeout=2 * _POLL_SECONDS + 1.0)
-            for idx, pool in enumerate(self._pools):
-                if pool is not None:
-                    pool.close()
-                    self._pools[idx] = None
             if self.config.socket_path and os.path.exists(self.config.socket_path):
                 try:
                     os.unlink(self.config.socket_path)
@@ -475,17 +453,10 @@ class ReproServer:
         """A point-in-time counter snapshot (also served as op=stats)."""
         with self._stats_lock:
             counters = dict(self._counters)
-        pools = []
-        for pool in self._pools:
-            try:
-                pids = [p.pid for p in pool._procs] if pool is not None else []
-            except Exception:  # pragma: no cover - pool mid-rebuild
-                pids = []
-            pools.append({"worker_pids": pids})
+        counters["dispatchers"] = self.config.num_dispatchers
         counters["queue_depth"] = self._queue.qsize()
         counters["queue_capacity"] = self.config.queue_depth
         counters["cache"] = self.cache.stats()
-        counters["pools"] = pools
         counters["stopping"] = self._stopping.is_set()
         return counters
 
@@ -642,8 +613,8 @@ class ReproServer:
         verify = bool(request.get("verify", False))
         no_cache = bool(request.get("no_cache", False))
 
-        # The resolved regime is the cache identity; the server's pool
-        # size stands in for num_workers on pool-capable engines.
+        # The resolved regime is the cache identity; the server's team
+        # width stands in for num_workers on the process alias.
         resolved = config.resolved()
         if resolved.engine_spec.supports_pool:
             resolved = resolved.replace(num_workers=self.config.num_workers)
@@ -664,16 +635,13 @@ class ReproServer:
                     if failure is not None:
                         return failure
                     self.cache.mark_verified(cache_key)
-                response = self._success(
-                    graph, resolved, edges, meta,
-                    cached=True, served_by="cache", pool=None,
-                )
+                response = self._success(resolved, edges, meta, served_by="cache")
                 if verify:
                     response["verified"] = True
                 return response
 
         pending = _PendingRequest(
-            graph, config, None if no_cache else cache_key,
+            graph, resolved, None if no_cache else cache_key,
             no_cache, time.monotonic() + timeout,
         )
         try:
@@ -818,20 +786,16 @@ class ReproServer:
 
     def _success(
         self,
-        graph: CSRGraph,
         resolved: ExtractionConfig,
         edges: np.ndarray,
         meta: dict[str, Any],
         *,
-        cached: bool,
         served_by: str,
-        pool: int | None,
     ) -> dict[str, Any]:
         return {
             "ok": True,
-            "cached": cached,
+            "cached": served_by == "cache",
             "served_by": served_by,
-            "pool": pool,
             "engine": resolved.engine,
             "schedule": resolved.schedule,
             **meta,
@@ -853,7 +817,7 @@ class ReproServer:
 
     # -- dispatchers -----------------------------------------------------
 
-    def _dispatch_loop(self, idx: int) -> None:
+    def _dispatch_loop(self) -> None:
         while True:
             pending = self._queue.get()
             if pending is _QUEUE_SENTINEL:
@@ -864,7 +828,7 @@ class ReproServer:
                 pending.state = "running"
             if self.config.dispatch_delay_s:
                 time.sleep(self.config.dispatch_delay_s)
-            response = self._execute(pending, idx)
+            response = self._execute(pending)
             with pending.lock:
                 if pending.state == "running":
                     pending.response = response
@@ -872,57 +836,16 @@ class ReproServer:
                     pending.event.set()
                 # else: abandoned mid-run — result discarded (but cached).
 
-    def _execute(self, pending: _PendingRequest, idx: int) -> dict[str, Any]:
+    def _execute(self, pending: _PendingRequest) -> dict[str, Any]:
+        self._bump("dispatches")
         try:
-            edges, meta, served_by = self._run_extraction(pending.config, pending.graph, idx)
-        except WorkerTeamError as exc:
-            # The pool self-closed; rebuild it warm and retry exactly once.
-            self._bump("pool_rebuilds")
-            self._bump("retries")
-            self._pools[idx] = self._fresh_pool()
-            try:
-                edges, meta, served_by = self._run_extraction(
-                    pending.config, pending.graph, idx
-                )
-            except WorkerTeamError as retry_exc:
-                self._pools[idx] = self._fresh_pool()
-                return error_response(
-                    WORKER_DIED,
-                    f"worker team died twice for one request "
-                    f"(first: {exc}; retry: {retry_exc})",
-                )
+            with Extractor(pending.config) as extractor:
+                result = extractor.extract(pending.graph)
         except ProtocolError as exc:
             return error_response(exc.code, str(exc))
-        except ReproError as exc:
-            return error_response(INTERNAL, f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # noqa: BLE001 - no tracebacks on the wire
             return error_response(INTERNAL, f"{type(exc).__name__}: {exc}")
         self._bump("extractions")
-        if pending.cache_key is not None:
-            self.cache.put(pending.cache_key, edges, meta)
-        resolved = pending.config.resolved()
-        if resolved.engine_spec.supports_pool:
-            resolved = resolved.replace(num_workers=self.config.num_workers)
-        return self._success(
-            pending.graph, resolved, edges, meta,
-            cached=False, served_by=served_by,
-            pool=idx if served_by == "pool" else None,
-        )
-
-    def _run_extraction(
-        self, config: ExtractionConfig, graph: CSRGraph, idx: int
-    ) -> tuple[np.ndarray, dict[str, Any], str]:
-        spec = config.engine_spec
-        if spec.supports_pool:
-            self._bump("pool_dispatches")
-            extractor = Extractor(config, pool=self._pools[idx])
-            served_by = "pool"
-        else:
-            self._bump("inline_dispatches")
-            extractor = Extractor(config)
-            served_by = "inline"
-        with extractor:
-            result = extractor.extract(graph)
         self._bump(f"kernel_{result.kernel_path}")
         meta = {
             "num_iterations": result.num_iterations,
@@ -930,4 +853,6 @@ class ReproServer:
             "stitched_bridges": result.stitched_bridges,
             "kernel_path": result.kernel_path,
         }
-        return result.edges, meta, served_by
+        if pending.cache_key is not None:
+            self.cache.put(pending.cache_key, result.edges, meta)
+        return self._success(pending.config, result.edges, meta, served_by="inline")

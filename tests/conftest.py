@@ -6,11 +6,11 @@ Markers (registered here so ``--strict-markers`` stays viable):
   explicit ``-m`` expression naming ``slow``) is given.
 * ``stress`` — adversarial concurrency stress; skipped unless
   ``--run-stress`` (or ``-m ... stress ...``) is given.
-* ``async_stress`` — wide sweeps and worker-churn scenarios for the
-  asynchronous process engine; skipped unless ``--run-async-stress``
-  (or ``-m ... async_stress ...``) is given.
+* ``async_stress`` — wide asynchronous sweeps of the ``process`` alias
+  across worker counts; skipped unless ``--run-async-stress`` (or
+  ``-m ... async_stress ...``) is given.
 * ``service_stress`` — fault injection against a live ``repro serve``
-  daemon (worker SIGKILL, client kill, queue saturation, drain);
+  daemon (client kill, queue saturation, deadlines, drain);
   skipped unless ``--run-service-stress`` (or ``-m ... service_stress
   ...``) is given.
 * ``incremental_stress`` — long seeded mutation streams verified after
@@ -55,7 +55,7 @@ _OPTIONAL_MARKERS = {
     "stress": ("--run-stress", "adversarial stress test; skipped unless --run-stress"),
     "async_stress": (
         "--run-async-stress",
-        "async process-engine stress test; skipped unless --run-async-stress",
+        "wide asynchronous sweep; skipped unless --run-async-stress",
     ),
     "service_stress": (
         "--run-service-stress",

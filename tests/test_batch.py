@@ -1,5 +1,5 @@
-"""Tests for the batch pipeline: ``extract_many`` and the rebindable
-:class:`~repro.core.procpool.ProcessPool` (PR 2 amortisation layer)."""
+"""Tests for the batch pipeline: ``extract_many`` and the deprecated,
+rebindable :class:`~repro.core.procpool.ProcessPool` handle."""
 
 import numpy as np
 import pytest
@@ -32,27 +32,10 @@ class TestProcessPoolRebind:
                 assert queue_sizes == ref_sizes
 
     def test_growth_then_shrink(self):
-        # small -> much larger (forces capacity growth) -> small again.
         sizes = [rmat_er(5, seed=1), rmat_b(9, seed=2), rmat_er(5, seed=3)]
         with ProcessPool(num_workers=2) as pool:
             for g in sizes:
                 assert np.array_equal(pool.extract(g)[0], sync_reference(g)[0])
-
-    def test_inplace_growth_keeps_worker_team(self):
-        small, big = rmat_er(5, seed=7), rmat_er(6, seed=7)
-        with ProcessPool(small, num_workers=2, headroom=8.0) as pool:
-            pids = [p.pid for p in pool._procs]
-            edges, _ = pool.extract(big)
-            assert [p.pid for p in pool._procs] == pids
-            assert np.array_equal(edges, sync_reference(big)[0])
-
-    def test_segment_overflow_restarts_worker_team(self):
-        small, big = rmat_er(5, seed=7), rmat_b(9, seed=8)
-        with ProcessPool(small, num_workers=2, headroom=1.0) as pool:
-            pids = [p.pid for p in pool._procs]
-            edges, _ = pool.extract(big)
-            assert [p.pid for p in pool._procs] != pids
-            assert np.array_equal(edges, sync_reference(big)[0])
 
     def test_constructor_graph_and_argless_extract(self):
         g = rmat_er(6, seed=4)
@@ -169,46 +152,3 @@ class TestExtractMany:
             # silently ignoring the pool.
             with pytest.raises(ValueError, match="pool"):
                 extract_many(batch, engine="superstep", pool=pool)
-
-    @pytest.mark.slow
-    def test_killed_worker_detected_within_bounded_time(self):
-        """A worker SIGKILLed mid-batch (the OOM-killer scenario) can wedge
-        the mp.Barrier state beyond any wait(timeout); the barrier-agent
-        thread must still surface a RuntimeError in bounded time and
-        release the shared segment."""
-        import os
-        import signal
-        import time
-
-        g = rmat_er(8, seed=1)
-        pool = ProcessPool(g, num_workers=2, barrier_timeout=1.0)
-        pool.extract()
-        os.kill(pool._procs[0].pid, signal.SIGKILL)
-        time.sleep(0.2)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="barrier"):
-            pool.extract()
-        # 2 * barrier_timeout + 5s queue slack + 2 * 5s worker reaping.
-        assert time.perf_counter() - start < 20.0
-        assert pool._closed  # pool self-closed; segment released
-
-    @pytest.mark.slow
-    def test_batch_faster_than_per_call_pool_spawn(self):
-        """The amortisation claim of BENCH_batch.json, as a loose gate."""
-        from repro.util.timing import median_of
-
-        graphs = [rmat_er(7, seed=i) for i in range(12)]
-
-        def batch_run():
-            extract_many(graphs, engine="process", num_workers=2)
-
-        def percall_run():
-            for g in graphs:
-                extract_maximal_chordal_subgraph(
-                    g, engine="process", schedule="synchronous", num_workers=2
-                )
-
-        batch_s = median_of(batch_run, 3)
-        percall_s = median_of(percall_run, 3)
-        # The measured gap is ~2.7x (BENCH_batch.json); 1.2x absorbs noise.
-        assert batch_s * 1.2 < percall_s, (batch_s, percall_s)

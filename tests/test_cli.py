@@ -450,8 +450,7 @@ class TestExtractServerVerifyParity:
 
         return ReproServer(
             ServiceConfig(
-                socket_path=sock, num_pools=1, num_workers=1,
-                barrier_timeout=30.0,
+                socket_path=sock, num_workers=1,
             )
         )
 

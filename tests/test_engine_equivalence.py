@@ -1,14 +1,14 @@
 """Cross-engine equivalence harness (property-style seed sweep).
 
-The synchronous schedule is the repo's determinism contract: all four
-engines (``superstep``, ``threaded``, ``process``, ``reference``) × both
-variants must produce the *identical canonical edge set* on every input
-(the first three are pairings of the one runtime driver, so this also
-pins the driver against every backend).  The asynchronous schedule promises less — any run
-yields a chordal subgraph whose maximality gap the completion pass can
-close — and that weaker contract is asserted for every engine (all four
-offer the schedule since the process engine gained its live sweep); the
-full any-valid certification lives in ``tests/test_properties_async.py``.
+The synchronous schedule is the repo's determinism contract: every
+Algorithm-1 engine and alias (``superstep``, ``native``, ``reference``,
+and the deprecated ``threaded`` / ``process``) × both variants must
+produce the *identical canonical edge set* on every input (the runtime
+engines share one driver, so this also pins the driver against every
+executor).  The asynchronous schedule promises less — any run yields a
+chordal subgraph whose maximality gap the completion pass can close —
+and that weaker contract is asserted for every engine; the full
+any-valid certification lives in ``tests/test_properties_async.py``.
 
 A small seed sweep runs in tier-1; the wide sweep is marked ``slow``
 (``--run-slow``).  See ``tests/README.md``.
@@ -167,7 +167,7 @@ class TestKernelLoopAgreement:
 class TestSyncDeterminismPins:
     """The synchronous schedule is the determinism contract: bit-identical
     edge sets AND queue profiles across every engine and every worker
-    count, pinned so the asynchronous process path can never leak
+    count, pinned so the asynchronous live rounds can never leak
     nondeterminism into the sync kernels."""
 
     @pytest.mark.parametrize("gen", ("gnp", "rmat_b"))
@@ -181,8 +181,8 @@ class TestSyncDeterminismPins:
                 assert pqs == qs, (gen, seed, workers)
 
     def test_sync_unchanged_after_async_runs_on_same_pool(self):
-        """An async sweep must leave no residue (edge-state words, epoch
-        counters, arena contents) that shifts a later sync run."""
+        """Async live rounds through one pool must leave no residue that
+        shifts a later sync run."""
         graph = GENERATORS["rmat_er"](4)
         serial, qs, _ = superstep_max_chordal(graph, schedule="synchronous")
         with ProcessPool(graph, num_workers=3) as pool:
@@ -209,9 +209,9 @@ class TestSyncDeterminismPins:
 
 class TestProcessEngineContract:
     def test_async_schedule_supported(self):
-        """The former ValueError contract is gone: the process engine now
-        runs the paper's asynchronous schedule (validity is certified by
-        tests/test_properties_async.py; here just the plumbing)."""
+        """The deprecated process entry point runs the asynchronous
+        schedule (validity is certified by tests/test_properties_async.py;
+        here just the plumbing)."""
         g = gnp_random_graph(10, 0.3, seed=0)
         edges, qs = process_max_chordal(g, schedule="asynchronous", num_workers=2)
         assert edges.shape[1] == 2

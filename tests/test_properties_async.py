@@ -1,7 +1,8 @@
 """Property-based engine × schedule × num_workers verification sweep.
 
-The asynchronous schedules (threaded and, new, the true-parallel process
-engine) are *any-valid*: a run returns some chordal subgraph, not a
+The asynchronous live rounds of the native thread team (also run by the
+deprecated ``process`` alias) are *any-valid*: a run returns some
+chordal subgraph, not a
 bit-reproducible one, so these tests certify every configuration through
 :func:`repro.chordality.verify_extraction` instead of bit-identity:
 
@@ -18,9 +19,6 @@ generators) plus the degenerate shapes that historically break engines
 Every assertion message carries the ``(family, seed, engine, schedule,
 workers)`` tuple needed to replay the exact failing case — see
 ``tests/README.md`` ("Re-running a failing property seed").
-
-One :class:`~repro.core.procpool.ProcessPool` per worker count is shared
-module-wide, so the 200-graph acceptance sweep pays worker spawn once.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import pytest
 from repro.chordality.verify import verify_extraction
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.maximalize import maximalize_chordal_edges
-from repro.core.procpool import ProcessPool
 from repro.graph.builder import build_graph
 from repro.graph.generators.bio import GSE5140_UNT, bio_network
 from repro.graph.generators.chordal import ktree, partial_ktree, random_chordal
@@ -92,22 +89,7 @@ ACCEPTANCE_GRAPHS = 200
 _CHUNK = 20
 
 
-@pytest.fixture(scope="module")
-def pools():
-    """Shared per-worker-count process pools (spawned lazily, closed once)."""
-    cache: dict[int, ProcessPool] = {}
-
-    def get(num_workers: int) -> ProcessPool:
-        if num_workers not in cache:
-            cache[num_workers] = ProcessPool(num_workers=num_workers)
-        return cache[num_workers]
-
-    yield get
-    for pool in cache.values():
-        pool.close()
-
-
-def _run_and_verify(graph, *, family, seed, engine, schedule, workers, pool=None):
+def _run_and_verify(graph, *, family, seed, engine, schedule, workers):
     """Extract, certify raw chordality, then certify completed maximality."""
     tag = (
         f"family={family} seed={seed} engine={engine} "
@@ -119,7 +101,6 @@ def _run_and_verify(graph, *, family, seed, engine, schedule, workers, pool=None
         schedule=schedule,
         num_threads=workers or 3,
         num_workers=workers or 4,
-        pool=pool,
     )
     raw = verify_extraction(graph, result, check_maximal=False)
     assert raw.ok, f"{tag}: raw output invalid: {raw}"
@@ -133,7 +114,7 @@ def _run_and_verify(graph, *, family, seed, engine, schedule, workers, pool=None
 
 @pytest.mark.parametrize("engine,schedule,workers", CONFIGS, ids=_CONFIG_IDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_config_yields_valid_extraction(family, engine, schedule, workers, pools):
+def test_every_config_yields_valid_extraction(family, engine, schedule, workers):
     for seed in (0, 1):
         _run_and_verify(
             FAMILIES[family](seed),
@@ -142,17 +123,15 @@ def test_every_config_yields_valid_extraction(family, engine, schedule, workers,
             engine=engine,
             schedule=schedule,
             workers=workers,
-            pool=pools(workers) if engine == "process" else None,
         )
 
 
 @pytest.mark.parametrize("chunk", range(ACCEPTANCE_GRAPHS // _CHUNK))
-def test_acceptance_async_process_200_graphs(chunk, pools):
+def test_acceptance_async_process_200_graphs(chunk):
     """Acceptance criterion: ``engine="process", schedule="asynchronous",
     num_workers=4`` passes ``verify_extraction()`` (chordal + maximal
     after the completion pass) on 200 randomized property-test graphs."""
     names = sorted(FAMILIES)
-    pool = pools(4)
     for i in range(_CHUNK):
         idx = chunk * _CHUNK + i
         family = names[idx % len(names)]
@@ -164,23 +143,21 @@ def test_acceptance_async_process_200_graphs(chunk, pools):
             engine="process",
             schedule="asynchronous",
             workers=4,
-            pool=pool,
         )
 
 
-def test_async_process_is_not_required_to_match_sync(pools):
+def test_async_process_is_not_required_to_match_sync():
     """Document the weaker async contract: live-sweep output *may* differ
     from the synchronous edge set (it does on this input), yet both are
     valid extractions of the same graph."""
     g = rmat_b(7, seed=2)
-    pool = pools(4)
     sync = extract_maximal_chordal_subgraph(
-        g, engine="process", schedule="synchronous", pool=pool
+        g, engine="process", schedule="synchronous", num_workers=4
     )
     seen_diff = False
     for _ in range(5):
         r = extract_maximal_chordal_subgraph(
-            g, engine="process", schedule="asynchronous", pool=pool
+            g, engine="process", schedule="asynchronous", num_workers=4
         )
         assert verify_extraction(g, r, check_maximal=False).ok
         if not np.array_equal(r.edges, sync.edges):
@@ -193,7 +170,7 @@ def test_async_process_is_not_required_to_match_sync(pools):
 
 @pytest.mark.async_stress
 @pytest.mark.parametrize("seed", tuple(range(12)))
-def test_async_process_wide_seed_sweep(seed, pools):
+def test_async_process_wide_seed_sweep(seed):
     """Deeper randomized sweep across worker counts (--run-async-stress)."""
     for family in sorted(FAMILIES):
         for workers in (1, 2, 3, 5):
@@ -204,5 +181,4 @@ def test_async_process_wide_seed_sweep(seed, pools):
                 engine="process",
                 schedule="asynchronous",
                 workers=workers,
-                pool=pools(workers),
             )

@@ -30,7 +30,6 @@ import pytest
 from repro.chordality.quality import exact_max_chordal, maximal_chordal_floor
 from repro.chordality.recognition import is_chordal
 from repro.core.engines import registered_engines
-from repro.core.procpool import ProcessPool
 from repro.core.session import Extractor
 from repro.graph.builder import from_edge_array
 from repro.graph.generators.random import gnp_random_graph
@@ -58,12 +57,6 @@ def _graph_from_mask(n: int, pairs, mask: int):
         else np.empty((0, 2), dtype=np.int64)
     )
     return from_edge_array(n, arr), rows
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPool(num_workers=2) as p:
-        yield p
 
 
 #: (n, p, seed) -> (maximum, floor); the sampled sweep re-tests the same
@@ -137,21 +130,15 @@ def test_exhaustive_small_graphs_sandwich(n):
 
 
 @pytest.mark.parametrize("engine,schedule", CELLS, ids=_CELL_IDS)
-def test_sampled_graphs_sandwich_all_engines(engine, schedule, pool):
+def test_sampled_graphs_sandwich_all_engines(engine, schedule):
     """Seeded samples at n = 6, 7 (the exhaustive-tier sizes that are too
     many to enumerate) and sparse n = 20: the full registry grid stays
     between the certified floor and the exact maximum."""
-    spec = next(s for s in registered_engines() if s.name == engine)
     samples = [(6, 0.4, s) for s in range(8)]
     samples += [(7, 0.4, 100 + s) for s in range(8)]
     samples += [(16, 0.15, 200 + s) for s in range(3)]
     samples += [(20, 0.10, 400 + s) for s in range(3)]
-    with Extractor(
-        engine=engine,
-        schedule=schedule,
-        maximalize=True,
-        pool=pool if spec.supports_pool else None,
-    ) as ex:
+    with Extractor(engine=engine, schedule=schedule, maximalize=True) as ex:
         for n, p, seed in samples:
             graph = gnp_random_graph(n, p, seed=seed)
             tag = f"n={n} p={p} seed={seed} engine={engine} schedule={schedule}"

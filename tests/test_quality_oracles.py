@@ -33,7 +33,6 @@ from repro.chordality.quality import (
     retained_fraction,
 )
 from repro.core.engines import registered_engines
-from repro.core.procpool import ProcessPool
 from repro.core.session import Extractor
 from repro.graph.builder import build_graph
 from repro.graph.generators.chordal import ktree, partial_ktree, random_chordal
@@ -67,13 +66,6 @@ CELLS = [
 _CELL_IDS = [f"{engine}-{schedule[:5]}" for engine, schedule in CELLS]
 
 SEEDS = (0, 1)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One shared process pool for the pool-capable engines."""
-    with ProcessPool(num_workers=2) as p:
-        yield p
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +173,12 @@ def test_retained_fraction_degenerate():
 
 @pytest.mark.parametrize("engine,schedule", CELLS, ids=_CELL_IDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_cell_meets_certified_floor(family, engine, schedule, pool):
-    spec = next(s for s in registered_engines() if s.name == engine)
+def test_every_cell_meets_certified_floor(family, engine, schedule):
     for seed in SEEDS:
         graph = FAMILIES[family](seed)
         tag = f"family={family} seed={seed} engine={engine} schedule={schedule}"
         floor = maximal_chordal_floor(graph)
-        with Extractor(
-            engine=engine,
-            schedule=schedule,
-            maximalize=True,
-            pool=pool if spec.supports_pool else None,
-        ) as ex:
+        with Extractor(engine=engine, schedule=schedule, maximalize=True) as ex:
             result = ex.extract(graph)
         kept = result.num_chordal_edges
         assert kept >= floor, (

@@ -3,15 +3,13 @@
 The refactor's contract, pinned here:
 
 1. **Determinism pins** — the synchronous schedule produces bit-identical
-   edge rows and queue profiles across *every* StateBackend ×
-   ExecutorBackend pairing, including the off-diagonal ones no built-in
-   engine uses (shared-memory state driven by the serial or thread-team
-   executor).
+   edge rows and queue profiles across every state × executor pairing
+   and slice count.
 2. **Cross-backend trace equivalence** — the work trace is a property of
-   the schedule, not of who ran it: superstep and threaded produce
-   identical synchronous traces (queue sizes, per-iteration services and
-   work items, critical path), and both match the reference engine's
-   queue sizes on the deterministic schedules.
+   the schedule, not of who ran it: the serial executor and the thread
+   team produce identical synchronous traces (queue sizes, per-iteration
+   services and work items, critical path), and both match the reference
+   engine's queue sizes on the deterministic schedules.
 3. **Driver validation** — bad knobs and unsupported combinations raise
    :class:`~repro.errors.ConfigError` before any work happens.
 4. **The third-party recipe** — ``backend_run_fn`` + ``register_engine``
@@ -26,20 +24,16 @@ import pytest
 from repro.chordality.recognition import is_chordal
 from repro.core.engines import EngineSpec, register_engine, unregister_engine
 from repro.core.extract import extract_maximal_chordal_subgraph
-from repro.core.kernels import arena_offsets, lower_counts
 from repro.core.procpool import ProcessPool
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
     LocalState,
     NativeThreadTeamExecutor,
     SerialExecutor,
-    SharedSegmentState,
-    ThreadTeamExecutor,
     backend_run_fn,
     drive,
 )
 from repro.core.superstep import superstep_max_chordal
-from repro.core.threaded import threaded_max_chordal
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.builder import build_graph
 from repro.graph.generators.classic import complete_graph, disjoint_cliques
@@ -55,20 +49,9 @@ GENERATORS = {
 SEEDS = (0, 1, 2)
 
 
-def shared_state(graph, num_slices):
-    """A SharedSegmentState bound to ``graph`` (exact-fit segment)."""
-    g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
-    lower = lower_counts(g.indptr, g.indices)
-    offsets = arena_offsets(lower)
-    state = SharedSegmentState(num_slices)
-    state.reallocate(state.plan_growth(g.num_vertices, int(g.indices.size), int(offsets[-1])))
-    state.bind_graph(g, lower, offsets)
-    return state
-
-
 class TestSyncDeterminismAcrossPairings:
-    """Bit-identical synchronous rows for every state × executor pairing,
-    including the off-diagonal pairings no built-in engine registers."""
+    """Bit-identical synchronous rows for every state × executor pairing
+    and slice count."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("gen", sorted(GENERATORS))
@@ -81,33 +64,23 @@ class TestSyncDeterminismAcrossPairings:
         pairings = []
         for slices in (1, 3):
             pairings.append((LocalState(graph, slices), SerialExecutor()))
-        for threads in (2, 5):
-            pairings.append(
-                (LocalState(graph, threads), ThreadTeamExecutor(threads))
-            )
-        # Native pairing: compiled bodies when available, NumPy fallback
-        # otherwise — both must reproduce the same rows at any width.
-        for threads in (1, 4):
+        # Thread team: compiled bodies when available, NumPy fallback
+        # otherwise — both must reproduce the same rows at any width,
+        # with or without edge-claim words.
+        for threads in (1, 2, 4, 5):
             pairings.append(
                 (
-                    LocalState(graph, threads, edge_claims=True),
+                    LocalState(graph, threads, edge_claims=threads % 2 == 0),
                     NativeThreadTeamExecutor(threads),
                 )
             )
-        # Off-diagonal: shared-memory arrays driven without any worker
-        # processes — the rounds must not care where the arrays live.
-        pairings.append((shared_state(graph, 1), SerialExecutor()))
-        pairings.append((shared_state(graph, 3), ThreadTeamExecutor(3)))
-        pairings.append((shared_state(graph, 2), NativeThreadTeamExecutor(2)))
 
         for state, executor in pairings:
             with executor:
                 edges, qs, _ = drive(state, executor, schedule="synchronous")
-            label = (type(state).__name__, type(executor).__name__, seed)
+            label = (executor.num_slices, type(executor).__name__, seed)
             assert np.array_equal(edges, base_edges), label
             assert qs == base_qs, label
-            if isinstance(state, SharedSegmentState):
-                state.release()
 
     @pytest.mark.parametrize("workers", (1, 3, 6))
     def test_process_team_matches_serial(self, workers):
@@ -117,20 +90,6 @@ class TestSyncDeterminismAcrossPairings:
             edges, qs = pool.extract(schedule="synchronous")
         assert np.array_equal(edges, base_edges)
         assert qs == base_qs
-
-    def test_async_sweep_on_shared_state_matches_superstep(self):
-        """The maximal-progress sweep also runs over shared-memory arrays
-        (set mirrors live in the driving process regardless of where the
-        arrays do); serial executor ⇒ deterministic, equal to superstep."""
-        graph = GENERATORS["gnp"](1)
-        base_edges, base_qs, _ = superstep_max_chordal(graph, schedule="asynchronous")
-        state = shared_state(graph, 1)
-        try:
-            edges, qs, _ = drive(state, SerialExecutor(), schedule="asynchronous")
-            assert np.array_equal(edges, base_edges)
-            assert qs == base_qs
-        finally:
-            state.release()
 
 
 class TestCrossBackendTraceEquivalence:
@@ -147,7 +106,7 @@ class TestCrossBackendTraceEquivalence:
             variant=variant,
             collect_trace=True,
         )
-        with ThreadTeamExecutor(3) as executor:
+        with NativeThreadTeamExecutor(3) as executor:
             _, _, team_trace = drive(
                 LocalState(graph, 3),
                 executor,
@@ -180,23 +139,6 @@ class TestCrossBackendTraceEquivalence:
         assert trace.queue_sizes == ref_qs
         assert trace.total_edges_added == edges.shape[0]
 
-    def test_threaded_async_trace_accounts_every_service(self):
-        """The thread-sliced sweep trace is nondeterministic but complete:
-        every (vertex, lower-neighbor) pair is serviced exactly once."""
-        graph = GENERATORS["gnp"](3)
-        with ThreadTeamExecutor(3) as executor:
-            edges, qs, trace = drive(
-                LocalState(graph, 3),
-                executor,
-                schedule="asynchronous",
-                collect_trace=True,
-            )
-        services = sum(it.services for it in trace.iterations)
-        assert services == graph.num_edges
-        assert trace.total_edges_added == edges.shape[0]
-        assert trace.queue_sizes == qs
-        assert is_chordal(edge_subgraph(graph, edges))
-
     def test_session_trace_for_threaded_engine(self):
         r = extract_maximal_chordal_subgraph(
             GENERATORS["gnp"](0),
@@ -224,14 +166,24 @@ class TestDriverValidation:
 
     def test_live_rounds_refuse_trace(self):
         graph = complete_graph(5)
-        with ProcessPool(graph, num_workers=2) as pool:
+        with NativeThreadTeamExecutor(2) as executor:
             with pytest.raises(ConfigError, match="collect_trace"):
                 drive(
-                    pool._state,
-                    pool._executor,
+                    LocalState(graph, 2, edge_claims=True),
+                    executor,
                     schedule="asynchronous",
                     collect_trace=True,
                 )
+
+    def test_sweep_refuses_a_multi_slice_executor(self):
+        """The asynchronous sweep is serial: an executor without live
+        rounds must offer exactly one slice."""
+
+        class TwoSlices(SerialExecutor):
+            num_slices = 2
+
+        with pytest.raises(ConfigError, match="serial"):
+            drive(LocalState(complete_graph(5), 2), TwoSlices(), schedule="asynchronous")
 
     def test_live_rounds_need_edge_claims(self):
         """In-process live rounds (the native pairing's asynchronous
@@ -270,7 +222,7 @@ class TestThirdPartyBackendRecipe:
     def test_registered_pairing_runs_through_session(self):
         run_fn = backend_run_fn(
             lambda graph, num_slices, config: LocalState(graph, num_slices),
-            lambda config: ThreadTeamExecutor(2),
+            lambda config: NativeThreadTeamExecutor(2),
         )
         spec = EngineSpec(
             name="duo",
@@ -311,9 +263,14 @@ class TestSweepSemantics:
 
     @pytest.mark.parametrize("threads", (2, 4))
     def test_thread_sliced_sweep_always_valid(self, threads):
+        """Thread-sliced asynchronous execution (the native team's live
+        rounds) is valid at every width."""
         for seed in SEEDS:
             g = GENERATORS["rmat_b"](seed)
-            edges, _ = threaded_max_chordal(
-                g, num_threads=threads, schedule="asynchronous"
-            )
+            with NativeThreadTeamExecutor(threads) as executor:
+                edges, _, _ = drive(
+                    LocalState(g, threads, edge_claims=True),
+                    executor,
+                    schedule="asynchronous",
+                )
             assert is_chordal(edge_subgraph(g, edges)), (threads, seed)

@@ -3,8 +3,8 @@
 The cache's identity is ``graph_content_hash × config_cache_key`` over
 the *resolved* config.  These tests pin the contract from the outside,
 using the server's dispatch counters as instrumentation: a hit must
-return the bit-identical stored edge set *without touching a pool*
-(``pool_dispatches`` / ``inline_dispatches`` unchanged), while any
+return the bit-identical stored edge set *without dispatching*
+(``dispatches`` unchanged), while any
 change of graph content (relabeling, weights) or resolved regime is a
 miss.  The LRU ceilings (entries and bytes) are pinned both through the
 :class:`~repro.service.server.ResultCache` unit surface and through a
@@ -23,7 +23,7 @@ from repro.service.server import ResultCache
 
 
 def _dispatches(stats) -> int:
-    return stats["pool_dispatches"] + stats["inline_dispatches"]
+    return stats["dispatches"]
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +31,8 @@ def server(tmp_path_factory):
     sock = str(tmp_path_factory.mktemp("svc-cache") / "repro.sock")
     config = ServiceConfig(
         socket_path=sock,
-        num_pools=1,
         num_workers=2,
         cache_entries=64,
-        barrier_timeout=30.0,
     )
     with ReproServer(config) as srv:
         yield srv
@@ -50,12 +48,11 @@ def test_cache_hit_is_bit_identical_and_never_touches_a_pool(client):
     graph = rmat_b(7, seed=42)
     config = {"engine": "process"}
     first = client.extract(graph, config=config)
-    assert not first.cached and first.served_by == "pool"
+    assert not first.cached and first.served_by == "inline"
     before = client.stats()
     second = client.extract(graph, config=config)
     after = client.stats()
     assert second.cached and second.served_by == "cache"
-    assert second.pool is None
     assert (second.edges == first.edges).all()
     assert second.edges.dtype == first.edges.dtype
     # the hit was served without any dispatcher involvement
@@ -245,7 +242,7 @@ def test_mutate_sessions_are_per_connection(server):
 def test_lru_eviction_pins_the_entry_ceiling(tmp_path):
     sock = str(tmp_path / "lru.sock")
     config = ServiceConfig(
-        socket_path=sock, num_workers=1, cache_entries=2, barrier_timeout=30.0
+        socket_path=sock, num_workers=1, cache_entries=2
     )
     graphs = [rmat_b(5, seed=s) for s in (1, 2, 3)]
     with ReproServer(config):

@@ -3,9 +3,6 @@
 Run with ``pytest --run-service-stress tests/test_service_faults.py``
 (see ``tests/README.md`` for the replay recipe).  Scenarios:
 
-* a pool worker SIGKILLed — idle and mid-request — must cost at most one
-  transparent retry (pool rebuilt warm, ``pool_rebuilds`` counted), never
-  the server;
 * clients that vanish mid-request must cost nothing but their own lost
   response — no wedged queue, no leaked connection threads;
 * queue saturation must answer late clients ``BUSY`` while every
@@ -14,10 +11,9 @@ Run with ``pytest --run-service-stress tests/test_service_faults.py``
 * a request must honour its deadline with a typed ``TIMEOUT``;
 * shutdown must drain: admitted requests answered, later ones refused.
 
-Servers here run with a ~2s ``barrier_timeout`` so worker-death
-detection (normally 120s) fits a test budget; ``dispatch_delay_s`` is
-the server's built-in fault-injection seam — an artificial pre-execution
-pause that makes "mid-request" and "queue full" timing deterministic.
+``dispatch_delay_s`` is the server's built-in fault-injection seam — an
+artificial pre-execution pause that makes "mid-request" and "queue
+full" timing deterministic.
 """
 
 from __future__ import annotations
@@ -45,132 +41,15 @@ from repro.service import (
 
 pytestmark = pytest.mark.service_stress
 
-BARRIER_TIMEOUT = 2.0
-
-
 def _server_config(tmp_path, **overrides) -> ServiceConfig:
     defaults = dict(
         socket_path=str(tmp_path / "svc.sock"),
-        num_pools=1,
         num_workers=2,
         queue_depth=8,
         request_timeout=90.0,
-        barrier_timeout=BARRIER_TIMEOUT,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
-
-
-def _worker_pids(client) -> list[int]:
-    return client.stats()["pools"][0]["worker_pids"]
-
-
-# ---------------------------------------------------------------------------
-# Worker death
-
-
-def test_sigkill_idle_worker_recovers_transparently(tmp_path):
-    graph = rmat_b(8, seed=1)
-    with ReproServer(_server_config(tmp_path)) as server:
-        with ServiceClient(
-            socket_path=server.config.socket_path, timeout=120.0
-        ) as client:
-            first = client.extract(graph, config={"engine": "process"})
-            pids = _worker_pids(client)
-            os.kill(pids[0], signal.SIGKILL)
-            # Next pool request trips the barrier agent, rebuilds, retries.
-            second = client.extract(
-                graph, config={"engine": "process"}, no_cache=True
-            )
-            assert (second.edges == first.edges).all()  # sync = bit-identical
-            stats = client.stats()
-            assert stats["pool_rebuilds"] >= 1
-            assert stats["retries"] >= 1
-            fresh = _worker_pids(client)
-            assert len(fresh) == 2 and not set(fresh) & set(pids)
-
-
-def test_sigkill_worker_mid_request_retries_once_and_succeeds(tmp_path):
-    graph = rmat_b(8, seed=2)
-    # dispatch_delay_s gives a deterministic window in which the request
-    # is admitted+claimed but the pool has not run yet: a kill landing
-    # there (or during the run) surfaces at the next superstep barrier.
-    config = _server_config(tmp_path, dispatch_delay_s=1.0)
-    with ReproServer(config) as server:
-        with ServiceClient(
-            socket_path=server.config.socket_path, timeout=120.0
-        ) as client:
-            warm = client.extract(graph, config={"engine": "process"})
-            pids = _worker_pids(client)
-
-            outcome = {}
-
-            def submit():
-                with ServiceClient(
-                    socket_path=server.config.socket_path, timeout=120.0
-                ) as c:
-                    try:
-                        outcome["result"] = c.extract(
-                            graph, config={"engine": "process"}, no_cache=True
-                        )
-                    except ServiceError as exc:
-                        outcome["error"] = exc
-
-            thread = threading.Thread(target=submit)
-            thread.start()
-            time.sleep(0.4)  # inside the dispatch delay: request in flight
-            os.kill(pids[1], signal.SIGKILL)
-            thread.join(timeout=120.0)
-            assert not thread.is_alive()
-            # The retry-once contract: this request either succeeded on the
-            # rebuilt pool or failed *typed*; the server itself never died.
-            if "result" in outcome:
-                assert (outcome["result"].edges == warm.edges).all()
-            else:
-                assert outcome["error"].code == protocol.WORKER_DIED
-            stats = client.stats()
-            assert stats["pool_rebuilds"] >= 1
-            assert client.ping()["pong"]  # server survived either way
-
-
-def test_worker_death_does_not_poison_other_requests(tmp_path):
-    graph = rmat_b(7, seed=3)
-    with ReproServer(_server_config(tmp_path, num_pools=1)) as server:
-        with ServiceClient(
-            socket_path=server.config.socket_path, timeout=120.0
-        ) as client:
-            baseline = client.extract(graph, config={"engine": "process"})
-            os.kill(_worker_pids(client)[0], signal.SIGKILL)
-            # A burst of mixed traffic right after the kill: everything
-            # must come back ok (inline engines unaffected; pool requests
-            # ride the rebuild).
-            results = {}
-
-            def hit(i, engine):
-                try:
-                    with ServiceClient(
-                        socket_path=server.config.socket_path, timeout=120.0
-                    ) as c:
-                        results[i] = c.extract(
-                            graph, config={"engine": engine}, no_cache=True
-                        )
-                except ServiceError as exc:  # pragma: no cover - diagnostic
-                    results[i] = exc
-
-            threads = [
-                threading.Thread(target=hit, args=(i, engine))
-                for i, engine in enumerate(
-                    ["superstep", "process", "superstep", "process"]
-                )
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120.0)
-            assert all(not t.is_alive() for t in threads)
-            for i, r in results.items():
-                assert not isinstance(r, Exception), (i, r)
-            assert (results[1].edges == baseline.edges).all()
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +252,7 @@ def test_late_requests_during_drain_fail_typed_or_closed(tmp_path):
 # End-to-end through the real CLI daemon
 
 
-def test_cli_daemon_survives_worker_kill_and_drains_on_sigterm(tmp_path):
+def test_cli_daemon_serves_and_drains_on_sigterm(tmp_path):
     sock_path = str(tmp_path / "cli.sock")
     graph_path = str(tmp_path / "g.mtx")
     out_path = str(tmp_path / "g.chordal.txt")
@@ -384,8 +263,7 @@ def test_cli_daemon_survives_worker_kill_and_drains_on_sigterm(tmp_path):
         env=env, check=True,
     )
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--socket", sock_path,
-         "--num-workers", "2", "--barrier-timeout", str(BARRIER_TIMEOUT)],
+        [sys.executable, "-m", "repro", "serve", "--socket", sock_path],
         env=env, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -393,9 +271,6 @@ def test_cli_daemon_survives_worker_kill_and_drains_on_sigterm(tmp_path):
         while not os.path.exists(sock_path):
             assert time.monotonic() < deadline, "daemon never bound its socket"
             time.sleep(0.1)
-        with ServiceClient(socket_path=sock_path, timeout=120.0) as client:
-            pids = _worker_pids(client)
-            os.kill(pids[0], signal.SIGKILL)
         extract = subprocess.run(
             [sys.executable, "-m", "repro", "extract", graph_path,
              "--server", sock_path, "--engine", "process", "--maximalize",

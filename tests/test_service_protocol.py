@@ -313,11 +313,9 @@ def server(tmp_path_factory):
     sock = str(tmp_path_factory.mktemp("svc") / "repro.sock")
     config = ServiceConfig(
         socket_path=sock,
-        num_pools=1,
         num_workers=2,
         queue_depth=8,
         request_timeout=60.0,
-        barrier_timeout=30.0,
     )
     with ReproServer(config) as srv:
         yield srv
@@ -349,7 +347,7 @@ def test_extract_round_trip_is_verified_valid(client, engine):
     )
     report = verify_extraction(graph, result.edges)
     assert report.ok, report
-    assert result.served_by == ("pool" if engine == "process" else "inline")
+    assert result.served_by == "inline"
 
 
 def test_csr_and_edge_list_payloads_yield_identical_edges(client):
@@ -368,6 +366,26 @@ def test_weighted_graph_served_by_weighted_engine(client):
     result = client.extract(weighted, config={"engine": "weighted"})
     report = verify_extraction(weighted, result.edges, check_maximal=False)
     assert report.ok, report
+
+
+def test_failing_extraction_costs_only_its_own_request(client):
+    """Dispatchers run requests in-process: an engine that raises answers
+    that one request with a typed INTERNAL error, and the same
+    connection keeps being served."""
+    from repro.core.engines import EngineSpec, register_engine, unregister_engine
+
+    def explode(graph, config, pool=None):
+        raise RuntimeError("engine blew up")
+
+    register_engine(EngineSpec(name="exploding", run_fn=explode))
+    try:
+        with pytest.raises(ServiceError) as excinfo:
+            client.extract(rmat_b(5, seed=1), config={"engine": "exploding"})
+        assert excinfo.value.code == protocol.INTERNAL
+        assert "engine blew up" in str(excinfo.value)
+    finally:
+        unregister_engine("exploding")
+    assert client.extract(rmat_b(5, seed=1), config={"engine": "superstep"}).num_edges > 0
 
 
 def test_unknown_op_is_bad_request_and_connection_survives(server):
@@ -489,7 +507,8 @@ def test_stats_op_reports_counters(client, triangle):
     assert stats["requests"] >= 1
     assert stats["queue_capacity"] == 8
     assert stats["cache"]["max_entries"] == 128
-    assert len(stats["pools"][0]["worker_pids"]) == 2
+    assert stats["dispatchers"] == 1
+    assert stats["dispatches"] >= 1
 
 
 def test_client_requires_exactly_one_address():

@@ -11,9 +11,8 @@ Covers the redesign's acceptance criteria:
   with a pool-incapable engine);
 * ``stream()`` laziness — the first result is yielded before the input
   iterator is exhausted;
-* pool reuse — N process-engine extracts through one Extractor spawn
-  exactly one worker team;
-* the pool/num_workers conflict check (previously silently ignored).
+* the deprecated pool handle and the pool/num_workers conflict check
+  (previously silently ignored).
 """
 
 import numpy as np
@@ -83,7 +82,9 @@ class TestExtractionConfig:
         assert not ExtractionConfig(
             engine="process", schedule="asynchronous"
         ).deterministic
-        assert not ExtractionConfig(engine="threaded").deterministic
+        # threaded is an alias of the serial engine: deterministic too
+        assert ExtractionConfig(engine="threaded").deterministic
+        assert not ExtractionConfig(engine="native").deterministic
 
 
 class TestConfigErrors:
@@ -447,23 +448,6 @@ class TestExtractorLifecycle:
         with pytest.raises(SessionClosedError, match="closed"):
             next(stream)
         ex.close()
-
-    def test_process_pool_spawned_once(self):
-        """Acceptance: N process-engine extracts through one Extractor
-        spawn exactly one worker team (extract_many's amortization)."""
-        graphs = [rmat_er(5, seed=i) for i in range(4)]
-        with Extractor(ExtractionConfig(engine="process", num_workers=2)) as ex:
-            assert ex.pool is None  # lazy: no spawn before first extract
-            results = [ex.extract(g) for g in graphs]
-            pids = [p.pid for p in ex.pool._procs]
-            assert len(pids) == 2
-            ex.extract(graphs[0])
-            assert [p.pid for p in ex.pool._procs] == pids  # same team
-        for g, r in zip(graphs, results):
-            legacy = extract_maximal_chordal_subgraph(
-                g, engine="process", schedule="synchronous", num_workers=2
-            )
-            assert np.array_equal(r.edges, legacy.edges)
 
     def test_non_pool_engine_never_spawns(self):
         with Extractor(ExtractionConfig(engine="superstep")) as ex:

@@ -1,23 +1,15 @@
-"""Adversarial stress coverage for the racing engines' benign-race paths.
+"""Adversarial stress coverage for the racing thread team.
 
-``repro.core.threaded`` (asynchronous schedule) deliberately races: threads
-sweep live shared state, children migrate between partitions mid-iteration,
-and stale queue entries are skipped by the LP check.  The paper's proofs
-say every interleaving still yields a valid chordal subgraph inside the
-iteration budget — this file hammers that claim with thread counts well
-above the core count (maximal preemption on CPython) on small dense graphs
-(maximal contention per vertex).
-
-The asynchronous **process** engine races across address spaces instead of
-threads, so its adversary is worker *churn*: a worker SIGKILLed mid-sweep
-(the OOM-killer scenario) can wedge ``multiprocessing`` barrier state
-beyond any ``wait(timeout)``.  ``TestProcessAsyncWorkerChurn`` extends the
-PR-2 barrier-agent coverage to the live sweep: the coordinator must
-surface a clean ``RuntimeError`` in bounded time and release the shared
-segment — never hang, never return a half-swept edge set.
+The native engine's asynchronous schedule deliberately races: threads
+run live rounds over shared state, probing whatever chordal-set prefixes
+other threads have published, with lock-free edge-claim words deciding
+each arc once.  The paper's proofs say every interleaving still yields a
+valid chordal subgraph inside the iteration budget — this file hammers
+that claim with thread counts well above the core count on small dense
+graphs (maximal contention per vertex).
 
 A smoke slice runs in tier-1; the full sweeps are marked ``stress``
-(``--run-stress``) and ``async_stress`` (``--run-async-stress``).
+(``--run-stress``).
 """
 
 from __future__ import annotations
@@ -26,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.chordality.recognition import is_chordal
+from repro.core.runtime import LocalState, NativeThreadTeamExecutor, drive
 from repro.core.superstep import superstep_max_chordal
-from repro.core.threaded import threaded_max_chordal
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.classic import complete_graph
 from repro.graph.generators.random import gnp_random_graph
@@ -43,10 +35,17 @@ def _dense_zoo(seed: int) -> list[CSRGraph]:
     ]
 
 
+def team_max_chordal(graph: CSRGraph, *, num_threads: int, schedule: str = "asynchronous"):
+    """``(edges, queue_sizes)`` of the native thread team."""
+    with NativeThreadTeamExecutor(num_threads) as executor:
+        edges, queue_sizes, _ = drive(
+            LocalState(graph, num_threads, edge_claims=True), executor, schedule=schedule
+        )
+    return edges, queue_sizes
+
+
 def _check_async_run(graph: CSRGraph, num_threads: int, seed: int) -> None:
-    edges, queue_sizes = threaded_max_chordal(
-        graph, num_threads=num_threads, schedule="asynchronous"
-    )
+    edges, queue_sizes = team_max_chordal(graph, num_threads=num_threads)
     tag = (num_threads, seed)
     # No duplicate edges: canonical set size equals the row count.
     canon = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges}
@@ -58,8 +57,8 @@ def _check_async_run(graph: CSRGraph, num_threads: int, seed: int) -> None:
     # The output is chordal for every interleaving (Theorem 1).
     assert is_chordal(edge_subgraph(graph, edges)), tag
     # Iteration budget: |queue_sizes| within the paper's max_degree + 2
-    # bound (threaded_max_chordal would have raised ConvergenceError past
-    # it; assert the recorded profile agrees).
+    # bound (the driver would have raised ConvergenceError past it;
+    # assert the recorded profile agrees).
     assert 0 < len(queue_sizes) <= graph.max_degree() + 2, tag
     assert all(q > 0 for q in queue_sizes), tag
 
@@ -80,9 +79,7 @@ def test_sync_schedule_immune_to_oversubscription(threads):
         return edges[order]
 
     for _ in range(3):
-        edges, tqs = threaded_max_chordal(
-            graph, num_threads=threads, schedule="synchronous"
-        )
+        edges, tqs = team_max_chordal(graph, num_threads=threads, schedule="synchronous")
         assert np.array_equal(canon_rows(edges), canon_rows(serial))
         assert tqs == qs
 
@@ -102,109 +99,5 @@ def test_async_repeated_interleavings_on_clique_core():
     graph = complete_graph(16)
     expected = graph.num_edges  # a clique is chordal: nothing may be dropped
     for run in range(20):
-        edges, _ = threaded_max_chordal(graph, num_threads=16)
+        edges, _ = team_max_chordal(graph, num_threads=16)
         assert edges.shape[0] == expected, run
-
-
-class TestProcessAsyncWorkerChurn:
-    """Worker churn against the asynchronous process engine: the barrier-
-    agent path (PR 2) must reclaim the segment and raise cleanly."""
-
-    @pytest.mark.async_stress
-    def test_dead_worker_fails_async_extract_cleanly(self):
-        """A worker that died while the pool was idle: the next
-        asynchronous extraction must raise a bounded, descriptive error
-        (not hang on the wedged barrier) and self-close the pool.
-
-        Bounded-but-slow (worker reaping pays fixed join timeouts), so
-        gated behind ``--run-async-stress`` like the PR-2 sync variant is
-        behind ``--run-slow``."""
-        import os
-        import signal
-        import time
-
-        from repro.core.procpool import ProcessPool
-        from repro.graph.generators.rmat import rmat_er
-
-        g = rmat_er(7, seed=3)
-        pool = ProcessPool(g, num_workers=2, barrier_timeout=0.5)
-        pool.extract(schedule="asynchronous")  # team warm and healthy
-        os.kill(pool._procs[0].pid, signal.SIGKILL)
-        time.sleep(0.1)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="barrier"):
-            pool.extract(schedule="asynchronous")
-        # 2 * barrier_timeout + 5s queue slack + worker reaping.
-        assert time.perf_counter() - start < 20.0
-        assert pool._closed  # segment released, pool self-closed
-
-    @pytest.mark.async_stress
-    def test_sigkill_mid_async_sweep_detected(self):
-        """SIGKILL a worker while the live sweep is actually in flight
-        (epoch counters confirm rounds are progressing), driving the
-        extraction from a helper thread so the kill lands mid-run."""
-        import os
-        import signal
-        import threading
-        import time
-
-        from repro.core.procpool import ProcessPool
-        from repro.graph.generators.rmat import rmat_er
-
-        g = rmat_er(12, seed=1)
-        pool = ProcessPool(g, num_workers=4, barrier_timeout=1.0)
-        pool.extract(schedule="asynchronous")  # warm-up: team + arena hot
-        outcome: dict = {}
-
-        def drive() -> None:
-            try:
-                outcome["result"] = pool.extract(schedule="asynchronous")
-            except RuntimeError as exc:
-                outcome["error"] = exc
-
-        t = threading.Thread(target=drive)
-        t.start()
-        time.sleep(0.05)
-        os.kill(pool._procs[0].pid, signal.SIGKILL)
-        t.join(timeout=30.0)
-        assert not t.is_alive(), "coordinator hung after SIGKILL mid-sweep"
-        if "error" in outcome:
-            assert "barrier" in str(outcome["error"])
-            assert pool._closed
-        else:
-            # The sweep outran the kill — the run must then be complete
-            # and valid, and the *next* extraction must fail cleanly.
-            from repro.chordality.verify import verify_extraction
-
-            edges, _ = outcome["result"]
-            assert verify_extraction(g, edges, check_maximal=False).ok
-            with pytest.raises(RuntimeError, match="barrier"):
-                pool.extract(schedule="asynchronous")
-            assert pool._closed
-
-    @pytest.mark.async_stress
-    @pytest.mark.parametrize("victim", (0, 1, 2))
-    def test_churn_sweep_every_victim_position(self, victim):
-        """Kill each worker rank in turn; every churn must end in the same
-        clean error + released segment, and a *fresh* pool must then
-        produce a valid extraction (no cross-pool poisoning via leaked
-        segments)."""
-        import os
-        import signal
-        import time
-
-        from repro.chordality.verify import verify_extraction
-        from repro.core.procpool import ProcessPool
-        from repro.graph.generators.rmat import rmat_er
-
-        g = rmat_er(8, seed=victim)
-        pool = ProcessPool(g, num_workers=3, barrier_timeout=0.5)
-        pool.extract(schedule="asynchronous")
-        os.kill(pool._procs[victim].pid, signal.SIGKILL)
-        time.sleep(0.1)
-        with pytest.raises(RuntimeError, match="barrier"):
-            pool.extract(schedule="asynchronous")
-        assert pool._closed
-        with ProcessPool(g, num_workers=3) as fresh:
-            edges, _ = fresh.extract(schedule="asynchronous")
-            assert verify_extraction(g, edges, check_maximal=False).ok
