@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record the answer-quality baseline (BENCH_quality.json).
 
-The perf baselines guard *how fast* the engines run; this one guards
+``perfbench/`` times *how fast* the engines run; this baseline guards
 *how much they keep*.  For every registered engine x schedule cell it
 records the retained-edge fraction (``|EC| / |E|``, the paper's Section
 V statistic, measured with ``maximalize=True`` — the full pipeline) on
@@ -20,9 +20,8 @@ cell and fails when
 * the weighted engine retains less weight than the unweighted pipeline
   (the portfolio's by-construction invariant).
 
-Deterministic cells are measured once; nondeterministic (asynchronous
-threaded/process) cells record a median of ``REPEATS`` runs and lean on
-the tolerance.  Re-record after an intentional quality change:
+Deterministic cells are measured once; nondeterministic (asynchronous)
+cells record a median of ``REPEATS`` runs and lean on the tolerance.  Re-record after an intentional quality change:
 
     PYTHONPATH=src python benchmarks/bench_quality.py
     # or: repro bench --record quality

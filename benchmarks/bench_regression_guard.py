@@ -1,58 +1,32 @@
-"""Tier-2 guard: fail when a hot path regresses >2x against its baseline
-or an engine's answer quality drops below its recorded baseline.
+"""Tier-2 guard: the gates that do not depend on the host.
 
-Seven committed baselines are guarded:
+Two gates remain, both meaningful on any machine:
 
-* ``BENCH_kernels.json`` — per-kernel median wall-clock of every kernel
-  registered in ``benchmarks/record_baseline.py``, plus the recorded
-  native-vs-NumPy sync speedup on the scale-14 RMAT-ER round loop
-  (gated at ``NATIVE_MIN_SPEEDUP``x; armed only when the baseline was
-  recorded with the compiled backend resolved, and a recorded-but-
-  missing backend *fails* rather than skips);
-* ``BENCH_batch.json`` — ``extract_many`` batch throughput over one
-  persistent process pool (``benchmarks/record_batch_baseline.py``);
-* ``BENCH_async.json`` — the asynchronous process engine at the scales in
-  ``bench_async_process.GUARD_SCALES`` (the full 11–14 range is record-
-  time only, to keep this guard quick);
-* ``BENCH_quality.json`` — retained-edge fraction per engine x schedule
-  on the ``bench_quality.FAMILIES`` menu, plus the weighted engine's
-  retained-weight dominance over the unweighted pipeline
-  (``benchmarks/bench_quality.py``).  Quality cells additionally must
-  never dip below the certified floor of
-  ``repro.chordality.quality.maximal_chordal_floor`` — that failure
-  mode is a correctness bug, no re-record can excuse it;
-* ``BENCH_service.json`` — ``repro serve`` end-to-end throughput over
-  the wire protocol with the recorded number of concurrent clients on
-  the mixed cache/pool/inline workload (``benchmarks/bench_service.py``);
-* ``BENCH_incremental.json`` — incremental re-extraction updates/sec on
-  the seeded mutation stream (``benchmarks/bench_incremental.py``).
-  Gated on speed twice — within 2x of the recorded updates/sec AND at
-  least ``MIN_INCREMENTAL_SPEEDUP``x faster than full re-extraction —
-  and on quality: every re-driven answer must be chordal and meet the
-  certified floor (like the quality baseline, a floor breach is a
-  correctness bug no re-record can excuse);
-* ``BENCH_sharded.json`` — the out-of-core sharded pipeline
-  (``benchmarks/bench_sharded.py``).  The recorded run must show all
-  three quality gates (stitched result chordal, certified floor met,
-  sampled boundary certificates clean) and a retained-edge fraction
-  within ``MIN_RETENTION_RATIO`` of the in-memory maximalizing engine;
-  the guard re-drives the comparison scale and gates the fresh ratio
-  and wall-clock the same way.
+* **Answer quality** against ``BENCH_quality.json`` — retained-edge
+  fraction per engine x schedule on the ``bench_quality.FAMILIES`` menu,
+  plus the weighted engine's retained-weight dominance over the
+  unweighted pipeline (``benchmarks/bench_quality.py``).  Quality cells
+  additionally must never dip below the certified floor of
+  ``repro.chordality.quality.maximal_chordal_floor`` — that failure mode
+  is a correctness bug, no re-record can excuse it.
+* **Native speedup**, measured live as a same-host ratio with no
+  baseline file: the NumPy and the compiled round loops drive one
+  ``LocalState`` over RMAT-ER(14) under the synchronous schedule, and the
+  compiled loop must be at least ``NATIVE_MIN_SPEEDUP``x faster.  The
+  gate skips, printing the resolution detail, when the compiled backend
+  does not resolve.
+
+Wall-clock timing of whole commands lives in ``perfbench/``
+(``python3 perfbench/run.py``), which pairs parent and change runs on
+one host instead of comparing against a baseline recorded elsewhere.
 
 Not part of tier-1 (``bench_*`` files are not collected by default); run
 explicitly:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_regression_guard.py -q
 
-The 2x factor absorbs machine-to-machine and load noise; a genuine
-algorithmic regression (e.g. un-vectorizing a kernel, serialising the
-async sweep) is far larger.  After an *intentional* slowdown, re-record
-the relevant baseline (``repro bench --record {kernels,batch,async}``)
-and commit it.
-
-A guarded baseline that is *missing* or *schema-stale* (the file exists
-but lacks the keys this guard reads) is a *failure*, not a skip — the
-``test_*_baseline_wellformed`` tests name the broken file and the exact
+A missing or schema-stale ``BENCH_quality.json`` is a *failure*, not a
+skip: ``test_quality_baseline_wellformed`` names the problem and the
 re-record command, so the guard can never silently stop guarding.
 """
 
@@ -62,7 +36,6 @@ import json
 
 import pytest
 
-from bench_async_process import ASYNC_PATH, GUARD_SCALES, measure_process_async
 from bench_quality import (
     FAMILIES,
     QUALITY_PATH,
@@ -72,287 +45,78 @@ from bench_quality import (
     measure_weighted,
     quality_cells,
 )
-from bench_incremental import (
-    GUARD_MUTATIONS,
-    INCREMENTAL_PATH,
-    MIN_INCREMENTAL_SPEEDUP,
-    measure_incremental,
-)
-from bench_service import SERVICE_PATH, measure_service
-from bench_sharded import MIN_RETENTION_RATIO, SHARDED_PATH, measure_comparison
-from record_baseline import BASELINE_PATH, build_kernels, median_seconds
-from record_batch_baseline import BATCH_PATH, NUM_GRAPHS, NUM_WORKERS, build_graphs
 
-#: Maximum tolerated current/baseline ratio.
-MAX_REGRESSION = 2.0
+#: Minimum live NumPy/native time ratio of the scale-14 sync round loop.
+#: Same-host runs measure 5-7x; below this the compiled path has lost
+#: its reason to exist.
+NATIVE_MIN_SPEEDUP = 2.5
 
-#: Floor below which timing jitter dominates and the ratio is meaningless.
-MIN_MEANINGFUL_SECONDS = 1e-3
+#: Median-of-N repeats for each side of the native ratio.
+NATIVE_REPEATS = 5
 
-#: The recorded compiled-vs-NumPy sync speedup on the scale-14 RMAT-ER
-#: round loop must be at least this (the native backend's acceptance
-#: figure; below it the compiled path has lost its reason to exist).
-NATIVE_MIN_SPEEDUP = 5.0
+_RECORD_CMD = "repro bench --record quality"
+_REQUIRED_KEYS = ("retained_fraction", "families", "weighted")
 
 
-def _load_guarded_baseline(path, required_keys, record_cmd):
-    """Load one guarded BENCH_*.json; returns ``(data, problem)``.
+def _load_quality_baseline():
+    """Load ``BENCH_quality.json``; returns ``(data, problem)``.
 
     ``problem`` is ``None`` for a well-formed file, else a one-line
-    actionable diagnosis (which file, what is wrong, how to re-record).
-    The individual regression tests *skip* on a problem — the dedicated
-    ``test_*_baseline_wellformed`` test turns it into exactly one clear
+    actionable diagnosis.  The individual gates *skip* on a problem —
+    ``test_quality_baseline_wellformed`` turns it into exactly one clear
     failure instead of one noisy failure per parametrized case.
     """
-    if not path.exists():
+    if not QUALITY_PATH.exists():
         return {}, (
-            f"guarded baseline {path} is missing; record it with "
-            f"`{record_cmd}` (on a quiet machine) and commit the file"
+            f"guarded baseline {QUALITY_PATH} is missing; record it with "
+            f"`{_RECORD_CMD}` and commit the file"
         )
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(QUALITY_PATH.read_text())
     except ValueError as exc:
         return {}, (
-            f"guarded baseline {path} is not valid JSON ({exc}); re-record "
-            f"it with `{record_cmd}` and commit the file"
+            f"guarded baseline {QUALITY_PATH} is not valid JSON ({exc}); "
+            f"re-record it with `{_RECORD_CMD}` and commit the file"
         )
-    missing = [k for k in required_keys if k not in data]
+    missing = [k for k in _REQUIRED_KEYS if k not in data]
     if missing:
         return {}, (
-            f"guarded baseline {path} is schema-stale: missing key(s) "
-            f"{missing} (the guard reads {sorted(required_keys)}); it was "
-            f"likely recorded by an older recorder — re-record it with "
-            f"`{record_cmd}` and commit the file"
+            f"guarded baseline {QUALITY_PATH} is schema-stale: missing key(s) "
+            f"{missing} (the guard reads {sorted(_REQUIRED_KEYS)}); re-record "
+            f"it with `{_RECORD_CMD}` and commit the file"
         )
     return data, None
 
 
-_KERNELS_DATA, _KERNELS_PROBLEM = _load_guarded_baseline(
-    BASELINE_PATH, ("median_seconds", "native"), "repro bench --record kernels"
-)
-_BASELINE = _KERNELS_DATA.get("median_seconds", {})
-_NATIVE_RECORDED = _KERNELS_DATA.get("native", {})
-
-_BATCH_BASELINE, _BATCH_PROBLEM = _load_guarded_baseline(
-    BATCH_PATH, ("batch_seconds",), "repro bench --record batch"
-)
-
-_ASYNC_BASELINE, _ASYNC_PROBLEM = _load_guarded_baseline(
-    ASYNC_PATH, ("scales", "num_workers"), "repro bench --record async"
-)
-
-_QUALITY_BASELINE, _QUALITY_PROBLEM = _load_guarded_baseline(
-    QUALITY_PATH,
-    ("retained_fraction", "families", "weighted"),
-    "repro bench --record quality",
-)
+_QUALITY_BASELINE, _QUALITY_PROBLEM = _load_quality_baseline()
 _QUALITY_CELLS = sorted(_QUALITY_BASELINE.get("retained_fraction", {}))
 
-_SERVICE_BASELINE, _SERVICE_PROBLEM = _load_guarded_baseline(
-    SERVICE_PATH,
-    ("requests_per_sec", "num_clients"),
-    "repro bench --record service",
-)
-
-_INCREMENTAL_BASELINE, _INCREMENTAL_PROBLEM = _load_guarded_baseline(
-    INCREMENTAL_PATH,
-    (
-        "updates_per_sec",
-        "speedup_vs_full",
-        "num_mutations",
-        "all_chordal",
-        "all_floor_met",
-        "maximality_ok",
-    ),
-    "repro bench --record incremental",
-)
-
-_SHARDED_BASELINE, _SHARDED_PROBLEM = _load_guarded_baseline(
-    SHARDED_PATH,
-    (
-        "chordal",
-        "floor_met",
-        "boundary_sample_ok",
-        "all_shards_verified",
-        "retention_ratio",
-        "sharded_seconds",
-        "compare_scale",
-    ),
-    "repro bench --record sharded",
+_skip_on_problem = pytest.mark.skipif(
+    _QUALITY_PROBLEM is not None, reason="baseline problem reported above"
 )
 
 
-@pytest.fixture(scope="module")
-def kernels():
-    return build_kernels()
+def test_quality_baseline_wellformed():
+    """A missing/stale baseline fails loudly instead of silently skipping."""
+    assert _QUALITY_PROBLEM is None, _QUALITY_PROBLEM
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [
-        pytest.param(_KERNELS_PROBLEM, id="kernels"),
-        pytest.param(_BATCH_PROBLEM, id="batch"),
-        pytest.param(_ASYNC_PROBLEM, id="async"),
-        pytest.param(_QUALITY_PROBLEM, id="quality"),
-        pytest.param(_SERVICE_PROBLEM, id="service"),
-        pytest.param(_INCREMENTAL_PROBLEM, id="incremental"),
-        pytest.param(_SHARDED_PROBLEM, id="sharded"),
-    ],
-)
-def test_guarded_baseline_wellformed(problem):
-    """Missing/stale baselines fail loudly instead of silently skipping."""
-    assert problem is None, problem
-
-
-@pytest.mark.skipif(_KERNELS_PROBLEM is not None, reason="baseline problem reported above")
-def test_baseline_covers_registry(kernels):
-    """Every registered kernel has a recorded baseline and vice versa.
-
-    The native rows get their own diagnosis: the registry includes them
-    only when the compiled backend resolves on *this* host, so a recorded
-    native row that is missing from the registry means the guard host
-    lost its toolchain — that must fail loudly, not read as generic
-    baseline drift.
-    """
-    recorded_native_only = {k for k in set(_BASELINE) - set(kernels) if "native" in k}
-    if recorded_native_only:
-        from repro.core.native import native_status
-
-        status = native_status()
-        assert status.available, (
-            f"BENCH_kernels.json records native rows {sorted(recorded_native_only)} "
-            f"but the compiled backend is unavailable on this host "
-            f"({status.detail}); the native-vs-NumPy gate cannot run — fix "
-            "the toolchain on the guard host (or, if native support was "
-            "intentionally dropped, re-record with `repro bench --record "
-            "kernels` on the new configuration)"
-        )
-    assert set(_BASELINE) == set(kernels), (
-        "BENCH_kernels.json entries diverge from the kernel registry in "
-        "benchmarks/record_baseline.py; re-record with "
-        "`repro bench --record kernels` and commit the file"
-    )
-
-
-@pytest.mark.skipif(_KERNELS_PROBLEM is not None, reason="baseline problem reported above")
-@pytest.mark.parametrize("name", sorted(_BASELINE))
-def test_kernel_not_regressed(kernels, name):
-    if name not in kernels:
-        pytest.skip("kernel removed from registry; re-record the baseline")
-    current = median_seconds(kernels[name], repeats=3)
-    baseline = max(_BASELINE[name], MIN_MEANINGFUL_SECONDS)
-    ratio = current / baseline
-    assert ratio <= MAX_REGRESSION, (
-        f"{name}: {current * 1e3:.2f} ms vs baseline "
-        f"{_BASELINE[name] * 1e3:.2f} ms ({ratio:.2f}x > {MAX_REGRESSION}x); "
-        "if intentional, re-run benchmarks/record_baseline.py"
-    )
-
-
-@pytest.mark.skipif(_KERNELS_PROBLEM is not None, reason="baseline problem reported above")
-def test_native_recorded_ratio_gate(kernels):
-    """The committed baseline must show the compiled backend beating the
-    NumPy round loop by >= NATIVE_MIN_SPEEDUP on the scale-14 RMAT-ER
-    rows, and this host must keep at least half that edge live.
-
-    The *only* legitimate skip is a baseline recorded on a host with no
-    toolchain (``native.available: false``).  A baseline that *did*
-    record native figures on a host that can no longer run them is a
-    failure — silently skipping would disarm the gate exactly when the
-    backend breaks.
-    """
-    if not _NATIVE_RECORDED.get("available"):
-        pytest.skip(
-            "baseline recorded without the compiled backend "
-            f"({_NATIVE_RECORDED.get('detail', 'no detail recorded')}); "
-            "re-record on a host with a C toolchain to arm this gate"
-        )
-    from repro.core.native import native_status
-
-    status = native_status()
-    assert status.available, (
-        "BENCH_kernels.json records the compiled backend as available "
-        f"(ratio {_NATIVE_RECORDED.get('sync_ratio_er14', 0.0):.2f}x) but it "
-        f"failed to resolve on this host: {status.detail}; the gate refuses "
-        "to skip a recorded-but-missing backend — fix the toolchain"
-    )
-    recorded_ratio = _NATIVE_RECORDED.get("sync_ratio_er14", 0.0)
-    assert recorded_ratio >= NATIVE_MIN_SPEEDUP, (
-        f"BENCH_kernels.json records a native sync speedup of only "
-        f"{recorded_ratio:.2f}x on er14 (acceptance floor "
-        f"{NATIVE_MIN_SPEEDUP}x); the compiled backend has lost its reason "
-        "to exist — fix it, then re-record with `repro bench --record kernels`"
-    )
-    numpy_s = median_seconds(kernels["rounds_sync_numpy_er14"], repeats=3)
-    native_s = median_seconds(kernels["rounds_sync_native_er14"], repeats=3)
-    live_ratio = numpy_s / native_s
-    assert live_ratio >= NATIVE_MIN_SPEEDUP / MAX_REGRESSION, (
-        f"live native sync speedup on er14 is {live_ratio:.2f}x "
-        f"({numpy_s * 1e3:.2f} ms NumPy vs {native_s * 1e3:.2f} ms native) — "
-        f"less than half the {NATIVE_MIN_SPEEDUP}x acceptance floor; the "
-        "compiled rows regressed relative to the NumPy loop"
-    )
-
-
-@pytest.mark.skipif(_BATCH_PROBLEM is not None, reason="baseline problem reported above")
-def test_batch_throughput_not_regressed():
-    """extract_many over one persistent pool must stay within 2x of the
-    recorded batch wall-clock (BENCH_batch.json)."""
-    from repro.core.extract import extract_many
-    from repro.util.timing import median_of
-
-    graphs = build_graphs()
-    current = median_of(
-        lambda: extract_many(graphs, engine="process", num_workers=NUM_WORKERS),
-        3,
-    )
-    baseline = max(_BATCH_BASELINE["batch_seconds"], MIN_MEANINGFUL_SECONDS)
-    ratio = current / baseline
-    assert ratio <= MAX_REGRESSION, (
-        f"extract_many over {NUM_GRAPHS} graphs: {current:.3f} s vs baseline "
-        f"{_BATCH_BASELINE['batch_seconds']:.3f} s ({ratio:.2f}x > "
-        f"{MAX_REGRESSION}x); if intentional, re-run "
-        "benchmarks/record_batch_baseline.py"
-    )
-
-
-@pytest.mark.skipif(_ASYNC_PROBLEM is not None, reason="baseline problem reported above")
-@pytest.mark.parametrize("scale", GUARD_SCALES)
-def test_async_process_not_regressed(scale):
-    """The asynchronous process engine must stay within 2x of the recorded
-    per-extraction wall-clock at the guarded scales (BENCH_async.json)."""
-    row = _ASYNC_BASELINE["scales"].get(str(scale))
-    if row is None:
-        pytest.skip(f"scale {scale} not in recorded baseline; re-record")
-    current = measure_process_async(
-        scale, num_workers=_ASYNC_BASELINE["num_workers"], repeats=3
-    )
-    baseline = max(row["process_async_seconds"], MIN_MEANINGFUL_SECONDS)
-    ratio = current / baseline
-    assert ratio <= MAX_REGRESSION, (
-        f"process-async at scale {scale}: {current:.3f} s vs baseline "
-        f"{row['process_async_seconds']:.3f} s ({ratio:.2f}x > "
-        f"{MAX_REGRESSION}x); if intentional, re-run "
-        "benchmarks/bench_async_process.py"
-    )
-
-
-@pytest.mark.skipif(_QUALITY_PROBLEM is not None, reason="baseline problem reported above")
+@_skip_on_problem
 def test_quality_baseline_covers_registry():
     """Every registered engine x schedule cell has a recorded quality
     baseline and vice versa (a new engine must be recorded; a removed
     one must be expunged)."""
     assert set(_QUALITY_CELLS) == set(quality_cells()), (
         "BENCH_quality.json cells diverge from the engine registry; "
-        "re-record with `repro bench --record quality` and commit the file"
+        f"re-record with `{_RECORD_CMD}` and commit the file"
     )
     assert set(_QUALITY_BASELINE["families"]) == set(FAMILIES), (
         "BENCH_quality.json families diverge from bench_quality.FAMILIES; "
-        "re-record with `repro bench --record quality` and commit the file"
+        f"re-record with `{_RECORD_CMD}` and commit the file"
     )
 
 
-@pytest.mark.skipif(_QUALITY_PROBLEM is not None, reason="baseline problem reported above")
+@_skip_on_problem
 @pytest.mark.parametrize("cell", _QUALITY_CELLS)
 def test_quality_not_regressed(cell):
     """Each engine x schedule cell must retain at least its recorded edge
@@ -378,11 +142,11 @@ def test_quality_not_regressed(cell):
         assert current >= recorded - QUALITY_TOLERANCE, (
             f"{cell} on {name}: retained fraction {current:.4f} vs recorded "
             f"{recorded:.4f} (drop > {QUALITY_TOLERANCE}); if intentional, "
-            "re-record with `repro bench --record quality`"
+            f"re-record with `{_RECORD_CMD}`"
         )
 
 
-@pytest.mark.skipif(_QUALITY_PROBLEM is not None, reason="baseline problem reported above")
+@_skip_on_problem
 @pytest.mark.parametrize("family", sorted(WEIGHTED_FAMILY_SEEDS))
 def test_weighted_dominates_unweighted(family):
     """The weighted engine must retain at least as much weight as the
@@ -404,123 +168,50 @@ def test_weighted_dominates_unweighted(family):
         f"{family}: weighted retained weight {current['weighted']:.2f} vs "
         f"recorded {recorded['weighted']:.2f} (relative drop {drop:.4f} > "
         f"{QUALITY_TOLERANCE}); if intentional, re-record with "
-        "`repro bench --record quality`"
+        f"`{_RECORD_CMD}`"
     )
 
 
-@pytest.mark.skipif(_SERVICE_PROBLEM is not None, reason="baseline problem reported above")
-def test_service_throughput_not_regressed():
-    """`repro serve` must keep at least half the recorded requests/sec
-    over the same concurrent mixed workload (BENCH_service.json)."""
-    current = measure_service(num_clients=_SERVICE_BASELINE["num_clients"])
-    baseline_rps = _SERVICE_BASELINE["requests_per_sec"]
-    ratio = baseline_rps / max(current["requests_per_sec"], 1e-9)
-    assert ratio <= MAX_REGRESSION, (
-        f"service throughput: {current['requests_per_sec']:.1f} req/s vs "
-        f"baseline {baseline_rps:.1f} req/s ({ratio:.2f}x slower > "
-        f"{MAX_REGRESSION}x); if intentional, re-record with "
-        "`repro bench --record service`"
-    )
+def test_native_speedup_live():
+    """The compiled sync round loop must beat the NumPy one by at least
+    NATIVE_MIN_SPEEDUP on RMAT-ER(14), both timed now on this host.
 
+    One ``LocalState`` serves both sides (``drive`` resets it), so the
+    ratio compares the round bodies alone, not graph construction.  One
+    native thread: the compiled path must win on kernel speed, not on
+    parallelism.
+    """
+    from repro.core.native import native_status
 
-@pytest.mark.skipif(
-    _INCREMENTAL_PROBLEM is not None, reason="baseline problem reported above"
-)
-def test_incremental_recorded_baseline_meets_gates():
-    """The committed baseline itself must show the acceptance figures:
-    >= MIN_INCREMENTAL_SPEEDUP x over full re-extraction with every
-    recorded answer chordal, floor-met, and maximality-certified."""
-    assert _INCREMENTAL_BASELINE["speedup_vs_full"] >= MIN_INCREMENTAL_SPEEDUP, (
-        f"BENCH_incremental.json records only "
-        f"{_INCREMENTAL_BASELINE['speedup_vs_full']:.1f}x over full "
-        f"re-extraction (acceptance floor {MIN_INCREMENTAL_SPEEDUP}x); "
-        "the incremental path has lost its reason to exist — fix it, "
-        "then re-record with `repro bench --record incremental`"
+    status = native_status()
+    if not status.available:
+        pytest.skip(status.detail)
+
+    from repro.core.runtime import (
+        LocalState,
+        NativeThreadTeamExecutor,
+        SerialExecutor,
+        drive,
     )
-    for key in ("all_chordal", "all_floor_met", "maximality_ok"):
-        assert _INCREMENTAL_BASELINE[key] is True, (
-            f"BENCH_incremental.json has {key}={_INCREMENTAL_BASELINE[key]} "
-            "— a recorded quality breach is a correctness bug, not a "
-            "baseline to tolerate"
+    from repro.graph.generators.rmat import rmat_er
+    from repro.util.timing import median_of
+
+    state = LocalState(rmat_er(14, seed=1))
+    with SerialExecutor() as serial, NativeThreadTeamExecutor(1) as native:
+        numpy_s = median_of(
+            lambda: drive(state, serial, schedule="synchronous"), NATIVE_REPEATS
         )
-
-
-@pytest.mark.skipif(
-    _SHARDED_PROBLEM is not None, reason="baseline problem reported above"
-)
-def test_sharded_recorded_baseline_meets_gates():
-    """The committed baseline itself must show the acceptance figures:
-    every shard verified, the stitched result chordal, the certified
-    floor met, sampled boundary certificates clean, and retention within
-    MIN_RETENTION_RATIO of the in-memory maximalizing engine."""
-    for key in ("chordal", "floor_met", "boundary_sample_ok", "all_shards_verified"):
-        assert _SHARDED_BASELINE[key] is True, (
-            f"BENCH_sharded.json has {key}={_SHARDED_BASELINE[key]} — a "
-            "recorded certification breach is a correctness bug, not a "
-            "baseline to tolerate"
+        native_s = median_of(
+            lambda: drive(state, native, schedule="synchronous"), NATIVE_REPEATS
         )
-    assert _SHARDED_BASELINE["retention_ratio"] >= MIN_RETENTION_RATIO, (
-        f"BENCH_sharded.json records retention_ratio="
-        f"{_SHARDED_BASELINE['retention_ratio']:.3f} below the "
-        f"{MIN_RETENTION_RATIO} gate — the sharded mode gives up too much "
-        "quality vs the in-memory engine; fix it, then re-record with "
-        "`repro bench --record sharded`"
+    ratio = numpy_s / native_s
+    print(
+        f"native sync speedup on er14: {ratio:.2f}x "
+        f"({numpy_s * 1e3:.2f} ms NumPy vs {native_s * 1e3:.2f} ms native)"
     )
-
-
-@pytest.mark.skipif(
-    _SHARDED_PROBLEM is not None, reason="baseline problem reported above"
-)
-def test_sharded_comparison_not_regressed():
-    """Re-drive the comparison scale: the fresh retention ratio must hold
-    the MIN_RETENTION_RATIO gate (quality — deterministic) and the
-    sharded wall-clock must stay within 2x of the baseline (speed)."""
-    current = measure_comparison(
-        scale=_SHARDED_BASELINE["compare_scale"],
-        num_shards=_SHARDED_BASELINE.get("compare_shards", 4),
-    )
-    assert current["retention_ratio"] >= MIN_RETENTION_RATIO, (
-        f"sharded re-drive retained only {current['retention_ratio']:.3f} "
-        f"of the in-memory engine's edges (gate {MIN_RETENTION_RATIO}) — "
-        "a stitching quality regression, not a timing artefact"
-    )
-    baseline_seconds = max(_SHARDED_BASELINE["sharded_seconds"], MIN_MEANINGFUL_SECONDS)
-    ratio = current["sharded_seconds"] / baseline_seconds
-    assert ratio <= MAX_REGRESSION, (
-        f"sharded pipeline at scale {_SHARDED_BASELINE['compare_scale']}: "
-        f"{current['sharded_seconds']:.3f} s vs baseline "
-        f"{_SHARDED_BASELINE['sharded_seconds']:.3f} s ({ratio:.2f}x > "
-        f"{MAX_REGRESSION}x); if intentional, re-record with "
-        "`repro bench --record sharded`"
-    )
-
-
-@pytest.mark.skipif(
-    _INCREMENTAL_PROBLEM is not None, reason="baseline problem reported above"
-)
-def test_incremental_updates_not_regressed():
-    """Re-drive a shorter prefix of the recorded stream: updates/sec must
-    stay within 2x of the baseline, the speedup over full re-extraction
-    must hold, and every answer must pass the quality gate (chordal +
-    certified floor — checked after each of the re-driven mutations)."""
-    current = measure_incremental(
-        num_mutations=GUARD_MUTATIONS,
-        check_maximal_every=None,
-        full_repeats=1,
-    )
-    assert current["all_chordal"] and current["all_floor_met"], (
-        "incremental re-drive produced a non-chordal or floor-breaching "
-        "answer — this is a correctness bug, not a speed regression"
-    )
-    assert current["speedup_vs_full"] >= MIN_INCREMENTAL_SPEEDUP, (
-        f"incremental updates are only {current['speedup_vs_full']:.1f}x "
-        f"faster than full re-extraction (gate {MIN_INCREMENTAL_SPEEDUP}x)"
-    )
-    baseline_ups = _INCREMENTAL_BASELINE["updates_per_sec"]
-    ratio = baseline_ups / max(current["updates_per_sec"], 1e-9)
-    assert ratio <= MAX_REGRESSION, (
-        f"incremental throughput: {current['updates_per_sec']:.1f} "
-        f"updates/s vs baseline {baseline_ups:.1f} ({ratio:.2f}x slower > "
-        f"{MAX_REGRESSION}x); if intentional, re-record with "
-        "`repro bench --record incremental`"
+    assert ratio >= NATIVE_MIN_SPEEDUP, (
+        f"live native sync speedup on er14 is {ratio:.2f}x "
+        f"({numpy_s * 1e3:.2f} ms NumPy vs {native_s * 1e3:.2f} ms native), "
+        f"below the {NATIVE_MIN_SPEEDUP}x gate; the compiled round bodies "
+        "regressed relative to the NumPy loop"
     )

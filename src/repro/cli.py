@@ -2,8 +2,9 @@
 
 The CLI turns the library into a tool: point it at graph files in any
 supported format (see :mod:`repro.graph.io`) and get chordal edge lists
-out, generate the paper's graph families to disk, guard the performance
-baselines, and regenerate the paper's tables and figures.
+out, generate the paper's graph families to disk, guard answer quality
+and the compiled backend's speedup, and regenerate the paper's tables
+and figures.
 
 Subcommands
 -----------
@@ -44,11 +45,10 @@ Subcommands
     threads, per-request deadlines and a content-hash result cache.
     ``repro extract --server`` routes through it.
 ``bench``
-    One-command performance *and quality* guard: runs
-    ``benchmarks/bench_regression_guard.py`` (the 2x kernel-regression
-    gate plus the BENCH_quality.json retained-edge gate), or re-records
-    a baseline with ``--record
-    {kernels,batch,async,quality,service,incremental,all}``.
+    Runs ``benchmarks/bench_regression_guard.py``, the host-independent
+    gates: the BENCH_quality.json retained-edge gate and a live
+    native-vs-NumPy round-loop ratio.  ``--record`` re-records
+    BENCH_quality.json.  Wall-clock benchmarks live in ``perfbench/``.
 ``experiments``
     Delegates to :mod:`repro.experiments.runner` (tables and figures).
 
@@ -546,41 +546,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser(
         "bench",
-        help="run the kernel regression guard / record baselines",
+        help="run the quality + native-speedup guard / record the quality baseline",
         description="Without flags, runs benchmarks/bench_regression_guard.py "
-        "(fails if any hot kernel is >2x slower than BENCH_kernels.json, "
-        "the batch/async engine baselines regress >2x, or any engine's "
-        "retained-edge quality drops below BENCH_quality.json).  --record "
-        "re-records one baseline: 'kernels' (BENCH_kernels.json), 'batch' "
-        "(the extract_many batch-throughput baseline, BENCH_batch.json), "
-        "'async' (the asynchronous-schedule baseline, BENCH_async.json), "
-        "'quality' (the answer-quality baseline, BENCH_quality.json), "
-        "'service' (the serve-daemon throughput baseline, "
-        "BENCH_service.json), 'incremental' (the dynamic-graph updates/sec "
-        "baseline, BENCH_incremental.json), 'sharded' (the out-of-core "
-        "extraction baseline, BENCH_sharded.json), or 'all'.",
+        "(fails if any engine's retained-edge quality drops below "
+        "BENCH_quality.json, or the compiled round loop is less than 2.5x "
+        "faster than the NumPy one on this host).  --record re-records "
+        "the answer-quality baseline, BENCH_quality.json.  Wall-clock "
+        "benchmarks live in perfbench/ (python3 perfbench/run.py).",
     )
     be.add_argument(
         "--record",
         nargs="?",
-        const="kernels",
-        choices=(
-            "kernels", "batch", "async", "quality", "service",
-            "incremental", "sharded", "all",
-        ),
+        const="quality",
+        choices=("quality",),
         default=None,
-        help="re-record a baseline (bare --record means 'kernels', its "
-        "historical meaning)",
-    )
-    be.add_argument(
-        "--record-batch",
-        action="store_true",
-        help="deprecated alias for --record batch",
-    )
-    be.add_argument(
-        "--record-async",
-        action="store_true",
-        help="deprecated alias for --record async",
+        help="re-record BENCH_quality.json (bare --record means 'quality')",
     )
     be.add_argument(
         "pytest_args", nargs="*", help="extra arguments forwarded to pytest"
@@ -1159,51 +1139,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: --record target -> benchmarks/ module whose record() writes it.
-_RECORDERS = {
-    "kernels": "record_baseline",
-    "batch": "record_batch_baseline",
-    "async": "bench_async_process",
-    "quality": "bench_quality",
-    "service": "bench_service",
-    "incremental": "bench_incremental",
-    "sharded": "bench_sharded",
-}
-
-
-def _resolve_record_target(args: argparse.Namespace) -> str | None:
-    """Fold the deprecated alias flags into the --record choice.
-
-    The historical ``--record`` / ``--record-batch`` / ``--record-async``
-    booleans silently combined (last writer won, others were ignored);
-    any two record requests are now an explicit error.
-    """
-    requested: list[str] = []
-    if args.record is not None:
-        requested.append(args.record)
-    for alias, target in (("--record-batch", "batch"), ("--record-async", "async")):
-        if getattr(args, alias.strip("-").replace("-", "_")):
-            print(
-                f"repro bench: warning: {alias} is deprecated; "
-                f"use --record {target}",
-                file=sys.stderr,
-            )
-            requested.append(target)
-    if len(requested) > 1:
-        raise ReproError(
-            f"conflicting record flags {requested}; pass a single "
-            "--record "
-            "{kernels,batch,async,quality,service,incremental,sharded,all}"
-        )
-    return requested[0] if requested else None
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    target = _resolve_record_target(args)
-    if target is not None:
-        names = list(_RECORDERS) if target == "all" else [target]
-        for name in names:
-            _load_bench_module(_RECORDERS[name]).record()
+    if args.record is not None:
+        _load_bench_module("bench_quality").record()
         return 0
     guard = _repo_root() / "benchmarks" / "bench_regression_guard.py"
     if not guard.exists():

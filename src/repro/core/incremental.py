@@ -48,9 +48,8 @@ retained edges abandons local patching and re-runs the full driver
 Quality guards: after every mutation the result can be certified with
 :func:`repro.chordality.verify.verify_extraction` and must meet the
 certified floor :func:`repro.chordality.quality.maximal_chordal_floor`
-(the property suite in ``tests/test_incremental.py`` does exactly that);
-``benchmarks/bench_incremental.py`` records the updates/sec advantage
-over full re-extraction into the guarded ``BENCH_incremental.json``.
+(the property suite in ``tests/test_incremental.py`` does exactly that).
+The ``serve`` workload of ``perfbench/`` times mutate ops end to end.
 """
 
 from __future__ import annotations

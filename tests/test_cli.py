@@ -353,42 +353,18 @@ class TestBench:
     def test_regression_guard_runs(self):
         assert main(["bench"]) == 0
 
-    def test_record_choice_parsing(self):
+    def test_record_choice_parsing(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["bench"]).record is None
-        assert parser.parse_args(["bench", "--record"]).record == "kernels"
-        for choice in ("kernels", "batch", "async", "quality", "service", "all"):
-            assert parser.parse_args(["bench", "--record", choice]).record == choice
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "--record", "gpu"])
-
-    def test_conflicting_record_flags_error(self, capsys):
-        assert main(["bench", "--record", "kernels", "--record-async"]) == 2
-        err = capsys.readouterr().err
-        assert "conflicting record flags" in err
-        assert "--record-async is deprecated" in err
-        assert main(["bench", "--record-batch", "--record-async"]) == 2
-        assert "conflicting record flags" in capsys.readouterr().err
-
-    def test_deprecated_aliases_map_to_choices(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        recorded = []
-
-        class FakeModule:
-            def __init__(self, name):
-                self.name = name
-
-            def record(self):
-                recorded.append(self.name)
-
-        monkeypatch.setattr(cli, "_load_bench_module", FakeModule)
-        assert main(["bench", "--record-batch"]) == 0
-        assert recorded == ["record_batch_baseline"]
-        assert "--record-batch is deprecated" in capsys.readouterr().err
-        recorded.clear()
-        assert main(["bench", "--record-async"]) == 0
-        assert recorded == ["bench_async_process"]
+        assert parser.parse_args(["bench", "--record"]).record == "quality"
+        assert parser.parse_args(["bench", "--record", "quality"]).record == "quality"
+        for retired in ("kernels", "batch", "async", "service", "all"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["bench", "--record", retired])
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--record", "kernels"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'kernels'" in capsys.readouterr().err
 
     def test_record_all_runs_every_recorder(self, monkeypatch):
         import repro.cli as cli
@@ -403,16 +379,10 @@ class TestBench:
                 recorded.append(self.name)
 
         monkeypatch.setattr(cli, "_load_bench_module", FakeModule)
-        assert main(["bench", "--record", "all"]) == 0
-        assert recorded == [
-            "record_baseline",
-            "record_batch_baseline",
-            "bench_async_process",
-            "bench_quality",
-            "bench_service",
-            "bench_incremental",
-            "bench_sharded",
-        ]
+        for argv in (["bench", "--record"], ["bench", "--record", "quality"]):
+            recorded.clear()
+            assert main(argv) == 0
+            assert recorded == ["bench_quality"]
 
 
 class TestPipe:
@@ -657,8 +627,3 @@ class TestShard:
                      "--spill-dir", str(tmp_path / "s"),
                      "--server", "/tmp/nope.sock"]) == 2
         assert "exclusive" in capsys.readouterr().err
-
-    def test_sharded_record_choice(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench", "--record", "sharded"])
-        assert args.record == "sharded"
