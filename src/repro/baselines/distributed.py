@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.baselines.dearing import dearing_max_chordal
 from repro.baselines.msgpass import MessageStats, Network
-from repro.chordality.maximality import edge_addable
+from repro.chordality.maximality import AddabilityOracle
 from repro.chordality.recognition import is_chordal
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import edge_subgraph, induced_subgraph
@@ -123,10 +123,6 @@ def distributed_nearly_chordal(
 
     accepted = np.vstack([e for e in local_edges if e.size] or
                          [np.empty((0, 2), dtype=np.int64)])
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in accepted:
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
 
     # --- Phase 2: border-edge exchange ----------------------------------
     all_edges = graph.edge_array()
@@ -140,28 +136,44 @@ def distributed_nearly_chordal(
         net.send(owner, "border", [(int(u), int(v))])
     net.exchange()
 
-    graph_adj: list[set[int]] = [
-        set(int(x) for x in graph.neighbors(v)) for v in range(n)
+    offered = [
+        (p, u, v)
+        for p in range(num_parts)
+        for msg in net.recv_all(p, "border")
+        for u, v in msg
     ]
+    if repair:
+        # One pass in arrival order, each edge admitted only if the
+        # result stays chordal.
+        oracle = AddabilityOracle(n, graph.degrees())
+        oracle.add_edges(accepted)
+        pairs = np.asarray([(u, v) for _p, u, v in offered], dtype=np.int64)
+        decisions = (oracle.greedy(pairs, max_passes=1)[0] > 0).tolist()
+    else:
+        # Paper's heuristic: the border edge is accepted if it "forms a
+        # triangle with a chordal edge" — i.e. some third vertex closes a
+        # triangle through at least one already-accepted chordal edge (the
+        # other side may be any graph edge).  This is what admits long
+        # cycles and makes the result only *nearly* chordal.
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in accepted:
+            adj[int(u)].add(int(v))
+            adj[int(v)].add(int(u))
+        graph_adj: list[set[int]] = [
+            set(int(x) for x in graph.neighbors(v)) for v in range(n)
+        ]
+        decisions = []
+        for _p, u, v in offered:
+            ok = bool(adj[u] & graph_adj[v]) or bool(adj[v] & graph_adj[u])
+            if ok:
+                adj[u].add(v)
+                adj[v].add(u)
+            decisions.append(ok)
     accepted_border: list[tuple[int, int]] = []
-    for p in range(num_parts):
-        for msg in net.recv_all(p, "border"):
-            for u, v in msg:
-                if repair:
-                    ok = v not in adj[u] and edge_addable(adj, u, v)
-                else:
-                    # Paper's heuristic: the border edge is accepted if it
-                    # "forms a triangle with a chordal edge" — i.e. some
-                    # third vertex closes a triangle through at least one
-                    # already-accepted chordal edge (the other side may be
-                    # any graph edge).  This is what admits long cycles and
-                    # makes the result only *nearly* chordal.
-                    ok = bool(adj[u] & graph_adj[v]) or bool(adj[v] & graph_adj[u])
-                if ok:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                    accepted_border.append((u, v))
-                    net.send(p, "decision", [(u, v)])
+    for (p, u, v), ok in zip(offered, decisions):
+        if ok:
+            accepted_border.append((u, v))
+            net.send(p, "decision", [(u, v)])
     net.exchange()
 
     if accepted_border:

@@ -13,6 +13,7 @@ from repro.chordality.lexbfs import lexbfs_order, lexbfs_peo
 from repro.chordality.peo import is_perfect_elimination_ordering, peo_violation
 from repro.chordality.recognition import is_chordal, find_hole
 from repro.chordality.maximality import (
+    AddabilityOracle,
     is_maximal_chordal_subgraph,
     edge_addable,
     addable_edges,
@@ -40,6 +41,7 @@ __all__ = [
     "is_chordal",
     "find_hole",
     "is_maximal_chordal_subgraph",
+    "AddabilityOracle",
     "edge_addable",
     "addable_edges",
     "addable_edges_slow",

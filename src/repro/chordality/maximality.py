@@ -19,9 +19,18 @@ the rest of such a cycle is exactly such a path).  That in turn holds iff
   anything longer), so if removal of common neighbors disconnects them no
   long induced path exists and ``uv`` is addable.
 
-This turns each addability test into one early-exit BFS instead of a full
-chordality re-check; :func:`addable_edges` relies on it and the test suite
-cross-validates it against the rebuild-and-recognise oracle.
+:class:`AddabilityOracle` answers this test for every production caller:
+the completion pass (:mod:`repro.core.maximalize`), the maximality
+certificate (:func:`addable_edges`, and through it
+:func:`repro.chordality.verify.verify_extraction`), the sharded boundary
+stitcher and the distributed baseline's repair mode.  Two cases need no
+search at all — endpoints in different components of ``H`` are addable,
+and endpoints in one component with no common neighbour are not — and the
+rest take one early-exit BFS.  The answer is a reachability boolean, so it
+does not depend on the order the BFS expands vertices in: every result
+(and every counterexample a failure report prints) is determined by the
+candidate order alone.  :func:`edge_addable` is the plain-Python
+reference the test suite cross-validates the oracle against.
 
 Reproduction note (paper erratum)
 ---------------------------------
@@ -47,6 +56,7 @@ from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "AddabilityOracle",
     "edge_addable",
     "addable_edges",
     "addable_edges_slow",
@@ -64,10 +74,8 @@ def edge_addable(adj: list[set[int]], u: int, v: int) -> bool:
     the module docstring with an early-exit BFS from ``u`` toward ``v``
     avoiding ``N(u) ∩ N(v)``.
 
-    The BFS expands neighbors in ascending vertex order (not raw set
-    order, which depends on each set's insertion history), so the whole
-    maximality machinery — and therefore every counterexample a failure
-    report prints — is reproducible run to run for the same input.
+    The reference implementation: production callers use
+    :class:`AddabilityOracle`, and the test suite checks the two agree.
     """
     if v in adj[u]:
         raise ValueError(f"({u}, {v}) is already an edge")
@@ -78,11 +86,292 @@ def edge_addable(adj: list[set[int]], u: int, v: int) -> bool:
         x = queue.popleft()
         if v in adj[x]:
             return False  # reachable avoiding common nbrs -> long induced path
-        for y in sorted(adj[x]):
+        for y in adj[x]:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return True
+
+
+def _native_lib():
+    """The compiled oracle loops, or ``None`` when the backend does not
+    resolve.  Imported on first use: :mod:`repro.core` imports this
+    package, so a module-level import would be a cycle."""
+    from repro.core.native.build import resolve
+
+    return resolve()[1]
+
+
+def _as_pairs(edges) -> tuple[np.ndarray, np.ndarray]:
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+
+
+def _ptrs(ffi, *arrays: np.ndarray) -> list:
+    return [ffi.cast("int64_t *", a.ctypes.data) for a in arrays]
+
+
+class AddabilityOracle:
+    """A chordal graph ``H`` that answers "can ``uv`` be added?" and grows.
+
+    ``H`` starts empty on ``num_vertices`` vertices; ``capacity[v]``
+    bounds how many neighbours ``v`` will ever have in it (for a subgraph
+    of ``G`` that grows inside ``G``, ``G``'s degrees).  Each vertex owns
+    ``capacity[v]`` slots of one neighbour array with a fill count — the
+    slot layout of a CSR — so accepting an edge is two O(1) writes with
+    no reallocation.  A union-find over ``H``'s components and
+    epoch-stamped visited marks make one test cost:
+
+    * O(α) when ``u`` and ``v`` lie in different components (addable);
+    * O(deg u + deg v) when they share a component but no neighbour (not
+      addable: nothing is removed, and the component connects them);
+    * otherwise one BFS from ``u`` avoiding ``N(u) ∩ N(v)`` that stops at
+      the first vertex of ``N(v)`` it discovers.
+
+    The loops run in C when the compiled backend resolves (exactly when
+    the round bodies do) and in an interpreted fallback over the same
+    arrays otherwise; both give the same answers.  ``H`` must stay
+    chordal (every edge added outside :meth:`greedy` is the caller's
+    responsibility), and candidates must be non-edges of ``H``.
+    """
+
+    def __init__(self, num_vertices: int, capacity) -> None:
+        n = int(num_vertices)
+        self.num_vertices = n
+        self._capacity = np.asarray(capacity, dtype=np.int64).reshape(n)
+        if n and self._capacity.min() < 0:
+            raise ValueError("capacity must be non-negative")
+        self._start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._capacity, out=self._start[1:])
+        self._fill = np.zeros(n, dtype=np.int64)
+        self._nbr = np.zeros(int(self._start[-1]), dtype=np.int64)
+        self._uf = np.arange(n, dtype=np.int64)
+        self._stamp = np.zeros(n, dtype=np.int64)
+        self._seen = np.zeros(n, dtype=np.int64)
+        self._near = np.zeros(n, dtype=np.int64)
+        self._queue = np.zeros(n, dtype=np.int64)
+        self._state = np.zeros(2, dtype=np.int64)  # [version, epoch]
+
+    @classmethod
+    def of_graph(cls, graph: CSRGraph) -> "AddabilityOracle":
+        """An oracle holding exactly ``graph`` (no room to grow)."""
+        oracle = cls(graph.num_vertices, graph.degrees())
+        oracle.add_edges(graph.edge_array())
+        return oracle
+
+    def _check(self, us: np.ndarray, vs: np.ndarray, *, grows: bool = True) -> None:
+        """Refuse endpoints the arrays cannot hold (the C loops do no
+        bounds checks): out-of-range ids and, when the edges may be
+        added, more neighbours at a vertex than its capacity."""
+        if not us.size:
+            return
+        n = self.num_vertices
+        if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n:
+            raise GraphFormatError(f"edge endpoints must lie in [0, {n - 1}]")
+        if not grows:
+            return
+        need = self._fill + np.bincount(np.concatenate((us, vs)), minlength=n)
+        over = np.flatnonzero(need > self._capacity)
+        if over.size:
+            v = int(over[0])
+            raise ValueError(
+                f"vertex {v} would hold {int(need[v])} neighbours, over its "
+                f"capacity {int(self._capacity[v])}"
+            )
+
+    def add_edges(self, edges) -> None:
+        """Add ``(k, 2)`` edges to ``H`` unconditionally."""
+        us, vs = _as_pairs(edges)
+        self._check(us, vs)
+        module = _native_lib()
+        if module is None:
+            lists = _Lists(self)
+            for u, v in zip(us.tolist(), vs.tolist()):
+                lists.link(u, v)
+            lists.store(self)
+            return
+        module.lib.repro_oracle_add(
+            us.size,
+            *_ptrs(module.ffi, us, vs, self._start, self._fill, self._nbr,
+                   self._uf, self._stamp, self._state),
+        )
+
+    def greedy(self, candidates, *, max_passes: int | None = None) -> tuple[np.ndarray, int]:
+        """Offer ``(k, 2)`` candidates in order, adding each addable one.
+
+        Passes repeat until one admits nothing (an admission can unlock
+        an earlier rejection), or ``max_passes`` passes ran.  A rejected
+        candidate is re-tested only once its component has gained an
+        edge: until then the test would walk the identical subgraph.
+
+        Returns ``(accepted_pass, passes)``: ``accepted_pass[i]`` is the
+        1-based pass that admitted candidate ``i``, 0 if it was rejected
+        (``accepted_pass > 0`` is the accepted mask, and a stable sort on
+        it gives admission order); ``passes`` is the number of passes run.
+        """
+        us, vs = _as_pairs(candidates)
+        self._check(us, vs)
+        k = us.size
+        limit = 0 if max_passes is None else int(max_passes)
+        module = _native_lib()
+        if module is None:
+            lists = _Lists(self)
+            accepted, passes = lists.greedy(us.tolist(), vs.tolist(), limit)
+            lists.store(self)
+            return np.asarray(accepted, dtype=np.int64).reshape(k), passes
+        accepted = np.zeros(k, dtype=np.int64)
+        scratch = np.zeros((2, k), dtype=np.int64)
+        passes = module.lib.repro_oracle_greedy(
+            k,
+            *_ptrs(module.ffi, us, vs),
+            limit,
+            *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
+                   self._stamp, self._seen, self._near, self._queue,
+                   self._state, scratch[0], scratch[1], accepted),
+        )
+        return accepted, int(passes)
+
+    def first_addable(self, candidates, limit: int | None = None) -> np.ndarray:
+        """Indices of the first ``limit`` addable candidates (all of them
+        when ``limit`` is ``None``), in candidate order; ``H`` is left
+        unchanged."""
+        us, vs = _as_pairs(candidates)
+        self._check(us, vs, grows=False)
+        cap = 0 if limit is None else max(int(limit), 1)
+        module = _native_lib()
+        if module is None:
+            found = _Lists(self).first(us.tolist(), vs.tolist(), cap)
+            return np.asarray(found, dtype=np.int64)
+        out = np.zeros(us.size, dtype=np.int64)
+        found = module.lib.repro_oracle_first(
+            us.size,
+            *_ptrs(module.ffi, us, vs),
+            cap,
+            *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
+                   self._seen, self._near, self._queue, self._state, out),
+        )
+        return out[:found].copy()
+
+
+class _Lists:
+    """The interpreted fallback: the oracle's arrays as Python lists,
+    running the same loops as the C source in
+    :mod:`repro.core.native.build`; :meth:`store` writes ``H`` back.
+    Visited marks need no write-back: every mark is at most the stored
+    epoch, and later tests use fresh epochs."""
+
+    def __init__(self, oracle: AddabilityOracle) -> None:
+        self.start = oracle._start.tolist()
+        self.fill = oracle._fill.tolist()
+        self.nbr = oracle._nbr.tolist()
+        self.uf = oracle._uf.tolist()
+        self.stamp = oracle._stamp.tolist()
+        self.seen = oracle._seen.tolist()
+        self.near = oracle._near.tolist()
+        self.version, self.epoch = oracle._state.tolist()
+
+    def store(self, oracle: AddabilityOracle) -> None:
+        oracle._fill[:] = self.fill
+        oracle._nbr[:] = self.nbr
+        oracle._uf[:] = self.uf
+        oracle._stamp[:] = self.stamp
+        oracle._state[:] = (self.version, self.epoch)
+
+    def find(self, x: int) -> int:
+        uf = self.uf
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]  # path halving
+            x = uf[x]
+        return x
+
+    def link(self, u: int, v: int) -> None:
+        self.nbr[self.start[u] + self.fill[u]] = v
+        self.fill[u] += 1
+        self.nbr[self.start[v] + self.fill[v]] = u
+        self.fill[v] += 1
+        ru, rv = self.find(u), self.find(v)
+        if ru != rv:
+            self.uf[rv] = ru
+        self.version += 1
+        self.stamp[ru] = self.version
+
+    def addable(self, u: int, v: int) -> bool:
+        """The test for endpoints sharing a component."""
+        start, fill, nbr, seen, near = self.start, self.fill, self.nbr, self.seen, self.near
+        self.epoch += 1
+        e = self.epoch
+        for y in nbr[start[v] : start[v] + fill[v]]:
+            near[y] = e
+        seen[u] = e
+        common = False
+        for y in nbr[start[u] : start[u] + fill[u]]:
+            if near[y] == e:
+                seen[y] = e
+                common = True
+        if not common:
+            return False
+        queue = [u]
+        for x in queue:  # the list grows while it is walked: a FIFO
+            for y in nbr[start[x] : start[x] + fill[x]]:
+                if seen[y] == e:
+                    continue
+                if near[y] == e:
+                    return False  # path to N(v) avoiding the ban
+                seen[y] = e
+                queue.append(y)
+        return True
+
+    def greedy(self, us: list[int], vs: list[int], max_passes: int) -> tuple[list[int], int]:
+        accepted = [0] * len(us)
+        tested_at = [-1] * len(us)
+        alive = list(range(len(us)))
+        stamp, passes = self.stamp, 0
+        while alive and (max_passes <= 0 or passes < max_passes):
+            passes += 1
+            keep = []
+            for i in alive:
+                u, v = us[i], vs[i]
+                ru = self.find(u)
+                if ru != self.find(v):
+                    ok = True
+                elif tested_at[i] >= stamp[ru]:
+                    ok = False
+                else:
+                    ok = self.addable(u, v)
+                    if not ok:
+                        tested_at[i] = stamp[ru]
+                if ok:
+                    self.link(u, v)
+                    accepted[i] = passes
+                else:
+                    keep.append(i)
+            if len(keep) == len(alive):
+                break
+            alive = keep
+        return accepted, passes
+
+    def first(self, us: list[int], vs: list[int], limit: int) -> list[int]:
+        found: list[int] = []
+        for i, (u, v) in enumerate(zip(us, vs)):
+            if limit > 0 and len(found) >= limit:
+                break
+            if self.find(u) != self.find(v) or self.addable(u, v):
+                found.append(i)
+        return found
+
+
+def _edge_keys(graph: CSRGraph, n: int) -> np.ndarray:
+    """Sorted ``u * n + v`` keys of the ``u < v`` edges of ``graph``."""
+    edges = graph.edge_array().astype(np.int64, copy=False)
+    return np.sort(edges[:, 0] * n + edges[:, 1])
+
+
+def _missing_edge_array(graph: CSRGraph, subgraph: CSRGraph) -> np.ndarray:
+    """:func:`missing_edges` as a ``(k, 2)`` int64 array."""
+    n = max(graph.num_vertices, subgraph.num_vertices, 1)
+    keys = _edge_keys(graph, n)
+    keys = keys[~np.isin(keys, _edge_keys(subgraph, n))]
+    return np.column_stack((keys // n, keys % n))
 
 
 def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:
@@ -95,11 +384,8 @@ def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:
     sequence instead of ad-hoc set differences, so failure reports name
     the same counterexample edges on every run.
     """
-    return sorted(graph.edge_set() - subgraph.edge_set())
-
-
-def _adjacency_sets(graph: CSRGraph) -> list[set[int]]:
-    return [set(int(x) for x in graph.neighbors(v)) for v in range(graph.num_vertices)]
+    pairs = _missing_edge_array(graph, subgraph)
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def addable_edges(
@@ -121,14 +407,16 @@ def addable_edges(
         )
     if not is_chordal(subgraph):
         raise ValueError("subgraph must be chordal to test edge addability")
-    adj = _adjacency_sets(subgraph)
-    found: list[tuple[int, int]] = []
-    for u, v in missing_edges(graph, subgraph):
-        if edge_addable(adj, u, v):
-            found.append((u, v))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    return _addable_edges(graph, subgraph, limit)
+
+
+def _addable_edges(
+    graph: CSRGraph, subgraph: CSRGraph, limit: int | None
+) -> list[tuple[int, int]]:
+    """:func:`addable_edges` for a subgraph already known to be chordal."""
+    candidates = _missing_edge_array(graph, subgraph)
+    hits = candidates[AddabilityOracle.of_graph(subgraph).first_addable(candidates, limit)]
+    return list(zip(hits[:, 0].tolist(), hits[:, 1].tolist()))
 
 
 def addable_edges_slow(
@@ -156,11 +444,11 @@ def is_maximal_chordal_subgraph(graph: CSRGraph, subgraph: CSRGraph) -> bool:
     edge of ``graph`` can be added without breaking chordality."""
     if graph.num_vertices != subgraph.num_vertices:
         return False
-    if not subgraph.edge_set() <= graph.edge_set():
+    if _missing_edge_array(subgraph, graph).size:
         return False
     if not is_chordal(subgraph):
         return False
-    return not addable_edges(graph, subgraph, limit=1)
+    return not _addable_edges(graph, subgraph, 1)
 
 
 def assert_valid_extraction(
@@ -175,16 +463,16 @@ def assert_valid_extraction(
         raise AssertionError(
             f"vertex count mismatch: {graph.num_vertices} != {subgraph.num_vertices}"
         )
-    extra = subgraph.edge_set() - graph.edge_set()
+    extra = missing_edges(subgraph, graph)
     if extra:
-        raise AssertionError(f"subgraph invents edges not in parent: {sorted(extra)[:5]}")
+        raise AssertionError(f"subgraph invents edges not in parent: {extra[:5]}")
     if not is_chordal(subgraph):
         from repro.chordality.recognition import find_hole
 
         hole = find_hole(subgraph)
         raise AssertionError(f"extracted subgraph is not chordal; hole: {hole}")
     if check_maximal:
-        violations = addable_edges(graph, subgraph, limit=3)
+        violations = _addable_edges(graph, subgraph, 3)
         if violations:
             raise AssertionError(
                 f"subgraph is not maximal; addable edges include {violations}"

@@ -19,9 +19,10 @@ Reports are **deterministic**: for a given ``(graph, extracted)`` pair
 the counterexamples are always the same, run to run and machine to
 machine — invented edges are sorted, and the maximality scan iterates
 :func:`repro.chordality.maximality.missing_edges` in lexicographic
-order with an ascending-vertex BFS (not raw set order).  A failure
-message pasted into a bug report therefore names the exact edges a
-replay will name again.
+order.  Each addability answer is a reachability boolean that does not
+depend on search order, so the candidate order alone fixes which edges
+are reported.  A failure message pasted into a bug report therefore
+names the exact edges a replay will name again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chordality.maximality import addable_edges
+from repro.chordality.maximality import _addable_edges, missing_edges
 from repro.chordality.recognition import find_hole, is_chordal
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
@@ -149,7 +150,7 @@ def verify_extraction(
         bad_rows = [(int(u), int(v)) for u, v in edges[malformed]]
         subgraph = from_edge_array(n, edges, allow_out_of_range=True)
 
-    invented = sorted(subgraph.edge_set() - graph.edge_set())
+    invented = missing_edges(subgraph, graph)
     if not isinstance(extracted, CSRGraph):
         invented = sorted(set(bad_rows)) + invented
     edges_valid = not invented
@@ -158,7 +159,8 @@ def verify_extraction(
     maximal: bool | None = None
     addable: list[tuple[int, int]] = []
     if check_maximal and edges_valid and chordal:
-        addable = addable_edges(graph, subgraph, limit=max_counterexamples)
+        # Chordality is already established: skip addable_edges' re-check.
+        addable = _addable_edges(graph, subgraph, max_counterexamples)
         maximal = not addable
     elif check_maximal:
         maximal = False  # can't be a maximal chordal subgraph if not even valid

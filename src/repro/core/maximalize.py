@@ -11,7 +11,10 @@ counterexample and ``EXPERIMENTS.md`` for how rare this is in practice).
 the chordal subgraph using the O(V+E)-per-edge addability criterion of
 :mod:`repro.chordality.maximality` and accepts those that keep the graph
 chordal, yielding a certified-maximal chordal subgraph containing the
-algorithm's output.  With ``weights`` given, candidates are offered
+algorithm's output.  Candidates are the edges of ``G`` the output lacks,
+diffed as sorted ``u * n + v`` keys, and every pass runs inside one
+:class:`~repro.chordality.maximality.AddabilityOracle` call.  With
+``weights`` given, candidates are offered
 heaviest-first (the weight-greedy completion the ``weighted`` engine
 runs), biasing the closed gap toward maximum retained weight.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chordality.maximality import edge_addable
+from repro.chordality.maximality import AddabilityOracle, _edge_keys
 from repro.graph.csr import CSRGraph
 
 __all__ = ["maximalize_chordal_edges"]
@@ -63,36 +66,32 @@ def maximalize_chordal_edges(
     pass almost always suffices (adding an edge only makes other additions
     harder within the same region, but a later addition can in principle
     disconnect a common neighborhood, so the loop is kept for correctness).
+    A later pass re-tests a rejected edge only if its component has gained
+    an edge since, so the extra passes cost little.  Added edges come
+    back in admission order, pass by pass.
     """
     base = np.asarray(chordal_edges, dtype=np.int64).reshape(-1, 2)
-    adj: list[set[int]] = [set() for _ in range(graph.num_vertices)]
-    have: set[tuple[int, int]] = set()
-    for u, v in base:
-        u, v = int(u), int(v)
-        adj[u].add(v)
-        adj[v].add(u)
-        have.add((min(u, v), max(u, v)))
-
-    candidates = sorted(graph.edge_set() - have)
+    n = max(graph.num_vertices, 1)
+    have = np.unique(np.sort(base, axis=1) @ np.array([n, 1], dtype=np.int64))
+    keys = _edge_keys(graph, n)
+    cand = keys[~np.isin(keys, have)]  # sorted keys: (u, v) lexicographic
     if weights is not None:
-        candidates.sort(key=lambda e: (-weights.get(e, 1.0), e))
-    added: list[tuple[int, int]] = []
-    while True:
-        progress = False
-        remaining: list[tuple[int, int]] = []
-        for u, v in candidates:
-            if edge_addable(adj, u, v):
-                adj[u].add(v)
-                adj[v].add(u)
-                added.append((u, v))
-                progress = True
-            else:
-                remaining.append((u, v))
-        candidates = remaining
-        if not progress or not candidates:
-            break
+        w = [weights.get(e, 1.0) for e in zip((cand // n).tolist(), (cand % n).tolist())]
+        cand = cand[np.lexsort((cand, -np.asarray(w, dtype=np.float64)))]
+    candidates = np.column_stack((cand // n, cand % n))
 
-    if not added:
+    # H grows inside G, so G's degrees bound it; edges of the input that G
+    # lacks get their own slots.
+    extra = have[~np.isin(have, keys)]
+    capacity = graph.degrees() + np.bincount(
+        np.concatenate((extra // n, extra % n)), minlength=graph.num_vertices
+    )
+    oracle = AddabilityOracle(graph.num_vertices, capacity)
+    oracle.add_edges(np.column_stack((have // n, have % n)))
+    accepted_pass, _passes = oracle.greedy(candidates)
+
+    rows = np.flatnonzero(accepted_pass)
+    if not rows.size:
         return base, 0
-    extended = np.vstack((base, np.asarray(added, dtype=np.int64)))
-    return extended, len(added)
+    added = candidates[rows[np.argsort(accepted_pass[rows], kind="stable")]]
+    return np.vstack((base, added)), int(rows.size)

@@ -1,6 +1,8 @@
 """Build-and-cache machinery for the compiled round bodies.
 
-The C translation of :mod:`repro.core.runtime.rounds` lives here as a
+The C translation of :mod:`repro.core.runtime.rounds` — and of the
+addability oracle's loops
+(:class:`repro.chordality.maximality.AddabilityOracle`) — lives here as a
 source string and is compiled **once** per (source, interpreter) digest
 via cffi's out-of-line API mode into a cached ``.so`` under
 ``~/.cache/repro-native`` (override with :data:`CACHE_ENV`).  Later
@@ -30,7 +32,6 @@ around every call, so a thread team running them is genuinely parallel.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import io
 import os
@@ -68,12 +69,29 @@ void repro_async_slice(
     int64_t *edge_state,
     int64_t undecided, int64_t accepted, int64_t rejected,
     uint8_t *ok);
+void repro_oracle_add(
+    int64_t k, const int64_t *eu, const int64_t *ev,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *st);
+int64_t repro_oracle_greedy(
+    int64_t k, const int64_t *cu, const int64_t *cv, int64_t max_passes,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *seen, int64_t *near,
+    int64_t *queue, int64_t *st,
+    int64_t *alive, int64_t *tested_at, int64_t *accepted_pass);
+int64_t repro_oracle_first(
+    int64_t k, const int64_t *cu, const int64_t *cv, int64_t limit,
+    const int64_t *start, const int64_t *fill, const int64_t *nbr,
+    int64_t *uf, int64_t *seen, int64_t *near, int64_t *queue,
+    int64_t *st, int64_t *out);
 """
 
 #: The C translation of rounds.run_sync_slice / run_async_slice.  Kept
 #: semantically line-for-line with the NumPy kernels so the synchronous
 #: output is bit-identical (same ok mask, same appends, same advances);
-#: see repro/core/native/bodies.py for the equivalence argument.
+#: see repro/core/native/bodies.py for the equivalence argument.  The
+#: addability oracle's greedy and certificate loops follow, mirroring the
+#: interpreted fallback in repro/chordality/maximality.py.
 SOURCE = r"""
 #include <stdint.h>
 
@@ -178,6 +196,138 @@ void repro_async_slice(
         lp[w] = (c < lower[w]) ? indices[indptr[w] + c] : -1;
     }
 }
+
+/* ---- Addability oracle (repro.chordality.maximality.AddabilityOracle) --
+   H's adjacency of v is nbr[start[v] : start[v] + fill[v]]; uf is a
+   union-find over H's components, stamp[root] the version at which that
+   component last gained an edge; st = {version, epoch}.  seen/near hold
+   epoch stamps, so no test ever clears them. */
+
+static int64_t repro_find(int64_t *uf, int64_t x)
+{
+    while (uf[x] != x) {
+        uf[x] = uf[uf[x]];  /* path halving */
+        x = uf[x];
+    }
+    return x;
+}
+
+/* Add the H edge uv: two slot writes, a union, a component stamp. */
+static void repro_link(int64_t u, int64_t v,
+                       const int64_t *start, int64_t *fill, int64_t *nbr,
+                       int64_t *uf, int64_t *stamp, int64_t *st)
+{
+    nbr[start[u] + fill[u]++] = v;
+    nbr[start[v] + fill[v]++] = u;
+    int64_t ru = repro_find(uf, u), rv = repro_find(uf, v);
+    if (ru != rv) uf[rv] = ru;
+    stamp[ru] = ++st[0];
+}
+
+/* 1 iff u and v are disconnected in H - (N(u) & N(v)), for a non-edge uv
+   whose endpoints share a component (the caller's union-find answers the
+   other case).  No common neighbour: nothing is removed, so the shared
+   component connects them.  Otherwise one BFS from u with the common
+   neighbours pre-marked seen, exiting at the first vertex of N(v). */
+static int repro_addable(int64_t u, int64_t v,
+                         const int64_t *start, const int64_t *fill,
+                         const int64_t *nbr, int64_t *seen, int64_t *near,
+                         int64_t *queue, int64_t *st)
+{
+    int64_t e = ++st[1];
+    const int64_t *nv = nbr + start[v], *nu = nbr + start[u];
+    int common = 0;
+    for (int64_t i = 0; i < fill[v]; i++) near[nv[i]] = e;
+    seen[u] = e;
+    for (int64_t i = 0; i < fill[u]; i++)
+        if (near[nu[i]] == e) { seen[nu[i]] = e; common = 1; }
+    if (!common) return 0;
+    int64_t head = 0, tail = 0;
+    queue[tail++] = u;
+    while (head < tail) {
+        int64_t x = queue[head++];
+        const int64_t *nx = nbr + start[x];
+        for (int64_t j = 0; j < fill[x]; j++) {
+            int64_t y = nx[j];
+            if (seen[y] == e) continue;
+            if (near[y] == e) return 0;  /* path to N(v) avoiding the ban */
+            seen[y] = e;
+            queue[tail++] = y;
+        }
+    }
+    return 1;
+}
+
+void repro_oracle_add(
+    int64_t k, const int64_t *eu, const int64_t *ev,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *st)
+{
+    for (int64_t i = 0; i < k; i++)
+        repro_link(eu[i], ev[i], start, fill, nbr, uf, stamp, st);
+}
+
+/* The greedy completion: offer the candidates in order, pass after pass,
+   until a pass admits nothing (or max_passes > 0 passes ran).  A rejected
+   candidate is re-tested only once its component has gained an edge.
+   accepted_pass[i] = the 1-based pass that admitted candidate i, else 0.
+   Returns the number of passes run. */
+int64_t repro_oracle_greedy(
+    int64_t k, const int64_t *cu, const int64_t *cv, int64_t max_passes,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *seen, int64_t *near,
+    int64_t *queue, int64_t *st,
+    int64_t *alive, int64_t *tested_at, int64_t *accepted_pass)
+{
+    int64_t pending = k, passes = 0;
+    for (int64_t i = 0; i < k; i++) {
+        alive[i] = i;
+        tested_at[i] = -1;
+        accepted_pass[i] = 0;
+    }
+    while (pending > 0 && (max_passes <= 0 || passes < max_passes)) {
+        passes++;
+        int64_t keep = 0;
+        for (int64_t j = 0; j < pending; j++) {
+            int64_t i = alive[j], u = cu[i], v = cv[i];
+            int64_t ru = repro_find(uf, u);
+            int ok;
+            if (ru != repro_find(uf, v)) ok = 1;
+            else if (tested_at[i] >= stamp[ru]) ok = 0;
+            else {
+                ok = repro_addable(u, v, start, fill, nbr, seen, near, queue, st);
+                if (!ok) tested_at[i] = stamp[ru];
+            }
+            if (ok) {
+                repro_link(u, v, start, fill, nbr, uf, stamp, st);
+                accepted_pass[i] = passes;
+            } else {
+                alive[keep++] = i;
+            }
+        }
+        if (keep == pending) break;
+        pending = keep;
+    }
+    return passes;
+}
+
+/* Indices of the first `limit` addable candidates against a fixed H
+   (limit <= 0: all of them).  Returns how many were written to out. */
+int64_t repro_oracle_first(
+    int64_t k, const int64_t *cu, const int64_t *cv, int64_t limit,
+    const int64_t *start, const int64_t *fill, const int64_t *nbr,
+    int64_t *uf, int64_t *seen, int64_t *near, int64_t *queue,
+    int64_t *st, int64_t *out)
+{
+    int64_t found = 0;
+    for (int64_t i = 0; i < k && (limit <= 0 || found < limit); i++) {
+        int64_t u = cu[i], v = cv[i];
+        if (repro_find(uf, u) != repro_find(uf, v)
+            || repro_addable(u, v, start, fill, nbr, seen, near, queue, st))
+            out[found++] = i;
+    }
+    return found;
+}
 """
 
 
@@ -196,12 +346,15 @@ class NativeStatus:
 
 
 def _digest() -> str:
-    """Content hash keying the cached artifact: C source + interpreter."""
-    h = hashlib.sha256()
-    h.update(CDEF.encode())
-    h.update(SOURCE.encode())
-    h.update(sys.implementation.cache_tag.encode())
-    return h.hexdigest()[:16]
+    """Content hash keying the cached artifact: C source + interpreter.
+
+    The 64-bit source hash that keys hash-based ``.pyc`` files, made for
+    exactly this job (does a cached artifact match its source?).  Unlike
+    :mod:`hashlib` it loads no OpenSSL, which would add ~3 MiB to every
+    process that resolves the backend.
+    """
+    data = CDEF + SOURCE + sys.implementation.cache_tag
+    return importlib.util.source_hash(data.encode()).hex()
 
 
 def _module_name() -> str:

@@ -5,8 +5,9 @@ assumes the whole CSR fits in one shared segment.  This package lifts
 that cap: the input file is streamed once into per-shard spill files by
 an edge-balanced contiguous vertex partition, each shard is extracted
 independently through the ordinary engine registry, and boundary edges
-are reconciled in deterministic :func:`~repro.chordality.maximality.edge_addable`
-rounds so the stitched result is chordal **by construction** — the
+are reconciled in deterministic rounds of
+:class:`~repro.chordality.maximality.AddabilityOracle` tests, so the
+stitched result is chordal **by construction** — the
 certified fix for the border-merge cascade the distributed prior art
 (`repro.baselines.distributed`) suffers.
 

@@ -16,28 +16,21 @@ The driver keeps chordality **by construction** instead:
    every cycle lives inside one shard because no retained edge crosses
    a cut.
 3. Boundary edges are then offered one at a time in deterministic
-   lexicographic rounds through
-   :func:`repro.chordality.maximality.edge_addable`, which admits an
-   edge only if the result stays chordal.  Admission can *unlock* other
-   boundary edges (adding a chord can ban the path that blocked a
+   lexicographic rounds to one
+   :class:`repro.chordality.maximality.AddabilityOracle`, which admits
+   an edge only if the result stays chordal.  Admission can *unlock*
+   other boundary edges (adding a chord can ban the path that blocked a
    neighbour), so rounds repeat until a full round admits nothing; at
    that fixpoint every remaining boundary edge was tested against the
    final subgraph and certified non-addable — a maximality certificate
    over the whole boundary set, not a sample.
 
-Three accelerations keep stitching near-linear in practice without
-touching determinism:
-
-* a union-find over the stitched subgraph's components — endpoints in
-  different components are always addable (no connecting path exists to
-  lose a chord), skipping the BFS entirely;
-* the empty-intersection shortcut — same component *and* no common
-  neighbour means ``H - (N(u) ∩ N(v))`` is ``H`` itself, where the
-  endpoints are connected, so the edge is rejected without the BFS
-  (which in exactly this case would have to scan the whole component);
-* a per-component admission stamp — a rejected edge is only re-tested
-  after its component has gained an edge, so post-fixpoint rounds cost
-  O(pending) instead of O(pending × BFS).
+The oracle keeps stitching near-linear in practice without touching
+determinism: endpoints in different components of the stitched subgraph
+are addable without a search, endpoints sharing a component but no
+neighbour are rejected without one, and a rejected edge is re-tested
+only after its component has gained an edge, so post-fixpoint rounds
+cost O(pending) instead of O(pending × BFS).
 
 Global maximality is certified for boundary edges; edges *rejected
 inside a shard* are only locally certified (re-offering all of them
@@ -57,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.chordality.maximality import edge_addable
+from repro.chordality.maximality import AddabilityOracle
 from repro.chordality.recognition import find_hole, is_chordal
 from repro.chordality.verify import verify_extraction
 from repro.core.config import ExtractionConfig
@@ -81,13 +74,6 @@ __all__ = [
     "extract_sharded",
     "sampled_boundary_report",
 ]
-
-#: Rounds are bounded by the admission count (each non-final round
-#: admits >= 1 edge), so this cap only trips on an internal bug.
-_MAX_ROUNDS = 1_000_000
-
-#: Boundary rows converted to Python ints per stitch-loop chunk.
-_STITCH_CHUNK = 1 << 16
 
 
 def default_shard_config() -> ExtractionConfig:
@@ -270,26 +256,6 @@ def run_shards(
     return stats
 
 
-class _UnionFind:
-    """Array union-find with path halving over the stitched components."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-
 def stitch_shards(
     plan: ShardPlan,
     *,
@@ -299,9 +265,9 @@ def stitch_shards(
 
     Requires every shard's cached result (``run_shards`` first); raises
     :class:`ShardError` naming the first missing shard otherwise.  The
-    boundary loop is deterministic — lexicographic candidate order,
-    ascending-order BFS inside :func:`edge_addable` — so the stitched
-    edge set is a pure function of (spills, per-shard results).
+    boundary loop is deterministic — lexicographic candidate order, and
+    addability answers that do not depend on search order — so the
+    stitched edge set is a pure function of (spills, per-shard results).
     """
     cfg = (config or default_shard_config()).resolved()
     shard_edges: list[np.ndarray] = []
@@ -331,78 +297,17 @@ def stitch_shards(
         )
 
     n = plan.num_vertices
-    adj: list[set[int]] = [set() for _ in range(n)]
-    uf = _UnionFind(n)
-    stamp = np.zeros(n, dtype=np.int64)  # indexed by component root
-    for edges in shard_edges:
-        for u, v in edges:
-            u, v = int(u), int(v)
-            adj[u].add(v)
-            adj[v].add(u)
-            uf.union(u, v)
-
     boundary = load_boundary_edges(plan)
-    # Rejection bookkeeping is numpy-backed and index-aligned with
-    # ``boundary`` — at the boundary volumes sharding targets, a
-    # tuple-keyed dict plus a list of pair tuples would cost hundreds of
-    # bytes per edge and dominate the memory budget spilling protects.
-    tested_at = np.full(boundary.shape[0], -1, dtype=np.int64)
-    alive = np.arange(boundary.shape[0], dtype=np.int64)
-    admitted_rows: list[int] = []
-    version = 0
-    rounds = 0
-    while alive.size:
-        rounds += 1
-        if rounds > _MAX_ROUNDS:
-            raise ShardError(
-                f"boundary reconciliation exceeded {_MAX_ROUNDS} rounds in "
-                f"{plan.spill_dir} — internal bug (each round must admit)"
-            )
-        admitted_before = len(admitted_rows)
-        still = np.empty(alive.size, dtype=np.int64)
-        num_still = 0
-        # Materialise Python ints one chunk at a time: a full-boundary
-        # .tolist() would transiently cost ~50 bytes/edge per round.
-        for start in range(0, alive.size, _STITCH_CHUNK):
-            chunk = alive[start : start + _STITCH_CHUNK]
-            us = boundary[chunk, 0].tolist()
-            vs = boundary[chunk, 1].tolist()
-            for pos, row in enumerate(chunk.tolist()):
-                u, v = us[pos], vs[pos]
-                ru = uf.find(u)
-                if ru != uf.find(v):
-                    addable = True  # different components: no chord to lose
-                elif tested_at[row] >= stamp[ru]:
-                    # Component unchanged since this edge was rejected:
-                    # edge_addable would walk the identical subgraph.
-                    still[num_still] = row
-                    num_still += 1
-                    continue
-                elif not (adj[u] & adj[v]):
-                    # Same component, no common neighbour: H - (N(u) ∩ N(v))
-                    # is H itself, where u and v are connected — reject
-                    # without the BFS (which in exactly this case would
-                    # have to scan the whole component).
-                    addable = False
-                else:
-                    addable = edge_addable(adj, u, v)
-                if addable:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                    version += 1
-                    root = uf.union(u, v)
-                    stamp[root] = version
-                    admitted_rows.append(row)
-                else:
-                    tested_at[row] = int(stamp[ru])
-                    still[num_still] = row
-                    num_still += 1
-        alive = still[:num_still].copy()
-        if len(admitted_rows) == admitted_before:
-            break  # fixpoint: every survivor certified vs the final subgraph
-
-    admitted_arr = boundary[np.asarray(admitted_rows, dtype=np.int64)]
-    rejected_arr = boundary[alive]
+    # The stitched subgraph holds at most the shard edges plus the whole
+    # boundary, so their endpoint counts are its per-vertex capacity.
+    ends = np.concatenate([e.ravel() for e in shard_edges] + [boundary.ravel()])
+    oracle = AddabilityOracle(n, np.bincount(ends, minlength=n))
+    for edges in shard_edges:
+        oracle.add_edges(edges)
+    accepted_pass, rounds = oracle.greedy(boundary)
+    admitted = np.flatnonzero(accepted_pass)
+    admitted_arr = boundary[admitted[np.argsort(accepted_pass[admitted], kind="stable")]]
+    rejected_arr = boundary[accepted_pass == 0]
     all_edges = [e for e in shard_edges if e.size] + (
         [admitted_arr] if admitted_arr.size else []
     )
@@ -508,25 +413,23 @@ def sampled_boundary_report(
     Violations carry a replay tag with the spill dir, seed, and edge.
     """
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(result.num_vertices)]
-    for u, v in result.edges:
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
+    subgraph = result.subgraph()
 
     rejected = result.rejected
     k = min(samples, rejected.shape[0])
     picks = (
         rng.choice(rejected.shape[0], size=k, replace=False) if k else np.empty(0)
     )
+    sampled = np.sort(picks.astype(np.int64))
+    oracle = AddabilityOracle.of_graph(subgraph)
     maximality_violations = []
-    for i in sorted(int(p) for p in picks):
+    for i in sampled[oracle.first_addable(rejected[sampled])].tolist():
         u, v = int(rejected[i, 0]), int(rejected[i, 1])
-        if edge_addable(adj, u, v):
-            maximality_violations.append(
-                f"rejected boundary edge ({u}, {v}) is addable to the "
-                f"stitched result; replay: spill_dir={result.plan.spill_dir} "
-                f"seed={seed} sample={i}"
-            )
+        maximality_violations.append(
+            f"rejected boundary edge ({u}, {v}) is addable to the "
+            f"stitched result; replay: spill_dir={result.plan.spill_dir} "
+            f"seed={seed} sample={i}"
+        )
 
     boundary_vertices = np.unique(
         np.concatenate([rejected.ravel(), result.admitted.ravel()])
@@ -537,16 +440,15 @@ def sampled_boundary_report(
         if j
         else np.empty(0)
     )
-    subgraph = result.subgraph() if result.edges.size else None
     hole_violations = []
     holes_checked = 0
     for i in sorted(int(p) for p in vertex_picks):
         center = int(boundary_vertices[i])
         hood = {center}
-        for x in adj[center]:
+        for x in subgraph.neighbors(center).tolist():
             hood.add(x)
-            hood.update(adj[x])
-        if len(hood) < 4 or subgraph is None:
+            hood.update(subgraph.neighbors(x).tolist())
+        if len(hood) < 4:
             continue
         induced, mapping = induced_subgraph(subgraph, hood)
         holes_checked += 1
