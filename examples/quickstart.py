@@ -68,7 +68,7 @@ def main() -> None:
     print("\nCross-engine check (each engine's default schedule):")
     for engine in engine_names():
         r = extract_maximal_chordal_subgraph(
-            graph, engine=engine, schedule=None, num_threads=4, num_workers=4
+            graph, engine=engine, schedule=None, num_threads=4
         )
         marker = "ok" if is_chordal(r.subgraph) else "FAIL"
         print(f"  {engine:10s}: {r.num_chordal_edges} edges, "

@@ -44,10 +44,6 @@ from repro.core import (
     extract_maximal_chordal_subgraph,
     extract_many,
     reference_max_chordal,
-    superstep_max_chordal,
-    threaded_max_chordal,
-    process_max_chordal,
-    ProcessPool,
     stitch_components,
 )
 from repro.errors import ConfigError, ReproError, SessionClosedError
@@ -98,10 +94,6 @@ __all__ = [
     "extract_maximal_chordal_subgraph",
     "extract_many",
     "reference_max_chordal",
-    "superstep_max_chordal",
-    "threaded_max_chordal",
-    "process_max_chordal",
-    "ProcessPool",
     "stitch_components",
     "is_chordal",
     "is_maximal_chordal_subgraph",

@@ -215,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(f"{e.name}: {e.default_schedule}" for e in engines)
         + ")",
     )
-    ex.add_argument(
-        "--num-workers",
-        type=int,
-        default=None,
-        help="threads of the deprecated process alias (default 4; "
-        "server-owned with --server)",
-    )
     ex.add_argument("--num-threads", type=int, default=4, help="native-engine threads")
     ex.add_argument(
         "--renumber", choices=("bfs",), default=None, help="BFS-renumber before extraction"
@@ -249,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ADDR",
         help="route extraction through a running `repro serve` daemon: a "
         "unix-socket path, or HOST:PORT for TCP.  --verify then certifies "
-        "server-side; --num-workers is rejected (server-owned)",
+        "server-side",
     )
     ex.add_argument(
         "--sharded",
@@ -657,13 +650,6 @@ def _extract_via_server(args: argparse.Namespace, out_dir, out_ext) -> int:
     extraction (and --verify certification) done by the daemon."""
     from repro.service import ServiceClient, ServiceError
 
-    if args.num_workers is not None:
-        print(
-            "repro extract: error: --num-workers is server-owned with "
-            "--server",
-            file=sys.stderr,
-        )
-        return 2
     config = {"engine": args.engine, "variant": args.variant}
     if args.schedule is not None:
         config["schedule"] = args.schedule
@@ -749,7 +735,6 @@ def _extract_sharded(args: argparse.Namespace) -> int:
         variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
-        num_workers=args.num_workers,
         renumber=args.renumber,
         stitch=args.stitch,
         maximalize=True,
@@ -828,13 +813,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         return _extract_via_server(args, out_dir, out_ext)
     # One validated config for the whole invocation; schedule=None
     # resolves to the engine's registered default (synchronous for
-    # process, asynchronous otherwise).
+    # weighted, asynchronous otherwise).
     config = ExtractionConfig(
         engine=args.engine,
         variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
-        num_workers=args.num_workers,
         renumber=args.renumber,
         stitch=args.stitch,
         maximalize=args.maximalize,
@@ -1239,8 +1223,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ReproError, ValueError, OSError) as exc:
         # ValueError covers argparse-valid but semantically bad knob
-        # combinations the library rejects (e.g. pool= with a non-process
-        # engine), keeping every bad-input path a one-line error.
+        # combinations the library rejects (e.g. a schedule the chosen
+        # engine does not support), keeping every bad-input path a
+        # one-line error.
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

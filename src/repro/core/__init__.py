@@ -10,14 +10,15 @@ pairings:
 * :mod:`repro.core.reference` — literal pure-Python transcription of the
   pseudocode (dicts and sets; the readable spec — deliberately not
   runtime-based).
-* :mod:`repro.core.superstep` — ``LocalState`` × ``SerialExecutor``: the
-  serial array engine with the paper's *optimized* / *unoptimized*
-  parent-advance cost models.
+* ``superstep`` — ``LocalState`` × ``SerialExecutor``: the serial array
+  engine with the paper's *optimized* / *unoptimized* parent-advance cost
+  models (``drive(LocalState(g), SerialExecutor(), ...)`` runs it
+  directly).
 * ``native`` — ``LocalState`` × ``NativeThreadTeamExecutor``: compiled
   round bodies on a nogil thread team (real core-level parallelism).
 
-:mod:`repro.core.threaded` and :mod:`repro.core.procpool` keep the
-deprecated entry points of the retired threaded and process engines.
+:mod:`repro.core.weighted` adds ``weighted``, the one engine running a
+different algorithm (weighted MAXCHORD).
 
 The public face is the session API:
 
@@ -27,7 +28,7 @@ The public face is the session API:
 * :class:`repro.core.session.Extractor` — session object with
   ``.extract()`` / ``.extract_many()`` / ``.stream()``;
 * :func:`repro.core.extract.extract_maximal_chordal_subgraph` /
-  :func:`~repro.core.extract.extract_many` — the legacy one-call shims.
+  :func:`~repro.core.extract.extract_many` — one-call sessions.
 """
 
 from repro.core.config import ExtractionConfig, VARIANTS
@@ -45,16 +46,11 @@ from repro.core.extract import (
     ChordalResult,
     extract_maximal_chordal_subgraph,
     extract_many,
-    ENGINES,
-    SCHEDULES,
 )
 from repro.core.session import Extractor
 from repro.core.incremental import IncrementalExtractor
 from repro.core.maximalize import maximalize_chordal_edges
-from repro.core.procpool import ProcessPool, process_max_chordal
 from repro.core.reference import reference_max_chordal
-from repro.core.superstep import superstep_max_chordal
-from repro.core.threaded import threaded_max_chordal
 from repro.core.connect import stitch_components
 from repro.core.instrument import WorkTrace, IterationTrace, CostModelParams
 from repro.core.runtime import (
@@ -82,13 +78,7 @@ __all__ = [
     "extract_many",
     "maximalize_chordal_edges",
     "VARIANTS",
-    "ENGINES",
-    "SCHEDULES",
     "reference_max_chordal",
-    "superstep_max_chordal",
-    "threaded_max_chordal",
-    "process_max_chordal",
-    "ProcessPool",
     "stitch_components",
     "WorkTrace",
     "IterationTrace",

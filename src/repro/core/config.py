@@ -20,25 +20,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.engines import Engine, get_engine, registered_engines, schedule_names
 from repro.core.instrument import CostModelParams
+from repro.core.runtime import VARIANTS
 from repro.errors import ConfigError
+from repro.util.validation import is_integer
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.core.procpool import ProcessPool
-
-__all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS", "DEFAULT_NUM_WORKERS"]
-
-#: Parent-advance variants (the paper's Opt / Unopt pair).
-VARIANTS = ("optimized", "unoptimized")
+__all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS"]
 
 #: Thread-team size the native engine uses when none is given.
 DEFAULT_NUM_THREADS = 4
-
-#: Thread-team size the deprecated ``process`` alias uses when none is given.
-DEFAULT_NUM_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -56,9 +49,8 @@ class ExtractionConfig:
     engine:
         Registered engine name (see
         :func:`repro.core.engines.engine_names`; built-ins:
-        ``superstep``, ``native``, ``reference``, the weight-aware
-        ``weighted`` MAXCHORD portfolio, and the deprecated aliases
-        ``threaded`` / ``process``).  Engines declare a
+        ``superstep``, ``native``, ``reference`` and the weight-aware
+        ``weighted`` MAXCHORD portfolio).  Engines declare a
         ``supports_weights`` capability; handing a graph that carries
         edge weights (``graph.has_weights``) to an engine without it is a
         :class:`~repro.errors.ConfigError` at extraction time — weights
@@ -68,18 +60,11 @@ class ExtractionConfig:
         ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
     schedule:
         ``"asynchronous"``, ``"synchronous"``, or ``None`` (default) for
-        the engine's declared ``default_schedule`` — ``synchronous`` for
-        the ``process`` alias, ``asynchronous`` elsewhere.  The engine
-        must support the requested schedule.
+        the engine's declared ``default_schedule`` — ``asynchronous``
+        for the Algorithm-1 engines, ``synchronous`` for ``weighted``.
+        The engine must support the requested schedule.
     num_threads:
-        Thread-team size (native engine).
-    num_workers:
-        Thread-team size of the deprecated ``process`` alias; ``None``
-        resolves to the bound pool's size, else
-        :data:`DEFAULT_NUM_WORKERS`.  Giving
-        both an explicit count and a conflicting pool is a
-        :class:`~repro.errors.ConfigError` (it used to be silently
-        ignored).
+        Thread-team size (native engine); a positive ``int``.
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
         maps the edge set back — on connected inputs this guarantees a
@@ -95,14 +80,14 @@ class ExtractionConfig:
         Capture the work trace for the machine models (requires an
         engine with the ``supports_trace`` capability).
     cost_params / max_iterations:
-        Forwarded to the engine.
+        Forwarded to the engine (``max_iterations``: ``None`` or a
+        positive ``int``).
     """
 
     engine: str = "superstep"
     variant: str = "optimized"
     schedule: str | None = None
     num_threads: int = DEFAULT_NUM_THREADS
-    num_workers: int | None = None
     renumber: str | None = None
     stitch: bool = False
     maximalize: bool = False
@@ -139,13 +124,16 @@ class ExtractionConfig:
                 f"collect_trace requires an engine with the supports_trace "
                 f"capability ({traced}); engine {self.engine!r} has none"
             )
-        if self.num_threads < 1:
-            raise ConfigError(f"num_threads must be >= 1, got {self.num_threads}")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ConfigError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.max_iterations is not None and self.max_iterations < 1:
+        if not is_integer(self.num_threads) or self.num_threads < 1:
             raise ConfigError(
-                f"max_iterations must be None or >= 1, got {self.max_iterations}"
+                f"num_threads must be an int >= 1, got {self.num_threads!r}"
+            )
+        if self.max_iterations is not None and (
+            not is_integer(self.max_iterations) or self.max_iterations < 1
+        ):
+            raise ConfigError(
+                f"max_iterations must be None or an int >= 1, "
+                f"got {self.max_iterations!r}"
             )
 
     @property
@@ -168,47 +156,14 @@ class ExtractionConfig:
         """A copy with ``changes`` applied (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
 
-    def resolved(self, pool: "ProcessPool | None" = None) -> "ExtractionConfig":
+    def resolved(self) -> "ExtractionConfig":
         """Fill every engine-dependent default explicitly.
 
-        * ``schedule=None`` becomes the engine's ``default_schedule`` —
-          the *one* rule shared by single-call, batch, stream and CLI
-          paths (the pre-session API resolved this differently in
-          ``extract_many`` than in the single-call function).
-        * ``num_workers=None`` becomes ``pool.num_workers`` when a pool
-          is supplied, else :data:`DEFAULT_NUM_WORKERS`.
-
-        Raises
-        ------
-        ConfigError
-            If ``pool`` is given but the engine lacks the
-            ``supports_pool`` capability, or an explicit ``num_workers``
-            conflicts with ``pool.num_workers`` (previously silently
-            ignored).
+        ``schedule=None`` becomes the engine's ``default_schedule`` — the
+        *one* rule shared by single-call, batch, stream and CLI paths
+        (the pre-session API resolved this differently in
+        ``extract_many`` than in the single-call function).
         """
-        spec = self.engine_spec
-        changes: dict[str, Any] = {}
         if self.schedule is None:
-            changes["schedule"] = spec.default_schedule
-        if pool is not None:
-            if not spec.supports_pool:
-                pooled = tuple(
-                    e.name for e in registered_engines() if e.supports_pool
-                )
-                raise ConfigError(
-                    f"pool= is only meaningful with a pool-capable engine "
-                    f"({pooled}); got engine {self.engine!r}"
-                )
-            if (
-                self.num_workers is not None
-                and self.num_workers != pool.num_workers
-            ):
-                raise ConfigError(
-                    f"num_workers={self.num_workers} conflicts with the "
-                    f"supplied pool's {pool.num_workers} workers; drop "
-                    "num_workers or pass a matching pool"
-                )
-            changes["num_workers"] = pool.num_workers
-        elif self.num_workers is None:
-            changes["num_workers"] = DEFAULT_NUM_WORKERS
-        return self.replace(**changes) if changes else self
+            return self.replace(schedule=self.engine_spec.default_schedule)
+        return self

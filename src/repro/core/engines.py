@@ -8,12 +8,8 @@ schedules, which of them are deterministic, whether it can produce a
 uniform signature.  Dispatch, validation, error messages and the CLI's
 ``--engine`` / ``--schedule`` choices are all derived from the registry,
 so a third-party engine registered with :func:`register_engine` plugs into
-:class:`~repro.core.session.Extractor`, the legacy shims and ``repro
-extract`` without touching any of them.
-
-The legacy module-level tuples ``repro.core.extract.ENGINES`` /
-``SCHEDULES`` are live views over this registry (see
-:class:`RegistryView`).
+:class:`~repro.core.session.Extractor`, the one-call functions and
+``repro extract`` without touching any of them.
 
 Built-in engines
 ----------------
@@ -38,19 +34,6 @@ executor choice.
     schedules; the readable spec (kept loop-for-loop with the paper, so
     deliberately *not* rewritten over the runtime).
 
-Two names survive as deprecated aliases of retired engines, so existing
-configs and CLI invocations keep working:
-
-``threaded``
-    Alias of ``superstep`` (``num_threads`` is ignored).  The GIL-bound
-    Python thread team it ran was slower than the serial engine in every
-    measured cell.
-``process``
-    The ``native`` pairing sized by ``num_workers``, with the synchronous
-    schedule as its default.  It is the only engine with
-    ``supports_pool``: a caller-held (deprecated)
-    :class:`~repro.core.procpool.ProcessPool` fixes that size.
-
 One engine implements a *different algorithm* (``algorithm="maxchord"``
 rather than the paper's ``"algorithm1"``):
 
@@ -65,9 +48,8 @@ rather than the paper's ``"algorithm1"``):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -75,6 +57,7 @@ from repro.core.instrument import WorkTrace
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
     LocalState,
+    SCHEDULES,
     NativeThreadTeamExecutor,
     SerialExecutor,
     backend_run_fn,
@@ -84,12 +67,10 @@ from repro.graph.csr import CSRGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (type hints only)
     from repro.core.config import ExtractionConfig
-    from repro.core.procpool import ProcessPool
 
 __all__ = [
     "Engine",
     "EngineSpec",
-    "RegistryView",
     "register_engine",
     "unregister_engine",
     "get_engine",
@@ -97,10 +78,6 @@ __all__ = [
     "schedule_names",
     "registered_engines",
 ]
-
-#: Canonical schedule ordering for derived views (matches the historical
-#: ``SCHEDULES`` tuple; registry-introduced schedules sort after these).
-_CANONICAL_SCHEDULES = ("asynchronous", "synchronous")
 
 
 @runtime_checkable
@@ -118,13 +95,9 @@ class Engine(Protocol):
     default_schedule: str
     deterministic_schedules: tuple[str, ...]
     supports_trace: bool
-    supports_pool: bool
 
     def run(
-        self,
-        graph: CSRGraph,
-        config: "ExtractionConfig",
-        pool: "ProcessPool | None" = None,
+        self, graph: CSRGraph, config: "ExtractionConfig"
     ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
         """Run one extraction; return ``(edges, queue_sizes, trace)``."""
         ...  # pragma: no cover - protocol stub
@@ -139,7 +112,7 @@ class EngineSpec:
     name:
         Registry key (the public ``engine=`` value).
     run_fn:
-        ``(graph, config, pool) -> (edges, queue_sizes, trace | None)``
+        ``(graph, config) -> (edges, queue_sizes, trace | None)``
         with the graph already BFS-renumbered when requested; the
         session layer owns renumber/stitch/maximalize/canonicalisation.
     description:
@@ -149,16 +122,13 @@ class EngineSpec:
         :class:`~repro.errors.ConfigError` naming this tuple).
     default_schedule:
         What ``ExtractionConfig(schedule=None)`` resolves to — the
-        engine's natural schedule (``synchronous`` for ``process``, as
-        it always was; ``asynchronous`` elsewhere, matching the paper).
+        engine's natural schedule (``asynchronous`` for the Algorithm-1
+        engines, matching the paper; ``synchronous`` for ``weighted``).
     deterministic_schedules:
         Schedules under which the edge set is bit-reproducible across
-        runs and thread/worker counts.
+        runs and thread counts.
     supports_trace:
         Whether ``collect_trace=True`` is accepted.
-    supports_pool:
-        Whether the engine accepts a caller-held (deprecated)
-        :class:`~repro.core.procpool.ProcessPool` (only ``process``).
     supports_native:
         Whether the engine dispatches the compiled nogil round bodies
         (:mod:`repro.core.native`) when they are available.  This is a
@@ -191,14 +161,15 @@ class EngineSpec:
         repr=False
     )
     description: str = ""
-    schedules: tuple[str, ...] = _CANONICAL_SCHEDULES
+    schedules: tuple[str, ...] = SCHEDULES
     default_schedule: str = "asynchronous"
     deterministic_schedules: tuple[str, ...] = ()
     supports_trace: bool = False
-    supports_pool: bool = False
     supports_native: bool = False
     supports_weights: bool = False
     algorithm: str = "algorithm1"
+    # perfbench/tracing.py is the only reader; goes with the next benchmark change.
+    supports_pool: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _check_engine_invariants(self)
@@ -208,12 +179,11 @@ class EngineSpec:
         return schedule in self.deterministic_schedules
 
     def run(
-        self,
-        graph: CSRGraph,
-        config: "ExtractionConfig",
-        pool: "ProcessPool | None" = None,
+        self, graph: CSRGraph, config: "ExtractionConfig", _unused=None
     ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
-        return self.run_fn(graph, config, pool)
+        # ``_unused`` takes the trailing ``None`` perfbench/tracing.py passes
+        # (its only reader); goes with the next benchmark change.
+        return self.run_fn(graph, config)
 
 
 def _check_engine_invariants(engine: Engine) -> None:
@@ -235,7 +205,6 @@ def _check_engine_invariants(engine: Engine) -> None:
             "default_schedule",
             "deterministic_schedules",
             "supports_trace",
-            "supports_pool",
         )
         if not hasattr(engine, attr)
     ]
@@ -246,7 +215,7 @@ def _check_engine_invariants(engine: Engine) -> None:
         )
     if not callable(getattr(engine, "run", None)):
         raise ConfigError(
-            f"engine {name!r} must have a callable run(graph, config, pool)"
+            f"engine {name!r} must have a callable run(graph, config)"
         )
     schedules = tuple(engine.schedules)
     if not schedules:
@@ -270,12 +239,11 @@ _REGISTRY: dict[str, Engine] = {}
 def register_engine(engine: Engine, *, replace: bool = False) -> Engine:
     """Add ``engine`` to the registry (and return it).
 
-    Registered engines immediately appear in :func:`engine_names`, the
-    derived ``ENGINES``/``SCHEDULES`` views, `repro extract --engine`
-    choices, and become valid ``ExtractionConfig.engine`` values.  Pass
-    ``replace=True`` to swap an existing registration (e.g. to wrap a
-    built-in engine); otherwise duplicate names raise
-    :class:`~repro.errors.ConfigError`.
+    Registered engines immediately appear in :func:`engine_names`,
+    :func:`schedule_names`, `repro extract --engine` choices, and become
+    valid ``ExtractionConfig.engine`` values.  Pass ``replace=True`` to
+    swap an existing registration (e.g. to wrap a built-in engine);
+    otherwise duplicate names raise :class:`~repro.errors.ConfigError`.
     """
     _check_engine_invariants(engine)
     if engine.name in _REGISTRY and not replace:
@@ -331,50 +299,10 @@ def schedule_names() -> tuple[str, ...]:
     seen: set[str] = set()
     for engine in _REGISTRY.values():
         seen.update(engine.schedules)
-    names = [s for s in _CANONICAL_SCHEDULES if s in seen]
+    names = [s for s in SCHEDULES if s in seen]
     for engine in _REGISTRY.values():
         names.extend(s for s in engine.schedules if s not in names)
     return tuple(names)
-
-
-class RegistryView(Sequence):
-    """Immutable, *live* tuple-like view over a registry-derived tuple.
-
-    ``repro.core.extract.ENGINES`` / ``SCHEDULES`` are instances: they
-    compare, iterate, index and ``in``-test like the historical tuples,
-    but re-read the registry on every access so engines registered after
-    import show up (argparse ``choices=`` included).
-    """
-
-    __slots__ = ("_source",)
-
-    def __init__(self, source: Callable[[], tuple[str, ...]]) -> None:
-        self._source = source
-
-    def __getitem__(self, index):
-        return self._source()[index]
-
-    def __len__(self) -> int:
-        return len(self._source())
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._source()
-
-    def __iter__(self):
-        return iter(self._source())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RegistryView):
-            return self._source() == other._source()
-        if isinstance(other, (tuple, list)):
-            return self._source() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._source())
-
-    def __repr__(self) -> str:
-        return repr(self._source())
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +325,7 @@ _run_native = backend_run_fn(
 )
 
 
-def _run_process(graph, config, pool):
-    # The native pairing sized by num_workers.  A caller-held pool only
-    # carries that size (resolved() copied it into the config).
-    if pool is not None:
-        pool.check_open()
-    return _run_native(graph, config.replace(num_threads=config.num_workers))
-
-
-def _run_reference(graph, config, pool):
+def _run_reference(graph, config):
     # The reference engine has no Opt/Unopt cost asymmetry; the two
     # variants differ only in cost, so the edge set is identical.
     edges, queue_sizes = reference_max_chordal(
@@ -414,7 +334,7 @@ def _run_reference(graph, config, pool):
     return edges, queue_sizes, None
 
 
-def _run_weighted(graph, config, pool):
+def _run_weighted(graph, config):
     # Best-of portfolio over weighted/unweighted MAXCHORD and Algorithm 1,
     # all weight-greedily completed; contains the unweighted pipeline's
     # exact edge set, so retained weight dominates it by construction.
@@ -436,32 +356,11 @@ register_engine(
 )
 register_engine(
     EngineSpec(
-        name="threaded",
-        run_fn=_run_superstep,
-        description="deprecated alias of superstep",
-        deterministic_schedules=("asynchronous", "synchronous"),
-        supports_trace=True,
-    )
-)
-register_engine(
-    EngineSpec(
         name="native",
         run_fn=_run_native,
         description="compiled nogil round bodies on a real thread team "
         "(NumPy fallback when no toolchain)",
         deterministic_schedules=("synchronous",),
-        supports_native=True,
-    )
-)
-register_engine(
-    EngineSpec(
-        name="process",
-        run_fn=_run_process,
-        description="deprecated alias of native, sized by --num-workers, "
-        "synchronous by default",
-        default_schedule="synchronous",
-        deterministic_schedules=("synchronous",),
-        supports_pool=True,
         supports_native=True,
     )
 )

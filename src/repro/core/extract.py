@@ -1,4 +1,4 @@
-"""Legacy keyword entry points, now thin shims over the session API.
+"""One-call keyword entry points over the session API.
 
 The primary API lives one layer down and is what new code should use:
 
@@ -12,10 +12,12 @@ The primary API lives one layer down and is what new code should use:
 
 :func:`extract_maximal_chordal_subgraph` and :func:`extract_many` keep
 the original keyword signatures by constructing a one-call session, so
-their outputs are bit-identical to driving :class:`Extractor` directly;
-``ENGINES`` / ``SCHEDULES`` are live views derived from the registry.
-Argument errors raise :class:`~repro.errors.ConfigError`, a subclass of
-the ``ValueError`` these functions historically raised.
+their outputs are bit-identical to driving :class:`Extractor` directly.
+The registered engine and schedule names are
+:func:`~repro.core.engines.engine_names` /
+:func:`~repro.core.engines.schedule_names`.  Argument errors raise
+:class:`~repro.errors.ConfigError`, a subclass of the ``ValueError``
+these functions historically raised.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.core.config import VARIANTS, ExtractionConfig
-from repro.core.engines import RegistryView, engine_names, schedule_names
 from repro.core.instrument import CostModelParams
-from repro.core.procpool import ProcessPool
 from repro.core.session import ChordalResult, Extractor
 from repro.graph.csr import CSRGraph
 
@@ -34,16 +34,7 @@ __all__ = [
     "extract_maximal_chordal_subgraph",
     "extract_many",
     "VARIANTS",
-    "ENGINES",
-    "SCHEDULES",
 ]
-
-#: Execution engines — live view over the registry
-#: (:func:`repro.core.engines.register_engine` extends it).
-ENGINES = RegistryView(engine_names)
-
-#: Intra-iteration schedules — live view over the registry.
-SCHEDULES = RegistryView(schedule_names)
 
 
 def extract_maximal_chordal_subgraph(
@@ -53,19 +44,17 @@ def extract_maximal_chordal_subgraph(
     variant: str = "optimized",
     schedule: str | None = "asynchronous",
     num_threads: int = 4,
-    num_workers: int | None = None,
     renumber: str | None = None,
     stitch: bool = False,
     maximalize: bool = False,
     collect_trace: bool = False,
     cost_params: CostModelParams | None = None,
     max_iterations: int | None = None,
-    pool: ProcessPool | None = None,
 ) -> ChordalResult:
     """Extract a maximal chordal subgraph with Algorithm 1.
 
-    Equivalent to ``Extractor(ExtractionConfig(...), pool=pool)
-    .extract(graph)`` with a session per call.
+    Equivalent to ``Extractor(ExtractionConfig(...)).extract(graph)``
+    with a session per call.
 
     Parameters
     ----------
@@ -74,10 +63,8 @@ def extract_maximal_chordal_subgraph(
     engine:
         ``"superstep"`` (serial array engine, default), ``"native"``
         (compiled round bodies on a nogil thread team — real core-level
-        speedup; both schedules), ``"reference"`` (literal pseudocode),
-        ``"weighted"``, or the deprecated aliases ``"threaded"`` (=
-        superstep) and ``"process"`` (= native sized by
-        ``num_workers``, synchronous by default).  Any engine added via
+        speedup; both schedules), ``"reference"`` (literal pseudocode)
+        or ``"weighted"``.  Any engine added via
         :func:`repro.core.engines.register_engine` is accepted too.
     variant:
         ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
@@ -87,7 +74,7 @@ def extract_maximal_chordal_subgraph(
         iteration counts reproduce Figure 7 (~3 iterations on R-MAT, ~10
         on the gene networks).  ``"synchronous"`` uses barrier-snapshot
         semantics (one parent per vertex per superstep) — deterministic
-        across engines and thread/worker counts, with iteration count
+        across engines and thread counts, with iteration count
         equal to the maximum lower-degree; under it the ``native``
         engine returns edge sets bit-identical to ``engine="superstep"``.
         Under ``"asynchronous"`` the ``native`` engine runs live rounds
@@ -95,16 +82,11 @@ def extract_maximal_chordal_subgraph(
         with :func:`repro.chordality.verify_extraction`), but the edge
         set is not bit-reproducible across runs or thread counts.
         ``None`` is also accepted and resolves to the engine's
-        *registered* default schedule — ``synchronous`` for ``process``,
-        ``asynchronous`` otherwise, exactly like :func:`extract_many` and
-        ``ExtractionConfig(schedule=None)``.
+        *registered* default schedule — ``synchronous`` for
+        ``weighted``, ``asynchronous`` otherwise, exactly like
+        :func:`extract_many` and ``ExtractionConfig(schedule=None)``.
     num_threads:
         Thread-team size for the native engine.
-    num_workers:
-        Thread-team size for the deprecated ``process`` alias (default 4
-        — explicitly ``None`` means "the pool's size" when ``pool=`` is
-        given; an explicit count conflicting with the pool raises
-        :class:`~repro.errors.ConfigError`).
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
         maps the edge set back — on connected inputs this guarantees the
@@ -122,13 +104,9 @@ def extract_maximal_chordal_subgraph(
         of edges the pass added is reported as ``result.maximality_gap``.
     collect_trace:
         Capture the work trace for the machine models (``supports_trace``
-        engines only — of the built-ins, ``superstep`` and its
-        ``threaded`` alias).
+        engines only — of the built-ins, ``superstep``).
     cost_params / max_iterations:
         Forwarded to the engine.
-    pool:
-        Deprecated: an open :class:`~repro.core.procpool.ProcessPool`
-        whose size the ``process`` alias adopts (left open).
 
     Returns
     -------
@@ -139,7 +117,6 @@ def extract_maximal_chordal_subgraph(
         variant=variant,
         schedule=schedule,
         num_threads=num_threads,
-        num_workers=num_workers,
         renumber=renumber,
         stitch=stitch,
         maximalize=maximalize,
@@ -147,7 +124,7 @@ def extract_maximal_chordal_subgraph(
         cost_params=cost_params,
         max_iterations=max_iterations,
     )
-    with Extractor(config, pool=pool) as extractor:
+    with Extractor(config) as extractor:
         return extractor.extract(graph)
 
 
@@ -158,17 +135,15 @@ def extract_many(
     variant: str = "optimized",
     schedule: str | None = None,
     num_threads: int = 4,
-    num_workers: int | None = None,
     renumber: str | None = None,
     stitch: bool = False,
     maximalize: bool = False,
     max_iterations: int | None = None,
-    pool: ProcessPool | None = None,
 ) -> list[ChordalResult]:
     """Extract maximal chordal subgraphs from a batch of graphs.
 
-    Equivalent to ``Extractor(ExtractionConfig(...), pool=pool)
-    .extract_many(graphs)`` — every result is bit-identical to its
+    Equivalent to ``Extractor(ExtractionConfig(...)).extract_many(graphs)``
+    — every result is bit-identical to its
     single-call counterpart.  For lazy results (no materialised list),
     use :meth:`~repro.core.session.Extractor.stream`.
 
@@ -179,13 +154,10 @@ def extract_many(
         lazily, but all results are materialised into the returned list).
     schedule:
         ``None`` (default) picks the engine's registered
-        ``default_schedule``: ``"synchronous"`` for the ``process``
-        alias, ``"asynchronous"`` otherwise.
-    pool:
-        Deprecated: an open pool whose size the ``process`` alias
-        adopts; the caller keeps ownership and must close it.
-    engine / variant / num_threads / num_workers / renumber / stitch /
-    maximalize / max_iterations:
+        ``default_schedule``: ``"synchronous"`` for ``weighted``,
+        ``"asynchronous"`` otherwise.
+    engine / variant / num_threads / renumber / stitch / maximalize /
+    max_iterations:
         As in :func:`extract_maximal_chordal_subgraph`, applied to every
         graph.
 
@@ -198,11 +170,10 @@ def extract_many(
         variant=variant,
         schedule=schedule,
         num_threads=num_threads,
-        num_workers=num_workers,
         renumber=renumber,
         stitch=stitch,
         maximalize=maximalize,
         max_iterations=max_iterations,
     )
-    with Extractor(config, pool=pool) as extractor:
+    with Extractor(config) as extractor:
         return extractor.extract_many(graphs)

@@ -65,6 +65,7 @@ from repro.core.session import ChordalResult, Extractor
 from repro.errors import ConfigError
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.util.validation import is_integer
 
 __all__ = ["IncrementalExtractor"]
 
@@ -323,6 +324,9 @@ class IncrementalExtractor:
     # -- internals ------------------------------------------------------
 
     def _pair(self, u: int, v: int) -> tuple[int, int]:
+        for x in (u, v):
+            if not is_integer(x):
+                raise ValueError(f"vertex ids must be integers, got {x!r}")
         u, v = int(u), int(v)
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise ValueError(

@@ -29,8 +29,8 @@ one engine: synchronous traces are reconstructed from each round's
 barrier snapshot in canonical ascending order (identical for the serial
 and thread-team executors — the trace is a property of the schedule),
 and asynchronous-sweep traces are recorded at service time.  Engines
-whose registry entry sets ``supports_trace`` (``superstep`` and
-``threaded``) accept ``collect_trace=True`` through the session API.
+whose registry entry sets ``supports_trace`` (``superstep``) accept
+``collect_trace=True`` through the session API.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This module is the executable *specification*: it follows the paper's
 pseudocode line by line using dictionaries and sets, at the cost of speed.
-The array engines in :mod:`repro.core.superstep` and
-:mod:`repro.core.threaded` are tested for edge-set equality against it.
+The runtime engines (:mod:`repro.core.runtime`) are tested for edge-set
+equality against it.
 
 Schedules
 ---------
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.runtime.driver import SCHEDULES
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["reference_max_chordal", "SCHEDULES"]
-
-SCHEDULES = ("asynchronous", "synchronous")
+__all__ = ["reference_max_chordal"]
 
 
 def _lowest_parent(neighbors: list[int], w: int, above: int) -> int | None:

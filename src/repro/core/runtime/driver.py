@@ -120,8 +120,8 @@ def backend_run_fn(state_factory, executor_factory):
 
     ``executor_factory(config)`` makes the executor;
     ``state_factory(graph, num_slices, config)`` makes the bound state.
-    The returned callable has the registry's uniform ``(graph, config,
-    pool)`` signature — this is the whole recipe for plugging a new
+    The returned callable has the registry's uniform ``(graph, config)``
+    signature — this is the whole recipe for plugging a new
     in-process backend into :func:`~repro.core.engines.register_engine`.
     The executor only needs the documented surface (``num_slices`` /
     ``run_round`` / ``close``, plus ``map`` for the asynchronous sweep or
@@ -129,7 +129,7 @@ def backend_run_fn(state_factory, executor_factory):
     is always called, even on failure.
     """
 
-    def run_fn(graph, config, pool=None):
+    def run_fn(graph, config):
         executor = executor_factory(config)
         try:
             state = state_factory(graph, executor.num_slices, config)

@@ -35,7 +35,6 @@ from repro.core.connect import stitch_components
 from repro.core.engines import registered_engines
 from repro.core.instrument import WorkTrace
 from repro.core.maximalize import maximalize_chordal_edges
-from repro.core.procpool import ProcessPool
 from repro.errors import ConfigError, SessionClosedError
 from repro.graph.bfs import bfs_renumber
 from repro.graph.csr import CSRGraph
@@ -144,11 +143,6 @@ class Extractor:
     ----------
     config:
         The regime to run; ``None`` means ``ExtractionConfig()``.
-    pool:
-        Deprecated: an open caller-owned
-        :class:`~repro.core.procpool.ProcessPool` whose size the
-        ``process`` alias adopts.  The caller keeps ownership:
-        :meth:`close` leaves it open.
     **overrides:
         Convenience: ``Extractor(engine="native", num_threads=2)`` is
         ``Extractor(ExtractionConfig(engine="native", num_threads=2))``;
@@ -158,25 +152,16 @@ class Extractor:
     Raises
     ------
     ConfigError
-        On any invalid field, a pool with a pool-incapable engine, or a
-        ``num_workers`` conflicting with the supplied pool's size — all
-        at construction time.
+        On any invalid field, at construction time.
     """
 
-    def __init__(
-        self,
-        config: ExtractionConfig | None = None,
-        *,
-        pool: ProcessPool | None = None,
-        **overrides: Any,
-    ) -> None:
+    def __init__(self, config: ExtractionConfig | None = None, **overrides: Any) -> None:
         if config is None:
             config = ExtractionConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
-        self.config = config.resolved(pool)
+        self.config = config.resolved()
         self._spec = self.config.engine_spec
-        self.pool = pool
         self._closed = False
 
     def extract(self, graph: CSRGraph) -> ChordalResult:
@@ -213,7 +198,7 @@ class Extractor:
                     },
                 )
 
-        edges, queue_sizes, trace = self._spec.run(work_graph, cfg, self.pool)
+        edges, queue_sizes, trace = self._spec.run(work_graph, cfg)
 
         kernel_path = "numpy"
         if getattr(self._spec, "supports_native", False):
@@ -260,8 +245,8 @@ class Extractor:
         large (even unbounded) inputs run in O(one graph) memory and the
         first result is available before later inputs are generated.
 
-        Closing the session (or its caller-supplied pool) while the
-        generator is mid-iteration makes the next ``next()`` raise
+        Closing the session while the generator is mid-iteration makes
+        the next ``next()`` raise
         :class:`~repro.errors.SessionClosedError` — a clean
         :class:`~repro.errors.ReproError`.
         """
@@ -276,8 +261,8 @@ class Extractor:
     def close(self) -> None:
         """End the session (idempotent).
 
-        A caller-supplied pool is left open.  Further :meth:`extract`
-        calls raise :class:`~repro.errors.SessionClosedError`.
+        Further :meth:`extract` calls raise
+        :class:`~repro.errors.SessionClosedError`.
         """
         self._closed = True
 

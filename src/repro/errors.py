@@ -28,23 +28,22 @@ class ConfigError(ReproError, ValueError):
 
     Examples: unknown engine/variant/schedule names, a schedule the
     selected engine does not support, ``collect_trace`` on an engine
-    without trace capability, ``pool=`` with an engine other than the
-    ``process`` alias or a conflicting ``num_workers``.  Subclasses
+    without trace capability, a non-integer or non-positive
+    ``num_threads``.  Subclasses
     ``ValueError`` so callers written against the pre-session API (which
     raised bare ``ValueError``) are unaffected.
     """
 
 
 class SessionClosedError(ReproError, RuntimeError):
-    """Raised when a closed session or pool is used again.
+    """Raised when a closed session is used again.
 
     Covers :meth:`repro.core.session.Extractor.extract` after
     :meth:`~repro.core.session.Extractor.close` — including the next
     ``next()`` on a :meth:`~repro.core.session.Extractor.stream`
-    generator that was mid-iteration when the session closed — and
-    :class:`~repro.core.procpool.ProcessPool` operations after the pool
-    was closed.  Subclasses ``RuntimeError`` because that is what these
-    paths historically raised, so pre-existing ``except RuntimeError``
+    generator that was mid-iteration when the session closed.
+    Subclasses ``RuntimeError`` because that is what these paths
+    historically raised, so pre-existing ``except RuntimeError``
     call sites keep working; new code should catch :class:`ReproError`.
     """
 

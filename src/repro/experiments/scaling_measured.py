@@ -21,8 +21,7 @@ import os
 
 from repro.core.native import native_available
 from repro.core.reference import reference_max_chordal
-from repro.core.runtime import LocalState, NativeThreadTeamExecutor, drive
-from repro.core.superstep import superstep_max_chordal
+from repro.core.runtime import LocalState, NativeThreadTeamExecutor, SerialExecutor, drive
 from repro.experiments.report import ExperimentResult
 from repro.experiments.testsuite import DEFAULT_SEED, build_graph_cached, rmat_spec
 from repro.util.timing import best_of
@@ -47,7 +46,8 @@ def measure_engines(graph, workers=DEFAULT_WORKERS, repeats: int = 2) -> dict:
         lambda: reference_max_chordal(graph, schedule="synchronous"), repeats
     )
     t_vec = best_of(
-        lambda: superstep_max_chordal(graph, schedule="synchronous"), repeats
+        lambda: drive(LocalState(graph), SerialExecutor(), schedule="synchronous"),
+        repeats,
     )
     team: dict[int, float] = {}
     for w in workers:

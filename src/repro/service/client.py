@@ -11,7 +11,7 @@ rather than parsing messages.
 ::
 
     with ServiceClient(socket_path="/tmp/repro.sock") as client:
-        result = client.extract(graph, config={"engine": "process"})
+        result = client.extract(graph, config={"engine": "native"})
         print(result.num_edges, result.cached, result.served_by)
 """
 
@@ -208,7 +208,7 @@ class ServiceClient:
 
         ``config`` uses the wire vocabulary
         (:data:`~repro.service.protocol.ALLOWED_CONFIG_FIELDS` — e.g.
-        ``{"engine": "process", "schedule": "asynchronous"}``).  Raises
+        ``{"engine": "native", "schedule": "asynchronous"}``).  Raises
         :class:`ServiceError` carrying the server's typed code on any
         rejection (``BUSY``, ``TIMEOUT``, ``INVALID_CONFIG``, …).
         """

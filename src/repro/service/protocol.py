@@ -112,6 +112,10 @@ DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 #: Ceiling on a request's ``timeout`` field (seconds).
 MAX_TIMEOUT = 3600.0
 
+#: Ceiling on a request's ``num_threads``: a request may not size an
+#: arbitrarily large thread team inside the daemon.
+MAX_THREADS = 64
+
 # Typed error codes — the complete vocabulary a client must handle.
 BAD_FRAME = "BAD_FRAME"  # framing/JSON violation; connection closes after
 BAD_REQUEST = "BAD_REQUEST"  # well-framed but malformed request object
@@ -135,10 +139,9 @@ ERROR_CODES = (
     INTERNAL,
 )
 
-#: Config fields a request may set.  ``num_workers`` is server-owned
-#: (the server sizes the thread team), ``collect_trace`` /
-#: ``cost_params`` are not servable (traces are not JSON), so all three
-#: are rejected explicitly rather than silently ignored.
+#: Config fields a request may set.  ``collect_trace`` /
+#: ``cost_params`` are not servable (traces are not JSON), so both are
+#: rejected explicitly rather than silently ignored.
 ALLOWED_CONFIG_FIELDS = (
     "engine",
     "variant",
@@ -496,8 +499,9 @@ def decode_edges(payload: dict[str, Any]) -> np.ndarray:
 def decode_config(payload: Any) -> ExtractionConfig:
     """Decode a request's ``config`` object into an
     :class:`ExtractionConfig`; :class:`ProtocolError`
-    (``INVALID_CONFIG``) on unknown fields, server-owned fields, or any
-    value the config itself rejects."""
+    (``INVALID_CONFIG``) on unknown or unservable fields, a
+    ``num_threads`` above :data:`MAX_THREADS`, or any value the config
+    itself rejects."""
     if payload is None:
         payload = {}
     if not isinstance(payload, dict):
@@ -506,7 +510,6 @@ def decode_config(payload: Any) -> ExtractionConfig:
             code=INVALID_CONFIG,
         )
     for field, why in (
-        ("num_workers", "server-owned (the server sizes the thread team)"),
         ("collect_trace", "not servable (work traces are not serialisable)"),
         ("cost_params", "not servable (cost params are not serialisable)"),
     ):
@@ -518,7 +521,7 @@ def decode_config(payload: Any) -> ExtractionConfig:
     unknown = (
         set(payload)
         - set(ALLOWED_CONFIG_FIELDS)
-        - {"num_workers", "collect_trace", "cost_params"}
+        - {"collect_trace", "cost_params"}
     )
     if unknown:
         raise ProtocolError(
@@ -527,9 +530,15 @@ def decode_config(payload: Any) -> ExtractionConfig:
             code=INVALID_CONFIG,
         )
     try:
-        return ExtractionConfig(**cleaned)
+        config = ExtractionConfig(**cleaned)
     except (ConfigError, TypeError) as exc:
         raise ProtocolError(str(exc), code=INVALID_CONFIG)
+    if config.num_threads > MAX_THREADS:
+        raise ProtocolError(
+            f"num_threads must be <= {MAX_THREADS}, got {config.num_threads}",
+            code=INVALID_CONFIG,
+        )
+    return config
 
 
 def decode_timeout(value: Any, default: float) -> float:
@@ -636,7 +645,6 @@ def config_cache_key(config: ExtractionConfig) -> tuple:
         config.variant,
         config.schedule,
         config.num_threads,
-        config.num_workers,
         config.renumber,
         config.stitch,
         config.maximalize,

@@ -92,11 +92,8 @@ class ServiceConfig:
     """Knobs of one :class:`ReproServer`, validated at construction.
 
     At least one listener (``socket_path`` and/or ``host``) is required.
-    ``num_dispatchers`` threads execute admitted requests;
-    ``num_workers`` is the thread-team width the server gives requests
-    for the ``process`` engine alias (server-owned, as a request may not
-    set it).  ``dispatch_delay_s`` is a fault-injection seam: an
-    artificial pause
+    ``num_dispatchers`` threads execute admitted requests.
+    ``dispatch_delay_s`` is a fault-injection seam: an artificial pause
     a dispatcher takes before executing each request, letting the test
     suite fill the admission queue and expire deadlines
     deterministically; it is 0 in production.
@@ -106,7 +103,6 @@ class ServiceConfig:
     host: str | None = None
     port: int = 0
     num_dispatchers: int = 1
-    num_workers: int = 2
     queue_depth: int = 32
     request_timeout: float = 30.0
     drain_timeout: float = 10.0
@@ -124,7 +120,6 @@ class ServiceConfig:
             )
         for name, minimum in (
             ("num_dispatchers", 1),
-            ("num_workers", 1),
             ("queue_depth", 1),
             ("cache_entries", 0),
             ("cache_bytes", 0),
@@ -613,11 +608,8 @@ class ReproServer:
         verify = bool(request.get("verify", False))
         no_cache = bool(request.get("no_cache", False))
 
-        # The resolved regime is the cache identity; the server's team
-        # width stands in for num_workers on the process alias.
+        # The resolved regime is the cache identity.
         resolved = config.resolved()
-        if resolved.engine_spec.supports_pool:
-            resolved = resolved.replace(num_workers=self.config.num_workers)
         cache_key = (
             protocol.graph_content_hash(graph),
             protocol.config_cache_key(resolved),

@@ -12,11 +12,17 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
+    "is_integer",
     "check_positive",
     "check_nonnegative",
     "check_in_range",
     "check_probability_vector",
 ]
+
+
+def is_integer(value: object) -> bool:
+    """A Python or NumPy integer, but not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_positive(name: str, value: float) -> None:

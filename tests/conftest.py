@@ -6,8 +6,8 @@ Markers (registered here so ``--strict-markers`` stays viable):
   explicit ``-m`` expression naming ``slow``) is given.
 * ``stress`` — adversarial concurrency stress; skipped unless
   ``--run-stress`` (or ``-m ... stress ...``) is given.
-* ``async_stress`` — wide asynchronous sweeps of the ``process`` alias
-  across worker counts; skipped unless ``--run-async-stress`` (or
+* ``async_stress`` — wide asynchronous sweeps of the ``native`` engine
+  across thread counts; skipped unless ``--run-async-stress`` (or
   ``-m ... async_stress ...``) is given.
 * ``service_stress`` — fault injection against a live ``repro serve``
   daemon (client kill, queue saturation, deadlines, drain);
@@ -117,6 +117,20 @@ def pytest_collection_modifyitems(config, items) -> None:
             for item in items:
                 if "native" in item.keywords:
                     item.add_marker(skip_native)
+
+
+#: Case labels of the retired ``threaded`` and ``process`` engine aliases.
+#: Parametrized tests keep these labels in their ids so that case names
+#: stay stable; each label runs the pairing its alias ran: ``threaded``
+#: the serial ``superstep`` engine, ``process`` the ``native`` thread team
+#: (sized by the case's thread count, formerly its worker count).
+RETIRED_ALIASES = {"threaded": "superstep", "process": "native"}
+
+
+def live_engine(label: str) -> str:
+    """The registered engine that a case label (engine name or retired
+    alias) runs."""
+    return RETIRED_ALIASES.get(label, label)
 
 
 def to_networkx(graph: CSRGraph):

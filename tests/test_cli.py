@@ -53,7 +53,7 @@ class TestParser:
 
         spec = EngineSpec(
             name="clidemo",
-            run_fn=lambda graph, config, pool: (
+            run_fn=lambda graph, config: (
                 np.empty((0, 2), dtype=np.int64),
                 [],
                 None,
@@ -127,16 +127,17 @@ class TestExtract:
         assert np.array_equal(out_graph.edge_array(), expected.edges)
 
     def test_process_engine_bit_identical_to_api(self, tmp_path):
-        """Acceptance: repro extract --engine process on an .mtx file
-        produces edges bit-identical to the in-process API."""
+        """Acceptance: repro extract --engine native (synchronous) on an
+        .mtx file produces edges bit-identical to the in-process API."""
         g = rmat_er(7, seed=11)
         src = tmp_path / "g.mtx"
         write_mtx(g, src)
         out = tmp_path / "chordal.txt"
-        assert main(["extract", str(src), "--engine", "process",
-                     "--num-workers", "2", "-o", str(out), "--quiet"]) == 0
+        assert main(["extract", str(src), "--engine", "native",
+                     "--schedule", "synchronous", "--num-threads", "2",
+                     "-o", str(out), "--quiet"]) == 0
         expected = extract_maximal_chordal_subgraph(
-            g, engine="process", schedule="synchronous", num_workers=2
+            g, engine="native", schedule="synchronous", num_threads=2
         )
         assert np.array_equal(load_graph(out).edge_array(), expected.edges)
 
@@ -174,7 +175,7 @@ class TestExtract:
         assert "stdout" in capsys.readouterr().err
 
     def test_process_async_round_trip(self, tmp_path, capsys):
-        """Acceptance: repro extract --engine process --schedule
+        """Acceptance: repro extract --engine native --schedule
         asynchronous round-trips through a file and --verify certifies
         the (nondeterministic) output as a maximal chordal subgraph."""
         from repro.chordality.verify import verify_extraction
@@ -183,8 +184,8 @@ class TestExtract:
         src = tmp_path / "g.mtx"
         write_mtx(g, src)
         out = tmp_path / "chordal.txt"
-        assert main(["extract", str(src), "--engine", "process",
-                     "--schedule", "asynchronous", "--num-workers", "4",
+        assert main(["extract", str(src), "--engine", "native",
+                     "--schedule", "asynchronous", "--num-threads", "4",
                      "--maximalize", "--verify", "-o", str(out)]) == 0
         err = capsys.readouterr().err
         assert "verified=chordal,maximal" in err
@@ -201,8 +202,8 @@ class TestExtract:
             inputs.append(str(path))
         out_dir = tmp_path / "out"
         assert main(["extract", *inputs, "--out-dir", str(out_dir),
-                     "--engine", "process", "--schedule", "asynchronous",
-                     "--num-workers", "2", "--quiet"]) == 0
+                     "--engine", "native", "--schedule", "asynchronous",
+                     "--num-threads", "2", "--quiet"]) == 0
         for i in range(3):
             sub = load_graph(out_dir / f"g{i}.chordal.txt")
             report = verify_extraction(
@@ -250,13 +251,13 @@ class TestExtract:
             inputs.append(str(path))
         out_dir = tmp_path / "out"
         assert main(["extract", *inputs, "--out-dir", str(out_dir),
-                     "--engine", "process", "--num-workers", "2",
-                     "--quiet"]) == 0
+                     "--engine", "native", "--schedule", "synchronous",
+                     "--num-threads", "2", "--quiet"]) == 0
         for i in range(3):
             result = load_graph(out_dir / f"g{i}.chordal.txt")
             expected = extract_maximal_chordal_subgraph(
-                rmat_er(6, seed=i), engine="process", schedule="synchronous",
-                num_workers=2,
+                rmat_er(6, seed=i), engine="native", schedule="synchronous",
+                num_threads=2,
             )
             assert np.array_equal(result.edge_array(), expected.edges)
 
@@ -418,11 +419,7 @@ class TestExtractServerVerifyParity:
     def _start_server(self, sock):
         from repro.service import ReproServer, ServiceConfig
 
-        return ReproServer(
-            ServiceConfig(
-                socket_path=sock, num_workers=1,
-            )
-        )
+        return ReproServer(ServiceConfig(socket_path=sock))
 
     def test_server_verify_pass_in_process(self, tmp_path, capsys):
         from repro.service import ReproServer  # noqa: F401 - import guard

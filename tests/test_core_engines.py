@@ -1,12 +1,13 @@
-"""Tests for the three Algorithm 1 engines and their agreement."""
+"""Tests for the reference transcription, the serial runtime pairing and
+the native thread team of Algorithm 1, and their agreement."""
 
 import numpy as np
 import pytest
 
 from repro.chordality.recognition import is_chordal
+from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.reference import reference_max_chordal
-from repro.core.superstep import superstep_max_chordal
-from repro.core.threaded import threaded_max_chordal
+from repro.core.runtime import LocalState, SerialExecutor, drive
 from repro.errors import ConvergenceError
 from repro.graph.builder import build_graph
 from repro.graph.generators.classic import (
@@ -23,6 +24,18 @@ from repro.graph.ops import edge_subgraph
 
 def canon(edges: np.ndarray) -> set[tuple[int, int]]:
     return {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges}
+
+
+def superstep(graph, **kwargs):
+    """The ``superstep`` engine's pairing, driven directly."""
+    return drive(LocalState(graph), SerialExecutor(), **kwargs)
+
+
+def team(graph, num_threads, **kwargs):
+    """The ``native`` engine: compiled round bodies on a thread team."""
+    return extract_maximal_chordal_subgraph(
+        graph, engine="native", num_threads=num_threads, **kwargs
+    )
 
 
 class TestReferenceEngine:
@@ -79,30 +92,30 @@ class TestReferenceEngine:
 class TestSuperstepEngine:
     def test_matches_reference_async(self, zoo_graph):
         ref, ref_qs = reference_max_chordal(zoo_graph, schedule="asynchronous")
-        got, qs, _tr = superstep_max_chordal(zoo_graph, schedule="asynchronous")
+        got, qs, _tr = superstep(zoo_graph, schedule="asynchronous")
         assert canon(got) == canon(ref)
         assert qs == ref_qs
 
     def test_matches_reference_sync(self, zoo_graph):
         ref, ref_qs = reference_max_chordal(zoo_graph, schedule="synchronous")
-        got, qs, _tr = superstep_max_chordal(zoo_graph, schedule="synchronous")
+        got, qs, _tr = superstep(zoo_graph, schedule="synchronous")
         assert canon(got) == canon(ref)
         assert qs == ref_qs
 
     def test_unoptimized_same_edges(self, zoo_graph):
-        opt, _, _ = superstep_max_chordal(zoo_graph, variant="optimized")
-        unopt, _, _ = superstep_max_chordal(zoo_graph, variant="unoptimized")
+        opt, _, _ = superstep(zoo_graph, variant="optimized")
+        unopt, _, _ = superstep(zoo_graph, variant="unoptimized")
         assert canon(opt) == canon(unopt)
 
     def test_unsorted_input_handled(self):
         g = rmat_b(7, seed=9).shuffled(np.random.default_rng(0))
-        opt, _, _ = superstep_max_chordal(g, variant="optimized")
-        unopt, _, _ = superstep_max_chordal(g, variant="unoptimized")
+        opt, _, _ = superstep(g, variant="optimized")
+        unopt, _, _ = superstep(g, variant="unoptimized")
         assert canon(opt) == canon(unopt)
 
     def test_trace_collection(self):
         g = rmat_b(7, seed=1)
-        edges, qs, trace = superstep_max_chordal(g, collect_trace=True)
+        edges, qs, trace = superstep(g, collect_trace=True)
         assert trace is not None
         assert trace.num_iterations == len(qs)
         assert trace.queue_sizes == qs
@@ -111,58 +124,59 @@ class TestSuperstepEngine:
         assert all(it.critical_path_ops > 0 for it in trace.iterations)
 
     def test_no_trace_by_default(self):
-        _, _, trace = superstep_max_chordal(path_graph(4))
+        _, _, trace = superstep(path_graph(4))
         assert trace is None
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
-            superstep_max_chordal(path_graph(3), variant="bogus")
+            superstep(path_graph(3), variant="bogus")
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):
-            superstep_max_chordal(path_graph(3), schedule="bogus")
+            superstep(path_graph(3), schedule="bogus")
 
     def test_disjoint_cliques_parallel_queues(self):
         g = disjoint_cliques(3, 4)
-        _, qs, _ = superstep_max_chordal(g)
+        _, qs, _ = superstep(g)
         # three cliques progress simultaneously: first queue has 3 LPs
         assert qs[0] == 3
         assert len(qs) == 3  # k-1 iterations for K4
 
 
 class TestThreadedEngine:
+    """The thread-team engine (``native``) against the serial pairing."""
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_sync_equals_serial_exactly(self, zoo_graph, threads):
-        serial, s_qs, _ = superstep_max_chordal(zoo_graph, schedule="synchronous")
-        threaded, t_qs = threaded_max_chordal(
-            zoo_graph, num_threads=threads, schedule="synchronous"
-        )
-        assert canon(threaded) == canon(serial)
-        assert t_qs == s_qs
+        serial, s_qs, _ = superstep(zoo_graph, schedule="synchronous")
+        threaded = team(zoo_graph, threads, schedule="synchronous")
+        assert canon(threaded.edges) == canon(serial)
+        assert threaded.queue_sizes == s_qs
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_async_output_valid(self, zoo_graph, threads):
-        edges, _ = threaded_max_chordal(
-            zoo_graph, num_threads=threads, schedule="asynchronous"
-        )
-        assert is_chordal(edge_subgraph(zoo_graph, edges))
+        r = team(zoo_graph, threads, schedule="asynchronous")
+        assert is_chordal(edge_subgraph(zoo_graph, r.edges))
 
     def test_single_thread_async_matches_serial(self, zoo_graph):
-        serial, _, _ = superstep_max_chordal(zoo_graph, schedule="asynchronous")
-        threaded, _ = threaded_max_chordal(
-            zoo_graph, num_threads=1, schedule="asynchronous"
-        )
-        assert canon(threaded) == canon(serial)
+        """One thread has no races to lose: its asynchronous live rounds
+        are a serial run, so repeated runs agree exactly (edges and queue
+        profile) and the output is chordal."""
+        first = team(zoo_graph, 1, schedule="asynchronous")
+        again = team(zoo_graph, 1, schedule="asynchronous")
+        assert np.array_equal(first.edges, again.edges)
+        assert first.queue_sizes == again.queue_sizes
+        assert is_chordal(edge_subgraph(zoo_graph, first.edges))
 
     def test_bad_thread_count(self):
-        with pytest.raises(ValueError):
-            threaded_max_chordal(path_graph(3), num_threads=0)
+        with pytest.raises(ValueError, match="num_threads"):
+            team(path_graph(3), 0)
 
     def test_bad_schedule(self):
-        with pytest.raises(ValueError):
-            threaded_max_chordal(path_graph(3), schedule="bogus")
+        with pytest.raises(ValueError, match="schedule"):
+            team(path_graph(3), 2, schedule="bogus")
 
     def test_unoptimized_variant(self):
         g = grid_graph(4, 4)
-        edges, _ = threaded_max_chordal(g, num_threads=3, variant="unoptimized")
-        assert is_chordal(edge_subgraph(g, edges))
+        r = team(g, 3, variant="unoptimized")
+        assert is_chordal(edge_subgraph(g, r.edges))

@@ -1,9 +1,8 @@
 """Cross-engine equivalence harness (property-style seed sweep).
 
 The synchronous schedule is the repo's determinism contract: every
-Algorithm-1 engine and alias (``superstep``, ``native``, ``reference``,
-and the deprecated ``threaded`` / ``process``) × both variants must
-produce the *identical canonical edge set* on every input (the runtime
+Algorithm-1 engine (``superstep``, ``native``, ``reference``) × both
+variants must produce the *identical canonical edge set* on every input (the runtime
 engines share one driver, so this also pins the driver against every
 executor).  The asynchronous schedule promises less — any run yields a
 chordal subgraph whose maximality gap the completion pass can close —
@@ -21,12 +20,21 @@ import pytest
 
 from repro.chordality.maximality import addable_edges
 from repro.chordality.recognition import is_chordal
-from repro.core.extract import ENGINES, VARIANTS, extract_maximal_chordal_subgraph
-from repro.core.procpool import ProcessPool, process_max_chordal
-from repro.core.superstep import superstep_max_chordal
+from repro.core.config import ExtractionConfig
+from repro.core.engines import engine_names, get_engine
+from repro.core.extract import VARIANTS, extract_maximal_chordal_subgraph
+from repro.core.runtime import (
+    LocalState,
+    NativeThreadTeamExecutor,
+    SerialExecutor,
+    drive,
+)
+from repro.core.session import Extractor
+from repro.errors import SessionClosedError
 from repro.graph.generators.chordal import partial_ktree, random_chordal
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er, rmat_g
+from tests.conftest import live_engine
 
 #: name -> seeded generator; diverse shapes, small enough for a full sweep.
 GENERATORS = {
@@ -41,11 +49,13 @@ GENERATORS = {
 TIER1_SEEDS = (0, 1, 2)
 WIDE_SEEDS = tuple(range(3, 15))
 
+#: Case labels of the async sweep; ``threaded``/``process`` are retired
+#: alias labels (see ``tests/conftest.py``: ``live_engine``).
 ASYNC_ENGINES = ("superstep", "threaded", "reference", "process")
 
-#: Worker counts the synchronous determinism pin sweeps (1 = degenerate
-#: team, 3 = uneven slices, 6 = more workers than some actives).
-SYNC_WORKER_COUNTS = (1, 3, 6)
+#: Thread counts the synchronous determinism pin sweeps (1 = degenerate
+#: team, 3 = uneven slices, 6 = more threads than some actives).
+SYNC_THREAD_COUNTS = (1, 3, 6)
 
 
 def _assert_sync_engines_identical(maker, seed: int) -> None:
@@ -54,13 +64,11 @@ def _assert_sync_engines_identical(maker, seed: int) -> None:
     ``weighted`` MAXCHORD engine, ``EngineSpec.algorithm != "algorithm1"``)
     legitimately return different maximal chordal subgraphs and are
     excluded by the registry's algorithm tag."""
-    from repro.core.engines import get_engine
-
     graph = maker(seed)
     baseline = extract_maximal_chordal_subgraph(
         graph, engine="superstep", schedule="synchronous"
     ).edges
-    for engine in ENGINES:
+    for engine in engine_names():
         if getattr(get_engine(engine), "algorithm", "algorithm1") != "algorithm1":
             continue
         for variant in VARIANTS:
@@ -70,7 +78,6 @@ def _assert_sync_engines_identical(maker, seed: int) -> None:
                 variant=variant,
                 schedule="synchronous",
                 num_threads=3,
-                num_workers=2,
             )
             assert np.array_equal(result.edges, baseline), (
                 engine,
@@ -83,11 +90,10 @@ def _assert_async_run_valid(maker, seed: int, engine: str, variant: str) -> None
     graph = maker(seed)
     result = extract_maximal_chordal_subgraph(
         graph,
-        engine=engine,
+        engine=live_engine(engine),
         variant=variant,
         schedule="asynchronous",
         num_threads=3,
-        num_workers=3,
         maximalize=True,
     )
     # Chordal, certified maximal after the completion pass, and the gap the
@@ -135,38 +141,45 @@ def test_async_runs_chordal_and_gap_bounded_wide(engine, seed):
             _assert_async_run_valid(GENERATORS[gen], seed, engine, variant)
 
 
+def _sync(graph, engine: str = "superstep", **kwargs):
+    return extract_maximal_chordal_subgraph(
+        graph, engine=engine, schedule="synchronous", **kwargs
+    )
+
+
 class TestKernelLoopAgreement:
-    """Back-compat pins of the deprecated ``use_kernels`` flag: since the
-    unified runtime, every synchronous superstep runs the bulk kernels,
-    so both historical spellings must agree exactly (rows and queue
-    sizes) and the historical error contract must survive."""
+    """The compiled round bodies (the native team's kernels; the NumPy
+    bodies again when the backend does not resolve) and the serial
+    pairing's NumPy bodies agree exactly under the synchronous schedule:
+    raw rows in emission order and queue sizes."""
 
     @pytest.mark.parametrize("seed", TIER1_SEEDS)
     @pytest.mark.parametrize("gen", sorted(GENERATORS))
     def test_rows_and_queues_identical(self, gen, seed):
         graph = GENERATORS[gen](seed)
-        loop_edges, loop_qs, _ = superstep_max_chordal(
-            graph, schedule="synchronous", use_kernels=False
+        loop_edges, loop_qs, _ = drive(
+            LocalState(graph), SerialExecutor(), schedule="synchronous"
         )
-        vec_edges, vec_qs, _ = superstep_max_chordal(
-            graph, schedule="synchronous", use_kernels=True
-        )
+        with NativeThreadTeamExecutor(1) as executor:
+            vec_edges, vec_qs, _ = drive(
+                LocalState(graph), executor, schedule="synchronous"
+            )
         assert loop_qs == vec_qs
         assert np.array_equal(loop_edges, vec_edges)
 
     def test_kernels_refuse_trace(self):
         with pytest.raises(ValueError, match="collect_trace"):
-            superstep_max_chordal(
+            extract_maximal_chordal_subgraph(
                 gnp_random_graph(10, 0.3, seed=0),
+                engine="native",
                 schedule="synchronous",
-                use_kernels=True,
                 collect_trace=True,
             )
 
 
 class TestSyncDeterminismPins:
     """The synchronous schedule is the determinism contract: bit-identical
-    edge sets AND queue profiles across every engine and every worker
+    edge sets AND queue profiles across every engine and every thread
     count, pinned so the asynchronous live rounds can never leak
     nondeterminism into the sync kernels."""
 
@@ -174,94 +187,87 @@ class TestSyncDeterminismPins:
     def test_process_sync_identical_for_every_worker_count(self, gen):
         for seed in TIER1_SEEDS[:2]:
             graph = GENERATORS[gen](seed)
-            serial, qs, _ = superstep_max_chordal(graph, schedule="synchronous")
-            for workers in SYNC_WORKER_COUNTS:
-                edges, pqs = process_max_chordal(graph, num_workers=workers)
-                assert np.array_equal(edges, serial), (gen, seed, workers)
-                assert pqs == qs, (gen, seed, workers)
+            serial = _sync(graph)
+            for threads in SYNC_THREAD_COUNTS:
+                team = _sync(graph, "native", num_threads=threads)
+                assert np.array_equal(team.edges, serial.edges), (gen, seed, threads)
+                assert team.queue_sizes == serial.queue_sizes, (gen, seed, threads)
 
     def test_sync_unchanged_after_async_runs_on_same_pool(self):
-        """Async live rounds through one pool must leave no residue that
-        shifts a later sync run."""
+        """Async live rounds on the native team must leave no residue
+        that shifts a later sync run."""
         graph = GENERATORS["rmat_er"](4)
-        serial, qs, _ = superstep_max_chordal(graph, schedule="synchronous")
-        with ProcessPool(graph, num_workers=3) as pool:
-            before = pool.extract(schedule="synchronous")
-            for _ in range(3):
-                pool.extract(schedule="asynchronous")
-            after = pool.extract(schedule="synchronous")
-        for edges, pqs in (before, after):
-            assert np.array_equal(edges, serial)
-            assert pqs == qs
+        serial = _sync(graph)
+        before = _sync(graph, "native", num_threads=3)
+        for _ in range(3):
+            extract_maximal_chordal_subgraph(
+                graph, engine="native", schedule="asynchronous", num_threads=3
+            )
+        after = _sync(graph, "native", num_threads=3)
+        for team in (before, after):
+            assert np.array_equal(team.edges, serial.edges)
+            assert team.queue_sizes == serial.queue_sizes
 
     def test_threaded_sync_identical_for_every_thread_count(self):
         graph = GENERATORS["gnp"](1)
-        baseline = extract_maximal_chordal_subgraph(
-            graph, engine="superstep", schedule="synchronous"
-        ).edges
-        for threads in (1, 2, 5):
-            result = extract_maximal_chordal_subgraph(
-                graph, engine="threaded", schedule="synchronous",
-                num_threads=threads,
-            )
+        baseline = _sync(graph).edges
+        for threads in (1, 2, 4, 5, 8):
+            result = _sync(graph, "native", num_threads=threads)
             assert np.array_equal(result.edges, baseline), threads
 
 
 class TestProcessEngineContract:
     def test_async_schedule_supported(self):
-        """The deprecated process entry point runs the asynchronous
-        schedule (validity is certified by tests/test_properties_async.py;
-        here just the plumbing)."""
+        """The native team runs the asynchronous schedule (validity is
+        certified by tests/test_properties_async.py; here just the
+        plumbing)."""
         g = gnp_random_graph(10, 0.3, seed=0)
-        edges, qs = process_max_chordal(g, schedule="asynchronous", num_workers=2)
-        assert edges.shape[1] == 2
-        assert len(qs) >= 1
+        r = extract_maximal_chordal_subgraph(
+            g, engine="native", schedule="asynchronous", num_threads=2
+        )
+        assert r.edges.shape[1] == 2
+        assert r.num_iterations >= 1
 
     def test_unknown_schedule_rejected(self):
-        g = gnp_random_graph(10, 0.3, seed=0)
         with pytest.raises(ValueError, match="schedule"):
-            process_max_chordal(g, schedule="bogus")
-        with ProcessPool(g, num_workers=1) as pool:
-            with pytest.raises(ValueError, match="schedule"):
-                pool.extract(schedule="bogus")
+            ExtractionConfig(engine="native", schedule="bogus")
 
     def test_bad_worker_count(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            process_max_chordal(gnp_random_graph(5, 0.5, seed=0), num_workers=0)
+        with pytest.raises(ValueError, match="num_threads"):
+            _sync(gnp_random_graph(5, 0.5, seed=0), "native", num_threads=0)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            process_max_chordal(gnp_random_graph(5, 0.5, seed=0), variant="turbo")
+            _sync(gnp_random_graph(5, 0.5, seed=0), "native", variant="turbo")
 
     def test_more_workers_than_vertices(self):
         g = gnp_random_graph(6, 0.6, seed=1)
-        serial, qs, _ = superstep_max_chordal(g, schedule="synchronous")
-        edges, pqs = process_max_chordal(g, num_workers=8)
-        assert np.array_equal(edges, serial)
-        assert pqs == qs
+        serial = _sync(g)
+        team = _sync(g, "native", num_threads=8)
+        assert np.array_equal(team.edges, serial.edges)
+        assert team.queue_sizes == serial.queue_sizes
 
     def test_pool_reuse_is_deterministic(self):
         g = rmat_er(7, seed=5)
-        with ProcessPool(g, num_workers=2) as pool:
-            first = pool.extract()
-            second = pool.extract()
-        assert np.array_equal(first[0], second[0])
-        assert first[1] == second[1]
+        with Extractor(engine="native", schedule="synchronous", num_threads=2) as ex:
+            first = ex.extract(g)
+            second = ex.extract(g)
+        assert np.array_equal(first.edges, second.edges)
+        assert first.queue_sizes == second.queue_sizes
 
     def test_closed_pool_rejected(self):
-        g = rmat_er(7, seed=5)
-        pool = ProcessPool(g, num_workers=2)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.extract()
+        ex = Extractor(engine="native", schedule="synchronous", num_threads=2)
+        ex.close()
+        with pytest.raises(SessionClosedError, match="closed"):
+            ex.extract(rmat_er(7, seed=5))
 
     def test_trivial_graphs(self):
         from repro.graph.builder import build_graph
 
         for g in (build_graph(0, []), build_graph(7, [])):
-            edges, qs = process_max_chordal(g, num_workers=2)
-            assert edges.shape == (0, 2)
-            assert qs == []
+            r = _sync(g, "native", num_threads=2)
+            assert r.edges.shape == (0, 2)
+            assert r.queue_sizes == []
 
     def test_iteration_budget_enforced(self):
         from repro.errors import ConvergenceError
@@ -269,4 +275,4 @@ class TestProcessEngineContract:
 
         g = complete_graph(8)
         with pytest.raises(ConvergenceError):
-            process_max_chordal(g, num_workers=2, max_iterations=2)
+            _sync(g, "native", num_threads=2, max_iterations=2)

@@ -78,19 +78,18 @@ class TestOptions:
             extract_maximal_chordal_subgraph(cycle_graph(4), renumber="dfs")
 
     def test_trace_requires_trace_capable_engine(self):
-        """Traces are a driver feature of the in-process backends: superstep
-        and threaded collect them, reference and process do not."""
-        with pytest.raises(ValueError, match="collect_trace"):
-            extract_maximal_chordal_subgraph(
-                cycle_graph(4), engine="reference", collect_trace=True
-            )
-        r = extract_maximal_chordal_subgraph(
-            cycle_graph(4), engine="threaded", num_threads=2, collect_trace=True
-        )
+        """Traces are a driver feature of the serial pairing: superstep
+        collects them, reference and native do not."""
+        for engine in ("reference", "native"):
+            with pytest.raises(ValueError, match="collect_trace"):
+                extract_maximal_chordal_subgraph(
+                    cycle_graph(4), engine=engine, collect_trace=True
+                )
+        r = extract_maximal_chordal_subgraph(cycle_graph(4), collect_trace=True)
         assert r.trace is not None
 
     def test_all_engine_variant_combos_chordal(self, zoo_graph):
-        for engine in ("superstep", "threaded", "reference"):
+        for engine in ("superstep", "native", "reference"):
             for variant in ("optimized", "unoptimized"):
                 r = extract_maximal_chordal_subgraph(
                     zoo_graph, engine=engine, variant=variant, num_threads=2

@@ -225,6 +225,14 @@ def test_error_cases():
         inc.insert_edge(0, 5)
     with pytest.raises(ValueError, match="out of range"):
         inc.delete_edge(-1, 2)
+    # Non-integer endpoints are rejected, never truncated or parsed.
+    for u, v in ((0, 2.9), ("3", 0), (True, 2), (0, np.float64(2.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            inc.insert_edge(u, v)
+    with pytest.raises(ValueError, match="must be integers"):
+        inc.delete_edge(0.0, 1)
+    inc.insert_edge(np.int64(0), np.int32(2))  # NumPy integers are fine
+    inc.delete_edge(np.int32(2), np.int64(0))
     # Failed mutations must not corrupt state.
     _assert_valid(inc, "after rejected mutations")
     assert inc.num_edges == 3

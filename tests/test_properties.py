@@ -5,7 +5,7 @@ hypothesis over random graphs:
 
 1. Theorem 1 — every engine/schedule/variant output is chordal;
 2. certified maximality after the completion pass;
-3. engine agreement (superstep == reference; threaded-sync == sync);
+3. engine agreement (superstep == reference);
 4. the chordal edge set is a subset of the input edges with parents below
    children;
 5. queue-size sanity (positive, bounded by n).
@@ -19,7 +19,7 @@ from repro.chordality.maximality import addable_edges
 from repro.chordality.recognition import is_chordal
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.reference import reference_max_chordal
-from repro.core.superstep import superstep_max_chordal
+from repro.core.runtime import LocalState, SerialExecutor, drive
 from tests.conftest import random_graph_from_data
 
 
@@ -37,7 +37,7 @@ def test_theorem1_chordality_all_configs(data):
     g = graphs(data.draw)
     schedule = data.draw(st.sampled_from(["asynchronous", "synchronous"]))
     variant = data.draw(st.sampled_from(["optimized", "unoptimized"]))
-    engine = data.draw(st.sampled_from(["superstep", "threaded", "reference"]))
+    engine = data.draw(st.sampled_from(["superstep", "native", "reference"]))
     result = extract_maximal_chordal_subgraph(
         g, engine=engine, variant=variant, schedule=schedule, num_threads=2
     )
@@ -59,7 +59,7 @@ def test_engines_agree(data):
     g = graphs(data.draw)
     schedule = data.draw(st.sampled_from(["asynchronous", "synchronous"]))
     ref, ref_qs = reference_max_chordal(g, schedule=schedule)
-    got, qs, _ = superstep_max_chordal(g, schedule=schedule)
+    got, qs, _ = drive(LocalState(g), SerialExecutor(), schedule=schedule)
     assert {tuple(e) for e in ref.tolist()} == {tuple(e) for e in got.tolist()}
     assert qs == ref_qs
 

@@ -1,12 +1,11 @@
-"""Property-based engine × schedule × num_workers verification sweep.
+"""Property-based engine × schedule × thread-count verification sweep.
 
-The asynchronous live rounds of the native thread team (also run by the
-deprecated ``process`` alias) are *any-valid*: a run returns some
-chordal subgraph, not a
-bit-reproducible one, so these tests certify every configuration through
+The asynchronous live rounds of the native thread team are *any-valid*:
+a run returns some chordal subgraph, not a bit-reproducible one, so these
+tests certify every configuration through
 :func:`repro.chordality.verify_extraction` instead of bit-identity:
 
-1. the **raw** output of every engine × schedule × worker-count combo is
+1. the **raw** output of every engine × schedule × thread-count combo is
    a chordal subgraph of the input (Theorem 1, no completion pass);
 2. after the completion pass the output is certified **maximal**
    (Theorem 2 as the paper intended it).
@@ -17,7 +16,7 @@ generators) plus the degenerate shapes that historically break engines
 (empty, isolated vertices, a single edge, cliques, stars, cycles).
 
 Every assertion message carries the ``(family, seed, engine, schedule,
-workers)`` tuple needed to replay the exact failing case — see
+threads)`` tuple needed to replay the exact failing case — see
 ``tests/README.md`` ("Re-running a failing property seed").
 """
 
@@ -40,6 +39,7 @@ from repro.graph.generators.classic import (
 )
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er, rmat_g
+from tests.conftest import live_engine
 
 #: family name -> seeded builder.  Sizes are kept small enough that the
 #: maximality certificate (one BFS per rejected edge) stays cheap.
@@ -52,8 +52,8 @@ FAMILIES = {
     "chordal": lambda s: random_chordal(14 + s % 12, 0.25, seed=s),
     "ktree": lambda s: ktree(10 + s % 8, 1 + s % 3, seed=s),
     "partial_ktree": lambda s: partial_ktree(18, 3, 0.6, seed=s),
-    # Degenerate shapes: every engine must survive them at every worker
-    # count (empty active sets, more workers than vertices, ...).
+    # Degenerate shapes: every engine must survive them at every thread
+    # count (empty active sets, more threads than vertices, ...).
     "empty": lambda s: build_graph(0, []),
     "isolated": lambda s: build_graph(1 + s % 5, []),
     "single_edge": lambda s: build_graph(2 + s % 3, [(0, 1)]),
@@ -63,7 +63,10 @@ FAMILIES = {
     "cycle": lambda s: cycle_graph(4 + s % 4),
 }
 
-#: Every engine × schedule × worker-count combination under test.
+#: Every engine × schedule × thread-count combination under test (0 =
+#: a serial engine, which ignores the thread count).  ``threaded`` and
+#: ``process`` are retired alias labels kept in the case ids; see
+#: ``tests/conftest.py`` (``live_engine``) for the engine each runs.
 CONFIGS = [
     ("reference", "synchronous", 0),
     ("reference", "asynchronous", 0),
@@ -84,23 +87,22 @@ CONFIGS = [
 
 _CONFIG_IDS = [f"{e}-{s[:5]}-w{w}" for e, s, w in CONFIGS]
 
-#: Acceptance-criterion sweep size for the async process engine.
+#: Acceptance-criterion sweep size for the async native engine.
 ACCEPTANCE_GRAPHS = 200
 _CHUNK = 20
 
 
-def _run_and_verify(graph, *, family, seed, engine, schedule, workers):
+def _run_and_verify(graph, *, family, seed, engine, schedule, threads):
     """Extract, certify raw chordality, then certify completed maximality."""
     tag = (
         f"family={family} seed={seed} engine={engine} "
-        f"schedule={schedule} workers={workers}"
+        f"schedule={schedule} threads={threads}"
     )
     result = extract_maximal_chordal_subgraph(
         graph,
-        engine=engine,
+        engine=live_engine(engine),
         schedule=schedule,
-        num_threads=workers or 3,
-        num_workers=workers or 4,
+        num_threads=threads or 3,
     )
     raw = verify_extraction(graph, result, check_maximal=False)
     assert raw.ok, f"{tag}: raw output invalid: {raw}"
@@ -112,9 +114,9 @@ def _run_and_verify(graph, *, family, seed, engine, schedule, workers):
     return result
 
 
-@pytest.mark.parametrize("engine,schedule,workers", CONFIGS, ids=_CONFIG_IDS)
+@pytest.mark.parametrize("engine,schedule,threads", CONFIGS, ids=_CONFIG_IDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_config_yields_valid_extraction(family, engine, schedule, workers):
+def test_every_config_yields_valid_extraction(family, engine, schedule, threads):
     for seed in (0, 1):
         _run_and_verify(
             FAMILIES[family](seed),
@@ -122,14 +124,14 @@ def test_every_config_yields_valid_extraction(family, engine, schedule, workers)
             seed=seed,
             engine=engine,
             schedule=schedule,
-            workers=workers,
+            threads=threads,
         )
 
 
 @pytest.mark.parametrize("chunk", range(ACCEPTANCE_GRAPHS // _CHUNK))
 def test_acceptance_async_process_200_graphs(chunk):
-    """Acceptance criterion: ``engine="process", schedule="asynchronous",
-    num_workers=4`` passes ``verify_extraction()`` (chordal + maximal
+    """Acceptance criterion: ``engine="native", schedule="asynchronous",
+    num_threads=4`` passes ``verify_extraction()`` (chordal + maximal
     after the completion pass) on 200 randomized property-test graphs."""
     names = sorted(FAMILIES)
     for i in range(_CHUNK):
@@ -140,9 +142,9 @@ def test_acceptance_async_process_200_graphs(chunk):
             FAMILIES[family](seed),
             family=family,
             seed=seed,
-            engine="process",
+            engine="native",
             schedule="asynchronous",
-            workers=4,
+            threads=4,
         )
 
 
@@ -152,12 +154,12 @@ def test_async_process_is_not_required_to_match_sync():
     valid extractions of the same graph."""
     g = rmat_b(7, seed=2)
     sync = extract_maximal_chordal_subgraph(
-        g, engine="process", schedule="synchronous", num_workers=4
+        g, engine="native", schedule="synchronous", num_threads=4
     )
     seen_diff = False
     for _ in range(5):
         r = extract_maximal_chordal_subgraph(
-            g, engine="process", schedule="asynchronous", num_workers=4
+            g, engine="native", schedule="asynchronous", num_threads=4
         )
         assert verify_extraction(g, r, check_maximal=False).ok
         if not np.array_equal(r.edges, sync.edges):
@@ -170,15 +172,15 @@ def test_async_process_is_not_required_to_match_sync():
 
 @pytest.mark.async_stress
 @pytest.mark.parametrize("seed", tuple(range(12)))
-def test_async_process_wide_seed_sweep(seed):
-    """Deeper randomized sweep across worker counts (--run-async-stress)."""
+def test_async_native_wide_seed_sweep(seed):
+    """Deeper randomized sweep across thread counts (--run-async-stress)."""
     for family in sorted(FAMILIES):
-        for workers in (1, 2, 3, 5):
+        for threads in (1, 2, 3, 5):
             _run_and_verify(
                 FAMILIES[family](seed),
                 family=family,
                 seed=seed,
-                engine="process",
+                engine="native",
                 schedule="asynchronous",
-                workers=workers,
+                threads=threads,
             )

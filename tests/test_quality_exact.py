@@ -29,11 +29,12 @@ import pytest
 
 from repro.chordality.quality import exact_max_chordal, maximal_chordal_floor
 from repro.chordality.recognition import is_chordal
-from repro.core.engines import registered_engines
+from repro.core.engines import engine_names, get_engine
 from repro.core.session import Extractor
 from repro.graph.builder import from_edge_array
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.weights import attach_edge_weights, retained_weight
+from tests.conftest import RETIRED_ALIASES, live_engine
 
 #: Engines swept over the exhaustive n <= 5 tier (serial — the tier runs
 #: thousands of extractions; the full registry grid runs on the sampled
@@ -41,10 +42,11 @@ from repro.graph.weights import attach_edge_weights, retained_weight
 EXHAUSTIVE_ENGINES = ("superstep", "weighted")
 
 #: Registry-driven grid for the sampled tiers.
+#: The retired alias labels (``tests/conftest.py``) keep their cells too.
 CELLS = [
-    (spec.name, schedule)
-    for spec in registered_engines()
-    for schedule in spec.schedules
+    (label, schedule)
+    for label in (*engine_names(), *RETIRED_ALIASES)
+    for schedule in get_engine(live_engine(label)).schedules
 ]
 _CELL_IDS = [f"{engine}-{schedule[:5]}" for engine, schedule in CELLS]
 
@@ -138,7 +140,9 @@ def test_sampled_graphs_sandwich_all_engines(engine, schedule):
     samples += [(7, 0.4, 100 + s) for s in range(8)]
     samples += [(16, 0.15, 200 + s) for s in range(3)]
     samples += [(20, 0.10, 400 + s) for s in range(3)]
-    with Extractor(engine=engine, schedule=schedule, maximalize=True) as ex:
+    with Extractor(
+        engine=live_engine(engine), schedule=schedule, maximalize=True
+    ) as ex:
         for n, p, seed in samples:
             graph = gnp_random_graph(n, p, seed=seed)
             tag = f"n={n} p={p} seed={seed} engine={engine} schedule={schedule}"

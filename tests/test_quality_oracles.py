@@ -32,7 +32,7 @@ from repro.chordality.quality import (
     maximal_chordal_floor,
     retained_fraction,
 )
-from repro.core.engines import registered_engines
+from repro.core.engines import engine_names, get_engine
 from repro.core.session import Extractor
 from repro.graph.builder import build_graph
 from repro.graph.generators.chordal import ktree, partial_ktree, random_chordal
@@ -44,6 +44,7 @@ from repro.graph.generators.classic import (
 )
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_er, rmat_g
+from tests.conftest import RETIRED_ALIASES, live_engine
 
 #: family name -> seeded builder (small: the floor check runs the full
 #: engine grid, including the literal reference engine).
@@ -58,10 +59,11 @@ FAMILIES = {
 }
 
 #: Registry-driven engine x schedule grid — new engines join automatically.
+#: The retired alias labels (``tests/conftest.py``) keep their cells too.
 CELLS = [
-    (spec.name, schedule)
-    for spec in registered_engines()
-    for schedule in spec.schedules
+    (label, schedule)
+    for label in (*engine_names(), *RETIRED_ALIASES)
+    for schedule in get_engine(live_engine(label)).schedules
 ]
 _CELL_IDS = [f"{engine}-{schedule[:5]}" for engine, schedule in CELLS]
 
@@ -178,7 +180,9 @@ def test_every_cell_meets_certified_floor(family, engine, schedule):
         graph = FAMILIES[family](seed)
         tag = f"family={family} seed={seed} engine={engine} schedule={schedule}"
         floor = maximal_chordal_floor(graph)
-        with Extractor(engine=engine, schedule=schedule, maximalize=True) as ex:
+        with Extractor(
+            engine=live_engine(engine), schedule=schedule, maximalize=True
+        ) as ex:
             result = ex.extract(graph)
         kept = result.num_chordal_edges
         assert kept >= floor, (

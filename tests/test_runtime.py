@@ -24,7 +24,6 @@ import pytest
 from repro.chordality.recognition import is_chordal
 from repro.core.engines import EngineSpec, register_engine, unregister_engine
 from repro.core.extract import extract_maximal_chordal_subgraph
-from repro.core.procpool import ProcessPool
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
     LocalState,
@@ -33,7 +32,6 @@ from repro.core.runtime import (
     backend_run_fn,
     drive,
 )
-from repro.core.superstep import superstep_max_chordal
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.builder import build_graph
 from repro.graph.generators.classic import complete_graph, disjoint_cliques
@@ -82,14 +80,15 @@ class TestSyncDeterminismAcrossPairings:
             assert np.array_equal(edges, base_edges), label
             assert qs == base_qs, label
 
-    @pytest.mark.parametrize("workers", (1, 3, 6))
-    def test_process_team_matches_serial(self, workers):
+    @pytest.mark.parametrize("threads", (1, 3, 6))
+    def test_process_team_matches_serial(self, threads):
         graph = GENERATORS["rmat_er"](4)
-        base_edges, base_qs, _ = superstep_max_chordal(graph, schedule="synchronous")
-        with ProcessPool(graph, num_workers=workers) as pool:
-            edges, qs = pool.extract(schedule="synchronous")
-        assert np.array_equal(edges, base_edges)
-        assert qs == base_qs
+        base = extract_maximal_chordal_subgraph(graph, schedule="synchronous")
+        team = extract_maximal_chordal_subgraph(
+            graph, engine="native", schedule="synchronous", num_threads=threads
+        )
+        assert np.array_equal(team.edges, base.edges)
+        assert team.queue_sizes == base.queue_sizes
 
 
 class TestCrossBackendTraceEquivalence:
@@ -132,27 +131,30 @@ class TestCrossBackendTraceEquivalence:
         per-iteration queue profile; the trace repeats it exactly."""
         graph = GENERATORS["rmat_b"](2)
         _, ref_qs = reference_max_chordal(graph, schedule=schedule)
-        edges, qs, trace = superstep_max_chordal(
-            graph, schedule=schedule, collect_trace=True
+        edges, qs, trace = drive(
+            LocalState(graph), SerialExecutor(), schedule=schedule, collect_trace=True
         )
         assert qs == ref_qs
         assert trace.queue_sizes == ref_qs
         assert trace.total_edges_added == edges.shape[0]
 
     def test_session_trace_for_threaded_engine(self):
+        """A session asked for a thread count on the serial engine returns
+        the serial pairing's own trace."""
+        graph = GENERATORS["gnp"](0)
         r = extract_maximal_chordal_subgraph(
-            GENERATORS["gnp"](0),
-            engine="threaded",
+            graph,
+            engine="superstep",
             schedule="synchronous",
             num_threads=2,
             collect_trace=True,
         )
-        base = extract_maximal_chordal_subgraph(
-            GENERATORS["gnp"](0), engine="superstep", schedule="synchronous",
+        _, _, base = drive(
+            LocalState(graph), SerialExecutor(), schedule="synchronous",
             collect_trace=True,
         )
-        assert r.trace.queue_sizes == base.trace.queue_sizes
-        assert r.trace.total_work == base.trace.total_work
+        assert r.trace.queue_sizes == base.queue_sizes
+        assert r.trace.total_work == base.total_work
 
 
 class TestDriverValidation:

@@ -29,11 +29,7 @@ def _dispatches(stats) -> int:
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     sock = str(tmp_path_factory.mktemp("svc-cache") / "repro.sock")
-    config = ServiceConfig(
-        socket_path=sock,
-        num_workers=2,
-        cache_entries=64,
-    )
+    config = ServiceConfig(socket_path=sock, cache_entries=64)
     with ReproServer(config) as srv:
         yield srv
 
@@ -46,7 +42,7 @@ def client(server):
 
 def test_cache_hit_is_bit_identical_and_never_touches_a_pool(client):
     graph = rmat_b(7, seed=42)
-    config = {"engine": "process"}
+    config = {"engine": "native", "schedule": "synchronous", "num_threads": 2}
     first = client.extract(graph, config=config)
     assert not first.cached and first.served_by == "inline"
     before = client.stats()
@@ -116,9 +112,9 @@ def test_differing_resolved_configs_miss(client):
 def test_default_and_explicit_schedule_share_one_entry(client):
     # schedule=None resolves to the engine default — same cache row.
     graph = rmat_b(6, seed=45)
-    client.extract(graph, config={"engine": "process"})
+    client.extract(graph, config={"engine": "native"})
     explicit = client.extract(
-        graph, config={"engine": "process", "schedule": "synchronous"}
+        graph, config={"engine": "native", "schedule": "asynchronous"}
     )
     assert explicit.cached
 
@@ -241,9 +237,7 @@ def test_mutate_sessions_are_per_connection(server):
 
 def test_lru_eviction_pins_the_entry_ceiling(tmp_path):
     sock = str(tmp_path / "lru.sock")
-    config = ServiceConfig(
-        socket_path=sock, num_workers=1, cache_entries=2
-    )
+    config = ServiceConfig(socket_path=sock, cache_entries=2)
     graphs = [rmat_b(5, seed=s) for s in (1, 2, 3)]
     with ReproServer(config):
         with ServiceClient(socket_path=sock) as client:

@@ -44,7 +44,6 @@ pytestmark = pytest.mark.service_stress
 def _server_config(tmp_path, **overrides) -> ServiceConfig:
     defaults = dict(
         socket_path=str(tmp_path / "svc.sock"),
-        num_workers=2,
         queue_depth=8,
         request_timeout=90.0,
     )
@@ -273,7 +272,7 @@ def test_cli_daemon_serves_and_drains_on_sigterm(tmp_path):
             time.sleep(0.1)
         extract = subprocess.run(
             [sys.executable, "-m", "repro", "extract", graph_path,
-             "--server", sock_path, "--engine", "process", "--maximalize",
+             "--server", sock_path, "--engine", "native", "--maximalize",
              "--verify", "-o", out_path],
             env=env, capture_output=True, text=True, timeout=120,
         )

@@ -35,6 +35,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service import protocol
+from tests.conftest import live_engine
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ def test_decode_config_defaults_to_default_config():
 def test_decode_config_accepts_every_allowed_field():
     config = protocol.decode_config(
         {
-            "engine": "process",
+            "engine": "native",
             "variant": "unoptimized",
             "schedule": "synchronous",
             "num_threads": 2,
@@ -259,7 +260,7 @@ def test_decode_config_accepts_every_allowed_field():
             "max_iterations": 5,
         }
     )
-    assert config.engine == "process"
+    assert config.engine == "native"
     assert config.maximalize and config.stitch
     assert config.max_iterations == 5
 
@@ -275,6 +276,11 @@ def test_decode_config_accepts_every_allowed_field():
         ({"engine": "no-such-engine"}, protocol.INVALID_CONFIG),
         ({"engine": "superstep", "schedule": "sideways"}, protocol.INVALID_CONFIG),
         ({"num_threads": 0}, protocol.INVALID_CONFIG),
+        ({"num_threads": protocol.MAX_THREADS + 1}, protocol.INVALID_CONFIG),
+        ({"engine": "native", "num_threads": 10**6}, protocol.INVALID_CONFIG),
+        ({"num_threads": 2.5}, protocol.INVALID_CONFIG),
+        ({"num_threads": True}, protocol.INVALID_CONFIG),
+        ({"max_iterations": 1.5}, protocol.INVALID_CONFIG),
     ],
 )
 def test_decode_config_rejections_are_typed(payload, code):
@@ -293,12 +299,12 @@ def test_decode_timeout():
 
 
 def test_config_cache_key_identifies_resolved_regimes():
-    explicit = ExtractionConfig(engine="process", schedule="synchronous")
-    defaulted = ExtractionConfig(engine="process")  # resolves to synchronous
+    explicit = ExtractionConfig(engine="native", schedule="asynchronous")
+    defaulted = ExtractionConfig(engine="native")  # resolves to asynchronous
     assert protocol.config_cache_key(
         explicit.resolved()
     ) == protocol.config_cache_key(defaulted.resolved())
-    other = ExtractionConfig(engine="process", schedule="asynchronous")
+    other = ExtractionConfig(engine="native", schedule="synchronous")
     assert protocol.config_cache_key(other.resolved()) != protocol.config_cache_key(
         explicit.resolved()
     )
@@ -313,7 +319,6 @@ def server(tmp_path_factory):
     sock = str(tmp_path_factory.mktemp("svc") / "repro.sock")
     config = ServiceConfig(
         socket_path=sock,
-        num_workers=2,
         queue_depth=8,
         request_timeout=60.0,
     )
@@ -339,11 +344,12 @@ def test_ping_reports_versions(client):
     assert pong["pong"] and pong["protocol"] == protocol.PROTOCOL_VERSION
 
 
-@pytest.mark.parametrize("engine", ["superstep", "process", "reference"])
+@pytest.mark.parametrize("engine", ["superstep", "native", "process", "reference"])
 def test_extract_round_trip_is_verified_valid(client, engine):
     graph = rmat_b(7, seed=len(engine))
     result = client.extract(
-        graph, config={"engine": engine, "maximalize": True}, no_cache=True
+        graph, config={"engine": live_engine(engine), "maximalize": True},
+        no_cache=True,
     )
     report = verify_extraction(graph, result.edges)
     assert report.ok, report
@@ -352,7 +358,7 @@ def test_extract_round_trip_is_verified_valid(client, engine):
 
 def test_csr_and_edge_list_payloads_yield_identical_edges(client):
     graph = rmat_b(6, seed=23)
-    config = {"engine": "process", "schedule": "synchronous"}
+    config = {"engine": "native", "schedule": "synchronous"}
     via_csr = client.extract(graph, config=config, no_cache=True, binary=True)
     via_edges = client.extract(graph, config=config, no_cache=True, binary=False)
     assert (via_csr.edges == via_edges.edges).all()
@@ -374,7 +380,7 @@ def test_failing_extraction_costs_only_its_own_request(client):
     connection keeps being served."""
     from repro.core.engines import EngineSpec, register_engine, unregister_engine
 
-    def explode(graph, config, pool=None):
+    def explode(graph, config):
         raise RuntimeError("engine blew up")
 
     register_engine(EngineSpec(name="exploding", run_fn=explode))
@@ -519,7 +525,7 @@ def test_client_requires_exactly_one_address():
 
 
 def test_tcp_listener_serves_too():
-    config = ServiceConfig(host="127.0.0.1", port=0, num_workers=1)
+    config = ServiceConfig(host="127.0.0.1", port=0)
     with ReproServer(config) as srv:
         host, port = srv.tcp_address
         with ServiceClient(host=host, port=port) as c:
@@ -529,9 +535,7 @@ def test_tcp_listener_serves_too():
 
 def test_protocol_shutdown_op_drains_and_stops(tmp_path):
     sock_path = str(tmp_path / "stop.sock")
-    server = ReproServer(
-        ServiceConfig(socket_path=sock_path, num_workers=1)
-    ).start()
+    server = ReproServer(ServiceConfig(socket_path=sock_path)).start()
     with ServiceClient(socket_path=sock_path) as c:
         assert c.shutdown()["stopping"]
     server._stopped.wait(timeout=30.0)
@@ -544,9 +548,7 @@ def test_protocol_shutdown_op_drains_and_stops(tmp_path):
 
 def test_shutdown_op_can_be_disabled(tmp_path):
     sock_path = str(tmp_path / "nostop.sock")
-    config = ServiceConfig(
-        socket_path=sock_path, num_workers=1, allow_remote_shutdown=False
-    )
+    config = ServiceConfig(socket_path=sock_path, allow_remote_shutdown=False)
     with ReproServer(config) as srv:
         with ServiceClient(socket_path=sock_path) as c:
             with pytest.raises(ServiceError) as excinfo:

@@ -7,12 +7,11 @@ Covers the redesign's acceptance criteria:
   (deterministic cells exact, nondeterministic async cells
   ``verify_extraction``-valid);
 * registry capability rejection messages (unknown engine, unsupported
-  schedule, collect_trace without the supports_trace capability, pool
-  with a pool-incapable engine);
+  schedule, collect_trace without the supports_trace capability);
 * ``stream()`` laziness — the first result is yielded before the input
   iterator is exhausted;
-* the deprecated pool handle and the pool/num_workers conflict check
-  (previously silently ignored).
+* options an entry point cannot honour (the retired ``num_workers``,
+  tracing on the native team) rejected, never silently ignored.
 """
 
 import numpy as np
@@ -28,17 +27,12 @@ from repro.core.engines import (
     schedule_names,
     unregister_engine,
 )
-from repro.core.extract import (
-    ENGINES,
-    SCHEDULES,
-    extract_many,
-    extract_maximal_chordal_subgraph,
-)
-from repro.core.procpool import ProcessPool
+from repro.core.extract import extract_many, extract_maximal_chordal_subgraph
 from repro.core.session import Extractor
 from repro.errors import ConfigError, ReproError, SessionClosedError
 from repro.graph.generators.classic import cycle_graph, path_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er
+from tests.conftest import live_engine
 
 
 class TestExtractionConfig:
@@ -46,44 +40,36 @@ class TestExtractionConfig:
         cfg = ExtractionConfig()
         assert cfg.engine == "superstep"
         assert cfg.schedule is None
-        assert cfg.num_workers is None
+        assert cfg.num_threads == 4
 
     def test_resolved_fills_engine_default_schedule(self):
         assert ExtractionConfig().resolved().schedule == "asynchronous"
         assert (
-            ExtractionConfig(engine="process").resolved().schedule == "synchronous"
+            ExtractionConfig(engine="weighted").resolved().schedule == "synchronous"
         )
         assert (
-            ExtractionConfig(engine="threaded").resolved().schedule == "asynchronous"
+            ExtractionConfig(engine="native").resolved().schedule == "asynchronous"
         )
 
     def test_resolved_keeps_explicit_schedule(self):
-        cfg = ExtractionConfig(engine="process", schedule="asynchronous")
-        assert cfg.resolved().schedule == "asynchronous"
-
-    def test_resolved_fills_num_workers(self):
-        assert ExtractionConfig().resolved().num_workers == 4
-        assert ExtractionConfig(num_workers=2).resolved().num_workers == 2
+        cfg = ExtractionConfig(engine="native", schedule="synchronous")
+        assert cfg.resolved().schedule == "synchronous"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExtractionConfig().engine = "threaded"
+            ExtractionConfig().engine = "native"
 
     def test_replace_revalidates(self):
         cfg = ExtractionConfig()
-        assert cfg.replace(engine="process").engine == "process"
+        assert cfg.replace(engine="native").engine == "native"
         with pytest.raises(ConfigError):
             cfg.replace(engine="gpu")
 
     def test_deterministic_property(self):
         assert ExtractionConfig(engine="superstep").deterministic
         assert ExtractionConfig(engine="reference").deterministic
-        assert ExtractionConfig(engine="process").deterministic  # sync default
-        assert not ExtractionConfig(
-            engine="process", schedule="asynchronous"
-        ).deterministic
-        # threaded is an alias of the serial engine: deterministic too
-        assert ExtractionConfig(engine="threaded").deterministic
+        assert ExtractionConfig(engine="weighted").deterministic  # sync default
+        assert ExtractionConfig(engine="native", schedule="synchronous").deterministic
         assert not ExtractionConfig(engine="native").deterministic
 
 
@@ -103,9 +89,13 @@ class TestConfigErrors:
             {"schedule": "warp"},
             {"renumber": "dfs"},
             {"num_threads": 0},
-            {"num_workers": 0},
+            {"num_threads": 2.5},
             {"max_iterations": 0},
-            {"engine": "process", "collect_trace": True},
+            {"engine": "native", "collect_trace": True},
+            {"num_threads": True},
+            {"num_threads": "4"},
+            {"max_iterations": 3.0},
+            {"max_iterations": False},
         ],
     )
     def test_bad_field_raises_configerror(self, kwargs):
@@ -113,7 +103,7 @@ class TestConfigErrors:
             ExtractionConfig(**kwargs)
 
     def test_unknown_engine_message_lists_registry(self):
-        with pytest.raises(ConfigError, match="superstep.*threaded.*process"):
+        with pytest.raises(ConfigError, match="superstep.*native.*reference.*weighted"):
             ExtractionConfig(engine="gpu")
 
     def test_collect_trace_message_names_capable_engines(self):
@@ -138,34 +128,21 @@ class TestConfigErrors:
         g = cycle_graph(6)
         r = extract_maximal_chordal_subgraph(g, schedule=None)
         assert r.schedule == "asynchronous"
-        r = extract_maximal_chordal_subgraph(g, engine="process", schedule=None)
+        r = extract_maximal_chordal_subgraph(g, engine="weighted", schedule=None)
         assert r.schedule == "synchronous"
 
 
 class TestRegistry:
     def test_builtin_names_and_views(self):
-        assert engine_names() == (
-            "superstep",
-            "threaded",
-            "native",
-            "process",
-            "reference",
-            "weighted",
-        )
-        assert tuple(ENGINES) == engine_names()
-        assert tuple(SCHEDULES) == schedule_names() == (
-            "asynchronous",
-            "synchronous",
-        )
+        assert engine_names() == ("superstep", "native", "reference", "weighted")
+        assert schedule_names() == ("asynchronous", "synchronous")
 
     def test_capability_flags(self):
         assert get_engine("superstep").supports_trace
-        assert get_engine("threaded").supports_trace
-        assert get_engine("process").supports_pool
-        assert not get_engine("process").supports_trace
+        assert not get_engine("native").supports_trace
         assert not get_engine("reference").supports_trace
-        assert get_engine("process").is_deterministic("synchronous")
-        assert not get_engine("process").is_deterministic("asynchronous")
+        assert get_engine("native").is_deterministic("synchronous")
+        assert not get_engine("native").is_deterministic("asynchronous")
         assert get_engine("reference").is_deterministic("asynchronous")
 
     def test_weighted_engine_capabilities(self):
@@ -176,9 +153,9 @@ class TestRegistry:
         assert spec.algorithm == "maxchord"
         assert spec.schedules == ("synchronous",)
         assert spec.is_deterministic("synchronous")
-        assert not spec.supports_pool and not spec.supports_trace
+        assert not spec.supports_trace
         # Algorithm-1 engines carry the default tag and no weight support.
-        for name in ("superstep", "threaded", "process", "reference"):
+        for name in ("superstep", "native", "reference"):
             other = get_engine(name)
             assert other.algorithm == "algorithm1"
             assert not other.supports_weights
@@ -192,10 +169,10 @@ class TestRegistry:
             get_engine("gpu")
 
     def test_third_party_engine_registers_and_runs(self):
-        """A registered engine shows up in the derived views, drives the
+        """A registered engine shows up in the registry names, drives the
         session, and its capability limits produce data-driven errors."""
 
-        def run_fixed(graph, config, pool):
+        def run_fixed(graph, config):
             return np.empty((0, 2), dtype=np.int64), [], None
 
         spec = EngineSpec(
@@ -208,7 +185,6 @@ class TestRegistry:
         )
         register_engine(spec)
         try:
-            assert "nulleng" in ENGINES
             assert "nulleng" in engine_names()
             # schedule=None resolves to the engine's declared default
             cfg = ExtractionConfig(engine="nulleng").resolved()
@@ -224,14 +200,14 @@ class TestRegistry:
                 match="'nulleng' does not support schedule 'asynchronous'",
             ):
                 ExtractionConfig(engine="nulleng", schedule="asynchronous")
-            # the legacy shim accepts it too (registry-driven dispatch)
+            # the one-call function accepts it too (registry-driven dispatch)
             r2 = extract_maximal_chordal_subgraph(
                 cycle_graph(4), engine="nulleng", schedule="synchronous"
             )
             assert r2.num_chordal_edges == 0
         finally:
             unregister_engine("nulleng")
-        assert "nulleng" not in ENGINES
+        assert "nulleng" not in engine_names()
         with pytest.raises(ConfigError):
             ExtractionConfig(engine="nulleng")
 
@@ -259,9 +235,8 @@ class TestRegistry:
             default_schedule = "asynchronous"  # not in schedules
             deterministic_schedules = ()
             supports_trace = False
-            supports_pool = False
 
-            def run(self, graph, config, pool=None):
+            def run(self, graph, config):
                 return np.empty((0, 2), dtype=np.int64), [], None
 
         with pytest.raises(ConfigError, match="default_schedule"):
@@ -274,7 +249,7 @@ class TestRegistry:
             schedules = ("synchronous",)
             default_schedule = "synchronous"
             deterministic_schedules = ()
-            # no description / supports_trace / supports_pool / run
+            # no description / supports_trace / run
 
         with pytest.raises(ConfigError, match="missing required"):
             register_engine(Incomplete())
@@ -286,7 +261,6 @@ class TestRegistry:
             default_schedule = "synchronous"
             deterministic_schedules = ()
             supports_trace = False
-            supports_pool = False
 
         with pytest.raises(ConfigError, match="callable run"):
             register_engine(NoRun())
@@ -303,16 +277,16 @@ class TestShimExtractorIdentity:
     def graphs(self):
         return [rmat_b(6, seed=3), rmat_er(6, seed=7), cycle_graph(9)]
 
-    @pytest.mark.parametrize("engine", ["superstep", "threaded", "process", "reference"])
+    @pytest.mark.parametrize("label", ["superstep", "threaded", "process", "reference"])
     @pytest.mark.parametrize("schedule", ["asynchronous", "synchronous"])
     @pytest.mark.parametrize("variant", ["optimized", "unoptimized"])
-    def test_cell(self, graphs, engine, schedule, variant):
+    def test_cell(self, graphs, label, schedule, variant):
+        engine = live_engine(label)
         config = ExtractionConfig(
             engine=engine,
             schedule=schedule,
             variant=variant,
             num_threads=2,
-            num_workers=2,
         )
         spec = config.engine_spec
         with Extractor(config) as ex:
@@ -324,7 +298,6 @@ class TestShimExtractorIdentity:
                     schedule=schedule,
                     variant=variant,
                     num_threads=2,
-                    num_workers=2,
                 )
                 assert session.engine == legacy.engine == engine
                 assert session.schedule == legacy.schedule == schedule
@@ -340,9 +313,11 @@ class TestShimExtractorIdentity:
                         assert report.ok, (engine, schedule, variant, report)
 
     def test_extract_many_matches_session(self, graphs):
-        legacy = extract_many(graphs, engine="process", num_workers=2)
+        legacy = extract_many(
+            graphs, engine="native", schedule="synchronous", num_threads=2
+        )
         with Extractor(
-            ExtractionConfig(engine="process", num_workers=2)
+            ExtractionConfig(engine="native", schedule="synchronous", num_threads=2)
         ) as ex:
             session = ex.extract_many(graphs)
         for a, b in zip(legacy, session):
@@ -423,8 +398,8 @@ class TestExtractorLifecycle:
         """Regression: closing the session while a stream() generator is
         mid-iteration must surface as SessionClosedError (a ReproError)
         on the next next(), never a half-torn-down AttributeError from
-        inside the pool machinery."""
-        ex = Extractor(ExtractionConfig(engine="process", num_workers=2))
+        inside the thread team."""
+        ex = Extractor(ExtractionConfig(engine="native", num_threads=2))
         stream = ex.stream(rmat_b(5, seed=s) for s in range(10))
         first = next(stream)
         assert first.num_chordal_edges > 0
@@ -437,67 +412,60 @@ class TestExtractorLifecycle:
         assert issubclass(SessionClosedError, RuntimeError)
 
     def test_external_pool_closed_mid_stream_raises_clean_repro_error(self):
-        """Same teardown gap via the caller-owned pool: the pool dying
-        under a streaming session is a SessionClosedError, not an
+        """Same teardown gap via the context manager: a stream that
+        outlives its ``with`` block is a SessionClosedError, not an
         AttributeError."""
-        pool = ProcessPool(num_workers=2)
-        ex = Extractor(ExtractionConfig(engine="process"), pool=pool)
-        stream = ex.stream(rmat_b(5, seed=s) for s in range(10))
-        next(stream)
-        pool.close()
+        with Extractor(ExtractionConfig(engine="native", num_threads=2)) as ex:
+            stream = ex.stream(rmat_b(5, seed=s) for s in range(10))
+            next(stream)
         with pytest.raises(SessionClosedError, match="closed"):
             next(stream)
-        ex.close()
 
     def test_non_pool_engine_never_spawns(self):
-        with Extractor(ExtractionConfig(engine="superstep")) as ex:
-            ex.extract(cycle_graph(5))
-            assert ex.pool is None
+        """The serial engine runs in the calling thread: no thread and no
+        process outlives (or is started by) an extraction."""
+        import multiprocessing
+        import threading
+
+        before = set(threading.enumerate())
+        with Extractor(ExtractionConfig(engine="superstep", num_threads=4)) as ex:
+            ex.extract(rmat_b(6, seed=1))
+            assert not set(threading.enumerate()) - before
+        assert multiprocessing.active_children() == []
 
     def test_external_pool_left_open(self):
+        """Closing one session leaves another session open."""
         g = rmat_er(5, seed=1)
-        with ProcessPool(num_workers=2) as pool:
-            with Extractor(ExtractionConfig(engine="process"), pool=pool) as ex:
-                ex.extract(g)
-                assert ex.pool is pool
-            # session close must not close the caller's pool
-            edges, _ = pool.extract(g)
-            assert edges.shape[1] == 2
+        with Extractor(ExtractionConfig(engine="native", num_threads=2)) as keep:
+            with Extractor(ExtractionConfig(engine="native", num_threads=2)) as ex:
+                first = ex.extract(g)
+            again = keep.extract(g)
+            assert again.edges.shape[1] == 2
+            assert again.num_chordal_edges == first.num_chordal_edges > 0
 
 
 class TestPoolConflicts:
-    """The pool= / num_workers mismatch used to be silently ignored."""
+    """Options that an entry point cannot honour are rejected, never
+    silently ignored."""
 
     def test_conflicting_num_workers_rejected(self):
-        with ProcessPool(num_workers=2) as pool:
-            with pytest.raises(ConfigError, match="num_workers=4 conflicts"):
-                extract_maximal_chordal_subgraph(
-                    rmat_er(5, seed=1), engine="process", num_workers=4, pool=pool
-                )
-            with pytest.raises(ConfigError, match="conflicts"):
-                Extractor(
-                    ExtractionConfig(engine="process", num_workers=3), pool=pool
-                )
-            with pytest.raises(ConfigError, match="conflicts"):
-                extract_many(
-                    [rmat_er(5, seed=1)], engine="process", num_workers=1, pool=pool
-                )
-
-    def test_matching_num_workers_accepted(self):
+        """``num_workers`` was retired for ``num_threads``; every entry
+        point rejects it as an unknown option."""
         g = rmat_er(5, seed=1)
-        with ProcessPool(num_workers=2) as pool:
-            r = extract_maximal_chordal_subgraph(
-                g, engine="process", num_workers=2, pool=pool
-            )
-            assert r.num_chordal_edges > 0
-
-    def test_unspecified_num_workers_adopts_pool_size(self):
-        with ProcessPool(num_workers=2) as pool:
-            ex = Extractor(ExtractionConfig(engine="process"), pool=pool)
-            assert ex.config.num_workers == 2
-            ex.close()
+        with pytest.raises(TypeError, match="num_workers"):
+            ExtractionConfig(engine="native", num_workers=4)
+        with pytest.raises(TypeError, match="num_workers"):
+            extract_maximal_chordal_subgraph(g, engine="native", num_workers=4)
+        with pytest.raises(TypeError, match="num_workers"):
+            Extractor(engine="native", num_workers=3)
+        with pytest.raises(TypeError, match="num_workers"):
+            extract_many([g], engine="native", num_workers=1)
 
     def test_pool_with_incapable_engine_rejected(self):
-        with ProcessPool(num_workers=1) as pool:
-            with pytest.raises(ConfigError, match="pool.*process"):
-                Extractor(ExtractionConfig(engine="superstep"), pool=pool)
+        """A capability the engine lacks (tracing, on the native team) is
+        rejected when the session is configured, by every entry point."""
+        g = rmat_er(5, seed=1)
+        with pytest.raises(ConfigError, match="supports_trace"):
+            Extractor(ExtractionConfig(engine="native"), collect_trace=True)
+        with pytest.raises(ConfigError, match="supports_trace"):
+            extract_maximal_chordal_subgraph(g, engine="native", collect_trace=True)

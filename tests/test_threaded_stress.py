@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.chordality.recognition import is_chordal
-from repro.core.runtime import LocalState, NativeThreadTeamExecutor, drive
-from repro.core.superstep import superstep_max_chordal
+from repro.core.runtime import LocalState, NativeThreadTeamExecutor, SerialExecutor, drive
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.classic import complete_graph
 from repro.graph.generators.random import gnp_random_graph
@@ -73,7 +72,7 @@ def test_async_smoke_8_threads(seed):
 def test_sync_schedule_immune_to_oversubscription(threads):
     """Snapshot semantics must hold at thread counts far above the cores."""
     graph = gnp_random_graph(32, 0.4, seed=9)
-    serial, qs, _ = superstep_max_chordal(graph, schedule="synchronous")
+    serial, qs, _ = drive(LocalState(graph), SerialExecutor(), schedule="synchronous")
     def canon_rows(edges: np.ndarray) -> np.ndarray:
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         return edges[order]

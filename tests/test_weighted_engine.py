@@ -34,6 +34,7 @@ from repro.graph.weights import (
     retained_weight,
     uniform_weights,
 )
+from tests.conftest import live_engine
 
 
 def _weighted(n=16, p=0.3, seed=0, *, lo=0.1, hi=5.0):
@@ -166,14 +167,14 @@ def test_uniform_weights_reproduce_unweighted_maxchord_exactly():
 # The engine gate and metrics.
 
 
-@pytest.mark.parametrize("engine", ["superstep", "threaded", "reference"])
+@pytest.mark.parametrize("engine", ["superstep", "threaded", "native", "reference"])
 def test_weighted_graph_with_unweighted_engine_is_config_error(engine):
     gw = _weighted(seed=9)
-    with Extractor(engine=engine) as ex:
+    with Extractor(engine=live_engine(engine)) as ex:
         with pytest.raises(ConfigError, match="not weight-aware"):
             ex.extract(gw)
     # The stripped graph extracts fine in the same session.
-    with Extractor(engine=engine) as ex:
+    with Extractor(engine=live_engine(engine)) as ex:
         result = ex.extract(gw.without_weights())
     assert result.num_chordal_edges > 0
 
