@@ -1,6 +1,6 @@
 """Tier-2 guard: the gates that do not depend on the host.
 
-Two gates remain, both meaningful on any machine:
+The gates that remain are all meaningful on any machine:
 
 * **Answer quality** against ``BENCH_quality.json`` — retained-edge
   fraction per engine x schedule on the ``bench_quality.FAMILIES`` menu,
@@ -9,11 +9,12 @@ Two gates remain, both meaningful on any machine:
   additionally must never dip below the certified floor of
   ``repro.chordality.quality.maximal_chordal_floor`` — that failure mode
   is a correctness bug, no re-record can excuse it.
-* **Native speedup**, measured live as a same-host ratio with no
-  baseline file: the NumPy and the compiled round loops drive one
-  ``LocalState`` over RMAT-ER(14) under the synchronous schedule, and the
-  compiled loop must be at least ``NATIVE_MIN_SPEEDUP``x faster.  The
-  gate skips, printing the resolution detail, when the compiled backend
+* **Native speedup**, measured live as same-host ratios with no
+  baseline file, each over one ``LocalState`` on RMAT-ER(14): the NumPy
+  and the compiled synchronous round loops (at least
+  ``NATIVE_MIN_SPEEDUP``x apart), and the interpreted and the compiled
+  asynchronous sweeps (at least ``SWEEP_MIN_SPEEDUP``x apart).  Both
+  gates skip, printing the resolution detail, when the compiled backend
   does not resolve.
 
 Wall-clock timing of whole commands lives in ``perfbench/``
@@ -51,7 +52,11 @@ from bench_quality import (
 #: its reason to exist.
 NATIVE_MIN_SPEEDUP = 2.5
 
-#: Median-of-N repeats for each side of the native ratio.
+#: Minimum live interpreted/compiled time ratio of the scale-14
+#: asynchronous sweep.  Same-host runs measure ~35-50x.
+SWEEP_MIN_SPEEDUP = 10.0
+
+#: Median-of-N repeats for each side of the native ratios.
 NATIVE_REPEATS = 5
 
 _RECORD_CMD = "repro bench --record quality"
@@ -214,4 +219,48 @@ def test_native_speedup_live():
         f"({numpy_s * 1e3:.2f} ms NumPy vs {native_s * 1e3:.2f} ms native), "
         f"below the {NATIVE_MIN_SPEEDUP}x gate; the compiled round bodies "
         "regressed relative to the NumPy loop"
+    )
+
+
+def test_native_sweep_speedup_live():
+    """The compiled asynchronous sweep must beat the interpreted one by at
+    least SWEEP_MIN_SPEEDUP on RMAT-ER(14), both timed now on this host.
+
+    One ``LocalState`` and one serial executor serve both sides; the
+    interpreted side is forced with ``REPRO_NATIVE=0``, as the tests force
+    the fallback, and the backend is re-resolved afterwards.
+    """
+    from repro.core.native import DISABLE_ENV, native_status
+    from repro.core.native.build import resolve
+
+    status = native_status()
+    if not status.available:
+        pytest.skip(status.detail)
+
+    from repro.core.runtime import LocalState, SerialExecutor, drive
+    from repro.graph.generators.rmat import rmat_er
+    from repro.util.timing import median_of
+
+    state = LocalState(rmat_er(14, seed=1))
+    serial = SerialExecutor()
+    assert drive(state, serial).kernel_path == "native"
+    native_s = median_of(lambda: drive(state, serial), NATIVE_REPEATS)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(DISABLE_ENV, "0")
+            resolve(force=True)
+            assert drive(state, serial).kernel_path == "numpy"
+            loop_s = median_of(lambda: drive(state, serial), NATIVE_REPEATS)
+    finally:
+        resolve(force=True)
+    ratio = loop_s / native_s
+    print(
+        f"native sweep speedup on er14: {ratio:.1f}x "
+        f"({loop_s * 1e3:.1f} ms interpreted vs {native_s * 1e3:.2f} ms native)"
+    )
+    assert ratio >= SWEEP_MIN_SPEEDUP, (
+        f"live native sweep speedup on er14 is {ratio:.1f}x "
+        f"({loop_s * 1e3:.1f} ms interpreted vs {native_s * 1e3:.2f} ms native), "
+        f"below the {SWEEP_MIN_SPEEDUP:g}x gate; the compiled sweep regressed "
+        "relative to the interpreted loop"
     )

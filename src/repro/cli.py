@@ -46,8 +46,9 @@ Subcommands
     ``repro extract --server`` routes through it.
 ``bench``
     Runs ``benchmarks/bench_regression_guard.py``, the host-independent
-    gates: the BENCH_quality.json retained-edge gate and a live
-    native-vs-NumPy round-loop ratio.  ``--record`` re-records
+    gates: the BENCH_quality.json retained-edge gate and live
+    compiled-vs-interpreted ratios of the round loop and the asynchronous
+    sweep.  ``--record`` re-records
     BENCH_quality.json.  Wall-clock benchmarks live in ``perfbench/``.
 ``experiments``
     Delegates to :mod:`repro.experiments.runner` (tables and figures).
@@ -542,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the quality + native-speedup guard / record the quality baseline",
         description="Without flags, runs benchmarks/bench_regression_guard.py "
         "(fails if any engine's retained-edge quality drops below "
-        "BENCH_quality.json, or the compiled round loop is less than 2.5x "
-        "faster than the NumPy one on this host).  --record re-records "
+        "BENCH_quality.json, the compiled round loop is less than 2.5x "
+        "faster than the NumPy one, or the compiled asynchronous sweep is "
+        "less than 10x faster than the interpreted one on this host).  "
+        "--record re-records "
         "the answer-quality baseline, BENCH_quality.json.  Wall-clock "
         "benchmarks live in perfbench/ (python3 perfbench/run.py).",
     )

@@ -18,17 +18,20 @@ The Algorithm-1 engines are pairings of the unified in-process runtime
 executor choice.
 
 ``superstep``
-    ``LocalState`` × ``SerialExecutor`` (vectorized kernels, the paper's
-    maximal-progress sweep for the asynchronous schedule); deterministic
-    under both schedules; collects work traces.  The default.
+    ``LocalState`` × ``SerialExecutor``: the paper's maximal-progress
+    sweep for the asynchronous schedule (compiled when the native backend
+    resolves, interpreted otherwise and whenever a work trace is
+    requested), NumPy barrier rounds for the synchronous one;
+    deterministic under both schedules; collects work traces.  The
+    default.
 ``native``
     ``LocalState(edge_claims=True)`` × ``NativeThreadTeamExecutor`` — a
     thread team dispatching the *compiled* round bodies
     (:mod:`repro.core.native`), which release the GIL: genuinely
     parallel threads over shared arrays.  Falls back to the NumPy bodies
     (same results, GIL-bound) when no compiled backend is available
-    (``supports_native`` flags the capability; availability is a
-    runtime question — ``repro --version`` reports it).
+    (a runtime question — ``repro --version`` reports it, and every
+    result's ``kernel_path`` says which code ran).
 ``reference``
     Literal pseudocode transcription; deterministic under both
     schedules; the readable spec (kept loop-for-loop with the paper, so
@@ -99,7 +102,12 @@ class Engine(Protocol):
     def run(
         self, graph: CSRGraph, config: "ExtractionConfig"
     ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
-        """Run one extraction; return ``(edges, queue_sizes, trace)``."""
+        """Run one extraction; return ``(edges, queue_sizes, trace)``.
+
+        A return value with a ``kernel_path`` attribute (a
+        :class:`~repro.core.runtime.DriveResult`) names the code that
+        produced the edges; a plain triple reports ``"numpy"``.
+        """
         ...  # pragma: no cover - protocol stub
 
 
@@ -129,13 +137,6 @@ class EngineSpec:
         runs and thread counts.
     supports_trace:
         Whether ``collect_trace=True`` is accepted.
-    supports_native:
-        Whether the engine dispatches the compiled nogil round bodies
-        (:mod:`repro.core.native`) when they are available.  This is a
-        *capability* flag: whether the compiled path actually runs on a
-        given host is a runtime question, answered by
-        :func:`repro.core.native.native_status` and surfaced as
-        ``kernel_path`` on :class:`~repro.core.session.ChordalResult`.
     supports_weights:
         Whether the engine consumes per-edge weights
         (:func:`repro.graph.weights.attach_edge_weights`).  Extracting
@@ -165,7 +166,6 @@ class EngineSpec:
     default_schedule: str = "asynchronous"
     deterministic_schedules: tuple[str, ...] = ()
     supports_trace: bool = False
-    supports_native: bool = False
     supports_weights: bool = False
     algorithm: str = "algorithm1"
     # perfbench/tracing.py is the only reader; goes with the next benchmark change.
@@ -349,7 +349,8 @@ register_engine(
     EngineSpec(
         name="superstep",
         run_fn=_run_superstep,
-        description="serial bulk-array engine, vectorized kernels (default)",
+        description="serial engine: the paper's maximal-progress sweep, "
+        "compiled when available (default)",
         deterministic_schedules=("asynchronous", "synchronous"),
         supports_trace=True,
     )
@@ -361,7 +362,6 @@ register_engine(
         description="compiled nogil round bodies on a real thread team "
         "(NumPy fallback when no toolchain)",
         deterministic_schedules=("synchronous",),
-        supports_native=True,
     )
 )
 register_engine(

@@ -61,7 +61,8 @@ def extract_maximal_chordal_subgraph(
     graph:
         Input graph (any :class:`~repro.graph.csr.CSRGraph`).
     engine:
-        ``"superstep"`` (serial array engine, default), ``"native"``
+        ``"superstep"`` (serial engine, default; its asynchronous sweep
+        runs compiled when the native backend resolves), ``"native"``
         (compiled round bodies on a nogil thread team — real core-level
         speedup; both schedules), ``"reference"`` (literal pseudocode)
         or ``"weighted"``.  Any engine added via

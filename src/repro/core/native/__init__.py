@@ -10,11 +10,17 @@ on the canonical schema arrays in place and release the GIL — so the
 ``native`` engine (:mod:`repro.core.engines`) runs a plain thread team
 genuinely in parallel in one process.
 
+The same ``.so`` carries the paper's asynchronous maximal-progress sweep
+(:func:`native_sweep`), which the driver runs for the default
+``superstep`` × ``asynchronous`` pairing whenever no work trace is
+requested: one C call per extraction, bit-identical to the interpreted
+sweep.
+
 Everything degrades cleanly: when no toolchain (or no cffi) is present,
 :func:`native_available` is ``False`` with a specific reason in
-:func:`native_status`, and the ``native`` engine transparently runs the
-NumPy round bodies instead — same results, GIL-bound speed.  Tier-1
-passes either way.
+:func:`native_status`, and the engines transparently run the NumPy round
+bodies and the interpreted sweep instead — same results, interpreted
+speed.  Tier-1 passes either way.
 """
 
 from repro.core.native.bodies import (
@@ -22,6 +28,7 @@ from repro.core.native.bodies import (
     native_round_body,
     native_run_async_slice,
     native_run_sync_slice,
+    native_sweep,
 )
 from repro.core.native.build import CACHE_ENV, DISABLE_ENV, NativeStatus, resolve
 
@@ -35,6 +42,7 @@ __all__ = [
     "native_round_body",
     "native_run_sync_slice",
     "native_run_async_slice",
+    "native_sweep",
 ]
 
 

@@ -1,6 +1,6 @@
-"""Slice-body wrappers over the compiled kernels.
+"""Wrappers over the compiled kernels: the round bodies and the sweep.
 
-These have the exact ``(tid, arrays)`` signature of
+The slice bodies have the exact ``(tid, arrays)`` signature of
 :func:`repro.core.runtime.rounds.run_sync_slice` /
 :func:`~repro.core.runtime.rounds.run_async_slice`, so the
 :class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` swaps
@@ -24,6 +24,11 @@ Equivalence to the NumPy bodies (the determinism contract):
   of the same nondeterministic algorithm (a published prefix is
   immutable and ``C[w]`` is slice-owned), and every output is certified
   by ``verify_extraction`` + the driver's claim accounting.
+* **sweep** — :func:`native_sweep` runs the asynchronous maximal-progress
+  sweep of :func:`repro.core.runtime.driver._serve_turns` to convergence
+  in one C call.  The sweep is deterministic, so its edges (in service
+  order), queue sizes and final ``arena``/``counts``/``cursor``/``lp``
+  are bit-identical to the interpreted loop's.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "native_round_body",
     "native_run_sync_slice",
     "native_run_async_slice",
+    "native_sweep",
 ]
 
 _I64 = np.dtype(np.int64)
@@ -183,3 +189,52 @@ def native_round_body(schedule: str):
     return (
         native_run_async_slice if schedule == "asynchronous" else native_run_sync_slice
     )
+
+
+def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
+    """Compiled asynchronous sweep over a reset ``state``: one C call.
+
+    Returns ``(edges, queue_sizes)``.  Every buffer is sized from the
+    graph, never from ``limit``: at most ``arena_used`` edges (one per
+    arena slot) and at most ``max_degree + 2`` iterations (each iteration
+    serves every active vertex, which then advances past one of its
+    parents), so ``limit`` must not exceed ``max_degree + 2``.  When more
+    than ``limit`` iterations would run, ``queue_sizes`` has ``limit + 1``
+    entries, ending with the pending queue size, exactly where the
+    interpreted sweep raises; the caller raises the ConvergenceError.
+    """
+    module = _module()
+    ffi, lib = module.ffi, module.lib
+    a = state.arrays
+    n = state.n
+    cap = state.max_degree + 2
+    if not 0 <= limit <= cap:
+        raise ValueError(f"limit must be in [0, {cap}] (max_degree + 2), got {limit}")
+    # head, tail, next, queue, next_queue, mark: six n-length scratch rows.
+    scratch = np.empty((6, n), dtype=np.int64)
+    qsizes = np.empty(cap + 1, dtype=np.int64)
+    edges = np.empty((state.arena_used, 2), dtype=np.int64)
+    iterations = ffi.new("int64_t *")
+
+    def ptr(arr: np.ndarray):
+        if arr.dtype != _I64 or not arr.flags["C_CONTIGUOUS"]:
+            raise TypeError(f"the native sweep needs contiguous int64 arrays, got {arr.dtype}")
+        return ffi.cast("int64_t *", arr.ctypes.data)
+
+    num_edges = lib.repro_sweep(
+        n,
+        limit,
+        ptr(a["arena"]),
+        ptr(a["offsets"]),
+        ptr(a["counts"]),
+        ptr(a["indptr"]),
+        ptr(a["indices"]),
+        ptr(a["lower"]),
+        ptr(a["cursor"]),
+        ptr(a["lp"]),
+        *(ptr(row) for row in scratch),
+        ptr(qsizes),
+        ptr(edges),
+        iterations,
+    )
+    return edges[: max(num_edges, 0)], qsizes[: iterations[0]].tolist()

@@ -1,9 +1,10 @@
-"""Build-and-cache machinery for the compiled round bodies.
+"""Build-and-cache machinery for the compiled kernels.
 
-The C translation of :mod:`repro.core.runtime.rounds` — and of the
-addability oracle's loops
-(:class:`repro.chordality.maximality.AddabilityOracle`) — lives here as a
-source string and is compiled **once** per (source, interpreter) digest
+The C translation of :mod:`repro.core.runtime.rounds`, of the paper's
+asynchronous maximal-progress sweep
+(``repro.core.runtime.driver._serve_turns``) and of the addability
+oracle's loops (:class:`repro.chordality.maximality.AddabilityOracle`)
+lives here as a source string and is compiled **once** per (source, interpreter) digest
 via cffi's out-of-line API mode into a cached ``.so`` under
 ``~/.cache/repro-native`` (override with :data:`CACHE_ENV`).  Later
 imports just ``dlopen`` the cached artifact — no compiler needed after
@@ -23,7 +24,8 @@ the fallback branch on a host that *does* have a compiler).
 
 Why C at all: the round bodies are memory-bound pointer-chasing loops
 (per-pair binary searches over sorted arena runs), the shape where a
-compiled inner loop beats further NumPy batching.  The C functions take
+compiled inner loop beats further NumPy batching.  The sweep is a scalar
+loop with nothing to batch, so only a compiled loop speeds it up.  The C functions take
 raw pointers into the *same* canonical schema arrays
 (:mod:`repro.core.runtime.layout`) — the LocalState NumPy buffers,
 zero copies — and cffi releases the GIL
@@ -69,6 +71,14 @@ void repro_async_slice(
     int64_t *edge_state,
     int64_t undecided, int64_t accepted, int64_t rejected,
     uint8_t *ok);
+int64_t repro_sweep(
+    int64_t n, int64_t limit,
+    int64_t *arena, const int64_t *offsets, int64_t *counts,
+    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
+    int64_t *cursor, int64_t *lp,
+    int64_t *head, int64_t *tail, int64_t *next,
+    int64_t *queue, int64_t *next_queue, int64_t *mark,
+    int64_t *qsizes, int64_t *edges, int64_t *iterations);
 void repro_oracle_add(
     int64_t k, const int64_t *eu, const int64_t *ev,
     const int64_t *start, int64_t *fill, int64_t *nbr,
@@ -90,10 +100,12 @@ int64_t repro_oracle_first(
 #: semantically line-for-line with the NumPy kernels so the synchronous
 #: output is bit-identical (same ok mask, same appends, same advances);
 #: see repro/core/native/bodies.py for the equivalence argument.  The
-#: addability oracle's greedy and certificate loops follow, mirroring the
+#: asynchronous sweep follows driver._serve_turns line for line, and the
+#: addability oracle's greedy and certificate loops mirror the
 #: interpreted fallback in repro/chordality/maximality.py.
 SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* 1 iff every element of child[0:cw] occurs in parent[0:cv].  Both runs
    are sorted ascending (the ordered-chordal-set invariant), so each
@@ -195,6 +207,111 @@ void repro_async_slice(
         cursor[w] = c;
         lp[w] = (c < lower[w]) ? indices[indptr[w] + c] : -1;
     }
+}
+
+/* ---- Maximal-progress sweep (driver._drive_sweep / _serve_turns) -------
+   children[v] is the linked list head[v] -> next[..] -> tail[v]; a vertex
+   sits in at most one list, the one for its current lp.  mark[x] holds the
+   iteration stamp under which x last joined the next queue. */
+
+static int repro_cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void repro_push_child(int64_t x, int64_t w,
+                             int64_t *head, int64_t *tail, int64_t *next)
+{
+    next[w] = -1;
+    if (head[x] < 0) head[x] = w; else next[tail[x]] = w;
+    tail[x] = w;
+}
+
+/* Runs the sweep to convergence from a reset state.  Turns run in
+   ascending queue order; the parent's prefix is frozen once per turn
+   (C[v] cannot change during its own turn, see _serve_turns).  Edges are
+   written as (v, w) rows in service order -- at most one per arena slot,
+   so arena_used rows always suffice -- and |Q1| per iteration goes to
+   qsizes, which must hold limit + 1 entries.  Returns the number of
+   edges, or -1 once more than `limit` iterations would run (the caller's
+   ConvergenceError; qsizes then ends with the pending queue size).
+   *iterations receives the number of qsizes entries written. */
+int64_t repro_sweep(
+    int64_t n, int64_t limit,
+    int64_t *arena, const int64_t *offsets, int64_t *counts,
+    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
+    int64_t *cursor, int64_t *lp,
+    int64_t *head, int64_t *tail, int64_t *next,
+    int64_t *queue, int64_t *next_queue, int64_t *mark,
+    int64_t *qsizes, int64_t *edges, int64_t *iterations)
+{
+    int64_t qn = 0, ne = 0, it = 0;
+    for (int64_t v = 0; v < n; v++) { head[v] = -1; mark[v] = 0; }
+    for (int64_t w = 0; w < n; w++) {
+        int64_t x = lp[w];
+        if (x < 0) continue;
+        repro_push_child(x, w, head, tail, next);
+        if (mark[x] != 1) { mark[x] = 1; queue[qn++] = x; }
+    }
+    qsort(queue, (size_t)qn, sizeof(int64_t), repro_cmp_i64);
+
+    while (qn > 0) {
+        qsizes[it++] = qn;
+        if (it > limit) { *iterations = it; return -1; }
+        int64_t nn = 0, stamp = it + 1;
+        for (int64_t qi = 0; qi < qn; qi++) {
+            int64_t v = queue[qi];
+            int64_t cv = counts[v];
+            const int64_t *pv = arena + offsets[v];
+            int64_t bound = cv ? pv[cv - 1] : -1;
+            int64_t w = head[v];
+            while (w >= 0) {
+                /* Line 15 with the cardinality and last-element filters. */
+                int64_t cw = counts[w];
+                int ok;
+                if (cw > cv) ok = 0;
+                else if (cw == 0) ok = 1;
+                else {
+                    const int64_t *pw = arena + offsets[w];
+                    ok = pw[cw - 1] <= bound && repro_is_subset(pw, cw, pv, cv);
+                }
+                if (ok) {  /* lines 16-17 */
+                    arena[offsets[w] + cw] = v;
+                    counts[w] = cw + 1;
+                    edges[2 * ne] = v;
+                    edges[2 * ne + 1] = w;
+                    ne++;
+                }
+                /* Lines 18-20: advance to the next parent (x > v, so w
+                   never rejoins the list being swept). */
+                int64_t c = cursor[w] + 1;
+                cursor[w] = c;
+                int64_t x = (c < lower[w]) ? indices[indptr[w] + c] : -1;
+                lp[w] = x;
+                int64_t after = next[w];
+                if (x >= 0) {
+                    repro_push_child(x, w, head, tail, next);
+                    if (mark[x] != stamp) { mark[x] = stamp; next_queue[nn++] = x; }
+                }
+                w = after;
+            }
+            head[v] = -1;
+        }
+        /* Sort ascending.  A dense next queue is rebuilt by one scan of
+           the marks, which visits ids in order; a sparse one is sorted. */
+        if (nn * 8 > n) {
+            nn = 0;
+            for (int64_t x = 0; x < n; x++)
+                if (mark[x] == stamp) next_queue[nn++] = x;
+        } else {
+            qsort(next_queue, (size_t)nn, sizeof(int64_t), repro_cmp_i64);
+        }
+        int64_t *swap = queue; queue = next_queue; next_queue = swap;
+        qn = nn;
+    }
+    *iterations = it;
+    return ne;
 }
 
 /* ---- Addability oracle (repro.chordality.maximality.AddabilityOracle) --

@@ -15,7 +15,13 @@ The built-in engines are thin pairings of these (see
 section.
 """
 
-from repro.core.runtime.driver import SCHEDULES, VARIANTS, backend_run_fn, drive
+from repro.core.runtime.driver import (
+    SCHEDULES,
+    VARIANTS,
+    DriveResult,
+    backend_run_fn,
+    drive,
+)
 from repro.core.runtime.executors import NativeThreadTeamExecutor, SerialExecutor
 from repro.core.runtime.layout import build_spec
 from repro.core.runtime.rounds import round_body, run_async_slice, run_sync_slice
@@ -23,6 +29,7 @@ from repro.core.runtime.state import LocalState
 
 __all__ = [
     "drive",
+    "DriveResult",
     "backend_run_fn",
     "SCHEDULES",
     "VARIANTS",

@@ -16,7 +16,12 @@ executor) pairing:
   maximal-progress sweep: ascending turns over a live children map, where
   a vertex whose next parent is a later queue member is served again
   within the same iteration.  Deterministic; reproduces the paper's
-  headline iteration counts (~3 for R-MAT, k-1 for a k-clique).
+  headline iteration counts (~3 for R-MAT, k-1 for a k-clique).  When the
+  compiled backend resolves and no work trace is requested, the whole
+  sweep is one call into :func:`repro.core.native.native_sweep`, made
+  inside ``executor.map`` and bit-identical to the interpreted loop
+  (:func:`_serve_turns`), which remains the fallback and the trace
+  producer.
 * ``schedule="asynchronous"`` on an executor that sets
   ``live_rounds = True`` (the native thread team) — live barrier rounds:
   one service per vertex per round against whatever chordal-set prefixes
@@ -28,23 +33,42 @@ Work traces are a **driver** feature: for synchronous rounds the trace is
 reconstructed from each round's snapshot in canonical ascending order, so
 it is identical for every executor (the trace is a property of the
 schedule, not of who ran it); for the asynchronous sweep events are
-recorded at service time.
+recorded at service time.  Every run returns a :class:`DriveResult`
+naming the kernel path that produced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.instrument import CostModelParams, TraceBuilder, WorkTrace
+from repro.core.instrument import CostModelParams, TraceBuilder
 from repro.core.kernels import assemble_edges, build_arena_keys
 from repro.core.runtime.layout import CTRL_NKEYS
 from repro.errors import ConfigError, ConvergenceError
 from repro.parallel.partition import balanced_chunks
 
-__all__ = ["drive", "backend_run_fn", "SCHEDULES", "VARIANTS"]
+__all__ = ["drive", "backend_run_fn", "DriveResult", "SCHEDULES", "VARIANTS"]
 
 SCHEDULES = ("asynchronous", "synchronous")
 VARIANTS = ("optimized", "unoptimized")
+
+
+class DriveResult(tuple):
+    """``(edges, queue_sizes, trace)`` plus the kernel path that ran.
+
+    Unpacks exactly like the registry's ``run`` triple, so it passes
+    through every ``EngineSpec.run`` unchanged.  ``kernel_path`` is
+    ``"native"`` when a compiled round body or the compiled sweep
+    produced the edges, ``"numpy"`` when the interpreted code did (or
+    when the graph was trivial and nothing ran).
+    """
+
+    kernel_path: str
+
+    def __new__(cls, edges, queue_sizes, trace, kernel_path: str):
+        self = super().__new__(cls, (edges, queue_sizes, trace))
+        self.kernel_path = kernel_path
+        return self
 
 
 def drive(
@@ -56,8 +80,9 @@ def drive(
     collect_trace: bool = False,
     cost_params: CostModelParams | None = None,
     max_iterations: int | None = None,
-) -> tuple[np.ndarray, list[int], WorkTrace | None]:
-    """Run one extraction; returns ``(edges, queue_sizes, trace)``.
+) -> DriveResult:
+    """Run one extraction; returns ``(edges, queue_sizes, trace)`` as a
+    :class:`DriveResult`, which also names the kernel path that ran.
 
     Parameters
     ----------
@@ -92,10 +117,11 @@ def drive(
         variant, state.n, state.nnz // 2, cost_params, enabled=collect_trace
     )
     if state.trivial:
-        return (
+        return DriveResult(
             np.empty((0, 2), dtype=np.int64),
             [],
             builder.trace if collect_trace else None,
+            "numpy",
         )
     state.reset(schedule)
     limit = max_iterations if max_iterations is not None else state.max_degree + 2
@@ -154,7 +180,7 @@ def backend_run_fn(state_factory, executor_factory):
 
 def _drive_rounds(
     state, executor, schedule: str, variant: str, builder: TraceBuilder, limit: int
-) -> tuple[np.ndarray, list[int], WorkTrace | None]:
+) -> DriveResult:
     a = state.arrays
     n = state.n
     ctrl = a["control"]
@@ -233,7 +259,12 @@ def _drive_rounds(
     edges = assemble_edges(chunks)
     if live:
         state.verify_async_accounting(int(edges.shape[0]))
-    return edges, queue_sizes, builder.trace if builder.enabled else None
+    return DriveResult(
+        edges,
+        queue_sizes,
+        builder.trace if builder.enabled else None,
+        getattr(executor, "kernel_path", "numpy"),
+    )
 
 
 def _record_sync_round(
@@ -281,7 +312,27 @@ def _record_sync_round(
 
 def _drive_sweep(
     state, executor, variant: str, builder: TraceBuilder, limit: int
-) -> tuple[np.ndarray, list[int], WorkTrace | None]:
+) -> DriveResult:
+    if not builder.enabled:
+        # Imported here, not at module level: resolving the backend must
+        # not add to the cost of importing the CLI.
+        from repro.core.native import native_available, native_sweep
+
+        if native_available():
+            # Inside map() so an executor that times its work (perfbench's
+            # traced re-drive) counts the compiled sweep as executor time.
+            # No iteration count can exceed max_degree + 2 (see
+            # native_sweep), so a larger caller budget bounds nothing.
+            budget = min(limit, state.max_degree + 2)
+            out: list[tuple[np.ndarray, list[int]]] = []
+            executor.map(lambda _tid: out.append(native_sweep(state, budget)))
+            edges, queue_sizes = out[0]
+            if len(queue_sizes) > budget:
+                raise ConvergenceError(
+                    f"exceeded iteration budget {budget} "
+                    f"(queue={queue_sizes[-1]}); this indicates an internal bug"
+                )
+            return DriveResult(edges, queue_sizes, None, "native")
     n = state.n
     lp = state.arrays["lp"]
     degrees = state.degrees()
@@ -324,7 +375,9 @@ def _drive_sweep(
         if edges_out
         else np.empty((0, 2), dtype=np.int64)
     )
-    return edges, queue_sizes, builder.trace if traced is not None else None
+    return DriveResult(
+        edges, queue_sizes, builder.trace if traced is not None else None, "numpy"
+    )
 
 
 def _serve_turns(

@@ -9,12 +9,14 @@ type:
   (the kernel bodies of :mod:`repro.core.runtime.rounds`) over every
   slice and return after the implicit barrier.
 * ``map(body)`` — run an in-process callable ``body(0)`` for the serial
-  executor's one slice (the asynchronous sweep's turn loop).
+  executor's one slice (the asynchronous sweep: one call into the
+  compiled sweep, or the interpreted turn loop).
 
 :class:`SerialExecutor`
-    One slice, the calling thread, NumPy bodies.  Pairs with
+    One slice, the calling thread, NumPy round bodies.  Pairs with
     :class:`~repro.core.runtime.state.LocalState` as the ``superstep``
-    engine; the only executor that runs the paper's asynchronous sweep.
+    engine; the only executor that runs the paper's asynchronous sweep,
+    which the driver hands to the compiled backend when it resolves.
 :class:`NativeThreadTeamExecutor`
     A persistent :class:`~repro.parallel.runtime.ThreadTeam` dispatching
     the *compiled* round bodies (:mod:`repro.core.native`), which release

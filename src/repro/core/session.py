@@ -66,10 +66,11 @@ class ChordalResult:
         The input graph the edges refer to (original ids, even when
         BFS renumbering was applied internally).
     kernel_path:
-        Which round bodies actually ran: ``"native"`` when a
-        ``supports_native`` engine resolved the compiled backend,
-        ``"numpy"`` otherwise (including the fallback inside a native
-        engine on a toolchain-less host).
+        Which code actually ran: ``"native"`` when the compiled round
+        bodies or the compiled asynchronous sweep produced the edges,
+        ``"numpy"`` otherwise (the interpreted fallback under
+        ``REPRO_NATIVE=0`` or on a toolchain-less host, a traced run,
+        ``superstep`` × ``synchronous``, and the non-runtime engines).
     """
 
     edges: np.ndarray
@@ -198,13 +199,11 @@ class Extractor:
                     },
                 )
 
-        edges, queue_sizes, trace = self._spec.run(work_graph, cfg)
-
-        kernel_path = "numpy"
-        if getattr(self._spec, "supports_native", False):
-            from repro.core.native import native_available
-
-            kernel_path = "native" if native_available() else "numpy"
+        output = self._spec.run(work_graph, cfg)
+        edges, queue_sizes, trace = output
+        # Runtime engines return a DriveResult naming the path that ran;
+        # any other engine ran interpreted code.
+        kernel_path = getattr(output, "kernel_path", "numpy")
 
         if old_of_new is not None and edges.size:
             edges = np.column_stack((old_of_new[edges[:, 0]], old_of_new[edges[:, 1]]))
