@@ -5,8 +5,8 @@ Runs the instrumented algorithm on an R-MAT graph of your chosen scale,
 replays the measured work trace on the calibrated Cray XMT and AMD
 Opteron models, and prints the scaling curves and speedup rows the paper
 reports.  The XMT/Opteron numbers are *modeled*, but the final section
-is **measured**: the ``engine="native"`` thread team (compiled round
-bodies that release the GIL) runs the synchronous schedule on this
+is **measured**: the thread team of the default engine's synchronous
+schedule (compiled round bodies that release the GIL) runs on this
 host's real cores, next to the literal reference engine it is compared
 against (the seed implementation style) and the vectorized serial
 engine.  (``benchmarks/bench_scaling.py`` prints the full curve.)
@@ -31,7 +31,7 @@ MEASURED_SWEEP = [1, 2, 4]
 
 
 def measured_scaling(graph, workers=MEASURED_SWEEP) -> None:
-    """Wall-clock of the native thread team on this host (synchronous schedule).
+    """Wall-clock of the synchronous thread team on this host.
 
     Every configuration below returns the identical edge set — the
     snapshot semantics make thread count invisible — so the only thing
@@ -39,13 +39,13 @@ def measured_scaling(graph, workers=MEASURED_SWEEP) -> None:
     (``repro.experiments.scaling_measured.measure_engines``) shared with
     ``benchmarks/bench_scaling.py`` and the registered experiment.
     """
-    print("--- measured on this host: engine='native' (synchronous) ---")
+    print("--- measured on this host: schedule='synchronous' thread team ---")
     m = measure_engines(graph, workers=workers)
     print(f"reference engine (seed)  : {format_seconds(m['reference'])}")
     print(f"vectorized kernel engine : {format_seconds(m['kernels'])} "
           f"({m['speedup']['kernels']:.1f}x vs reference)")
     for w in workers:
-        print(f"native engine, {w} thread(s): "
+        print(f"thread team, {w} thread(s): "
               f"{format_seconds(m['native'][w])} "
               f"({m['speedup'][f'native@{w}']:.1f}x vs reference)")
 
@@ -58,7 +58,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=20120910)
     parser.add_argument("--measured-workers", nargs="+", type=int,
                         default=MEASURED_SWEEP,
-                        help="thread sweep for the measured native-engine "
+                        help="thread sweep for the measured thread-team "
                              "section (0 to skip)")
     args = parser.parse_args()
 

@@ -58,17 +58,15 @@ def main() -> None:
     assert is_chordal(result.subgraph), "Theorem 1 violated?!"
 
     # --- all engines agree on validity ------------------------------------
-    # The asynchronous schedule is any-valid: the native engine's
-    # live-parallel rounds may return a different — but equally valid —
-    # edge set than the serial engines.  Engines come from the registry
-    # (repro.core.engines), so a third-party register_engine() call
-    # would show up in this sweep automatically.
+    # Engines come from the registry (repro.core.engines), so a
+    # third-party register_engine() call would show up in this sweep
+    # automatically.
     from repro import engine_names
 
     print("\nCross-engine check (each engine's default schedule):")
     for engine in engine_names():
         r = extract_maximal_chordal_subgraph(
-            graph, engine=engine, schedule=None, num_threads=4
+            graph, engine=engine, schedule=None
         )
         marker = "ok" if is_chordal(r.subgraph) else "FAIL"
         print(f"  {engine:10s}: {r.num_chordal_edges} edges, "
@@ -77,9 +75,10 @@ def main() -> None:
     # --- the session API: many graphs, one config ---------------------------
     # ExtractionConfig validates every knob once, and stream() yields
     # results lazily — a million-graph batch never materialises a list.
-    config = ExtractionConfig(engine="native", num_threads=4)
-    print(f"\nSession API ({config.engine} engine, "
-          f"schedule resolves to {config.resolved().schedule!r}):")
+    # Synchronous rounds run on a thread team of num_threads.
+    config = ExtractionConfig(schedule="synchronous", num_threads=2)
+    print(f"\nSession API ({config.engine} engine, {config.schedule} "
+          f"schedule, {config.num_threads} threads):")
     with Extractor(config) as extractor, Timer() as t:
         for i, r in enumerate(extractor.stream(
                 rmat_b(args.scale - 2, seed=s) for s in range(4))):
@@ -128,7 +127,7 @@ def main() -> None:
         print(f"  -> {from_file.num_edges} chordal edges, "
               "bit-identical to the API result")
         print("  (batches run in one session: "
-              "repro extract *.mtx --out-dir out/ --engine native)")
+              "repro extract *.mtx --out-dir out/)")
 
 
 if __name__ == "__main__":

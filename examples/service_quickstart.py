@@ -4,7 +4,7 @@
 Starts the daemon as a real subprocess on a unix socket, then walks the
 client workflow end to end:
 
-1. extract over the wire (``engine=native``; a dispatcher thread runs it);
+1. extract over the wire (synchronous schedule; a dispatcher thread runs it);
 2. repeat the identical request and observe the content-hash result
    cache answering without dispatching;
 3. request server-side verification (``verify=True``) on a maximalized
@@ -62,7 +62,7 @@ def main() -> None:
             assert client.ping()["ok"]
 
             # 1. first extraction runs on a dispatcher thread
-            config = {"engine": "native", "schedule": "synchronous"}
+            config = {"engine": "superstep", "schedule": "synchronous"}
             first = client.extract(graph, config=config)
             assert not first.cached and first.served_by == "inline"
             print(f"inline  : {first.num_edges} chordal edges "

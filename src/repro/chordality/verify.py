@@ -1,8 +1,9 @@
 """One-call certification of extraction results: :func:`verify_extraction`.
 
-The asynchronous schedules are *any-valid*: a run returns some maximal
-chordal subgraph (paper Theorems 1–2), not a bit-reproducible one, so
-bit-identity checks cannot certify them.  This module composes the
+Bit-identity between two engines shows only that they agree, not that
+either returned a chordal (and, after completion, maximal) subgraph of
+the input (paper Theorems 1–2); certifying that takes the oracles.
+This module composes the
 library's oracles — :func:`repro.chordality.recognition.is_chordal` /
 :func:`~repro.chordality.recognition.find_hole` and
 :func:`repro.chordality.maximality.addable_edges` — into a single

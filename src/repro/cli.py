@@ -15,10 +15,7 @@ Subcommands
     (:mod:`repro.core.engines`).  The whole invocation runs through one
     :class:`repro.core.session.Extractor`.  ``--verify`` certifies
     every output through :func:`repro.chordality.verify_extraction`
-    (chordality always; maximality when ``--maximalize`` guarantees it) —
-    the supported way to validate the nondeterministic asynchronous
-    schedules, whose output is *any* valid extraction rather than a
-    bit-reproducible one.
+    (chordality always; maximality when ``--maximalize`` guarantees it).
 ``verify``
     Standalone certification of a *saved* extraction: given the input
     graph file and the extracted subgraph file, re-run
@@ -59,9 +56,9 @@ Examples
 
     repro --version
     repro generate rmat-b --scale 12 --seed 1 -o graph.mtx
-    repro extract graph.mtx -o chordal.txt --engine native --num-threads 4
+    repro extract graph.mtx -o chordal.txt --schedule synchronous --num-threads 4
     repro generate rmat-er --scale 8 | repro extract - --quiet
-    repro extract data/*.mtx --out-dir results/ --engine native
+    repro extract data/*.mtx --out-dir results/ --schedule synchronous
     repro serve --socket /tmp/repro.sock --dispatchers 2 &
     repro extract graph.mtx --server /tmp/repro.sock
     repro bench
@@ -79,7 +76,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.config import VARIANTS, ExtractionConfig
+from repro.core.config import DEFAULT_NUM_THREADS, VARIANTS, ExtractionConfig
 from repro.core.engines import registered_engines, schedule_names
 from repro.core.session import Extractor
 from repro.errors import ReproError
@@ -216,7 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(f"{e.name}: {e.default_schedule}" for e in engines)
         + ")",
     )
-    ex.add_argument("--num-threads", type=int, default=4, help="native-engine threads")
+    ex.add_argument(
+        "--num-threads",
+        type=int,
+        default=DEFAULT_NUM_THREADS,
+        help="thread-team size of synchronous rounds",
+    )
     ex.add_argument(
         "--renumber", choices=("bfs",), default=None, help="BFS-renumber before extraction"
     )
@@ -482,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--variant", choices=VARIANTS, default="optimized")
         p.add_argument("--schedule", choices=schedule_names(), default=None)
-        p.add_argument("--num-threads", type=int, default=4)
+        p.add_argument("--num-threads", type=int, default=DEFAULT_NUM_THREADS)
         p.add_argument("--renumber", choices=("bfs",), default=None)
         p.add_argument(
             "--no-maximalize",

@@ -30,8 +30,10 @@ from repro.util.validation import is_integer
 
 __all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS"]
 
-#: Thread-team size the native engine uses when none is given.
-DEFAULT_NUM_THREADS = 4
+#: Thread-team size of synchronous rounds when none is given.  One
+#: thread: on small hosts a wider team only adds barrier handoff per
+#: round; the daemon gets its parallelism from concurrent requests.
+DEFAULT_NUM_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class ExtractionConfig:
     engine:
         Registered engine name (see
         :func:`repro.core.engines.engine_names`; built-ins:
-        ``superstep``, ``native``, ``reference`` and the weight-aware
-        ``weighted`` MAXCHORD portfolio).  Engines declare a
+        ``superstep`` (Algorithm 1), ``reference`` (its pseudocode
+        transcription) and the weight-aware ``weighted`` MAXCHORD
+        portfolio).  Engines declare a
         ``supports_weights`` capability; handing a graph that carries
         edge weights (``graph.has_weights``) to an engine without it is a
         :class:`~repro.errors.ConfigError` at extraction time — weights
@@ -62,9 +65,13 @@ class ExtractionConfig:
         ``"asynchronous"``, ``"synchronous"``, or ``None`` (default) for
         the engine's declared ``default_schedule`` — ``asynchronous``
         for the Algorithm-1 engines, ``synchronous`` for ``weighted``.
-        The engine must support the requested schedule.
+        The engine must support the requested schedule.  Both schedules
+        of ``superstep`` are deterministic.
     num_threads:
-        Thread-team size (native engine); a positive ``int``.
+        Thread-team size of ``superstep``'s synchronous barrier rounds
+        (default :data:`DEFAULT_NUM_THREADS`); a positive ``int``.  The
+        asynchronous sweep is serial and ignores it, and no thread count
+        changes an edge set.
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
         maps the edge set back — on connected inputs this guarantees a

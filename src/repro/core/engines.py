@@ -13,25 +13,20 @@ so a third-party engine registered with :func:`register_engine` plugs into
 
 Built-in engines
 ----------------
-The Algorithm-1 engines are pairings of the unified in-process runtime
-(:mod:`repro.core.runtime`): one schedule driver over a ``LocalState`` ×
-executor choice.
-
 ``superstep``
-    ``LocalState`` × ``SerialExecutor``: the paper's maximal-progress
-    sweep for the asynchronous schedule (compiled when the native backend
-    resolves, interpreted otherwise and whenever a work trace is
-    requested), NumPy barrier rounds for the synchronous one;
-    deterministic under both schedules; collects work traces.  The
-    default.
-``native``
-    ``LocalState(edge_claims=True)`` × ``NativeThreadTeamExecutor`` — a
-    thread team dispatching the *compiled* round bodies
-    (:mod:`repro.core.native`), which release the GIL: genuinely
-    parallel threads over shared arrays.  Falls back to the NumPy bodies
-    (same results, GIL-bound) when no compiled backend is available
-    (a runtime question — ``repro --version`` reports it, and every
-    result's ``kernel_path`` says which code ran).
+    The paper's Algorithm 1 over the unified in-process runtime
+    (:mod:`repro.core.runtime`): one schedule driver over a
+    ``LocalState`` × executor pairing, the executor chosen by schedule.
+    *Asynchronous* runs the paper's maximal-progress sweep on a
+    ``SerialExecutor`` (compiled when the native backend resolves,
+    interpreted otherwise and whenever a work trace is requested).
+    *Synchronous* runs barrier rounds on a ``NativeThreadTeamExecutor``
+    of ``num_threads`` threads: compiled GIL-releasing round bodies
+    (:mod:`repro.core.native`), or the NumPy bodies when no compiled
+    backend is available (a runtime question — ``repro --version``
+    reports it, and every result's ``kernel_path`` says which code ran).
+    Deterministic under both schedules, at every thread count; collects
+    work traces.  The default.
 ``reference``
     Literal pseudocode transcription; deterministic under both
     schedules; the readable spec (kept loop-for-loop with the paper, so
@@ -308,20 +303,18 @@ def schedule_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Built-in engine registrations.  ``run_fn`` receives the (possibly
 # renumbered) work graph plus the *resolved* ExtractionConfig.  The
-# runtime engines are backend pairings (a LocalState factory plus an
-# executor factory, glued by ``backend_run_fn``).
+# Algorithm-1 engine is a backend pairing (a LocalState factory plus an
+# executor factory, glued by ``backend_run_fn``): the serial sweep for
+# the asynchronous schedule, the thread team's barrier rounds for the
+# synchronous one.
 
 _run_superstep = backend_run_fn(
     lambda graph, num_slices, config: LocalState(graph, num_slices),
-    lambda config: SerialExecutor(),
-)
-
-# edge_claims=True: the native pairing runs the asynchronous schedule as
-# lock-free live rounds, so the state carries real edge-claim words (the
-# serial sweep never reads them).
-_run_native = backend_run_fn(
-    lambda graph, num_slices, config: LocalState(graph, num_slices, edge_claims=True),
-    lambda config: NativeThreadTeamExecutor(config.num_threads),
+    lambda config: (
+        NativeThreadTeamExecutor(config.num_threads)
+        if config.schedule == "synchronous"
+        else SerialExecutor()
+    ),
 )
 
 
@@ -349,19 +342,11 @@ register_engine(
     EngineSpec(
         name="superstep",
         run_fn=_run_superstep,
-        description="serial engine: the paper's maximal-progress sweep, "
-        "compiled when available (default)",
+        description="Algorithm 1: the paper's maximal-progress sweep "
+        "(asynchronous, default) or barrier rounds on a thread team "
+        "(synchronous); compiled when available",
         deterministic_schedules=("asynchronous", "synchronous"),
         supports_trace=True,
-    )
-)
-register_engine(
-    EngineSpec(
-        name="native",
-        run_fn=_run_native,
-        description="compiled nogil round bodies on a real thread team "
-        "(NumPy fallback when no toolchain)",
-        deterministic_schedules=("synchronous",),
     )
 )
 register_engine(

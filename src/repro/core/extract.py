@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.config import VARIANTS, ExtractionConfig
+from repro.core.config import DEFAULT_NUM_THREADS, VARIANTS, ExtractionConfig
 from repro.core.instrument import CostModelParams
 from repro.core.session import ChordalResult, Extractor
 from repro.graph.csr import CSRGraph
@@ -43,7 +43,7 @@ def extract_maximal_chordal_subgraph(
     engine: str = "superstep",
     variant: str = "optimized",
     schedule: str | None = "asynchronous",
-    num_threads: int = 4,
+    num_threads: int = DEFAULT_NUM_THREADS,
     renumber: str | None = None,
     stitch: bool = False,
     maximalize: bool = False,
@@ -61,33 +61,31 @@ def extract_maximal_chordal_subgraph(
     graph:
         Input graph (any :class:`~repro.graph.csr.CSRGraph`).
     engine:
-        ``"superstep"`` (serial engine, default; its asynchronous sweep
-        runs compiled when the native backend resolves), ``"native"``
-        (compiled round bodies on a nogil thread team — real core-level
-        speedup; both schedules), ``"reference"`` (literal pseudocode)
-        or ``"weighted"``.  Any engine added via
+        ``"superstep"`` (default; Algorithm 1, compiled when the native
+        backend resolves), ``"reference"`` (literal pseudocode) or
+        ``"weighted"``.  Any engine added via
         :func:`repro.core.engines.register_engine` is accepted too.
     variant:
         ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
     schedule:
-        ``"asynchronous"`` (default) serialises each iteration as an
-        ascending live sweep — the paper-matching execution whose
-        iteration counts reproduce Figure 7 (~3 iterations on R-MAT, ~10
-        on the gene networks).  ``"synchronous"`` uses barrier-snapshot
-        semantics (one parent per vertex per superstep) — deterministic
-        across engines and thread counts, with iteration count
-        equal to the maximum lower-degree; under it the ``native``
-        engine returns edge sets bit-identical to ``engine="superstep"``.
-        Under ``"asynchronous"`` the ``native`` engine runs live rounds
-        true-parallel: any run yields a valid chordal edge set (certify
-        with :func:`repro.chordality.verify_extraction`), but the edge
-        set is not bit-reproducible across runs or thread counts.
+        ``"asynchronous"`` (default) runs the paper's maximal-progress
+        sweep: each iteration is an ascending live sweep, the
+        paper-matching execution whose iteration counts reproduce
+        Figure 7 (~3 iterations on R-MAT, ~10 on the gene networks).
+        ``"synchronous"`` uses barrier-snapshot semantics (one parent
+        per vertex per superstep), with iteration count equal to the
+        maximum lower-degree; ``superstep`` runs these rounds on a
+        thread team of ``num_threads``.  Both schedules are
+        deterministic: the edge set does not depend on the kernel path
+        or the thread count.
         ``None`` is also accepted and resolves to the engine's
         *registered* default schedule — ``synchronous`` for
         ``weighted``, ``asynchronous`` otherwise, exactly like
         :func:`extract_many` and ``ExtractionConfig(schedule=None)``.
     num_threads:
-        Thread-team size for the native engine.
+        Thread-team size of the synchronous rounds (default
+        :data:`~repro.core.config.DEFAULT_NUM_THREADS`); the
+        asynchronous sweep is serial.
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
         maps the edge set back — on connected inputs this guarantees the
@@ -135,7 +133,7 @@ def extract_many(
     engine: str = "superstep",
     variant: str = "optimized",
     schedule: str | None = None,
-    num_threads: int = 4,
+    num_threads: int = DEFAULT_NUM_THREADS,
     renumber: str | None = None,
     stitch: bool = False,
     maximalize: bool = False,

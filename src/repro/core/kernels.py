@@ -1,12 +1,13 @@
 """Vectorized NumPy kernels for the barrier-synchronous schedule.
 
-The serial synchronous engine in :mod:`repro.core.superstep` services one
-``(w, lp(w))`` pair at a time from a Python loop.  Under snapshot semantics
-every pair in a superstep is independent, so the whole superstep can be
-reformulated as a handful of bulk array operations over *all* active
-vertices at once.  This module is that reformulation; it is the hot path of
-the synchronous superstep engine and the NumPy fallback of the native
-thread team's slices.
+Read literally, Algorithm 1 services one ``(w, lp(w))`` pair at a time.
+Under snapshot semantics every pair in a superstep is independent, so the
+whole superstep can be reformulated as a handful of bulk array operations
+over *all* active vertices at once.  This module is that reformulation;
+it is the interpreted synchronous round body
+(:func:`repro.core.runtime.rounds.run_sync_slice`), run by the serial
+executor and by the thread team when the compiled backend does not
+resolve.
 
 The kernels operate on the canonical flat data layout of
 :mod:`repro.core.runtime.layout`:
@@ -47,7 +48,6 @@ __all__ = [
     "arena_offsets",
     "build_arena_keys",
     "subset_mask",
-    "subset_mask_live",
     "append_accepted",
     "advance_parents",
     "assemble_edges",
@@ -146,73 +146,6 @@ def subset_mask(
     qkeys = vs[seg] * n + elems
     pos = np.searchsorted(keys, qkeys)
     # cand is non-empty => some C[v] is non-empty => keys is non-empty.
-    found = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == qkeys)
-    ok[seg[~found]] = False
-    return ok
-
-
-def subset_mask_live(
-    arena: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-    ws: np.ndarray,
-    vs: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Live-arena variant of :func:`subset_mask` for the asynchronous sweep.
-
-    ``ok[i]`` iff ``C[ws[i]]`` is a subset of the prefix of ``C[vs[i]]``
-    *published at call time*: there is no barrier snapshot, so ``counts``
-    is the live shared array that other workers are appending to while
-    this call runs.  Each distinct parent's prefix length is gathered
-    exactly once up front and every probe is bounded by that freeze, so
-    the test is evaluated against one consistent (if instantly stale)
-    prefix per parent.
-
-    Why a concurrent append can never flip an answer the wrong way:
-
-    * arena runs are append-only within a run and every slot is written
-      before its ``counts`` word is bumped, so a gathered prefix length
-      ``k`` always covers ``k`` fully-written, sorted elements;
-    * elements appended after the gather are strictly larger than the
-      frozen prefix's bound (parents arrive in increasing id order), so
-      missing them can only *reject* an edge the barrier-free schedule
-      was allowed to reject anyway — never admit a chord-violating one.
-
-    ``ws`` must be owned by the calling worker (its ``counts`` / arena
-    runs are stable during the call); ``vs`` may be mutating freely.
-    """
-    cw = counts[ws].copy()
-    # One gather per *distinct* parent: all pairs sharing a parent probe
-    # the same frozen prefix, and the key array below is built from the
-    # same lengths the cardinality filter uses.
-    upar, inv = np.unique(vs, return_inverse=True)
-    kpar = counts[upar].copy()
-    kv = kpar[inv]
-    ok = cw <= kv
-    cand = np.flatnonzero(ok & (cw > 0))
-    if cand.size == 0:
-        return ok
-    # Compressed sorted key array over the frozen parent prefixes of the
-    # parents that still have a live pair after the cardinality filter
-    # (the async analogue of build_arena_keys, restricted to the parents
-    # this slice actually probes).
-    sel = np.unique(inv[cand])
-    upar = upar[sel]
-    kpar = kpar[sel]
-    total_k = int(kpar.sum())
-    pwhich = np.repeat(np.arange(upar.size, dtype=np.int64), kpar)
-    pstarts = np.cumsum(kpar) - kpar
-    pwithin = np.arange(total_k, dtype=np.int64) - np.repeat(pstarts, kpar)
-    keys = upar[pwhich] * n + arena[offsets[upar[pwhich]] + pwithin]
-    cwc = cw[cand]
-    total = int(cwc.sum())
-    seg = np.repeat(cand, cwc)
-    starts = np.cumsum(cwc) - cwc
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, cwc)
-    elems = arena[offsets[ws[seg]] + within]
-    qkeys = vs[seg] * n + elems
-    pos = np.searchsorted(keys, qkeys)
     found = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == qkeys)
     ok[seg[~found]] = False
     return ok

@@ -2,31 +2,28 @@
 
 The paper's headline claim is multithreaded scaling on shared memory;
 CPython's GIL keeps Python round bodies on one core.  This package
-closes that gap: the round bodies of
+closes that gap: the synchronous round body of
 :mod:`repro.core.runtime.rounds` translated to C, compiled once via cffi
 into a cached ``.so`` (:mod:`~repro.core.native.build`), and exposed as
-drop-in slice functions (:mod:`~repro.core.native.bodies`) that operate
-on the canonical schema arrays in place and release the GIL — so the
-``native`` engine (:mod:`repro.core.engines`) runs a plain thread team
-genuinely in parallel in one process.
+a drop-in slice function (:mod:`~repro.core.native.bodies`) that
+operates on the canonical schema arrays in place and releases the GIL —
+so the ``superstep`` engine's synchronous thread team
+(:mod:`repro.core.engines`) runs genuinely in parallel in one process.
 
 The same ``.so`` carries the paper's asynchronous maximal-progress sweep
-(:func:`native_sweep`), which the driver runs for the default
-``superstep`` × ``asynchronous`` pairing whenever no work trace is
-requested: one C call per extraction, bit-identical to the interpreted
-sweep.
+(:func:`native_sweep`), which the driver runs for the asynchronous
+schedule whenever no work trace is requested: one C call per
+extraction, bit-identical to the interpreted sweep.
 
 Everything degrades cleanly: when no toolchain (or no cffi) is present,
 :func:`native_available` is ``False`` with a specific reason in
-:func:`native_status`, and the engines transparently run the NumPy round
-bodies and the interpreted sweep instead — same results, interpreted
+:func:`native_status`, and the engine transparently runs the NumPy round
+body and the interpreted sweep instead — same results, interpreted
 speed.  Tier-1 passes either way.
 """
 
 from repro.core.native.bodies import (
     NativeUnavailableError,
-    native_round_body,
-    native_run_async_slice,
     native_run_sync_slice,
     native_sweep,
 )
@@ -39,9 +36,7 @@ __all__ = [
     "NativeUnavailableError",
     "native_available",
     "native_status",
-    "native_round_body",
     "native_run_sync_slice",
-    "native_run_async_slice",
     "native_sweep",
 ]
 

@@ -1,16 +1,15 @@
-"""Wrappers over the compiled kernels: the round bodies and the sweep.
+"""Wrappers over the compiled kernels: the sync round body and the sweep.
 
-The slice bodies have the exact ``(tid, arrays)`` signature of
-:func:`repro.core.runtime.rounds.run_sync_slice` /
-:func:`~repro.core.runtime.rounds.run_async_slice`, so the
-:class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` swaps
-them in without the driver noticing.  Each call hands the C function raw
+:func:`native_run_sync_slice` has the exact ``(tid, arrays)`` signature
+of :func:`repro.core.runtime.rounds.run_sync_slice`, so the
+:class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` swaps it
+in without the driver noticing.  Each call hands the C function raw
 pointers into the canonical schema arrays of a
 :class:`~repro.core.runtime.state.LocalState` — and cffi releases the GIL
 for the duration of the C call, which
 is what lets a thread team run slices genuinely in parallel.
 
-Equivalence to the NumPy bodies (the determinism contract):
+Equivalence to the interpreted code (the determinism contract):
 
 * **sync** — membership of ``e`` in the snapshot prefix of ``C[v]`` via
   binary search over ``arena[offsets[v] : offsets[v]+snapshot[v]]`` is
@@ -19,11 +18,6 @@ Equivalence to the NumPy bodies (the determinism contract):
   block), so the ok mask, appends and parent advances are identical
   element-for-element — the C path just never materialises the key
   array (the driver skips building it, see ``needs_keys``).
-* **async** — the per-*pair* acquire-load of the parent's prefix length
-  replaces the NumPy per-*slice* freeze; both are admissible schedules
-  of the same nondeterministic algorithm (a published prefix is
-  immutable and ``C[w]`` is slice-owned), and every output is certified
-  by ``verify_extraction`` + the driver's claim accounting.
 * **sweep** — :func:`native_sweep` runs the asynchronous maximal-progress
   sweep of :func:`repro.core.runtime.driver._serve_turns` to convergence
   in one C call.  The sweep is deterministic, so its edges (in service
@@ -36,18 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.native.build import resolve
-from repro.core.runtime.layout import (
-    EDGE_ACCEPTED,
-    EDGE_REJECTED,
-    EDGE_UNDECIDED,
-)
 from repro.errors import ReproError
 
 __all__ = [
     "NativeUnavailableError",
-    "native_round_body",
     "native_run_sync_slice",
-    "native_run_async_slice",
     "native_sweep",
 ]
 
@@ -67,7 +54,6 @@ _INT_ARRAYS = (
     "lower",
     "cursor",
     "lp",
-    "edge_state",
 )
 
 
@@ -91,7 +77,7 @@ def _module():
 #: (fresh object) misses and rebuilds.  An ndarray's buffer cannot
 #: move while referenced (in-place resize refuses when references
 #: exist), so object identity implies pointer validity — and the
-#: identity probe is far cheaper than re-deriving thirteen addresses.
+#: identity probe is far cheaper than re-deriving twelve addresses.
 _ptr_cache: dict[int, tuple[dict[str, np.ndarray], dict[str, object]]] = {}
 
 _ALL_ARRAYS = _INT_ARRAYS + ("ok",)
@@ -146,48 +132,6 @@ def native_run_sync_slice(tid: int, a: dict[str, np.ndarray]) -> None:
         p["cursor"],
         p["lp"],
         p["ok"],
-    )
-
-
-def native_run_async_slice(tid: int, a: dict[str, np.ndarray]) -> None:
-    """Compiled :func:`~repro.core.runtime.rounds.run_async_slice`."""
-    module = _module()
-    if not a["edge_state"].size:
-        raise ReproError(
-            "asynchronous live rounds need edge-claim words; build the state "
-            "with LocalState(graph, edge_claims=True)"
-        )
-    cuts = a["cuts"]
-    start, stop = int(cuts[tid]), int(cuts[tid + 1])
-    if start >= stop:
-        return
-    p = _pointers(module.ffi, a)
-    module.lib.repro_async_slice(
-        start,
-        stop,
-        p["active"],
-        p["parents"],
-        p["arena"],
-        p["offsets"],
-        p["counts"],
-        p["indptr"],
-        p["indices"],
-        p["lower"],
-        p["cursor"],
-        p["lp"],
-        p["edge_state"],
-        EDGE_UNDECIDED,
-        EDGE_ACCEPTED,
-        EDGE_REJECTED,
-        p["ok"],
-    )
-
-
-def native_round_body(schedule: str):
-    """The compiled slice function for ``schedule`` (mirror of
-    :func:`repro.core.runtime.rounds.round_body`)."""
-    return (
-        native_run_async_slice if schedule == "asynchronous" else native_run_sync_slice
     )
 
 

@@ -51,8 +51,7 @@ DISABLE_ENV = "REPRO_NATIVE"
 #: Overrides the compiled-artifact cache directory.
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 
-#: Declarations cffi exposes as ``lib.*`` (no compiler extensions here;
-#: the atomics stay inside :data:`SOURCE`).
+#: Declarations cffi exposes as ``lib.*``.
 CDEF = """
 void repro_sync_slice(
     int64_t start, int64_t stop,
@@ -61,16 +60,6 @@ void repro_sync_slice(
     const int64_t *snapshot, int64_t *counts,
     const int64_t *indptr, const int64_t *indices, const int64_t *lower,
     int64_t *cursor, int64_t *lp, uint8_t *ok);
-void repro_async_slice(
-    int64_t start, int64_t stop,
-    const int64_t *active, const int64_t *parents,
-    int64_t *arena, const int64_t *offsets,
-    int64_t *counts,
-    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
-    int64_t *cursor, int64_t *lp,
-    int64_t *edge_state,
-    int64_t undecided, int64_t accepted, int64_t rejected,
-    uint8_t *ok);
 int64_t repro_sweep(
     int64_t n, int64_t limit,
     int64_t *arena, const int64_t *offsets, int64_t *counts,
@@ -96,9 +85,9 @@ int64_t repro_oracle_first(
     int64_t *st, int64_t *out);
 """
 
-#: The C translation of rounds.run_sync_slice / run_async_slice.  Kept
-#: semantically line-for-line with the NumPy kernels so the synchronous
-#: output is bit-identical (same ok mask, same appends, same advances);
+#: The C translation of rounds.run_sync_slice.  Kept semantically
+#: line-for-line with the NumPy kernel so the synchronous output is
+#: bit-identical (same ok mask, same appends, same advances);
 #: see repro/core/native/bodies.py for the equivalence argument.  The
 #: asynchronous sweep follows driver._serve_turns line for line, and the
 #: addability oracle's greedy and certificate loops mirror the
@@ -154,54 +143,6 @@ void repro_sync_slice(
         if (acc) {
             arena[offsets[w] + counts[w]] = v;
             counts[w] += 1;
-        }
-        int64_t c = cursor[w] + 1;
-        cursor[w] = c;
-        lp[w] = (c < lower[w]) ? indices[indptr[w] + c] : -1;
-    }
-}
-
-/* One slice of one asynchronous live round.  No snapshot: the parent's
-   prefix length is acquire-loaded at probe time, pairing with the
-   release store after the arena append below, so a gathered length k
-   always covers k fully written sorted elements (the append-before-
-   count-bump publication order of kernels.append_accepted, upgraded
-   from TSO-argument to real fences).  Reading a fresher prefix than the
-   NumPy per-slice freeze is still an admissible schedule of the same
-   nondeterministic algorithm: the prefix is immutable once published
-   and C[w] is owned by this slice.  Each arc is claimed exactly once
-   through a real compare-and-swap on its edge-state word (the hardware
-   counterpart of parallel.atomics.bulk_compare_and_set). */
-void repro_async_slice(
-    int64_t start, int64_t stop,
-    const int64_t *active, const int64_t *parents,
-    int64_t *arena, const int64_t *offsets,
-    int64_t *counts,
-    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
-    int64_t *cursor, int64_t *lp,
-    int64_t *edge_state,
-    int64_t undecided, int64_t accepted, int64_t rejected,
-    uint8_t *ok)
-{
-    for (int64_t i = start; i < stop; i++) {
-        int64_t w = active[i];
-        int64_t v = parents[i];
-        int64_t cw = counts[w];  /* owned by this slice: plain load */
-        int64_t kv = __atomic_load_n(&counts[v], __ATOMIC_ACQUIRE);
-        int acc = (cw <= kv);
-        if (acc && cw > 0)
-            acc = repro_is_subset(arena + offsets[w], cw,
-                                  arena + offsets[v], kv);
-        int64_t arc = offsets[w] + cursor[w];
-        int64_t expect = undecided;
-        int won = __atomic_compare_exchange_n(
-            &edge_state[arc], &expect, acc ? accepted : rejected,
-            0, __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE);
-        acc = acc && won;
-        ok[i] = (uint8_t)acc;
-        if (acc) {
-            arena[offsets[w] + cw] = v;
-            __atomic_store_n(&counts[w], cw + 1, __ATOMIC_RELEASE);
         }
         int64_t c = cursor[w] + 1;
         cursor[w] = c;

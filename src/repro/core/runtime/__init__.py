@@ -9,10 +9,10 @@ and parameterizes it along two axes, both in-process:
 * **executor** — who runs each round's slices (:class:`SerialExecutor`,
   :class:`NativeThreadTeamExecutor`).
 
-The built-in engines are thin pairings of these (see
-:mod:`repro.core.engines`); a third-party backend is one new class plus a
-:func:`backend_run_fn` registration — see the README's Architecture
-section.
+The built-in ``superstep`` engine is a pairing of these, with the
+executor chosen by schedule (see :mod:`repro.core.engines`); a
+third-party backend is one new class plus a :func:`backend_run_fn`
+registration — see the README's Architecture section.
 """
 
 from repro.core.runtime.driver import (
@@ -24,7 +24,7 @@ from repro.core.runtime.driver import (
 )
 from repro.core.runtime.executors import NativeThreadTeamExecutor, SerialExecutor
 from repro.core.runtime.layout import build_spec
-from repro.core.runtime.rounds import round_body, run_async_slice, run_sync_slice
+from repro.core.runtime.rounds import run_sync_slice
 from repro.core.runtime.state import LocalState
 
 __all__ = [
@@ -37,7 +37,5 @@ __all__ = [
     "SerialExecutor",
     "NativeThreadTeamExecutor",
     "build_spec",
-    "round_body",
     "run_sync_slice",
-    "run_async_slice",
 ]

@@ -12,22 +12,19 @@ executor) pairing:
   is evaluated against the same snapshot regardless of slice count or
   timing, so the edge set is **bit-identical** across every pairing —
   serial executor and thread team of any width reproduce the same rows.
-* ``schedule="asynchronous"`` on the serial executor — the paper's
-  maximal-progress sweep: ascending turns over a live children map, where
-  a vertex whose next parent is a later queue member is served again
-  within the same iteration.  Deterministic; reproduces the paper's
-  headline iteration counts (~3 for R-MAT, k-1 for a k-clique).  When the
-  compiled backend resolves and no work trace is requested, the whole
-  sweep is one call into :func:`repro.core.native.native_sweep`, made
-  inside ``executor.map`` and bit-identical to the interpreted loop
-  (:func:`_serve_turns`), which remains the fallback and the trace
-  producer.
-* ``schedule="asynchronous"`` on an executor that sets
-  ``live_rounds = True`` (the native thread team) — live barrier rounds:
-  one service per vertex per round against whatever chordal-set prefixes
-  other threads have published, with lock-free edge-claim words
-  (:func:`~repro.core.runtime.rounds.run_async_slice`).  Any-valid;
-  certify with :func:`repro.chordality.verify_extraction`.
+* ``schedule="asynchronous"`` — the paper's maximal-progress sweep:
+  ascending turns over a live children map, where a vertex whose next
+  parent is a later queue member is served again within the same
+  iteration.  Serial (it needs a single-slice executor) and deterministic;
+  reproduces the paper's headline iteration counts (~3 for R-MAT, k-1
+  for a k-clique).  When the compiled backend resolves and no work trace
+  is requested, the whole sweep is one call into
+  :func:`repro.core.native.native_sweep`, made inside ``executor.map``
+  and bit-identical to the interpreted loop (:func:`_serve_turns`), which
+  remains the fallback and the trace producer.
+
+Both schedules are deterministic: each yields the same rows on every
+kernel path, and synchronous rounds at every thread count.
 
 Work traces are a **driver** feature: for synchronous rounds the trace is
 reconstructed from each round's snapshot in canonical ascending order, so
@@ -87,7 +84,7 @@ def drive(
     Parameters
     ----------
     state:
-        A bound :class:`~repro.core.runtime.state.StateBackend`.
+        A bound :class:`~repro.core.runtime.state.LocalState`.
     executor:
         An executor backend (see :mod:`repro.core.runtime.executors`).
     schedule:
@@ -97,10 +94,8 @@ def drive(
         (O(deg) advance).  Both visit the same parents in the same order,
         so the edge set is variant-independent — only trace costs differ.
     collect_trace:
-        Record the per-LP-vertex work trace for the machine models.
-        Supported by the sweep and by synchronous rounds (the live
-        asynchronous rounds have no well-defined per-pair costs to
-        charge).
+        Record the per-LP-vertex work trace for the machine models
+        (both schedules; a traced sweep runs the interpreted loop).
     cost_params / max_iterations:
         Trace op weights; iteration safety bound (default
         ``max_degree + 2``).
@@ -123,21 +118,16 @@ def drive(
             builder.trace if collect_trace else None,
             "numpy",
         )
-    state.reset(schedule)
+    state.reset()
     limit = max_iterations if max_iterations is not None else state.max_degree + 2
-    if schedule == "asynchronous" and not getattr(executor, "live_rounds", False):
+    if schedule == "asynchronous":
         if executor.num_slices != 1:
             raise ConfigError(
                 "the asynchronous sweep is serial; drive it with a "
                 f"single-slice executor, not {executor.num_slices} slices"
             )
         return _drive_sweep(state, executor, variant, builder, limit)
-    if collect_trace and schedule == "asynchronous":
-        raise ConfigError(
-            "collect_trace is not supported for asynchronous live rounds "
-            "(the native thread team); use the serial sweep"
-        )
-    return _drive_rounds(state, executor, schedule, variant, builder, limit)
+    return _drive_rounds(state, executor, variant, builder, limit)
 
 
 def backend_run_fn(state_factory, executor_factory):
@@ -150,9 +140,8 @@ def backend_run_fn(state_factory, executor_factory):
     signature — this is the whole recipe for plugging a new
     in-process backend into :func:`~repro.core.engines.register_engine`.
     The executor only needs the documented surface (``num_slices`` /
-    ``run_round`` / ``close``, plus ``map`` for the asynchronous sweep or
-    ``live_rounds = True`` for live asynchronous rounds); its ``close()``
-    is always called, even on failure.
+    ``run_round`` / ``close``, plus ``map`` for the asynchronous sweep);
+    its ``close()`` is always called, even on failure.
     """
 
     def run_fn(graph, config):
@@ -175,21 +164,15 @@ def backend_run_fn(state_factory, executor_factory):
 
 
 # ---------------------------------------------------------------------------
-# Barrier rounds (synchronous everywhere; asynchronous on live-round teams)
+# Barrier rounds (the synchronous schedule)
 
 
 def _drive_rounds(
-    state, executor, schedule: str, variant: str, builder: TraceBuilder, limit: int
+    state, executor, variant: str, builder: TraceBuilder, limit: int
 ) -> DriveResult:
     a = state.arrays
     n = state.n
     ctrl = a["control"]
-    live = schedule == "asynchronous"
-    if live and not a["edge_state"].size:
-        raise ConfigError(
-            "asynchronous live rounds need edge-claim words; build the "
-            "state with LocalState(graph, edge_claims=True)"
-        )
     num_slices = executor.num_slices
     degrees = state.degrees() if builder.enabled else None
 
@@ -218,35 +201,30 @@ def _drive_rounds(
         pmask[parents] = False
         a["active"][:na] = active
         a["parents"][:na] = parents
-        if live:
-            # No snapshot, no key compression: slices probe the live arena.
-            nkeys = 0
+        # Barrier: freeze this iteration's chordal-set prefix lengths and
+        # compress the filled arena into the sorted key array — unless the
+        # executor's bodies probe arena runs directly (the compiled path
+        # advertises needs_keys=False).
+        a["snapshot"][:n] = a["counts"][:n]
+        if getattr(executor, "needs_keys", True):
+            nkeys = build_arena_keys(
+                a["arena"], a["offsets"], a["snapshot"][:n], n, out=a["keys"]
+            ).size
         else:
-            # Barrier: freeze this iteration's chordal-set prefix lengths
-            # and compress the filled arena into the sorted key array —
-            # unless the executor's bodies probe arena runs directly
-            # (the compiled path advertises needs_keys=False).
-            a["snapshot"][:n] = a["counts"][:n]
-            if getattr(executor, "needs_keys", True):
-                nkeys = build_arena_keys(
-                    a["arena"], a["offsets"], a["snapshot"][:n], n, out=a["keys"]
-                ).size
-            else:
-                nkeys = 0
+            nkeys = 0
         if num_slices == 1:
             a["cuts"][0] = 0
             a["cuts"][1] = na
         else:
             # Balance slices by expected service cost: subset tests probe
-            # min(|C[w]|, prefix) elements, so the (snapshot) chordal-set
+            # min(|C[w]|, prefix) elements, so the snapshot chordal-set
             # sizes plus a constant are the per-vertex proxy.
-            sizes = a["snapshot" if not live else "counts"][:n]
-            weights = sizes[active].astype(np.float64) + 1.0
+            weights = a["snapshot"][:n][active].astype(np.float64) + 1.0
             ranges = balanced_chunks(weights, num_slices)
             a["cuts"][:num_slices] = [r[0] for r in ranges]
             a["cuts"][num_slices] = ranges[-1][1]
         ctrl[CTRL_NKEYS] = nkeys
-        executor.run_round(state, schedule)
+        executor.run_round(state, "synchronous")
         # uint8 -> bool is a free reinterpret; the mask is consumed by
         # the gathers below before the next round overwrites 'ok'.
         accepted = a["ok"][:na].view(bool)
@@ -256,11 +234,8 @@ def _drive_rounds(
                 builder, degrees, a["snapshot"][:n], active, parents, accepted, variant
             )
 
-    edges = assemble_edges(chunks)
-    if live:
-        state.verify_async_accounting(int(edges.shape[0]))
     return DriveResult(
-        edges,
+        assemble_edges(chunks),
         queue_sizes,
         builder.trace if builder.enabled else None,
         getattr(executor, "kernel_path", "numpy"),
@@ -307,7 +282,7 @@ def _record_sync_round(
 
 
 # ---------------------------------------------------------------------------
-# Maximal-progress sweep (asynchronous on the serial executor)
+# Maximal-progress sweep (the asynchronous schedule)
 
 
 def _drive_sweep(

@@ -5,30 +5,34 @@ slice-level work.  Both implementations run in the calling process and
 expose the same surface, so the driver never branches on the concrete
 type:
 
-* ``run_round(state, schedule)`` — execute one published barrier round
-  (the kernel bodies of :mod:`repro.core.runtime.rounds`) over every
-  slice and return after the implicit barrier.
+* ``run_round(state, schedule)`` — execute one published synchronous
+  barrier round (the round body of :mod:`repro.core.runtime.rounds` or
+  its compiled twin) over every slice and return after the implicit
+  barrier.  ``schedule`` is always ``"synchronous"``: the asynchronous
+  schedule has no barrier rounds.
 * ``map(body)`` — run an in-process callable ``body(0)`` for the serial
   executor's one slice (the asynchronous sweep: one call into the
   compiled sweep, or the interpreted turn loop).
 
+The ``superstep`` engine (:mod:`repro.core.engines`) picks one per
+schedule:
+
 :class:`SerialExecutor`
-    One slice, the calling thread, NumPy round bodies.  Pairs with
-    :class:`~repro.core.runtime.state.LocalState` as the ``superstep``
-    engine; the only executor that runs the paper's asynchronous sweep,
-    which the driver hands to the compiled backend when it resolves.
+    One slice, the calling thread, NumPy round bodies.  Runs the paper's
+    asynchronous sweep, which the driver hands to the compiled backend
+    when it resolves.
 :class:`NativeThreadTeamExecutor`
     A persistent :class:`~repro.parallel.runtime.ThreadTeam` dispatching
-    the *compiled* round bodies (:mod:`repro.core.native`), which release
-    the GIL — genuinely parallel threads over shared arrays.  Pairs with
-    ``LocalState(edge_claims=True)`` as the ``native`` engine; falls back
-    to the NumPy bodies (identical synchronous results, GIL-bound speed)
-    when no compiled backend is available.
+    the *compiled* synchronous round body (:mod:`repro.core.native`),
+    which releases the GIL — genuinely parallel threads over shared
+    arrays.  Runs the synchronous schedule; falls back to the NumPy body
+    (identical results, GIL-bound speed) when no compiled backend is
+    available.
 """
 
 from __future__ import annotations
 
-from repro.core.runtime.rounds import round_body
+from repro.core.runtime.rounds import run_sync_slice
 from repro.parallel.runtime import ThreadTeam
 
 __all__ = ["SerialExecutor", "NativeThreadTeamExecutor"]
@@ -40,7 +44,7 @@ class SerialExecutor:
     num_slices = 1
 
     def run_round(self, state, schedule: str) -> None:
-        round_body(schedule)(0, state.arrays)
+        run_sync_slice(0, state.arrays)
 
     def map(self, body) -> None:
         body(0)
@@ -56,36 +60,29 @@ class SerialExecutor:
 
 
 class NativeThreadTeamExecutor:
-    """Thread team dispatching the compiled (GIL-releasing) round bodies.
+    """Thread team dispatching the compiled (GIL-releasing) round body.
 
-    * Rounds call the C bodies of :mod:`repro.core.native`, which operate
-      on the schema arrays in place and release the GIL, so the slices of
+    * Rounds call the C body of :mod:`repro.core.native`, which operates
+      on the schema arrays in place and releases the GIL, so the slices of
       a round execute concurrently on real cores.
-    * ``live_rounds`` tells the driver to run the asynchronous schedule as
-      lock-free live rounds (per-arc CAS claim words) instead of the
-      serial children-map sweep.
     * ``needs_keys`` is ``False`` on the compiled path: the C subset test
       binary-searches each parent's arena run directly, so the driver
       skips building the global key array every round.
 
     When the compiled backend is unavailable (no toolchain, no cffi,
     ``REPRO_NATIVE=0``), the executor transparently runs the NumPy round
-    bodies instead — same edge sets (bit-identical under the synchronous
-    schedule), GIL-bound speed — so the ``native`` engine always works.
+    body instead — bit-identical edge sets, GIL-bound speed.
     """
-
-    #: Asynchronous schedule runs live rounds, not the children-map sweep.
-    live_rounds = True
 
     def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        from repro.core.native import native_available, native_round_body
+        from repro.core.native import native_available, native_run_sync_slice
 
         self.num_slices = num_threads
         self._team: ThreadTeam | None = None
         self._native = native_available()
-        self._body_for = native_round_body if self._native else round_body
+        self._body = native_run_sync_slice if self._native else run_sync_slice
 
     @property
     def needs_keys(self) -> bool:
@@ -94,11 +91,11 @@ class NativeThreadTeamExecutor:
 
     @property
     def kernel_path(self) -> str:
-        """Which bodies this executor dispatches: ``native`` or ``numpy``."""
+        """Which body this executor dispatches: ``native`` or ``numpy``."""
         return "native" if self._native else "numpy"
 
     def run_round(self, state, schedule: str) -> None:
-        body = self._body_for(schedule)
+        body = self._body
         arrays = state.arrays
         if self.num_slices == 1:
             # One slice owns the whole round: the barrier team would only

@@ -15,9 +15,8 @@ Schema entries (``{name: (dtype, shape)}``, see :func:`build_spec`):
   paper's lowest parents, consumed-parent cursors and chordal sets;
 * per-round scratch: ``active`` / ``parents`` / ``snapshot`` / ``keys`` /
   ``ok`` / ``cuts`` — the barrier snapshot and slice plumbing;
-* ``edge_state`` claim words (asynchronous live rounds) and the
-  ``control`` block carrying the bound graph's size and the round's key
-  count to the bodies.
+* the ``control`` block carrying the bound graph's size and the round's
+  key count to the bodies.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ __all__ = [
     "CTRL_NKEYS",
     "CTRL_N",
     "CTRL_SLOTS",
-    "EDGE_UNDECIDED",
-    "EDGE_ACCEPTED",
-    "EDGE_REJECTED",
     "build_spec",
 ]
 
@@ -36,13 +32,6 @@ __all__ = [
 CTRL_NKEYS = 0
 CTRL_N = 1
 CTRL_SLOTS = 2
-
-#: Edge-state claim words: one per (child, parent) arc, indexed by
-#: ``offsets[w] + cursor`` (the arc's position in the child's lower-
-#: neighbor prefix).  Flipped away from UNDECIDED exactly once.
-EDGE_UNDECIDED = 0
-EDGE_ACCEPTED = 1
-EDGE_REJECTED = 2
 
 
 def build_spec(
@@ -66,6 +55,5 @@ def build_spec(
         "lp": ("int64", (n,)),
         "active": ("int64", (n,)),
         "parents": ("int64", (n,)),
-        "edge_state": ("int64", (arena,)),
         "ok": ("uint8", (n,)),
     }

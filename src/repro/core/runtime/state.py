@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import arena_offsets, initial_parents, lower_counts
-from repro.core.runtime.layout import CTRL_N, EDGE_ACCEPTED, EDGE_UNDECIDED, build_spec
+from repro.core.runtime.layout import CTRL_N, build_spec
 from repro.graph.csr import CSRGraph
 
 __all__ = ["LocalState"]
@@ -24,15 +24,10 @@ class LocalState:
 
     Graph CSR arrays are aliased (not copied) when their dtype already
     matches the schema.  ``num_slices`` sizes the ``cuts`` scratch for the
-    widest executor this state will be driven by.  ``edge_claims=True``
-    allocates the per-arc claim words the asynchronous *live rounds* need
-    (the native thread team); the serial sweep never reads them, so they
-    default to a size-0 stub.
+    widest executor this state will be driven by.
     """
 
-    def __init__(
-        self, graph: CSRGraph, num_slices: int = 1, *, edge_claims: bool = False
-    ) -> None:
+    def __init__(self, graph: CSRGraph, num_slices: int = 1) -> None:
         g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
         self.graph = g
         n = g.num_vertices
@@ -45,7 +40,7 @@ class LocalState:
         self.max_degree = g.max_degree()
         self._sets: list[set[int]] | None = None
         spec = build_spec(n, self.nnz, self.arena_used, max(1, num_slices))
-        aliased = ("indptr", "indices", "lower", "offsets", "edge_state")
+        aliased = ("indptr", "indices", "lower", "offsets")
         self.arrays = {
             name: np.zeros(shape, dtype=dtype)
             for name, (dtype, shape) in spec.items()
@@ -55,9 +50,6 @@ class LocalState:
         self.arrays["indices"] = indices
         self.arrays["lower"] = lower
         self.arrays["offsets"] = offsets
-        self.arrays["edge_state"] = np.zeros(
-            self.arena_used if edge_claims else 0, dtype=np.int64
-        )
         self.arrays["control"][CTRL_N] = n
 
     @property
@@ -80,12 +72,11 @@ class LocalState:
             self._sets = [set() for _ in range(self.n)]
         return self._sets
 
-    def reset(self, schedule: str) -> None:
+    def reset(self) -> None:
         """Per-run initialisation (Algorithm 1 lines 2-10).
 
-        Zeroes the chordal sets and cursors, points every vertex at its
-        lowest parent, and rewinds the edge-claim words (asynchronous
-        schedule, when the state carries them).
+        Zeroes the chordal sets and cursors and points every vertex at its
+        lowest parent.
         """
         a = self.arrays
         n = self.n
@@ -94,25 +85,4 @@ class LocalState:
         a["lp"][:n] = initial_parents(
             a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
         )
-        if schedule == "asynchronous" and a["edge_state"].size:
-            a["edge_state"][: self.arena_used] = EDGE_UNDECIDED
         self._sets = None
-
-    def verify_async_accounting(self, num_edges: int) -> None:
-        """Post-run invariant of the asynchronous live rounds.
-
-        Every reported edge corresponds to exactly one won ACCEPTED claim
-        and one arena append.  A mismatch means the lock-free discipline
-        was violated somewhere.
-        """
-        a = self.arrays
-        claimed = int(
-            np.count_nonzero(a["edge_state"][: self.arena_used] == EDGE_ACCEPTED)
-        )
-        appended = int(a["counts"][: self.n].sum())
-        if not (claimed == appended == num_edges):
-            raise RuntimeError(
-                "asynchronous claim accounting diverged: "
-                f"{claimed} accepted claims, {appended} arena appends, "
-                f"{num_edges} reported edges"
-            )

@@ -12,7 +12,7 @@ three ways to run it:
 
 Use it as a context manager (or call :meth:`Extractor.close`)::
 
-    with Extractor(ExtractionConfig(engine="native", num_threads=4)) as ex:
+    with Extractor(ExtractionConfig(schedule="synchronous", num_threads=2)) as ex:
         for result in ex.stream(graphs):
             print(result.num_chordal_edges)
 
@@ -69,8 +69,8 @@ class ChordalResult:
         Which code actually ran: ``"native"`` when the compiled round
         bodies or the compiled asynchronous sweep produced the edges,
         ``"numpy"`` otherwise (the interpreted fallback under
-        ``REPRO_NATIVE=0`` or on a toolchain-less host, a traced run,
-        ``superstep`` × ``synchronous``, and the non-runtime engines).
+        ``REPRO_NATIVE=0`` or on a toolchain-less host, a traced
+        asynchronous run, and the non-runtime engines).
     """
 
     edges: np.ndarray
@@ -145,8 +145,9 @@ class Extractor:
     config:
         The regime to run; ``None`` means ``ExtractionConfig()``.
     **overrides:
-        Convenience: ``Extractor(engine="native", num_threads=2)`` is
-        ``Extractor(ExtractionConfig(engine="native", num_threads=2))``;
+        Convenience: ``Extractor(schedule="synchronous", num_threads=2)``
+        is ``Extractor(ExtractionConfig(schedule="synchronous",
+        num_threads=2))``;
         with ``config`` given, overrides are applied on top via
         :meth:`ExtractionConfig.replace`.
 

@@ -2,9 +2,10 @@
 
 Every other scaling artifact in this reproduction replays an instrumented
 work trace on the calibrated Cray XMT / Opteron machine models.  This
-experiment is the real thing: it times the ``native`` engine's thread
-team (compiled round bodies that release the GIL) on the host's actual
-cores and reports a Figure-4-style wall-clock curve, next to the serial
+experiment is the real thing: it times the thread team that runs the
+``superstep`` engine's synchronous rounds (compiled round bodies that
+release the GIL) on the host's actual cores and reports a
+Figure-4-style wall-clock curve, next to the serial
 synchronous baselines (the literal ``reference`` engine — the seed
 implementation style, dicts and sets — and the vectorized kernel
 engine).
@@ -54,8 +55,7 @@ def measure_engines(graph, workers=DEFAULT_WORKERS, repeats: int = 2) -> dict:
         with NativeThreadTeamExecutor(w) as executor:
 
             def once():
-                drive(LocalState(graph, w, edge_claims=True), executor,
-                      schedule="synchronous")
+                drive(LocalState(graph, w), executor, schedule="synchronous")
 
             once()  # warm-up: spawn the team, resolve the compiled bodies
             team[w] = best_of(once, repeats)

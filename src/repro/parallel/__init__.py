@@ -1,8 +1,8 @@
 """Thread runtime: persistent worker team, partitioners, atomic helpers.
 
-This is the substrate the native engine's thread team runs on:
-barrier-separated supersteps, slice partitioners and the claim-word
-atomics of the asynchronous live rounds.
+This is the substrate the synchronous thread team runs on:
+barrier-separated supersteps and slice partitioners, plus lock-based
+counters.
 """
 
 from repro.parallel.runtime import ThreadTeam, parallel_for

@@ -6,9 +6,6 @@ Markers (registered here so ``--strict-markers`` stays viable):
   explicit ``-m`` expression naming ``slow``) is given.
 * ``stress`` — adversarial concurrency stress; skipped unless
   ``--run-stress`` (or ``-m ... stress ...``) is given.
-* ``async_stress`` — wide asynchronous sweeps of the ``native`` engine
-  across thread counts; skipped unless ``--run-async-stress`` (or
-  ``-m ... async_stress ...``) is given.
 * ``service_stress`` — fault injection against a live ``repro serve``
   daemon (client kill, queue saturation, deadlines, drain);
   skipped unless ``--run-service-stress`` (or ``-m ... service_stress
@@ -53,10 +50,6 @@ from repro.graph.generators.rmat import rmat_b, rmat_er, rmat_g
 _OPTIONAL_MARKERS = {
     "slow": ("--run-slow", "long-running test; skipped unless --run-slow"),
     "stress": ("--run-stress", "adversarial stress test; skipped unless --run-stress"),
-    "async_stress": (
-        "--run-async-stress",
-        "wide asynchronous sweep; skipped unless --run-async-stress",
-    ),
     "service_stress": (
         "--run-service-stress",
         "extraction-service fault injection; skipped unless --run-service-stress",
@@ -119,12 +112,13 @@ def pytest_collection_modifyitems(config, items) -> None:
                     item.add_marker(skip_native)
 
 
-#: Case labels of the retired ``threaded`` and ``process`` engine aliases.
-#: Parametrized tests keep these labels in their ids so that case names
-#: stay stable; each label runs the pairing its alias ran: ``threaded``
-#: the serial ``superstep`` engine, ``process`` the ``native`` thread team
-#: (sized by the case's thread count, formerly its worker count).
-RETIRED_ALIASES = {"threaded": "superstep", "process": "native"}
+#: Case labels of the retired ``threaded``, ``process`` and ``native``
+#: engines.  Parametrized tests keep these labels in their ids so that
+#: case names stay stable; every label now runs the one Algorithm-1
+#: engine, ``superstep``, whose synchronous thread team is sized by the
+#: case's thread count (formerly the team or worker count of the retired
+#: engine).
+RETIRED_ALIASES = {"threaded": "superstep", "process": "superstep", "native": "superstep"}
 
 
 def live_engine(label: str) -> str:

@@ -13,14 +13,17 @@ from repro.graph.weights import attach_edge_weights
 
 
 def sync_reference(graph):
-    """Serial synchronous engine — the bit-identity oracle for the team."""
-    result = extract_maximal_chordal_subgraph(graph, schedule="synchronous")
+    """The literal pseudocode, synchronous — the bit-identity oracle for
+    the team."""
+    result = extract_maximal_chordal_subgraph(
+        graph, engine="reference", schedule="synchronous"
+    )
     return result.edges, result.queue_sizes
 
 
 def team_session(num_threads=2):
-    """A synchronous native session, reused across graphs."""
-    return Extractor(engine="native", schedule="synchronous", num_threads=num_threads)
+    """A synchronous thread-team session, reused across graphs."""
+    return Extractor(schedule="synchronous", num_threads=num_threads)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +81,7 @@ class TestProcessPoolRebind:
 
 class TestExtractMany:
     def test_results_match_single_calls(self, batch):
-        for engine, schedule in (("superstep", None), ("native", "synchronous")):
+        for engine, schedule in (("superstep", None), ("superstep", "synchronous")):
             many = extract_many(batch, engine=engine, schedule=schedule, num_threads=2)
             for g, result in zip(batch, many):
                 single = extract_maximal_chordal_subgraph(
@@ -89,7 +92,7 @@ class TestExtractMany:
                 assert result.engine == engine
 
     def test_empty_batch(self):
-        assert extract_many([], engine="native") == []
+        assert extract_many([], schedule="synchronous") == []
 
     def test_accepts_iterator(self, batch):
         results = extract_many(iter(batch), engine="superstep")
@@ -103,14 +106,12 @@ class TestExtractMany:
             assert r.maximality_gap >= 0
 
     def test_async_batch_through_one_pool(self, batch):
-        """extract_many with the native asynchronous schedule: every
-        result is a valid (any-valid) extraction, and moving across graph
-        shapes doesn't confuse the claim words."""
+        """extract_many with the asynchronous schedule and a thread count:
+        every result is a valid extraction, and moving across graph
+        shapes leaves no state behind."""
         from repro.chordality.verify import verify_extraction
 
-        results = extract_many(
-            batch, engine="native", schedule="asynchronous", num_threads=2
-        )
+        results = extract_many(batch, schedule="asynchronous", num_threads=2)
         assert len(results) == len(batch)
         for g, r in zip(batch, results):
             assert r.schedule == "asynchronous"
@@ -118,14 +119,14 @@ class TestExtractMany:
             assert report.ok, report
 
     def test_mixed_schedules_on_caller_pool(self, batch):
-        """Interleaving async and sync native extractions keeps the sync
-        results bit-identical to the serial oracle."""
+        """Interleaving async and sync extractions keeps the sync results
+        bit-identical to the oracle."""
         for g in batch:
             extract_maximal_chordal_subgraph(
-                g, engine="native", schedule="asynchronous", num_threads=2
+                g, schedule="asynchronous", num_threads=2
             )
             sync = extract_maximal_chordal_subgraph(
-                g, engine="native", schedule="synchronous", num_threads=2
+                g, schedule="synchronous", num_threads=2
             )
             assert np.array_equal(sync.edges, sync_reference(g)[0])
 
@@ -143,6 +144,6 @@ class TestExtractMany:
         silently dropping the weights."""
         weighted = attach_edge_weights(batch[0], 1.0)
         with pytest.raises(ConfigError, match="weight"):
-            extract_maximal_chordal_subgraph(weighted, engine="native")
+            extract_maximal_chordal_subgraph(weighted, engine="superstep")
         with pytest.raises(ConfigError, match="weight"):
-            extract_many([weighted], engine="native")
+            extract_many([weighted], engine="superstep")

@@ -127,17 +127,18 @@ class TestExtract:
         assert np.array_equal(out_graph.edge_array(), expected.edges)
 
     def test_process_engine_bit_identical_to_api(self, tmp_path):
-        """Acceptance: repro extract --engine native (synchronous) on an
-        .mtx file produces edges bit-identical to the in-process API."""
+        """Acceptance: repro extract --schedule synchronous on a thread
+        team, from an .mtx file, produces edges bit-identical to the
+        in-process API."""
         g = rmat_er(7, seed=11)
         src = tmp_path / "g.mtx"
         write_mtx(g, src)
         out = tmp_path / "chordal.txt"
-        assert main(["extract", str(src), "--engine", "native",
+        assert main(["extract", str(src), "--engine", "superstep",
                      "--schedule", "synchronous", "--num-threads", "2",
                      "-o", str(out), "--quiet"]) == 0
         expected = extract_maximal_chordal_subgraph(
-            g, engine="native", schedule="synchronous", num_threads=2
+            g, engine="superstep", schedule="synchronous", num_threads=2
         )
         assert np.array_equal(load_graph(out).edge_array(), expected.edges)
 
@@ -175,16 +176,16 @@ class TestExtract:
         assert "stdout" in capsys.readouterr().err
 
     def test_process_async_round_trip(self, tmp_path, capsys):
-        """Acceptance: repro extract --engine native --schedule
-        asynchronous round-trips through a file and --verify certifies
-        the (nondeterministic) output as a maximal chordal subgraph."""
+        """Acceptance: repro extract --schedule asynchronous with a thread
+        count round-trips through a file and --verify certifies the
+        output as a maximal chordal subgraph."""
         from repro.chordality.verify import verify_extraction
 
         g = rmat_er(7, seed=11)
         src = tmp_path / "g.mtx"
         write_mtx(g, src)
         out = tmp_path / "chordal.txt"
-        assert main(["extract", str(src), "--engine", "native",
+        assert main(["extract", str(src), "--engine", "superstep",
                      "--schedule", "asynchronous", "--num-threads", "4",
                      "--maximalize", "--verify", "-o", str(out)]) == 0
         err = capsys.readouterr().err
@@ -202,7 +203,7 @@ class TestExtract:
             inputs.append(str(path))
         out_dir = tmp_path / "out"
         assert main(["extract", *inputs, "--out-dir", str(out_dir),
-                     "--engine", "native", "--schedule", "asynchronous",
+                     "--engine", "superstep", "--schedule", "asynchronous",
                      "--num-threads", "2", "--quiet"]) == 0
         for i in range(3):
             sub = load_graph(out_dir / f"g{i}.chordal.txt")
@@ -251,12 +252,12 @@ class TestExtract:
             inputs.append(str(path))
         out_dir = tmp_path / "out"
         assert main(["extract", *inputs, "--out-dir", str(out_dir),
-                     "--engine", "native", "--schedule", "synchronous",
+                     "--engine", "superstep", "--schedule", "synchronous",
                      "--num-threads", "2", "--quiet"]) == 0
         for i in range(3):
             result = load_graph(out_dir / f"g{i}.chordal.txt")
             expected = extract_maximal_chordal_subgraph(
-                rmat_er(6, seed=i), engine="native", schedule="synchronous",
+                rmat_er(6, seed=i), engine="superstep", schedule="synchronous",
                 num_threads=2,
             )
             assert np.array_equal(result.edge_array(), expected.edges)

@@ -1,5 +1,5 @@
 """Tests for the reference transcription, the serial runtime pairing and
-the native thread team of Algorithm 1, and their agreement."""
+the synchronous thread team of Algorithm 1, and their agreement."""
 
 import numpy as np
 import pytest
@@ -32,9 +32,10 @@ def superstep(graph, **kwargs):
 
 
 def team(graph, num_threads, **kwargs):
-    """The ``native`` engine: compiled round bodies on a thread team."""
+    """The ``superstep`` engine sized to ``num_threads`` (its synchronous
+    rounds run on a thread team of that width)."""
     return extract_maximal_chordal_subgraph(
-        graph, engine="native", num_threads=num_threads, **kwargs
+        graph, engine="superstep", num_threads=num_threads, **kwargs
     )
 
 
@@ -144,7 +145,7 @@ class TestSuperstepEngine:
 
 
 class TestThreadedEngine:
-    """The thread-team engine (``native``) against the serial pairing."""
+    """The engine at several thread counts against the serial pairing."""
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_sync_equals_serial_exactly(self, zoo_graph, threads):
@@ -159,13 +160,14 @@ class TestThreadedEngine:
         assert is_chordal(edge_subgraph(zoo_graph, r.edges))
 
     def test_single_thread_async_matches_serial(self, zoo_graph):
-        """One thread has no races to lose: its asynchronous live rounds
-        are a serial run, so repeated runs agree exactly (edges and queue
-        profile) and the output is chordal."""
+        """The asynchronous sweep is serial and deterministic: repeated
+        runs agree exactly (edges and queue profile) with the directly
+        driven serial pairing, and the output is chordal."""
         first = team(zoo_graph, 1, schedule="asynchronous")
         again = team(zoo_graph, 1, schedule="asynchronous")
+        _, s_qs, _ = superstep(zoo_graph)
         assert np.array_equal(first.edges, again.edges)
-        assert first.queue_sizes == again.queue_sizes
+        assert first.queue_sizes == again.queue_sizes == s_qs
         assert is_chordal(edge_subgraph(zoo_graph, first.edges))
 
     def test_bad_thread_count(self):

@@ -1,13 +1,14 @@
 """Cross-engine equivalence harness (property-style seed sweep).
 
 The synchronous schedule is the repo's determinism contract: every
-Algorithm-1 engine (``superstep``, ``native``, ``reference``) × both
-variants must produce the *identical canonical edge set* on every input (the runtime
-engines share one driver, so this also pins the driver against every
-executor).  The asynchronous schedule promises less — any run yields a
-chordal subgraph whose maximality gap the completion pass can close —
-and that weaker contract is asserted for every engine; the full
-any-valid certification lives in ``tests/test_properties_async.py``.
+Algorithm-1 engine (``superstep``, ``reference``) × both variants must
+produce the *identical canonical edge set* on every input, at every
+thread count of the ``superstep`` team (one driver serves every
+executor, so this also pins the driver against each of them).  For the
+asynchronous schedule every run must yield a chordal subgraph whose
+maximality gap the completion pass can close; the property sweep over
+every engine × schedule × thread count lives in
+``tests/test_properties_async.py``.
 
 A small seed sweep runs in tier-1; the wide sweep is marked ``slow``
 (``--run-slow``).  See ``tests/README.md``.
@@ -148,7 +149,7 @@ def _sync(graph, engine: str = "superstep", **kwargs):
 
 
 class TestKernelLoopAgreement:
-    """The compiled round bodies (the native team's kernels; the NumPy
+    """The compiled round bodies (the thread team's kernels; the NumPy
     bodies again when the backend does not resolve) and the serial
     pairing's NumPy bodies agree exactly under the synchronous schedule:
     raw rows in emission order and queue sizes."""
@@ -168,10 +169,12 @@ class TestKernelLoopAgreement:
         assert np.array_equal(loop_edges, vec_edges)
 
     def test_kernels_refuse_trace(self):
+        """An engine without the trace capability refuses a trace request
+        up front (the ``superstep`` team's rounds trace like any other)."""
         with pytest.raises(ValueError, match="collect_trace"):
             extract_maximal_chordal_subgraph(
                 gnp_random_graph(10, 0.3, seed=0),
-                engine="native",
+                engine="reference",
                 schedule="synchronous",
                 collect_trace=True,
             )
@@ -180,8 +183,7 @@ class TestKernelLoopAgreement:
 class TestSyncDeterminismPins:
     """The synchronous schedule is the determinism contract: bit-identical
     edge sets AND queue profiles across every engine and every thread
-    count, pinned so the asynchronous live rounds can never leak
-    nondeterminism into the sync kernels."""
+    count."""
 
     @pytest.mark.parametrize("gen", ("gnp", "rmat_b"))
     def test_process_sync_identical_for_every_worker_count(self, gen):
@@ -189,21 +191,21 @@ class TestSyncDeterminismPins:
             graph = GENERATORS[gen](seed)
             serial = _sync(graph)
             for threads in SYNC_THREAD_COUNTS:
-                team = _sync(graph, "native", num_threads=threads)
+                team = _sync(graph, num_threads=threads)
                 assert np.array_equal(team.edges, serial.edges), (gen, seed, threads)
                 assert team.queue_sizes == serial.queue_sizes, (gen, seed, threads)
 
     def test_sync_unchanged_after_async_runs_on_same_pool(self):
-        """Async live rounds on the native team must leave no residue
-        that shifts a later sync run."""
+        """Asynchronous runs of the same engine leave no residue that
+        shifts a later sync run."""
         graph = GENERATORS["rmat_er"](4)
         serial = _sync(graph)
-        before = _sync(graph, "native", num_threads=3)
+        before = _sync(graph, num_threads=3)
         for _ in range(3):
             extract_maximal_chordal_subgraph(
-                graph, engine="native", schedule="asynchronous", num_threads=3
+                graph, schedule="asynchronous", num_threads=3
             )
-        after = _sync(graph, "native", num_threads=3)
+        after = _sync(graph, num_threads=3)
         for team in (before, after):
             assert np.array_equal(team.edges, serial.edges)
             assert team.queue_sizes == serial.queue_sizes
@@ -212,51 +214,51 @@ class TestSyncDeterminismPins:
         graph = GENERATORS["gnp"](1)
         baseline = _sync(graph).edges
         for threads in (1, 2, 4, 5, 8):
-            result = _sync(graph, "native", num_threads=threads)
+            result = _sync(graph, num_threads=threads)
             assert np.array_equal(result.edges, baseline), threads
 
 
 class TestProcessEngineContract:
     def test_async_schedule_supported(self):
-        """The native team runs the asynchronous schedule (validity is
-        certified by tests/test_properties_async.py; here just the
-        plumbing)."""
+        """A thread count does not stop the asynchronous schedule (the
+        sweep is serial; validity is certified by
+        tests/test_properties_async.py; here just the plumbing)."""
         g = gnp_random_graph(10, 0.3, seed=0)
         r = extract_maximal_chordal_subgraph(
-            g, engine="native", schedule="asynchronous", num_threads=2
+            g, schedule="asynchronous", num_threads=2
         )
         assert r.edges.shape[1] == 2
         assert r.num_iterations >= 1
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
-            ExtractionConfig(engine="native", schedule="bogus")
+            ExtractionConfig(schedule="bogus")
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError, match="num_threads"):
-            _sync(gnp_random_graph(5, 0.5, seed=0), "native", num_threads=0)
+            _sync(gnp_random_graph(5, 0.5, seed=0), num_threads=0)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            _sync(gnp_random_graph(5, 0.5, seed=0), "native", variant="turbo")
+            _sync(gnp_random_graph(5, 0.5, seed=0), variant="turbo")
 
     def test_more_workers_than_vertices(self):
         g = gnp_random_graph(6, 0.6, seed=1)
         serial = _sync(g)
-        team = _sync(g, "native", num_threads=8)
+        team = _sync(g, num_threads=8)
         assert np.array_equal(team.edges, serial.edges)
         assert team.queue_sizes == serial.queue_sizes
 
     def test_pool_reuse_is_deterministic(self):
         g = rmat_er(7, seed=5)
-        with Extractor(engine="native", schedule="synchronous", num_threads=2) as ex:
+        with Extractor(schedule="synchronous", num_threads=2) as ex:
             first = ex.extract(g)
             second = ex.extract(g)
         assert np.array_equal(first.edges, second.edges)
         assert first.queue_sizes == second.queue_sizes
 
     def test_closed_pool_rejected(self):
-        ex = Extractor(engine="native", schedule="synchronous", num_threads=2)
+        ex = Extractor(schedule="synchronous", num_threads=2)
         ex.close()
         with pytest.raises(SessionClosedError, match="closed"):
             ex.extract(rmat_er(7, seed=5))
@@ -265,7 +267,7 @@ class TestProcessEngineContract:
         from repro.graph.builder import build_graph
 
         for g in (build_graph(0, []), build_graph(7, [])):
-            r = _sync(g, "native", num_threads=2)
+            r = _sync(g, num_threads=2)
             assert r.edges.shape == (0, 2)
             assert r.queue_sizes == []
 
@@ -275,4 +277,4 @@ class TestProcessEngineContract:
 
         g = complete_graph(8)
         with pytest.raises(ConvergenceError):
-            _sync(g, "native", num_threads=2, max_iterations=2)
+            _sync(g, num_threads=2, max_iterations=2)

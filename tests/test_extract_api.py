@@ -78,9 +78,9 @@ class TestOptions:
             extract_maximal_chordal_subgraph(cycle_graph(4), renumber="dfs")
 
     def test_trace_requires_trace_capable_engine(self):
-        """Traces are a driver feature of the serial pairing: superstep
-        collects them, reference and native do not."""
-        for engine in ("reference", "native"):
+        """Traces are a driver feature of the runtime: superstep collects
+        them, reference does not."""
+        for engine in ("reference",):
             with pytest.raises(ValueError, match="collect_trace"):
                 extract_maximal_chordal_subgraph(
                     cycle_graph(4), engine=engine, collect_trace=True
@@ -89,7 +89,7 @@ class TestOptions:
         assert r.trace is not None
 
     def test_all_engine_variant_combos_chordal(self, zoo_graph):
-        for engine in ("superstep", "native", "reference"):
+        for engine in ("superstep", "reference"):
             for variant in ("optimized", "unoptimized"):
                 r = extract_maximal_chordal_subgraph(
                     zoo_graph, engine=engine, variant=variant, num_threads=2

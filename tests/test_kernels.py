@@ -18,7 +18,6 @@ from repro.core.kernels import (
     initial_parents,
     lower_counts,
     subset_mask,
-    subset_mask_live,
     vectorized_sync_max_chordal,
 )
 from repro.core.state import make_strategy
@@ -144,76 +143,6 @@ class TestSubsetMask:
         keys = build_arena_keys(arena, offsets, counts, 3)
         ws = vs = np.empty(0, dtype=np.int64)
         assert subset_mask(keys, arena, offsets, counts, ws, vs, 3).size == 0
-
-
-class TestSubsetMaskLive:
-    """The live-arena probe variant used by the asynchronous process
-    engine: no precompiled key array, prefixes frozen per parent at call
-    time.  With quiescent state it must agree with plain set semantics
-    (and hence with the snapshot kernel)."""
-
-    @staticmethod
-    def _random_arena(rng, n):
-        lower = rng.integers(0, 6, size=n)
-        offsets = arena_offsets(lower)
-        arena = np.full(int(offsets[-1]), -1, dtype=np.int64)
-        counts = np.array([rng.integers(0, c + 1) for c in lower], dtype=np.int64)
-        sets = []
-        for v in range(n):
-            fill = np.sort(rng.choice(n, size=int(counts[v]), replace=False))
-            arena[offsets[v] : offsets[v] + counts[v]] = fill
-            sets.append(set(fill.tolist()))
-        return offsets, arena, counts, sets
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_set_semantics(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 14
-        offsets, arena, counts, sets = self._random_arena(rng, n)
-        pairs = rng.integers(0, n, size=(20, 2))
-        ws, vs = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-        ok = subset_mask_live(arena, offsets, counts, ws, vs, n)
-        for i in range(ws.size):
-            assert bool(ok[i]) == (sets[ws[i]] <= sets[vs[i]]), (ws[i], vs[i])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_agrees_with_snapshot_kernel_on_quiescent_state(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = 12
-        offsets, arena, counts, _ = self._random_arena(rng, n)
-        pairs = rng.integers(0, n, size=(25, 2))
-        ws, vs = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-        keys = build_arena_keys(arena, offsets, counts, n)
-        snap = subset_mask(keys, arena, offsets, counts, ws, vs, n)
-        live = subset_mask_live(arena, offsets, counts, ws, vs, n)
-        assert np.array_equal(snap, live)
-
-    def test_empty_queries(self):
-        counts = np.zeros(3, dtype=np.int64)
-        offsets = arena_offsets(counts)
-        arena = np.empty(0, dtype=np.int64)
-        ws = vs = np.empty(0, dtype=np.int64)
-        assert subset_mask_live(arena, offsets, counts, ws, vs, 3).size == 0
-
-    def test_concurrent_growth_beyond_frozen_prefix_is_invisible(self):
-        """Elements appended past the frozen prefix (sorted, hence larger
-        than its bound) must not change the verdict — the reject-only
-        race argument of the async engine, checked deterministically."""
-        lower = np.array([0, 1, 2, 3], dtype=np.int64)
-        offsets = arena_offsets(lower)
-        arena = np.full(int(offsets[-1]), -1, dtype=np.int64)
-        # C[3] = {0}; C[2] = {0} frozen, with slot for a later {1} append.
-        arena[offsets[3]] = 0
-        arena[offsets[2]] = 0
-        counts = np.array([0, 0, 1, 1], dtype=np.int64)
-        ws = np.array([3], dtype=np.int64)
-        vs = np.array([2], dtype=np.int64)
-        before = subset_mask_live(arena, offsets, counts, ws, vs, 4)
-        arena[offsets[2] + 1] = 1  # concurrent append: slot first ...
-        after_slot = subset_mask_live(arena, offsets, counts, ws, vs, 4)
-        counts[2] = 2  # ... count bump second
-        after_bump = subset_mask_live(arena, offsets, counts, ws, vs, 4)
-        assert before.tolist() == after_slot.tolist() == after_bump.tolist() == [True]
 
 
 class TestAppendAdvance:

@@ -1,12 +1,12 @@
-"""Tests for the compiled (nogil) kernel backend and the native engine.
+"""Tests for the compiled (nogil) kernel backend and the thread team.
 
 Coverage is split by what each piece needs from the host:
 
-* **Fallback semantics** (no marker — runs on every host): the ``native``
-  engine must work and match the NumPy engines even when the compiled
-  backend cannot be resolved; ``REPRO_NATIVE=0`` forces that branch on a
-  host that *does* have a toolchain, and a mocked-out compiler lookup
-  exercises the true no-compiler resolution path.
+* **Fallback semantics** (no marker — runs on every host): the engine's
+  thread team must work and match the serial pairing even when the
+  compiled backend cannot be resolved; ``REPRO_NATIVE=0`` forces that
+  branch on a host that *does* have a toolchain, and a mocked-out
+  compiler lookup exercises the true no-compiler resolution path.
 * **Compiled-path assertions** (``@pytest.mark.native`` — auto-skipped
   with the resolution detail as the reason): bit-identity of the
   compiled synchronous rows, verified asynchronous output, the
@@ -57,7 +57,7 @@ def native_env():
 
 
 class TestFallbackSemantics:
-    """The native engine with the compiled backend forced off.
+    """The engine and its thread team with the compiled backend forced off.
 
     These run on every host (tier-1 with or without a toolchain): they
     prove the acceptance criterion that tier-1 passes unchanged when no
@@ -86,25 +86,21 @@ class TestFallbackSemantics:
         native_env.setenv(DISABLE_ENV, "0")
         resolve(force=True)
         graph = GRAPHS["rmat_er"]()
-        spec = get_engine("native")
-        base = extract_maximal_chordal_subgraph(graph, schedule="synchronous")
-        cfg = ExtractionConfig(
-            engine="native", schedule="synchronous", num_threads=3
+        spec = get_engine("superstep")
+        base, base_qs, _ = drive(
+            LocalState(graph), SerialExecutor(), schedule="synchronous"
         )
+        cfg = ExtractionConfig(schedule="synchronous", num_threads=3)
         edges, qs, _ = spec.run(graph, cfg)
-        assert np.array_equal(np.sort(edges, axis=0), np.sort(base.edges, axis=0))
-        # The asynchronous fallback runs the NumPy live rounds on the
-        # thread team; its output is any-valid, so certify it.
-        edges_a, _, _ = spec.run(
-            graph, ExtractionConfig(engine="native", schedule="asynchronous")
-        )
+        assert np.array_equal(edges, base) and qs == base_qs
+        # The asynchronous fallback runs the interpreted sweep.
+        edges_a, _, _ = spec.run(graph, ExtractionConfig().resolved())
         assert verify_extraction(graph, edges_a, check_maximal=False).ok
 
     def test_executor_flags_in_fallback(self, native_env):
         native_env.setenv(DISABLE_ENV, "0")
         resolve(force=True)
         with NativeThreadTeamExecutor(2) as executor:
-            assert executor.live_rounds
             assert executor.needs_keys  # NumPy sync bodies read the key array
             assert executor.kernel_path == "numpy"
 
@@ -112,7 +108,7 @@ class TestFallbackSemantics:
         native_env.setenv(DISABLE_ENV, "0")
         resolve(force=True)
         r = extract_maximal_chordal_subgraph(
-            GRAPHS["rmat_b"](), engine="native", schedule="synchronous"
+            GRAPHS["rmat_b"](), schedule="synchronous"
         )
         assert r.kernel_path == "numpy"
 
@@ -128,7 +124,6 @@ class TestCompiledPath:
 
     def test_executor_flags(self):
         with NativeThreadTeamExecutor(2) as executor:
-            assert executor.live_rounds
             assert not executor.needs_keys  # C probes arena runs directly
             assert executor.kernel_path == "native"
 
@@ -143,9 +138,7 @@ class TestCompiledPath:
         )
         with NativeThreadTeamExecutor(threads) as executor:
             edges, qs, _ = drive(
-                LocalState(graph, threads, edge_claims=True),
-                executor,
-                schedule="synchronous",
+                LocalState(graph, threads), executor, schedule="synchronous"
             )
         assert np.array_equal(edges, base_edges), (name, threads)
         assert qs == base_qs, (name, threads)
@@ -153,18 +146,17 @@ class TestCompiledPath:
     @pytest.mark.parametrize("threads", (1, 2, 4))
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_async_output_verifies(self, name, threads):
-        """Compiled live rounds are any-valid: every run must certify as
-        a chordal subgraph (claim accounting is enforced by the driver)."""
+        """The engine's asynchronous schedule runs the compiled sweep at
+        every configured thread count, and every run certifies as a
+        chordal subgraph within the iteration budget."""
         graph = GRAPHS[name]()
-        with NativeThreadTeamExecutor(threads) as executor:
-            edges, qs, _ = drive(
-                LocalState(graph, threads, edge_claims=True),
-                executor,
-                schedule="asynchronous",
-            )
-        report = verify_extraction(graph, edges, check_maximal=False)
+        r = extract_maximal_chordal_subgraph(
+            graph, schedule="asynchronous", num_threads=threads
+        )
+        assert r.kernel_path == "native"
+        report = verify_extraction(graph, r, check_maximal=False)
         assert report.ok, (name, threads, report)
-        assert len(qs) <= graph.max_degree() + 2
+        assert r.num_iterations <= graph.max_degree() + 2
 
     def test_degenerate_graphs(self):
         for g in (
@@ -176,25 +168,27 @@ class TestCompiledPath:
         ):
             for schedule in ("synchronous", "asynchronous"):
                 r = extract_maximal_chordal_subgraph(
-                    g, engine="native", schedule=schedule, num_threads=3
+                    g, schedule=schedule, num_threads=3
                 )
                 assert verify_extraction(g, r, check_maximal=False).ok
 
     def test_kernel_path_surfaces_native(self):
+        # Synchronous rounds run the compiled bodies on the thread team
+        # (the asynchronous default runs the compiled sweep; see
+        # tests/test_native_sweep.py) ...
         r = extract_maximal_chordal_subgraph(
-            GRAPHS["rmat_er"](), engine="native", schedule="synchronous"
+            GRAPHS["rmat_er"](), schedule="synchronous", num_threads=2
         )
         assert r.kernel_path == "native"
-        # superstep x synchronous runs the NumPy rounds (the asynchronous
-        # default runs the compiled sweep; see tests/test_native_sweep.py).
-        base = extract_maximal_chordal_subgraph(
-            GRAPHS["rmat_er"](), engine="superstep", schedule="synchronous"
+        # ... while a directly driven serial pairing keeps the NumPy rounds.
+        base = drive(
+            LocalState(GRAPHS["rmat_er"]()), SerialExecutor(), schedule="synchronous"
         )
         assert base.kernel_path == "numpy"
 
     def test_engine_capability_flag(self):
-        assert get_engine("native").is_deterministic("synchronous")
-        assert not get_engine("native").is_deterministic("asynchronous")
+        assert get_engine("superstep").is_deterministic("synchronous")
+        assert get_engine("superstep").is_deterministic("asynchronous")
 
     def test_clique_iteration_law_native(self):
         """k-clique needs exactly k-1 synchronous rounds — same schedule
@@ -202,8 +196,6 @@ class TestCompiledPath:
         for k in (3, 5, 8):
             with NativeThreadTeamExecutor(2) as executor:
                 _, qs, _ = drive(
-                    LocalState(complete_graph(k), 2, edge_claims=True),
-                    executor,
-                    schedule="synchronous",
+                    LocalState(complete_graph(k), 2), executor, schedule="synchronous"
                 )
             assert len(qs) == k - 1

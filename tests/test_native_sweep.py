@@ -43,6 +43,7 @@ from repro.graph.generators.classic import complete_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er, rmat_g
 from repro.graph.io import save_graph
 from repro.service import ReproServer, ServiceClient, ServiceConfig
+from tests.conftest import live_engine
 from tests.test_properties import graphs
 
 #: Schema arrays the sweep leaves behind; both paths must agree on them.
@@ -175,9 +176,9 @@ class TestKernelPath:
         [
             ({}, "native"),
             ({"variant": "unoptimized"}, "native"),
-            ({"schedule": "synchronous"}, "numpy"),
+            ({"schedule": "synchronous"}, "native"),
             ({"collect_trace": True}, "numpy"),
-            ({"engine": "native", "schedule": "synchronous"}, "native"),
+            ({"schedule": "synchronous", "num_threads": 2}, "native"),
             ({"engine": "reference"}, "numpy"),
         ],
         ids=("default", "unoptimized", "superstep-sync", "traced", "native-sync", "reference"),
@@ -193,7 +194,7 @@ class TestKernelPath:
     def test_api_numpy_when_disabled(self, engine, schedule):
         with interpreted():
             result = extract_maximal_chordal_subgraph(
-                small_graph(), engine=engine, schedule=schedule
+                small_graph(), engine=live_engine(engine), schedule=schedule
             )
         assert result.kernel_path == "numpy"
 
@@ -207,7 +208,8 @@ class TestKernelPath:
     @pytest.mark.native
     def test_cli_summary(self, tmp_path, capsys):
         assert self._cli_kernel(tmp_path, capsys) == "native"
-        assert self._cli_kernel(tmp_path, capsys, "--schedule", "synchronous") == "numpy"
+        assert self._cli_kernel(tmp_path, capsys, "--schedule", "synchronous") == "native"
+        assert self._cli_kernel(tmp_path, capsys, "--engine", "reference") == "numpy"
 
     def test_cli_summary_when_disabled(self, tmp_path, capsys):
         with interpreted():
@@ -222,7 +224,7 @@ class TestKernelPath:
                 before = client.stats()
                 compiled = client.extract(graph, no_cache=True)
                 loop = client.extract(
-                    graph, config={"schedule": "synchronous"}, no_cache=True
+                    graph, config={"engine": "reference"}, no_cache=True
                 )
                 after = client.stats()
         assert compiled.kernel_path == "native"
@@ -247,6 +249,7 @@ class TestUntrustedMaxIterations:
         ],
     )
     def test_api_huge_budget_gives_normal_answer(self, engine, schedule):
+        engine = live_engine(engine)
         graph = rmat_b(8, seed=2)
         base = extract_maximal_chordal_subgraph(graph, engine=engine, schedule=schedule)
         huge = extract_maximal_chordal_subgraph(

@@ -5,14 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel.atomics import (
-    AtomicCounter,
-    AtomicMax,
-    atomic_load,
-    atomic_store,
-    bulk_compare_and_set,
-    compare_and_set,
-)
+from repro.parallel.atomics import AtomicCounter, AtomicMax
 from repro.parallel.partition import (
     balanced_chunks,
     block_ranges,
@@ -245,47 +238,3 @@ class TestAtomics:
         m.update(1.0)
         assert m.value == 3.0
         assert m.update(7.0) == 7.0
-
-
-class TestSharedWordAtomics:
-    """The shared-memory word primitives the async process engine builds
-    its edge-claim protocol on (single-mutator-per-slot contract)."""
-
-    def test_load_store_round_trip(self):
-        arr = np.zeros(4, dtype=np.int64)
-        atomic_store(arr, 2, 41)
-        assert atomic_load(arr, 2) == 41
-        assert atomic_load(arr, 0) == 0
-
-    def test_compare_and_set_claims_once(self):
-        arr = np.zeros(3, dtype=np.int64)
-        assert compare_and_set(arr, 1, 0, 7)
-        assert arr[1] == 7
-        assert not compare_and_set(arr, 1, 0, 9)  # lost claim: untouched
-        assert arr[1] == 7
-        assert compare_and_set(arr, 1, 7, 9)
-        assert arr[1] == 9
-
-    def test_bulk_compare_and_set_mixed_outcomes(self):
-        arr = np.array([0, 5, 0, 0], dtype=np.int64)
-        idx = np.array([0, 1, 3], dtype=np.int64)
-        new = np.array([10, 11, 13], dtype=np.int64)
-        won = bulk_compare_and_set(arr, idx, 0, new)
-        assert won.tolist() == [True, False, True]
-        assert arr.tolist() == [10, 5, 0, 13]
-
-    def test_bulk_compare_and_set_scalar_new(self):
-        arr = np.array([0, 2, 0], dtype=np.int64)
-        won = bulk_compare_and_set(arr, np.array([0, 1, 2]), 0, 1)
-        assert won.tolist() == [True, False, True]
-        assert arr.tolist() == [1, 2, 1]
-
-    def test_rejects_non_int64(self):
-        with pytest.raises(ValueError, match="int64"):
-            compare_and_set(np.zeros(2, dtype=np.int32), 0, 0, 1)
-
-    def test_rejects_misaligned_view(self):
-        buf = np.zeros(5, dtype=np.int32)  # 4-byte stride base
-        view = np.ndarray((2,), dtype=np.int64, buffer=buf.data, offset=4)
-        with pytest.raises(ValueError, match="aligned"):
-            atomic_load(view, 0)

@@ -37,7 +37,7 @@ def test_theorem1_chordality_all_configs(data):
     g = graphs(data.draw)
     schedule = data.draw(st.sampled_from(["asynchronous", "synchronous"]))
     variant = data.draw(st.sampled_from(["optimized", "unoptimized"]))
-    engine = data.draw(st.sampled_from(["superstep", "native", "reference"]))
+    engine = data.draw(st.sampled_from(["superstep", "reference"]))
     result = extract_maximal_chordal_subgraph(
         g, engine=engine, variant=variant, schedule=schedule, num_threads=2
     )

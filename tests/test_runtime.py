@@ -14,6 +14,8 @@ The refactor's contract, pinned here:
    :class:`~repro.errors.ConfigError` before any work happens.
 4. **The third-party recipe** — ``backend_run_fn`` + ``register_engine``
    is enough to plug a new pairing into the session API.
+5. **One Algorithm-1 engine** — ``superstep`` picks its executor by
+   schedule, and both schedules are deterministic at every thread count.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chordality.recognition import is_chordal
-from repro.core.engines import EngineSpec, register_engine, unregister_engine
+from repro.core.config import ExtractionConfig
+from repro.core.engines import (
+    EngineSpec,
+    engine_names,
+    get_engine,
+    register_engine,
+    unregister_engine,
+)
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
@@ -37,7 +45,6 @@ from repro.graph.builder import build_graph
 from repro.graph.generators.classic import complete_graph, disjoint_cliques
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er
-from repro.graph.ops import edge_subgraph
 
 GENERATORS = {
     "gnp": lambda s: gnp_random_graph(28, 0.18, seed=s),
@@ -63,14 +70,10 @@ class TestSyncDeterminismAcrossPairings:
         for slices in (1, 3):
             pairings.append((LocalState(graph, slices), SerialExecutor()))
         # Thread team: compiled bodies when available, NumPy fallback
-        # otherwise — both must reproduce the same rows at any width,
-        # with or without edge-claim words.
+        # otherwise — both must reproduce the same rows at any width.
         for threads in (1, 2, 4, 5):
             pairings.append(
-                (
-                    LocalState(graph, threads, edge_claims=threads % 2 == 0),
-                    NativeThreadTeamExecutor(threads),
-                )
+                (LocalState(graph, threads), NativeThreadTeamExecutor(threads))
             )
 
         for state, executor in pairings:
@@ -85,7 +88,7 @@ class TestSyncDeterminismAcrossPairings:
         graph = GENERATORS["rmat_er"](4)
         base = extract_maximal_chordal_subgraph(graph, schedule="synchronous")
         team = extract_maximal_chordal_subgraph(
-            graph, engine="native", schedule="synchronous", num_threads=threads
+            graph, schedule="synchronous", num_threads=threads
         )
         assert np.array_equal(team.edges, base.edges)
         assert team.queue_sizes == base.queue_sizes
@@ -166,38 +169,18 @@ class TestDriverValidation:
         with pytest.raises(ConfigError, match="schedule"):
             drive(LocalState(complete_graph(4)), SerialExecutor(), schedule="warp")
 
-    def test_live_rounds_refuse_trace(self):
-        graph = complete_graph(5)
-        with NativeThreadTeamExecutor(2) as executor:
-            with pytest.raises(ConfigError, match="collect_trace"):
-                drive(
-                    LocalState(graph, 2, edge_claims=True),
-                    executor,
-                    schedule="asynchronous",
-                    collect_trace=True,
-                )
-
     def test_sweep_refuses_a_multi_slice_executor(self):
-        """The asynchronous sweep is serial: an executor without live
-        rounds must offer exactly one slice."""
+        """The asynchronous sweep is serial: its executor must offer
+        exactly one slice."""
 
         class TwoSlices(SerialExecutor):
             num_slices = 2
 
         with pytest.raises(ConfigError, match="serial"):
             drive(LocalState(complete_graph(5), 2), TwoSlices(), schedule="asynchronous")
-
-    def test_live_rounds_need_edge_claims(self):
-        """In-process live rounds (the native pairing's asynchronous
-        regime) refuse a state without edge-claim words up front —
-        whether the compiled bodies or the NumPy fallback would run."""
-        with NativeThreadTeamExecutor(2) as executor:
-            with pytest.raises(ConfigError, match="edge-claim"):
-                drive(
-                    LocalState(complete_graph(5), 2),
-                    executor,
-                    schedule="asynchronous",
-                )
+        with NativeThreadTeamExecutor(2) as team:
+            with pytest.raises(ConfigError, match="serial"):
+                drive(LocalState(complete_graph(5), 2), team, schedule="asynchronous")
 
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError, match="iteration budget"):
@@ -263,16 +246,40 @@ class TestSweepSemantics:
         assert qs[0] == 3
         assert len(qs) == 3
 
-    @pytest.mark.parametrize("threads", (2, 4))
-    def test_thread_sliced_sweep_always_valid(self, threads):
-        """Thread-sliced asynchronous execution (the native team's live
-        rounds) is valid at every width."""
-        for seed in SEEDS:
-            g = GENERATORS["rmat_b"](seed)
-            with NativeThreadTeamExecutor(threads) as executor:
-                edges, _, _ = drive(
-                    LocalState(g, threads, edge_claims=True),
-                    executor,
-                    schedule="asynchronous",
-                )
-            assert is_chordal(edge_subgraph(g, edges)), (threads, seed)
+
+class TestOneEngineContract:
+    """``superstep`` is the one registered Algorithm-1 engine: the serial
+    sweep for the asynchronous schedule, the thread team's barrier rounds
+    for the synchronous one, both deterministic at every thread count."""
+
+    def test_registry_schedules_and_thread_counts(self):
+        assert engine_names() == ("superstep", "reference", "weighted")
+        with pytest.raises(
+            ConfigError, match=r"\('superstep', 'reference', 'weighted'\)"
+        ):
+            ExtractionConfig(engine="native")
+        spec = get_engine("superstep")
+
+        def run(graph, schedule, threads):
+            cfg = ExtractionConfig(schedule=schedule, num_threads=threads)
+            edges, queue_sizes, _ = spec.run(graph, cfg)
+            return edges, queue_sizes
+
+        for gen in sorted(GENERATORS):
+            graph = GENERATORS[gen](1)
+            # Asynchronous: raw rows in service order and queue sizes.
+            a_edges, a_qs = run(graph, "asynchronous", 1)
+            b_edges, b_qs = run(graph, "asynchronous", 4)
+            assert np.array_equal(a_edges, b_edges), gen
+            assert a_qs == b_qs, gen
+            # Synchronous: every width reproduces the serial pairing.
+            base_edges, base_qs, _ = drive(
+                LocalState(graph), SerialExecutor(), schedule="synchronous"
+            )
+            for threads in (1, 2, 3):
+                edges, qs = run(graph, "synchronous", threads)
+                assert np.array_equal(edges, base_edges), (gen, threads)
+                assert qs == base_qs, (gen, threads)
+        assert ExtractionConfig(schedule="asynchronous").deterministic
+        assert ExtractionConfig(schedule="synchronous").deterministic
+        assert ExtractionConfig().deterministic

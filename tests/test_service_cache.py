@@ -42,7 +42,7 @@ def client(server):
 
 def test_cache_hit_is_bit_identical_and_never_touches_a_pool(client):
     graph = rmat_b(7, seed=42)
-    config = {"engine": "native", "schedule": "synchronous", "num_threads": 2}
+    config = {"engine": "superstep", "schedule": "synchronous", "num_threads": 2}
     first = client.extract(graph, config=config)
     assert not first.cached and first.served_by == "inline"
     before = client.stats()
@@ -112,9 +112,9 @@ def test_differing_resolved_configs_miss(client):
 def test_default_and_explicit_schedule_share_one_entry(client):
     # schedule=None resolves to the engine default — same cache row.
     graph = rmat_b(6, seed=45)
-    client.extract(graph, config={"engine": "native"})
+    client.extract(graph, config={"engine": "superstep"})
     explicit = client.extract(
-        graph, config={"engine": "native", "schedule": "asynchronous"}
+        graph, config={"engine": "superstep", "schedule": "asynchronous"}
     )
     assert explicit.cached
 

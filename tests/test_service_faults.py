@@ -272,7 +272,7 @@ def test_cli_daemon_serves_and_drains_on_sigterm(tmp_path):
             time.sleep(0.1)
         extract = subprocess.run(
             [sys.executable, "-m", "repro", "extract", graph_path,
-             "--server", sock_path, "--engine", "native", "--maximalize",
+             "--server", sock_path, "--schedule", "synchronous", "--maximalize",
              "--verify", "-o", out_path],
             env=env, capture_output=True, text=True, timeout=120,
         )

@@ -250,7 +250,7 @@ def test_decode_config_defaults_to_default_config():
 def test_decode_config_accepts_every_allowed_field():
     config = protocol.decode_config(
         {
-            "engine": "native",
+            "engine": "superstep",
             "variant": "unoptimized",
             "schedule": "synchronous",
             "num_threads": 2,
@@ -260,7 +260,7 @@ def test_decode_config_accepts_every_allowed_field():
             "max_iterations": 5,
         }
     )
-    assert config.engine == "native"
+    assert config.engine == "superstep"
     assert config.maximalize and config.stitch
     assert config.max_iterations == 5
 
@@ -277,7 +277,7 @@ def test_decode_config_accepts_every_allowed_field():
         ({"engine": "superstep", "schedule": "sideways"}, protocol.INVALID_CONFIG),
         ({"num_threads": 0}, protocol.INVALID_CONFIG),
         ({"num_threads": protocol.MAX_THREADS + 1}, protocol.INVALID_CONFIG),
-        ({"engine": "native", "num_threads": 10**6}, protocol.INVALID_CONFIG),
+        ({"engine": "superstep", "num_threads": 10**6}, protocol.INVALID_CONFIG),
         ({"num_threads": 2.5}, protocol.INVALID_CONFIG),
         ({"num_threads": True}, protocol.INVALID_CONFIG),
         ({"max_iterations": 1.5}, protocol.INVALID_CONFIG),
@@ -299,12 +299,12 @@ def test_decode_timeout():
 
 
 def test_config_cache_key_identifies_resolved_regimes():
-    explicit = ExtractionConfig(engine="native", schedule="asynchronous")
-    defaulted = ExtractionConfig(engine="native")  # resolves to asynchronous
+    explicit = ExtractionConfig(engine="superstep", schedule="asynchronous")
+    defaulted = ExtractionConfig(engine="superstep")  # resolves to asynchronous
     assert protocol.config_cache_key(
         explicit.resolved()
     ) == protocol.config_cache_key(defaulted.resolved())
-    other = ExtractionConfig(engine="native", schedule="synchronous")
+    other = ExtractionConfig(engine="superstep", schedule="synchronous")
     assert protocol.config_cache_key(other.resolved()) != protocol.config_cache_key(
         explicit.resolved()
     )
@@ -358,7 +358,7 @@ def test_extract_round_trip_is_verified_valid(client, engine):
 
 def test_csr_and_edge_list_payloads_yield_identical_edges(client):
     graph = rmat_b(6, seed=23)
-    config = {"engine": "native", "schedule": "synchronous"}
+    config = {"engine": "superstep", "schedule": "synchronous"}
     via_csr = client.extract(graph, config=config, no_cache=True, binary=True)
     via_edges = client.extract(graph, config=config, no_cache=True, binary=False)
     assert (via_csr.edges == via_edges.edges).all()

@@ -11,14 +11,16 @@ Covers the redesign's acceptance criteria:
 * ``stream()`` laziness — the first result is yielded before the input
   iterator is exhausted;
 * options an entry point cannot honour (the retired ``num_workers``,
-  tracing on the native team) rejected, never silently ignored.
+  tracing on an engine without traces) rejected, never silently ignored.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.chordality.verify import verify_extraction
-from repro.core.config import ExtractionConfig
+from repro.core.config import DEFAULT_NUM_THREADS, ExtractionConfig
 from repro.core.engines import (
     EngineSpec,
     engine_names,
@@ -40,7 +42,14 @@ class TestExtractionConfig:
         cfg = ExtractionConfig()
         assert cfg.engine == "superstep"
         assert cfg.schedule is None
-        assert cfg.num_threads == 4
+        assert cfg.num_threads == DEFAULT_NUM_THREADS == 1
+
+    def test_one_call_api_shares_the_default_thread_count(self):
+        """The keyword entry points take their num_threads default from
+        the config, not from a copy of it."""
+        for fn in (extract_maximal_chordal_subgraph, extract_many):
+            default = inspect.signature(fn).parameters["num_threads"].default
+            assert default == ExtractionConfig().num_threads, fn.__name__
 
     def test_resolved_fills_engine_default_schedule(self):
         assert ExtractionConfig().resolved().schedule == "asynchronous"
@@ -48,20 +57,20 @@ class TestExtractionConfig:
             ExtractionConfig(engine="weighted").resolved().schedule == "synchronous"
         )
         assert (
-            ExtractionConfig(engine="native").resolved().schedule == "asynchronous"
+            ExtractionConfig(engine="reference").resolved().schedule == "asynchronous"
         )
 
     def test_resolved_keeps_explicit_schedule(self):
-        cfg = ExtractionConfig(engine="native", schedule="synchronous")
+        cfg = ExtractionConfig(engine="superstep", schedule="synchronous")
         assert cfg.resolved().schedule == "synchronous"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExtractionConfig().engine = "native"
+            ExtractionConfig().engine = "reference"
 
     def test_replace_revalidates(self):
         cfg = ExtractionConfig()
-        assert cfg.replace(engine="native").engine == "native"
+        assert cfg.replace(engine="reference").engine == "reference"
         with pytest.raises(ConfigError):
             cfg.replace(engine="gpu")
 
@@ -69,8 +78,8 @@ class TestExtractionConfig:
         assert ExtractionConfig(engine="superstep").deterministic
         assert ExtractionConfig(engine="reference").deterministic
         assert ExtractionConfig(engine="weighted").deterministic  # sync default
-        assert ExtractionConfig(engine="native", schedule="synchronous").deterministic
-        assert not ExtractionConfig(engine="native").deterministic
+        assert ExtractionConfig(schedule="synchronous").deterministic
+        assert ExtractionConfig(schedule="asynchronous").deterministic
 
 
 class TestConfigErrors:
@@ -91,7 +100,7 @@ class TestConfigErrors:
             {"num_threads": 0},
             {"num_threads": 2.5},
             {"max_iterations": 0},
-            {"engine": "native", "collect_trace": True},
+            {"engine": "reference", "collect_trace": True},
             {"num_threads": True},
             {"num_threads": "4"},
             {"max_iterations": 3.0},
@@ -103,7 +112,7 @@ class TestConfigErrors:
             ExtractionConfig(**kwargs)
 
     def test_unknown_engine_message_lists_registry(self):
-        with pytest.raises(ConfigError, match="superstep.*native.*reference.*weighted"):
+        with pytest.raises(ConfigError, match="superstep.*reference.*weighted"):
             ExtractionConfig(engine="gpu")
 
     def test_collect_trace_message_names_capable_engines(self):
@@ -134,15 +143,14 @@ class TestConfigErrors:
 
 class TestRegistry:
     def test_builtin_names_and_views(self):
-        assert engine_names() == ("superstep", "native", "reference", "weighted")
+        assert engine_names() == ("superstep", "reference", "weighted")
         assert schedule_names() == ("asynchronous", "synchronous")
 
     def test_capability_flags(self):
         assert get_engine("superstep").supports_trace
-        assert not get_engine("native").supports_trace
         assert not get_engine("reference").supports_trace
-        assert get_engine("native").is_deterministic("synchronous")
-        assert not get_engine("native").is_deterministic("asynchronous")
+        assert get_engine("superstep").is_deterministic("synchronous")
+        assert get_engine("superstep").is_deterministic("asynchronous")
         assert get_engine("reference").is_deterministic("asynchronous")
 
     def test_weighted_engine_capabilities(self):
@@ -155,7 +163,7 @@ class TestRegistry:
         assert spec.is_deterministic("synchronous")
         assert not spec.supports_trace
         # Algorithm-1 engines carry the default tag and no weight support.
-        for name in ("superstep", "native", "reference"):
+        for name in ("superstep", "reference"):
             other = get_engine(name)
             assert other.algorithm == "algorithm1"
             assert not other.supports_weights
@@ -313,11 +321,9 @@ class TestShimExtractorIdentity:
                         assert report.ok, (engine, schedule, variant, report)
 
     def test_extract_many_matches_session(self, graphs):
-        legacy = extract_many(
-            graphs, engine="native", schedule="synchronous", num_threads=2
-        )
+        legacy = extract_many(graphs, schedule="synchronous", num_threads=2)
         with Extractor(
-            ExtractionConfig(engine="native", schedule="synchronous", num_threads=2)
+            ExtractionConfig(schedule="synchronous", num_threads=2)
         ) as ex:
             session = ex.extract_many(graphs)
         for a, b in zip(legacy, session):
@@ -399,7 +405,7 @@ class TestExtractorLifecycle:
         mid-iteration must surface as SessionClosedError (a ReproError)
         on the next next(), never a half-torn-down AttributeError from
         inside the thread team."""
-        ex = Extractor(ExtractionConfig(engine="native", num_threads=2))
+        ex = Extractor(ExtractionConfig(schedule="synchronous", num_threads=2))
         stream = ex.stream(rmat_b(5, seed=s) for s in range(10))
         first = next(stream)
         assert first.num_chordal_edges > 0
@@ -415,7 +421,7 @@ class TestExtractorLifecycle:
         """Same teardown gap via the context manager: a stream that
         outlives its ``with`` block is a SessionClosedError, not an
         AttributeError."""
-        with Extractor(ExtractionConfig(engine="native", num_threads=2)) as ex:
+        with Extractor(ExtractionConfig(schedule="synchronous", num_threads=2)) as ex:
             stream = ex.stream(rmat_b(5, seed=s) for s in range(10))
             next(stream)
         with pytest.raises(SessionClosedError, match="closed"):
@@ -436,8 +442,8 @@ class TestExtractorLifecycle:
     def test_external_pool_left_open(self):
         """Closing one session leaves another session open."""
         g = rmat_er(5, seed=1)
-        with Extractor(ExtractionConfig(engine="native", num_threads=2)) as keep:
-            with Extractor(ExtractionConfig(engine="native", num_threads=2)) as ex:
+        with Extractor(ExtractionConfig(schedule="synchronous", num_threads=2)) as keep:
+            with Extractor(ExtractionConfig(schedule="synchronous", num_threads=2)) as ex:
                 first = ex.extract(g)
             again = keep.extract(g)
             assert again.edges.shape[1] == 2
@@ -453,19 +459,19 @@ class TestPoolConflicts:
         point rejects it as an unknown option."""
         g = rmat_er(5, seed=1)
         with pytest.raises(TypeError, match="num_workers"):
-            ExtractionConfig(engine="native", num_workers=4)
+            ExtractionConfig(num_workers=4)
         with pytest.raises(TypeError, match="num_workers"):
-            extract_maximal_chordal_subgraph(g, engine="native", num_workers=4)
+            extract_maximal_chordal_subgraph(g, num_workers=4)
         with pytest.raises(TypeError, match="num_workers"):
-            Extractor(engine="native", num_workers=3)
+            Extractor(num_workers=3)
         with pytest.raises(TypeError, match="num_workers"):
-            extract_many([g], engine="native", num_workers=1)
+            extract_many([g], num_workers=1)
 
     def test_pool_with_incapable_engine_rejected(self):
-        """A capability the engine lacks (tracing, on the native team) is
-        rejected when the session is configured, by every entry point."""
+        """A capability the engine lacks (tracing, on the reference engine)
+        is rejected when the session is configured, by every entry point."""
         g = rmat_er(5, seed=1)
         with pytest.raises(ConfigError, match="supports_trace"):
-            Extractor(ExtractionConfig(engine="native"), collect_trace=True)
+            Extractor(ExtractionConfig(engine="reference"), collect_trace=True)
         with pytest.raises(ConfigError, match="supports_trace"):
-            extract_maximal_chordal_subgraph(g, engine="native", collect_trace=True)
+            extract_maximal_chordal_subgraph(g, engine="reference", collect_trace=True)
