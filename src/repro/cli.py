@@ -25,10 +25,10 @@ Subcommands
 ``generate``
     Write an R-MAT / random / chordal family graph to file (or stdout).
 ``mutate``
-    Dynamic graphs: load a graph, extract once, then maintain the
-    maximal chordal subgraph *incrementally* across an edge-mutation
-    stream (:class:`repro.core.incremental.IncrementalExtractor`) and
-    write the final chordal edge set.
+    Dynamic graphs: load a graph, apply an edge-mutation stream
+    (:class:`repro.core.incremental.IncrementalExtractor`) and write the
+    maximalizing extraction of the final graph — the same edges as
+    ``repro extract --maximalize`` on that graph.
 ``shard``
     Out-of-core extraction, stepwise (:mod:`repro.shard`): ``plan``
     streams a huge input into per-shard spill files, ``run`` extracts
@@ -384,12 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     mut = sub.add_parser(
         "mutate",
-        help="incrementally re-extract over an edge-mutation stream",
-        description="Load a graph, run one full extraction, then apply an "
-        "edge-mutation stream while maintaining a maximal chordal subgraph "
-        "incrementally (IncrementalExtractor — inserts are a localized "
-        "addability test, deletes repair holes around the deletion site); "
-        "write the final chordal edge set.",
+        help="apply an edge-mutation stream, then extract",
+        description="Load a graph, apply an edge-mutation stream and write "
+        "the maximal chordal subgraph of the final graph: one maximalizing "
+        "extraction (the edges of 'repro extract --maximalize' on that "
+        "graph), or one per mutation under --verify-each.",
     )
     mut.add_argument(
         "graph", help="input graph file; '-' reads an edge list from stdin"
@@ -418,16 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=tuple(e.name for e in engines),
         default="superstep",
-        help="engine for the initial extraction and full rebuilds",
+        help="engine for the maximalizing extraction",
     )
     mut.add_argument("--variant", choices=VARIANTS, default="optimized")
-    mut.add_argument(
-        "--full-rebuild-threshold",
-        type=int,
-        default=64,
-        help="fall back to a full re-extraction when one deletion's hole "
-        "repair evicts more than this many retained edges (default 64)",
-    )
     mut.add_argument(
         "--verify",
         action="store_true",
@@ -967,9 +959,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     config = ExtractionConfig(
         engine=args.engine, variant=args.variant, maximalize=True
     )
-    extractor = IncrementalExtractor(
-        graph, config=config, full_rebuild_threshold=args.full_rebuild_threshold
-    )
+    extractor = IncrementalExtractor(graph, config=config)
     retained = 0
     with Timer() as timer:
         if args.verify_each:
@@ -1010,7 +1000,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             f"{name}: n={extractor.num_vertices} m={extractor.num_edges} "
             f"chordal={extractor.num_chordal_edges} "
             f"mutations={len(ops)} retained_inserts={retained} "
-            f"rebuilds={extractor.stats['full_rebuilds']} "
+            f"extractions={extractor.stats['full_rebuilds']} "
             f"({rate:.0f} updates/s){verified} [{timer.elapsed:.3f}s]",
             file=sys.stderr,
         )

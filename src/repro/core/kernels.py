@@ -39,9 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
-from repro.graph.csr import CSRGraph
-
 __all__ = [
     "lower_counts",
     "initial_parents",
@@ -51,15 +48,13 @@ __all__ = [
     "append_accepted",
     "advance_parents",
     "assemble_edges",
-    "vectorized_sync_max_chordal",
 ]
 
 
 def lower_counts(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Per-vertex count of neighbors with a smaller id (parent capacity).
 
-    Works for sorted and unsorted adjacency alike; replaces the O(n)
-    Python loop the parent strategies used to run.
+    Works for sorted and unsorted adjacency alike.
     """
     n = indptr.size - 1
     if indices.size == 0:
@@ -198,8 +193,7 @@ def advance_parents(
 
 def assemble_edges(chunks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Concatenate per-superstep ``(parents, children)`` chunks into the
-    ``(k, 2)`` edge array — shared by the serial and process drivers so
-    their bit-identical contract is structural, not coincidental."""
+    ``(k, 2)`` edge array, in round order."""
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return np.column_stack(
@@ -208,59 +202,3 @@ def assemble_edges(chunks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
             np.concatenate([c[1] for c in chunks]),
         )
     ).astype(np.int64, copy=False)
-
-
-def vectorized_sync_max_chordal(
-    graph: CSRGraph,
-    *,
-    variant: str = "optimized",
-    max_iterations: int | None = None,
-) -> tuple[np.ndarray, list[int]]:
-    """Synchronous-schedule Algorithm 1, one bulk superstep at a time.
-
-    Produces exactly the edge rows and queue sizes of the Python-loop
-    synchronous engine (same (parent, child) rows in the same order) —
-    the loop engine services active vertices in ascending id order, and so
-    does the compressed active array here.
-
-    ``variant`` is accepted for API symmetry: Opt and Unopt visit the same
-    parents in the same order (only their *cost* differs — see
-    :mod:`repro.core.state`), and the vectorized path does no cost
-    accounting, so both variants run on a sorted adjacency copy.
-    """
-    if variant not in ("optimized", "unoptimized"):
-        raise ValueError(
-            f"unknown variant {variant!r}; expected 'optimized' or 'unoptimized'"
-        )
-    g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
-    n = g.num_vertices
-    indptr = g.indptr
-    indices = g.indices
-    lower = lower_counts(indptr, indices)
-    offsets = arena_offsets(lower)
-    arena = np.full(int(offsets[-1]), -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    cursor = np.zeros(n, dtype=np.int64)
-    lp = initial_parents(indptr, indices, lower)
-
-    queue_sizes: list[int] = []
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    limit = max_iterations if max_iterations is not None else g.max_degree() + 2
-
-    while True:
-        active = np.flatnonzero(lp >= 0)
-        if active.size == 0:
-            break
-        if len(queue_sizes) >= limit:
-            raise ConvergenceError(
-                f"exceeded iteration budget {limit} with {active.size} active "
-                "vertices; this indicates an internal bug"
-            )
-        parents = lp[active]
-        queue_sizes.append(int(np.unique(parents).size))
-        keys = build_arena_keys(arena, offsets, counts, n)
-        ok = subset_mask(keys, arena, offsets, counts, active, parents, n)
-        chunks.append(append_accepted(arena, offsets, counts, active, parents, ok))
-        advance_parents(indptr, indices, lower, cursor, lp, active)
-
-    return assemble_edges(chunks), queue_sizes

@@ -14,10 +14,11 @@ recognition machinery and the extraction algorithm:
   graphs are a classical chordal subclass (used by the ordering examples).
 * :func:`chordal_mutation_stream` — seeded edge-mutation stream that keeps
   the graph chordal after every event (Şeker-style subtree-of-a-tree
-  dynamics), the ground-truth workload for incremental re-extraction.
+  dynamics), the ground-truth workload for mutate sessions.
 * :func:`random_mutation_stream` — seeded insert/delete toggle stream over
   an arbitrary seed graph (no chordality guarantee), the general dynamic
-  workload for :class:`repro.core.incremental.IncrementalExtractor`.
+  workload for :class:`repro.core.incremental.IncrementalExtractor`
+  sessions.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def chordal_mutation_stream(
     ``num_events`` entries (an entry may be empty when the touched tree
     node changes no intersections).  Because the answer on a chordal
     graph is unique — the only maximal chordal subgraph is the graph
-    itself — these streams give incremental extraction a bit-exact
-    oracle: after every event the retained edge set must equal the full
-    edge set.
+    itself — these streams give mutate sessions an oracle that needs
+    no reference extractor: after every event the answer must equal the
+    full edge set.
 
     Fully deterministic for a given ``seed``.
     """

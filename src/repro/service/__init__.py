@@ -20,9 +20,10 @@ Modules
     flag uses; one socket, sequential framed requests.
 
 Dynamic graphs: ``client.mutate(graph=g)`` opens a per-connection
-incremental session (:class:`~repro.core.incremental.IncrementalExtractor`
+mutate session (:class:`~repro.core.incremental.IncrementalExtractor`
 server-side); ``client.mutate(ops=[("insert", u, v), ...])`` applies
-edge mutations and returns the maintained maximal chordal edge set,
+edge mutations and returns the maximalizing extraction of the new
+graph — the edges ``extract`` with ``maximalize`` on would return —
 while the server evicts exactly the pre-mutation graph's cache keys.
 
 Quickstart::

@@ -252,13 +252,16 @@ class ServiceClient:
         verify: bool = False,
         binary: bool = True,
     ) -> MutateResult:
-        """Open or advance this connection's incremental session.
+        """Open or advance this connection's mutate session.
 
         Pass ``graph`` to open (or replace) the session — ``config`` is
         only legal alongside it; pass ``ops`` (``(op, u, v)`` triples,
         ``op`` in ``("insert", "+", "delete", "-")``) to mutate the
-        session's graph.  Both may be combined.  Sessions are
-        per-connection: they end when the client closes.
+        session's graph.  Both may be combined.  The returned edges are
+        the maximalizing extraction of the current graph under the
+        session's config (``extract`` with ``maximalize`` on gives the
+        same).  Sessions are per-connection: they end when the client
+        closes.
         """
         request: dict[str, Any] = {"op": "mutate"}
         if graph is not None:

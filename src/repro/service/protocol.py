@@ -24,9 +24,10 @@ Requests (client -> server), one JSON object each::
      "ops": [["insert", 0, 1], ["delete", 2, 3], ...]?, "verify": false}
 
 ``mutate`` is PATCH-style: a request carrying ``graph`` opens (or
-replaces) the connection's incremental session (``config`` is only
-legal there); later requests on the same connection carry only ``ops``
-(see :func:`decode_mutations`).  Every applied batch invalidates
+replaces) the connection's mutate session (``config`` is only legal
+there); later requests on the same connection carry only ``ops`` (see
+:func:`decode_mutations`).  Each answer is the maximalizing extraction
+of the session's current graph.  Every applied batch invalidates
 exactly the pre-mutation graph's cache keys on the server.
 
 Graph payloads come in two interchangeable shapes (see

@@ -258,11 +258,13 @@ class _PendingRequest:
 
 
 class _MutateSession:
-    """Per-connection incremental-extraction state.
+    """Per-connection mutate session: the current graph and its answer.
 
     A ``mutate`` request with a ``graph`` payload opens (or replaces)
     the connection's session; later ``mutate`` requests on the same
-    connection carry only edge ops.  ``content_hash`` tracks the hash of
+    connection carry only edge ops, and each applied batch is answered
+    by one maximalizing extraction of the new graph, run inline on the
+    connection thread.  ``content_hash`` tracks the hash of
     the *current* graph so each applied batch can invalidate exactly the
     mutated graph's cache keys (targeted eviction, not a cold flush).
     Owned by a single connection thread — no locking.
@@ -680,14 +682,17 @@ class ReproServer:
     def _handle_mutate(
         self, request: dict[str, Any], session: _MutateSession
     ) -> dict[str, Any]:
-        """PATCH-style incremental re-extraction.
+        """PATCH-style mutation, answered by re-extraction.
 
         ``{"op": "mutate", "graph": ...}`` opens (or replaces) the
         connection's session; ``{"op": "mutate", "ops": [[op, u, v],
-        ...]}`` mutates it.  Both may be combined in one request.  Each
-        applied batch evicts exactly the *pre-mutation* graph's cache
-        keys (its content is no longer this session's graph), leaving
-        unrelated entries warm.
+        ...]}`` mutates it.  Both may be combined in one request.  The
+        answer is the maximalizing extraction of the current graph under
+        the session's config, bit-identical to an ``extract`` request
+        with ``maximalize`` on.  Each applied batch evicts exactly the
+        *pre-mutation* graph's cache keys (its content is no longer this
+        session's graph), leaving unrelated entries warm; a rejected op
+        leaves the ops before it applied.
         """
         if self._stopping.is_set():
             return error_response(

@@ -1,6 +1,6 @@
 """Out-of-core sharded extraction: graphs that never fit in one segment.
 
-Every in-memory engine (and the service, and the incremental session)
+Every in-memory engine (and the service, and the mutate session)
 assumes the whole CSR fits in one shared segment.  This package lifts
 that cap: the input file is streamed once into per-shard spill files by
 an edge-balanced contiguous vertex partition, each shard is extracted

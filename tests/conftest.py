@@ -10,8 +10,9 @@ Markers (registered here so ``--strict-markers`` stays viable):
   daemon (client kill, queue saturation, deadlines, drain);
   skipped unless ``--run-service-stress`` (or ``-m ... service_stress
   ...``) is given.
-* ``incremental_stress`` — long seeded mutation streams verified after
-  every event (``IncrementalExtractor``); skipped unless
+* ``incremental_stress`` — long seeded mutation streams whose answer
+  must equal a from-scratch extraction after every event
+  (``IncrementalExtractor``); skipped unless
   ``--run-incremental-stress`` (or ``-m ... incremental_stress ...``).
 * ``sharded_stress`` — memory-capped (``resource.setrlimit``) proof that
   out-of-core sharded extraction fits where the in-memory path cannot;
@@ -56,8 +57,8 @@ _OPTIONAL_MARKERS = {
     ),
     "incremental_stress": (
         "--run-incremental-stress",
-        "long seeded mutation streams for the incremental extractor; "
-        "skipped unless --run-incremental-stress",
+        "long seeded mutation streams, each answer compared with a "
+        "from-scratch extraction; skipped unless --run-incremental-stress",
     ),
     "sharded_stress": (
         "--run-sharded-stress",

@@ -1,8 +1,9 @@
 """Unit tests for the bulk NumPy kernels (repro.core.kernels).
 
 Each kernel is checked against a straightforward per-vertex reference on
-random inputs; the full vectorized engine is cross-checked against the
-historical Python pair loop elsewhere (tests/test_engine_equivalence.py).
+random inputs; the synchronous rounds they make up are cross-checked
+against the historical Python pair loop elsewhere
+(tests/test_engine_equivalence.py).
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from repro.core.kernels import (
     initial_parents,
     lower_counts,
     subset_mask,
-    vectorized_sync_max_chordal,
 )
-from repro.core.state import make_strategy
-from repro.errors import ConvergenceError
-from repro.graph.generators.classic import complete_graph, star_graph
+from repro.core.runtime import LocalState, SerialExecutor, drive
+from repro.graph.generators.classic import complete_graph
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b
 
@@ -50,14 +49,6 @@ class TestLowerCounts:
         g = build_graph(3, [])
         assert np.array_equal(lower_counts(g.indptr, g.indices), np.zeros(3))
 
-    def test_matches_strategy_lower_counts(self):
-        g = gnp_random_graph(30, 0.3, seed=7)
-        for variant in ("optimized", "unoptimized"):
-            strategy = make_strategy(g, variant)
-            assert np.array_equal(
-                strategy.lower_count, lower_counts(g.indptr, g.indices)
-            )
-
 
 class TestInitialParents:
     @pytest.mark.parametrize("seed", range(4))
@@ -68,12 +59,6 @@ class TestInitialParents:
         for w in range(g.num_vertices):
             below = g.neighbors(w)[g.neighbors(w) < w]
             assert lp[w] == (int(below.min()) if below.size else -1)
-
-    def test_matches_strategy_init(self):
-        g = rmat_b(6, seed=3).shuffled(np.random.default_rng(1))
-        sorted_lp = make_strategy(g, "optimized").initial_parents()
-        unsorted_lp = make_strategy(g, "unoptimized").initial_parents()
-        assert np.array_equal(sorted_lp, unsorted_lp)
 
 
 class TestArenaKeys:
@@ -175,23 +160,12 @@ class TestAppendAdvance:
 
 
 class TestVectorizedEngine:
-    def test_star_and_clique(self):
-        edges, qs = vectorized_sync_max_chordal(star_graph(5))
-        assert edges.shape[0] == 5 and len(qs) == 1
-        edges, qs = vectorized_sync_max_chordal(complete_graph(5))
-        assert edges.shape[0] == 10 and len(qs) == 4
-
-    def test_bad_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            vectorized_sync_max_chordal(star_graph(3), variant="bogus")
-
-    def test_iteration_budget(self):
-        with pytest.raises(ConvergenceError):
-            vectorized_sync_max_chordal(complete_graph(8), max_iterations=2)
+    """The kernels as the runtime drives them: synchronous rounds on the
+    serial executor."""
 
     def test_unsorted_input(self):
         g = rmat_b(6, seed=2)
         shuffled = g.shuffled(np.random.default_rng(3))
-        a, qa = vectorized_sync_max_chordal(g)
-        b, qb = vectorized_sync_max_chordal(shuffled)
+        a, qa, _ = drive(LocalState(g), SerialExecutor(), schedule="synchronous")
+        b, qb, _ = drive(LocalState(shuffled), SerialExecutor(), schedule="synchronous")
         assert np.array_equal(a, b) and qa == qb
