@@ -2,7 +2,7 @@
 """Record the answer-quality baseline (BENCH_quality.json).
 
 ``perfbench/`` times *how fast* the engines run; this baseline guards
-*how much they keep*.  For every registered engine x schedule cell it
+*how much they keep*.  For every engine x schedule cell it
 records the retained-edge fraction (``|EC| / |E|``, the paper's Section
 V statistic, measured with ``maximalize=True`` — the full pipeline) on
 a fixed menu of seeded families, plus a weighted section comparing the
@@ -20,8 +20,8 @@ cell and fails when
 * the weighted engine retains less weight than the unweighted pipeline
   (the portfolio's by-construction invariant).
 
-Deterministic cells are measured once; nondeterministic (asynchronous)
-cells record a median of ``REPEATS`` runs and lean on the tolerance.  Re-record after an intentional quality change:
+Every cell is deterministic, so each is measured once.  Re-record after
+an intentional quality change:
 
     PYTHONPATH=src python benchmarks/bench_quality.py
     # or: repro bench --record quality
@@ -30,25 +30,20 @@ cells record a median of ``REPEATS`` runs and lean on the tolerance.  Re-record 
 from __future__ import annotations
 
 import json
-import statistics
 from datetime import datetime, timezone
 from pathlib import Path
 
 QUALITY_PATH = Path(__file__).resolve().parent / "BENCH_quality.json"
 
 #: Allowed one-sided drop of a retained fraction vs its recorded value.
-#: Deterministic cells reproduce exactly; this absorbs asynchronous
-#: schedule nondeterminism (measured drift is well under 0.02).
+#: Every cell reproduces exactly; this is headroom for an intentional
+#: change of the extraction order.
 QUALITY_TOLERANCE = 0.05
-
-#: Runs per nondeterministic cell (median is recorded/compared).
-REPEATS = 3
 
 SCHEMA_VERSION = 1
 
 #: Engine used as the unweighted comparator in the weighted section
-#: (deterministic under both schedules, bit-identical to the other
-#: Algorithm-1 engines under the synchronous schedule).
+#: (bit-identical to ``reference`` under either schedule).
 UNWEIGHTED_COMPARATOR = "superstep"
 
 
@@ -100,34 +95,24 @@ def build_weighted(name: str):
 
 
 def quality_cells():
-    """``engine|schedule`` labels for every registered capability cell."""
-    from repro.core.engines import registered_engines
+    """``engine|schedule`` labels for every engine x schedule cell."""
+    from repro.core.engines import engine_names, get_engine
 
     return tuple(
-        f"{spec.name}|{schedule}"
-        for spec in registered_engines()
-        for schedule in spec.schedules
+        f"{name}|{schedule}"
+        for name in engine_names()
+        for schedule in get_engine(name).schedules
     )
 
 
-def measure_cell(cell: str, graph, *, repeats: int = REPEATS) -> float:
-    """Retained-edge fraction for one engine x schedule cell.
-
-    One run for deterministic cells; the median of ``repeats`` runs
-    otherwise (asynchronous schedules may differ run to run).
-    """
+def measure_cell(cell: str, graph) -> float:
+    """Retained-edge fraction for one engine x schedule cell (one run)."""
     from repro.chordality.quality import retained_fraction
-    from repro.core.engines import get_engine
     from repro.core.session import Extractor
 
     engine, schedule = cell.split("|")
-    spec = get_engine(engine)
-    runs = 1 if spec.is_deterministic(schedule) else repeats
-    fractions = []
     with Extractor(engine=engine, schedule=schedule, maximalize=True) as ex:
-        for _ in range(runs):
-            fractions.append(retained_fraction(graph, ex.extract(graph).edges))
-    return float(statistics.median(fractions))
+        return float(retained_fraction(graph, ex.extract(graph).edges))
 
 
 def measure_weighted(name: str) -> dict:
@@ -151,7 +136,7 @@ def measure_weighted(name: str) -> dict:
     }
 
 
-def record(path: Path = QUALITY_PATH, repeats: int = REPEATS) -> dict:
+def record(path: Path = QUALITY_PATH) -> dict:
     from repro.chordality.quality import maximal_chordal_floor
 
     families_payload = {}
@@ -167,7 +152,7 @@ def record(path: Path = QUALITY_PATH, repeats: int = REPEATS) -> dict:
     for cell in quality_cells():
         row = {}
         for name, build in FAMILIES.items():
-            row[name] = measure_cell(cell, build(), repeats=repeats)
+            row[name] = measure_cell(cell, build())
         fractions[cell] = row
         shown = " | ".join(f"{k} {v:.3f}" for k, v in row.items())
         print(f"{cell:24s} {shown}")
@@ -182,7 +167,6 @@ def record(path: Path = QUALITY_PATH, repeats: int = REPEATS) -> dict:
         "schema": SCHEMA_VERSION,
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "maximalize": True,
-        "repeats": repeats,
         "tolerance": QUALITY_TOLERANCE,
         "families": families_payload,
         "retained_fraction": fractions,

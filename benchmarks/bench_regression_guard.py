@@ -108,11 +108,11 @@ def test_quality_baseline_wellformed():
 
 @_skip_on_problem
 def test_quality_baseline_covers_registry():
-    """Every registered engine x schedule cell has a recorded quality
+    """Every engine x schedule cell has a recorded quality
     baseline and vice versa (a new engine must be recorded; a removed
     one must be expunged)."""
     assert set(_QUALITY_CELLS) == set(quality_cells()), (
-        "BENCH_quality.json cells diverge from the engine registry; "
+        "BENCH_quality.json cells diverge from the engine table; "
         f"re-record with `{_RECORD_CMD}` and commit the file"
     )
     assert set(_QUALITY_BASELINE["families"]) == set(FAMILIES), (
@@ -125,10 +125,10 @@ def test_quality_baseline_covers_registry():
 @pytest.mark.parametrize("cell", _QUALITY_CELLS)
 def test_quality_not_regressed(cell):
     """Each engine x schedule cell must retain at least its recorded edge
-    fraction (minus QUALITY_TOLERANCE for asynchronous nondeterminism)
+    fraction (minus QUALITY_TOLERANCE)
     and must never fall below the certified per-graph floor."""
     if cell not in quality_cells():
-        pytest.skip(f"cell {cell} no longer registered; re-record the baseline")
+        pytest.skip(f"cell {cell} no longer exists; re-record the baseline")
     baseline_row = _QUALITY_BASELINE["retained_fraction"][cell]
     for name, build in FAMILIES.items():
         recorded = baseline_row.get(name)

@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Quickstart: extract and verify a maximal chordal subgraph.
 
-Generates one of the paper's R-MAT test graphs, runs Algorithm 1 in all
-registered engines, verifies the output with the chordality oracle,
-prints the statistics the paper reports (chordal-edge fraction,
-iteration profile), demonstrates the session API (``ExtractionConfig``
-+ ``Extractor`` streaming a batch), and
-finishes with the file-based CLI workflow (``repro generate`` / ``repro
-extract`` on a MatrixMarket file).
+Generates one of the paper's R-MAT test graphs, runs every engine,
+verifies the output with the chordality oracle, prints the statistics
+the paper reports (chordal-edge fraction, iteration profile),
+demonstrates the session API (``ExtractionConfig`` + ``Extractor``
+streaming a batch), and finishes with the file-based CLI workflow
+(``repro generate`` / ``repro extract`` on a MatrixMarket file).
 
 Run:
     python examples/quickstart.py [--scale 10] [--verify]
@@ -58,16 +57,11 @@ def main() -> None:
     assert is_chordal(result.subgraph), "Theorem 1 violated?!"
 
     # --- all engines agree on validity ------------------------------------
-    # Engines come from the registry (repro.core.engines), so a
-    # third-party register_engine() call would show up in this sweep
-    # automatically.
     from repro import engine_names
 
     print("\nCross-engine check (each engine's default schedule):")
     for engine in engine_names():
-        r = extract_maximal_chordal_subgraph(
-            graph, engine=engine, schedule=None
-        )
+        r = extract_maximal_chordal_subgraph(graph, engine=engine)
         marker = "ok" if is_chordal(r.subgraph) else "FAIL"
         print(f"  {engine:10s}: {r.num_chordal_edges} edges, "
               f"{r.num_iterations} iterations [{marker}]")

@@ -37,10 +37,9 @@ from repro.core import (
     Extractor,
     IncrementalExtractor,
     EngineSpec,
-    register_engine,
     get_engine,
     engine_names,
-    schedule_names,
+    SCHEDULES,
     extract_maximal_chordal_subgraph,
     extract_many,
     reference_max_chordal,
@@ -84,10 +83,9 @@ __all__ = [
     "Extractor",
     "IncrementalExtractor",
     "EngineSpec",
-    "register_engine",
     "get_engine",
     "engine_names",
-    "schedule_names",
+    "SCHEDULES",
     "ConfigError",
     "ReproError",
     "SessionClosedError",

@@ -11,7 +11,7 @@ Subcommands
 ``extract``
     File in, maximal chordal edge list out, with every knob of
     :class:`repro.core.config.ExtractionConfig`; ``--engine`` /
-    ``--schedule`` choices come from the engine registry
+    ``--schedule`` choices come from the engine table
     (:mod:`repro.core.engines`).  The whole invocation runs through one
     :class:`repro.core.session.Extractor`.  ``--verify`` certifies
     every output through :func:`repro.chordality.verify_extraction`
@@ -76,8 +76,8 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.config import DEFAULT_NUM_THREADS, VARIANTS, ExtractionConfig
-from repro.core.engines import registered_engines, schedule_names
+from repro.core.config import DEFAULT_NUM_THREADS, ExtractionConfig
+from repro.core.engines import ENGINES, SCHEDULES, engine_names
 from repro.core.session import Extractor
 from repro.errors import ReproError
 from repro.graph.generators import (
@@ -163,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action=_VersionAction, nargs=0, help="show version and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Engine/schedule choices and help are derived from the engine
-    # registry, so a third-party register_engine() call before parsing
-    # shows up here unchanged.
-    engines = registered_engines()
 
     ex = sub.add_parser(
         "extract",
@@ -200,17 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ex.add_argument(
         "--engine",
-        choices=tuple(e.name for e in engines),
+        choices=engine_names(),
         default="superstep",
-        help="; ".join(f"{e.name}: {e.description}" for e in engines),
+        help="; ".join(f"{e.name}: {e.description}" for e in ENGINES.values()),
     )
-    ex.add_argument("--variant", choices=VARIANTS, default="optimized")
     ex.add_argument(
         "--schedule",
-        choices=schedule_names(),
+        choices=SCHEDULES,
         default=None,
         help="default: the engine's natural schedule ("
-        + ", ".join(f"{e.name}: {e.default_schedule}" for e in engines)
+        + ", ".join(f"{e.name}: {e.default_schedule}" for e in ENGINES.values())
         + ")",
     )
     ex.add_argument(
@@ -415,11 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mut.add_argument(
         "--engine",
-        choices=tuple(e.name for e in engines),
+        choices=engine_names(),
         default="superstep",
         help="engine for the maximalizing extraction",
     )
-    mut.add_argument("--variant", choices=VARIANTS, default="optimized")
     mut.add_argument(
         "--verify",
         action="store_true",
@@ -470,12 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_shard_engine_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--engine",
-            choices=tuple(e.name for e in engines),
+            choices=engine_names(),
             default="superstep",
             help="per-shard extraction engine (default superstep)",
         )
-        p.add_argument("--variant", choices=VARIANTS, default="optimized")
-        p.add_argument("--schedule", choices=schedule_names(), default=None)
+        p.add_argument("--schedule", choices=SCHEDULES, default=None)
         p.add_argument("--num-threads", type=int, default=DEFAULT_NUM_THREADS)
         p.add_argument("--renumber", choices=("bfs",), default=None)
         p.add_argument(
@@ -647,7 +640,7 @@ def _extract_via_server(args: argparse.Namespace, out_dir, out_ext) -> int:
     extraction (and --verify certification) done by the daemon."""
     from repro.service import ServiceClient, ServiceError
 
-    config = {"engine": args.engine, "variant": args.variant}
+    config = {"engine": args.engine}
     if args.schedule is not None:
         config["schedule"] = args.schedule
     if args.num_threads is not None:
@@ -729,7 +722,6 @@ def _extract_sharded(args: argparse.Namespace) -> int:
     # certificates assume each shard is locally maximal.
     config = ExtractionConfig(
         engine=args.engine,
-        variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
         renumber=args.renumber,
@@ -809,11 +801,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.server is not None:
         return _extract_via_server(args, out_dir, out_ext)
     # One validated config for the whole invocation; schedule=None
-    # resolves to the engine's registered default (synchronous for
+    # resolves to the engine's default (synchronous for
     # weighted, asynchronous otherwise).
     config = ExtractionConfig(
         engine=args.engine,
-        variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
         renumber=args.renumber,
@@ -956,9 +947,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     else:
         graph, name = load_graph(args.graph, format=args.input_format), args.graph
     ops = _read_mutations(args.mutations)
-    config = ExtractionConfig(
-        engine=args.engine, variant=args.variant, maximalize=True
-    )
+    config = ExtractionConfig(engine=args.engine, maximalize=True)
     extractor = IncrementalExtractor(graph, config=config)
     retained = 0
     with Timer() as timer:
@@ -1012,7 +1001,6 @@ def _shard_config(args: argparse.Namespace) -> ExtractionConfig:
     must yield identical cache keys, so both build it the same way."""
     return ExtractionConfig(
         engine=args.engine,
-        variant=args.variant,
         schedule=args.schedule,
         num_threads=args.num_threads,
         renumber=args.renumber,

@@ -1,30 +1,27 @@
 """The paper's contribution: multithreaded maximal chordal subgraph extraction.
 
-Algorithm 1 of the paper, in interchangeable engines that all produce
-*identical* chordal edge sets under the canonical snapshot-per-superstep
-semantics (see DESIGN.md §5).  The schedule loop itself is implemented
-once, in the unified in-process runtime (:mod:`repro.core.runtime`: one
-driver over ``LocalState`` × executor pairings); the engines are thin
-pairings:
+Algorithm 1 of the paper, run under either of its two schedules.  The
+schedule loop itself is implemented once, in the unified in-process
+runtime (:mod:`repro.core.runtime`: one driver over ``LocalState`` ×
+executor pairings), and :mod:`repro.core.engines` holds the closed table
+of three engines:
 
-* :mod:`repro.core.reference` — literal pure-Python transcription of the
-  pseudocode (dicts and sets; the readable spec — deliberately not
-  runtime-based).
-* ``superstep`` — ``LocalState`` × ``SerialExecutor``: the serial array
-  engine with the paper's *optimized* / *unoptimized* parent-advance cost
-  models (``drive(LocalState(g), SerialExecutor(), ...)`` runs it
-  directly).
-* ``native`` — ``LocalState`` × ``NativeThreadTeamExecutor``: compiled
-  round bodies on a nogil thread team (real core-level parallelism).
-
-:mod:`repro.core.weighted` adds ``weighted``, the one engine running a
-different algorithm (weighted MAXCHORD).
+* ``superstep`` — Algorithm 1 over the runtime: ``LocalState`` ×
+  ``SerialExecutor`` runs the paper's maximal-progress sweep (the
+  asynchronous schedule, compiled when the native backend resolves);
+  ``LocalState`` × ``NativeThreadTeamExecutor`` runs barrier rounds on a
+  thread team (the synchronous schedule, compiled round bodies).
+  ``drive(LocalState(g), SerialExecutor(), ...)`` runs it directly.
+* ``reference`` — :mod:`repro.core.reference`, a literal pure-Python
+  transcription of the pseudocode (dicts and sets; the readable spec —
+  deliberately not runtime-based).  Bit-identical to ``superstep`` under
+  either schedule.
+* ``weighted`` — :mod:`repro.core.weighted`, the one engine running a
+  different algorithm (weighted MAXCHORD).
 
 The public face is the session API:
 
 * :class:`repro.core.config.ExtractionConfig` — every knob, validated once;
-* :mod:`repro.core.engines` — the engine registry (capability flags,
-  :func:`~repro.core.engines.register_engine` for third-party engines);
 * :class:`repro.core.session.Extractor` — session object with
   ``.extract()`` / ``.extract_many()`` / ``.stream()``;
 * :func:`repro.core.extract.extract_maximal_chordal_subgraph` /
@@ -32,16 +29,7 @@ The public face is the session API:
 """
 
 from repro.core.config import ExtractionConfig, VARIANTS
-from repro.core.engines import (
-    Engine,
-    EngineSpec,
-    engine_names,
-    get_engine,
-    register_engine,
-    registered_engines,
-    schedule_names,
-    unregister_engine,
-)
+from repro.core.engines import SCHEDULES, EngineSpec, engine_names, get_engine
 from repro.core.extract import (
     ChordalResult,
     extract_maximal_chordal_subgraph,
@@ -66,14 +54,10 @@ __all__ = [
     "ExtractionConfig",
     "Extractor",
     "IncrementalExtractor",
-    "Engine",
     "EngineSpec",
-    "register_engine",
-    "unregister_engine",
-    "registered_engines",
     "get_engine",
     "engine_names",
-    "schedule_names",
+    "SCHEDULES",
     "extract_maximal_chordal_subgraph",
     "extract_many",
     "maximalize_chordal_edges",

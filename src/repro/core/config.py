@@ -6,7 +6,7 @@ validation, engine dispatch and schedule defaults) across
 with its own hand-rolled checks — the batch path even flipped the default
 schedule per engine while the single-call path did not.  This module is
 the single source of truth instead: a frozen dataclass whose
-``__post_init__`` validates every field against the engine registry
+``__post_init__`` validates every field against the engine table
 (:mod:`repro.core.engines`) and whose :meth:`ExtractionConfig.resolved`
 fills the engine-dependent defaults *explicitly* — one rule for single
 calls, batches, streams and the CLI alike.
@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.engines import Engine, get_engine, registered_engines, schedule_names
+from repro.core.engines import ENGINES, SCHEDULES, EngineSpec, get_engine
 from repro.core.instrument import CostModelParams
 from repro.core.runtime import VARIANTS
 from repro.errors import ConfigError
@@ -43,14 +43,13 @@ class ExtractionConfig:
     Construct it once, hand it to :class:`~repro.core.session.Extractor`
     (or many of them), and every graph extracted under it runs the same
     regime.  Construction validates every field against the engine
-    registry and raises :class:`~repro.errors.ConfigError` on the first
+    table and raises :class:`~repro.errors.ConfigError` on the first
     problem; a constructed config is therefore always runnable.
 
     Attributes
     ----------
     engine:
-        Registered engine name (see
-        :func:`repro.core.engines.engine_names`; built-ins:
+        Engine name (see :func:`repro.core.engines.engine_names`:
         ``superstep`` (Algorithm 1), ``reference`` (its pseudocode
         transcription) and the weight-aware ``weighted`` MAXCHORD
         portfolio).  Engines declare a
@@ -60,13 +59,16 @@ class ExtractionConfig:
         are never silently ignored.  Strip them with
         ``graph.without_weights()`` to run an unweighted engine.
     variant:
-        ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
+        ``"optimized"`` (sorted adjacency) or ``"unoptimized"``: the
+        paper's two parent-advance cost models.  It changes only the
+        costs of a collected work trace, never the edge set, so only
+        trace-collecting callers set it.
     schedule:
         ``"asynchronous"``, ``"synchronous"``, or ``None`` (default) for
         the engine's declared ``default_schedule`` — ``asynchronous``
         for the Algorithm-1 engines, ``synchronous`` for ``weighted``.
-        The engine must support the requested schedule.  Both schedules
-        of ``superstep`` are deterministic.
+        The engine must support the requested schedule.  Every
+        schedule of every engine is deterministic.
     num_threads:
         Thread-team size of ``superstep``'s synchronous barrier rounds
         (default :data:`DEFAULT_NUM_THREADS`); a positive ``int``.  The
@@ -109,10 +111,9 @@ class ExtractionConfig:
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
         if self.schedule is not None:
-            known = schedule_names()
-            if self.schedule not in known:
+            if self.schedule not in SCHEDULES:
                 raise ConfigError(
-                    f"unknown schedule {self.schedule!r}; expected one of {known}"
+                    f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
                 )
             if self.schedule not in spec.schedules:
                 raise ConfigError(
@@ -124,9 +125,7 @@ class ExtractionConfig:
                 f"renumber must be None or 'bfs', got {self.renumber!r}"
             )
         if self.collect_trace and not spec.supports_trace:
-            traced = tuple(
-                e.name for e in registered_engines() if e.supports_trace
-            )
+            traced = tuple(e.name for e in ENGINES.values() if e.supports_trace)
             raise ConfigError(
                 f"collect_trace requires an engine with the supports_trace "
                 f"capability ({traced}); engine {self.engine!r} has none"
@@ -144,20 +143,9 @@ class ExtractionConfig:
             )
 
     @property
-    def engine_spec(self) -> Engine:
-        """The registered engine this config runs on."""
+    def engine_spec(self) -> EngineSpec:
+        """The engine this config runs on."""
         return get_engine(self.engine)
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether this regime's edge sets are bit-reproducible.
-
-        ``False`` for an unresolved ``schedule=None`` only if the
-        engine's default schedule is nondeterministic.
-        """
-        spec = self.engine_spec
-        schedule = self.schedule or spec.default_schedule
-        return spec.is_deterministic(schedule)
 
     def replace(self, **changes: Any) -> "ExtractionConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""

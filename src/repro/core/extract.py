@@ -3,19 +3,18 @@
 The primary API lives one layer down and is what new code should use:
 
 * :class:`repro.core.config.ExtractionConfig` — every knob, captured and
-  validated once against the engine registry;
+  validated once against the engine table;
 * :class:`repro.core.session.Extractor` — the session object, with
   ``.extract()``, ``.extract_many()`` and the lazy ``.stream()``
   generator;
-* :mod:`repro.core.engines` — the registry third-party engines plug into
-  (:func:`~repro.core.engines.register_engine`).
+* :mod:`repro.core.engines` — the three engines and their capabilities.
 
 :func:`extract_maximal_chordal_subgraph` and :func:`extract_many` keep
 the original keyword signatures by constructing a one-call session, so
 their outputs are bit-identical to driving :class:`Extractor` directly.
-The registered engine and schedule names are
+The engine and schedule names are
 :func:`~repro.core.engines.engine_names` /
-:func:`~repro.core.engines.schedule_names`.  Argument errors raise
+:data:`~repro.core.engines.SCHEDULES`.  Argument errors raise
 :class:`~repro.errors.ConfigError`, a subclass of the ``ValueError``
 these functions historically raised.
 """
@@ -42,7 +41,7 @@ def extract_maximal_chordal_subgraph(
     *,
     engine: str = "superstep",
     variant: str = "optimized",
-    schedule: str | None = "asynchronous",
+    schedule: str | None = None,
     num_threads: int = DEFAULT_NUM_THREADS,
     renumber: str | None = None,
     stitch: bool = False,
@@ -63,12 +62,16 @@ def extract_maximal_chordal_subgraph(
     engine:
         ``"superstep"`` (default; Algorithm 1, compiled when the native
         backend resolves), ``"reference"`` (literal pseudocode) or
-        ``"weighted"``.  Any engine added via
-        :func:`repro.core.engines.register_engine` is accepted too.
+        ``"weighted"``.
     variant:
-        ``"optimized"`` (sorted adjacency) or ``"unoptimized"``.
+        ``"optimized"`` (sorted adjacency) or ``"unoptimized"``; changes
+        only the costs of a collected work trace, never the edge set.
     schedule:
-        ``"asynchronous"`` (default) runs the paper's maximal-progress
+        ``None`` (default) resolves to the engine's default schedule —
+        ``synchronous`` for ``weighted``, ``asynchronous`` otherwise,
+        exactly like :func:`extract_many` and
+        ``ExtractionConfig(schedule=None)``.
+        ``"asynchronous"`` runs the paper's maximal-progress
         sweep: each iteration is an ascending live sweep, the
         paper-matching execution whose iteration counts reproduce
         Figure 7 (~3 iterations on R-MAT, ~10 on the gene networks).
@@ -78,10 +81,6 @@ def extract_maximal_chordal_subgraph(
         thread team of ``num_threads``.  Both schedules are
         deterministic: the edge set does not depend on the kernel path
         or the thread count.
-        ``None`` is also accepted and resolves to the engine's
-        *registered* default schedule — ``synchronous`` for
-        ``weighted``, ``asynchronous`` otherwise, exactly like
-        :func:`extract_many` and ``ExtractionConfig(schedule=None)``.
     num_threads:
         Thread-team size of the synchronous rounds (default
         :data:`~repro.core.config.DEFAULT_NUM_THREADS`); the
@@ -152,7 +151,7 @@ def extract_many(
         Any iterable of :class:`~repro.graph.csr.CSRGraph` (consumed
         lazily, but all results are materialised into the returned list).
     schedule:
-        ``None`` (default) picks the engine's registered
+        ``None`` (default) picks the engine's
         ``default_schedule``: ``"synchronous"`` for ``weighted``,
         ``"asynchronous"`` otherwise.
     engine / variant / num_threads / renumber / stitch / maximalize /

@@ -29,7 +29,7 @@ one engine: synchronous traces are reconstructed from each round's
 barrier snapshot in canonical ascending order (identical for the serial
 and thread-team executors — the trace is a property of the schedule),
 and asynchronous-sweep traces are recorded at service time.  Engines
-whose registry entry sets ``supports_trace`` (``superstep``) accept
+whose table entry sets ``supports_trace`` (``superstep``) accept
 ``collect_trace=True`` through the session API.
 """
 

@@ -9,10 +9,10 @@ and parameterizes it along two axes, both in-process:
 * **executor** — who runs each round's slices (:class:`SerialExecutor`,
   :class:`NativeThreadTeamExecutor`).
 
-The built-in ``superstep`` engine is a pairing of these, with the
-executor chosen by schedule (see :mod:`repro.core.engines`); a
-third-party backend is one new class plus a :func:`backend_run_fn`
-registration — see the README's Architecture section.
+The ``superstep`` engine is a pairing of these, with the executor
+chosen by schedule (see :mod:`repro.core.engines`), glued by
+:func:`backend_run_fn`; that pairing is kept as is because perfbench's
+traced run splits it to time the executor apart from the driver.
 """
 
 from repro.core.runtime.driver import (

@@ -53,7 +53,7 @@ VARIANTS = ("optimized", "unoptimized")
 class DriveResult(tuple):
     """``(edges, queue_sizes, trace)`` plus the kernel path that ran.
 
-    Unpacks exactly like the registry's ``run`` triple, so it passes
+    Unpacks exactly like an engine's ``run`` triple, so it passes
     through every ``EngineSpec.run`` unchanged.  ``kernel_path`` is
     ``"native"`` when a compiled round body or the compiled sweep
     produced the edges, ``"numpy"`` when the interpreted code did (or
@@ -136,12 +136,14 @@ def backend_run_fn(state_factory, executor_factory):
 
     ``executor_factory(config)`` makes the executor;
     ``state_factory(graph, num_slices, config)`` makes the bound state.
-    The returned callable has the registry's uniform ``(graph, config)``
-    signature — this is the whole recipe for plugging a new
-    in-process backend into :func:`~repro.core.engines.register_engine`.
-    The executor only needs the documented surface (``num_slices`` /
-    ``run_round`` / ``close``, plus ``map`` for the asynchronous sweep);
-    its ``close()`` is always called, even on failure.
+    The returned callable has the engine table's uniform ``(graph,
+    config)`` signature; ``superstep`` is built this way.  The pairing is
+    kept as a closure over the two factories because perfbench's traced
+    run splits it (``split_pairing`` reads them back to time the executor
+    apart from the driver).  The executor only needs the documented
+    surface (``num_slices`` / ``run_round`` / ``close``, plus ``map`` for
+    the asynchronous sweep); its ``close()`` is always called, even on
+    failure.
     """
 
     def run_fn(graph, config):

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.config import ExtractionConfig
 from repro.core.connect import stitch_components
-from repro.core.engines import registered_engines
 from repro.core.instrument import WorkTrace
 from repro.core.maximalize import maximalize_chordal_edges
 from repro.errors import ConfigError, SessionClosedError
@@ -171,17 +170,11 @@ class Extractor:
         if self._closed:
             raise SessionClosedError("Extractor is closed")
         cfg = self.config
-        if graph.has_weights and not getattr(self._spec, "supports_weights", False):
-            capable = tuple(
-                e.name
-                for e in registered_engines()
-                if getattr(e, "supports_weights", False)
-            )
+        if graph.has_weights and not self._spec.supports_weights:
             raise ConfigError(
                 f"graph carries edge weights but engine {cfg.engine!r} is not "
-                f"weight-aware (weights would be silently ignored); use a "
-                f"weight-capable engine {capable} or strip them with "
-                f"graph.without_weights()"
+                f"weight-aware (weights would be silently ignored); use "
+                f"engine='weighted' or strip them with graph.without_weights()"
             )
         work_graph = graph
         old_of_new: np.ndarray | None = None

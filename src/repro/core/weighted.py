@@ -4,7 +4,7 @@ The paper's Algorithm 1 maximises nothing — it returns *a* maximal
 chordal subgraph.  This module is the quality-directed serial
 counterpart: a weighted variant of the MAXCHORD algorithm of Dearing,
 Shier & Warner (1988) that biases the retained edge set toward maximum
-total edge weight, exposed through the engine registry as
+total edge weight, exposed through the engine table as
 ``engine="weighted"`` (see :mod:`repro.core.engines`).
 
 Algorithm

@@ -2,8 +2,8 @@
 
 ``balanced_chunks`` is how the unified runtime driver
 (:mod:`repro.core.runtime.driver`) cuts each round's active set into
-contiguous, cost-balanced slices for its executor backend (thread team
-and process team alike); ``block_ranges`` is the unweighted variant.
+contiguous, cost-balanced slices for the thread team;
+``block_ranges`` is the unweighted variant.
 ``lpt_assign`` (longest-processing-time list scheduling) is what the
 machine models use to place the trace's independent work items on
 processors — the classic 4/3-approximation to makespan.
@@ -19,7 +19,6 @@ __all__ = [
     "block_ranges",
     "balanced_chunks",
     "degree_balanced_cuts",
-    "cyclic_indices",
     "lpt_assign",
 ]
 
@@ -109,17 +108,6 @@ def degree_balanced_cuts(degrees: np.ndarray, n_parts: int) -> np.ndarray:
     for p, (_start, end) in enumerate(ranges):
         cuts[p + 1] = end
     return cuts
-
-
-def cyclic_indices(n_items: int, part: int, n_parts: int) -> np.ndarray:
-    """Indices owned by ``part`` under cyclic (round-robin) distribution.
-
-    Cyclic distribution is what the XMT's hardware hashing approximates;
-    exposed for the ablation comparing partition strategies.
-    """
-    if not 0 <= part < n_parts:
-        raise ValueError(f"part must be in [0, {n_parts}), got {part}")
-    return np.arange(part, n_items, n_parts)
 
 
 def lpt_assign(costs: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarray]:

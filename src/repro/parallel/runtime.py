@@ -13,9 +13,9 @@ adapter that plugs this team into the shared schedule driver.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
-__all__ = ["ThreadTeam", "parallel_for"]
+__all__ = ["ThreadTeam"]
 
 
 class ThreadTeam:
@@ -99,25 +99,3 @@ class ThreadTeam:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def parallel_for(
-    team: ThreadTeam,
-    items: Sequence,
-    body: Callable[[int, object], None],
-) -> None:
-    """Run ``body(index, item)`` over ``items`` split in contiguous blocks.
-
-    Convenience wrapper used by examples/tests; the core engine manages its
-    own partitioning for the snapshot discipline.
-    """
-    from repro.parallel.partition import block_ranges
-
-    ranges = block_ranges(len(items), team.num_threads)
-
-    def task(tid: int) -> None:
-        start, stop = ranges[tid]
-        for i in range(start, stop):
-            body(i, items[i])
-
-    team.run(task)

@@ -140,12 +140,12 @@ ERROR_CODES = (
     INTERNAL,
 )
 
-#: Config fields a request may set.  ``collect_trace`` /
-#: ``cost_params`` are not servable (traces are not JSON), so both are
-#: rejected explicitly rather than silently ignored.
+#: Config fields a request may set.  ``collect_trace``, ``cost_params``
+#: and ``variant`` only shape work traces, which the daemon does not
+#: serve, so all three are rejected explicitly rather than silently
+#: ignored.
 ALLOWED_CONFIG_FIELDS = (
     "engine",
-    "variant",
     "schedule",
     "num_threads",
     "renumber",
@@ -510,20 +510,16 @@ def decode_config(payload: Any) -> ExtractionConfig:
             f"config must be an object, got {type(payload).__name__}",
             code=INVALID_CONFIG,
         )
-    for field, why in (
-        ("collect_trace", "not servable (work traces are not serialisable)"),
-        ("cost_params", "not servable (cost params are not serialisable)"),
-    ):
+    unservable = {
+        "collect_trace": "is not servable (work traces are not serialisable)",
+        "cost_params": "is not servable (cost params are not serialisable)",
+        "variant": "only changes work traces, which the daemon does not serve",
+    }
+    for field, why in unservable.items():
         if payload.get(field):
-            raise ProtocolError(
-                f"config field {field!r} is {why}", code=INVALID_CONFIG
-            )
+            raise ProtocolError(f"config field {field!r} {why}", code=INVALID_CONFIG)
     cleaned = {k: v for k, v in payload.items() if k in ALLOWED_CONFIG_FIELDS}
-    unknown = (
-        set(payload)
-        - set(ALLOWED_CONFIG_FIELDS)
-        - {"collect_trace", "cost_params"}
-    )
+    unknown = set(payload) - set(ALLOWED_CONFIG_FIELDS) - set(unservable)
     if unknown:
         raise ProtocolError(
             f"unknown config field(s) {sorted(unknown)}; the service "
@@ -640,10 +636,11 @@ def config_cache_key(config: ExtractionConfig) -> tuple:
     """Cache identity of a *resolved* config — every field that can
     change the answer (or its provenance).  Two requests spelling the
     same regime differently (``schedule=None`` vs the engine's explicit
-    default) share a key; any differing resolved field is a miss."""
+    default) share a key; any differing resolved field is a miss.
+    ``variant`` is not part of it: it changes only trace costs, never
+    the edge set, so keying on it would split identical answers."""
     return (
         config.engine,
-        config.variant,
         config.schedule,
         config.num_threads,
         config.renumber,

@@ -4,7 +4,7 @@ Every in-memory engine (and the service, and the mutate session)
 assumes the whole CSR fits in one shared segment.  This package lifts
 that cap: the input file is streamed once into per-shard spill files by
 an edge-balanced contiguous vertex partition, each shard is extracted
-independently through the ordinary engine registry, and boundary edges
+independently through the ordinary engine table, and boundary edges
 are reconciled in deterministic rounds of
 :class:`~repro.chordality.maximality.AddabilityOracle` tests, so the
 stitched result is chordal **by construction** — the

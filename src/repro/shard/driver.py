@@ -9,7 +9,7 @@ their full border set routinely contain a 4-cycle spanning the cut.
 
 The driver keeps chordality **by construction** instead:
 
-1. Each shard's spill builds a local CSR and runs any registered engine
+1. Each shard's spill builds a local CSR and runs any engine
    (:class:`repro.core.session.Extractor`); the per-shard output is
    chordal (and, with ``maximalize=True``, certified locally maximal).
 2. The disjoint union of the per-shard chordal subgraphs is chordal —

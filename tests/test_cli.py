@@ -30,9 +30,34 @@ class TestParser:
         assert args.schedule is None
         assert args.output == "-"
 
-    def test_bad_engine_rejected(self):
+    def test_bad_engine_rejected(self, capsys):
+        """--engine choices and help text come from the engine table."""
+        from repro.core.engines import ENGINES
+
         with pytest.raises(SystemExit):
             build_parser().parse_args(["extract", "g.mtx", "--engine", "gpu"])
+        err = capsys.readouterr().err
+        for name in ENGINES:
+            assert name in err, name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["extract", "-h"])
+        # argparse reflows help text, so compare wrap-insensitively.
+        help_text = " ".join(capsys.readouterr().out.split())
+        for spec in ENGINES.values():
+            assert spec.description in help_text, spec.name
+
+    def test_variant_is_not_a_flag(self):
+        """``variant`` only changes work-trace costs, which no subcommand
+        collects, so none of them offers it."""
+        for argv in (
+            ["extract", "g.mtx"],
+            ["mutate", "g.mtx", "ops.txt"],
+            ["shard", "run", "--spill-dir", "d"],
+            ["shard", "stitch", "--spill-dir", "d"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--variant", "unoptimized"])
+            build_parser().parse_args(argv)
 
     def test_version_flag(self, capsys):
         import repro
@@ -41,40 +66,6 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
-
-    def test_engine_choices_derived_from_registry(self, capsys):
-        """--engine choices and help text come from the engine registry:
-        a freshly registered engine is accepted without touching cli.py."""
-        from repro.core.engines import (
-            EngineSpec,
-            register_engine,
-            unregister_engine,
-        )
-
-        spec = EngineSpec(
-            name="clidemo",
-            run_fn=lambda graph, config: (
-                np.empty((0, 2), dtype=np.int64),
-                [],
-                None,
-            ),
-            description="cli registry probe",
-        )
-        register_engine(spec)
-        try:
-            args = build_parser().parse_args(
-                ["extract", "g.mtx", "--engine", "clidemo"]
-            )
-            assert args.engine == "clidemo"
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["extract", "-h"])
-            # argparse reflows help text, so compare wrap-insensitively.
-            help_text = " ".join(capsys.readouterr().out.split())
-            assert "cli registry probe" in help_text
-        finally:
-            unregister_engine("clidemo")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["extract", "g.mtx", "--engine", "clidemo"])
 
     def test_generate_families_listed(self):
         args = build_parser().parse_args(["generate", "rmat-b", "--scale", "9"])

@@ -64,7 +64,7 @@ def _assert_sync_engines_identical(maker, seed: int) -> None:
     schedule.  Engines implementing a *different* algorithm (the
     ``weighted`` MAXCHORD engine, ``EngineSpec.algorithm != "algorithm1"``)
     legitimately return different maximal chordal subgraphs and are
-    excluded by the registry's algorithm tag."""
+    excluded by their algorithm tag."""
     graph = maker(seed)
     baseline = extract_maximal_chordal_subgraph(
         graph, engine="superstep", schedule="synchronous"

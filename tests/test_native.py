@@ -187,8 +187,9 @@ class TestCompiledPath:
         assert base.kernel_path == "numpy"
 
     def test_engine_capability_flag(self):
-        assert get_engine("superstep").is_deterministic("synchronous")
-        assert get_engine("superstep").is_deterministic("asynchronous")
+        spec = get_engine("superstep")
+        assert spec.schedules == ("asynchronous", "synchronous")
+        assert spec.supports_trace
 
     def test_clique_iteration_law_native(self):
         """k-clique needs exactly k-1 synchronous rounds — same schedule

@@ -29,9 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chordality.verify import verify_extraction
 from repro.cli import main
-from repro.core.engines import get_engine
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.native import DISABLE_ENV
 from repro.core.native.build import resolve
@@ -256,11 +254,8 @@ class TestUntrustedMaxIterations:
             graph, engine=engine, schedule=schedule, max_iterations=self.HUGE
         )
         assert huge.kernel_path == base.kernel_path
-        if get_engine(engine).is_deterministic(schedule):
-            assert np.array_equal(huge.edges, base.edges)
-            assert huge.queue_sizes == base.queue_sizes
-        else:
-            assert verify_extraction(graph, huge, check_maximal=False).ok
+        assert np.array_equal(huge.edges, base.edges)
+        assert huge.queue_sizes == base.queue_sizes
 
     def test_budget_sizes_no_allocation(self):
         """A budget whose buffer would be 128 MiB allocates nothing like it

@@ -12,8 +12,8 @@ keep?" into assertable bounds.  This module tests both directions:
   fewer edges, so any violation is an engine bug, independent of how
   the extraction is scheduled or parallelised.
 
-The sweep is registry-driven: a newly registered engine is picked up
-automatically and held to the same floor.  Every assertion message
+The sweep is table-driven: every engine in ``engine_names()`` is held
+to the same floor.  Every assertion message
 carries the ``(family, seed, engine, schedule)`` tuple needed to replay
 the failing case — see ``tests/README.md``.
 """

@@ -12,8 +12,9 @@ The refactor's contract, pinned here:
    engine's queue sizes on the deterministic schedules.
 3. **Driver validation** — bad knobs and unsupported combinations raise
    :class:`~repro.errors.ConfigError` before any work happens.
-4. **The third-party recipe** — ``backend_run_fn`` + ``register_engine``
-   is enough to plug a new pairing into the session API.
+4. **The pairing recipe** — a ``backend_run_fn`` pairing called directly
+   reproduces ``superstep``'s synchronous rows and trace (the closure
+   perfbench's traced run splits).
 5. **One Algorithm-1 engine** — ``superstep`` picks its executor by
    schedule, and both schedules are deterministic at every thread count.
 """
@@ -24,13 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExtractionConfig
-from repro.core.engines import (
-    EngineSpec,
-    engine_names,
-    get_engine,
-    register_engine,
-    unregister_engine,
-)
+from repro.core.engines import engine_names, get_engine
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.reference import reference_max_chordal
 from repro.core.runtime import (
@@ -202,34 +197,22 @@ class TestDriverValidation:
 
 
 class TestThirdPartyBackendRecipe:
-    """The README's 'writing a third-party backend' recipe end to end."""
+    """A ``backend_run_fn`` pairing, called directly, is ``superstep``."""
 
-    def test_registered_pairing_runs_through_session(self):
+    def test_pairing_matches_superstep_synchronous(self):
         run_fn = backend_run_fn(
             lambda graph, num_slices, config: LocalState(graph, num_slices),
             lambda config: NativeThreadTeamExecutor(2),
         )
-        spec = EngineSpec(
-            name="duo",
-            run_fn=run_fn,
-            description="two-thread pairing (test)",
-            deterministic_schedules=("synchronous",),
-            supports_trace=True,
-        )
-        register_engine(spec)
-        try:
-            graph = GENERATORS["rmat_er"](0)
-            base = extract_maximal_chordal_subgraph(graph, schedule="synchronous")
-            got = extract_maximal_chordal_subgraph(
-                graph, engine="duo", schedule="synchronous"
-            )
-            assert np.array_equal(got.edges, base.edges)
-            traced = extract_maximal_chordal_subgraph(
-                graph, engine="duo", schedule="synchronous", collect_trace=True
-            )
-            assert traced.trace is not None
-        finally:
-            unregister_engine("duo")
+        graph = GENERATORS["rmat_er"](0)
+        config = ExtractionConfig(schedule="synchronous", collect_trace=True).resolved()
+        edges, queue_sizes, trace = run_fn(graph, config)
+        base_edges, base_qs, base_trace = get_engine("superstep").run(graph, config)
+        assert np.array_equal(edges, base_edges)
+        assert queue_sizes == base_qs
+        assert trace.summary() == base_trace.summary()
+        for a, b in zip(trace.iterations, base_trace.iterations, strict=True):
+            assert np.array_equal(a.work_items, b.work_items)
 
 
 class TestSweepSemantics:
@@ -280,6 +263,3 @@ class TestOneEngineContract:
                 edges, qs = run(graph, "synchronous", threads)
                 assert np.array_equal(edges, base_edges), (gen, threads)
                 assert qs == base_qs, (gen, threads)
-        assert ExtractionConfig(schedule="asynchronous").deterministic
-        assert ExtractionConfig(schedule="synchronous").deterministic
-        assert ExtractionConfig().deterministic

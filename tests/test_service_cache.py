@@ -100,7 +100,7 @@ def test_differing_resolved_configs_miss(client):
     base = client.extract(graph, config={"engine": "superstep"})
     assert not base.cached
     for other in (
-        {"engine": "superstep", "variant": "unoptimized"},
+        {"engine": "superstep", "schedule": "synchronous"},
         {"engine": "superstep", "maximalize": True},
         {"engine": "superstep", "stitch": True},
         {"engine": "superstep", "renumber": "bfs"},
@@ -121,7 +121,7 @@ def test_default_and_explicit_schedule_share_one_entry(client):
 
 def test_no_cache_bypasses_both_lookup_and_store(client):
     graph = rmat_b(6, seed=46)
-    config = {"engine": "superstep", "variant": "unoptimized", "stitch": True}
+    config = {"engine": "superstep", "schedule": "synchronous", "stitch": True}
     client.extract(graph, config=config, no_cache=True)
     before = client.stats()
     repeat = client.extract(graph, config=config, no_cache=True)

@@ -251,7 +251,6 @@ def test_decode_config_accepts_every_allowed_field():
     config = protocol.decode_config(
         {
             "engine": "superstep",
-            "variant": "unoptimized",
             "schedule": "synchronous",
             "num_threads": 2,
             "renumber": "bfs",
@@ -273,6 +272,7 @@ def test_decode_config_accepts_every_allowed_field():
         ({"num_workers": 8}, protocol.INVALID_CONFIG),
         ({"collect_trace": True}, protocol.INVALID_CONFIG),
         ({"cost_params": {"a": 1}}, protocol.INVALID_CONFIG),
+        ({"variant": "unoptimized"}, protocol.INVALID_CONFIG),
         ({"engine": "no-such-engine"}, protocol.INVALID_CONFIG),
         ({"engine": "superstep", "schedule": "sideways"}, protocol.INVALID_CONFIG),
         ({"num_threads": 0}, protocol.INVALID_CONFIG),
@@ -374,23 +374,20 @@ def test_weighted_graph_served_by_weighted_engine(client):
     assert report.ok, report
 
 
-def test_failing_extraction_costs_only_its_own_request(client):
+def test_failing_extraction_costs_only_its_own_request(client, monkeypatch):
     """Dispatchers run requests in-process: an engine that raises answers
     that one request with a typed INTERNAL error, and the same
     connection keeps being served."""
-    from repro.core.engines import EngineSpec, register_engine, unregister_engine
+    from repro.core.engines import ENGINES, EngineSpec
 
     def explode(graph, config):
         raise RuntimeError("engine blew up")
 
-    register_engine(EngineSpec(name="exploding", run_fn=explode))
-    try:
-        with pytest.raises(ServiceError) as excinfo:
-            client.extract(rmat_b(5, seed=1), config={"engine": "exploding"})
-        assert excinfo.value.code == protocol.INTERNAL
-        assert "engine blew up" in str(excinfo.value)
-    finally:
-        unregister_engine("exploding")
+    monkeypatch.setitem(ENGINES, "exploding", EngineSpec(name="exploding", run_fn=explode))
+    with pytest.raises(ServiceError) as excinfo:
+        client.extract(rmat_b(5, seed=1), config={"engine": "exploding"})
+    assert excinfo.value.code == protocol.INTERNAL
+    assert "engine blew up" in str(excinfo.value)
     assert client.extract(rmat_b(5, seed=1), config={"engine": "superstep"}).num_edges > 0
 
 

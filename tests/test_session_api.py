@@ -1,12 +1,10 @@
-"""Tests for the session API: ExtractionConfig, the engine registry and
+"""Tests for the session API: ExtractionConfig, the engine table and
 Extractor — plus the back-compat contract of the legacy shims.
 
 Covers the redesign's acceptance criteria:
 
-* shim vs Extractor bit-identity across every engine x schedule cell
-  (deterministic cells exact, nondeterministic async cells
-  ``verify_extraction``-valid);
-* registry capability rejection messages (unknown engine, unsupported
+* shim vs Extractor bit-identity across every engine x schedule cell;
+* capability rejection messages (unknown engine, unsupported
   schedule, collect_trace without the supports_trace capability);
 * ``stream()`` laziness — the first result is yielded before the input
   iterator is exhausted;
@@ -19,16 +17,8 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.chordality.verify import verify_extraction
 from repro.core.config import DEFAULT_NUM_THREADS, ExtractionConfig
-from repro.core.engines import (
-    EngineSpec,
-    engine_names,
-    get_engine,
-    register_engine,
-    schedule_names,
-    unregister_engine,
-)
+from repro.core.engines import SCHEDULES, engine_names, get_engine
 from repro.core.extract import extract_many, extract_maximal_chordal_subgraph
 from repro.core.session import Extractor
 from repro.errors import ConfigError, ReproError, SessionClosedError
@@ -73,13 +63,6 @@ class TestExtractionConfig:
         assert cfg.replace(engine="reference").engine == "reference"
         with pytest.raises(ConfigError):
             cfg.replace(engine="gpu")
-
-    def test_deterministic_property(self):
-        assert ExtractionConfig(engine="superstep").deterministic
-        assert ExtractionConfig(engine="reference").deterministic
-        assert ExtractionConfig(engine="weighted").deterministic  # sync default
-        assert ExtractionConfig(schedule="synchronous").deterministic
-        assert ExtractionConfig(schedule="asynchronous").deterministic
 
 
 class TestConfigErrors:
@@ -140,18 +123,26 @@ class TestConfigErrors:
         r = extract_maximal_chordal_subgraph(g, engine="weighted", schedule=None)
         assert r.schedule == "synchronous"
 
+    def test_shim_default_schedule_is_the_engine_default(self):
+        """With no ``schedule`` argument the single-call shim resolves the
+        engine's default, so the synchronous-only ``weighted`` engine
+        runs instead of raising."""
+        g = cycle_graph(6)
+        assert extract_maximal_chordal_subgraph(g).schedule == "asynchronous"
+        r = extract_maximal_chordal_subgraph(g, engine="weighted")
+        assert r.schedule == "synchronous"
+        assert r.num_chordal_edges == 5
+
 
 class TestRegistry:
     def test_builtin_names_and_views(self):
         assert engine_names() == ("superstep", "reference", "weighted")
-        assert schedule_names() == ("asynchronous", "synchronous")
+        assert SCHEDULES == ("asynchronous", "synchronous")
 
     def test_capability_flags(self):
         assert get_engine("superstep").supports_trace
         assert not get_engine("reference").supports_trace
-        assert get_engine("superstep").is_deterministic("synchronous")
-        assert get_engine("superstep").is_deterministic("asynchronous")
-        assert get_engine("reference").is_deterministic("asynchronous")
+        assert get_engine("weighted").default_schedule == "synchronous"
 
     def test_weighted_engine_capabilities(self):
         """The quality engine: weight-aware, synchronous-only, a different
@@ -160,7 +151,6 @@ class TestRegistry:
         assert spec.supports_weights
         assert spec.algorithm == "maxchord"
         assert spec.schedules == ("synchronous",)
-        assert spec.is_deterministic("synchronous")
         assert not spec.supports_trace
         # Algorithm-1 engines carry the default tag and no weight support.
         for name in ("superstep", "reference"):
@@ -168,118 +158,14 @@ class TestRegistry:
             assert other.algorithm == "algorithm1"
             assert not other.supports_weights
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_engine(get_engine("superstep"))
-
     def test_get_unknown_engine_message(self):
         with pytest.raises(ConfigError, match="unknown engine 'gpu'"):
             get_engine("gpu")
 
-    def test_third_party_engine_registers_and_runs(self):
-        """A registered engine shows up in the registry names, drives the
-        session, and its capability limits produce data-driven errors."""
-
-        def run_fixed(graph, config):
-            return np.empty((0, 2), dtype=np.int64), [], None
-
-        spec = EngineSpec(
-            name="nulleng",
-            run_fn=run_fixed,
-            description="returns the empty edge set",
-            schedules=("synchronous",),
-            default_schedule="synchronous",
-            deterministic_schedules=("synchronous",),
-        )
-        register_engine(spec)
-        try:
-            assert "nulleng" in engine_names()
-            # schedule=None resolves to the engine's declared default
-            cfg = ExtractionConfig(engine="nulleng").resolved()
-            assert cfg.schedule == "synchronous"
-            with Extractor(cfg) as ex:
-                r = ex.extract(cycle_graph(4))
-            assert r.num_chordal_edges == 0
-            assert r.engine == "nulleng"
-            # capability rejection: the unsupported schedule is named
-            # along with the supported set
-            with pytest.raises(
-                ConfigError,
-                match="'nulleng' does not support schedule 'asynchronous'",
-            ):
-                ExtractionConfig(engine="nulleng", schedule="asynchronous")
-            # the one-call function accepts it too (registry-driven dispatch)
-            r2 = extract_maximal_chordal_subgraph(
-                cycle_graph(4), engine="nulleng", schedule="synchronous"
-            )
-            assert r2.num_chordal_edges == 0
-        finally:
-            unregister_engine("nulleng")
-        assert "nulleng" not in engine_names()
-        with pytest.raises(ConfigError):
-            ExtractionConfig(engine="nulleng")
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ConfigError, match="default_schedule"):
-            EngineSpec(name="x", run_fn=lambda *a: None, schedules=("synchronous",))
-        with pytest.raises(ConfigError, match="deterministic_schedules"):
-            EngineSpec(
-                name="x",
-                run_fn=lambda *a: None,
-                schedules=("synchronous",),
-                default_schedule="synchronous",
-                deterministic_schedules=("warp",),
-            )
-
-    def test_plain_protocol_object_checked_at_registration(self):
-        """A non-EngineSpec object conforming to the Engine protocol is
-        held to the same capability invariants when registered, so the
-        error surfaces at registration, not at extract-time resolution."""
-
-        class Bogus:
-            name = "bogus"
-            description = ""
-            schedules = ("synchronous",)
-            default_schedule = "asynchronous"  # not in schedules
-            deterministic_schedules = ()
-            supports_trace = False
-
-            def run(self, graph, config):
-                return np.empty((0, 2), dtype=np.int64), [], None
-
-        with pytest.raises(ConfigError, match="default_schedule"):
-            register_engine(Bogus())
-        assert "bogus" not in engine_names()
-
-    def test_missing_protocol_attributes_rejected_at_registration(self):
-        class Incomplete:
-            name = "incomplete"
-            schedules = ("synchronous",)
-            default_schedule = "synchronous"
-            deterministic_schedules = ()
-            # no description / supports_trace / run
-
-        with pytest.raises(ConfigError, match="missing required"):
-            register_engine(Incomplete())
-
-        class NoRun:
-            name = "norun"
-            description = ""
-            schedules = ("synchronous",)
-            default_schedule = "synchronous"
-            deterministic_schedules = ()
-            supports_trace = False
-
-        with pytest.raises(ConfigError, match="callable run"):
-            register_engine(NoRun())
-        assert "incomplete" not in engine_names()
-        assert "norun" not in engine_names()
-
 
 class TestShimExtractorIdentity:
     """Acceptance: Extractor(config).extract(g) is bit-identical to the
-    legacy function for every engine x schedule x variant cell —
-    deterministic cells exact, nondeterministic ones verify-valid."""
+    legacy function for every engine x schedule x variant cell."""
 
     @pytest.fixture(scope="class")
     def graphs(self):
@@ -296,7 +182,6 @@ class TestShimExtractorIdentity:
             variant=variant,
             num_threads=2,
         )
-        spec = config.engine_spec
         with Extractor(config) as ex:
             for g in graphs:
                 session = ex.extract(g)
@@ -309,16 +194,11 @@ class TestShimExtractorIdentity:
                 )
                 assert session.engine == legacy.engine == engine
                 assert session.schedule == legacy.schedule == schedule
-                if spec.is_deterministic(schedule):
-                    assert np.array_equal(session.edges, legacy.edges), (
-                        engine,
-                        schedule,
-                        variant,
-                    )
-                else:
-                    for r in (session, legacy):
-                        report = verify_extraction(g, r, check_maximal=False)
-                        assert report.ok, (engine, schedule, variant, report)
+                assert np.array_equal(session.edges, legacy.edges), (
+                    engine,
+                    schedule,
+                    variant,
+                )
 
     def test_extract_many_matches_session(self, graphs):
         legacy = extract_many(graphs, schedule="synchronous", num_threads=2)

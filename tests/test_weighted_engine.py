@@ -190,7 +190,9 @@ def test_weighted_engine_accepts_unweighted_graph():
 
 
 def test_weighted_engine_rejects_asynchronous_schedule():
-    with pytest.raises(ConfigError):
+    with pytest.raises(
+        ConfigError, match="'weighted' does not support schedule 'asynchronous'"
+    ):
         Extractor(engine="weighted", schedule="asynchronous")
 
 
