@@ -96,15 +96,8 @@ from repro.graph.io import (
     FORMATS,
     STREAMABLE_FORMATS,
     load_graph,
-    read_edgelist,
-    read_metis,
-    read_mtx,
-    read_snap,
     save_graph,
     strip_format_extension,
-    write_edgelist,
-    write_metis,
-    write_mtx,
 )
 from repro.util.timing import Timer
 
@@ -583,38 +576,16 @@ def _load_bench_module(name: str):
     return module
 
 
-def _read_stdin(fmt: str | None):
-    """Read a graph from stdin in the requested text format."""
-    readers = {
-        "edgelist": read_edgelist,
-        "mtx": read_mtx,
-        "metis": read_metis,
-        "snap": lambda fh: read_snap(fh)[0],
-    }
-    fmt = fmt or "edgelist"
-    if fmt not in readers:
-        raise ReproError(f"format {fmt!r} cannot be read from stdin (needs a file)")
-    return readers[fmt](sys.stdin)
+def _load(source: str, fmt: str | None):
+    """The graph at ``source``; ``-`` reads stdin (edgelist by default)."""
+    if source == "-":
+        return load_graph(sys.stdin, fmt or "edgelist")
+    return load_graph(source, fmt)
 
 
-def _write_stdout(graph, fmt: str | None) -> None:
-    """Write a graph to stdout in a text format (binary npz needs a file)."""
-    writers = {
-        "edgelist": write_edgelist,
-        "mtx": write_mtx,
-        "metis": write_metis,
-    }
-    fmt = fmt or "edgelist"
-    if fmt not in writers:
-        raise ReproError(f"format {fmt!r} cannot be written to stdout (needs a file)")
-    writers[fmt](graph, sys.stdout)
-
-
-def _write_result(result, target: str, out_format: str | None) -> None:
-    if target == "-":
-        _write_stdout(result.subgraph, out_format)
-    else:
-        save_graph(result.subgraph, target, format=out_format)
+def _save(graph, target: str, fmt: str | None) -> None:
+    """Write ``graph`` to ``target``; ``-`` writes stdout (edgelist by default)."""
+    save_graph(graph, sys.stdout if target == "-" else target, fmt)
 
 
 def _out_dir_target(out_dir: Path, source: str, out_ext: str) -> str:
@@ -653,10 +624,8 @@ def _extract_via_server(args: argparse.Namespace, out_dir, out_ext) -> int:
         config["maximalize"] = True
     with ServiceClient(**_parse_server_address(args.server)) as client:
         for source in args.inputs:
-            if source == "-":
-                graph, name = _read_stdin(args.input_format), "<stdin>"
-            else:
-                graph, name = load_graph(source, format=args.input_format), source
+            graph = _load(source, args.input_format)
+            name = "<stdin>" if source == "-" else source
             with Timer() as timer:
                 try:
                     result = client.extract(graph, config=config, verify=args.verify)
@@ -672,7 +641,7 @@ def _extract_via_server(args: argparse.Namespace, out_dir, out_ext) -> int:
             target = (
                 _out_dir_target(out_dir, source, out_ext) if out_dir else args.output
             )
-            _write_result(result, target, args.output_format)
+            _save(result.subgraph, target, args.output_format)
             if not args.quiet:
                 m = graph.num_edges
                 verified = (
@@ -748,10 +717,7 @@ def _extract_sharded(args: argparse.Namespace) -> int:
             )
             return 3
         verified = " verified=shards,chordal,boundary-sample"
-    if args.output == "-":
-        _write_stdout(result.subgraph(), args.output_format)
-    else:
-        save_graph(result.subgraph(), args.output, format=args.output_format)
+    _save(result.subgraph(), args.output, args.output_format)
     if not args.quiet:
         cached = sum(1 for s in result.shard_stats if s.from_cache)
         print(
@@ -814,10 +780,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     # One session for the whole batch.
     with Extractor(config) as extractor:
         for source in args.inputs:
-            if source == "-":
-                graph, name = _read_stdin(args.input_format), "<stdin>"
-            else:
-                graph, name = load_graph(source, format=args.input_format), source
+            graph = _load(source, args.input_format)
+            name = "<stdin>" if source == "-" else source
             with Timer() as timer:
                 result = extractor.extract(graph)
             verified = ""
@@ -843,7 +807,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             target = (
                 _out_dir_target(out_dir, source, out_ext) if out_dir else args.output
             )
-            _write_result(result, target, args.output_format)
+            _save(result.subgraph, target, args.output_format)
             if not args.quiet:
                 print(
                     f"{name}: n={graph.num_vertices} m={graph.num_edges} "
@@ -866,14 +830,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.graph == "-":
-        graph = _read_stdin(args.input_format)
-    else:
-        graph = load_graph(args.graph, format=args.input_format)
-    if args.subgraph == "-":
-        extracted = _read_stdin(args.subgraph_format)
-    else:
-        extracted = load_graph(args.subgraph, format=args.subgraph_format)
+    graph = _load(args.graph, args.input_format)
+    extracted = _load(args.subgraph, args.subgraph_format)
     # Hand verify_extraction the edge array, not the reloaded CSR graph:
     # text formats drop trailing isolated vertices, so the reloaded vertex
     # count routinely differs from the input's — the edge-set path
@@ -942,10 +900,8 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.graph == "-":
-        graph, name = _read_stdin(args.input_format), "<stdin>"
-    else:
-        graph, name = load_graph(args.graph, format=args.input_format), args.graph
+    graph = _load(args.graph, args.input_format)
+    name = "<stdin>" if args.graph == "-" else args.graph
     ops = _read_mutations(args.mutations)
     config = ExtractionConfig(engine=args.engine, maximalize=True)
     extractor = IncrementalExtractor(graph, config=config)
@@ -979,7 +935,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             )
             return 3
     result = extractor.result()
-    _write_result(result, args.output, args.output_format)
+    _save(result.subgraph, args.output, args.output_format)
     if not args.quiet:
         rate = len(ops) / timer.elapsed if timer.elapsed > 0 else float("inf")
         verified = (
@@ -1080,10 +1036,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-    if args.output == "-":
-        _write_stdout(result.subgraph(), args.output_format)
-    else:
-        save_graph(result.subgraph(), args.output, format=args.output_format)
+    _save(result.subgraph(), args.output, args.output_format)
     if not args.quiet:
         certified = " certified=chordal,boundary-sample" if args.certify else ""
         print(
@@ -1098,11 +1051,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = _FAMILIES[args.family][0](args)
-    if args.output == "-":
-        _write_stdout(graph, args.format)
-    else:
-        save_graph(graph, args.output, format=args.format)
+    _save(_FAMILIES[args.family][0](args), args.output, args.format)
     return 0
 
 

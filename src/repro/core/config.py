@@ -76,9 +76,11 @@ class ExtractionConfig:
         changes an edge set.
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
-        maps the edge set back — on connected inputs this guarantees a
-        connected, hence provably maximal, output (Theorem 2 +
-        corollary).  ``None`` runs on the ids as given.
+        maps the edge set back — on connected inputs this gives a
+        connected output.  Connectivity does not imply maximality (the
+        paper's Theorem 2 overclaims; see
+        :mod:`repro.chordality.maximality`): only ``maximalize``
+        certifies a maximal output.  ``None`` runs on the ids as given.
     stitch:
         Join disconnected output components with single bridges.
     maximalize:

@@ -87,8 +87,9 @@ def extract_maximal_chordal_subgraph(
         asynchronous sweep is serial.
     renumber:
         ``"bfs"`` renumbers vertices in BFS order before extraction and
-        maps the edge set back — on connected inputs this guarantees the
-        output is connected and therefore maximal (Theorem 2 + corollary).
+        maps the edge set back — on connected inputs this gives a
+        connected output, which is not necessarily maximal (the paper's
+        Theorem 2 overclaims); only ``maximalize`` certifies maximality.
         ``None`` (default) runs on the ids as given, like the paper's
         experiments.
     stitch:

@@ -11,24 +11,32 @@ Dataset ingestion layer for the batch pipeline.  Supported formats:
 * **snap** — SNAP-style edge lists: ``#``-commented headers, tab- or
   space-separated pairs, arbitrary non-contiguous vertex ids that are
   compacted to ``0..k-1`` via
-  :func:`repro.graph.builder.compact_labels`.
+  :func:`repro.graph.builder.compact_labels`.  Read-only: a file written
+  as snap would come back with compacted ids and without its isolated
+  vertices, so writing one is an error (write ``edgelist`` instead).
 * **metis** — the graph-partitioning community's adjacency format.
 * **npz** — NumPy binary of the CSR arrays (exact round-trip).
 
-Any text format transparently reads/writes gzip when the path ends in
-``.gz``.  :func:`load_graph` / :func:`save_graph` dispatch on an explicit
-format name or on auto-detection (:func:`detect_format`: extension first,
-content sniffing as fallback).  The big-file readers (``mtx``, ``snap``)
-parse in bulk — fixed-size text chunks are split and converted with one
-NumPy call per chunk instead of a Python loop per line.
+:func:`load_graph` / :func:`save_graph` are the entry points: one format
+table each, serving paths (text formats transparently gzip-compressed
+for ``*.gz``) and open streams alike.  The three pair formats
+(``edgelist``, ``mtx``, ``snap``) share one chunk parser,
+:func:`_pair_chunks`: ~1 MiB text blocks are split and converted with one
+NumPy call per block, never a Python loop per line.  Whole-file loading
+concatenates its chunks; :class:`EdgeStream` hands them out one at a
+time for out-of-core callers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import os
+import re
+import zlib
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,17 +45,8 @@ from repro.graph.builder import compact_labels, from_edge_array
 from repro.graph.csr import CSRGraph
 
 __all__ = [
-    "write_edgelist",
-    "read_edgelist",
-    "save_npz",
-    "load_npz",
-    "write_metis",
-    "read_metis",
-    "write_mtx",
-    "read_mtx",
     "read_snap",
     "detect_format",
-    "detect_format_stream",
     "EdgeStream",
     "load_graph",
     "save_graph",
@@ -60,17 +59,21 @@ __all__ = [
 #: ``snap``, which is a read-side convention, not a distinct writer).
 FORMATS = ("edgelist", "mtx", "metis", "npz", "snap")
 
-#: Formats :class:`EdgeStream` can iterate chunk-wise without ever
-#: materialising the full edge list (``metis`` is row-oriented and
-#: ``npz`` is already binary CSR — neither needs nor supports streaming).
+#: The pair formats: parsed chunk-wise by :func:`_pair_chunks`, so
+#: :class:`EdgeStream` can iterate them without ever materialising the
+#: full edge list (``metis`` is row-oriented and ``npz`` is already
+#: binary CSR — neither needs nor supports streaming).
 STREAMABLE_FORMATS = ("edgelist", "mtx", "snap")
 
 #: Characters of text per bulk-parse chunk (~1 MiB).
 _CHUNK_CHARS = 1 << 20
 
-#: Bytes of prefix :func:`detect_format_stream` examines (plenty for any
+#: Bytes of prefix :func:`detect_format` examines (plenty for any
 #: banner/header line; gzip members decompress enough within this).
 _SNIFF_BYTES = 1 << 16
+
+#: Rows per ``write`` call of the pair writer.
+_WRITE_ROWS = 1 << 16
 
 _EXTENSION_FORMATS = {
     ".mtx": "mtx",
@@ -83,6 +86,29 @@ _EXTENSION_FORMATS = {
     ".el": "edgelist",
     ".edgelist": "edgelist",
 }
+
+#: Comment-line prefixes of each pair format (the MatrixMarket banner is
+#: consumed before its ``%`` comments are).
+_COMMENT_PREFIXES = {"edgelist": "#", "snap": "#%", "mtx": "%"}
+
+_COMMENT_LINES = {
+    fmt: re.compile(rf"^[^\S\n]*[{prefixes}][^\n]*", re.M)
+    for fmt, prefixes in _COMMENT_PREFIXES.items()
+}
+
+#: The first edge-list line that is not blank, a ``#`` comment or an
+#: integer ``u v`` pair.
+_BAD_EDGELIST_LINE = re.compile(
+    r"^(?![^\S\n]*(?:#.*|[+-]?\d+[^\S\n]+[+-]?\d+[^\S\n]*)?$)", re.M
+)
+
+
+def _extension(name: str | os.PathLike) -> str:
+    """The lower-cased extension of ``name`` under any trailing ``.gz``."""
+    name = os.fspath(name)
+    if name.endswith(".gz"):
+        name = name[:-3]
+    return os.path.splitext(name)[1].lower()
 
 
 def strip_format_extension(name: str) -> str:
@@ -105,295 +131,93 @@ def strip_format_extension(name: str) -> str:
 def _open_text(path: str | os.PathLike, mode: str):
     """Open a text file, transparently gzip-compressed for ``*.gz`` paths."""
     name = os.fspath(path)
-    if str(name).endswith(".gz"):
+    if name.endswith(".gz"):
         return gzip.open(name, mode + "t", encoding="utf-8")
     return open(name, mode, encoding="utf-8")
 
 
-def _data_blocks(fh, comment_prefixes: tuple[str, ...], on_comment=None):
-    """Yield comment-free text blocks from ``fh`` in ~1 MiB chunks.
+@contextlib.contextmanager
+def _handle(source, mode: str, fmt: str):
+    """What ``fmt``'s reader or writer takes for ``source``.
 
-    The fast path hands a whole chunk through untouched; only chunks that
-    actually contain a comment line fall back to per-line filtering
-    (comments sit at the top of real-world files, so almost every chunk
-    takes the fast path).  ``on_comment`` receives each stripped comment
-    line.
+    Paths open as text (gzip for ``*.gz``) and are closed afterwards;
+    ``npz`` gets the path itself, which ``np.load``/``np.savez`` open.
+    Open streams pass through untouched, after checking that their kind
+    (text or binary) fits the format.
     """
-    tail = ""
-    while True:
-        block = fh.read(_CHUNK_CHARS)
-        if not block:
-            break
-        block = tail + block
-        cut = block.rfind("\n")
-        if cut < 0:
-            tail = block
-            continue
-        tail = block[cut + 1 :]
-        yield from _strip_comments(block[: cut + 1], comment_prefixes, on_comment)
-    if tail:
-        yield from _strip_comments(tail, comment_prefixes, on_comment)
-
-
-def _strip_comments(text: str, prefixes: tuple[str, ...], on_comment):
-    has_comment = text.startswith(prefixes) or any(
-        "\n" + p in text for p in prefixes
-    )
-    if not has_comment:
-        yield text
+    binary = fmt == "npz"
+    if isinstance(source, (str, os.PathLike)):
+        if binary:
+            yield source
+        else:
+            with _open_text(source, mode) as fh:
+                yield fh
         return
-    kept: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(prefixes):
-            if on_comment is not None:
-                on_comment(stripped)
-            continue
-        kept.append(line)
-    if kept:
-        yield "\n".join(kept)
+    if binary != isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        if binary:
+            std = "stdin" if mode == "r" else "stdout"
+            raise GraphFormatError(
+                f"format {fmt!r} is binary: it needs a path or a binary "
+                f"stream, not a text stream such as {std}"
+            )
+        raise GraphFormatError(
+            f"format {fmt!r} is text: it needs a path or a text stream, "
+            "not a binary one"
+        )
+    yield source
+
+
+# ---------------------------------------------------------------------------
+# The pair formats: one chunk parser
+
+
+def _text_blocks(fh) -> Iterator[str]:
+    """Line-aligned text blocks of ``fh``, ~``_CHUNK_CHARS`` each."""
+    tail = ""
+    while block := fh.read(_CHUNK_CHARS):
+        block = tail + block
+        cut = block.rfind("\n") + 1
+        tail = block[cut:]
+        if cut:
+            yield block[:cut]
+    if tail:
+        yield tail
 
 
 def _block_tokens(block: str) -> np.ndarray:
-    """One comment-free text block as a float64 token array."""
+    """One comment-free text block as a float64 token array.
+
+    float64 keeps the converter uniform across pattern (int-only) and
+    weighted (mixed) files; ids are exact up to 2**53, far beyond any
+    graph this library can hold.
+    """
     try:
         return np.array(block.split(), dtype=np.float64)
     except ValueError as exc:
         raise GraphFormatError(f"non-numeric token in graph data: {exc}") from exc
 
 
-def _bulk_tokens(fh, comment_prefixes: tuple[str, ...], on_comment=None) -> np.ndarray:
-    """All whitespace-separated numeric tokens of ``fh`` as one float64 array.
-
-    float64 keeps the converter uniform across pattern (int-only) and
-    weighted (mixed) files; ids are exact up to 2**53, far beyond any
-    graph this library can hold.
-    """
-    parts: list[np.ndarray] = []
-    for block in _data_blocks(fh, comment_prefixes, on_comment):
-        parts.append(_block_tokens(block))
-    if not parts:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(parts)
-
-
 def _int_column_pair(values: np.ndarray, what: str) -> np.ndarray:
-    """Validate that an ``(m, 2)`` float column pair is integral; cast."""
+    """Validate that float columns are integral; cast to int64."""
     if not np.all(values == np.floor(values)):
         raise GraphFormatError(f"{what}: vertex ids must be integers")
     return values.astype(np.int64)
 
 
-def write_edgelist(graph: CSRGraph, path: str | os.PathLike | io.TextIOBase) -> None:
-    """Write ``graph`` as a text edge list (with a ``# vertices`` header)."""
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "w") if own else path
+def _bad_edgelist_line(lineno: int, line: str) -> GraphFormatError:
+    """The error for a malformed edge-list line, saying what is wrong."""
+    line = line.strip()
     try:
-        fh.write(f"# vertices {graph.num_vertices}\n")
-        for u, v in graph.edge_array():
-            fh.write(f"{u} {v}\n")
-    finally:
-        if own:
-            fh.close()
+        ntokens = _block_tokens(line).size
+    except GraphFormatError as exc:
+        return GraphFormatError(f"line {lineno}: {exc} in {line!r}")
+    odd = " (an odd number of tokens, not a whole pair)" if ntokens % 2 else ""
+    return GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}{odd}")
 
 
-def read_edgelist(path: str | os.PathLike | io.TextIOBase) -> CSRGraph:
-    """Read a text edge list written by :func:`write_edgelist`.
-
-    Lines starting with ``#`` are comments; ``# vertices N`` fixes the
-    vertex count (otherwise ``max id + 1`` is used).
-    """
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "r") if own else path
-    try:
-        n_declared = -1
-        pairs: list[tuple[int, int]] = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "vertices":
-                    n_declared = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
-    finally:
-        if own:
-            fh.close()
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        n = n_declared if n_declared >= 0 else int(arr.max()) + 1
-    else:
-        arr = np.empty((0, 2), dtype=np.int64)
-        n = max(n_declared, 0)
-    return from_edge_array(n, arr)
-
-
-def write_metis(graph: CSRGraph, path: str | os.PathLike | io.TextIOBase) -> None:
-    """Write in METIS graph format (1-based; line ``i`` lists vertex
-    ``i-1``'s neighbors).  The de-facto interchange format of the graph
-    partitioning community the distributed baseline belongs to."""
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "w") if own else path
-    try:
-        fh.write(f"{graph.num_vertices} {graph.num_edges}\n")
-        for v in range(graph.num_vertices):
-            fh.write(" ".join(str(int(u) + 1) for u in graph.neighbors(v)) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def read_metis(path: str | os.PathLike | io.TextIOBase) -> CSRGraph:
-    """Read a METIS-format graph (topology only).
-
-    Accepts the plain unweighted format plus the vertex-weighted
-    variants (fmt codes ``10`` / ``11``, and ``100``/``110`` with vertex
-    sizes): vertex sizes/weights — ``ncon`` per vertex — are skipped,
-    and for fmt ``11`` the edge weights interleaved with the adjacency
-    are skipped too, keeping the topology.  Edge-weight-*only* files
-    (fmt ``1`` / ``01``) are rejected with an error naming the fmt
-    field.  Comment lines start with ``%``; trailing blank lines are
-    tolerated (a blank line *within* the first ``n`` rows is an isolated
-    vertex, per the format).
-    """
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "r") if own else path
-    try:
-        header: list[int] | None = None
-        skip = 0
-        has_ewgt = False
-        rows: list[list[int]] = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line.startswith("%"):
-                continue
-            if header is None:
-                if not line:
-                    continue  # leading blank lines before the header
-                parts = line.split()
-                if len(parts) < 2:
-                    raise GraphFormatError(
-                        f"line {lineno}: METIS header needs 'n m', got {line!r}"
-                    )
-                fmt = parts[2] if len(parts) >= 3 else "0"
-                if len(fmt) > 3 or any(ch not in "01" for ch in fmt):
-                    raise GraphFormatError(
-                        f"line {lineno}: malformed METIS fmt field {fmt!r}"
-                    )
-                has_vsize, has_vwgt, has_ewgt = (
-                    ch == "1" for ch in fmt.zfill(3)
-                )
-                if has_ewgt and not has_vwgt:
-                    raise GraphFormatError(
-                        f"line {lineno}: METIS fmt field {fmt!r} declares "
-                        "edge weights, which are not supported (vertex-"
-                        "weighted graphs are read topology-only)"
-                    )
-                ncon = int(parts[3]) if len(parts) >= 4 else 1
-                skip = (1 if has_vsize else 0) + (ncon if has_vwgt else 0)
-                header = [int(parts[0]), int(parts[1])]
-                continue
-            tokens = line.split()
-            if not tokens:
-                rows.append([])  # isolated vertex (or a trailing blank)
-                continue
-            if len(tokens) < skip:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex row has {len(tokens)} tokens "
-                    f"but the fmt field requires {skip} weight tokens"
-                )
-            tokens = tokens[skip:]
-            if has_ewgt:
-                if len(tokens) % 2:
-                    raise GraphFormatError(
-                        f"line {lineno}: fmt declares edge weights but the "
-                        "row has an odd number of neighbor/weight tokens"
-                    )
-                tokens = tokens[0::2]
-            rows.append([int(tok) - 1 for tok in tokens])
-        if header is None:
-            raise GraphFormatError("empty METIS file (missing header)")
-        n, m = header
-        while len(rows) > n and not rows[-1]:
-            rows.pop()  # trailing blank lines
-        if len(rows) < n:
-            rows.extend([[] for _ in range(n - len(rows))])
-        elif len(rows) > n:
-            raise GraphFormatError(
-                f"METIS header declares {n} vertices but file has {len(rows)} rows"
-            )
-        pairs: list[tuple[int, int]] = []
-        for v, nbrs in enumerate(rows):
-            for u in nbrs:
-                pairs.append((v, u))
-        graph = from_edge_array(
-            n, np.asarray(pairs, dtype=np.int64) if pairs else np.empty((0, 2), np.int64)
-        )
-        if graph.num_edges != m:
-            raise GraphFormatError(
-                f"METIS header declares {m} edges but adjacency encodes {graph.num_edges}"
-            )
-        return graph
-    finally:
-        if own:
-            fh.close()
-
-
-def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Save CSR arrays to a compressed ``.npz`` file (exact round-trip)."""
-    np.savez_compressed(
-        path,
-        indptr=graph.indptr,
-        indices=graph.indices,
-        sorted_adjacency=np.asarray(graph.sorted_adjacency),
-    )
-
-
-def load_npz(path: str | os.PathLike) -> CSRGraph:
-    """Load a graph saved with :func:`save_npz`."""
-    with np.load(path) as data:
-        return CSRGraph(
-            data["indptr"],
-            data["indices"],
-            sorted_adjacency=bool(data["sorted_adjacency"]),
-            validate=True,
-        )
-
-
-def write_mtx(graph: CSRGraph, path: str | os.PathLike | io.TextIOBase) -> None:
-    """Write in MatrixMarket coordinate format (``pattern symmetric``).
-
-    One entry per undirected edge, stored in the lower triangle
-    (``row > col``, 1-based) as the MatrixMarket symmetric convention
-    requires.  The matrix is square ``n x n``, so isolated vertices
-    round-trip.
-    """
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "w") if own else path
-    try:
-        n = graph.num_vertices
-        fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
-        fh.write("% maximal chordal subgraph repro library\n")
-        fh.write(f"{n} {n} {graph.num_edges}\n")
-        edges = graph.edge_array()
-        if edges.size:
-            # edge_array rows are (u, v) with u < v; lower triangle is (v, u).
-            np.savetxt(fh, np.column_stack((edges[:, 1] + 1, edges[:, 0] + 1)), fmt="%d")
-    finally:
-        if own:
-            fh.close()
-
-
-def _parse_mtx_banner(fh) -> tuple[str, str]:
-    """Consume and validate the MatrixMarket banner line; returns
-    ``(field, symmetry)``."""
+def _read_mtx_header(fh) -> tuple[str, int, int]:
+    """Consume the MatrixMarket banner, comments and size line; returns
+    ``(field, rows, entries)``."""
     banner = fh.readline().strip()
     parts = banner.lower().split()
     if len(parts) != 5 or parts[0] != "%%matrixmarket":
@@ -411,55 +235,123 @@ def _parse_mtx_banner(fh) -> tuple[str, str]:
         raise GraphFormatError(f"unsupported MatrixMarket field {field!r}")
     if symmetry not in ("symmetric", "general", "skew-symmetric"):
         raise GraphFormatError(f"unsupported MatrixMarket symmetry {symmetry!r}")
-    return field, symmetry
-
-
-def read_mtx(path: str | os.PathLike | io.TextIOBase) -> CSRGraph:
-    """Read a MatrixMarket coordinate file as an undirected graph.
-
-    Accepts ``pattern``, ``real`` and ``integer`` fields (weights are
-    dropped — only the sparsity pattern becomes adjacency) with
-    ``symmetric``, ``skew-symmetric`` or ``general`` symmetry; the matrix
-    must be square.  Self-loops (diagonal entries) are discarded and
-    duplicate/mirrored entries collapse, courtesy of the builder.
-    """
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "r") if own else path
-    try:
-        field, _symmetry = _parse_mtx_banner(fh)
-        tokens = _bulk_tokens(fh, ("%",))
-    finally:
-        if own:
-            fh.close()
-    if tokens.size < 3:
-        raise GraphFormatError("MatrixMarket file is missing its size line")
-    rows, cols, nnz = (int(t) for t in tokens[:3])
+    line = ""
+    while not line or line.startswith("%"):
+        raw = fh.readline()
+        if not raw:
+            raise GraphFormatError("MatrixMarket file is missing its size line")
+        line = raw.strip()
+    size = _block_tokens(line)
+    if size.size != 3:
+        raise GraphFormatError(
+            f"malformed MatrixMarket size line {line!r}; expected "
+            "'rows cols entries'"
+        )
+    rows, cols, nnz = (int(t) for t in _int_column_pair(size, "MatrixMarket size line"))
     if rows != cols:
+        raise GraphFormatError(f"adjacency matrix must be square, got {rows} x {cols}")
+    return field, rows, nnz
+
+
+def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
+    """The one parser of the pair formats: ``fh`` as ``(k, 2)`` int64 chunks.
+
+    ``fmt`` is one of :data:`STREAMABLE_FORMATS`.  ``head`` receives
+    ``declared_vertices`` (the ``# vertices N`` edge-list header or the
+    MatrixMarket size line) and ``declared_edges`` (the MatrixMarket
+    entry count) as soon as they are read.  MatrixMarket ids come out
+    0-based and range-checked; edge-list and SNAP ids are raw.
+
+    Each edge-list block is shape-checked by one regex search, so a
+    malformed line raises :class:`GraphFormatError` naming its line
+    number.  SNAP and MatrixMarket data pair up token-wise; an odd token
+    count or an entry count other than the declared one raises at the
+    end.  A ``pattern`` MatrixMarket file whose first entry carries a
+    weight column is read as three tokens per entry.
+    """
+    width = 2
+    if fmt == "mtx":
+        field, rows, nnz = _read_mtx_header(fh)
+        head.declared_vertices, head.declared_edges = rows, nnz
+        width = 2 if field == "pattern" else 3
+    prefixes, comments = _COMMENT_PREFIXES[fmt], _COMMENT_LINES[fmt]
+    sniff_width = fmt == "mtx" and width == 2
+    lineno = seen = 0
+    carry = np.empty(0, dtype=np.float64)
+    for block in _text_blocks(fh):
+        if fmt == "edgelist":
+            bad = _BAD_EDGELIST_LINE.search(block)
+            if bad is not None:
+                start = bad.start()
+                end = block.find("\n", start)
+                raise _bad_edgelist_line(
+                    lineno + block.count("\n", 0, start) + 1,
+                    block[start : end if end >= 0 else len(block)],
+                )
+            lineno += block.count("\n")
+        if any(p in block for p in prefixes):
+            if fmt == "edgelist":
+                for line in comments.findall(block):
+                    parts = line.strip()[1:].split()
+                    if len(parts) == 2 and parts[0] == "vertices":
+                        head.declared_vertices = int(parts[1])
+            block = comments.sub("", block)
+        tokens = _block_tokens(block)
+        if not tokens.size:
+            continue
+        if sniff_width:
+            # One-sided leniency: a pattern-declared file carrying weight
+            # columns is reinterpretable without data loss, but a weighted
+            # file with only 2 tokens per entry is indistinguishable from
+            # a truncated download — it fails the entry count instead.
+            sniff_width = False
+            if len(block.lstrip().split("\n", 1)[0].split()) == 3:
+                width = 3
+        if carry.size:
+            tokens = np.concatenate((carry, tokens))
+        keep = tokens.size - tokens.size % width
+        carry = tokens[keep:]
+        if not keep:
+            continue
+        pairs = _int_column_pair(tokens[:keep].reshape(-1, width)[:, :2], f"{fmt} data")
+        if fmt == "mtx":
+            if pairs.min() < 1 or pairs.max() > rows:
+                raise GraphFormatError(
+                    f"MatrixMarket index out of range for a {rows} x {rows} "
+                    "matrix (indices are 1-based)"
+                )
+            pairs -= 1
+        seen += pairs.shape[0]
+        yield pairs
+    if fmt == "mtx" and (carry.size or seen != nnz):
         raise GraphFormatError(
-            f"adjacency matrix must be square, got {rows} x {cols}"
+            f"MatrixMarket size line declares {nnz} entries of {width} tokens "
+            f"but the file carries {seen} whole entries (+{carry.size} "
+            "trailing tokens)"
         )
-    data = tokens[3:]
-    per_entry = 2 if field == "pattern" else 3
-    if data.size != nnz * per_entry:
-        # One-sided leniency: a pattern-declared file carrying weight
-        # columns is reinterpretable without data loss, but a weighted
-        # file with only 2 tokens per entry is indistinguishable from a
-        # truncated download — reject it rather than read weights as ids.
-        if field == "pattern" and nnz and data.size == nnz * 3:
-            per_entry = 3
-        else:
-            raise GraphFormatError(
-                f"MatrixMarket size line declares {nnz} entries of "
-                f"{per_entry} tokens but file has {data.size} data tokens"
-            )
-    entries = data.reshape(nnz, per_entry)[:, :2] if nnz else np.empty((0, 2))
-    pairs = _int_column_pair(entries, "MatrixMarket entries")
-    if pairs.size and (pairs.min() < 1 or pairs.max() > rows):
+    if carry.size:
         raise GraphFormatError(
-            f"MatrixMarket index out of range for a {rows} x {cols} matrix "
-            "(indices are 1-based)"
+            f"{fmt} data has an odd number of tokens, not an even number of "
+            "whole 'u v' pairs"
         )
-    return from_edge_array(rows, pairs - 1)
+
+
+def _read_pairs(fh, fmt: str) -> tuple[CSRGraph, np.ndarray | None]:
+    """Whole-file load of a pair format: ``(graph, snap labels or None)``.
+
+    SNAP ids are compacted (``labels[new_id] = original_id``); otherwise
+    the vertex count is the declared one, else ``max id + 1``.
+    """
+    head = SimpleNamespace(declared_vertices=None, declared_edges=None)
+    chunks = list(_pair_chunks(fh, fmt, head))
+    pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    if fmt == "snap":
+        n, pairs, labels = compact_labels(pairs)
+        return from_edge_array(n, pairs), labels
+    n = head.declared_vertices
+    if n is None:
+        n = int(pairs.max()) + 1 if pairs.size else 0
+    return from_edge_array(n, pairs), None
 
 
 def read_snap(
@@ -472,75 +364,218 @@ def read_snap(
     sparse — integer ids.  Returns ``(graph, labels)`` with
     ``labels[new_id] = original_id`` (see
     :func:`repro.graph.builder.compact_labels`); directedness is dropped
-    (the pair becomes one undirected edge).
+    (the pair becomes one undirected edge).  ``load_graph(..., "snap")``
+    is the same read without the labels.
     """
-    own = isinstance(path, (str, os.PathLike))
-    fh = _open_text(path, "r") if own else path
-    try:
-        tokens = _bulk_tokens(fh, ("#", "%"))
-    finally:
-        if own:
-            fh.close()
-    if tokens.size == 0:
-        return from_edge_array(0, np.empty((0, 2), dtype=np.int64)), np.empty(
-            0, dtype=np.int64
-        )
-    if tokens.size % 2 != 0:
+    with _handle(path, "r", "snap") as fh:
+        return _read_pairs(fh, "snap")
+
+
+def _write_pairs(fh, pairs: np.ndarray) -> None:
+    """Write ``(k, 2)`` integer pairs as ``u v`` lines, in bulk."""
+    for start in range(0, len(pairs), _WRITE_ROWS):
+        rows = pairs[start : start + _WRITE_ROWS]
+        fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _write_edgelist(graph: CSRGraph, fh) -> None:
+    fh.write(f"# vertices {graph.num_vertices}\n")
+    _write_pairs(fh, graph.edge_array())
+
+
+def _write_mtx(graph: CSRGraph, fh) -> None:
+    """MatrixMarket ``pattern symmetric``: one entry per undirected edge in
+    the lower triangle (``row > col``, 1-based), as the symmetric
+    convention requires; the square ``n x n`` size keeps isolated
+    vertices."""
+    n = graph.num_vertices
+    fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
+    fh.write("% maximal chordal subgraph repro library\n")
+    fh.write(f"{n} {n} {graph.num_edges}\n")
+    # edge_array rows are (u, v) with u < v; the lower triangle is (v, u).
+    _write_pairs(fh, graph.edge_array()[:, ::-1] + 1)
+
+
+# ---------------------------------------------------------------------------
+# METIS and npz
+
+
+def _write_metis(graph: CSRGraph, fh) -> None:
+    """METIS graph format (1-based; line ``i`` lists vertex ``i-1``'s
+    neighbors) — the interchange format of the graph partitioning
+    community the distributed baseline belongs to."""
+    fh.write(f"{graph.num_vertices} {graph.num_edges}\n")
+    for v in range(graph.num_vertices):
+        fh.write(" ".join(str(int(u) + 1) for u in graph.neighbors(v)) + "\n")
+
+
+def _read_metis(fh) -> CSRGraph:
+    """Read a METIS-format graph (topology only).
+
+    Accepts the plain unweighted format plus the vertex-weighted
+    variants (fmt codes ``10`` / ``11``, and ``100``/``110`` with vertex
+    sizes): vertex sizes/weights — ``ncon`` per vertex — are skipped,
+    and for fmt ``11`` the edge weights interleaved with the adjacency
+    are skipped too, keeping the topology.  Edge-weight-*only* files
+    (fmt ``1`` / ``01``) are rejected with an error naming the fmt
+    field.  Comment lines start with ``%``; trailing blank lines are
+    tolerated (a blank line *within* the first ``n`` rows is an isolated
+    vertex, per the format).
+    """
+    header: list[int] | None = None
+    skip = 0
+    has_ewgt = False
+    rows: list[list[int]] = []
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line.startswith("%"):
+            continue
+        if header is None:
+            if not line:
+                continue  # leading blank lines before the header
+            parts = line.split()
+            if len(parts) < 2:
+                raise GraphFormatError(
+                    f"line {lineno}: METIS header needs 'n m', got {line!r}"
+                )
+            fmt = parts[2] if len(parts) >= 3 else "0"
+            if len(fmt) > 3 or any(ch not in "01" for ch in fmt):
+                raise GraphFormatError(
+                    f"line {lineno}: malformed METIS fmt field {fmt!r}"
+                )
+            has_vsize, has_vwgt, has_ewgt = (ch == "1" for ch in fmt.zfill(3))
+            if has_ewgt and not has_vwgt:
+                raise GraphFormatError(
+                    f"line {lineno}: METIS fmt field {fmt!r} declares "
+                    "edge weights, which are not supported (vertex-"
+                    "weighted graphs are read topology-only)"
+                )
+            ncon = int(parts[3]) if len(parts) >= 4 else 1
+            skip = (1 if has_vsize else 0) + (ncon if has_vwgt else 0)
+            header = [int(parts[0]), int(parts[1])]
+            continue
+        tokens = line.split()
+        if not tokens:
+            rows.append([])  # isolated vertex (or a trailing blank)
+            continue
+        if len(tokens) < skip:
+            raise GraphFormatError(
+                f"line {lineno}: vertex row has {len(tokens)} tokens "
+                f"but the fmt field requires {skip} weight tokens"
+            )
+        tokens = tokens[skip:]
+        if has_ewgt:
+            if len(tokens) % 2:
+                raise GraphFormatError(
+                    f"line {lineno}: fmt declares edge weights but the "
+                    "row has an odd number of neighbor/weight tokens"
+                )
+            tokens = tokens[0::2]
+        rows.append([int(tok) - 1 for tok in tokens])
+    if header is None:
+        raise GraphFormatError("empty METIS file (missing header)")
+    n, m = header
+    while len(rows) > n and not rows[-1]:
+        rows.pop()  # trailing blank lines
+    if len(rows) < n:
+        rows.extend([[] for _ in range(n - len(rows))])
+    elif len(rows) > n:
         raise GraphFormatError(
-            f"SNAP edge list has {tokens.size} tokens, not an even number "
-            "of 'src dst' pairs"
+            f"METIS header declares {n} vertices but file has {len(rows)} rows"
         )
-    pairs = _int_column_pair(tokens.reshape(-1, 2), "SNAP edge list")
-    n, relabeled, labels = compact_labels(pairs)
-    return from_edge_array(n, relabeled), labels
+    pairs = [(v, u) for v, nbrs in enumerate(rows) for u in nbrs]
+    graph = from_edge_array(
+        n, np.asarray(pairs, dtype=np.int64) if pairs else np.empty((0, 2), np.int64)
+    )
+    if graph.num_edges != m:
+        raise GraphFormatError(
+            f"METIS header declares {m} edges but adjacency encodes {graph.num_edges}"
+        )
+    return graph
 
 
-def detect_format(path: str | os.PathLike) -> str:
-    """Best-effort format detection: extension first, content sniffing second.
+def _save_npz(graph: CSRGraph, target) -> None:
+    np.savez_compressed(
+        target,
+        indptr=graph.indptr,
+        indices=graph.indices,
+        sorted_adjacency=np.asarray(graph.sorted_adjacency),
+    )
 
-    A trailing ``.gz`` is stripped before the extension lookup (so
-    ``graph.mtx.gz`` is ``mtx``).  The generic ``.txt`` extension is
-    deliberately *not* mapped — real-world SNAP dumps ship as ``.txt``,
-    so those files go through content sniffing, which separates our
-    ``# vertices``-headed edge lists from SNAP's sparse-id comment
-    headers.  Unknown extensions fall back to reading
-    the first non-blank line: a MatrixMarket banner, a METIS ``%`` comment,
-    the npz/zip magic, a ``#`` comment (``# vertices`` means our edgelist
-    header, anything else SNAP), or a plain data line (2 tokens =
-    edgelist, 3 = METIS header with a format flag).  A comment-free METIS
-    file whose header omits the format flag is indistinguishable from an
-    edge pair and sniffs as ``edgelist`` — use the ``.metis``/``.graph``
-    extension or an explicit format for those.  Raises
-    :class:`GraphFormatError` when nothing matches.
+
+def _load_npz(source) -> CSRGraph:
+    with np.load(source) as data:
+        return CSRGraph(
+            data["indptr"],
+            data["indices"],
+            sorted_adjacency=bool(data["sorted_adjacency"]),
+            validate=True,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Detection and the two entry points
+
+
+def detect_format(path: str | os.PathLike | io.IOBase) -> str:
+    """Best-effort format detection for a path or an open stream.
+
+    A path is tried by extension first: a trailing ``.gz`` is stripped
+    before the lookup (so ``graph.mtx.gz`` is ``mtx``).  The generic
+    ``.txt`` extension is deliberately *not* mapped — real-world SNAP
+    dumps ship as ``.txt``, so those files are sniffed, which separates
+    our ``# vertices``-headed edge lists from SNAP's sparse-id comment
+    headers.  Anything else is opened in binary and sniffed like a
+    stream.
+
+    Sniffing never consumes a stream: binary buffered readers are
+    peeked, seekable handles (text or binary) are read and rewound, so a
+    caller that detects and then reads gets the whole input.  A gzip
+    prefix is decompressed in memory.  The first non-blank line decides:
+    a MatrixMarket banner, a METIS ``%`` comment, the npz/zip magic, a
+    ``#`` comment (``# vertices`` means our edgelist header, anything
+    else SNAP), or a plain data line (2 tokens = edgelist, 3 = METIS
+    header with a format flag).  A comment-free METIS file whose header
+    omits the format flag is indistinguishable from an edge pair and
+    sniffs as ``edgelist`` — use the ``.metis``/``.graph`` extension or
+    an explicit format for those.  Raises :class:`GraphFormatError` when
+    nothing matches, and for non-seekable streams without ``peek``
+    (pipes) — pass an explicit format for those.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        return _sniff(path, "stream")
     name = os.fspath(path)
-    stem = name[:-3] if str(name).endswith(".gz") else name
-    ext = os.path.splitext(stem)[1].lower()
-    if ext in _EXTENSION_FORMATS:
-        return _EXTENSION_FORMATS[ext]
+    fmt = _EXTENSION_FORMATS.get(_extension(name))
+    if fmt is not None:
+        return fmt
     try:
-        with open(name, "rb") as fh:
-            if fh.read(2) == b"PK":  # npz is a zip archive
-                return "npz"
-        with _open_text(name, "r") as fh:
-            first = _first_nonblank_line(fh.read(_SNIFF_BYTES))
-    except (OSError, UnicodeDecodeError) as exc:
-        # OSError covers missing files and misnamed gzip; UnicodeDecodeError
-        # covers binary junk — both are "nothing matches", per the contract.
+        with open(name, "rb", buffering=_SNIFF_BYTES) as fh:
+            return _sniff(fh, repr(name))
+    except OSError as exc:
         raise GraphFormatError(f"cannot sniff {name!r}: {exc}") from exc
-    return _classify_first_line(first, repr(name))
 
 
-def _first_nonblank_line(text: str) -> str:
-    for line in text.splitlines():
-        if line.strip():
-            return line.strip()
-    return ""
-
-
-def _classify_first_line(first: str, what: str) -> str:
-    """Shared content classifier behind :func:`detect_format` and
-    :func:`detect_format_stream` (see ``detect_format`` for the rules)."""
+def _sniff(stream, what: str) -> str:
+    """Classify ``stream`` by its first non-blank line (see
+    :func:`detect_format`), leaving its position unchanged."""
+    prefix = _peek_prefix(stream, what)
+    if isinstance(prefix, bytes):
+        if prefix[:2] == b"PK":  # npz is a zip archive
+            return "npz"
+        if prefix[:2] == b"\x1f\x8b":
+            try:
+                prefix = zlib.decompressobj(wbits=31).decompress(prefix, _SNIFF_BYTES)
+            except zlib.error as exc:
+                raise GraphFormatError(
+                    f"cannot sniff {what}: bad gzip prefix ({exc})"
+                ) from exc
+        try:
+            prefix = prefix.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"cannot sniff {what}: binary content ({exc})"
+            ) from exc
+    first = next((line.strip() for line in prefix.splitlines() if line.strip()), "")
     if first.lower().startswith("%%matrixmarket"):
         return "mtx"
     if first.startswith("%"):
@@ -558,49 +593,7 @@ def _classify_first_line(first: str, what: str) -> str:
     )
 
 
-def detect_format_stream(stream) -> str:
-    """Detect the format of an **open** stream without consuming it.
-
-    The sharded extractor runs several passes over one input handle, so
-    detection must leave the stream exactly where it found it.  Works on:
-
-    * binary buffered readers (``open(path, "rb")``) — uses ``peek``
-      when available, falling back to read + seek-back; transparently
-      sniffs through a gzip header (the prefix is decompressed in
-      memory, the stream itself is untouched);
-    * seekable text handles (``open(path, "r")``, ``io.StringIO``) —
-      read + seek-back.
-
-    Non-seekable, non-peekable streams (pipes) raise
-    :class:`GraphFormatError` — pass an explicit format for those.
-    """
-    prefix = _peek_prefix(stream)
-    if isinstance(prefix, bytes):
-        if prefix[:2] == b"PK":
-            return "npz"
-        if prefix[:2] == b"\x1f\x8b":
-            import zlib
-
-            try:
-                prefix = zlib.decompressobj(wbits=31).decompress(
-                    prefix, _SNIFF_BYTES
-                )
-            except zlib.error as exc:
-                raise GraphFormatError(
-                    f"cannot sniff stream: bad gzip prefix ({exc})"
-                ) from exc
-        try:
-            text = prefix.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(
-                f"cannot sniff stream: binary content ({exc})"
-            ) from exc
-    else:
-        text = prefix
-    return _classify_first_line(_first_nonblank_line(text), "stream")
-
-
-def _peek_prefix(stream) -> bytes | str:
+def _peek_prefix(stream, what: str) -> bytes | str:
     """A prefix of ``stream`` with the read position left unchanged."""
     peek = getattr(stream, "peek", None)
     if callable(peek):
@@ -615,9 +608,9 @@ def _peek_prefix(stream) -> bytes | str:
             stream.seek(pos)
             return data
     except (OSError, ValueError) as exc:
-        raise GraphFormatError(f"cannot sniff stream: {exc}") from exc
+        raise GraphFormatError(f"cannot sniff {what}: {exc}") from exc
     raise GraphFormatError(
-        "cannot sniff a non-seekable stream without peek support; pass an "
+        f"cannot sniff a non-seekable {what} without peek support; pass an "
         f"explicit format from {FORMATS}"
     )
 
@@ -627,10 +620,10 @@ class EdgeStream:
 
     The out-of-core sharded extractor's input primitive: iterate the
     edges of an ``edgelist`` / ``snap`` / ``mtx`` file (optionally
-    gzipped) as a sequence of ``(k, 2)`` int64 chunks — built on the
-    same ~1 MiB bulk chunk parser the big-file readers use — so one
-    pass over a billion-edge file holds a single chunk of endpoint ids
-    at a time, never the full edge list.
+    gzipped) as a sequence of ``(k, 2)`` int64 chunks — the same chunk
+    parser whole-file loading concatenates — so one pass over a
+    billion-edge file holds a single chunk of endpoint ids at a time,
+    never the full edge list.
 
     Ids are raw file ids: MatrixMarket's 1-based ids are shifted to
     0-based (and range-checked against the size line), but SNAP's
@@ -647,10 +640,7 @@ class EdgeStream:
       the MatrixMarket size line's dimension;
     * ``declared_edges`` — MatrixMarket's declared entry count.
 
-    Unlike :func:`read_edgelist`, token pairing is stream-wise rather
-    than line-wise (a pair may straddle a newline); malformed files
-    still fail loudly — an odd token count or a MatrixMarket entry-count
-    mismatch raises :class:`GraphFormatError` at end of stream.
+    Malformed files fail exactly as they do for :func:`load_graph`.
     """
 
     def __init__(self, path: str | os.PathLike, format: str | None = None) -> None:
@@ -668,88 +658,28 @@ class EdgeStream:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         with _open_text(self.path, "r") as fh:
-            if self.format == "mtx":
-                yield from self._iter_mtx(fh)
-            else:
-                yield from self._iter_pairs(fh)
+            yield from _pair_chunks(fh, self.format, self)
 
     def __repr__(self) -> str:
         return f"EdgeStream({self.path!r}, format={self.format!r})"
 
-    def _iter_pairs(self, fh) -> Iterator[np.ndarray]:
-        prefixes = ("#", "%") if self.format == "snap" else ("#",)
 
-        def on_comment(line: str) -> None:
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "vertices":
-                self.declared_vertices = int(parts[1])
+#: format -> reader of what :func:`_handle` yields.
+_READERS = {
+    "edgelist": lambda fh: _read_pairs(fh, "edgelist")[0],
+    "mtx": lambda fh: _read_pairs(fh, "mtx")[0],
+    "snap": lambda fh: _read_pairs(fh, "snap")[0],
+    "metis": _read_metis,
+    "npz": _load_npz,
+}
 
-        hook = on_comment if self.format == "edgelist" else None
-        carry = np.empty(0, dtype=np.float64)
-        for block in _data_blocks(fh, prefixes, hook):
-            tokens = _block_tokens(block)
-            if carry.size:
-                tokens = np.concatenate((carry, tokens))
-            keep = tokens.size - tokens.size % 2
-            carry = tokens[keep:]
-            if keep:
-                yield _int_column_pair(
-                    tokens[:keep].reshape(-1, 2), f"{self.format} edge list"
-                )
-        if carry.size:
-            raise GraphFormatError(
-                f"{self.path}: {self.format} stream has an odd number of "
-                "tokens — not whole 'u v' pairs"
-            )
-
-    def _iter_mtx(self, fh) -> Iterator[np.ndarray]:
-        field, _symmetry = _parse_mtx_banner(fh)
-        per_entry = 2 if field == "pattern" else 3
-        rows = nnz = -1
-        seen = 0
-        carry = np.empty(0, dtype=np.float64)
-        for block in _data_blocks(fh, ("%",)):
-            tokens = _block_tokens(block)
-            if carry.size:
-                tokens = np.concatenate((carry, tokens))
-            if rows < 0:
-                if tokens.size < 3:
-                    carry = tokens
-                    continue
-                size_line = _int_column_pair(
-                    tokens[:3].reshape(1, 3)[:, :2], "MatrixMarket size line"
-                )
-                rows, cols = int(size_line[0, 0]), int(size_line[0, 1])
-                nnz = int(tokens[2])
-                if rows != cols:
-                    raise GraphFormatError(
-                        f"adjacency matrix must be square, got {rows} x {cols}"
-                    )
-                self.declared_vertices = rows
-                self.declared_edges = nnz
-                tokens = tokens[3:]
-            keep = tokens.size - tokens.size % per_entry
-            carry = tokens[keep:]
-            if not keep:
-                continue
-            entries = tokens[:keep].reshape(-1, per_entry)[:, :2]
-            pairs = _int_column_pair(entries, "MatrixMarket entries")
-            if pairs.min(initial=1) < 1 or pairs.max(initial=1) > rows:
-                raise GraphFormatError(
-                    f"MatrixMarket index out of range for a {rows} x {rows} "
-                    "matrix (indices are 1-based)"
-                )
-            seen += pairs.shape[0]
-            yield pairs - 1
-        if rows < 0:
-            raise GraphFormatError("MatrixMarket file is missing its size line")
-        if carry.size or seen != nnz:
-            raise GraphFormatError(
-                f"MatrixMarket size line declares {nnz} entries of "
-                f"{per_entry} tokens but the stream carried {seen} whole "
-                f"entries (+{carry.size} trailing tokens); a pattern file "
-                "with weight columns needs the non-streaming read_mtx reader"
-            )
+#: format -> writer into what :func:`_handle` yields.
+_WRITERS = {
+    "edgelist": _write_edgelist,
+    "mtx": _write_mtx,
+    "metis": _write_metis,
+    "npz": _save_npz,
+}
 
 
 def load_graph(
@@ -757,72 +687,43 @@ def load_graph(
 ) -> CSRGraph:
     """Load a graph in any supported format from a path or an open stream.
 
-    ``format`` is one of :data:`FORMATS`; ``None`` auto-detects —
-    :func:`detect_format` for paths, :func:`detect_format_stream` (peek
-    based, never consumes the handle) for open streams, so a caller that
-    detects and then reads gets the whole file both times.  Text formats
+    ``format`` is one of :data:`FORMATS`; ``None`` auto-detects with
+    :func:`detect_format` (which never consumes a stream).  Text formats
     read from text-mode streams; ``npz`` needs a binary stream.  The
-    ``snap`` reader's id labels are dropped — call :func:`read_snap`
-    directly to keep the original ids.
+    ``snap`` reader's id labels are dropped — call :func:`read_snap` to
+    keep the original ids.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        fmt = format or detect_format_stream(path)
-        if fmt == "npz":
-            with np.load(path) as data:
-                return CSRGraph(
-                    data["indptr"],
-                    data["indices"],
-                    sorted_adjacency=bool(data["sorted_adjacency"]),
-                    validate=True,
-                )
-        readers = {
-            "edgelist": read_edgelist,
-            "mtx": read_mtx,
-            "metis": read_metis,
-            "snap": lambda fh: read_snap(fh)[0],
-        }
-        if fmt not in readers:
-            raise GraphFormatError(
-                f"unknown graph format {fmt!r}; expected one of {FORMATS}"
-            )
-        return readers[fmt](path)
     fmt = format or detect_format(path)
-    if fmt == "edgelist":
-        return read_edgelist(path)
-    if fmt == "mtx":
-        return read_mtx(path)
-    if fmt == "metis":
-        return read_metis(path)
-    if fmt == "npz":
-        return load_npz(path)
-    if fmt == "snap":
-        return read_snap(path)[0]
-    raise GraphFormatError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
+    reader = _READERS.get(fmt)
+    if reader is None:
+        raise GraphFormatError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
+    with _handle(path, "r", fmt) as fh:
+        return reader(fh)
 
 
 def save_graph(
-    graph: CSRGraph, path: str | os.PathLike, format: str | None = None
+    graph: CSRGraph, path: str | os.PathLike | io.IOBase, format: str | None = None
 ) -> None:
-    """Save ``graph`` in any supported format.
+    """Save ``graph`` in any writable format to a path or an open stream.
 
-    ``None`` picks the format from the file extension, defaulting to
-    ``edgelist`` for unrecognised extensions; ``snap`` is written as a
-    plain edge list (SNAP is an input convention, not an output format).
+    ``None`` picks the format from a path's extension, defaulting to
+    ``edgelist`` for unrecognised extensions and for streams.  Text
+    formats write to text-mode streams; ``npz`` needs a binary stream.
+    ``snap`` is an input convention, not an output format: asking for it
+    (explicitly or via a ``.snap`` extension) raises
+    :class:`GraphFormatError`.
     """
     fmt = format
-    if fmt is None:
-        name = os.fspath(path)
-        stem = name[:-3] if str(name).endswith(".gz") else name
-        fmt = _EXTENSION_FORMATS.get(os.path.splitext(stem)[1].lower(), "edgelist")
-    if fmt in ("edgelist", "snap"):
-        write_edgelist(graph, path)
-    elif fmt == "mtx":
-        write_mtx(graph, path)
-    elif fmt == "metis":
-        write_metis(graph, path)
-    elif fmt == "npz":
-        save_npz(graph, path)
-    else:
+    if fmt is None and isinstance(path, (str, os.PathLike)):
+        fmt = _EXTENSION_FORMATS.get(_extension(path))
+    fmt = fmt or "edgelist"
+    if fmt == "snap":
         raise GraphFormatError(
-            f"unknown graph format {fmt!r}; expected one of {FORMATS}"
+            "format 'snap' is read-only (its ids would come back compacted "
+            "and its isolated vertices lost); write 'edgelist' instead"
         )
+    writer = _WRITERS.get(fmt)
+    if writer is None:
+        raise GraphFormatError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
+    with _handle(path, "w", fmt) as fh:
+        writer(graph, fh)

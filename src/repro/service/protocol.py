@@ -637,12 +637,12 @@ def config_cache_key(config: ExtractionConfig) -> tuple:
     change the answer (or its provenance).  Two requests spelling the
     same regime differently (``schedule=None`` vs the engine's explicit
     default) share a key; any differing resolved field is a miss.
-    ``variant`` is not part of it: it changes only trace costs, never
-    the edge set, so keying on it would split identical answers."""
+    ``variant`` and ``num_threads`` are not part of it: they change only
+    trace costs or wall time, never the edge set, so keying on them
+    would split identical answers."""
     return (
         config.engine,
         config.schedule,
-        config.num_threads,
         config.renumber,
         config.stitch,
         config.maximalize,

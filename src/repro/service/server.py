@@ -43,9 +43,7 @@ Keyed by :func:`~repro.service.protocol.graph_content_hash` ×
 :func:`~repro.service.protocol.config_cache_key` (the *resolved*
 config).  A hit returns the bit-identical stored edge set without
 dispatching.  Entries are LRU-evicted beyond ``cache_entries`` or
-``cache_bytes`` — both ceilings hold at all times.  A nondeterministic
-regime (only a third-party engine can declare one) caches its first
-answer, which is exactly as valid as any other the engine could return.
+``cache_bytes`` — both ceilings hold at all times.
 """
 
 from __future__ import annotations

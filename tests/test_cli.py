@@ -16,7 +16,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.graph.generators.rmat import rmat_b, rmat_er
-from repro.graph.io import load_graph, read_edgelist, save_graph, write_mtx
+from repro.graph.io import load_graph, save_graph
 
 
 class TestParser:
@@ -86,7 +86,7 @@ class TestGenerate:
     def test_to_stdout_edgelist(self, capsys):
         assert main(["generate", "gnp", "--n", "12", "--p", "0.3", "--seed", "1"]) == 0
         captured = capsys.readouterr().out
-        g = read_edgelist(io.StringIO(captured))
+        g = load_graph(io.StringIO(captured), "edgelist")
         assert g.num_vertices == 12
 
     @pytest.mark.parametrize("family", ["gnm", "ba", "ktree", "partial-ktree",
@@ -111,9 +111,9 @@ class TestExtract:
     def test_stdout_matches_api(self, tmp_path, capsys):
         g = rmat_b(7, seed=5)
         src = tmp_path / "g.mtx"
-        write_mtx(g, src)
+        save_graph(g, src, "mtx")
         assert main(["extract", str(src), "--quiet"]) == 0
-        out_graph = read_edgelist(io.StringIO(capsys.readouterr().out))
+        out_graph = load_graph(io.StringIO(capsys.readouterr().out), "edgelist")
         expected = extract_maximal_chordal_subgraph(g)
         assert np.array_equal(out_graph.edge_array(), expected.edges)
 
@@ -123,7 +123,7 @@ class TestExtract:
         in-process API."""
         g = rmat_er(7, seed=11)
         src = tmp_path / "g.mtx"
-        write_mtx(g, src)
+        save_graph(g, src, "mtx")
         out = tmp_path / "chordal.txt"
         assert main(["extract", str(src), "--engine", "superstep",
                      "--schedule", "synchronous", "--num-threads", "2",
@@ -136,16 +136,16 @@ class TestExtract:
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n0 2\n2 3\n"))
         assert main(["extract", "-", "--quiet"]) == 0
-        out_graph = read_edgelist(io.StringIO(capsys.readouterr().out))
+        out_graph = load_graph(io.StringIO(capsys.readouterr().out), "edgelist")
         assert out_graph.num_edges >= 3
 
     def test_stdin_honors_input_format(self, capsys, monkeypatch):
         g = rmat_er(6, seed=9)
         buf = io.StringIO()
-        write_mtx(g, buf)
+        save_graph(g, buf, "mtx")
         monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
         assert main(["extract", "-", "--input-format", "mtx", "--quiet"]) == 0
-        out_graph = read_edgelist(io.StringIO(capsys.readouterr().out))
+        out_graph = load_graph(io.StringIO(capsys.readouterr().out), "edgelist")
         expected = extract_maximal_chordal_subgraph(g)
         assert np.array_equal(out_graph.edge_array(), expected.edges)
 
@@ -166,6 +166,17 @@ class TestExtract:
         assert main(["extract", str(src), "--output-format", "npz"]) == 2
         assert "stdout" in capsys.readouterr().err
 
+    def test_snap_output_rejected(self, tmp_path, capsys):
+        """A .snap output would read back with compacted ids (isolated
+        vertices gone, ids shifted) and fail `repro verify`; refuse it."""
+        src = tmp_path / "g.mtx"
+        save_graph(rmat_er(6, seed=1), src)
+        out = tmp_path / "out.snap"
+        assert main(["extract", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "edgelist" in err
+        assert not out.exists()
+
     def test_process_async_round_trip(self, tmp_path, capsys):
         """Acceptance: repro extract --schedule asynchronous with a thread
         count round-trips through a file and --verify certifies the
@@ -174,7 +185,7 @@ class TestExtract:
 
         g = rmat_er(7, seed=11)
         src = tmp_path / "g.mtx"
-        write_mtx(g, src)
+        save_graph(g, src, "mtx")
         out = tmp_path / "chordal.txt"
         assert main(["extract", str(src), "--engine", "superstep",
                      "--schedule", "asynchronous", "--num-threads", "4",
@@ -318,7 +329,7 @@ class TestVerify:
     def test_stdin_graph(self, tmp_path, monkeypatch, capsys):
         g, src, out = self._write_pair(tmp_path, maximalize=True)
         buf = io.StringIO()
-        write_mtx(g, buf)
+        save_graph(g, buf, "mtx")
         monkeypatch.setattr(sys, "stdin", io.StringIO(buf.getvalue()))
         assert main(
             ["verify", "-", str(out), "--input-format", "mtx", "-q"]
@@ -398,7 +409,7 @@ class TestPipe:
             cwd=root, timeout=120,
         )
         assert extract.returncode == 0, extract.stderr
-        piped = read_edgelist(io.StringIO(extract.stdout))
+        piped = load_graph(io.StringIO(extract.stdout), "edgelist")
         expected = extract_maximal_chordal_subgraph(rmat_er(6, seed=1))
         assert np.array_equal(piped.edge_array(), expected.edges)
 

@@ -19,7 +19,7 @@ from repro.graph.generators.bio import (
     correlation_network,
     synthetic_expression,
 )
-from repro.graph.io import load_npz, read_edgelist, save_npz, write_edgelist
+from repro.graph.io import load_graph, save_graph
 from repro.graph.ops import edge_subgraph
 from repro.machine.calibration import default_opteron, default_xmt
 
@@ -50,9 +50,12 @@ class TestFullPipelineSynthetic:
     def test_serialization_roundtrip_preserves_extraction(self, tmp_path):
         g = rmat_b(8, seed=3)
         before = extract_maximal_chordal_subgraph(g).edges
-        write_edgelist(g, tmp_path / "g.txt")
-        save_npz(g, tmp_path / "g.npz")
-        for loaded in (read_edgelist(tmp_path / "g.txt"), load_npz(tmp_path / "g.npz")):
+        save_graph(g, tmp_path / "g.txt", "edgelist")
+        save_graph(g, tmp_path / "g.npz", "npz")
+        for loaded in (
+            load_graph(tmp_path / "g.txt", "edgelist"),
+            load_graph(tmp_path / "g.npz", "npz"),
+        ):
             after = extract_maximal_chordal_subgraph(loaded).edges
             assert np.array_equal(before, after)
 

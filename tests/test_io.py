@@ -7,7 +7,7 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_graph
 from repro.graph.generators.rmat import rmat_g
-from repro.graph.io import load_npz, read_edgelist, save_npz, write_edgelist
+from repro.graph.io import load_graph, save_graph
 
 
 @pytest.fixture
@@ -18,50 +18,50 @@ def sample():
 class TestEdgelist:
     def test_roundtrip_file(self, sample, tmp_path):
         path = tmp_path / "g.txt"
-        write_edgelist(sample, path)
-        assert read_edgelist(path) == sample
+        save_graph(sample, path, "edgelist")
+        assert load_graph(path, "edgelist") == sample
 
     def test_roundtrip_stream(self, sample):
         buf = io.StringIO()
-        write_edgelist(sample, buf)
+        save_graph(sample, buf, "edgelist")
         buf.seek(0)
-        assert read_edgelist(buf) == sample
+        assert load_graph(buf, "edgelist") == sample
 
     def test_header_preserves_isolated_vertices(self, tmp_path):
         g = build_graph(10, [(0, 1)])
         path = tmp_path / "g.txt"
-        write_edgelist(g, path)
-        assert read_edgelist(path).num_vertices == 10
+        save_graph(g, path, "edgelist")
+        assert load_graph(path, "edgelist").num_vertices == 10
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\n0 1\n# another\n1 2\n"
-        g = read_edgelist(io.StringIO(text))
+        g = load_graph(io.StringIO(text), "edgelist")
         assert g.edge_set() == {(0, 1), (1, 2)}
 
     def test_vertex_count_inferred(self):
-        g = read_edgelist(io.StringIO("0 7\n"))
+        g = load_graph(io.StringIO("0 7\n"), "edgelist")
         assert g.num_vertices == 8
 
     def test_malformed_line_raises(self):
         with pytest.raises(GraphFormatError, match="line 1"):
-            read_edgelist(io.StringIO("0 1 2\n"))
+            load_graph(io.StringIO("0 1 2\n"), "edgelist")
 
     def test_empty_file(self):
-        g = read_edgelist(io.StringIO(""))
+        g = load_graph(io.StringIO(""), "edgelist")
         assert g.num_vertices == 0
 
     def test_rmat_roundtrip(self, tmp_path):
         g = rmat_g(7, seed=9)
         path = tmp_path / "rmat.txt"
-        write_edgelist(g, path)
-        assert read_edgelist(path) == g
+        save_graph(g, path, "edgelist")
+        assert load_graph(path, "edgelist") == g
 
 
 class TestNpz:
     def test_roundtrip(self, sample, tmp_path):
         path = tmp_path / "g.npz"
-        save_npz(sample, path)
-        loaded = load_npz(path)
+        save_graph(sample, path, "npz")
+        loaded = load_graph(path, "npz")
         assert loaded == sample
         assert loaded.sorted_adjacency == sample.sorted_adjacency
 
@@ -69,37 +69,34 @@ class TestNpz:
         import numpy as np
 
         path = tmp_path / "g.npz"
-        save_npz(sample.shuffled(np.random.default_rng(0)), path)
-        assert not load_npz(path).sorted_adjacency
+        save_graph(sample.shuffled(np.random.default_rng(0)), path, "npz")
+        assert not load_graph(path, "npz").sorted_adjacency
 
 
 class TestMetis:
     def test_roundtrip(self, sample, tmp_path):
-        from repro.graph.io import read_metis, write_metis
 
         path = tmp_path / "g.metis"
-        write_metis(sample, path)
-        assert read_metis(path) == sample
+        save_graph(sample, path, "metis")
+        assert load_graph(path, "metis") == sample
 
     def test_stream_roundtrip(self):
         import io as _io
 
-        from repro.graph.io import read_metis, write_metis
         from repro.graph.generators.rmat import rmat_er
 
         g = rmat_er(7, seed=4)
         buf = _io.StringIO()
-        write_metis(g, buf)
+        save_graph(g, buf, "metis")
         buf.seek(0)
-        assert read_metis(buf) == g
+        assert load_graph(buf, "metis") == g
 
     def test_comments_skipped(self):
         import io as _io
 
-        from repro.graph.io import read_metis
 
         text = "% header comment\n3 2\n2 3\n1\n1\n"
-        g = read_metis(_io.StringIO(text))
+        g = load_graph(_io.StringIO(text), "metis")
         assert g.edge_set() == {(0, 1), (0, 2)}
 
     def test_header_mismatch_rejected(self):
@@ -108,10 +105,9 @@ class TestMetis:
         import pytest as _pytest
 
         from repro.errors import GraphFormatError
-        from repro.graph.io import read_metis
 
         with _pytest.raises(GraphFormatError, match="declares"):
-            read_metis(_io.StringIO("3 5\n2\n1\n\n"))
+            load_graph(_io.StringIO("3 5\n2\n1\n\n"), "metis")
 
     def test_edge_weights_without_vertex_weights_rejected(self):
         import io as _io
@@ -119,25 +115,23 @@ class TestMetis:
         import pytest as _pytest
 
         from repro.errors import GraphFormatError
-        from repro.graph.io import read_metis
 
         # fmt "1" (and "001") declare edge weights with no vertex weights;
         # there is no weight-carrying topology to salvage, so this rejects.
         for fmt in ("1", "001"):
             with _pytest.raises(GraphFormatError, match="edge weights"):
-                read_metis(_io.StringIO(f"2 1 {fmt}\n2 5\n1 5\n"))
+                load_graph(_io.StringIO(f"2 1 {fmt}\n2 5\n1 5\n"), "metis")
 
     def test_vertex_weighted_read_topology_only(self):
         import io as _io
 
-        from repro.graph.io import read_metis
 
         # fmt "10": one vertex-weight token per row, skipped on read.
-        g = read_metis(_io.StringIO("3 2 10\n7 2 3\n4 1\n9 1\n"))
+        g = load_graph(_io.StringIO("3 2 10\n7 2 3\n4 1\n9 1\n"), "metis")
         assert g.edge_set() == {(0, 1), (0, 2)}
         # fmt "011": vertex weight first, then neighbor/edge-weight pairs;
         # edge weights are skipped and only the topology is kept.
-        g = read_metis(_io.StringIO("2 1 011\n7 2 5\n9 1 5\n"))
+        g = load_graph(_io.StringIO("2 1 011\n7 2 5\n9 1 5\n"), "metis")
         assert g.num_vertices == 2
         assert g.edge_set() == {(0, 1)}
 
@@ -147,16 +141,14 @@ class TestMetis:
         import pytest as _pytest
 
         from repro.errors import GraphFormatError
-        from repro.graph.io import read_metis
 
         with _pytest.raises(GraphFormatError, match="header"):
-            read_metis(_io.StringIO(""))
+            load_graph(_io.StringIO(""), "metis")
 
     def test_isolated_trailing_vertices(self):
         import io as _io
 
-        from repro.graph.io import read_metis
 
-        g = read_metis(_io.StringIO("4 1\n2\n1\n"))
+        g = load_graph(_io.StringIO("4 1\n2\n1\n"), "metis")
         assert g.num_vertices == 4
         assert g.degree(3) == 0

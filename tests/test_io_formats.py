@@ -14,13 +14,8 @@ from repro.graph.io import (
     FORMATS,
     detect_format,
     load_graph,
-    read_edgelist,
-    read_mtx,
     read_snap,
     save_graph,
-    write_edgelist,
-    write_metis,
-    write_mtx,
 )
 
 
@@ -33,24 +28,24 @@ def sample():
 class TestMtx:
     def test_roundtrip_file(self, sample, tmp_path):
         path = tmp_path / "g.mtx"
-        write_mtx(sample, path)
-        assert read_mtx(path) == sample
+        save_graph(sample, path, "mtx")
+        assert load_graph(path, "mtx") == sample
 
     def test_roundtrip_stream(self, sample):
         buf = io.StringIO()
-        write_mtx(sample, buf)
+        save_graph(sample, buf, "mtx")
         buf.seek(0)
-        assert read_mtx(buf) == sample
+        assert load_graph(buf, "mtx") == sample
 
     def test_rmat_roundtrip(self, tmp_path):
         g = rmat_g(7, seed=9)
         path = tmp_path / "rmat.mtx"
-        write_mtx(g, path)
-        assert read_mtx(path) == g
+        save_graph(g, path, "mtx")
+        assert load_graph(path, "mtx") == g
 
     def test_writer_emits_pattern_symmetric_lower_triangle(self, sample):
         buf = io.StringIO()
-        write_mtx(sample, buf)
+        save_graph(sample, buf, "mtx")
         lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("%")]
         assert lines[0] == "6 6 3"
         for line in lines[1:]:
@@ -65,7 +60,7 @@ class TestMtx:
             "1 2 0.5\n"
             "3 1 -2.25\n"
         )
-        g = read_mtx(io.StringIO(text))
+        g = load_graph(io.StringIO(text), "mtx")
         assert g.edge_set() == {(0, 1), (0, 2)}
 
     def test_general_symmetry_mirrored_entries_collapse(self):
@@ -73,12 +68,12 @@ class TestMtx:
             "%%MatrixMarket matrix coordinate pattern general\n"
             "3 3 3\n1 2\n2 1\n2 3\n"
         )
-        g = read_mtx(io.StringIO(text))
+        g = load_graph(io.StringIO(text), "mtx")
         assert g.edge_set() == {(0, 1), (1, 2)}
 
     def test_diagonal_dropped(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 2\n2 2\n2 1\n"
-        g = read_mtx(io.StringIO(text))
+        g = load_graph(io.StringIO(text), "mtx")
         assert g.edge_set() == {(0, 1)}
 
     def test_pattern_file_with_weight_columns_accepted(self):
@@ -86,7 +81,7 @@ class TestMtx:
             "%%MatrixMarket matrix coordinate pattern symmetric\n"
             "3 3 2\n2 1 1.0\n3 2 1.0\n"
         )
-        assert read_mtx(io.StringIO(text)).edge_set() == {(0, 1), (1, 2)}
+        assert load_graph(io.StringIO(text), "mtx").edge_set() == {(0, 1), (1, 2)}
 
     def test_truncated_weighted_file_rejected(self):
         # Declares 'integer' (3 tokens/entry) but carries exactly 2 per
@@ -96,7 +91,7 @@ class TestMtx:
             "3 3 3\n2 1 1\n3 1 1\n"
         )
         with pytest.raises(GraphFormatError, match="declares"):
-            read_mtx(io.StringIO(text))
+            load_graph(io.StringIO(text), "mtx")
 
     @pytest.mark.parametrize(
         "text, match",
@@ -114,21 +109,21 @@ class TestMtx:
     )
     def test_malformed_rejected(self, text, match):
         with pytest.raises(GraphFormatError, match=match):
-            read_mtx(io.StringIO(text))
+            load_graph(io.StringIO(text), "mtx")
 
 
 class TestGzip:
     def test_edgelist_gz_roundtrip(self, sample, tmp_path):
         path = tmp_path / "g.txt.gz"
-        write_edgelist(sample, path)
+        save_graph(sample, path, "edgelist")
         with gzip.open(path, "rb") as fh:  # really compressed, not renamed
             assert fh.read(10).startswith(b"# vertices")
-        assert read_edgelist(path) == sample
+        assert load_graph(path, "edgelist") == sample
 
     def test_mtx_gz_roundtrip(self, sample, tmp_path):
         path = tmp_path / "g.mtx.gz"
-        write_mtx(sample, path)
-        assert read_mtx(path) == sample
+        save_graph(sample, path, "mtx")
+        assert load_graph(path, "mtx") == sample
 
     def test_load_save_graph_gz(self, tmp_path):
         g = rmat_er(7, seed=2)
@@ -171,6 +166,16 @@ class TestSnap:
         with pytest.raises(GraphFormatError, match="integers"):
             read_snap(io.StringIO("1.5 2\n"))
 
+    def test_write_rejected(self, tmp_path):
+        """snap is read-only: a written copy would reload with compacted
+        ids (vertex 2 isolated here, so every later id would shift)."""
+        g = build_graph(4, [(0, 1), (1, 3)])
+        with pytest.raises(GraphFormatError, match="edgelist"):
+            save_graph(g, tmp_path / "out.snap")
+        with pytest.raises(GraphFormatError, match="edgelist"):
+            save_graph(g, io.StringIO(), format="snap")
+        assert not (tmp_path / "out.snap").exists()
+
     def test_file_roundtrip_via_load_graph(self, tmp_path):
         path = tmp_path / "g.snap"
         path.write_text(self.TEXT)
@@ -212,7 +217,7 @@ class TestDetectFormat:
         """Real SNAP dumps ship as .txt — the generic extension must go
         through content sniffing so sparse-id files hit the snap reader."""
         ours = tmp_path / "ours.txt"
-        write_edgelist(rmat_er(6, seed=1), ours)
+        save_graph(rmat_er(6, seed=1), ours, "edgelist")
         assert detect_format(ours) == "edgelist"
         snap = tmp_path / "ca-GrQc.txt"
         snap.write_text("# Undirected graph: ca-GrQc\n5 1000000000\n")
@@ -222,23 +227,23 @@ class TestDetectFormat:
     def test_txt_gz_sniffed_through_gzip(self, tmp_path):
         g = rmat_er(6, seed=1)
         path = tmp_path / "g.txt.gz"
-        write_edgelist(g, path)
+        save_graph(g, path, "edgelist")
         assert detect_format(path) == "edgelist"
         assert load_graph(path) == g
 
     def test_sniff_mtx_banner(self, tmp_path):
         path = tmp_path / "noext"
-        write_mtx(rmat_er(6, seed=1), path)
+        save_graph(rmat_er(6, seed=1), path, "mtx")
         assert detect_format(path) == "mtx"
 
     def test_sniff_edgelist_header(self, tmp_path):
         path = tmp_path / "noext"
-        write_edgelist(rmat_er(6, seed=1), path)
+        save_graph(rmat_er(6, seed=1), path, "edgelist")
         assert detect_format(path) == "edgelist"
 
     def test_sniff_metis_comment(self, tmp_path):
         buf = io.StringIO()
-        write_metis(rmat_er(6, seed=1), buf)
+        save_graph(rmat_er(6, seed=1), buf, "metis")
         path = tmp_path / "noext"
         path.write_text("% metis file\n" + buf.getvalue())
         assert detect_format(path) == "metis"

@@ -3,10 +3,10 @@
 The sharded extractor (:mod:`repro.shard`) never materialises the input
 edge list; these tests pin the two primitives it is built on:
 
-* :func:`repro.graph.io.detect_format_stream` must classify an open
-  handle **without consuming it** — the same handle is then read in full
-  by the actual pass (the regression that motivated it: ``detect_format``
-  only took paths, so stream callers had to read-and-reopen).
+* :func:`repro.graph.io.detect_format` must classify an open handle
+  **without consuming it** — the same handle is then read in full by the
+  actual pass (the regression that motivated it: detection once took
+  only paths, so stream callers had to read-and-reopen).
 * :class:`repro.graph.io.EdgeStream` must yield exactly the edges of the
   file in ``(k, 2)`` chunks, for every streamable format, gzipped or
   not, across chunk boundaries (pinned by shrinking the chunk size to a
@@ -26,11 +26,9 @@ from repro.errors import GraphFormatError
 from repro.graph.builder import build_graph, compact_labels, from_edge_array
 from repro.graph.io import (
     EdgeStream,
-    detect_format_stream,
+    detect_format,
     load_graph,
     save_graph,
-    write_edgelist,
-    write_mtx,
 )
 from repro.graph.generators.random import gnp_random_graph
 
@@ -57,9 +55,9 @@ class TestDetectFormatStream:
         save_graph(sample_graph, path, format=fmt)
         raw = path.read_bytes()
         with open(path, "rb") as fh:
-            assert detect_format_stream(fh) == fmt
+            assert detect_format(fh) == fmt
             assert fh.read() == raw, (
-                "detect_format_stream consumed bytes from the handle"
+                "detect_format consumed bytes from the handle"
             )
 
     def test_metis_with_comment_header(self, tmp_path, sample_graph):
@@ -69,38 +67,38 @@ class TestDetectFormatStream:
         path = tmp_path / "g.graph"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("% generated by the repro test suite\n")
-            gio.write_metis(sample_graph, fh)
+            save_graph(sample_graph, fh, "metis")
         with open(path, "rb") as fh:
-            assert detect_format_stream(fh) == "metis"
+            assert detect_format(fh) == "metis"
             assert fh.read() == path.read_bytes()
 
     def test_snap_binary_handle(self, tmp_path, sample_graph):
         path = tmp_path / "dump.txt"
         _write_snap(sample_graph, path)
         with open(path, "rb") as fh:
-            assert detect_format_stream(fh) == "snap"
+            assert detect_format(fh) == "snap"
             assert fh.read() == path.read_bytes()
 
     def test_npz_binary_handle(self, tmp_path, sample_graph):
         path = tmp_path / "g.npz"
         save_graph(sample_graph, path, format="npz")
         with open(path, "rb") as fh:
-            assert detect_format_stream(fh) == "npz"
+            assert detect_format(fh) == "npz"
             assert fh.read() == path.read_bytes()
 
     def test_text_handle_position_restored(self, tmp_path, sample_graph):
         path = tmp_path / "g.txt"
-        write_edgelist(sample_graph, path)
+        save_graph(sample_graph, path, "edgelist")
         with open(path, "r", encoding="utf-8") as fh:
-            assert detect_format_stream(fh) == "edgelist"
+            assert detect_format(fh) == "edgelist"
             assert fh.tell() == 0
             assert fh.read() == path.read_text()
 
     def test_stringio(self, sample_graph):
         buf = io.StringIO()
-        write_mtx(sample_graph, buf)
+        save_graph(sample_graph, buf, "mtx")
         buf.seek(0)
-        assert detect_format_stream(buf) == "mtx"
+        assert detect_format(buf) == "mtx"
         assert buf.tell() == 0
 
     def test_nonseekable_stream_rejected(self):
@@ -109,15 +107,15 @@ class TestDetectFormatStream:
                 return False
 
         with pytest.raises(GraphFormatError, match="non-seekable"):
-            detect_format_stream(Pipe())
+            detect_format(Pipe())
 
     def test_garbage_prefix_rejected(self):
         with pytest.raises(GraphFormatError):
-            detect_format_stream(io.BytesIO(b"\x00\xff\x00\xff binary junk"))
+            detect_format(io.BytesIO(b"\x00\xff\x00\xff binary junk"))
 
     def test_truncated_gzip_prefix_rejected(self):
         with pytest.raises(GraphFormatError, match="gzip"):
-            detect_format_stream(io.BytesIO(b"\x1f\x8b\x00garbage"))
+            detect_format(io.BytesIO(b"\x1f\x8b\x00garbage"))
 
 
 class TestLoadGraphFromStream:
@@ -133,7 +131,7 @@ class TestLoadGraphFromStream:
         path = tmp_path / "graph.dat"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("% comment so content sniffing can classify\n")
-            gio.write_metis(sample_graph, fh)
+            save_graph(sample_graph, fh, "metis")
         with open(path, "r", encoding="utf-8") as fh:
             assert load_graph(fh) == sample_graph
 
@@ -145,7 +143,7 @@ class TestLoadGraphFromStream:
 
     def test_explicit_format_skips_detection(self, sample_graph):
         buf = io.StringIO()
-        write_edgelist(sample_graph, buf)
+        save_graph(sample_graph, buf, "edgelist")
         buf.seek(0)
         assert load_graph(buf, format="edgelist") == sample_graph
 
@@ -184,7 +182,7 @@ class TestEdgeStream:
     def test_edgelist_header_populates_declared_vertices(self, tmp_path):
         g = build_graph(9, [(0, 1), (2, 3)])
         path = tmp_path / "g.edges"
-        write_edgelist(g, path)
+        save_graph(g, path, "edgelist")
         stream = EdgeStream(path)
         assert stream.declared_vertices is None  # header not consumed yet
         list(stream)
@@ -200,7 +198,7 @@ class TestEdgeStream:
 
     def test_iteration_is_restartable(self, tmp_path, sample_graph):
         path = tmp_path / "g.edges"
-        write_edgelist(sample_graph, path)
+        save_graph(sample_graph, path, "edgelist")
         stream = EdgeStream(path)
         first = np.vstack(list(stream))
         second = np.vstack(list(stream))
@@ -208,7 +206,7 @@ class TestEdgeStream:
 
     def test_empty_edgelist(self, tmp_path):
         path = tmp_path / "empty.edges"
-        write_edgelist(build_graph(3, []), path)
+        save_graph(build_graph(3, []), path, "edgelist")
         assert list(EdgeStream(path)) == []
 
     @pytest.mark.parametrize("fmt", ["metis", "npz"])
@@ -247,3 +245,74 @@ class TestEdgeStream:
         )
         with pytest.raises(GraphFormatError, match="out of range"):
             list(EdgeStream(path))
+
+
+#: A pattern MatrixMarket file whose entries carry weight columns (read as
+#: three tokens per entry), with a comment between its entries.
+_PATTERN_WITH_WEIGHTS = (
+    "%%MatrixMarket matrix coordinate pattern symmetric\n"
+    "% weights the pattern field does not declare\n"
+    "6 6 4\n2 1 1.0\n3 2 0.5\n% mid-file comment\n5 3 2.0\n6 5 1.0\n"
+)
+
+
+def _write_text(path, text, gz):
+    opener = gzip.open if gz else open
+    with opener(path, "wt", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class TestEntryPointParity:
+    """``load_graph`` on a path, on an open text stream, and ``EdgeStream``
+    chunks (shrunk to a few characters) are one parser: the same CSR
+    arrays, and the same line number for a malformed edge-list line."""
+
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("case", ["edgelist", "mtx", "snap", "mtx-weighted-pattern"])
+    def test_same_csr_through_every_entry_point(
+        self, tmp_path, sample_graph, monkeypatch, case, gz
+    ):
+        fmt = case.split("-")[0]
+        path = tmp_path / f"g.{fmt}{'.gz' if gz else ''}"
+        if case == "snap":
+            _write_snap(sample_graph, path, gz=gz)
+        elif case == "mtx-weighted-pattern":
+            _write_text(path, _PATTERN_WITH_WEIGHTS, gz)
+        else:
+            save_graph(sample_graph, path, format=fmt)
+
+        from_path = load_graph(path, fmt)
+        with gio._open_text(path, "r") as fh:
+            from_stream = load_graph(fh, fmt)
+        monkeypatch.setattr(gio, "_CHUNK_CHARS", 5)
+        stream = EdgeStream(path, fmt)
+        pairs = np.vstack(list(stream))
+        if fmt == "snap":
+            n, pairs, _labels = compact_labels(pairs)
+        else:
+            n = stream.declared_vertices
+        from_chunks = from_edge_array(n, pairs)
+
+        if case == "mtx-weighted-pattern":
+            assert from_path.edge_set() == {(0, 1), (1, 2), (2, 4), (4, 5)}
+        for other in (from_stream, from_chunks):
+            assert np.array_equal(other.indptr, from_path.indptr)
+            assert np.array_equal(other.indices, from_path.indices)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_malformed_edgelist_line_named_everywhere(self, tmp_path, monkeypatch, gz):
+        path = tmp_path / f"bad.edges{'.gz' if gz else ''}"
+        _write_text(path, "# vertices 6\n0 1\n\n# note\n1 2\n2 3 4\n3 4\n", gz)
+
+        def stream_load():
+            with gio._open_text(path, "r") as fh:
+                load_graph(fh, "edgelist")
+
+        monkeypatch.setattr(gio, "_CHUNK_CHARS", 5)
+        for entry_point in (
+            lambda: load_graph(path, "edgelist"),
+            stream_load,
+            lambda: list(EdgeStream(path, "edgelist")),
+        ):
+            with pytest.raises(GraphFormatError, match=r"line 6\b.*'2 3 4'"):
+                entry_point()

@@ -119,6 +119,17 @@ def test_default_and_explicit_schedule_share_one_entry(client):
     assert explicit.cached
 
 
+def test_thread_count_shares_one_entry(client):
+    # No thread count changes an edge set, so it is not part of the key.
+    graph = rmat_b(6, seed=47)
+    config = {"engine": "superstep", "schedule": "synchronous"}
+    first = client.extract(graph, config={**config, "num_threads": 1})
+    assert not first.cached
+    second = client.extract(graph, config={**config, "num_threads": 2})
+    assert second.cached
+    assert (second.edges == first.edges).all()
+
+
 def test_no_cache_bypasses_both_lookup_and_store(client):
     graph = rmat_b(6, seed=46)
     config = {"engine": "superstep", "schedule": "synchronous", "stitch": True}

@@ -301,6 +301,15 @@ class TestCacheAndResume:
         stats = run_shards(plan, config=other)
         assert not any(s.from_cache for s in stats)
 
+    def test_thread_count_change_hits_cache(self, tmp_path):
+        plan = self._plan(tmp_path)
+        one, two = (
+            ExtractionConfig(schedule="synchronous", num_threads=t, maximalize=True)
+            for t in (1, 2)
+        )
+        run_shards(plan, config=one)
+        assert all(s.from_cache for s in run_shards(plan, config=two))
+
     def test_corrupt_result_is_a_miss(self, tmp_path):
         plan = self._plan(tmp_path)
         run_shards(plan)

@@ -54,10 +54,10 @@ GRAPH_SEED = 1
 NUM_SHARDS = 32
 
 #: Address-space budget over the child's own post-import baseline.  The
-#: sharded pipeline peaks ~260 MB over baseline at this scale; the
-#: in-memory load alone needs ~550 MB — the cap sits between with
-#: >100 MB of margin on each side.
-CAP_DELTA_MB = 448
+#: sharded pipeline peaks ~200 MB over baseline at this scale; the
+#: in-memory load alone needs ~305 MB — the cap sits between with
+#: ~50 MB of margin on each side.
+CAP_DELTA_MB = 256
 
 #: Child exit code for "the cap stopped me" (distinct from pytest's own
 #: failure codes so a crash cannot masquerade as the expected outcome).
@@ -136,11 +136,11 @@ except MemoryError:
 
 @pytest.fixture(scope="module")
 def snap_input(tmp_path_factory):
-    """The shared scale-``SCALE`` SNAP file plus its certified floor."""
+    """The shared scale-``SCALE`` edge-list file plus its certified floor."""
     root = tmp_path_factory.mktemp("sharded-stress")
     graph = rmat_er(SCALE, seed=GRAPH_SEED)
     path = root / f"rmat_er_{SCALE}.txt"
-    save_graph(graph, path, format="snap")
+    save_graph(graph, path, format="edgelist")
     floor = maximal_chordal_floor(graph)
     return {"path": path, "floor": floor, "num_edges": graph.num_edges}
 
