@@ -31,89 +31,36 @@ From the shell, the same workflow is ``repro generate`` / ``repro
 extract`` (see :mod:`repro.cli`).  ``README.md`` has the full tour.
 """
 
-from repro.core import (
-    ChordalResult,
-    ExtractionConfig,
-    Extractor,
-    IncrementalExtractor,
-    EngineSpec,
-    get_engine,
-    engine_names,
-    SCHEDULES,
-    extract_maximal_chordal_subgraph,
-    extract_many,
-    reference_max_chordal,
-    stitch_components,
-)
-from repro.errors import ConfigError, ReproError, SessionClosedError
-from repro.chordality import (
-    is_chordal,
-    is_maximal_chordal_subgraph,
-    mcs_peo,
-    lexbfs_peo,
-    is_perfect_elimination_ordering,
-    verify_extraction,
-)
-from repro.graph import (
-    CSRGraph,
-    build_graph,
-    from_edge_array,
-    edge_subgraph,
-    bfs_renumber,
-    connected_components,
-    load_graph,
-    save_graph,
-)
-from repro.graph.generators import (
-    rmat_er,
-    rmat_g,
-    rmat_b,
-    rmat_graph,
-    RMATParams,
-    bio_network,
-    correlation_network,
-    synthetic_expression,
-)
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ChordalResult",
-    "ExtractionConfig",
-    "Extractor",
-    "IncrementalExtractor",
-    "EngineSpec",
-    "get_engine",
-    "engine_names",
-    "SCHEDULES",
-    "ConfigError",
-    "ReproError",
-    "SessionClosedError",
-    "extract_maximal_chordal_subgraph",
-    "extract_many",
-    "reference_max_chordal",
-    "stitch_components",
-    "is_chordal",
-    "is_maximal_chordal_subgraph",
-    "verify_extraction",
-    "mcs_peo",
-    "lexbfs_peo",
-    "is_perfect_elimination_ordering",
-    "CSRGraph",
-    "build_graph",
-    "from_edge_array",
-    "edge_subgraph",
-    "bfs_renumber",
-    "connected_components",
-    "load_graph",
-    "save_graph",
-    "rmat_er",
-    "rmat_g",
-    "rmat_b",
-    "rmat_graph",
-    "RMATParams",
-    "bio_network",
-    "correlation_network",
-    "synthetic_expression",
-    "__version__",
-]
+#: ``(module, names)`` groups in ``__all__`` order; a name is imported on
+#: first access (PEP 562), so ``import repro.<sub>`` loads only ``<sub>``.
+_EXPORTS = (
+    ("repro.core", "ChordalResult ExtractionConfig Extractor IncrementalExtractor "
+     "EngineSpec get_engine engine_names SCHEDULES"),
+    ("repro.errors", "ConfigError ReproError SessionClosedError"),
+    ("repro.core", "extract_maximal_chordal_subgraph extract_many reference_max_chordal "
+     "stitch_components"),
+    ("repro.chordality", "is_chordal is_maximal_chordal_subgraph verify_extraction mcs_peo "
+     "lexbfs_peo is_perfect_elimination_ordering"),
+    ("repro.graph", "CSRGraph build_graph from_edge_array edge_subgraph bfs_renumber "
+     "connected_components load_graph save_graph"),
+    ("repro.graph.generators", "rmat_er rmat_g rmat_b rmat_graph RMATParams bio_network "
+     "correlation_network synthetic_expression"),
+)
+_ORIGIN = {name: module for module, names in _EXPORTS for name in names.split()}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_ORIGIN[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.chordality.recognition import is_chordal
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import canonical_keys, from_edge_array, graph_keys, key_index, key_pairs
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -360,18 +360,11 @@ class _Lists:
         return found
 
 
-def _edge_keys(graph: CSRGraph, n: int) -> np.ndarray:
-    """Sorted ``u * n + v`` keys of the ``u < v`` edges of ``graph``."""
-    edges = graph.edge_array().astype(np.int64, copy=False)
-    return np.sort(edges[:, 0] * n + edges[:, 1])
-
-
 def _missing_edge_array(graph: CSRGraph, subgraph: CSRGraph) -> np.ndarray:
     """:func:`missing_edges` as a ``(k, 2)`` int64 array."""
-    n = max(graph.num_vertices, subgraph.num_vertices, 1)
-    keys = _edge_keys(graph, n)
-    keys = keys[~np.isin(keys, _edge_keys(subgraph, n))]
-    return np.column_stack((keys // n, keys % n))
+    rows = key_pairs(graph.num_vertices, graph_keys(graph))
+    probe = canonical_keys(subgraph.num_vertices, rows)
+    return rows[key_index(graph_keys(subgraph), probe) < 0]
 
 
 def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:

@@ -80,18 +80,6 @@ from repro.core.config import DEFAULT_NUM_THREADS, ExtractionConfig
 from repro.core.engines import ENGINES, SCHEDULES, engine_names
 from repro.core.session import Extractor
 from repro.errors import ReproError
-from repro.graph.generators import (
-    barabasi_albert,
-    gnm_random_graph,
-    gnp_random_graph,
-    interval_graph,
-    ktree,
-    partial_ktree,
-    random_chordal,
-    rmat_b,
-    rmat_er,
-    rmat_g,
-)
 from repro.graph.io import (
     FORMATS,
     STREAMABLE_FORMATS,
@@ -103,27 +91,31 @@ from repro.util.timing import Timer
 
 __all__ = ["main", "build_parser"]
 
-#: family name -> (builder from parsed args, knobs used) for ``generate``.
+#: family name -> (builder from (generators module, parsed args), knobs) for ``generate``.
 _FAMILIES = {
     "rmat-er": (
-        lambda a: rmat_er(a.scale, seed=a.seed, edge_factor=a.edge_factor),
+        lambda g, a: g.rmat_er(a.scale, seed=a.seed, edge_factor=a.edge_factor),
         "--scale/--edge-factor",
     ),
     "rmat-g": (
-        lambda a: rmat_g(a.scale, seed=a.seed, edge_factor=a.edge_factor),
+        lambda g, a: g.rmat_g(a.scale, seed=a.seed, edge_factor=a.edge_factor),
         "--scale/--edge-factor",
     ),
     "rmat-b": (
-        lambda a: rmat_b(a.scale, seed=a.seed, edge_factor=a.edge_factor),
+        lambda g, a: g.rmat_b(a.scale, seed=a.seed, edge_factor=a.edge_factor),
         "--scale/--edge-factor",
     ),
-    "gnp": (lambda a: gnp_random_graph(a.n, a.p, seed=a.seed), "--n/--p"),
-    "gnm": (lambda a: gnm_random_graph(a.n, a.m, seed=a.seed), "--n/--m"),
-    "ba": (lambda a: barabasi_albert(a.n, a.m, seed=a.seed), "--n/--m"),
-    "ktree": (lambda a: ktree(a.n, a.k, seed=a.seed), "--n/--k"),
-    "partial-ktree": (lambda a: partial_ktree(a.n, a.k, a.keep, seed=a.seed), "--n/--k/--keep"),
-    "random-chordal": (lambda a: random_chordal(a.n, a.density, seed=a.seed), "--n/--density"),
-    "interval": (lambda a: interval_graph(a.n, seed=a.seed), "--n"),
+    "gnp": (lambda g, a: g.gnp_random_graph(a.n, a.p, seed=a.seed), "--n/--p"),
+    "gnm": (lambda g, a: g.gnm_random_graph(a.n, a.m, seed=a.seed), "--n/--m"),
+    "ba": (lambda g, a: g.barabasi_albert(a.n, a.m, seed=a.seed), "--n/--m"),
+    "ktree": (lambda g, a: g.ktree(a.n, a.k, seed=a.seed), "--n/--k"),
+    "partial-ktree": (
+        lambda g, a: g.partial_ktree(a.n, a.k, a.keep, seed=a.seed), "--n/--k/--keep"
+    ),
+    "random-chordal": (
+        lambda g, a: g.random_chordal(a.n, a.density, seed=a.seed), "--n/--density"
+    ),
+    "interval": (lambda g, a: g.interval_graph(a.n, seed=a.seed), "--n"),
 }
 
 
@@ -1051,7 +1043,9 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _save(_FAMILIES[args.family][0](args), args.output, args.format)
+    from repro.graph import generators
+
+    _save(_FAMILIES[args.family][0](generators, args), args.output, args.format)
     return 0
 
 

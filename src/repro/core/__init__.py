@@ -28,48 +28,38 @@ The public face is the session API:
   :func:`~repro.core.extract.extract_many` — one-call sessions.
 """
 
-from repro.core.config import ExtractionConfig, VARIANTS
-from repro.core.engines import SCHEDULES, EngineSpec, engine_names, get_engine
-from repro.core.extract import (
-    ChordalResult,
-    extract_maximal_chordal_subgraph,
-    extract_many,
-)
-from repro.core.session import Extractor
-from repro.core.incremental import IncrementalExtractor
-from repro.core.maximalize import maximalize_chordal_edges
-from repro.core.reference import reference_max_chordal
-from repro.core.connect import stitch_components
-from repro.core.instrument import WorkTrace, IterationTrace, CostModelParams
-from repro.core.runtime import (
-    LocalState,
-    NativeThreadTeamExecutor,
-    SerialExecutor,
-    backend_run_fn,
-    drive,
-)
+import importlib
 
-__all__ = [
-    "ChordalResult",
-    "ExtractionConfig",
-    "Extractor",
-    "IncrementalExtractor",
-    "EngineSpec",
-    "get_engine",
-    "engine_names",
-    "SCHEDULES",
-    "extract_maximal_chordal_subgraph",
-    "extract_many",
-    "maximalize_chordal_edges",
-    "VARIANTS",
-    "reference_max_chordal",
-    "stitch_components",
-    "WorkTrace",
-    "IterationTrace",
-    "CostModelParams",
-    "drive",
-    "backend_run_fn",
-    "LocalState",
-    "SerialExecutor",
-    "NativeThreadTeamExecutor",
-]
+#: ``(module, names)`` groups; each name is imported from its module on
+#: first access (PEP 562), so importing one ``repro.core`` submodule does
+#: not import the others (the completion pass and its chordality oracle
+#: among them).
+_EXPORTS = (
+    ("repro.core.extract", "ChordalResult"),
+    ("repro.core.config", "ExtractionConfig"),
+    ("repro.core.session", "Extractor"),
+    ("repro.core.incremental", "IncrementalExtractor"),
+    ("repro.core.engines", "EngineSpec get_engine engine_names SCHEDULES"),
+    ("repro.core.extract", "extract_maximal_chordal_subgraph extract_many"),
+    ("repro.core.maximalize", "maximalize_chordal_edges"),
+    ("repro.core.config", "VARIANTS"),
+    ("repro.core.reference", "reference_max_chordal"),
+    ("repro.core.connect", "stitch_components"),
+    ("repro.core.instrument", "WorkTrace IterationTrace CostModelParams"),
+    ("repro.core.runtime", "drive backend_run_fn LocalState SerialExecutor "
+     "NativeThreadTeamExecutor"),
+)
+_ORIGIN = {name: module for module, names in _EXPORTS for name in names.split()}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_ORIGIN[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

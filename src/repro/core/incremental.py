@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.config import ExtractionConfig
 from repro.core.session import ChordalResult, Extractor
 from repro.errors import ConfigError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import edge_keys, from_edge_keys, graph_keys, key_index
 from repro.graph.csr import CSRGraph
 from repro.util.validation import is_integer
 
@@ -45,8 +45,7 @@ class IncrementalExtractor:
         config = (config or ExtractionConfig()).replace(maximalize=True)
         self._extractor = Extractor(config)
         self._n = graph.num_vertices
-        edges = graph.edge_array().astype(np.int64)
-        self._keys: set[int] = set((edges[:, 0] * self._n + edges[:, 1]).tolist())
+        self._keys: set[int] = set(graph_keys(graph).tolist())
         self._graph: CSRGraph | None = graph
         self._result: ChordalResult | None = None
         self.stats: dict[str, int] = {"inserts": 0, "deletes": 0, "full_rebuilds": 0}
@@ -70,7 +69,7 @@ class IncrementalExtractor:
         if self._graph is None:
             keys = np.fromiter(self._keys, dtype=np.int64, count=len(self._keys))
             keys.sort()
-            self._graph = from_edge_array(self._n, np.column_stack(divmod(keys, self._n)))
+            self._graph = from_edge_keys(self._n, keys)
         return self._graph
 
     @property
@@ -132,8 +131,8 @@ class IncrementalExtractor:
             self._graph = self._result = None
         retained = 0
         if inserted:
-            edges = self.edges
-            retained = int(np.isin(inserted, edges[:, 0] * self._n + edges[:, 1]).sum())
+            found = key_index(edge_keys(self._n, self.edges), np.asarray(inserted))
+            retained = int((found >= 0).sum())
         return {"applied": len(inserted) + deleted, "inserted": len(inserted),
                 "retained": retained, "deleted": deleted}
 

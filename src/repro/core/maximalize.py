@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chordality.maximality import AddabilityOracle, _edge_keys
+from repro.chordality.maximality import AddabilityOracle
+from repro.graph.builder import edge_keys, graph_keys, key_index, key_pairs
 from repro.graph.csr import CSRGraph
 
 __all__ = ["maximalize_chordal_edges"]
@@ -71,23 +72,21 @@ def maximalize_chordal_edges(
     back in admission order, pass by pass.
     """
     base = np.asarray(chordal_edges, dtype=np.int64).reshape(-1, 2)
-    n = max(graph.num_vertices, 1)
-    have = np.unique(np.sort(base, axis=1) @ np.array([n, 1], dtype=np.int64))
-    keys = _edge_keys(graph, n)
-    cand = keys[~np.isin(keys, have)]  # sorted keys: (u, v) lexicographic
+    n = graph.num_vertices
+    have = edge_keys(n, base)
+    keys = graph_keys(graph)
+    cand = keys[key_index(have, keys) < 0]  # sorted keys: (u, v) lexicographic
+    candidates = key_pairs(n, cand)
     if weights is not None:
-        w = [weights.get(e, 1.0) for e in zip((cand // n).tolist(), (cand % n).tolist())]
-        cand = cand[np.lexsort((cand, -np.asarray(w, dtype=np.float64)))]
-    candidates = np.column_stack((cand // n, cand % n))
+        w = [weights.get(e, 1.0) for e in zip(*candidates.T.tolist())]
+        candidates = candidates[np.lexsort((cand, -np.asarray(w, dtype=np.float64)))]
 
     # H grows inside G, so G's degrees bound it; edges of the input that G
     # lacks get their own slots.
-    extra = have[~np.isin(have, keys)]
-    capacity = graph.degrees() + np.bincount(
-        np.concatenate((extra // n, extra % n)), minlength=graph.num_vertices
-    )
-    oracle = AddabilityOracle(graph.num_vertices, capacity)
-    oracle.add_edges(np.column_stack((have // n, have % n)))
+    extra = key_pairs(n, have[key_index(keys, have) < 0])
+    capacity = graph.degrees() + np.bincount(extra.ravel(), minlength=n)
+    oracle = AddabilityOracle(n, capacity)
+    oracle.add_edges(key_pairs(n, have))
     accepted_pass, _passes = oracle.greedy(candidates)
 
     rows = np.flatnonzero(accepted_pass)

@@ -33,9 +33,9 @@ import numpy as np
 from repro.core.config import ExtractionConfig
 from repro.core.connect import stitch_components
 from repro.core.instrument import WorkTrace
-from repro.core.maximalize import maximalize_chordal_edges
 from repro.errors import ConfigError, SessionClosedError
 from repro.graph.bfs import bfs_renumber
+from repro.graph.builder import edge_keys, key_pairs
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import edge_subgraph
 from repro.graph.weights import attach_edge_weights, edge_weight_mapping
@@ -125,17 +125,6 @@ class ChordalResult:
         return self.retained_weight / total if total else 1.0
 
 
-def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """Normalise rows to (min, max) and sort lexicographically."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if e.size == 0:
-        return e
-    lo = np.minimum(e[:, 0], e[:, 1])
-    hi = np.maximum(e[:, 0], e[:, 1])
-    order = np.lexsort((hi, lo))
-    return np.column_stack((lo[order], hi[order]))
-
-
 class Extractor:
     """Reusable extraction session: one validated config.
 
@@ -210,11 +199,15 @@ class Extractor:
 
         gap = 0
         if cfg.maximalize:
+            # Imported here: the completion pass pulls in the chordality
+            # oracles, which plain extraction never needs.
+            from repro.core.maximalize import maximalize_chordal_edges
+
             weights = edge_weight_mapping(graph) if graph.has_weights else None
             edges, gap = maximalize_chordal_edges(graph, edges, weights=weights)
 
         return ChordalResult(
-            edges=_canonical_edges(edges),
+            edges=key_pairs(graph.num_vertices, edge_keys(graph.num_vertices, edges)),
             queue_sizes=queue_sizes,
             variant=cfg.variant,
             engine=cfg.engine,

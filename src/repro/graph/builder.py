@@ -18,6 +18,12 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "build_graph",
     "from_edge_array",
+    "from_edge_keys",
+    "edge_keys",
+    "graph_keys",
+    "canonical_keys",
+    "key_index",
+    "key_pairs",
     "from_adjacency_dict",
     "from_networkx",
     "compact_labels",
@@ -49,6 +55,77 @@ def _best_index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32) if n <= np.iinfo(np.int32).max else np.dtype(np.int64)
 
 
+#: Largest ``n`` whose keys ``u * n + v`` fit in int64 (``isqrt(2**63 - 1)``).
+MAX_KEYED_VERTICES = 3_037_000_499
+
+
+def canonical_keys(num_vertices: int, edges) -> np.ndarray:
+    """Per-row canonical key ``min * n + max`` of an ``(m, 2)`` array, in
+    row order; ``-1`` for a self-loop or an endpoint outside ``[0, n)``."""
+    if num_vertices > MAX_KEYED_VERTICES:
+        raise GraphFormatError(
+            f"n={num_vertices} is too large for int64 edge keys "
+            f"(at most {MAX_KEYED_VERTICES} vertices)"
+        )
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    keys = lo * num_vertices + hi
+    keys[(lo < 0) | (hi >= num_vertices) | (lo == hi)] = -1
+    return keys
+
+
+def edge_keys(
+    num_vertices: int, edges: np.ndarray, *, allow_out_of_range: bool = False
+) -> np.ndarray:
+    """The canonical edge-key set of an ``(m, 2)`` integer edge array.
+
+    Keys are ``u * n + v`` with ``u < v``, sorted and unique: one
+    ``np.sort``, then self-loops and adjacent duplicates (either
+    orientation) dropped.  Sorted keys are ``(u, v)`` lexicographic, and
+    :func:`key_index` probes them.  An endpoint outside ``[0, n)`` raises
+    :class:`GraphFormatError`, or drops its row under ``allow_out_of_range``.
+    """
+    if num_vertices < 0:
+        raise GraphFormatError(f"num_vertices must be >= 0, got {num_vertices}")
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphFormatError(f"edges must have shape (m, 2), got {e.shape}")
+    keys = canonical_keys(num_vertices, e)
+    if not allow_out_of_range:
+        out = (e < 0).any(axis=1) | (e >= num_vertices).any(axis=1)
+        if out.any():
+            bad = e[out][0]
+            raise GraphFormatError(
+                f"edge ({bad[0]}, {bad[1]}) out of range for n={num_vertices}"
+            )
+    keys = np.sort(keys[keys >= 0])
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def graph_keys(graph: CSRGraph) -> np.ndarray:
+    """The canonical edge-key set of ``graph`` (see :func:`edge_keys`); sorted
+    here when unsorted adjacency leaves ``edge_array()`` rows unordered."""
+    keys = canonical_keys(graph.num_vertices, graph.edge_array())
+    return keys if graph.sorted_adjacency else np.sort(keys)
+
+
+def key_pairs(num_vertices: int, keys: np.ndarray) -> np.ndarray:
+    """The ``(k, 2)`` int64 ``(u, v)`` rows of canonical ``keys``."""
+    return np.column_stack(np.divmod(keys, max(num_vertices, 1)))
+
+
+def key_index(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each of ``keys`` in ``sorted_keys`` by ``searchsorted``;
+    ``-1`` where absent, as every ``-1`` key of :func:`canonical_keys` is,
+    so probing through both is range-checked."""
+    pos = np.searchsorted(sorted_keys, keys)
+    # Every key is below the int64 maximum, so it pads the end safely.
+    return np.where(np.append(sorted_keys, np.iinfo(np.int64).max)[pos] == keys, pos, -1)
+
+
 def from_edge_array(
     num_vertices: int,
     edges: np.ndarray,
@@ -58,7 +135,8 @@ def from_edge_array(
     """Build a simple undirected graph from an ``(m, 2)`` integer edge array.
 
     Self-loops are removed, duplicate (and reversed-duplicate) edges are
-    collapsed, and adjacency slices come out strictly increasing.
+    collapsed, and adjacency slices come out strictly increasing: the rows
+    are keyed by :func:`edge_keys`, then built by :func:`from_edge_keys`.
 
     Parameters
     ----------
@@ -70,48 +148,18 @@ def from_edge_array(
         If True, silently drop edges with endpoints outside ``[0, n)``
         instead of raising (used by samplers that over-generate).
     """
-    if num_vertices < 0:
-        raise GraphFormatError(f"num_vertices must be >= 0, got {num_vertices}")
-    e = np.asarray(edges, dtype=np.int64)
-    if e.size == 0:
-        e = e.reshape(0, 2)
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise GraphFormatError(f"edges must have shape (m, 2), got {e.shape}")
+    keys = edge_keys(num_vertices, edges, allow_out_of_range=allow_out_of_range)
+    return from_edge_keys(num_vertices, keys)
 
-    if e.shape[0]:
-        in_range = (e >= 0).all(axis=1) & (e < num_vertices).all(axis=1)
-        if not in_range.all():
-            if allow_out_of_range:
-                e = e[in_range]
-            else:
-                bad = e[~in_range][0]
-                raise GraphFormatError(
-                    f"edge ({bad[0]}, {bad[1]}) out of range for n={num_vertices}"
-                )
 
-    # Canonicalise: drop loops, order endpoints, dedupe via scalar encoding.
-    if e.shape[0]:
-        e = e[e[:, 0] != e[:, 1]]
-    if e.shape[0]:
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        keys = lo * np.int64(num_vertices) + hi
-        keys = np.unique(keys)
-        lo = keys // num_vertices
-        hi = keys % num_vertices
-    else:
-        lo = np.empty(0, dtype=np.int64)
-        hi = np.empty(0, dtype=np.int64)
-
-    dtype = _best_index_dtype(num_vertices)
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    counts = np.bincount(src, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    order = np.lexsort((dst, src))
-    indices = dst[order].astype(dtype)
+def from_edge_keys(num_vertices: int, keys: np.ndarray) -> CSRGraph:
+    """The graph of a canonical key set (sorted, unique, ``u < v``): one
+    sort of the directed keys gives ``indptr`` and ``indices`` directly."""
+    n = max(num_vertices, 1)
+    lo, hi = np.divmod(keys, n)
+    arcs = np.sort(np.concatenate((keys, hi * n + lo)))
+    indptr = np.searchsorted(arcs, np.arange(num_vertices + 1, dtype=np.int64) * n)
+    indices = (arcs % n).astype(_best_index_dtype(num_vertices))
     return CSRGraph(indptr, indices, sorted_adjacency=True, validate=False)
 
 

@@ -266,19 +266,13 @@ class CSRGraph:
         """
         if self.sorted_adjacency:
             return self
-        indices = self.indices.copy()
-        weights = None if self._arc_weights is None else self._arc_weights.copy()
-        for v in range(self.num_vertices):
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            if weights is None:
-                indices[lo:hi] = np.sort(indices[lo:hi])
-            else:
-                order = np.argsort(indices[lo:hi], kind="stable")
-                indices[lo:hi] = indices[lo:hi][order]
-                weights[lo:hi] = weights[lo:hi][order]
+        # One sort of the arc keys src * n + dst orders every slice at once.
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self._degrees)
+        order = np.argsort(src * self.num_vertices + self.indices, kind="stable")
+        weights = None if self._arc_weights is None else self._arc_weights[order]
         return CSRGraph(
             self.indptr,
-            indices,
+            self.indices[order],
             sorted_adjacency=True,
             validate=False,
             arc_weights=weights,

@@ -222,7 +222,8 @@ class BioNetworkParams:
         s_lo, s_hi = self.small_module_range
         l_lo, l_hi = self.large_module_range
         new_small = (max(4, int(s_lo * soft)), max(6, int(s_hi * soft)))
-        module_pool = int(self.num_vertices * fraction * (1 - self.hub_fraction - self.leaf_fraction))
+        spare = 1 - self.hub_fraction - self.leaf_fraction
+        module_pool = int(self.num_vertices * fraction * spare)
         large_cap = max(new_small[1] + 12, module_pool // 3)
         new_large = (
             min(max(new_small[1] + 6, int(l_lo * gentle)), max(new_small[1] + 6, large_cap - 6)),

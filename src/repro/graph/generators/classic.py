@@ -34,7 +34,7 @@ __all__ = [
 def path_graph(n: int) -> CSRGraph:
     """Path ``0 - 1 - ... - n-1`` (chordal)."""
     check_nonnegative("n", n)
-    edges = np.column_stack((np.arange(n - 1), np.arange(1, n))) if n > 1 else np.empty((0, 2), np.int64)
+    edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
     return from_edge_array(n, edges)
 
 

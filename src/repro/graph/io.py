@@ -21,9 +21,12 @@ Dataset ingestion layer for the batch pipeline.  Supported formats:
 table each, serving paths (text formats transparently gzip-compressed
 for ``*.gz``) and open streams alike.  The three pair formats
 (``edgelist``, ``mtx``, ``snap``) share one chunk parser,
-:func:`_pair_chunks`: ~1 MiB text blocks are split and converted with one
-NumPy call per block, never a Python loop per line.  Whole-file loading
-concatenates its chunks; :class:`EdgeStream` hands them out one at a
+:func:`_pair_chunks`, which parses ~1 MiB text blocks with one NumPy
+call each, never a Python loop per line: ``np.fromstring`` to int64 when
+a block is exactly ``width`` unsigned integers per line, else a float
+split that owns the error messages.  Loads then key the pairs into a
+CSR graph (:func:`repro.graph.builder.edge_keys`).  Whole-file loading
+concatenates the chunks; :class:`EdgeStream` hands them out one at a
 time for out-of-core callers.
 """
 
@@ -91,8 +94,10 @@ _EXTENSION_FORMATS = {
 #: consumed before its ``%`` comments are).
 _COMMENT_PREFIXES = {"edgelist": "#", "snap": "#%", "mtx": "%"}
 
+#: Whole comment lines, newline included, so stripping one leaves no
+#: blank line behind to fail the fast path's line count.
 _COMMENT_LINES = {
-    fmt: re.compile(rf"^[^\S\n]*[{prefixes}][^\n]*", re.M)
+    fmt: re.compile(rf"^[^\S\n]*[{prefixes}][^\n]*\n?", re.M)
     for fmt, prefixes in _COMMENT_PREFIXES.items()
 }
 
@@ -197,9 +202,40 @@ def _block_tokens(block: str) -> np.ndarray:
         raise GraphFormatError(f"non-numeric token in graph data: {exc}") from exc
 
 
+#: The bytes ``np.fromstring`` and ``str.split`` read alike: ASCII
+#: digits and whitespace.
+_INT_CHARS = b"0123456789 \t\r\n"
+
+
+def _int_tokens(block: str, width: int, per_line: bool) -> np.ndarray | None:
+    """``block`` as int64 tokens by one ``np.fromstring``, or ``None``
+    (the float path) unless it holds only digits and whitespace,
+    ``width`` tokens per line (line by line when ``per_line``, else in
+    total) and no id the float path would round (``2**53`` and up).  Such
+    a block reads to the same tokens either way and holds nothing
+    ``np.fromstring`` could stop at, so no warning can arise.
+    """
+    raw = block.encode()
+    if raw.translate(None, _INT_CHARS):
+        return None
+    tokens = np.fromstring(block, dtype=np.int64, sep=" ")
+    lines = block.count("\n") + (not block.endswith("\n"))
+    if tokens.size != width * lines or tokens.max(initial=0) >= 1 << 53:
+        return None
+    if per_line:
+        # The edge-list regex's line check, vectorised (a third of its
+        # cost): token starts before the k-th line end number k * width.
+        b = np.frombuffer(raw, dtype=np.uint8)
+        starts = np.flatnonzero(np.diff((b >= 48).view(np.int8), prepend=0) > 0)
+        ends = np.append(np.flatnonzero(b == 10), b.size)[:lines]
+        if np.any(np.searchsorted(starts, ends) != width * np.arange(1, lines + 1)):
+            return None
+    return tokens
+
+
 def _int_column_pair(values: np.ndarray, what: str) -> np.ndarray:
     """Validate that float columns are integral; cast to int64."""
-    if not np.all(values == np.floor(values)):
+    if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
         raise GraphFormatError(f"{what}: vertex ids must be integers")
     return values.astype(np.int64)
 
@@ -262,12 +298,16 @@ def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
     entry count) as soon as they are read.  MatrixMarket ids come out
     0-based and range-checked; edge-list and SNAP ids are raw.
 
-    Each edge-list block is shape-checked by one regex search, so a
-    malformed line raises :class:`GraphFormatError` naming its line
-    number.  SNAP and MatrixMarket data pair up token-wise; an odd token
-    count or an entry count other than the declared one raises at the
-    end.  A ``pattern`` MatrixMarket file whose first entry carries a
-    weight column is read as three tokens per entry.
+    Whole-line comments are cut first; a block that is then digits and
+    whitespace, ``width`` tokens per line (in total for SNAP and
+    MatrixMarket), takes the :func:`_int_tokens` fast path.  Any other
+    block is split to floats: an edge-list block is shape-checked by one
+    regex search, so a malformed line raises :class:`GraphFormatError`
+    naming its line number, and integer-valued floats are accepted.  SNAP
+    and MatrixMarket data pair up token-wise; an odd token count or an
+    entry count other than the declared one raises at the end.  A
+    ``pattern`` MatrixMarket file whose first entry carries a weight
+    column is read as three tokens per entry.
     """
     width = 2
     if fmt == "mtx":
@@ -279,8 +319,24 @@ def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
     lineno = seen = 0
     carry = np.empty(0, dtype=np.float64)
     for block in _text_blocks(fh):
-        if fmt == "edgelist":
-            bad = _BAD_EDGELIST_LINE.search(block)
+        data, noted = block, []
+        if any(p in block for p in prefixes):
+            # Comments sit in a header; only the text up to the last one
+            # goes through the regex.
+            cut = block.find("\n", max(block.rfind(p) for p in prefixes)) + 1 or len(block)
+            noted, data = comments.findall(block, 0, cut), comments.sub("", block[:cut])
+            data += block[cut:]
+        if sniff_width and data.strip():
+            # One-sided leniency: a pattern-declared file carrying weight
+            # columns is reinterpretable without data loss, but a weighted
+            # file with only 2 tokens per entry is indistinguishable from
+            # a truncated download — it fails the entry count instead.
+            sniff_width = False
+            if len(data.lstrip().split("\n", 1)[0].split()) == 3:
+                width = 3
+        tokens = _int_tokens(data, width, fmt == "edgelist")
+        if tokens is None:
+            bad = _BAD_EDGELIST_LINE.search(block) if fmt == "edgelist" else None
             if bad is not None:
                 start = bad.start()
                 end = block.find("\n", start)
@@ -288,25 +344,15 @@ def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
                     lineno + block.count("\n", 0, start) + 1,
                     block[start : end if end >= 0 else len(block)],
                 )
+            tokens = _block_tokens(data)
+        if fmt == "edgelist":
             lineno += block.count("\n")
-        if any(p in block for p in prefixes):
-            if fmt == "edgelist":
-                for line in comments.findall(block):
-                    parts = line.strip()[1:].split()
-                    if len(parts) == 2 and parts[0] == "vertices":
-                        head.declared_vertices = int(parts[1])
-            block = comments.sub("", block)
-        tokens = _block_tokens(block)
+            for line in noted:
+                parts = line.strip()[1:].split()
+                if len(parts) == 2 and parts[0] == "vertices":
+                    head.declared_vertices = int(parts[1])
         if not tokens.size:
             continue
-        if sniff_width:
-            # One-sided leniency: a pattern-declared file carrying weight
-            # columns is reinterpretable without data loss, but a weighted
-            # file with only 2 tokens per entry is indistinguishable from
-            # a truncated download — it fails the entry count instead.
-            sniff_width = False
-            if len(block.lstrip().split("\n", 1)[0].split()) == 3:
-                width = 3
         if carry.size:
             tokens = np.concatenate((carry, tokens))
         keep = tokens.size - tokens.size % width

@@ -12,7 +12,9 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import (
+    edge_keys, from_edge_array, from_edge_keys, graph_keys, key_index, key_pairs,
+)
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -30,16 +32,18 @@ def edge_subgraph(graph: CSRGraph, edges: np.ndarray | Iterable[tuple[int, int]]
 
     This matches the paper's definition of a chordal subgraph
     ``G' = (V, EC)`` — all vertices are retained, including isolated ones.
+    ``edges`` are keyed (:func:`~repro.graph.builder.edge_keys`) and probed
+    against ``graph``'s keys at once; the first missing one in ``(u, v)``
+    order raises :class:`GraphFormatError`.
     """
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    sub = from_edge_array(graph.num_vertices, arr)
-    # Sanity: every requested edge must exist in the parent graph.
-    for u, v in sub.edge_array():
-        if not graph.has_edge(int(u), int(v)):
-            raise GraphFormatError(f"edge ({u}, {v}) not present in parent graph")
-    return sub
+    n = graph.num_vertices
+    keys = edge_keys(n, arr)
+    missing = key_index(graph_keys(graph), keys) < 0
+    if missing.any():
+        u, v = key_pairs(n, keys[missing][:1])[0]
+        raise GraphFormatError(f"edge ({u}, {v}) not present in parent graph")
+    return from_edge_keys(n, keys)
 
 
 def induced_subgraph(graph: CSRGraph, vertices: Iterable[int]) -> tuple[CSRGraph, np.ndarray]:

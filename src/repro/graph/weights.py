@@ -30,6 +30,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.builder import canonical_keys, key_index
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -40,12 +41,10 @@ __all__ = [
 ]
 
 
-def _edge_keys(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted_keys, order)`` for the rows of ``graph.edge_array()``,
-    where a row ``(u, v)`` with ``u < v`` gets key ``u * n + v``."""
-    e = graph.edge_array()
-    n = max(graph.num_vertices, 1)
-    keys = e[:, 0].astype(np.int64) * n + e[:, 1].astype(np.int64)
+def _row_keys(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_keys, order)``: the sorted canonical keys of the rows of
+    ``graph.edge_array()``, and the row order that sorts them."""
+    keys = canonical_keys(graph.num_vertices, graph.edge_array())
     order = np.argsort(keys, kind="stable")
     return keys[order], order
 
@@ -80,13 +79,11 @@ def _row_weights_from_mapping(
                 f"{canonical[edge]} vs {w} (its two orientations must agree)"
             )
         canonical[edge] = w
-    rows = graph.edge_array()
-    out = np.full(rows.shape[0], float(default), dtype=np.float64)
+    out = np.full(graph.num_edges, float(default), dtype=np.float64)
     if canonical:
-        for i, (u, v) in enumerate(rows):
-            w = canonical.get((int(u), int(v)))
-            if w is not None:
-                out[i] = w
+        sorted_keys, order = _row_keys(graph)
+        pos = key_index(sorted_keys, canonical_keys(n, list(canonical)))
+        out[order[pos]] = list(canonical.values())
     return out
 
 
@@ -141,14 +138,10 @@ def attach_edge_weights(
 
     # Scatter row weights to both arcs of each edge: key every arc by its
     # canonical (min, max) pair and look it up in the sorted row keys.
-    n = max(graph.num_vertices, 1)
-    sorted_keys, order = _edge_keys(graph)
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees()
-    )
-    dst = graph.indices.astype(np.int64)
-    arc_keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-    pos = np.searchsorted(sorted_keys, arc_keys)
+    sorted_keys, order = _row_keys(graph)
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
+    arcs = np.column_stack((src, graph.indices))
+    pos = key_index(sorted_keys, canonical_keys(graph.num_vertices, arcs))
     arc_weights = row_weights[order][pos] if row_weights.size else row_weights
     return CSRGraph(
         graph.indptr,
@@ -190,18 +183,11 @@ def retained_weight(graph: CSRGraph, edges) -> float:
         return 0.0
     if not graph.has_weights:
         return float(e.shape[0])
-    n = max(graph.num_vertices, 1)
-    sorted_keys, order = _edge_keys(graph)
-    row_weights = graph.edge_weight_rows()[order]
-    keys = (
-        np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1])
-    ).astype(np.int64)
-    pos = np.searchsorted(sorted_keys, keys)
-    clipped = np.minimum(pos, sorted_keys.size - 1)
-    miss = (pos >= sorted_keys.size) | (sorted_keys[clipped] != keys)
-    if np.any(miss):
-        bad = e[miss]
+    sorted_keys, order = _row_keys(graph)
+    pos = key_index(sorted_keys, canonical_keys(graph.num_vertices, e))
+    if np.any(pos < 0):
+        bad = e[pos < 0]
         raise GraphFormatError(
             f"edges not in the graph: {[tuple(map(int, row)) for row in bad[:3]]}"
         )
-    return float(row_weights[pos].sum())
+    return float(graph.edge_weight_rows()[order][pos].sum())

@@ -54,14 +54,14 @@ from repro.chordality.maximality import AddabilityOracle
 from repro.chordality.recognition import find_hole, is_chordal
 from repro.chordality.verify import verify_extraction
 from repro.core.config import ExtractionConfig
-from repro.core.session import Extractor, _canonical_edges
+from repro.core.session import Extractor
 from repro.errors import ShardError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import edge_keys, from_edge_array, key_pairs
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import induced_subgraph
 
 from .cache import load_shard_result, store_shard_result
-from .plan import ShardPlan, build_plan, load_boundary_edges, load_shard_edges
+from .plan import ShardPlan, boundary_keys, build_plan, load_shard_edges
 
 __all__ = [
     "ShardStats",
@@ -209,7 +209,7 @@ def extract_shard(
             )
         verified = True
 
-    global_edges = _canonical_edges(result.edges + lo)
+    global_edges = result.edges + lo  # canonical rows stay canonical
     meta = {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
@@ -297,25 +297,20 @@ def stitch_shards(
         )
 
     n = plan.num_vertices
-    boundary = load_boundary_edges(plan)
+    # The boundary is most of the input on a random partition, so it is
+    # held once: column-major, the oracle reads each column in place.
+    boundary = np.asfortranarray(key_pairs(n, boundary_keys(plan)))
     # The stitched subgraph holds at most the shard edges plus the whole
     # boundary, so their endpoint counts are its per-vertex capacity.
-    ends = np.concatenate([e.ravel() for e in shard_edges] + [boundary.ravel()])
-    oracle = AddabilityOracle(n, np.bincount(ends, minlength=n))
+    columns = (col for edges in (*shard_edges, boundary) for col in edges.T)
+    oracle = AddabilityOracle(n, sum(np.bincount(col, minlength=n) for col in columns))
     for edges in shard_edges:
         oracle.add_edges(edges)
     accepted_pass, rounds = oracle.greedy(boundary)
     admitted = np.flatnonzero(accepted_pass)
     admitted_arr = boundary[admitted[np.argsort(accepted_pass[admitted], kind="stable")]]
     rejected_arr = boundary[accepted_pass == 0]
-    all_edges = [e for e in shard_edges if e.size] + (
-        [admitted_arr] if admitted_arr.size else []
-    )
-    final = (
-        _canonical_edges(np.vstack(all_edges))
-        if all_edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    final = key_pairs(n, edge_keys(n, np.vstack([*shard_edges, admitted_arr])))
     return ShardedResult(
         edges=final,
         num_vertices=n,

@@ -41,6 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import GraphFormatError, ShardError
+from repro.graph.builder import canonical_keys, key_pairs
 from repro.graph.io import EdgeStream
 from repro.parallel.partition import degree_balanced_cuts
 
@@ -51,6 +52,7 @@ __all__ = [
     "load_plan",
     "load_shard_edges",
     "iter_boundary_edges",
+    "boundary_keys",
     "load_boundary_edges",
 ]
 
@@ -421,19 +423,26 @@ def iter_boundary_edges(
             yield arr.astype(np.int64, copy=False).reshape(-1, 2)
 
 
-def load_boundary_edges(plan: ShardPlan) -> np.ndarray:
-    """Unique canonical boundary pairs, sorted lexicographically.
+def boundary_keys(plan: ShardPlan) -> np.ndarray:
+    """Unique canonical boundary edge keys (see
+    :func:`repro.graph.builder.edge_keys`), sorted.
 
-    Dedup is done per streamed chunk then once over the merged uniques,
-    so peak memory is O(unique boundary pairs), not O(raw pairs).
+    The spill is keyed in small chunks, then sorted in place and
+    deduplicated, so the boundary is never held as pairs: peak memory is
+    at most three int64 words per raw pair.
     """
-    uniques = [np.empty((0, 2), dtype=np.int64)]
-    for chunk in iter_boundary_edges(plan):
-        uniques.append(np.unique(chunk, axis=0))
-    merged = np.vstack(uniques)
-    if merged.size == 0:
-        return merged.reshape(0, 2)
-    return np.unique(merged, axis=0)
+    n = plan.num_vertices
+    chunks = iter_boundary_edges(plan, chunk_pairs=1 << 16)
+    keys = np.concatenate([np.empty(0, np.int64), *(canonical_keys(n, c) for c in chunks)])
+    keys.sort()
+    # A -1 key (a loop or an out-of-range pair) sorts first and is dropped.
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def load_boundary_edges(plan: ShardPlan) -> np.ndarray:
+    """Unique canonical boundary pairs, sorted lexicographically: the
+    rows of :func:`boundary_keys`."""
+    return key_pairs(plan.num_vertices, boundary_keys(plan))
 
 
 def _spill_files_intact(plan: ShardPlan) -> bool:

@@ -38,7 +38,6 @@ from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.maximalize import maximalize_chordal_edges
 from repro.core.native import DISABLE_ENV
 from repro.core.native.build import resolve
-from repro.core.session import _canonical_edges
 from repro.errors import GraphFormatError
 from repro.graph.bfs import bfs_renumber
 from repro.graph.builder import from_edge_array
@@ -129,7 +128,10 @@ def reference_stitch(n, shard_edges, boundary):
         if not progress:
             break
     admitted_arr = np.asarray(admitted, dtype=np.int64).reshape(-1, 2)
-    edges = _canonical_edges(np.vstack(shard_edges + [admitted_arr]))
+    edges = np.array(
+        sorted((min(u, v), max(u, v)) for u, v in np.vstack(shard_edges + [admitted_arr]).tolist()),
+        dtype=np.int64,
+    ).reshape(-1, 2)
     return edges, admitted_arr, np.asarray(alive, dtype=np.int64).reshape(-1, 2), rounds
 
 

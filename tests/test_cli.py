@@ -18,6 +18,17 @@ from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.graph.generators.rmat import rmat_b, rmat_er
 from repro.graph.io import load_graph, save_graph
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _child_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(_ROOT, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -392,11 +403,7 @@ class TestBench:
 class TestPipe:
     def test_generate_extract_pipe_subprocess(self, tmp_path):
         """`python -m repro generate | python -m repro extract -` end to end."""
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        root, env = _ROOT, _child_env()
         generate = subprocess.run(
             [sys.executable, "-m", "repro", "generate", "rmat-er",
              "--scale", "6", "--seed", "1"],
@@ -412,6 +419,31 @@ class TestPipe:
         piped = load_graph(io.StringIO(extract.stdout), "edgelist")
         expected = extract_maximal_chordal_subgraph(rmat_er(6, seed=1))
         assert np.array_equal(piped.edge_array(), expected.edges)
+
+
+class TestLazyStartup:
+    """``repro extract`` imports what it runs: the chordality oracles
+    arrive with ``--verify`` and never without it, and no run loads the
+    generators, the shard planner, the service or the experiments."""
+
+    @pytest.mark.parametrize("flags, certifies", [([], False), (["--verify"], True)])
+    def test_extract_loads_only_what_it_runs(self, tmp_path, flags, certifies):
+        save_graph(rmat_er(8, seed=1), tmp_path / "g.mtx")
+        argv = ["extract", str(tmp_path / "g.mtx"), "-o", str(tmp_path / "h.txt"), "-q", *flags]
+        code = (
+            "import sys\nfrom repro.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(' '.join(sorted(sys.modules)))\nsys.exit(rc)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_child_env(), cwd=_ROOT, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        loaded = set(child.stdout.split())
+        assert ("repro.chordality" in loaded) == certifies
+        heavy = {"repro.graph.generators", "repro.shard", "repro.service", "repro.experiments"}
+        assert not loaded & heavy
 
 
 class TestExtractServerVerifyParity:
@@ -460,11 +492,7 @@ class TestExtractServerVerifyParity:
                 )
             ),
         )
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        root, env = _ROOT, _child_env()
         with server:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "extract", source,

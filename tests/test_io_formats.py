@@ -304,3 +304,168 @@ class TestLoadSaveGraph:
 
     def test_formats_tuple_is_public_contract(self):
         assert set(FORMATS) == {"edgelist", "mtx", "metis", "npz", "snap"}
+
+
+#: Second-block contents -> whether that block leaves the whole-block
+#: integer fast path for the float path.  Tabs, whole-line comments (cut
+#: before parsing) and a missing final newline keep the fast path.
+_SECOND_BLOCK = {
+    "float-id": ("3.0 7\n", True),
+    "signed-id": ("+5 7\n", True),
+    "blank-line": ("\n4 9\n", True),
+    "tabs": ("3\t7\n", False),
+    "comment": ("{comment} note\n4 9\n", False),
+    "no-trailing-newline": ("4 9", False),
+}
+
+
+#: Parse block size for these tests (the default is 1 MiB).
+_BLOCK = 1 << 16
+
+
+def _clean_lines(width=2):
+    """A bit over one parse block of clean 1-based entries."""
+    rows = [(1 + i % 997, 1 + (i * 7 + 3) % 1000) for i in range(_BLOCK // 7)]
+    tail = " 1" if width == 3 else ""
+    return "".join(f"{u} {v}{tail}\n" for u, v in rows if u != v)
+
+
+def _python_parse(text, fmt):
+    """``(n or None, set of (min, max) pairs)`` by a plain per-line parse."""
+    lines = text.splitlines()
+    n, pairs = None, set()
+    if fmt == "mtx":
+        lines = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+        n = int(lines[0].split()[0])
+        lines = lines[1:]
+    for line in lines:
+        parts = line.split()
+        if not parts or parts[0][0] in "#%":
+            if parts[:2] == ["#", "vertices"]:
+                n = int(parts[2])
+            continue
+        u, v = (int(float(tok)) - (fmt == "mtx") for tok in parts[:2])
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return n, pairs
+
+
+class TestBlockFastPath:
+    """The first parse block of these files is clean and takes the integer
+    fast path; the second carries one other line shape, and the answer
+    equals a plain Python parse whichever path each block takes."""
+
+    @pytest.fixture
+    def slow_blocks(self, monkeypatch):
+        """Lengths of the blocks sent down the float path."""
+        import repro.graph.io as gio
+
+        monkeypatch.setattr(gio, "_CHUNK_CHARS", _BLOCK)
+        seen, slow = [], gio._block_tokens
+        monkeypatch.setattr(gio, "_block_tokens", lambda b: seen.append(len(b)) or slow(b))
+        return seen
+
+    @staticmethod
+    def _file(tmp_path, fmt, body, field="pattern"):
+        if fmt == "mtx":
+            entries = sum(1 for ln in body.splitlines() if ln.strip() and ln[0] != "%")
+            head = f"%%MatrixMarket matrix coordinate {field} general\n1000 1000 {entries}\n"
+        elif fmt == "edgelist":
+            head = "# vertices 1001\n"
+        else:
+            head = "# SNAP dump\n# FromNodeId\tToNodeId\n"
+        path = tmp_path / f"g.{fmt}"
+        path.write_text(head + body)
+        return path, head + body
+
+    def _check(self, path, text, fmt):
+        n, pairs = _python_parse(text, fmt)
+        if fmt == "snap":
+            graph, labels = read_snap(path)
+            got = {(int(labels[u]), int(labels[v])) for u, v in graph.edge_array()}
+            assert {(min(e), max(e)) for e in got} == pairs
+        else:
+            graph = load_graph(path, fmt)
+            assert graph.num_vertices == n
+            assert graph.edge_set() == pairs
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "mtx", "snap"])
+    def test_clean_file_never_falls_back(self, tmp_path, fmt, slow_blocks):
+        path, text = self._file(tmp_path, fmt, _clean_lines())
+        self._check(path, text, fmt)
+        assert all(size < 100 for size in slow_blocks)  # the mtx size line only
+
+    @pytest.mark.parametrize(
+        "fmt, case",
+        [
+            (fmt, case)
+            for fmt in ("edgelist", "mtx", "snap")
+            for case in sorted(_SECOND_BLOCK)
+            # A float id is a malformed edge-list line (tested below).
+            if (fmt, case) != ("edgelist", "float-id")
+        ],
+    )
+    def test_dirty_second_block_falls_back(self, tmp_path, fmt, case, slow_blocks):
+        dirty, falls_back = _SECOND_BLOCK[case]
+        dirty = dirty.format(comment="%" if fmt == "mtx" else "#")
+        path, text = self._file(tmp_path, fmt, _clean_lines() + dirty)
+        self._check(path, text, fmt)
+        assert sum(size >= 100 for size in slow_blocks) == falls_back
+
+    def test_weighted_real_mtx_weight_column(self, tmp_path, slow_blocks):
+        path, text = self._file(tmp_path, "mtx", _clean_lines(3) + "4 9 0.25\n", "real")
+        self._check(path, text, "mtx")
+        assert sum(size >= 100 for size in slow_blocks) == 1
+
+    def test_pattern_mtx_width_sniffed_before_the_fast_path(self, tmp_path, slow_blocks):
+        path, text = self._file(tmp_path, "mtx", _clean_lines(3))
+        self._check(path, text, "mtx")
+        assert all(size < 100 for size in slow_blocks)
+
+    # "1 2 3\n4" has two tokens per line on average: only the per-line
+    # count keeps it off the fast path.
+    @pytest.mark.parametrize("bad", ["1 2 3", "3.0 7", "1 2 3\n4"])
+    def test_malformed_second_block_line_named(self, tmp_path, bad, slow_blocks):
+        path, text = self._file(tmp_path, "edgelist", _clean_lines() + f"4 9\n{bad}\n5 6\n")
+        lineno = text.count("\n") - 1 - bad.count("\n")
+        named = bad.split("\n")[0]
+        with pytest.raises(GraphFormatError, match=rf"^line {lineno}: .*'{named}'"):
+            load_graph(path, "edgelist")
+
+    @pytest.mark.parametrize("fmt", ["mtx", "snap"])
+    def test_non_numeric_second_block_token(self, tmp_path, fmt, slow_blocks):
+        path, _ = self._file(tmp_path, fmt, _clean_lines() + "4 x\n")
+        with pytest.raises(GraphFormatError, match="non-numeric token"):
+            load_graph(path, fmt)
+
+    def test_ids_past_float_precision_take_the_float_path(self, tmp_path, slow_blocks):
+        # 2**53 + 1 rounds to 2**53 as a float; the fast path would keep it.
+        path, text = self._file(tmp_path, "snap", _clean_lines() + "9007199254740993 7\n")
+        self._check(path, text, "snap")
+        assert sum(size >= 100 for size in slow_blocks) == 1
+
+    def test_threaded_loads_leave_warning_filters_alone(self, tmp_path):
+        import threading
+        import warnings
+
+        before = list(warnings.filters)
+        fmts = ("edgelist", "mtx")
+        files = {fmt: self._file(tmp_path, fmt, _clean_lines()) for fmt in fmts}
+        graphs, errors = {}, []
+
+        def load(fmt):
+            try:
+                for _ in range(5):
+                    graphs[fmt] = load_graph(files[fmt][0], fmt)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load, args=(fmt,)) for fmt in fmts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert warnings.filters == before
+        for fmt in fmts:
+            assert graphs[fmt].edge_set() == _python_parse(files[fmt][1], fmt)[1]

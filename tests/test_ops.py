@@ -39,6 +39,18 @@ class TestEdgeSubgraph:
         with pytest.raises(GraphFormatError, match="not present"):
             edge_subgraph(diamond, [(0, 3)])
 
+    def test_first_missing_edge_named(self):
+        path = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        # (2, 4) and (1, 3) are missing; (1, 3) comes first in (u, v) order.
+        with pytest.raises(
+            GraphFormatError, match=r"^edge \(1, 3\) not present in parent graph$"
+        ):
+            edge_subgraph(path, [(4, 2), (3, 4), (3, 1), (0, 1)])
+
+    def test_out_of_range_edge_rejected(self, diamond):
+        with pytest.raises(GraphFormatError, match=r"edge \(0, 4\) out of range for n=4"):
+            edge_subgraph(diamond, [(0, 1), (0, 4)])
+
 
 class TestInducedSubgraph:
     def test_relabels(self, diamond):

@@ -9,9 +9,9 @@ scale-``SCALE`` RMAT-ER input (16x the scale-14 edge count the in-memory
 engines are comfortable with):
 
 * **memory arm** — ``load_graph`` + one in-memory extraction.  Text
-  parsing plus CSR construction alone peak several hundred MB above the
-  cap, so the arm must die with ``MemoryError`` (exit ``EXIT_EXCEEDED``);
-  any other failure mode fails the test — the proof is specifically
+  parsing plus CSR construction alone peak ~30 MB above the cap, so
+  the arm must die with ``MemoryError`` (exit ``EXIT_EXCEEDED``); any
+  other failure mode fails the test — the proof is specifically
   that *memory* is what stops the in-memory path;
 * **sharded arm** — the full ``plan -> run -> stitch`` pipeline with
   per-shard ``verify_extraction``, then ``is_chordal`` on the stitched
@@ -54,10 +54,10 @@ GRAPH_SEED = 1
 NUM_SHARDS = 32
 
 #: Address-space budget over the child's own post-import baseline.  The
-#: sharded pipeline peaks ~200 MB over baseline at this scale; the
-#: in-memory load alone needs ~305 MB — the cap sits between with
-#: ~50 MB of margin on each side.
-CAP_DELTA_MB = 256
+#: sharded pipeline peaks ~147 MB over baseline at this scale; the
+#: in-memory load alone needs ~207 MB — the cap sits between with
+#: ~30 MB of margin on each side.
+CAP_DELTA_MB = 176
 
 #: Child exit code for "the cap stopped me" (distinct from pytest's own
 #: failure codes so a crash cannot masquerade as the expected outcome).

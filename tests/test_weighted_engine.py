@@ -216,6 +216,21 @@ def test_retained_weight_rejects_foreign_edges():
         ) else retained_weight(gw, [(-5, -4)])
 
 
+def test_retained_weight_rejects_aliased_non_edge():
+    # Key 0*3+5 equals key 1*3+2: without a range check (0, 5) would be
+    # counted as the edge (1, 2).
+    gw = attach_edge_weights(build_graph(3, [(1, 2)]), 2.5)
+    with pytest.raises(GraphFormatError, match=r"not in the graph: \[\(0, 5\)\]"):
+        retained_weight(gw, [(0, 5)])
+    assert retained_weight(gw, [(2, 1)]) == 2.5
+
+
+def test_retained_weight_on_edgeless_graph_rejects_any_edge():
+    gw = attach_edge_weights(build_graph(3, []), 1.0)
+    with pytest.raises(GraphFormatError, match="not in the graph"):
+        retained_weight(gw, [(0, 1)])
+
+
 def test_weighted_determinism_across_runs():
     gw = _weighted(seed=13)
     with Extractor(engine="weighted") as ex:
