@@ -53,9 +53,12 @@ class CSRGraph:
         Declare whether each adjacency slice is strictly increasing.  When
         ``validate=True`` the declaration is checked.
     validate:
-        Run full structural validation (symmetry is *not* checked here — it
-        is checked by the builder which is the normal entry point; direct
-        constructor users can call :meth:`validate_symmetry`).
+        Run the structural checks of :meth:`_validate`: the ``indptr``
+        shape, ids in range and, when declared, strictly rising slices.
+        They are whole-array NumPy work, no per-vertex loop.  Symmetry is
+        *not* checked here; the builder guarantees it on the normal path,
+        and arrays from outside the library go through
+        :meth:`from_untrusted`, which adds :meth:`validate_symmetry`.
     """
 
     __slots__ = ("indptr", "indices", "sorted_adjacency", "_degrees", "_arc_weights")
@@ -94,10 +97,46 @@ class CSRGraph:
         if self._arc_weights is not None:
             self._arc_weights.setflags(write=False)
 
+    @classmethod
+    def from_untrusted(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        *,
+        sorted_adjacency: bool,
+        arc_weights: np.ndarray | None = None,
+    ) -> "CSRGraph":
+        """Build a graph from arrays that came from outside the library.
+
+        The one validator of the entry points that take CSR arrays as
+        given (a wire ``csr`` payload, an ``.npz`` file): the structural
+        checks of ``validate=True`` and then :meth:`validate_symmetry`,
+        both whole-array.  Raises :class:`GraphFormatError` on the first
+        failed check.
+        """
+        graph = cls(
+            indptr,
+            indices,
+            sorted_adjacency=sorted_adjacency,
+            validate=True,
+            arc_weights=arc_weights,
+        )
+        graph.validate_symmetry()
+        return graph
+
     @staticmethod
     def _validate(indptr: np.ndarray, indices: np.ndarray, sorted_adjacency: bool) -> None:
+        """Structural checks, whole-array (no per-vertex Python loop).
+
+        ``indptr`` is 1-D, starts at 0, ends at ``len(indices)`` and never
+        falls; ``indices`` is 1-D with every id in ``[0, n)``; and, when
+        ``sorted_adjacency`` is declared, every adjacency slice rises
+        strictly.  Symmetry is :meth:`validate_symmetry`'s job.
+        """
         if indptr.ndim != 1 or indptr.size == 0:
             raise GraphFormatError("indptr must be a 1-D array of length n+1 (n >= 0)")
+        if indices.ndim != 1:
+            raise GraphFormatError(f"indices must be a 1-D array, got shape {indices.shape}")
         if indptr[0] != 0:
             raise GraphFormatError(f"indptr[0] must be 0, got {indptr[0]}")
         if indptr[-1] != indices.size:
@@ -113,14 +152,19 @@ class CSRGraph:
                     f"indices must lie in [0, {n - 1}], got range "
                     f"[{indices.min()}, {indices.max()}]"
                 )
-        if sorted_adjacency:
-            for v in range(n):
-                row = indices[indptr[v]:indptr[v + 1]]
-                if row.size > 1 and not np.all(row[1:] > row[:-1]):
-                    raise GraphFormatError(
-                        f"adjacency of vertex {v} is not strictly increasing "
-                        "but sorted_adjacency=True"
-                    )
+        if sorted_adjacency and indices.size > 1:
+            # Pair i compares arcs i and i + 1; a pair that straddles a row
+            # start is not a rise test, so it is masked out.
+            bad = indices[1:] <= indices[:-1]
+            starts = indptr[1:-1]
+            bad[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+            if bad.any():
+                first = int(np.argmax(bad))
+                v = int(np.searchsorted(indptr, first, side="right")) - 1
+                raise GraphFormatError(
+                    f"adjacency of vertex {v} is not strictly increasing "
+                    "but sorted_adjacency=True"
+                )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -302,18 +346,31 @@ class CSRGraph:
 
     def validate_symmetry(self) -> None:
         """Raise :class:`GraphFormatError` unless the arc set is symmetric
-        and free of self-loops and duplicates."""
+        and free of self-loops and duplicate arcs.
+
+        Whole-array, with at most two sorts of the ``m`` arc keys: the
+        forward keys ``src * n + dst`` already ascend when every slice
+        rises strictly (checked, not taken from ``sorted_adjacency``), so
+        then only the reverse keys ``dst * n + src`` are sorted.  A graph
+        that passes is symmetric, loop-free and duplicate-free whatever
+        ``sorted_adjacency`` declares.
+        """
         n = self.num_vertices
         src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-        dst = self.indices.astype(np.int64)
+        dst = self.indices.astype(np.int64)  # a copy: the key math is in place
         if np.any(src == dst):
             raise GraphFormatError("graph contains self-loops")
-        fwd = src * n + dst
-        rev = dst * n + src
-        fwd_sorted = np.sort(fwd)
-        if fwd_sorted.size and np.any(fwd_sorted[1:] == fwd_sorted[:-1]):
-            raise GraphFormatError("graph contains duplicate arcs")
-        if not np.array_equal(fwd_sorted, np.sort(rev)):
+        fwd = src * n
+        fwd += dst
+        if not np.all(fwd[1:] > fwd[:-1]):
+            fwd.sort()
+            if np.any(fwd[1:] == fwd[:-1]):
+                raise GraphFormatError("graph contains duplicate arcs")
+        rev = dst
+        rev *= n
+        rev += src
+        rev.sort()
+        if not np.array_equal(fwd, rev):
             raise GraphFormatError("arc set is not symmetric")
 
     # ------------------------------------------------------------------

@@ -289,6 +289,20 @@ def _read_mtx_header(fh) -> tuple[str, int, int]:
     return field, rows, nnz
 
 
+def _vertex_count(token: str, line: str) -> int:
+    """``token``, the ``N`` of an edge list's ``# vertices N`` ``line``."""
+    try:
+        count = int(token)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise GraphFormatError(
+            f"edge-list header {line.strip()!r} must give a non-negative "
+            "integer vertex count"
+        )
+    return count
+
+
 def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
     """The one parser of the pair formats: ``fh`` as ``(k, 2)`` int64 chunks.
 
@@ -350,7 +364,7 @@ def _pair_chunks(fh, fmt: str, head) -> Iterator[np.ndarray]:
             for line in noted:
                 parts = line.strip()[1:].split()
                 if len(parts) == 2 and parts[0] == "vertices":
-                    head.declared_vertices = int(parts[1])
+                    head.declared_vertices = _vertex_count(parts[1], line)
         if not tokens.size:
             continue
         if carry.size:
@@ -551,11 +565,13 @@ def _save_npz(graph: CSRGraph, target) -> None:
 
 def _load_npz(source) -> CSRGraph:
     with np.load(source) as data:
-        return CSRGraph(
+        missing = {"indptr", "indices", "sorted_adjacency"} - set(data.files)
+        if missing:
+            raise GraphFormatError(f"npz archive lacks the array(s) {sorted(missing)}")
+        return CSRGraph.from_untrusted(
             data["indptr"],
             data["indices"],
             sorted_adjacency=bool(data["sorted_adjacency"]),
-            validate=True,
         )
 
 

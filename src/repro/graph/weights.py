@@ -174,15 +174,14 @@ def edge_weight_mapping(graph: CSRGraph) -> dict[tuple[int, int], float]:
 def retained_weight(graph: CSRGraph, edges) -> float:
     """Total weight of ``edges`` under ``graph``'s weights.
 
-    ``edges`` is any ``(k, 2)`` array-like of edges of ``graph``.  For an
-    unweighted graph this is the edge count (uniform weight 1.0), so
-    weighted and unweighted results are directly comparable.
+    ``edges`` is any ``(k, 2)`` array-like of edges of ``graph``; a row
+    that is not one raises :class:`GraphFormatError`, weighted or not.
+    For an unweighted graph this is the edge count (uniform weight 1.0),
+    so weighted and unweighted results are directly comparable.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size == 0:
         return 0.0
-    if not graph.has_weights:
-        return float(e.shape[0])
     sorted_keys, order = _row_keys(graph)
     pos = key_index(sorted_keys, canonical_keys(graph.num_vertices, e))
     if np.any(pos < 0):
@@ -190,4 +189,6 @@ def retained_weight(graph: CSRGraph, edges) -> float:
         raise GraphFormatError(
             f"edges not in the graph: {[tuple(map(int, row)) for row in bad[:3]]}"
         )
+    if not graph.has_weights:
+        return float(e.shape[0])
     return float(graph.edge_weight_rows()[order][pos].sum())

@@ -395,14 +395,12 @@ def _decode_csr_graph(csr: Any) -> CSRGraph:
     if "weights" in csr:
         weights = _from_b64(csr["weights"], "<f8", "csr.weights")
     try:
-        graph = CSRGraph(
+        graph = CSRGraph.from_untrusted(
             indptr,
             indices,
             sorted_adjacency=bool(csr.get("sorted", False)),
-            validate=True,
             arc_weights=weights,
         )
-        graph.validate_symmetry()
     except GraphFormatError as exc:
         raise ProtocolError(f"malformed CSR payload: {exc}", code=BAD_GRAPH)
     return graph

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_graph
@@ -135,3 +137,95 @@ class TestEquality:
 
     def test_not_equal_to_non_graph(self, small):
         assert small != "graph"
+
+
+# ---------------------------------------------------------------------------
+# The whole-array checks against per-row / edge-set references
+
+
+def _first_unsorted_row(indptr, indices):
+    """Reference: the first vertex whose slice does not rise strictly
+    (``None`` when every slice does), one row at a time."""
+    for v in range(len(indptr) - 1):
+        row = indices[indptr[v]:indptr[v + 1]]
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return v
+    return None
+
+
+@st.composite
+def _csr_rows(draw):
+    """Structurally valid CSR arrays: empty rows, ``n`` from 0, empty
+    ``indices``, and rows drawn both unsorted and strictly sorted."""
+    n = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(st.integers(0, n - 1), max_size=6))
+        if draw(st.booleans()):
+            row = sorted(set(row))
+        rows.append(row)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(r) for r in rows])
+    indices = np.array([v for r in rows for v in r], dtype=np.int64)
+    return indptr, indices
+
+
+@given(_csr_rows())
+def test_sorted_check_matches_per_row_reference(arrays):
+    indptr, indices = arrays
+    CSRGraph(indptr, indices, sorted_adjacency=False)
+    expected = _first_unsorted_row(indptr.tolist(), indices.tolist())
+    if expected is None:
+        CSRGraph(indptr, indices, sorted_adjacency=True)
+    else:
+        message = (
+            f"adjacency of vertex {expected} is not strictly increasing "
+            "but sorted_adjacency=True"
+        )
+        with pytest.raises(GraphFormatError) as excinfo:
+            CSRGraph(indptr, indices, sorted_adjacency=True)
+        assert str(excinfo.value) == message
+
+
+def _symmetry_reference(arcs):
+    """Reference: the check :meth:`CSRGraph.validate_symmetry` should
+    fail first on the arc list (``None`` when it should pass)."""
+    if any(u == v for u, v in arcs):
+        return "self-loops"
+    if len(set(arcs)) != len(arcs):
+        return "duplicate arcs"
+    if set(arcs) != {(v, u) for u, v in arcs}:
+        return "not symmetric"
+    return None
+
+
+@given(
+    n=st.integers(1, 7),
+    raw=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14),
+    close=st.booleans(),
+    declare_sorted=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_validate_symmetry_matches_edge_set_reference(n, raw, close, declare_sorted, seed):
+    arcs = [(u % n, v % n) for u, v in raw]
+    if close:
+        # Most raw lists fail on a loop or a missing back-arc; closing
+        # them under reversal (loop- and duplicate-free) exercises the
+        # passing side too.
+        arcs = sorted({a for u, v in arcs if u != v for a in ((u, v), (v, u))})
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(arcs)) if rng.random() < 0.5 else np.arange(len(arcs))
+    arcs = [arcs[i] for i in order]
+    # Group by source (stable, so each slice keeps its drawn order).
+    arcs.sort(key=lambda a: a[0])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, [u + 1 for u, _ in arcs], 1)
+    indptr = np.cumsum(indptr)
+    indices = np.array([v for _, v in arcs], dtype=np.int64)
+    graph = CSRGraph(indptr, indices, sorted_adjacency=declare_sorted, validate=False)
+    expected = _symmetry_reference(arcs)
+    if expected is None:
+        graph.validate_symmetry()
+    else:
+        with pytest.raises(GraphFormatError, match=expected):
+            graph.validate_symmetry()

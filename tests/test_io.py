@@ -50,6 +50,11 @@ class TestEdgelist:
         g = load_graph(io.StringIO(""), "edgelist")
         assert g.num_vertices == 0
 
+    @pytest.mark.parametrize("count", ["abc", "-3", "2.5"])
+    def test_malformed_vertex_header_raises(self, count):
+        with pytest.raises(GraphFormatError, match=f"'# vertices {count}'"):
+            load_graph(io.StringIO(f"# vertices {count}\n0 1\n"), "edgelist")
+
     def test_rmat_roundtrip(self, tmp_path):
         g = rmat_g(7, seed=9)
         path = tmp_path / "rmat.txt"
@@ -71,6 +76,28 @@ class TestNpz:
         path = tmp_path / "g.npz"
         save_graph(sample.shuffled(np.random.default_rng(0)), path, "npz")
         assert not load_graph(path, "npz").sorted_adjacency
+
+    def test_asymmetric_arrays_raise(self, tmp_path):
+        import numpy as np
+
+        # Arc 0->2 with no 2->0 back-arc: valid CSR structure, not a graph.
+        path = tmp_path / "g.npz"
+        np.savez(
+            path,
+            indptr=np.array([0, 1, 1, 1]),
+            indices=np.array([2]),
+            sorted_adjacency=np.asarray(True),
+        )
+        with pytest.raises(GraphFormatError, match="not symmetric"):
+            load_graph(path, "npz")
+
+    def test_missing_array_raises(self, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "g.npz"
+        np.savez(path, indptr=np.array([0, 0]))
+        with pytest.raises(GraphFormatError, match=r"\['indices', 'sorted_adjacency'\]"):
+            load_graph(path, "npz")
 
 
 class TestMetis:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from repro import build_graph, rmat_b, verify_extraction
+from repro import build_graph, rmat_b, rmat_er, verify_extraction
 from repro.core.config import ExtractionConfig
 from repro.errors import ReproError
 from repro.graph.weights import attach_edge_weights
@@ -219,6 +220,35 @@ def test_asymmetric_csr_is_bad_graph():
     with pytest.raises(ProtocolError) as excinfo:
         protocol.decode_graph(payload)
     assert excinfo.value.code == protocol.BAD_GRAPH
+
+
+def _python_calls(fn, *args) -> int:
+    """Python function calls made by ``fn(*args)``, counted with
+    ``sys.setprofile`` (calls into C are not counted)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_decode_graph_call_count_is_size_independent():
+    # Timing-free scaling guard: validating a wire graph is whole-array
+    # work, so a 64x larger payload makes exactly as many Python calls.
+    # A per-vertex (or per-edge) loop on the request path fails this.
+    small, large = (protocol.encode_graph(rmat_er(s, seed=1)) for s in (8, 14))
+    _python_calls(protocol.decode_graph, small)  # settle first-call imports
+    assert _python_calls(protocol.decode_graph, small) == _python_calls(
+        protocol.decode_graph, large
+    )
 
 
 def test_edges_round_trip():

@@ -225,6 +225,17 @@ def test_retained_weight_rejects_aliased_non_edge():
     assert retained_weight(gw, [(2, 1)]) == 2.5
 
 
+def test_retained_weight_unweighted_rejects_non_edges():
+    # The unweighted count runs the same membership check: a non-edge
+    # is not one unit of retained weight.
+    g = build_graph(3, [(1, 2)])
+    with pytest.raises(GraphFormatError, match=r"not in the graph: \[\(0, 5\)\]"):
+        retained_weight(g, [(0, 5)])
+    with pytest.raises(GraphFormatError, match="not in the graph"):
+        retained_weight(g, [(0, 1)])
+    assert retained_weight(g, [(2, 1)]) == 1.0
+
+
 def test_retained_weight_on_edgeless_graph_rejects_any_edge():
     gw = attach_edge_weights(build_graph(3, []), 1.0)
     with pytest.raises(GraphFormatError, match="not in the graph"):
