@@ -17,8 +17,9 @@ Engines
     (:mod:`repro.core.runtime`): one schedule driver over a
     ``LocalState`` × executor pairing, the executor chosen by schedule.
     *Asynchronous* runs the paper's maximal-progress sweep on a
-    ``SerialExecutor`` (compiled when the native backend resolves,
-    interpreted otherwise and whenever a work trace is requested).
+    ``SerialExecutor``: compiled when the native backend resolves, and
+    otherwise (or whenever a work trace is requested) the ``reference``
+    engine's asynchronous loop, which also records the trace.
     *Synchronous* runs barrier rounds on a ``NativeThreadTeamExecutor``
     of ``num_threads`` threads: compiled GIL-releasing round bodies
     (:mod:`repro.core.native`), or the NumPy bodies when no compiled
@@ -28,7 +29,8 @@ Engines
 ``reference``
     Literal pseudocode transcription; the readable spec (kept
     loop-for-loop with the paper, so deliberately *not* rewritten over
-    the runtime).
+    the runtime).  Its asynchronous loop doubles as ``superstep``'s
+    interpreted sweep and work-trace producer.
 ``weighted``
     Serial weighted MAXCHORD (Dearing–Shier–Warner) with weight-greedy
     completion (:mod:`repro.core.weighted`) — a *different algorithm*
@@ -50,10 +52,9 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 import numpy as np
 
 from repro.core.instrument import WorkTrace
-from repro.core.reference import reference_max_chordal
+from repro.core.reference import SCHEDULES, reference_max_chordal
 from repro.core.runtime import (
     LocalState,
-    SCHEDULES,
     NativeThreadTeamExecutor,
     SerialExecutor,
     backend_run_fn,

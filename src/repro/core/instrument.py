@@ -23,13 +23,14 @@ ones:
 
 Iterations are separated by barriers, so chains never span iterations.
 
-Since the unified-runtime refactor, trace collection is a feature of the
-schedule *driver* (:func:`repro.core.runtime.driver.drive`), not of any
-one engine: synchronous traces are reconstructed from each round's
-barrier snapshot in canonical ascending order (identical for the serial
-and thread-team executors — the trace is a property of the schedule),
-and asynchronous-sweep traces are recorded at service time.  Engines
-whose table entry sets ``supports_trace`` (``superstep``) accept
+Trace collection is requested through the schedule *driver*
+(:func:`repro.core.runtime.driver.drive`): synchronous traces are
+reconstructed from each round's barrier snapshot in canonical ascending
+order (identical for the serial and thread-team executors — the trace is
+a property of the schedule), and asynchronous-sweep traces are recorded
+at service time by the reference loop
+(:func:`repro.core.reference.reference_max_chordal`).  Engines whose
+table entry sets ``supports_trace`` (``superstep``) accept
 ``collect_trace=True`` through the session API.
 """
 

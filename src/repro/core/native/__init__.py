@@ -13,12 +13,13 @@ so the ``superstep`` engine's synchronous thread team
 The same ``.so`` carries the paper's asynchronous maximal-progress sweep
 (:func:`native_sweep`), which the driver runs for the asynchronous
 schedule whenever no work trace is requested: one C call per
-extraction, bit-identical to the interpreted sweep.
+extraction, with the same edge set and queue sizes as the specification's
+asynchronous loop (:func:`repro.core.reference.reference_max_chordal`).
 
 Everything degrades cleanly: when no toolchain (or no cffi) is present,
 :func:`native_available` is ``False`` with a specific reason in
 :func:`native_status`, and the engine transparently runs the NumPy round
-body and the interpreted sweep instead — same results, interpreted
+body and the reference loop instead — same results, interpreted
 speed.  Tier-1 passes either way.
 """
 

@@ -19,10 +19,12 @@ Equivalence to the interpreted code (the determinism contract):
   element-for-element — the C path just never materialises the key
   array (the driver skips building it, see ``needs_keys``).
 * **sweep** — :func:`native_sweep` runs the asynchronous maximal-progress
-  sweep of :func:`repro.core.runtime.driver._serve_turns` to convergence
-  in one C call.  The sweep is deterministic, so its edges (in service
-  order), queue sizes and final ``arena``/``counts``/``cursor``/``lp``
-  are bit-identical to the interpreted loop's.
+  sweep of :func:`repro.core.reference.reference_max_chordal` to
+  convergence in one C call.  Both are deterministic and serve the same
+  (parent, child) pairs in the same turns, so the edge set and the queue
+  sizes are identical; only the row order within a turn differs (the C
+  sweep serves children in arrival order, the reference in adjacency
+  order), and callers see canonical edges.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
     parents), so ``limit`` must not exceed ``max_degree + 2``.  When more
     than ``limit`` iterations would run, ``queue_sizes`` has ``limit + 1``
     entries, ending with the pending queue size, exactly where the
-    interpreted sweep raises; the caller raises the ConvergenceError.
+    reference loop raises; the caller raises the ConvergenceError.
     """
     module = _module()
     ffi, lib = module.ffi, module.lib

@@ -2,7 +2,7 @@
 
 The C translation of :mod:`repro.core.runtime.rounds`, of the paper's
 asynchronous maximal-progress sweep
-(``repro.core.runtime.driver._serve_turns``) and of the addability
+(the asynchronous loop of ``repro.core.reference``) and of the addability
 oracle's loops (:class:`repro.chordality.maximality.AddabilityOracle`)
 lives here as a source string and is compiled **once** per (source, interpreter) digest
 via cffi's out-of-line API mode into a cached ``.so`` under
@@ -89,9 +89,10 @@ int64_t repro_oracle_first(
 #: line-for-line with the NumPy kernel so the synchronous output is
 #: bit-identical (same ok mask, same appends, same advances);
 #: see repro/core/native/bodies.py for the equivalence argument.  The
-#: asynchronous sweep follows driver._serve_turns line for line, and the
-#: addability oracle's greedy and certificate loops mirror the
-#: interpreted fallback in repro/chordality/maximality.py.
+#: asynchronous sweep serves the same turns as the asynchronous loop of
+#: repro/core/reference.py, and the addability oracle's greedy and
+#: certificate loops mirror the interpreted fallback in
+#: repro/chordality/maximality.py.
 SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -150,7 +151,7 @@ void repro_sync_slice(
     }
 }
 
-/* ---- Maximal-progress sweep (driver._drive_sweep / _serve_turns) -------
+/* ---- Maximal-progress sweep (reference.py's asynchronous loop) ---------
    children[v] is the linked list head[v] -> next[..] -> tail[v]; a vertex
    sits in at most one list, the one for its current lp.  mark[x] holds the
    iteration stamp under which x last joined the next queue. */
@@ -171,7 +172,7 @@ static void repro_push_child(int64_t x, int64_t w,
 
 /* Runs the sweep to convergence from a reset state.  Turns run in
    ascending queue order; the parent's prefix is frozen once per turn
-   (C[v] cannot change during its own turn, see _serve_turns).  Edges are
+   (C[v] cannot change during its own turn, see reference.py).  Edges are
    written as (v, w) rows in service order -- at most one per arena slot,
    so arena_used rows always suffice -- and |Q1| per iteration goes to
    qsizes, which must hold limit + 1 entries.  Returns the number of

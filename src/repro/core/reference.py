@@ -25,17 +25,23 @@ provided, and both satisfy the paper's correctness proofs:
   consumes exactly one parent per superstep.  Iteration count equals the
   maximum lower-degree.  This mode is the lock-step baseline used for
   determinism tests and the schedule ablation.
+
+The asynchronous loop is also the runtime's only interpreted sweep: the
+driver runs it when no compiled backend resolves and to record work
+traces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runtime.driver import SCHEDULES
+from repro.core.instrument import TraceBuilder
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["reference_max_chordal"]
+__all__ = ["reference_max_chordal", "SCHEDULES"]
+
+SCHEDULES = ("asynchronous", "synchronous")
 
 
 def _lowest_parent(neighbors: list[int], w: int, above: int) -> int | None:
@@ -52,6 +58,7 @@ def reference_max_chordal(
     *,
     schedule: str = "asynchronous",
     max_iterations: int | None = None,
+    trace: TraceBuilder | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Run Algorithm 1 verbatim; return ``(EC edge array, queue sizes)``.
 
@@ -66,6 +73,10 @@ def reference_max_chordal(
         :class:`~repro.errors.ConvergenceError` — the paper bounds the
         iteration count by the max degree, so hitting the limit indicates
         an internal bug.
+    trace:
+        Work-trace recorder, asynchronous schedule only.  A subset test
+        costs ``|C[w]| + 1`` (1 when the cardinality filter rejects or
+        ``C[w]`` is empty); an advance ``deg(w)`` (Unopt) or 1 (Opt).
 
     Returns
     -------
@@ -77,6 +88,10 @@ def reference_max_chordal(
     """
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+    synchronous = schedule == "synchronous"
+    if trace is not None and synchronous:
+        raise ConfigError("the reference records work traces for the asynchronous schedule only")
+    unopt = trace is not None and trace.trace.variant == "unoptimized"
     n = graph.num_vertices
     adj: list[list[int]] = [[int(u) for u in graph.neighbors(v)] for v in range(n)]
 
@@ -93,7 +108,6 @@ def reference_max_chordal(
     edges: list[tuple[int, int]] = []
     queue_sizes: list[int] = []
     limit = max_iterations if max_iterations is not None else graph.max_degree() + 2
-    synchronous = schedule == "synchronous"
 
     # Lines 11-24: the iterative core.
     while q1:
@@ -114,15 +128,22 @@ def reference_max_chordal(
 
         q2: set[int] = set()
         for v in sorted(q1):  # ascending serialisation of the parallel loop
+            if trace is not None:
+                trace.scan(v, len(adj[v]))
             for w in adj[v]:
                 if lp_view.get(w) != v or lp.get(w) != v:
                     continue
                 # Line 15: subset test.  C[w]'s only writer this instant is
                 # w's current LP — this very step — so the live read of
                 # C[w] is exact under both schedules.
-                if chordal[w] <= chordal_view[v]:
+                cw = len(chordal[w])
+                ok = chordal[w] <= chordal_view[v]
+                if ok:
                     chordal[w].add(v)  # line 16
                     edges.append((v, w))  # line 17
+                if trace is not None:
+                    tc = 1 if cw == 0 or cw > len(chordal_view[v]) else cw + 1
+                    trace.service(v, w, tc, len(adj[w]) if unopt else 1, ok)
                 # Lines 18-22: advance w to its next lowest parent.
                 x = _lowest_parent(adj[w], w, v)
                 if x is not None:
@@ -131,6 +152,8 @@ def reference_max_chordal(
                 else:
                     del lp[w]
         q1 = q2
+        if trace is not None:
+            trace.flush()
 
     arr = (
         np.asarray(edges, dtype=np.int64)

@@ -15,13 +15,7 @@ chosen by schedule (see :mod:`repro.core.engines`), glued by
 traced run splits it to time the executor apart from the driver.
 """
 
-from repro.core.runtime.driver import (
-    SCHEDULES,
-    VARIANTS,
-    DriveResult,
-    backend_run_fn,
-    drive,
-)
+from repro.core.runtime.driver import VARIANTS, DriveResult, backend_run_fn, drive
 from repro.core.runtime.executors import NativeThreadTeamExecutor, SerialExecutor
 from repro.core.runtime.layout import build_spec
 from repro.core.runtime.rounds import run_sync_slice
@@ -31,7 +25,6 @@ __all__ = [
     "drive",
     "DriveResult",
     "backend_run_fn",
-    "SCHEDULES",
     "VARIANTS",
     "LocalState",
     "SerialExecutor",

@@ -1,37 +1,28 @@
 """The schedule driver: Algorithm 1's loop, implemented once.
 
-The paper describes *one* algorithm with two intra-iteration schedules;
-this module is the one place the repo runs it.  :func:`drive` owns the
-outer loop — active-set discovery, queue-size accounting, the iteration
-budget, edge gathering, work-trace collection — and delegates each
-round's compute to a (:class:`~repro.core.runtime.state.LocalState`,
-executor) pairing:
+The paper describes *one* algorithm with two intra-iteration schedules.
+:func:`drive` owns the outer loop — active-set discovery, queue-size
+accounting, the iteration budget, edge gathering, work-trace collection
+— and delegates each round's compute to a
+(:class:`~repro.core.runtime.state.LocalState`, executor) pairing:
 
 * ``schedule="synchronous"`` — barrier rounds against a frozen snapshot
   (:func:`~repro.core.runtime.rounds.run_sync_slice`).  Every subset test
   is evaluated against the same snapshot regardless of slice count or
   timing, so the edge set is **bit-identical** across every pairing —
   serial executor and thread team of any width reproduce the same rows.
-* ``schedule="asynchronous"`` — the paper's maximal-progress sweep:
-  ascending turns over a live children map, where a vertex whose next
-  parent is a later queue member is served again within the same
-  iteration.  Serial (it needs a single-slice executor) and deterministic;
-  reproduces the paper's headline iteration counts (~3 for R-MAT, k-1
-  for a k-clique).  When the compiled backend resolves and no work trace
-  is requested, the whole sweep is one call into
-  :func:`repro.core.native.native_sweep`, made inside ``executor.map``
-  and bit-identical to the interpreted loop (:func:`_serve_turns`), which
-  remains the fallback and the trace producer.
+* ``schedule="asynchronous"`` — the paper's maximal-progress sweep
+  (~3 iterations for R-MAT, k-1 for a k-clique), serial, deterministic,
+  inside ``executor.map``: one call into
+  :func:`repro.core.native.native_sweep` when the compiled backend
+  resolves and no work trace is requested, otherwise the specification's
+  own loop (:func:`repro.core.reference.reference_max_chordal`), which
+  also records the trace at service time.  Both give the same edge set
+  and queue sizes.
 
-Both schedules are deterministic: each yields the same rows on every
-kernel path, and synchronous rounds at every thread count.
-
-Work traces are a **driver** feature: for synchronous rounds the trace is
-reconstructed from each round's snapshot in canonical ascending order, so
-it is identical for every executor (the trace is a property of the
-schedule, not of who ran it); for the asynchronous sweep events are
-recorded at service time.  Every run returns a :class:`DriveResult`
-naming the kernel path that produced it.
+Synchronous traces are rebuilt from each round's snapshot in ascending
+order, so they are identical for every executor.  Every run returns a
+:class:`DriveResult` naming the kernel path that produced it.
 """
 
 from __future__ import annotations
@@ -40,13 +31,13 @@ import numpy as np
 
 from repro.core.instrument import CostModelParams, TraceBuilder
 from repro.core.kernels import assemble_edges, build_arena_keys
+from repro.core.reference import SCHEDULES, reference_max_chordal
 from repro.core.runtime.layout import CTRL_NKEYS
 from repro.errors import ConfigError, ConvergenceError
 from repro.parallel.partition import balanced_chunks
 
-__all__ = ["drive", "backend_run_fn", "DriveResult", "SCHEDULES", "VARIANTS"]
+__all__ = ["drive", "backend_run_fn", "DriveResult", "VARIANTS"]
 
-SCHEDULES = ("asynchronous", "synchronous")
 VARIANTS = ("optimized", "unoptimized")
 
 
@@ -56,8 +47,9 @@ class DriveResult(tuple):
     Unpacks exactly like an engine's ``run`` triple, so it passes
     through every ``EngineSpec.run`` unchanged.  ``kernel_path`` is
     ``"native"`` when a compiled round body or the compiled sweep
-    produced the edges, ``"numpy"`` when the interpreted code did (or
-    when the graph was trivial and nothing ran).
+    produced the edges, ``"numpy"`` when interpreted code did — the NumPy
+    round bodies or the reference loop — or when the graph was trivial
+    and nothing ran.
     """
 
     kernel_path: str
@@ -95,7 +87,7 @@ def drive(
         so the edge set is variant-independent — only trace costs differ.
     collect_trace:
         Record the per-LP-vertex work trace for the machine models
-        (both schedules; a traced sweep runs the interpreted loop).
+        (both schedules; a traced sweep runs the reference loop).
     cost_params / max_iterations:
         Trace op weights; iteration safety bound (default
         ``max_degree + 2``).
@@ -126,7 +118,7 @@ def drive(
                 "the asynchronous sweep is serial; drive it with a "
                 f"single-slice executor, not {executor.num_slices} slices"
             )
-        return _drive_sweep(state, executor, variant, builder, limit)
+        return _drive_sweep(state, executor, builder, limit)
     return _drive_rounds(state, executor, variant, builder, limit)
 
 
@@ -176,7 +168,7 @@ def _drive_rounds(
     n = state.n
     ctrl = a["control"]
     num_slices = executor.num_slices
-    degrees = state.degrees() if builder.enabled else None
+    degrees = state.graph.degrees() if builder.enabled else None
 
     queue_sizes: list[int] = []
     chunks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -287,9 +279,8 @@ def _record_sync_round(
 # Maximal-progress sweep (the asynchronous schedule)
 
 
-def _drive_sweep(
-    state, executor, variant: str, builder: TraceBuilder, limit: int
-) -> DriveResult:
+def _drive_sweep(state, executor, builder: TraceBuilder, limit: int) -> DriveResult:
+    out: list[tuple[np.ndarray, list[int]]] = []
     if not builder.enabled:
         # Imported here, not at module level: resolving the backend must
         # not add to the cost of importing the CLI.
@@ -301,7 +292,6 @@ def _drive_sweep(
             # No iteration count can exceed max_degree + 2 (see
             # native_sweep), so a larger caller budget bounds nothing.
             budget = min(limit, state.max_degree + 2)
-            out: list[tuple[np.ndarray, list[int]]] = []
             executor.map(lambda _tid: out.append(native_sweep(state, budget)))
             edges, queue_sizes = out[0]
             if len(queue_sizes) > budget:
@@ -310,133 +300,14 @@ def _drive_sweep(
                     f"(queue={queue_sizes[-1]}); this indicates an internal bug"
                 )
             return DriveResult(edges, queue_sizes, None, "native")
-    n = state.n
-    lp = state.arrays["lp"]
-    degrees = state.degrees()
-    sets = state.set_mirrors()
-    traced = builder if builder.enabled else None
-
-    # children[v] = vertices whose current lowest parent is v.
-    children: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        v = int(lp[w])
-        if v >= 0:
-            children[v].append(w)
-    q1: list[int] = sorted({int(lp[w]) for w in range(n) if lp[w] >= 0})
-
-    queue_sizes: list[int] = []
-    edges_out: list[tuple[int, int]] = []
-    next_q: set[int] = set()
-
-    while q1:
-        queue_sizes.append(len(q1))
-        if len(queue_sizes) > limit:
-            raise ConvergenceError(
-                f"exceeded iteration budget {limit} (queue={len(q1)}); "
-                "this indicates an internal bug"
-            )
-        queue = q1
-        executor.map(
-            lambda _tid: _serve_turns(
-                state, queue, children, sets, degrees,
-                variant == "unoptimized", edges_out, next_q, traced,
+    # Also inside map(), so executor time means the same on every host.
+    trace = builder if builder.enabled else None
+    executor.map(
+        lambda _tid: out.append(
+            reference_max_chordal(
+                state.graph, schedule="asynchronous", max_iterations=limit, trace=trace
             )
         )
-        q1 = sorted(next_q)
-        next_q.clear()
-        if traced is not None:
-            builder.flush()
-
-    edges = (
-        np.asarray(edges_out, dtype=np.int64).reshape(-1, 2)
-        if edges_out
-        else np.empty((0, 2), dtype=np.int64)
     )
-    return DriveResult(
-        edges, queue_sizes, builder.trace if traced is not None else None, "numpy"
-    )
-
-
-def _serve_turns(
-    state,
-    q1: list[int],
-    children: list[list[int]],
-    sets: list[set[int]],
-    degrees: np.ndarray,
-    unopt: bool,
-    out_edges: list[tuple[int, int]],
-    next_q: set[int],
-    builder: TraceBuilder | None,
-) -> None:
-    """One sweep iteration's turns (lines 13-22 per turn).
-
-    Serves the children of each queue vertex in ascending order against
-    live state.  The parent's chordal-set prefix is frozen once per turn:
-    ``C[v]`` cannot change during its own turn (all of v's same-iteration
-    gains happen at its parents' earlier turns), so the freeze is exact.
-    Each served child appends to its own chordal set, advances to its
-    next parent, and re-enters the children map under it.
-    """
-    a = state.arrays
-    arena = a["arena"]
-    offsets = a["offsets"]
-    counts = a["counts"]
-    cursor = a["cursor"]
-    lp = a["lp"]
-    lower = a["lower"]
-    indptr = a["indptr"]
-    indices = a["indices"]
-
-    for v in q1:
-        kids = children[v]
-        if builder is not None:
-            builder.scan(v, int(degrees[v]))
-        cv = int(counts[v])
-        bound = int(arena[int(offsets[v]) + cv - 1]) if cv else -1
-        set_v = sets[v]
-        # len(kids) re-read each step: a child served at an earlier turn
-        # of this iteration may arrive at v while we sweep it.
-        i = 0
-        while i < len(kids):
-            w = kids[i]
-            i += 1
-            # Line 15: is C[w] a subset of the frozen prefix of C[v]?
-            # Cost is min(|C[w]|, prefix) + 1 — linear in the smallest
-            # set thanks to the ordered chordal sets (1 when the
-            # cardinality filter rejects or C[w] is empty).
-            cw = int(counts[w])
-            if cw > cv:
-                ok = False
-                tc = 1
-            elif cw == 0:
-                ok = True
-                tc = 1
-            else:
-                off_w = int(offsets[w])
-                cw_view = arena[off_w:off_w + cw]
-                tc = cw + 1
-                if int(cw_view[cw - 1]) > bound:
-                    ok = False
-                else:
-                    ok = set_v.issuperset(cw_view.tolist())
-            if ok:
-                # Lines 16-17: C[w] += {v}; record (v, w).
-                arena[int(offsets[w]) + cw] = v
-                sets[w].add(v)
-                counts[w] = cw + 1
-                out_edges.append((v, w))
-            # Lines 18-20: advance w to its next lowest parent (sorted
-            # adjacency: the parents of w are the first lower[w] slots).
-            c = int(cursor[w]) + 1
-            cursor[w] = c
-            if c < int(lower[w]):
-                x = int(indices[int(indptr[w]) + c])
-            else:
-                x = -1
-            lp[w] = x
-            if x >= 0:
-                children[x].append(w)
-                next_q.add(x)
-            if builder is not None:
-                builder.service(v, w, tc, int(degrees[w]) if unopt else 1, ok)
-        children[v] = []
+    edges, queue_sizes = out[0]
+    return DriveResult(edges, queue_sizes, builder.trace if trace else None, "numpy")

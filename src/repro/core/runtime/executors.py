@@ -12,7 +12,8 @@ type:
   schedule has no barrier rounds.
 * ``map(body)`` — run an in-process callable ``body(0)`` for the serial
   executor's one slice (the asynchronous sweep: one call into the
-  compiled sweep, or the interpreted turn loop).
+  compiled sweep, or into the reference loop of
+  :mod:`repro.core.reference`).
 
 The ``superstep`` engine (:mod:`repro.core.engines`) picks one per
 schedule:
@@ -20,7 +21,7 @@ schedule:
 :class:`SerialExecutor`
     One slice, the calling thread, NumPy round bodies.  Runs the paper's
     asynchronous sweep, which the driver hands to the compiled backend
-    when it resolves.
+    when it resolves and to the reference loop otherwise.
 :class:`NativeThreadTeamExecutor`
     A persistent :class:`~repro.parallel.runtime.ThreadTeam` dispatching
     the *compiled* synchronous round body (:mod:`repro.core.native`),

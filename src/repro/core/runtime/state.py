@@ -3,9 +3,11 @@
 :class:`LocalState` owns one instance of the canonical array schema
 (:func:`~repro.core.runtime.layout.build_spec`) as plain NumPy arrays in
 the calling process, bound to one graph, plus the per-run reset logic.
-The schedule driver (:mod:`repro.core.runtime.driver`) and the round
-bodies (:mod:`repro.core.runtime.rounds`, :mod:`repro.core.native`) are
-written against the schema only.
+The schedule driver (:mod:`repro.core.runtime.driver`), the round
+bodies (:mod:`repro.core.runtime.rounds`, :mod:`repro.core.native`) and
+the compiled sweep are written against the schema only; the interpreted
+asynchronous sweep (:mod:`repro.core.reference`) reads just the bound,
+sorted :attr:`LocalState.graph`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class LocalState:
         self.nnz = int(indices.size)
         self.arena_used = int(offsets[-1])
         self.max_degree = g.max_degree()
-        self._sets: list[set[int]] | None = None
         spec = build_spec(n, self.nnz, self.arena_used, max(1, num_slices))
         aliased = ("indptr", "indices", "lower", "offsets")
         self.arrays = {
@@ -57,21 +58,6 @@ class LocalState:
         """No vertex can have a parent — every schedule returns no edges."""
         return self.n == 0 or self.arena_used == 0
 
-    def degrees(self) -> np.ndarray:
-        """Per-vertex degree of the bound graph (trace weights/costs)."""
-        return np.diff(self.arrays["indptr"][: self.n + 1])
-
-    def set_mirrors(self) -> list[set[int]]:
-        """Per-vertex Python-set mirrors of the chordal sets.
-
-        The asynchronous sweep's per-pair subset test is O(|small set|)
-        against these (the historical ``ChordalState`` trick, kept for
-        the scalar sweep).  Rebuilt lazily per run by :meth:`reset`.
-        """
-        if self._sets is None:
-            self._sets = [set() for _ in range(self.n)]
-        return self._sets
-
     def reset(self) -> None:
         """Per-run initialisation (Algorithm 1 lines 2-10).
 
@@ -85,4 +71,3 @@ class LocalState:
         a["lp"][:n] = initial_parents(
             a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
         )
-        self._sets = None

@@ -67,9 +67,10 @@ class ChordalResult:
     kernel_path:
         Which code actually ran: ``"native"`` when the compiled round
         bodies or the compiled asynchronous sweep produced the edges,
-        ``"numpy"`` otherwise (the interpreted fallback under
-        ``REPRO_NATIVE=0`` or on a toolchain-less host, a traced
-        asynchronous run, and the non-runtime engines).
+        ``"numpy"`` otherwise: the NumPy round bodies or the reference
+        loop (:mod:`repro.core.reference`), which run under
+        ``REPRO_NATIVE=0`` or on a toolchain-less host, for a traced
+        asynchronous run, and for the non-runtime engines.
     """
 
     edges: np.ndarray

@@ -353,25 +353,40 @@ class CSRGraph:
         rises strictly (checked, not taken from ``sorted_adjacency``), so
         then only the reverse keys ``dst * n + src`` are sorted.  A graph
         that passes is symmetric, loop-free and duplicate-free whatever
-        ``sorted_adjacency`` declares.
+        ``sorted_adjacency`` declares.  A weighted graph also needs equal
+        weights on the two arcs of each edge: the keys are argsorted
+        instead, so position ``i`` of both orders pairs an arc with its
+        reverse.
         """
         n = self.num_vertices
+        w = self._arc_weights
         src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
         dst = self.indices.astype(np.int64)  # a copy: the key math is in place
         if np.any(src == dst):
             raise GraphFormatError("graph contains self-loops")
         fwd = src * n
         fwd += dst
+        fwd_w = w
         if not np.all(fwd[1:] > fwd[:-1]):
-            fwd.sort()
+            if w is None:
+                fwd.sort()
+            else:
+                order = np.argsort(fwd)
+                fwd, fwd_w = fwd[order], w[order]
             if np.any(fwd[1:] == fwd[:-1]):
                 raise GraphFormatError("graph contains duplicate arcs")
         rev = dst
         rev *= n
         rev += src
-        rev.sort()
+        if w is None:
+            rev.sort()
+        else:
+            rev_order = np.argsort(rev)
+            rev = rev[rev_order]
         if not np.array_equal(fwd, rev):
             raise GraphFormatError("arc set is not symmetric")
+        if w is not None and not np.array_equal(fwd_w, w[rev_order]):
+            raise GraphFormatError("the two arcs of an edge carry different weights")
 
     # ------------------------------------------------------------------
     # Dunder methods

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_graph
 from repro.graph.csr import CSRGraph
+from repro.graph.generators.rmat import rmat_er
+from repro.graph.weights import attach_edge_weights
 
 
 @pytest.fixture
@@ -97,6 +99,33 @@ class TestTransforms:
         g = CSRGraph(indptr, indices, sorted_adjacency=True, validate=False)
         with pytest.raises(GraphFormatError, match="self-loop"):
             g.validate_symmetry()
+
+    def test_untrusted_rejects_mismatched_arc_weights(self):
+        with pytest.raises(GraphFormatError, match="different weights"):
+            CSRGraph.from_untrusted(
+                np.array([0, 1, 2]),
+                np.array([1, 0]),
+                sorted_adjacency=True,
+                arc_weights=np.array([1.0, 5.0]),
+            )
+
+    @pytest.mark.parametrize("shuffle", (False, True), ids=("sorted", "shuffled"))
+    def test_untrusted_pairs_each_arc_with_its_reverse(self, shuffle):
+        # Symmetric weights pass in any slice order; changing one arc's
+        # weight (and only that arc's) is caught.
+        base = rmat_er(7, seed=2)
+        g = attach_edge_weights(base, np.random.default_rng(4).random(base.num_edges))
+        if shuffle:
+            g = g.shuffled(np.random.default_rng(5))
+        CSRGraph.from_untrusted(
+            g.indptr, g.indices, sorted_adjacency=g.sorted_adjacency, arc_weights=g.arc_weights
+        )
+        weights = g.arc_weights.copy()
+        weights[weights.size // 2] += 0.5
+        with pytest.raises(GraphFormatError, match="different weights"):
+            CSRGraph.from_untrusted(
+                g.indptr, g.indices, sorted_adjacency=g.sorted_adjacency, arc_weights=weights
+            )
 
 
 class TestValidation:

@@ -93,7 +93,7 @@ class TestFallbackSemantics:
         cfg = ExtractionConfig(schedule="synchronous", num_threads=3)
         edges, qs, _ = spec.run(graph, cfg)
         assert np.array_equal(edges, base) and qs == base_qs
-        # The asynchronous fallback runs the interpreted sweep.
+        # The asynchronous fallback runs the reference loop.
         edges_a, _, _ = spec.run(graph, ExtractionConfig().resolved())
         assert verify_extraction(graph, edges_a, check_maximal=False).ok
 

@@ -1,17 +1,22 @@
 """The compiled asynchronous maximal-progress sweep.
 
-The sweep is deterministic, so its contract with the interpreted loop
-(``driver._serve_turns``) is bit-identity: the same edge rows in the same
-service order, the same queue sizes, and the same final ``arena`` /
-``counts`` / ``cursor`` / ``lp`` arrays.  ``REPRO_NATIVE=0`` forces the
-interpreted side on a host whose backend resolves.
+The sweep's specification is the asynchronous loop of
+:func:`repro.core.reference.reference_max_chordal`, which is also what
+the driver runs when no backend resolves (``REPRO_NATIVE=0`` forces it)
+and when a work trace is requested.  Both are deterministic, so the
+contract is exact: the same edge set and the same queue sizes.  Row order
+within a turn is not part of it (callers see canonical edges).  The
+final schema arrays follow from the reference's edges alone: ``counts``
+is the number of parents each child admitted, each ``arena`` run holds
+those parents in ascending order, every ``cursor`` has walked past all
+``lower`` parents and no ``lp`` remains.
 
 Coverage:
 
-* **Bit-identity and equivalence** (``@pytest.mark.native``): Hypothesis
-  over the random graphs of ``tests/test_properties.py`` and small R-MAT
-  graphs, ``superstep`` against ``reference`` on RMAT-ER/B, trivial
-  graphs, the clique iteration law and the iteration budget.
+* **Bit-identity** (``@pytest.mark.native``): Hypothesis over the random
+  graphs of ``tests/test_properties.py`` and small R-MAT graphs,
+  ``superstep`` against ``reference`` on RMAT-ER/B, trivial graphs, the
+  clique iteration law and the iteration budget.
 * **Kernel path reporting**: ``kernel_path`` says ``native`` exactly when
   compiled code produced the edges — through the API, the CLI summary
   line and the service reply and counters.
@@ -44,9 +49,6 @@ from repro.service import ReproServer, ServiceClient, ServiceConfig
 from tests.conftest import live_engine
 from tests.test_properties import graphs
 
-#: Schema arrays the sweep leaves behind; both paths must agree on them.
-FINAL_ARRAYS = ("arena", "counts", "cursor", "lp")
-
 
 @contextmanager
 def interpreted():
@@ -66,41 +68,53 @@ def small_graph():
 
 
 def sweep(graph, **kwargs):
-    """``drive`` the asynchronous sweep; returns (result, final arrays)."""
+    """``drive`` the asynchronous sweep; returns (result, final state)."""
     state = LocalState(graph)
     result = drive(state, SerialExecutor(), schedule="asynchronous", **kwargs)
-    return result, {name: state.arrays[name].copy() for name in FINAL_ARRAYS}
+    return result, state
 
 
-def both_paths(graph, **kwargs):
-    """The compiled and the interpreted sweep of ``graph``, each checked to
-    have run where it claims (an edgeless graph runs neither)."""
-    compiled = sweep(graph, **kwargs)
-    with interpreted():
-        loop = sweep(graph, **kwargs)
-    assert compiled[0].kernel_path == ("native" if graph.num_edges else "numpy")
-    assert loop[0].kernel_path == "numpy"
-    return compiled, loop
+def canonical(edges: np.ndarray) -> np.ndarray:
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
-def assert_bit_identical(compiled, loop) -> None:
-    (c_result, c_arrays), (l_result, l_arrays) = compiled, loop
-    c_edges, c_qs, _ = c_result
-    l_edges, l_qs, _ = l_result
-    assert c_edges.dtype == l_edges.dtype == np.int64
-    assert c_edges.shape == l_edges.shape
-    assert np.array_equal(c_edges, l_edges)  # rows in service order
-    assert c_qs == l_qs
-    for name in FINAL_ARRAYS:
-        assert np.array_equal(c_arrays[name], l_arrays[name]), name
+def assert_matches_reference(graph, **kwargs):
+    """The compiled sweep of ``graph`` against the reference loop: same
+    edge set, same queue sizes, and final arrays derived from the
+    reference's edges.  Returns the compiled ``DriveResult``."""
+    result, state = sweep(graph, **kwargs)
+    assert result.kernel_path == ("native" if graph.num_edges else "numpy")
+    ref_edges, ref_qs = reference_max_chordal(
+        graph, max_iterations=kwargs.get("max_iterations")
+    )
+    edges, qs, _ = result
+    assert edges.dtype == np.int64
+    assert edges.shape == ref_edges.shape
+    assert np.array_equal(canonical(edges), canonical(ref_edges))
+    assert qs == ref_qs
+    if graph.num_edges:  # an edgeless graph runs nothing, not even reset
+        a, n = state.arrays, state.n
+        counts = np.bincount(ref_edges[:, 1], minlength=n)
+        assert np.array_equal(a["counts"][:n], counts)
+        # Slot j of child w's arena run sits at offsets[w] + j; the
+        # reference's edges sorted by (child, parent) list the same runs.
+        by_child = ref_edges[np.lexsort((ref_edges[:, 0], ref_edges[:, 1]))]
+        starts = np.cumsum(counts) - counts
+        slots = np.repeat(a["offsets"][:n] - starts, counts) + np.arange(counts.sum())
+        assert np.array_equal(a["arena"][slots], by_child[:, 0])
+        assert np.array_equal(a["cursor"][:n], a["lower"][:n])
+        assert np.all(a["lp"][:n] == -1)
+    return result
 
 
 @pytest.mark.native
 class TestBitIdentity:
+    """Exact agreement with the specification (see the module docstring)."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_graphs(self, data):
-        assert_bit_identical(*both_paths(graphs(data.draw, max_n=12)))
+        assert_matches_reference(graphs(data.draw, max_n=12))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -110,22 +124,13 @@ class TestBitIdentity:
         variant=st.sampled_from(["optimized", "unoptimized"]),
     )
     def test_rmat_graphs(self, generator, scale, seed, variant):
-        graph = generator(scale, seed=seed)
-        assert_bit_identical(*both_paths(graph, variant=variant))
+        assert_matches_reference(generator(scale, seed=seed), variant=variant)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     @pytest.mark.parametrize("scale", (9, 10, 11))
     @pytest.mark.parametrize("generator", (rmat_er, rmat_b), ids=("er", "b"))
     def test_superstep_matches_reference(self, generator, scale, seed):
-        graph = generator(scale, seed=seed)
-        ref_edges, ref_qs = reference_max_chordal(graph, schedule="asynchronous")
-        result = drive(LocalState(graph), SerialExecutor())
-        assert result.kernel_path == "native"
-        edges, qs, _ = result
-        assert {tuple(e) for e in edges.tolist()} == {
-            tuple(e) for e in ref_edges.tolist()
-        }
-        assert qs == ref_qs
+        assert_matches_reference(generator(scale, seed=seed))
 
     @pytest.mark.parametrize(
         "graph, edges, queue_sizes",
@@ -137,19 +142,16 @@ class TestBitIdentity:
         ids=("n0", "edgeless", "one-edge"),
     )
     def test_trivial_graphs(self, graph, edges, queue_sizes):
-        compiled, loop = both_paths(graph)
-        assert_bit_identical(compiled, loop)
-        got, qs, _ = compiled[0]
+        got, qs, _ = assert_matches_reference(graph)
         assert got.shape == (len(edges), 2)
         assert [tuple(e) for e in got.tolist()] == edges
         assert qs == queue_sizes
 
     @pytest.mark.parametrize("k", (2, 3, 5, 8))
     def test_clique_iteration_law(self, k):
-        compiled, loop = both_paths(complete_graph(k))
-        assert_bit_identical(compiled, loop)
-        assert len(compiled[0][1]) == k - 1
-        assert compiled[0][0].shape[0] == k * (k - 1) // 2
+        edges, qs, _ = assert_matches_reference(complete_graph(k))
+        assert len(qs) == k - 1
+        assert edges.shape[0] == k * (k - 1) // 2
 
     def test_budget_exceeded_raises_on_both_paths(self):
         graph = complete_graph(6)  # needs 5 iterations
@@ -161,8 +163,19 @@ class TestBitIdentity:
         assert "exceeded iteration budget 2" in str(compiled.value)
 
     def test_exact_budget_suffices(self):
-        compiled, loop = both_paths(complete_graph(6), max_iterations=5)
-        assert_bit_identical(compiled, loop)
+        assert_matches_reference(complete_graph(6), max_iterations=5)
+
+
+def test_fallback_is_the_reference_loop():
+    """With no backend the driver returns the reference's own rows."""
+    graph = rmat_b(9, seed=1)
+    with interpreted():
+        for variant in ("optimized", "unoptimized"):
+            result, _ = sweep(graph, variant=variant)
+            ref_edges, ref_qs = reference_max_chordal(graph)
+            assert result.kernel_path == "numpy"
+            assert np.array_equal(result[0], ref_edges)
+            assert result[1] == ref_qs
 
 
 class TestKernelPath:

@@ -222,6 +222,21 @@ def test_asymmetric_csr_is_bad_graph():
     assert excinfo.value.code == protocol.BAD_GRAPH
 
 
+def test_csr_with_mismatched_arc_weights_is_bad_graph():
+    # One edge whose two arcs disagree on its weight is not a weighted graph.
+    payload = {
+        "csr": {
+            "n": 2,
+            "indptr": protocol._b64(np.array([0, 1, 2]), "<i8"),
+            "indices": protocol._b64(np.array([1, 0]), "<i8"),
+            "weights": protocol._b64(np.array([1.0, 5.0]), "<f8"),
+        }
+    }
+    with pytest.raises(ProtocolError) as excinfo:
+        protocol.decode_graph(payload)
+    assert excinfo.value.code == protocol.BAD_GRAPH
+
+
 def _python_calls(fn, *args) -> int:
     """Python function calls made by ``fn(*args)``, counted with
     ``sys.setprofile`` (calls into C are not counted)."""
