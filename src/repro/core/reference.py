@@ -33,6 +33,8 @@ traces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.core.instrument import TraceBuilder
@@ -44,13 +46,13 @@ __all__ = ["reference_max_chordal", "SCHEDULES"]
 SCHEDULES = ("asynchronous", "synchronous")
 
 
-def _lowest_parent(neighbors: list[int], w: int, above: int) -> int | None:
-    """Smallest neighbor of ``w`` that is < w and > ``above`` (None if none)."""
-    best: int | None = None
-    for u in neighbors:
-        if above < u < w and (best is None or u < best):
-            best = u
-    return best
+def _lowest_parent(ascending: list[int], w: int, above: int) -> int | None:
+    """Smallest neighbor of ``w`` that is < w and > ``above`` (None if
+    none); ``ascending`` is ``w``'s neighbor list in ascending order."""
+    i = bisect_right(ascending, above)
+    if i < len(ascending) and ascending[i] < w:
+        return ascending[i]
+    return None
 
 
 def reference_max_chordal(
@@ -94,13 +96,16 @@ def reference_max_chordal(
     unopt = trace is not None and trace.trace.variant == "unoptimized"
     n = graph.num_vertices
     adj: list[list[int]] = [[int(u) for u in graph.neighbors(v)] for v in range(n)]
+    # Parent lookups bisect an ascending copy; ``adj`` keeps the graph's
+    # own order, which is the order children are served in.
+    ascending = adj if graph.sorted_adjacency else [sorted(a) for a in adj]
 
     # Lines 2-10: initialisation.
     lp: dict[int, int] = {}
     chordal: list[set[int]] = [set() for _ in range(n)]
     q1: set[int] = set()
     for v in range(n):
-        w = _lowest_parent(adj[v], v, -1)
+        w = _lowest_parent(ascending[v], v, -1)
         if w is not None:
             lp[v] = w
             q1.add(w)
@@ -145,7 +150,7 @@ def reference_max_chordal(
                     tc = 1 if cw == 0 or cw > len(chordal_view[v]) else cw + 1
                     trace.service(v, w, tc, len(adj[w]) if unopt else 1, ok)
                 # Lines 18-22: advance w to its next lowest parent.
-                x = _lowest_parent(adj[w], w, v)
+                x = _lowest_parent(ascending[w], w, v)
                 if x is not None:
                     lp[w] = x
                     q2.add(x)

@@ -87,11 +87,13 @@ class CSRGraph:
                 )
             if arc_weights.size and not np.all(np.isfinite(arc_weights)):
                 raise GraphFormatError("edge weights must be finite (no NaN/inf)")
-        self.indptr = indptr
-        self.indices = indices
+        # Freeze views, not the arrays: ``ascontiguousarray`` hands back
+        # the caller's own array when it needs no conversion.
+        self.indptr = indptr.view()
+        self.indices = indices.view()
         self.sorted_adjacency = bool(sorted_adjacency)
         self._degrees = np.diff(indptr)
-        self._arc_weights = arc_weights
+        self._arc_weights = None if arc_weights is None else arc_weights.view()
         for arr in (self.indptr, self.indices, self._degrees):
             arr.setflags(write=False)
         if self._arc_weights is not None:

@@ -8,8 +8,9 @@ TCP) connection, with a result cache in front of the dispatchers.
 Modules
 -------
 :mod:`repro.service.protocol`
-    The wire format: length-prefixed JSON frames, graph payloads (inline
-    edge list or base64 CSR arrays), typed error codes, content hashing.
+    The wire format: length-prefixed JSON frames with an optional raw
+    binary tail for arrays, graph payloads (inline edge list or CSR
+    arrays in the tail), typed error codes, content hashing.
 :mod:`repro.service.server`
     :class:`ReproServer` — admission queue with explicit backpressure
     (bounded depth → ``BUSY``, per-request deadline → ``TIMEOUT``), a

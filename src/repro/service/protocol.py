@@ -4,14 +4,29 @@ Framing
 -------
 Every message is one *frame*: an 8-byte header — the 4-byte magic
 ``RPX1`` plus a big-endian ``uint32`` payload length — followed by the
-payload, a UTF-8 JSON object.  The magic makes garbage input fail on the
-first 4 bytes instead of being misread as an absurd length; the length
-prefix is bounded by ``max_frame`` so a hostile prefix can never make the
-server allocate unbounded memory.  Any framing violation (bad magic,
-oversized length, connection closed mid-frame, payload that is not a
-JSON object) raises :class:`ProtocolError` with code ``BAD_FRAME``; the
-server answers with exactly one typed error frame and closes the
-connection — never a hang, never a traceback over the wire.
+payload, a UTF-8 JSON object optionally followed by one ``\\0`` byte and
+a *binary tail*.  The magic makes garbage input fail on the first 4
+bytes instead of being misread as an absurd length; the length prefix
+covers JSON and tail together and is bounded by ``max_frame``, so a
+hostile prefix can never make the server allocate unbounded memory.
+
+Arrays travel in the tail as raw little-endian bytes.
+:func:`send_message` moves every ``np.ndarray`` of a message into the
+tail, in the order the JSON names them, and leaves a reference
+``{"$bin": [dtype, count]}`` in its place (``dtype`` one of
+:data:`WIRE_DTYPES`, ``count`` the number of items; a multi-dimensional
+array travels flattened).  :func:`recv_message` turns each reference
+back into a zero-copy, read-only view of the received buffer.  A
+message without arrays is plain JSON with no tail.
+
+Any framing violation raises :class:`ProtocolError` with code
+``BAD_FRAME``: bad magic, an oversized length, a connection closed
+mid-frame, a payload that is not a JSON object, and in the tail a
+reference whose dtype is not a wire dtype, whose count is not a
+non-negative integer, that runs past the end of the tail or that
+appears in a frame without a tail, or references that leave tail bytes
+unused.  The server answers with exactly one typed error frame and
+closes the connection — never a hang, never a traceback over the wire.
 
 Requests (client -> server), one JSON object each::
 
@@ -34,14 +49,17 @@ Graph payloads come in two interchangeable shapes (see
 :func:`encode_graph` / :func:`decode_graph`):
 
 * inline edge list — ``{"n": 4, "edges": [[0, 1], ...],
-  "weights": [1.5, ...]?}`` (weights parallel to ``edges``);
-* CSR arrays — ``{"csr": {"n": ..., "indptr": <b64>, "indices": <b64>,
-  "sorted": true, "weights": <b64>?}}`` with arrays base64-encoded
-  little-endian ``int64`` (weights ``float64``), zero-copy on decode.
+  "weights": [1.5, ...]?}`` (weights parallel to ``edges``), plain
+  JSON;
+* CSR arrays — ``{"csr": {"n": ..., "indptr": <bin <i8>, "indices":
+  <bin <i4 or <i8>, "sorted": true, "weights": <bin <f8>?}}``, each
+  array a tail reference (``indices`` in the graph's own width: ``<i4``
+  for every graph the builder makes).
 
 Responses are ``{"ok": true, ...}`` or a *typed* error
 ``{"ok": false, "error": {"code": <ERROR_CODES>, "message": ...}}``.
-Extraction responses return the edge set base64-encoded
+Extraction and mutate responses carry the edge set as ``"edges": <bin
+<i4 or <i8>`` (the ``(k, 2)`` rows flattened) and ``"num_edges": k``
 (:func:`encode_edges`), plus ``cached`` / ``served_by`` /
 ``num_iterations`` metadata.
 
@@ -58,7 +76,6 @@ of a *resolved* :class:`~repro.core.config.ExtractionConfig`.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import socket
@@ -77,6 +94,7 @@ __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME",
+    "WIRE_DTYPES",
     "ERROR_CODES",
     "ALLOWED_CONFIG_FIELDS",
     "ProtocolError",
@@ -109,6 +127,12 @@ HEADER = struct.Struct("!4sI")
 
 #: Default per-frame payload ceiling (64 MiB ~ a scale-22 CSR payload).
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
+
+#: The dtypes an array may travel in (raw little-endian bytes).
+WIRE_DTYPES = ("<i4", "<i8", "<f8")
+
+#: Key of a tail reference, ``{"$bin": [dtype, count]}``.
+BIN_KEY = "$bin"
 
 #: Ceiling on a request's ``timeout`` field (seconds).
 MAX_TIMEOUT = 3600.0
@@ -185,7 +209,7 @@ def _recv_exact(
     *,
     stop: Callable[[], bool] | None = None,
     what: str = "frame",
-) -> bytes | None:
+) -> bytearray | None:
     """Read exactly ``n`` bytes.
 
     Returns ``None`` on a clean end before the first byte (peer closed
@@ -193,7 +217,8 @@ def _recv_exact(
     :class:`ProtocolError` (``BAD_FRAME``) when the connection ends —
     or ``stop()`` fires — with a partial read, which is a truncated
     frame.  Socket timeouts are used purely as a polling interval for
-    ``stop``; without ``stop`` they propagate to the caller.
+    ``stop``; without ``stop`` they propagate to the caller.  The buffer
+    grows as bytes arrive, so a length prefix alone commits no memory.
     """
     buf = bytearray()
     while len(buf) < n:
@@ -217,8 +242,8 @@ def _recv_exact(
                 f"truncated {what}: connection closed after "
                 f"{len(buf)}/{n} bytes"
             )
-        buf.extend(chunk)
-    return bytes(buf)
+        buf += chunk
+    return buf
 
 
 def read_frame(
@@ -226,7 +251,7 @@ def read_frame(
     *,
     max_frame: int = DEFAULT_MAX_FRAME,
     stop: Callable[[], bool] | None = None,
-) -> bytes | None:
+) -> bytearray | None:
     """Read one frame's payload; ``None`` on clean end-of-stream.
 
     Raises :class:`ProtocolError` (code ``BAD_FRAME``) on bad magic, an
@@ -256,15 +281,62 @@ def read_frame(
 
 
 def write_frame(
-    sock: socket.socket, payload: bytes, *, max_frame: int = DEFAULT_MAX_FRAME
+    sock: socket.socket, *parts: Any, max_frame: int = DEFAULT_MAX_FRAME
 ) -> None:
-    """Write one frame (header + payload) in a single ``sendall``."""
-    if len(payload) > max_frame:
+    """Write one frame whose payload is ``parts`` (bytes-like objects,
+    C-contiguous arrays included) joined, in a single ``sendall``."""
+    length = sum(memoryview(part).nbytes for part in parts)
+    if length > max_frame:
         raise ProtocolError(
-            f"refusing to send a {len(payload)}-byte frame "
+            f"refusing to send a {length}-byte frame "
             f"(> {max_frame}-byte ceiling)"
         )
-    sock.sendall(HEADER.pack(MAGIC, len(payload)) + payload)
+    sock.sendall(b"".join((HEADER.pack(MAGIC, length), *parts)))
+
+
+class _TailReader:
+    """JSON ``object_hook`` that turns each ``$bin`` reference into the
+    next view of ``tail`` and counts the bytes used.
+
+    References are consumed in the order they close in the JSON text,
+    which is the order :func:`send_message` wrote their arrays.
+    """
+
+    def __init__(self, tail: memoryview | None) -> None:
+        self.tail = tail
+        self.used = 0
+
+    def __call__(self, obj: dict[str, Any]) -> Any:
+        if BIN_KEY not in obj:
+            return obj
+        ref = obj[BIN_KEY]
+        if len(obj) != 1 or not isinstance(ref, list) or len(ref) != 2:
+            raise ProtocolError(
+                f"a {BIN_KEY!r} reference must be {{{BIN_KEY!r}: [dtype, count]}}, "
+                f"got {obj!r}"
+            )
+        dtype, count = ref
+        if dtype not in WIRE_DTYPES:
+            raise ProtocolError(
+                f"{BIN_KEY} dtype {dtype!r} is not one of {WIRE_DTYPES}"
+            )
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ProtocolError(
+                f"{BIN_KEY} count must be a non-negative integer, got {count!r}"
+            )
+        if self.tail is None:
+            raise ProtocolError(
+                f"{BIN_KEY} reference in a frame without a binary tail"
+            )
+        end = self.used + count * np.dtype(dtype).itemsize
+        if end > self.tail.nbytes:
+            raise ProtocolError(
+                f"{BIN_KEY} reference of {count} {dtype} runs past the end "
+                f"of the {self.tail.nbytes}-byte tail (at byte {self.used})"
+            )
+        array = np.frombuffer(self.tail, dtype=dtype, count=count, offset=self.used)
+        self.used = end
+        return array
 
 
 def recv_message(
@@ -273,22 +345,32 @@ def recv_message(
     max_frame: int = DEFAULT_MAX_FRAME,
     stop: Callable[[], bool] | None = None,
 ) -> dict[str, Any] | None:
-    """Read one frame and decode its JSON-object payload.
+    """Read one frame and decode its JSON-object payload, each tail
+    reference replaced by a read-only array viewing the frame.
 
     ``None`` on clean end-of-stream; :class:`ProtocolError`
-    (``BAD_FRAME``) on framing violations or a payload that is not a
-    JSON object.
+    (``BAD_FRAME``) on framing violations, a payload that is not a JSON
+    object, or a malformed tail (see the module docs).
     """
     payload = read_frame(sock, max_frame=max_frame, stop=stop)
     if payload is None:
         return None
+    view = memoryview(payload).toreadonly()
+    split = payload.find(0)
+    head, tail = (view, None) if split < 0 else (view[:split], view[split + 1:])
+    reader = _TailReader(tail)
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(str(head, "utf-8"), object_hook=reader)
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"
+        )
+    if tail is not None and reader.used != tail.nbytes:
+        raise ProtocolError(
+            f"binary tail holds {tail.nbytes} bytes but its references "
+            f"use {reader.used}"
         )
     return message
 
@@ -299,12 +381,29 @@ def send_message(
     *,
     max_frame: int = DEFAULT_MAX_FRAME,
 ) -> None:
-    """JSON-encode ``message`` and send it as one frame."""
-    write_frame(
-        sock,
-        json.dumps(message, separators=(",", ":")).encode("utf-8"),
-        max_frame=max_frame,
-    )
+    """JSON-encode ``message`` and send it as one frame, every
+    ``np.ndarray`` in it moved into the binary tail."""
+    tail: list[np.ndarray] = []
+
+    def attach(obj: Any) -> dict[str, list]:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        array = np.ascontiguousarray(obj, dtype=obj.dtype.newbyteorder("<"))
+        if array.dtype.str not in WIRE_DTYPES:
+            raise ProtocolError(
+                f"cannot send a {obj.dtype} array; the wire carries {WIRE_DTYPES}"
+            )
+        tail.append(array)
+        return {BIN_KEY: [array.dtype.str, array.size]}
+
+    head = json.dumps(message, separators=(",", ":"), default=attach).encode("utf-8")
+    if not tail:
+        write_frame(sock, head, max_frame=max_frame)
+        return
+    # Trailing JSON whitespace starts the tail 8-byte aligned, so the
+    # receiver's views of 8-byte arrays are aligned too.
+    pad = b" " * (-(len(head) + 1) % 8)
+    write_frame(sock, head, pad, b"\0", *tail, max_frame=max_frame)
 
 
 def error_response(code: str, message: str) -> dict[str, Any]:
@@ -327,44 +426,46 @@ def raise_for_error(message: dict[str, Any]) -> dict[str, Any]:
 # Graph / edge-set payloads
 
 
-def _b64(array: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(array, dtype=dtype).tobytes()
-    ).decode("ascii")
+def _wire_array(value: Any, what: str, dtypes: tuple[str, ...], code: str) -> np.ndarray:
+    """``value`` if it is a 1-D array in one of ``dtypes``, else a
+    :class:`ProtocolError` naming ``what``."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and value.dtype.str in dtypes
+    ):
+        return value
+    got = (
+        f"a {value.dtype.str} array of shape {value.shape}"
+        if isinstance(value, np.ndarray)
+        else type(value).__name__
+    )
+    raise ProtocolError(
+        f"{what} must be a 1-D {' or '.join(dtypes)} array, got {got}", code=code
+    )
 
 
-def _from_b64(text: Any, dtype: str, what: str) -> np.ndarray:
-    if not isinstance(text, str):
-        raise ProtocolError(f"{what} must be a base64 string", code=BAD_GRAPH)
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise ProtocolError(f"{what} is not valid base64: {exc}", code=BAD_GRAPH)
-    item = np.dtype(dtype).itemsize
-    if len(raw) % item:
-        raise ProtocolError(
-            f"{what}: byte length {len(raw)} is not a multiple of {item}",
-            code=BAD_GRAPH,
-        )
-    return np.frombuffer(raw, dtype=dtype)
+def _index_dtype(array: np.ndarray) -> str:
+    return "<i4" if array.dtype == np.int32 else "<i8"
 
 
 def encode_graph(graph: CSRGraph, *, binary: bool = True) -> dict[str, Any]:
     """Encode a graph for the wire.
 
-    ``binary=True`` (default) ships the CSR arrays base64-encoded —
-    compact and decoded zero-copy; ``binary=False`` ships a plain JSON
-    edge list, handy for hand-written requests and debugging.
+    ``binary=True`` (default) ships the CSR arrays themselves, which
+    :func:`send_message` moves into the frame's binary tail (``indices``
+    keep the graph's own int32 or int64 width); ``binary=False`` ships a
+    plain JSON edge list, handy for hand-written requests and debugging.
     """
     if binary:
         csr: dict[str, Any] = {
             "n": graph.num_vertices,
-            "indptr": _b64(graph.indptr, "<i8"),
-            "indices": _b64(graph.indices, "<i8"),
+            "indptr": graph.indptr.astype("<i8", copy=False),
+            "indices": graph.indices.astype(_index_dtype(graph.indices), copy=False),
             "sorted": bool(graph.sorted_adjacency),
         }
         if graph.has_weights:
-            csr["weights"] = _b64(graph.arc_weights, "<f8")
+            csr["weights"] = graph.arc_weights.astype("<f8", copy=False)
         return {"csr": csr}
     payload: dict[str, Any] = {
         "n": graph.num_vertices,
@@ -383,8 +484,10 @@ def _decode_csr_graph(csr: Any) -> CSRGraph:
         raise ProtocolError(
             f"unknown csr field(s) {sorted(unknown)}", code=BAD_GRAPH
         )
-    indptr = _from_b64(csr.get("indptr"), "<i8", "csr.indptr")
-    indices = _from_b64(csr.get("indices"), "<i8", "csr.indices")
+    indptr = _wire_array(csr.get("indptr"), "csr.indptr", ("<i8",), BAD_GRAPH)
+    indices = _wire_array(
+        csr.get("indices"), "csr.indices", ("<i4", "<i8"), BAD_GRAPH
+    )
     n = csr.get("n", indptr.size - 1)
     if not isinstance(n, int) or n != indptr.size - 1:
         raise ProtocolError(
@@ -393,7 +496,7 @@ def _decode_csr_graph(csr: Any) -> CSRGraph:
         )
     weights = None
     if "weights" in csr:
-        weights = _from_b64(csr["weights"], "<f8", "csr.weights")
+        weights = _wire_array(csr["weights"], "csr.weights", ("<f8",), BAD_GRAPH)
     try:
         graph = CSRGraph.from_untrusted(
             indptr,
@@ -470,17 +573,19 @@ def decode_graph(payload: Any) -> CSRGraph:
 
 
 def encode_edges(edges: np.ndarray) -> dict[str, Any]:
-    """Encode an extracted ``(k, 2)`` edge set for a response."""
-    e = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    return {"edges_b64": _b64(e, "<i8"), "num_edges": int(e.shape[0])}
+    """Encode an extracted ``(k, 2)`` edge set for a response; the rows
+    travel flattened, in their own int32 or int64 width."""
+    e = np.asarray(edges).reshape(-1, 2)
+    flat = e.reshape(-1).astype(_index_dtype(e), copy=False)
+    return {"edges": flat, "num_edges": int(e.shape[0])}
 
 
 def decode_edges(payload: dict[str, Any]) -> np.ndarray:
     """Decode :func:`encode_edges` output back into a ``(k, 2)`` array."""
-    flat = _from_b64(payload.get("edges_b64"), "<i8", "edges_b64")
+    flat = _wire_array(payload.get("edges"), "edges", ("<i4", "<i8"), BAD_FRAME)
     if flat.size % 2:
         raise ProtocolError(
-            f"edges_b64 holds {flat.size} int64s (odd — not (k, 2) rows)"
+            f"edges holds {flat.size} ints (odd — not (k, 2) rows)"
         )
     edges = flat.reshape(-1, 2)
     declared = payload.get("num_edges")

@@ -55,6 +55,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             small.indices[0] = 3
 
+    def test_callers_arrays_stay_writeable(self):
+        # The dtypes need no conversion, so the graph shares the caller's
+        # memory; only its own views are frozen.
+        ip = np.array([0, 1, 2], dtype=np.int64)
+        ix = np.array([1, 0], dtype=np.int32)
+        w = np.array([2.5, 2.5])
+        g = CSRGraph.from_untrusted(ip, ix, sorted_adjacency=True, arc_weights=w)
+        assert ip.flags.writeable and ix.flags.writeable and w.flags.writeable
+        assert np.shares_memory(g.indices, ix)
+        for arr in (g.indptr, g.indices, g.arc_weights, g.degrees()):
+            assert not arr.flags.writeable
+        w[0] += 1.0  # the caller may still write its own array
+
 
 class TestEdgeViews:
     def test_edge_array_ordered(self, small):

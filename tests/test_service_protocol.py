@@ -15,10 +15,12 @@ Two layers:
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -122,6 +124,124 @@ def test_write_frame_refuses_oversized_payload():
             protocol.write_frame(a, b"x" * 100, max_frame=10)
 
 
+def _over_wire(message, receive=protocol.recv_message, send=protocol.send_message, **kwargs):
+    """``receive(sock, **kwargs)`` on one end of a socketpair while
+    ``send(sock, message)`` writes on a thread at the other end, so
+    frames larger than the socket buffer do not block."""
+    a, b = _pair()
+    with a, b:
+        sender = threading.Thread(target=send, args=(a, message))
+        sender.start()
+        try:
+            return receive(b, **kwargs)
+        finally:
+            sender.join()
+
+
+def _recv_raw(head: bytes, *tail: bytes):
+    """``recv_message`` of a hand-made frame: JSON ``head``, then (when
+    ``tail`` is given) the ``\\0`` separator and the tail bytes."""
+    a, b = _pair()
+    with a, b:
+        protocol.write_frame(a, head, *((b"\0",) + tail if tail else ()))
+        return protocol.recv_message(b)
+
+
+def test_arrays_travel_in_the_tail_as_read_only_views():
+    ints = np.arange(5, dtype=np.int32)
+    message = {"a": np.arange(3, dtype=np.int64), "nested": [{"b": ints}], "c": 1}
+    received = _over_wire(message)
+    assert received["c"] == 1
+    a, b = received["a"], received["nested"][0]["b"]
+    assert a.dtype.str == "<i8" and b.dtype.str == "<i4"
+    assert (a == message["a"]).all() and (b == ints).all()
+    assert not a.flags.writeable and not b.flags.writeable
+    assert a.flags.aligned and b.flags.aligned
+
+
+def test_frame_without_arrays_is_plain_json():
+    a, b = _pair()
+    with a, b:
+        protocol.send_message(a, {"op": "ping"})
+        assert protocol.read_frame(b) == b'{"op":"ping"}'
+
+
+def test_unsendable_dtype_is_refused():
+    a, b = _pair()
+    with a, b:
+        with pytest.raises(ProtocolError, match="wire carries"):
+            protocol.send_message(a, {"x": np.zeros(2, dtype=np.float32)})
+
+
+@pytest.mark.parametrize("dtype", ["<u2", ">i8", "<f4", "|b1", 7, None])
+def test_tail_reference_dtype_outside_the_wire_set_is_bad_frame(dtype):
+    head = json.dumps({"x": {"$bin": [dtype, 1]}}).encode()
+    with pytest.raises(ProtocolError, match="dtype") as excinfo:
+        _recv_raw(head, bytes(8))
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+@pytest.mark.parametrize("count", [-1, 1.0, True, False, "1", None, [1]])
+def test_tail_reference_count_must_be_a_non_negative_int(count):
+    head = json.dumps({"x": {"$bin": ["<i8", count]}}).encode()
+    with pytest.raises(ProtocolError, match="count") as excinfo:
+        _recv_raw(head, bytes(8))
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+def test_tail_reference_running_past_the_tail_is_bad_frame():
+    head = b'{"x":{"$bin":["<i8",1]},"y":{"$bin":["<i4",3]}}'
+    with pytest.raises(ProtocolError, match="past the end") as excinfo:
+        _recv_raw(head, bytes(8 + 8))  # y needs 12 bytes, 8 are left
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        (b'{"x":{"$bin":["<i8",1]}}', bytes(16)),
+        (b'{"x":{"$bin":["<i4",1]}}', bytes(5)),
+        (b'{"op":"ping"}', bytes(1)),
+    ],
+)
+def test_tail_bytes_left_unreferenced_are_bad_frame(head, tail):
+    with pytest.raises(ProtocolError, match="references use") as excinfo:
+        _recv_raw(head, tail)
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+def test_tail_reference_without_a_tail_is_bad_frame():
+    with pytest.raises(ProtocolError, match="without a binary tail") as excinfo:
+        _recv_raw(b'{"x":{"$bin":["<i8",0]}}')
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+@pytest.mark.parametrize(
+    "ref", [{"$bin": ["<i8", 1], "extra": 1}, {"$bin": "<i8"}, {"$bin": ["<i8"]}]
+)
+def test_malformed_tail_reference_is_bad_frame(ref):
+    head = json.dumps({"x": ref}).encode()
+    with pytest.raises(ProtocolError, match="reference must be") as excinfo:
+        _recv_raw(head, bytes(8))
+    assert excinfo.value.code == protocol.BAD_FRAME
+
+
+def test_empty_array_and_empty_tail_round_trip():
+    received = _over_wire({"x": np.empty(0, dtype=np.int64)})
+    assert received["x"].shape == (0,) and received["x"].dtype.str == "<i8"
+
+
+def test_max_frame_bounds_json_and_tail_together():
+    message = {"op": "x", "a": np.zeros(100, dtype=np.int64)}  # JSON is tiny
+    a, b = _pair()
+    with a, b:
+        with pytest.raises(ProtocolError, match="refusing"):
+            protocol.send_message(a, message, max_frame=512)
+    with pytest.raises(ProtocolError, match="oversized"):
+        _over_wire(message, max_frame=512)
+    assert _over_wire(message, max_frame=1024)["a"].size == 100
+
+
 # ---------------------------------------------------------------------------
 # Graph / edge payload codecs
 
@@ -190,10 +310,11 @@ def test_weighted_and_unweighted_hash_distinctly(triangle):
     [
         "not a dict",
         {"mystery": 1},
-        {"csr": {"indptr": "AA==", "indices": "AA==", "bogus": 1}},
+        {"csr": {"indptr": np.zeros(1, "<i8"), "indices": np.zeros(0, "<i4"), "bogus": 1}},
         {"csr": "not an object"},
-        {"csr": {"indptr": 17, "indices": "AA=="}},
-        {"csr": {"indptr": "!!!not base64!!!", "indices": "AA=="}},
+        {"csr": {"indptr": 17, "indices": np.zeros(0, "<i4")}},
+        {"csr": {"indptr": np.zeros(1, "<i8")}},
+        {"csr": {"n": 5, "indptr": np.zeros(1, "<i8"), "indices": np.zeros(0, "<i4")}},
         {"n": 2, "edges": [[0, 1]], "csr": {}},
         {"edges": "not a list"},
         {"edges": [[0, 1, 2]]},
@@ -208,38 +329,70 @@ def test_malformed_graph_payloads_are_bad_graph(payload):
     assert excinfo.value.code == protocol.BAD_GRAPH
 
 
+_GOOD_CSR = {  # the single edge (0, 1), weighted
+    "n": 2,
+    "indptr": np.array([0, 1, 2], dtype="<i8"),
+    "indices": np.array([1, 0], dtype="<i4"),
+    "weights": np.array([1.5, 1.5], dtype="<f8"),
+}
+
+
+def test_hand_made_csr_payload_decodes_over_the_wire():
+    graph = protocol.decode_graph(_over_wire({"csr": _GOOD_CSR}))
+    assert graph.edge_set() == {(0, 1)} and graph.total_weight == 1.5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("indptr", "AAAAAAAAAAA="),  # a base64 string where an array belongs
+        ("indptr", np.array([0, 1, 2], dtype="<i4")),
+        ("indptr", np.array([0.0, 1.0, 2.0])),
+        ("indices", "AQAAAAAAAAA="),
+        ("indices", np.array([1, 0], dtype="<f8")),
+        ("indices", [1, 0]),
+        ("weights", "AAAAAAAA+D8="),
+        ("weights", np.array([1, 1], dtype="<i8")),
+        ("indices", np.array([[1, 0]], dtype="<i4")),  # in process: 2-D
+    ],
+)
+def test_csr_field_that_is_not_a_wire_array_is_bad_graph(field, value):
+    payload = {"csr": {**_GOOD_CSR, field: value}}
+    if not isinstance(value, np.ndarray) or value.ndim == 1:
+        payload = _over_wire(payload)
+    with pytest.raises(ProtocolError, match=f"csr\\.{field} must be") as excinfo:
+        protocol.decode_graph(payload)
+    assert excinfo.value.code == protocol.BAD_GRAPH
+
+
 def test_asymmetric_csr_is_bad_graph():
     # Arc 0->1 with no 1->0 back-arc: structurally valid CSR, not a graph.
-    payload = {
+    payload = _over_wire({
         "csr": {
             "n": 2,
-            "indptr": protocol._b64(np.array([0, 1, 1]), "<i8"),
-            "indices": protocol._b64(np.array([1]), "<i8"),
+            "indptr": np.array([0, 1, 1], dtype="<i8"),
+            "indices": np.array([1], dtype="<i4"),
         }
-    }
-    with pytest.raises(ProtocolError) as excinfo:
+    })
+    with pytest.raises(ProtocolError, match="not symmetric") as excinfo:
         protocol.decode_graph(payload)
     assert excinfo.value.code == protocol.BAD_GRAPH
 
 
 def test_csr_with_mismatched_arc_weights_is_bad_graph():
     # One edge whose two arcs disagree on its weight is not a weighted graph.
-    payload = {
-        "csr": {
-            "n": 2,
-            "indptr": protocol._b64(np.array([0, 1, 2]), "<i8"),
-            "indices": protocol._b64(np.array([1, 0]), "<i8"),
-            "weights": protocol._b64(np.array([1.0, 5.0]), "<f8"),
-        }
-    }
-    with pytest.raises(ProtocolError) as excinfo:
+    payload = _over_wire(
+        {"csr": {**_GOOD_CSR, "weights": np.array([1.0, 5.0], dtype="<f8")}}
+    )
+    with pytest.raises(ProtocolError, match="different weights") as excinfo:
         protocol.decode_graph(payload)
     assert excinfo.value.code == protocol.BAD_GRAPH
 
 
-def _python_calls(fn, *args) -> int:
-    """Python function calls made by ``fn(*args)``, counted with
-    ``sys.setprofile`` (calls into C are not counted)."""
+def _python_calls(fn, *args):
+    """Python function calls made by ``fn(*args)`` on this thread,
+    counted with ``sys.setprofile`` (calls into C are not counted), and
+    its result."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -249,38 +402,89 @@ def _python_calls(fn, *args) -> int:
 
     sys.setprofile(profile)
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, result
+
+
+def _request_path_calls(message) -> int:
+    """Python calls made by ``send_message`` (on the sending thread),
+    ``recv_message`` and ``decode_graph`` for one request."""
+    sent = []
+    recv_calls, received = _over_wire(
+        message,
+        lambda sock: _python_calls(protocol.recv_message, sock),
+        lambda sock, msg: sent.append(_python_calls(protocol.send_message, sock, msg)[0]),
+    )
+    decode_calls, _ = _python_calls(protocol.decode_graph, received["graph"])
+    return sent[0] + recv_calls + decode_calls
 
 
 def test_decode_graph_call_count_is_size_independent():
-    # Timing-free scaling guard: validating a wire graph is whole-array
-    # work, so a 64x larger payload makes exactly as many Python calls.
-    # A per-vertex (or per-edge) loop on the request path fails this.
-    small, large = (protocol.encode_graph(rmat_er(s, seed=1)) for s in (8, 14))
-    _python_calls(protocol.decode_graph, small)  # settle first-call imports
-    assert _python_calls(protocol.decode_graph, small) == _python_calls(
-        protocol.decode_graph, large
+    # Timing-free scaling guard: framing and validating a wire graph is
+    # whole-array work, so a 64x larger payload makes exactly as many
+    # Python calls from send_message through recv_message to
+    # decode_graph.  A per-vertex (or per-edge) loop, or a per-chunk
+    # Python call in the socket reads, on the request path fails this.
+    small, large = (
+        {"op": "extract", "graph": protocol.encode_graph(rmat_er(s, seed=1))}
+        for s in (8, 14)
     )
+    _request_path_calls(small)  # settle first-call imports
+    assert _request_path_calls(small) == _request_path_calls(large)
+
+
+def test_extract_request_frame_is_the_raw_arrays_plus_a_small_header():
+    # Byte guard: an int32-indexed graph travels as 8 bytes per indptr
+    # entry and 4 per arc, plus at most 512 bytes of header and JSON.
+    for scale in (8, 14):
+        graph = rmat_er(scale, seed=1)
+        assert graph.indices.dtype == np.int32
+        message = {"op": "extract", "graph": protocol.encode_graph(graph)}
+        frame = protocol.HEADER.size + len(_over_wire(message, protocol.read_frame))
+        n, m = graph.num_vertices, graph.num_edges
+        assert frame <= 8 * (n + 1) + 4 * 2 * m + 512, (scale, frame)
 
 
 def test_edges_round_trip():
     edges = np.array([[0, 1], [2, 5], [3, 4]], dtype=np.int64)
     assert (protocol.decode_edges(protocol.encode_edges(edges)) == edges).all()
+    wired = protocol.decode_edges(_over_wire(protocol.encode_edges(edges)))
+    assert wired.dtype.str == "<i8" and (wired == edges).all()
+    narrow = protocol.decode_edges(_over_wire(protocol.encode_edges(edges.astype(np.int32))))
+    assert narrow.dtype.str == "<i4" and (narrow == edges).all()
     empty = protocol.decode_edges(protocol.encode_edges(np.empty((0, 2))))
     assert empty.shape == (0, 2)
+    assert protocol.decode_edges(_over_wire(protocol.encode_edges(empty))).shape == (0, 2)
 
 
 def test_edges_decode_rejects_corrupt_payloads():
-    good = protocol.encode_edges(np.array([[0, 1]]))
+    good = _over_wire(protocol.encode_edges(np.array([[0, 1]])))
+    assert protocol.decode_edges(good).tolist() == [[0, 1]]
+    odd = _over_wire({"edges": np.array([1, 2, 3], dtype="<i8"), "num_edges": 1})
     with pytest.raises(ProtocolError, match="odd"):
-        protocol.decode_edges(
-            {"edges_b64": protocol._b64(np.array([1, 2, 3]), "<i8")}
-        )
+        protocol.decode_edges(odd)
     with pytest.raises(ProtocolError, match="num_edges"):
         protocol.decode_edges({**good, "num_edges": 7})
+    for bad in ("AAAAAAAAAAABAAAAAAAAAA==", np.array([0.0, 1.0])):
+        with pytest.raises(ProtocolError, match="edges must be"):
+            protocol.decode_edges({"edges": bad, "num_edges": 1})
+
+
+#: ``graph_content_hash(rmat_er(8, seed=1))``, recorded when arrays still
+#: travelled base64-encoded as int64; the cache key of a graph must not
+#: depend on how its arrays are shipped.
+RMAT_ER8_SEED1_HASH = "b139998b1e82aff6328529538c65c2b9feb82c739a688aefd634c61d6511ac66"
+
+
+def test_content_hash_is_pinned_in_process_and_over_both_wire_forms():
+    graph = rmat_er(8, seed=1)
+    assert protocol.graph_content_hash(graph) == RMAT_ER8_SEED1_HASH
+    for binary in (True, False):
+        received = _over_wire({"graph": protocol.encode_graph(graph, binary=binary)})
+        decoded = protocol.decode_graph(received["graph"])
+        assert protocol.graph_content_hash(decoded) == RMAT_ER8_SEED1_HASH, binary
 
 
 # ---------------------------------------------------------------------------
