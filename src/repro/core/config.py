@@ -28,7 +28,7 @@ from repro.core.runtime import VARIANTS
 from repro.errors import ConfigError
 from repro.util.validation import is_integer
 
-__all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS"]
+__all__ = ["ExtractionConfig", "VARIANTS", "DEFAULT_NUM_THREADS", "config_cache_key"]
 
 #: Thread-team size of synchronous rounds when none is given.  One
 #: thread: on small hosts a wider team only adds barrier handoff per
@@ -164,3 +164,22 @@ class ExtractionConfig:
         if self.schedule is None:
             return self.replace(schedule=self.engine_spec.default_schedule)
         return self
+
+
+def config_cache_key(config: ExtractionConfig) -> tuple:
+    """Cache identity of a *resolved* config — every field that can
+    change the answer (or its provenance).  Two requests spelling the
+    same regime differently (``schedule=None`` vs the engine's explicit
+    default) share a key; any differing resolved field is a miss.
+    ``variant`` and ``num_threads`` are not part of it: they change only
+    trace costs or wall time, never the edge set, so keying on them
+    would split identical answers.  The service's result cache and the
+    sharded path's on-disk shard results both key on it."""
+    return (
+        config.engine,
+        config.schedule,
+        config.renumber,
+        config.stitch,
+        config.maximalize,
+        config.max_iterations,
+    )

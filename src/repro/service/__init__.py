@@ -18,7 +18,9 @@ Modules
     that run each request in-process.
 :mod:`repro.service.client`
     :class:`ServiceClient` — the blocking client the CLI's ``--server``
-    flag uses; one socket, sequential framed requests.
+    flag uses; one socket, sequential framed requests.  An extract asks
+    by the graph's content hash first and ships the graph only when the
+    server answers ``NOT_CACHED``.
 
 Dynamic graphs: ``client.mutate(graph=g)`` opens a per-connection
 mutate session (:class:`~repro.core.incremental.IncrementalExtractor`

@@ -32,6 +32,9 @@ from repro.service.protocol import ProtocolError, ServiceError
 
 __all__ = ["ServiceClient", "ServiceResult", "MutateResult"]
 
+# How a protocol-1 daemon answers a hash probe.
+_REFUSED_PROBE = "unknown request field(s) ['hash']"
+
 
 @dataclass
 class ServiceResult:
@@ -125,6 +128,8 @@ class ServiceClient:
                 "ServiceClient needs exactly one of socket_path= or host="
             )
         self._max_frame = max_frame
+        # False once the daemon refuses a hash probe (protocol 1).
+        self._probes = True
         self._sock: socket.socket | None = None
         last_error: Exception | None = None
         for _ in range(max(1, connect_retries + 1)):
@@ -211,20 +216,37 @@ class ServiceClient:
         ``{"engine": "superstep", "schedule": "synchronous"}``).  Raises
         :class:`ServiceError` carrying the server's typed code on any
         rejection (``BUSY``, ``TIMEOUT``, ``INVALID_CONFIG``, …).
+
+        Unless ``no_cache`` is set, the graph's content hash goes first,
+        without the graph; only when the server answers ``NOT_CACHED``
+        is the request sent again with the graph.  So a repeated graph
+        costs one small frame, and any extract at most two.  A daemon
+        that predates probes (protocol 1) refuses the ``hash`` field;
+        the graph then goes out at once, and this connection sends no
+        more probes.
         """
-        request: dict[str, Any] = {
-            "op": "extract",
-            "graph": protocol.encode_graph(graph, binary=binary),
-        }
+        request: dict[str, Any] = {"op": "extract"}
         if config:
             request["config"] = dict(config)
         if timeout is not None:
             request["timeout"] = timeout
         if verify:
             request["verify"] = True
+        response = None
         if no_cache:
             request["no_cache"] = True
-        response = self._request(request)
+        elif self._probes:
+            probe = {**request, "hash": protocol.graph_content_hash(graph)}
+            try:
+                response = self._request(probe)
+            except ServiceError as exc:
+                if exc.code == protocol.BAD_REQUEST and _REFUSED_PROBE in str(exc):
+                    self._probes = False
+                elif exc.code != protocol.NOT_CACHED:
+                    raise
+        if response is None:
+            request["graph"] = protocol.encode_graph(graph, binary=binary)
+            response = self._request(request)
         try:
             edges = protocol.decode_edges(response)
         except ProtocolError as exc:  # pragma: no cover - server bug guard

@@ -35,8 +35,23 @@ Requests (client -> server), one JSON object each::
     {"op": "shutdown"}
     {"op": "extract", "graph": <graph>, "config": {...}, "timeout": 5.0,
      "verify": false, "no_cache": false}
+    {"op": "extract", "hash": <sha256 hex>, "config": {...}, "timeout": 5.0,
+     "verify": false}
     {"op": "mutate", "graph": <graph>?, "config": {...}?,
      "ops": [["insert", 0, 1], ["delete", 2, 3], ...]?, "verify": false}
+
+An ``extract`` request names its graph in one of two ways.  With
+``graph`` it ships the graph, which is validated, hashed, looked up in
+the result cache and extracted on a miss.  With ``hash`` — the 64
+lowercase hex digits of :func:`graph_content_hash` — it is a *probe*:
+the server answers from its result cache or with ``NOT_CACHED``, and
+the graph never crosses the wire.  A probe carrying ``verify`` is
+answered only from an entry that already passed verification (there is
+no graph to verify against).  After ``NOT_CACHED`` the client resends
+the request with ``graph``; :meth:`~repro.service.client.ServiceClient.extract`
+does both steps.  ``hash`` excludes ``graph`` and ``no_cache``.  A
+protocol-1 server answers a probe ``BAD_REQUEST`` (``hash`` is an
+unknown field there); the client then ships the graph instead.
 
 ``mutate`` is PATCH-style: a request carrying ``graph`` opens (or
 replaces) the connection's mutate session (``config`` is only legal
@@ -58,6 +73,11 @@ Graph payloads come in two interchangeable shapes (see
 
 Responses are ``{"ok": true, ...}`` or a *typed* error
 ``{"ok": false, "error": {"code": <ERROR_CODES>, "message": ...}}``.
+The codes: ``BAD_FRAME`` (framing, after which the server closes the
+connection), ``BAD_REQUEST`` (a malformed request object, ``hash``
+included), ``BAD_GRAPH``, ``INVALID_CONFIG``, ``NOT_CACHED`` (a probe
+found no usable entry; resend with the graph), ``BUSY``, ``TIMEOUT``,
+``SHUTTING_DOWN``, ``VERIFY_FAILED`` and ``INTERNAL``.
 Extraction and mutate responses carry the edge set as ``"edges": <bin
 <i4 or <i8>`` (the ``(k, 2)`` rows flattened) and ``"num_edges": k``
 (:func:`encode_edges`), plus ``cached`` / ``served_by`` /
@@ -70,21 +90,23 @@ over the sorted-adjacency CSR arrays (dtype-normalised, so the same
 graph hashes identically however it was shipped) plus a
 weighted/unweighted marker and the weight values — a relabeled
 isomorphic graph, or the same topology with different (or no) weights,
-hashes distinctly.  :func:`config_cache_key` is the companion identity
-of a *resolved* :class:`~repro.core.config.ExtractionConfig`.
+hashes distinctly.  :func:`~repro.core.config.config_cache_key`
+(re-exported here) is the companion identity of a *resolved*
+:class:`~repro.core.config.ExtractionConfig`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import socket
 import struct
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.config import ExtractionConfig
+from repro.core.config import ExtractionConfig, config_cache_key
 from repro.errors import ConfigError, GraphFormatError, ReproError
 from repro.graph.builder import build_graph
 from repro.graph.csr import CSRGraph
@@ -113,6 +135,7 @@ __all__ = [
     "decode_mutations",
     "MUTATION_OPS",
     "decode_timeout",
+    "decode_content_hash",
     "graph_content_hash",
     "config_cache_key",
 ]
@@ -120,7 +143,8 @@ __all__ = [
 #: Frame magic; bump the digit when the wire format changes incompatibly.
 MAGIC = b"RPX1"
 
-PROTOCOL_VERSION = 1
+#: Version 2 added the hash-only ``extract`` probe and ``NOT_CACHED``.
+PROTOCOL_VERSION = 2
 
 #: 8-byte frame header: magic + big-endian uint32 payload length.
 HEADER = struct.Struct("!4sI")
@@ -134,6 +158,9 @@ WIRE_DTYPES = ("<i4", "<i8", "<f8")
 #: Key of a tail reference, ``{"$bin": [dtype, count]}``.
 BIN_KEY = "$bin"
 
+#: A probe's ``hash``: what :func:`graph_content_hash` returns.
+_CONTENT_HASH = re.compile("[0-9a-f]{64}")
+
 #: Ceiling on a request's ``timeout`` field (seconds).
 MAX_TIMEOUT = 3600.0
 
@@ -146,6 +173,7 @@ BAD_FRAME = "BAD_FRAME"  # framing/JSON violation; connection closes after
 BAD_REQUEST = "BAD_REQUEST"  # well-framed but malformed request object
 BAD_GRAPH = "BAD_GRAPH"  # graph payload rejected
 INVALID_CONFIG = "INVALID_CONFIG"  # config rejected (unknown field/value)
+NOT_CACHED = "NOT_CACHED"  # hash-only probe missed; resend with the graph
 BUSY = "BUSY"  # admission queue full (backpressure)
 TIMEOUT = "TIMEOUT"  # per-request deadline expired
 SHUTTING_DOWN = "SHUTTING_DOWN"  # server draining; no new admissions
@@ -157,6 +185,7 @@ ERROR_CODES = (
     BAD_REQUEST,
     BAD_GRAPH,
     INVALID_CONFIG,
+    NOT_CACHED,
     BUSY,
     TIMEOUT,
     SHUTTING_DOWN,
@@ -445,6 +474,11 @@ def _wire_array(value: Any, what: str, dtypes: tuple[str, ...], code: str) -> np
     )
 
 
+def _is_count(value: Any) -> bool:
+    """A non-negative JSON integer (``true`` is a ``bool``, not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _index_dtype(array: np.ndarray) -> str:
     return "<i4" if array.dtype == np.int32 else "<i8"
 
@@ -489,7 +523,7 @@ def _decode_csr_graph(csr: Any) -> CSRGraph:
         csr.get("indices"), "csr.indices", ("<i4", "<i8"), BAD_GRAPH
     )
     n = csr.get("n", indptr.size - 1)
-    if not isinstance(n, int) or n != indptr.size - 1:
+    if not _is_count(n) or n != indptr.size - 1:
         raise ProtocolError(
             f"csr.n ({n!r}) must equal len(indptr) - 1 ({indptr.size - 1})",
             code=BAD_GRAPH,
@@ -523,7 +557,7 @@ def _decode_edge_list_graph(payload: dict[str, Any]) -> CSRGraph:
             "'edges' must be a list of [u, v] integer pairs", code=BAD_GRAPH
         )
     n = payload.get("n", max((max(u, v) for u, v in rows), default=-1) + 1)
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n):
         raise ProtocolError(
             f"'n' must be a non-negative integer, got {n!r}", code=BAD_GRAPH
         )
@@ -659,6 +693,19 @@ def decode_timeout(value: Any, default: float) -> float:
     return timeout
 
 
+def decode_content_hash(value: Any) -> str:
+    """Validate a probe's ``hash`` field: the 64 lowercase hex digits
+    :func:`graph_content_hash` returns; :class:`ProtocolError`
+    (``BAD_REQUEST``) otherwise."""
+    if not isinstance(value, str) or not _CONTENT_HASH.fullmatch(value):
+        raise ProtocolError(
+            f"hash must be 64 lowercase hex digits (a graph content hash), "
+            f"got {value!r:.80}",
+            code=BAD_REQUEST,
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Mutation payloads (op=mutate)
 
@@ -725,29 +772,13 @@ def graph_content_hash(graph: CSRGraph) -> str:
     g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
     h = hashlib.sha256(b"repro-graph-v1")
     h.update(struct.pack("<q", g.num_vertices))
-    h.update(np.ascontiguousarray(g.indptr, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(g.indices, dtype="<i8").tobytes())
+    # Arrays go to the hash through the buffer protocol, without a
+    # ``tobytes()`` copy; only a dtype that differs is converted.
+    h.update(np.ascontiguousarray(g.indptr, dtype="<i8"))
+    h.update(np.ascontiguousarray(g.indices, dtype="<i8"))
     if g.has_weights:
         h.update(b"weighted")
-        h.update(np.ascontiguousarray(g.arc_weights, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(g.arc_weights, dtype="<f8"))
     else:
         h.update(b"unweighted")
     return h.hexdigest()
-
-
-def config_cache_key(config: ExtractionConfig) -> tuple:
-    """Cache identity of a *resolved* config — every field that can
-    change the answer (or its provenance).  Two requests spelling the
-    same regime differently (``schedule=None`` vs the engine's explicit
-    default) share a key; any differing resolved field is a miss.
-    ``variant`` and ``num_threads`` are not part of it: they change only
-    trace costs or wall time, never the edge set, so keying on them
-    would split identical answers."""
-    return (
-        config.engine,
-        config.schedule,
-        config.renumber,
-        config.stitch,
-        config.maximalize,
-        config.max_iterations,
-    )

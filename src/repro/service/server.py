@@ -40,10 +40,13 @@ Fault containment
 Result cache
 ------------
 Keyed by :func:`~repro.service.protocol.graph_content_hash` ×
-:func:`~repro.service.protocol.config_cache_key` (the *resolved*
+:func:`~repro.core.config.config_cache_key` (the *resolved*
 config).  A hit returns the bit-identical stored edge set without
-dispatching.  Entries are LRU-evicted beyond ``cache_entries`` or
-``cache_bytes`` — both ceilings hold at all times.
+dispatching.  A hash-only ``extract`` probe looks its key up without
+the graph: a hit is answered exactly as a graph-bearing hit, a miss
+with ``NOT_CACHED`` (counted as ``probe_misses``, not as a cache miss).
+Entries are LRU-evicted beyond ``cache_entries`` or ``cache_bytes`` —
+both ceilings hold at all times.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import ExtractionConfig
+from repro.core.config import ExtractionConfig, config_cache_key
 from repro.core.session import Extractor
 from repro.errors import ConfigError, ReproError
 from repro.graph.csr import CSRGraph
@@ -69,6 +72,7 @@ from repro.service.protocol import (
     BUSY,
     INTERNAL,
     INVALID_CONFIG,
+    NOT_CACHED,
     SHUTTING_DOWN,
     TIMEOUT,
     VERIFY_FAILED,
@@ -161,11 +165,17 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: tuple) -> tuple[np.ndarray, dict] | None:
+    def get(
+        self, key: tuple, *, count_miss: bool = True
+    ) -> tuple[np.ndarray, dict] | None:
+        """The stored ``(edges, meta)`` for ``key``, promoted to most
+        recent, or ``None``.  ``count_miss=False`` leaves a miss out of
+        ``misses`` (the server counts probe misses apart)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
@@ -240,14 +250,13 @@ class _PendingRequest:
     expired / client gone); first writer wins, the other side discards.
     """
 
-    __slots__ = ("graph", "config", "cache_key", "no_cache",
+    __slots__ = ("graph", "config", "cache_key",
                  "deadline", "lock", "event", "state", "response")
 
-    def __init__(self, graph, config, cache_key, no_cache, deadline):
+    def __init__(self, graph, config, cache_key, deadline):
         self.graph: CSRGraph = graph
         self.config: ExtractionConfig = config
-        self.cache_key = cache_key
-        self.no_cache: bool = no_cache
+        self.cache_key = cache_key  # None: a no_cache request, never stored
         self.deadline: float = deadline
         self.lock = threading.Lock()
         self.event = threading.Event()
@@ -297,6 +306,9 @@ class ReproServer:
             "requests": 0,
             "extractions": 0,
             "cache_hits": 0,
+            # Hash-only probes answered NOT_CACHED; the resend that
+            # follows each is the request counted as a cache miss.
+            "probe_misses": 0,
             "dispatches": 0,
             "busy_rejections": 0,
             "timeouts": 0,
@@ -592,30 +604,33 @@ class ReproServer:
                 SHUTTING_DOWN, "server is draining; no new requests admitted"
             )
         unknown = set(request) - {
-            "op", "graph", "config", "timeout", "verify", "no_cache"
+            "op", "graph", "hash", "config", "timeout", "verify", "no_cache"
         }
         if unknown:
             return error_response(
                 BAD_REQUEST, f"unknown request field(s) {sorted(unknown)}"
             )
+        if "hash" in request:
+            return self._handle_probe(request)
         if "graph" not in request:
-            return error_response(BAD_REQUEST, "extract needs a 'graph' payload")
+            return error_response(
+                BAD_REQUEST, "extract needs a 'graph' payload or a 'hash'"
+            )
         graph = protocol.decode_graph(request["graph"])
         config = protocol.decode_config(request.get("config"))
         timeout = protocol.decode_timeout(
             request.get("timeout"), self.config.request_timeout
         )
         verify = bool(request.get("verify", False))
-        no_cache = bool(request.get("no_cache", False))
 
-        # The resolved regime is the cache identity.
+        # The resolved regime is part of the cache identity; the graph's
+        # content hash is computed only when the cache is consulted.
         resolved = config.resolved()
-        cache_key = (
-            protocol.graph_content_hash(graph),
-            protocol.config_cache_key(resolved),
-        )
-
-        if not no_cache:
+        cache_key = None
+        if not request.get("no_cache", False):
+            cache_key = (
+                protocol.graph_content_hash(graph), config_cache_key(resolved)
+            )
             hit = self.cache.get(cache_key)
             if hit is not None:
                 edges, meta = hit
@@ -633,8 +648,7 @@ class ReproServer:
                 return response
 
         pending = _PendingRequest(
-            graph, resolved, None if no_cache else cache_key,
-            no_cache, time.monotonic() + timeout,
+            graph, resolved, cache_key, time.monotonic() + timeout
         )
         try:
             self._queue.put_nowait(pending)
@@ -674,6 +688,40 @@ class ReproServer:
                 if pending.cache_key is not None:
                     self.cache.mark_verified(pending.cache_key)
             response = dict(response)
+            response["verified"] = True
+        return response
+
+    def _handle_probe(self, request: dict[str, Any]) -> dict[str, Any]:
+        """A hash-only extract: the cached answer for ``(hash, config)``
+        or ``NOT_CACHED``; never a dispatch, and no graph to check."""
+        clashing = sorted({"graph", "no_cache"} & set(request))
+        if clashing:
+            return error_response(
+                BAD_REQUEST,
+                f"a 'hash' probe is a cache lookup; it cannot carry {clashing}",
+            )
+        content_hash = protocol.decode_content_hash(request["hash"])
+        resolved = protocol.decode_config(request.get("config")).resolved()
+        protocol.decode_timeout(request.get("timeout"), self.config.request_timeout)
+        verify = bool(request.get("verify", False))
+        cache_key = (content_hash, config_cache_key(resolved))
+        # No graph to verify with: a verified probe is answered only from
+        # an entry that already carries the bit (checked first, so an
+        # unverified entry counts one hit, on the resend that verifies it).
+        hit = None
+        if not verify or self.cache.is_verified(cache_key):
+            hit = self.cache.get(cache_key, count_miss=False)
+        if hit is None:
+            self._bump("probe_misses")
+            return error_response(
+                NOT_CACHED,
+                "no " + ("verified " if verify else "")
+                + "cached answer for this graph and config; resend with the graph",
+            )
+        edges, meta = hit
+        self._bump("cache_hits")
+        response = self._success(resolved, edges, meta, served_by="cache")
+        if verify:
             response["verified"] = True
         return response
 

@@ -6,7 +6,7 @@ content digest in the style of
 :func:`repro.service.protocol.graph_content_hash`: SHA-256 over the
 input file's digest, the partition (shard count + cuts + spill schema),
 the shard index, and the *resolved* extraction config
-(:func:`repro.service.protocol.config_cache_key` — the same identity the
+(:func:`repro.core.config.config_cache_key` — the same identity the
 extraction service caches under).  A re-run with the same input,
 partition, and regime loads instead of extracting; anything else — new
 input bytes, different cuts, different engine knobs — misses cleanly.
@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import ExtractionConfig
-from repro.service.protocol import config_cache_key
+from repro.core.config import ExtractionConfig, config_cache_key
 
 from .plan import ShardPlan
 

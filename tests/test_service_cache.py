@@ -9,16 +9,22 @@ change of graph content (relabeling, weights) or resolved regime is a
 miss.  The LRU ceilings (entries and bytes) are pinned both through the
 :class:`~repro.service.server.ResultCache` unit surface and through a
 live server sized to evict.
+
+A hash-only probe (``{"op": "extract", "hash": ...}``) reaches the same
+entries without shipping the graph; its misses answer ``NOT_CACHED``
+and are counted as ``probe_misses``, apart from the cache's misses.
 """
 
 from __future__ import annotations
+
+import socket
 
 import numpy as np
 import pytest
 
 from repro import build_graph, rmat_b
 from repro.graph.weights import attach_edge_weights
-from repro.service import ReproServer, ServiceClient, ServiceConfig
+from repro.service import ReproServer, ServiceClient, ServiceConfig, protocol
 from repro.service.server import ResultCache
 
 
@@ -172,9 +178,18 @@ def test_unverified_hit_is_verified_once_on_demand(client):
     assert hit.cached and hit.verified
     assert mid["verifications"] == before["verifications"] + 1
     assert _dispatches(mid) == _dispatches(before)  # verified the cached edges
-    # the bit is now stored: further verified hits are free
+    # a probe cannot verify: one NOT_CACHED, then one resend with the
+    # graph (plus the stats request itself)
+    assert mid["probe_misses"] == before["probe_misses"] + 1
+    assert mid["requests"] == before["requests"] + 3
+    # the unverified entry counts one hit, on the resend that verifies it
+    assert mid["cache"]["hits"] == before["cache"]["hits"] + 1
+    # the bit is now stored: further verified hits are free, and the
+    # probe alone answers them
     assert client.extract(graph, config=config, verify=True).verified
-    assert client.stats()["verifications"] == mid["verifications"]
+    after = client.stats()
+    assert after["verifications"] == mid["verifications"]
+    assert after["requests"] == mid["requests"] + 2
 
 
 def test_mutate_invalidates_only_the_mutated_graphs_entries(server):
@@ -206,8 +221,10 @@ def test_mutate_invalidates_only_the_mutated_graphs_entries(server):
         after = client.stats()
         assert after["mutations"] == before["mutations"] + 1
         assert after["cache_invalidations"] > before["cache_invalidations"]
-        # targeted: the mutated graph's entry is gone, the bystander's hits
+        # targeted: the mutated graph's entry is gone (its hash probe
+        # misses), the bystander's hits
         assert not client.extract(mutated, config=config).cached
+        assert client.stats()["probe_misses"] == after["probe_misses"] + 1
         assert client.extract(bystander, config=config).cached
         # round trip: reinserting restores the original graph, and the
         # answer is that graph's maximalizing extraction
@@ -217,6 +234,95 @@ def test_mutate_invalidates_only_the_mutated_graphs_entries(server):
             mutated, config={"engine": "superstep", "maximalize": True}
         )
         assert np.array_equal(restored.edges, expected.edges)
+
+
+def _ask(server, *messages):
+    """Send ``messages`` on one raw connection; their replies, in order."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(server.config.socket_path)
+        replies = []
+        for message in messages:
+            protocol.send_message(sock, message)
+            replies.append(protocol.recv_message(sock))
+    return replies
+
+
+def _probe(graph, config=None):
+    message = {"op": "extract", "hash": protocol.graph_content_hash(graph)}
+    if config is not None:
+        message["config"] = config
+    return message
+
+
+def test_hash_hit_is_bit_identical_to_a_graph_hit(server):
+    graph = rmat_b(7, seed=61)
+    config = {"engine": "superstep", "maximalize": True}
+    shipped = {"op": "extract", "graph": protocol.encode_graph(graph), "config": config}
+    miss, graph_hit, hash_hit = _ask(server, shipped, shipped, _probe(graph, config))
+    assert miss["ok"] and not miss["cached"]
+    assert graph_hit["cached"] and graph_hit["served_by"] == "cache"
+    edges, probe_edges = graph_hit.pop("edges"), hash_hit.pop("edges")
+    assert probe_edges.dtype == edges.dtype
+    assert probe_edges.tobytes() == edges.tobytes()
+    assert hash_hit == graph_hit  # every metadata field, value for value
+
+
+def test_unknown_hash_answers_not_cached_without_a_dispatch(server, client):
+    graph = rmat_b(6, seed=62)  # never sent to this server
+    before = client.stats()
+    (reply,) = _ask(server, _probe(graph))
+    after = client.stats()
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == protocol.NOT_CACHED
+    assert _dispatches(after) == _dispatches(before)
+    assert after["probe_misses"] == before["probe_misses"] + 1
+    assert after["cache"]["misses"] == before["cache"]["misses"]
+    assert after["cache_hits"] == before["cache_hits"]
+
+
+def test_first_request_counts_one_miss_and_a_repeat_one_hit(client):
+    graph = rmat_b(6, seed=63)
+    before = client.stats()
+    assert not client.extract(graph).cached  # probe miss, then a real miss
+    mid = client.stats()
+    assert mid["probe_misses"] == before["probe_misses"] + 1
+    assert mid["cache"]["misses"] == before["cache"]["misses"] + 1
+    assert client.extract(graph).cached  # the probe hits
+    after = client.stats()
+    assert after["cache"]["hits"] == mid["cache"]["hits"] + 1
+    assert after["cache"]["misses"] == mid["cache"]["misses"]
+    assert after["probe_misses"] == mid["probe_misses"]
+
+
+class _ProtocolOneServer(ReproServer):
+    """A daemon that predates hash probes: ``hash`` is an unknown field."""
+
+    def _handle_extract(self, request):
+        if "hash" in request:
+            return protocol.error_response(
+                protocol.BAD_REQUEST, "unknown request field(s) ['hash']"
+            )
+        return super()._handle_extract(request)
+
+
+def test_client_falls_back_to_the_graph_on_a_daemon_without_probes(
+    tmp_path, client
+):
+    graph, other = rmat_b(6, seed=64), rmat_b(6, seed=65)
+    config = ServiceConfig(socket_path=str(tmp_path / "old.sock"))
+    with _ProtocolOneServer(config) as old:
+        with ServiceClient(socket_path=config.socket_path) as c:
+            first = c.extract(graph)  # refused probe, then the graph
+            assert c.stats()["requests"] == 3  # incl. this stats call
+            again = c.extract(graph, verify=True)  # no more probes
+            c.extract(other)
+            assert c.stats()["requests"] == 3 + 3
+        assert old.stats()["cache_hits"] == 1
+    assert not first.cached and again.cached and again.verified
+    expected = client.extract(graph, no_cache=True).edges
+    assert first.edges.tobytes() == expected.tobytes()
+    assert again.edges.tobytes() == expected.tobytes()
 
 
 def test_mutate_without_session_or_with_bad_ops_is_rejected(server):
@@ -326,6 +432,17 @@ def test_result_cache_verified_bit_round_trip():
     # marking an absent key is a no-op, probing it is False
     cache.mark_verified(("ghost",))
     assert not cache.is_verified(("ghost",))
+
+
+def test_result_cache_probe_lookups_count_no_miss():
+    cache = ResultCache(max_entries=4, max_bytes=1 << 20)
+    cache.put(("a",), _edges(2), {"tag": "a"})
+    assert cache.get(("ghost",), count_miss=False) is None
+    assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 0)
+    edges, meta = cache.get(("a",), count_miss=False)
+    assert (edges == _edges(2)).all() and meta == {"tag": "a"}
+    assert cache.get(("ghost",)) is None  # the default counts the miss
+    assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 1)
 
 
 def test_result_cache_invalidate_graph_targets_one_content_hash():

@@ -321,6 +321,11 @@ def test_weighted_and_unweighted_hash_distinctly(triangle):
         {"edges": [[0, "x"]]},
         {"n": -3, "edges": []},
         {"n": 2, "edges": [[0, 1]], "weights": [1.0, 2.0]},
+        # JSON true/false are not vertex counts, though Python's True == 1
+        {"n": True, "edges": []},
+        {"n": False, "edges": []},
+        {"csr": {"n": True, "indptr": np.zeros(2, "<i8"), "indices": np.zeros(0, "<i4")}},
+        {"csr": {"n": False, "indptr": np.zeros(1, "<i8"), "indices": np.zeros(0, "<i4")}},
     ],
 )
 def test_malformed_graph_payloads_are_bad_graph(payload):
@@ -445,6 +450,55 @@ def test_extract_request_frame_is_the_raw_arrays_plus_a_small_header():
         frame = protocol.HEADER.size + len(_over_wire(message, protocol.read_frame))
         n, m = graph.num_vertices, graph.num_edges
         assert frame <= 8 * (n + 1) + 4 * 2 * m + 512, (scale, frame)
+
+
+@pytest.fixture
+def sent_requests(monkeypatch):
+    """Every request message sent while the test runs, in order (replies
+    carry no ``op``, so the server's own sends are left out)."""
+    sent = []
+    send = protocol.send_message
+
+    def record(sock, message, **kwargs):
+        if "op" in message:
+            sent.append(message)
+        send(sock, message, **kwargs)
+
+    monkeypatch.setattr(protocol, "send_message", record)
+    return sent
+
+
+def test_probe_frame_is_a_small_header_whatever_the_graph_size(client, sent_requests):
+    # Byte guard: a repeated graph crosses the wire as its content hash,
+    # so the probe for an RMAT-ER(14) graph, config and all, is one frame
+    # of at most 512 bytes; only the resend after NOT_CACHED ships arrays.
+    graph = rmat_er(14, seed=1)
+    config = {"engine": "superstep", "schedule": "synchronous", "num_threads": 2}
+    first = client.extract(graph, config=config, timeout=60.0)
+    again = client.extract(graph, config=config, timeout=60.0)
+    assert not first.cached and again.cached
+    assert (again.edges == first.edges).all()
+    assert ["hash" in m for m in sent_requests] == [True, False, True]
+    for probe in (sent_requests[0], sent_requests[2]):
+        frame = protocol.HEADER.size + len(_over_wire(probe, protocol.read_frame))
+        assert frame <= 512, frame
+
+
+def test_client_sends_at_most_two_frames_per_extract(client, sent_requests):
+    graph = rmat_b(6, seed=71)
+    config = {"engine": "superstep", "maximalize": True}
+    calls = (
+        (dict(), ["hash", "graph"]),  # first time: probe, then the graph
+        (dict(), ["hash"]),  # repeat: the probe is answered
+        (dict(no_cache=True), ["graph"]),  # no_cache skips the probe
+        (dict(verify=True), ["hash", "graph"]),  # unverified entry: one resend
+        (dict(verify=True), ["hash"]),  # now verified: the probe is answered
+    )
+    for kwargs, frames in calls:
+        del sent_requests[:]
+        result = client.extract(graph, config=config, **kwargs)
+        assert [("hash" if "hash" in m else "graph") for m in sent_requests] == frames
+        assert result.verified == bool(kwargs.get("verify"))
 
 
 def test_edges_round_trip():
@@ -650,6 +704,13 @@ def test_unknown_op_is_bad_request_and_connection_survives(server):
         assert protocol.recv_message(sock)["ok"] is True
 
 
+_SOME_HASH = "ab" * 32
+
+
+def _probe(**fields):
+    return {"op": "extract", "hash": _SOME_HASH, **fields}
+
+
 @pytest.mark.parametrize(
     "request_message, code",
     [
@@ -683,6 +744,19 @@ def test_unknown_op_is_bad_request_and_connection_survives(server):
             },
             protocol.BAD_REQUEST,
         ),
+        (_probe(hash="ab" * 31), protocol.BAD_REQUEST),  # too short
+        (_probe(hash=_SOME_HASH + "0"), protocol.BAD_REQUEST),  # too long
+        (_probe(hash="g" * 64), protocol.BAD_REQUEST),  # not hex
+        (_probe(hash=_SOME_HASH.upper()), protocol.BAD_REQUEST),  # not a content hash
+        (_probe(hash=12345), protocol.BAD_REQUEST),
+        (_probe(hash=True), protocol.BAD_REQUEST),
+        (_probe(hash=None), protocol.BAD_REQUEST),
+        (_probe(hash=[_SOME_HASH]), protocol.BAD_REQUEST),
+        (_probe(graph={"n": 2, "edges": [[0, 1]]}), protocol.BAD_REQUEST),
+        (_probe(no_cache=True), protocol.BAD_REQUEST),
+        (_probe(no_cache=False), protocol.BAD_REQUEST),
+        (_probe(timeout="soon"), protocol.BAD_REQUEST),
+        (_probe(config={"mystery": True}), protocol.INVALID_CONFIG),
     ],
 )
 def test_bad_extract_requests_get_typed_errors(server, request_message, code):

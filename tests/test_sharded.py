@@ -26,6 +26,9 @@ path cannot lives in ``tests/test_sharded_stress.py``
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +280,25 @@ class TestPlan:
 
 
 class TestCacheAndResume:
+    def test_shard_package_does_not_load_the_service(self):
+        # The shard cache keys on the config identity the service shares,
+        # which lives in repro.core.config, so importing the sharded path
+        # never pulls in the daemon (its client, server, socket, queue).
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (os.path.join(root, "src"), env.get("PYTHONPATH")))
+        )
+        code = "import sys, repro.shard\nprint(' '.join(sorted(sys.modules)))"
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, cwd=root, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        loaded = set(child.stdout.split())
+        assert "repro.shard" in loaded
+        assert not {m for m in loaded if m.startswith("repro.service")}
+
     def _plan(self, tmp_path, seed=1):
         path = tmp_path / "g.txt"
         save_graph(gnp_random_graph(60, 0.1, seed=seed), path, format="edgelist")
