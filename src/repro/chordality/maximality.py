@@ -26,8 +26,9 @@ certificate (:func:`addable_edges`, and through it
 stitcher and the distributed baseline's repair mode.  Two cases need no
 search at all — endpoints in different components of ``H`` are addable,
 and endpoints in one component with no common neighbour are not — and the
-rest take one early-exit BFS.  The answer is a reachability boolean, so it
-does not depend on the order the BFS expands vertices in: every result
+rest take one search from both ends at once.  The answer is a
+reachability boolean, so it does not depend on the order the search
+expands vertices in: every result
 (and every counterexample a failure report prints) is determined by the
 candidate order alone.  :func:`edge_addable` is the plain-Python
 reference the test suite cross-validates the oracle against.
@@ -52,7 +53,14 @@ import numpy as np
 
 from repro.chordality.recognition import is_chordal
 from repro.errors import GraphFormatError
-from repro.graph.builder import canonical_keys, from_edge_array, graph_keys, key_index, key_pairs
+from repro.graph.builder import (
+    canonical_keys,
+    edge_keys,
+    from_edge_array,
+    graph_keys,
+    key_index,
+    key_pairs,
+)
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -102,13 +110,20 @@ def _native_lib():
     return resolve()[1]
 
 
+def _lists(oracle: "AddabilityOracle"):
+    """The interpreted fallback over ``oracle``'s arrays."""
+    from repro.chordality._lists import Lists
+
+    return Lists(oracle)
+
+
 def _as_pairs(edges) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
 
 
 def _ptrs(ffi, *arrays: np.ndarray) -> list:
-    return [ffi.cast("int64_t *", a.ctypes.data) for a in arrays]
+    return [ffi.from_buffer("int64_t[]", a) for a in arrays]
 
 
 class AddabilityOracle:
@@ -125,8 +140,10 @@ class AddabilityOracle:
     * O(α) when ``u`` and ``v`` lie in different components (addable);
     * O(deg u + deg v) when they share a component but no neighbour (not
       addable: nothing is removed, and the component connects them);
-    * otherwise one BFS from ``u`` avoiding ``N(u) ∩ N(v)`` that stops at
-      the first vertex of ``N(v)`` it discovers.
+    * otherwise a search from both ends avoiding ``N(u) ∩ N(v)``: one
+      side grows from ``N(u)``, the other from ``N(v)``, a vertex each in
+      turn, until they meet (not addable) or one runs dry (addable), so a
+      test costs about twice the smaller side.
 
     The loops run in C when the compiled backend resolves (exactly when
     the round bodies do) and in an interpreted fallback over the same
@@ -159,6 +176,45 @@ class AddabilityOracle:
         oracle.add_edges(graph.edge_array())
         return oracle
 
+    @classmethod
+    def completion(cls, graph: CSRGraph, edges) -> tuple["AddabilityOracle", np.ndarray]:
+        """An oracle holding the chordal edge set ``edges`` with room for
+        every edge of ``graph``, and the ``(k, 2)`` edges of ``graph`` it
+        lacks in ``(u, v)`` lexicographic order with ``u < v``: the
+        completion pass's start.  Compiled, one merge of ``graph``'s
+        sorted rows with the canonical rows of ``edges``; interpreted, a
+        diff of sorted edge keys.  Edges of ``edges`` that ``graph``
+        lacks get their own slots."""
+        n = graph.num_vertices
+        rows = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+        module = _native_lib()
+        if module is None:
+            have = edge_keys(n, rows)
+            keys = graph_keys(graph)
+            candidates = key_pairs(n, keys[key_index(have, keys) < 0])
+            extra = key_pairs(n, have[key_index(keys, have) < 0])
+            oracle = cls(n, graph.degrees() + np.bincount(extra.ravel(), minlength=n))
+            oracle.add_edges(key_pairs(n, have))
+            return oracle, candidates
+        ffi, lib = module.ffi, module.lib
+        g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
+        wide = int(g.indices.dtype == np.int64)
+        graph_ptrs = (n, *_ptrs(ffi, g.indptr), ffi.from_buffer(g.indices), wide)
+        capacity = np.zeros(n, dtype=np.int64)
+        k = lib.repro_completion_room(*graph_ptrs, rows.shape[0], *_ptrs(ffi, rows, capacity))
+        if k < 0:  # not canonical: sort, drop loops and repeats
+            rows = key_pairs(n, edge_keys(n, rows))
+            capacity[:] = 0
+            k = lib.repro_completion_room(*graph_ptrs, rows.shape[0], *_ptrs(ffi, rows, capacity))
+        oracle = cls(n, capacity)
+        pairs = np.empty((2, k), dtype=np.int64)
+        lib.repro_completion_build(
+            *graph_ptrs, rows.shape[0],
+            *_ptrs(ffi, rows, oracle._start, oracle._fill, oracle._nbr, oracle._uf,
+                   oracle._stamp, oracle._state, pairs[0], pairs[1]),
+        )
+        return oracle, pairs.T
+
     def _check(self, us: np.ndarray, vs: np.ndarray, *, grows: bool = True) -> None:
         """Refuse endpoints the arrays cannot hold (the C loops do no
         bounds checks): out-of-range ids and, when the edges may be
@@ -185,7 +241,7 @@ class AddabilityOracle:
         self._check(us, vs)
         module = _native_lib()
         if module is None:
-            lists = _Lists(self)
+            lists = _lists(self)
             for u, v in zip(us.tolist(), vs.tolist()):
                 lists.link(u, v)
             lists.store(self)
@@ -201,8 +257,10 @@ class AddabilityOracle:
 
         Passes repeat until one admits nothing (an admission can unlock
         an earlier rejection), or ``max_passes`` passes ran.  A rejected
-        candidate is re-tested only once its component has gained an
-        edge: until then the test would walk the identical subgraph.
+        candidate is searched again only once one of its endpoints has
+        gained an edge and its common-neighbour count has changed: ``H``
+        only gains edges, so an unchanged ban set keeps the path that
+        rejected it.
 
         Returns ``(accepted_pass, passes)``: ``accepted_pass[i]`` is the
         1-based pass that admitted candidate ``i``, 0 if it was rejected
@@ -215,7 +273,7 @@ class AddabilityOracle:
         limit = 0 if max_passes is None else int(max_passes)
         module = _native_lib()
         if module is None:
-            lists = _Lists(self)
+            lists = _lists(self)
             accepted, passes = lists.greedy(us.tolist(), vs.tolist(), limit)
             lists.store(self)
             return np.asarray(accepted, dtype=np.int64).reshape(k), passes
@@ -225,6 +283,7 @@ class AddabilityOracle:
             k,
             *_ptrs(module.ffi, us, vs),
             limit,
+            self.num_vertices,
             *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
                    self._stamp, self._seen, self._near, self._queue,
                    self._state, scratch[0], scratch[1], accepted),
@@ -240,124 +299,18 @@ class AddabilityOracle:
         cap = 0 if limit is None else max(int(limit), 1)
         module = _native_lib()
         if module is None:
-            found = _Lists(self).first(us.tolist(), vs.tolist(), cap)
+            found = _lists(self).first(us.tolist(), vs.tolist(), cap)
             return np.asarray(found, dtype=np.int64)
         out = np.zeros(us.size, dtype=np.int64)
         found = module.lib.repro_oracle_first(
             us.size,
             *_ptrs(module.ffi, us, vs),
             cap,
+            self.num_vertices,
             *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
                    self._seen, self._near, self._queue, self._state, out),
         )
         return out[:found].copy()
-
-
-class _Lists:
-    """The interpreted fallback: the oracle's arrays as Python lists,
-    running the same loops as the C source in
-    :mod:`repro.core.native.build`; :meth:`store` writes ``H`` back.
-    Visited marks need no write-back: every mark is at most the stored
-    epoch, and later tests use fresh epochs."""
-
-    def __init__(self, oracle: AddabilityOracle) -> None:
-        self.start = oracle._start.tolist()
-        self.fill = oracle._fill.tolist()
-        self.nbr = oracle._nbr.tolist()
-        self.uf = oracle._uf.tolist()
-        self.stamp = oracle._stamp.tolist()
-        self.seen = oracle._seen.tolist()
-        self.near = oracle._near.tolist()
-        self.version, self.epoch = oracle._state.tolist()
-
-    def store(self, oracle: AddabilityOracle) -> None:
-        oracle._fill[:] = self.fill
-        oracle._nbr[:] = self.nbr
-        oracle._uf[:] = self.uf
-        oracle._stamp[:] = self.stamp
-        oracle._state[:] = (self.version, self.epoch)
-
-    def find(self, x: int) -> int:
-        uf = self.uf
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]  # path halving
-            x = uf[x]
-        return x
-
-    def link(self, u: int, v: int) -> None:
-        self.nbr[self.start[u] + self.fill[u]] = v
-        self.fill[u] += 1
-        self.nbr[self.start[v] + self.fill[v]] = u
-        self.fill[v] += 1
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.uf[rv] = ru
-        self.version += 1
-        self.stamp[ru] = self.version
-
-    def addable(self, u: int, v: int) -> bool:
-        """The test for endpoints sharing a component."""
-        start, fill, nbr, seen, near = self.start, self.fill, self.nbr, self.seen, self.near
-        self.epoch += 1
-        e = self.epoch
-        for y in nbr[start[v] : start[v] + fill[v]]:
-            near[y] = e
-        seen[u] = e
-        common = False
-        for y in nbr[start[u] : start[u] + fill[u]]:
-            if near[y] == e:
-                seen[y] = e
-                common = True
-        if not common:
-            return False
-        queue = [u]
-        for x in queue:  # the list grows while it is walked: a FIFO
-            for y in nbr[start[x] : start[x] + fill[x]]:
-                if seen[y] == e:
-                    continue
-                if near[y] == e:
-                    return False  # path to N(v) avoiding the ban
-                seen[y] = e
-                queue.append(y)
-        return True
-
-    def greedy(self, us: list[int], vs: list[int], max_passes: int) -> tuple[list[int], int]:
-        accepted = [0] * len(us)
-        tested_at = [-1] * len(us)
-        alive = list(range(len(us)))
-        stamp, passes = self.stamp, 0
-        while alive and (max_passes <= 0 or passes < max_passes):
-            passes += 1
-            keep = []
-            for i in alive:
-                u, v = us[i], vs[i]
-                ru = self.find(u)
-                if ru != self.find(v):
-                    ok = True
-                elif tested_at[i] >= stamp[ru]:
-                    ok = False
-                else:
-                    ok = self.addable(u, v)
-                    if not ok:
-                        tested_at[i] = stamp[ru]
-                if ok:
-                    self.link(u, v)
-                    accepted[i] = passes
-                else:
-                    keep.append(i)
-            if len(keep) == len(alive):
-                break
-            alive = keep
-        return accepted, passes
-
-    def first(self, us: list[int], vs: list[int], limit: int) -> list[int]:
-        found: list[int] = []
-        for i, (u, v) in enumerate(zip(us, vs)):
-            if limit > 0 and len(found) >= limit:
-                break
-            if self.find(u) != self.find(v) or self.addable(u, v):
-                found.append(i)
-        return found
 
 
 def _missing_edge_array(graph: CSRGraph, subgraph: CSRGraph) -> np.ndarray:

@@ -3,11 +3,12 @@
 The paper extracts a maximal chordal subgraph of a *static* graph; the
 serving path (``repro mutate``, the daemon's ``mutate`` op) sees one
 graph change between requests.  A session holds only the current graph,
-as a set of canonical edge keys ``u * n + v`` (``u < v``), and answers
-with one maximalizing :class:`~repro.core.session.Extractor` run on it.
-The extraction runs lazily, once per applied batch, when the edges are
-first read, so every answer is bit-identical to ``repro extract
---maximalize`` on the same graph, whatever the edit history.
+as sorted CSR rows it edits in place (an edit shifts the arcs after it
+by a slot or two), and answers with one maximalizing
+:class:`~repro.core.session.Extractor` run on it.  The extraction runs
+lazily, once per applied batch, when the edges are first read, so every
+answer is bit-identical to ``repro extract --maximalize`` on the same
+graph, whatever the edit history.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.config import ExtractionConfig
+from repro.core.native.build import resolve
 from repro.core.session import ChordalResult, Extractor
 from repro.errors import ConfigError
-from repro.graph.builder import edge_keys, from_edge_keys, graph_keys, key_index
+from repro.graph.builder import _best_index_dtype, edge_keys, key_index
 from repro.graph.csr import CSRGraph
 from repro.util.validation import is_integer
 
@@ -45,7 +47,14 @@ class IncrementalExtractor:
         config = (config or ExtractionConfig()).replace(maximalize=True)
         self._extractor = Extractor(config)
         self._n = graph.num_vertices
-        self._keys: set[int] = set(graph_keys(graph).tolist())
+        rows = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
+        # Writable copies: the edits below go into these arrays, and the
+        # indices take the dtype from_edge_keys gives the same edge set.
+        self._indptr = rows.indptr.copy()
+        self._indices = rows.indices.astype(_best_index_dtype(self._n))
+        self._nnz = int(rows.indices.size)
+        self._native = resolve()[1]
+        self._ptrs: tuple | None = None  # cffi views of the two arrays
         self._graph: CSRGraph | None = graph
         self._result: ChordalResult | None = None
         self.stats: dict[str, int] = {"inserts": 0, "deletes": 0, "full_rebuilds": 0}
@@ -57,7 +66,7 @@ class IncrementalExtractor:
     @property
     def num_edges(self) -> int:
         """Edge count of the current graph."""
-        return len(self._keys)
+        return self._nnz // 2
 
     @property
     def num_chordal_edges(self) -> int:
@@ -67,9 +76,12 @@ class IncrementalExtractor:
     def graph(self) -> CSRGraph:
         """The current graph as a CSR snapshot (cached until the next mutation)."""
         if self._graph is None:
-            keys = np.fromiter(self._keys, dtype=np.int64, count=len(self._keys))
-            keys.sort()
-            self._graph = from_edge_keys(self._n, keys)
+            self._graph = CSRGraph(
+                self._indptr.copy(),
+                self._indices[: self._nnz].copy(),
+                sorted_adjacency=True,
+                validate=False,
+            )
         return self._graph
 
     @property
@@ -116,16 +128,13 @@ class IncrementalExtractor:
                     f"{INSERT_OPS + DELETE_OPS})"
                 )
             u, v = self._pair(u, v)
-            key = u * self._n + v
             insert = op in INSERT_OPS
-            if insert == (key in self._keys):
+            if not self._edit(u, v, insert):
                 state = "already" if insert else "not"
                 raise ValueError(f"({u}, {v}) is {state} an edge of the graph")
             if insert:
-                self._keys.add(key)
-                inserted.append(key)
+                inserted.append(u * self._n + v)
             else:
-                self._keys.remove(key)
                 deleted += 1
             self.stats["inserts" if insert else "deletes"] += 1
             self._graph = self._result = None
@@ -135,6 +144,52 @@ class IncrementalExtractor:
             retained = int((found >= 0).sum())
         return {"applied": len(inserted) + deleted, "inserted": len(inserted),
                 "retained": retained, "deleted": deleted}
+
+    def _edit(self, u: int, v: int, insert: bool) -> bool:
+        """Insert or delete the edge ``u < v`` in the rows, in place; False
+        when it already is (insert) or is not (delete) an edge.  One C call
+        when the compiled backend resolves (``repro_csr_edit``), the same
+        shifts as NumPy slices otherwise."""
+        nnz = self._nnz
+        if insert and nnz + 2 > self._indices.size:  # full: double the slack
+            grown = np.empty(max(2 * nnz, 16), dtype=self._indices.dtype)
+            grown[:nnz] = self._indices[:nnz]
+            self._indices = grown
+            self._ptrs = None
+        if self._native is not None:
+            if self._ptrs is None:
+                ffi = self._native.ffi
+                self._ptrs = (
+                    ffi.from_buffer("int64_t[]", self._indptr),
+                    ffi.from_buffer(self._indices),
+                    int(self._indices.dtype == np.int64),
+                )
+            nnz = self._native.lib.repro_csr_edit(self._n, *self._ptrs, nnz, u, v, insert)
+            if nnz < 0:
+                return False
+            self._nnz = nnz
+            return True
+        indptr, ind = self._indptr, self._indices
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        au = lo + int(np.searchsorted(ind[lo:hi], v))
+        if insert == (au < hi and int(ind[au]) == v):
+            return False
+        lo, hi = int(indptr[v]), int(indptr[v + 1])
+        av = lo + int(np.searchsorted(ind[lo:hi], u))
+        # Row u comes first, so au <= av: the arcs between the two edits
+        # shift by one slot, those after both by two.
+        if insert:
+            ind[av + 2 : nnz + 2] = ind[av:nnz]
+            ind[au + 1 : av + 1] = ind[au:av]
+            ind[au], ind[av + 1] = v, u
+        else:
+            ind[au : av - 1] = ind[au + 1 : av]
+            ind[av - 1 : nnz - 2] = ind[av + 1 : nnz]
+        d = 1 if insert else -1
+        indptr[u + 1 : v + 1] += d
+        indptr[v + 1 :] += 2 * d
+        self._nnz = nnz + 2 * d
+        return True
 
     def _pair(self, u: int, v: int) -> tuple[int, int]:
         for x in (u, v):

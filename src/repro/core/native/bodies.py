@@ -22,9 +22,9 @@ Equivalence to the interpreted code (the determinism contract):
   sweep of :func:`repro.core.reference.reference_max_chordal` to
   convergence in one C call.  Both are deterministic and serve the same
   (parent, child) pairs in the same turns, so the edge set and the queue
-  sizes are identical; only the row order within a turn differs (the C
-  sweep serves children in arrival order, the reference in adjacency
-  order), and callers see canonical edges.
+  sizes are identical; the C sweep writes its edges as canonical rows
+  (the reference returns them in service order), and callers see
+  canonical edges.
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ def _pointers(ffi, a: dict[str, np.ndarray]) -> dict[str, object]:
                 f"native kernels need contiguous int64 schema arrays; "
                 f"{name!r} is {arr.dtype}"
             )
-        ptrs[name] = ffi.cast("int64_t *", arr.ctypes.data)
+        ptrs[name] = ffi.from_buffer("int64_t[]", arr)
     ok = a["ok"]
     if ok.dtype != _U8 or not ok.flags["C_CONTIGUOUS"]:
         raise TypeError(f"native kernels need a contiguous uint8 'ok' array, got {ok.dtype}")
-    ptrs["ok"] = ffi.cast("uint8_t *", ok.ctypes.data)
+    ptrs["ok"] = ffi.from_buffer("uint8_t[]", ok)
     if len(_ptr_cache) > 64:  # transient LocalStates; keep the cache bounded
         _ptr_cache.clear()
     _ptr_cache[key] = ({name: a[name] for name in _ALL_ARRAYS}, ptrs)
@@ -138,13 +138,15 @@ def native_run_sync_slice(tid: int, a: dict[str, np.ndarray]) -> None:
 
 
 def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
-    """Compiled asynchronous sweep over a reset ``state``: one C call.
+    """Compiled asynchronous sweep over ``state``: one C call, which also
+    resets it (Algorithm 1 lines 2-10).
 
-    Returns ``(edges, queue_sizes)``.  Every buffer is sized from the
-    graph, never from ``limit``: at most ``arena_used`` edges (one per
-    arena slot) and at most ``max_degree + 2`` iterations (each iteration
-    serves every active vertex, which then advances past one of its
-    parents), so ``limit`` must not exceed ``max_degree + 2``.  When more
+    Returns ``(edges, queue_sizes)``, the edges as canonical rows.  Every
+    buffer is sized from the graph, never from ``limit``: at most
+    ``arena_used`` edges (one per arena slot) and at most
+    ``max_degree + 2`` iterations (each iteration serves every active
+    vertex, which then advances past one of its parents), so ``limit``
+    must not exceed ``max_degree + 2``.  When more
     than ``limit`` iterations would run, ``queue_sizes`` has ``limit + 1``
     entries, ending with the pending queue size, exactly where the
     reference loop raises; the caller raises the ConvergenceError.
@@ -165,7 +167,7 @@ def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
     def ptr(arr: np.ndarray):
         if arr.dtype != _I64 or not arr.flags["C_CONTIGUOUS"]:
             raise TypeError(f"the native sweep needs contiguous int64 arrays, got {arr.dtype}")
-        return ffi.cast("int64_t *", arr.ctypes.data)
+        return ffi.from_buffer("int64_t[]", arr)
 
     num_edges = lib.repro_sweep(
         n,

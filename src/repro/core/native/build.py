@@ -68,21 +68,35 @@ int64_t repro_sweep(
     int64_t *head, int64_t *tail, int64_t *next,
     int64_t *queue, int64_t *next_queue, int64_t *mark,
     int64_t *qsizes, int64_t *edges, int64_t *iterations);
+int64_t repro_sweep_layout(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    int64_t *lower, int64_t *offsets);
 void repro_oracle_add(
     int64_t k, const int64_t *eu, const int64_t *ev,
     const int64_t *start, int64_t *fill, int64_t *nbr,
     int64_t *uf, int64_t *stamp, int64_t *st);
 int64_t repro_oracle_greedy(
     int64_t k, const int64_t *cu, const int64_t *cv, int64_t max_passes,
-    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t n, const int64_t *start, int64_t *fill, int64_t *nbr,
     int64_t *uf, int64_t *stamp, int64_t *seen, int64_t *near,
     int64_t *queue, int64_t *st,
     int64_t *alive, int64_t *tested_at, int64_t *accepted_pass);
 int64_t repro_oracle_first(
     int64_t k, const int64_t *cu, const int64_t *cv, int64_t limit,
-    const int64_t *start, const int64_t *fill, const int64_t *nbr,
+    int64_t n, const int64_t *start, const int64_t *fill, const int64_t *nbr,
     int64_t *uf, int64_t *seen, int64_t *near, int64_t *queue,
     int64_t *st, int64_t *out);
+int64_t repro_completion_room(
+    int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+    int64_t k, const int64_t *rows, int64_t *capacity);
+int64_t repro_completion_build(
+    int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+    int64_t k, const int64_t *rows,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *st, int64_t *cu, int64_t *cv);
+int64_t repro_csr_edit(
+    int64_t n, int64_t *indptr, void *indices, int64_t wide, int64_t nnz,
+    int64_t u, int64_t v, int64_t insert);
 """
 
 #: The C translation of rounds.run_sync_slice.  Kept semantically
@@ -92,10 +106,12 @@ int64_t repro_oracle_first(
 #: asynchronous sweep serves the same turns as the asynchronous loop of
 #: repro/core/reference.py, and the addability oracle's greedy and
 #: certificate loops mirror the interpreted fallback in
-#: repro/chordality/maximality.py.
+#: repro/chordality/_lists.py, and the mutate session's edge edit
+#: mirrors the NumPy one in repro/core/incremental.py.
 SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* 1 iff every element of child[0:cw] occurs in parent[0:cv].  Both runs
    are sorted ascending (the ordered-chordal-set invariant), so each
@@ -170,15 +186,36 @@ static void repro_push_child(int64_t x, int64_t w,
     tail[x] = w;
 }
 
-/* Runs the sweep to convergence from a reset state.  Turns run in
-   ascending queue order; the parent's prefix is frozen once per turn
-   (C[v] cannot change during its own turn, see reference.py).  Edges are
-   written as (v, w) rows in service order -- at most one per arena slot,
-   so arena_used rows always suffice -- and |Q1| per iteration goes to
-   qsizes, which must hold limit + 1 entries.  Returns the number of
-   edges, or -1 once more than `limit` iterations would run (the caller's
-   ConvergenceError; qsizes then ends with the pending queue size).
-   *iterations receives the number of qsizes entries written. */
+/* The sweep's arena layout over sorted rows: lower[w] counts w's
+   neighbours below w (its parent capacity), offsets[w] is where its arena
+   run starts.  Returns offsets[n], the arena size. */
+int64_t repro_sweep_layout(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    int64_t *lower, int64_t *offsets)
+{
+    int64_t total = 0;
+    for (int64_t w = 0; w < n; w++) {
+        int64_t p = indptr[w], end = indptr[w + 1];
+        while (p < end && indices[p] < w) p++;
+        lower[w] = p - indptr[w];
+        offsets[w] = total;
+        total += lower[w];
+    }
+    offsets[n] = total;
+    return total;
+}
+
+/* Runs the sweep to convergence, starting with Algorithm 1's lines 2-10:
+   empty chordal sets, fresh cursors, every vertex at its lowest parent.
+   Turns run in ascending queue order; the parent's prefix is frozen once
+   per turn (C[v] cannot change during its own turn, see reference.py).
+   |Q1| per iteration goes to qsizes, which must hold limit + 1 entries.
+   On convergence the edges are written as canonical (v, w) rows, v < w
+   lexicographic -- one per arena slot, so arena_used rows always suffice
+   -- by a counting sort of the arena on the parent.  Returns the number
+   of edges, or -1 once more than `limit` iterations would run (the
+   caller's ConvergenceError; qsizes then ends with the pending queue
+   size).  *iterations receives the number of qsizes entries written. */
 int64_t repro_sweep(
     int64_t n, int64_t limit,
     int64_t *arena, const int64_t *offsets, int64_t *counts,
@@ -188,8 +225,14 @@ int64_t repro_sweep(
     int64_t *queue, int64_t *next_queue, int64_t *mark,
     int64_t *qsizes, int64_t *edges, int64_t *iterations)
 {
-    int64_t qn = 0, ne = 0, it = 0;
-    for (int64_t v = 0; v < n; v++) { head[v] = -1; mark[v] = 0; }
+    int64_t qn = 0, it = 0;
+    for (int64_t v = 0; v < n; v++) {
+        head[v] = -1;
+        mark[v] = 0;
+        counts[v] = 0;
+        cursor[v] = 0;
+        lp[v] = lower[v] ? indices[indptr[v]] : -1;
+    }
     for (int64_t w = 0; w < n; w++) {
         int64_t x = lp[w];
         if (x < 0) continue;
@@ -221,9 +264,6 @@ int64_t repro_sweep(
                 if (ok) {  /* lines 16-17 */
                     arena[offsets[w] + cw] = v;
                     counts[w] = cw + 1;
-                    edges[2 * ne] = v;
-                    edges[2 * ne + 1] = w;
-                    ne++;
                 }
                 /* Lines 18-20: advance to the next parent (x > v, so w
                    never rejoins the list being swept). */
@@ -253,14 +293,27 @@ int64_t repro_sweep(
         qn = nn;
     }
     *iterations = it;
+    /* Row slots per parent (mark, now free), then the children in
+       ascending order into their parents' slots. */
+    int64_t *slot = mark, ne = 0;
+    for (int64_t v = 0; v < n; v++) slot[v] = 0;
+    for (int64_t w = 0; w < n; w++)
+        for (int64_t j = 0; j < counts[w]; j++) slot[arena[offsets[w] + j]]++;
+    for (int64_t v = 0; v < n; v++) { int64_t c = slot[v]; slot[v] = ne; ne += c; }
+    for (int64_t w = 0; w < n; w++)
+        for (int64_t j = 0; j < counts[w]; j++) {
+            int64_t r = slot[arena[offsets[w] + j]]++;
+            edges[2 * r] = arena[offsets[w] + j];
+            edges[2 * r + 1] = w;
+        }
     return ne;
 }
 
 /* ---- Addability oracle (repro.chordality.maximality.AddabilityOracle) --
    H's adjacency of v is nbr[start[v] : start[v] + fill[v]]; uf is a
-   union-find over H's components, stamp[root] the version at which that
-   component last gained an edge; st = {version, epoch}.  seen/near hold
-   epoch stamps, so no test ever clears them. */
+   union-find over H's components, stamp[v] the version at which v last
+   gained an edge; st = {version, epoch}.  seen/near hold epoch stamps, so
+   no test ever clears them. */
 
 static int64_t repro_find(int64_t *uf, int64_t x)
 {
@@ -271,7 +324,7 @@ static int64_t repro_find(int64_t *uf, int64_t x)
     return x;
 }
 
-/* Add the H edge uv: two slot writes, a union, a component stamp. */
+/* Add the H edge uv: two slot writes, a union, two endpoint stamps. */
 static void repro_link(int64_t u, int64_t v,
                        const int64_t *start, int64_t *fill, int64_t *nbr,
                        int64_t *uf, int64_t *stamp, int64_t *st)
@@ -280,41 +333,71 @@ static void repro_link(int64_t u, int64_t v,
     nbr[start[v] + fill[v]++] = u;
     int64_t ru = repro_find(uf, u), rv = repro_find(uf, v);
     if (ru != rv) uf[rv] = ru;
-    stamp[ru] = ++st[0];
+    stamp[u] = stamp[v] = ++st[0];
 }
 
-/* 1 iff u and v are disconnected in H - (N(u) & N(v)), for a non-edge uv
-   whose endpoints share a component (the caller's union-find answers the
-   other case).  No common neighbour: nothing is removed, so the shared
-   component connects them.  Otherwise one BFS from u with the common
-   neighbours pre-marked seen, exiting at the first vertex of N(v). */
-static int repro_addable(int64_t u, int64_t v,
+/* 1 iff u and v are disconnected in H - C, C = N(u) & N(v), for a non-edge
+   uv whose endpoints share a component (the caller's union-find answers the
+   other case).  The common-neighbour scan seeds two searches: side U
+   starts from N(u) - C, side V from N(v) - C, and C belongs to neither.
+   A vertex of side U or of C has seen == e; one of side V or of C has
+   near == e (N(v) is pre-marked e - 1 until it is seeded).  No common
+   neighbour: nothing is removed, so the shared component connects u and
+   v.  *common holds |C| of the last failed search of this pair (0 before
+   any); the same count means the same ban set, since neighbourhoods only
+   grow, so the path that failed it still exists: 0 with no search.
+   Otherwise the sides expand one vertex each in turn until they meet (0)
+   or one runs dry (1).  Side U fills queue from the front and side V from
+   the back; they never share a vertex, so n words hold both. */
+static int repro_addable(int64_t u, int64_t v, int64_t n,
                          const int64_t *start, const int64_t *fill,
                          const int64_t *nbr, int64_t *seen, int64_t *near,
-                         int64_t *queue, int64_t *st)
+                         int64_t *queue, int64_t *st, int64_t *common)
 {
-    int64_t e = ++st[1];
-    const int64_t *nv = nbr + start[v], *nu = nbr + start[u];
-    int common = 0;
-    for (int64_t i = 0; i < fill[v]; i++) near[nv[i]] = e;
+    int64_t e = (st[1] += 2);
+    const int64_t *nu = nbr + start[u], *nv = nbr + start[v];
+    int64_t ut = 0, vt = n, c = 0;
+    for (int64_t i = 0; i < fill[v]; i++) near[nv[i]] = e - 1;
     seen[u] = e;
-    for (int64_t i = 0; i < fill[u]; i++)
-        if (near[nu[i]] == e) { seen[nu[i]] = e; common = 1; }
-    if (!common) return 0;
-    int64_t head = 0, tail = 0;
-    queue[tail++] = u;
-    while (head < tail) {
-        int64_t x = queue[head++];
+    near[v] = e;
+    for (int64_t i = 0; i < fill[u]; i++) {
+        int64_t y = nu[i];
+        if (seen[y] == e) continue;
+        seen[y] = e;
+        if (near[y] == e - 1) { near[y] = e; c++; }
+        else queue[ut++] = y;
+    }
+    if (c == 0 || c == *common) { *common = c; return 0; }
+    *common = c;
+    for (int64_t i = 0; i < fill[v]; i++) {
+        int64_t y = nv[i];
+        if (near[y] != e - 1) continue;
+        near[y] = e;
+        queue[--vt] = y;
+    }
+    int64_t uh = 0, vh = n;
+    for (;;) {
+        if (uh == ut) return 1;
+        int64_t x = queue[uh++];
         const int64_t *nx = nbr + start[x];
         for (int64_t j = 0; j < fill[x]; j++) {
             int64_t y = nx[j];
             if (seen[y] == e) continue;
-            if (near[y] == e) return 0;  /* path to N(v) avoiding the ban */
+            if (near[y] == e) return 0;  /* the sides meet: a path avoids C */
             seen[y] = e;
-            queue[tail++] = y;
+            queue[ut++] = y;
+        }
+        if (vh == vt) return 1;
+        x = queue[--vh];
+        nx = nbr + start[x];
+        for (int64_t j = 0; j < fill[x]; j++) {
+            int64_t y = nx[j];
+            if (near[y] == e) continue;
+            if (seen[y] == e) return 0;
+            near[y] = e;
+            queue[--vt] = y;
         }
     }
-    return 1;
 }
 
 void repro_oracle_add(
@@ -328,12 +411,15 @@ void repro_oracle_add(
 
 /* The greedy completion: offer the candidates in order, pass after pass,
    until a pass admits nothing (or max_passes > 0 passes ran).  A rejected
-   candidate is re-tested only once its component has gained an edge.
-   accepted_pass[i] = the 1-based pass that admitted candidate i, else 0.
-   Returns the number of passes run. */
+   candidate is searched again only once one of its endpoints has gained
+   an edge and its common-neighbour count has changed: H only gains edges,
+   so an unchanged ban set keeps the path that rejected it.  While a
+   candidate waits, its accepted_pass slot holds that count (zeroed on
+   exit).  accepted_pass[i] = the 1-based pass that admitted candidate i,
+   else 0.  Returns the number of passes run. */
 int64_t repro_oracle_greedy(
     int64_t k, const int64_t *cu, const int64_t *cv, int64_t max_passes,
-    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t n, const int64_t *start, int64_t *fill, int64_t *nbr,
     int64_t *uf, int64_t *stamp, int64_t *seen, int64_t *near,
     int64_t *queue, int64_t *st,
     int64_t *alive, int64_t *tested_at, int64_t *accepted_pass)
@@ -349,13 +435,13 @@ int64_t repro_oracle_greedy(
         int64_t keep = 0;
         for (int64_t j = 0; j < pending; j++) {
             int64_t i = alive[j], u = cu[i], v = cv[i];
-            int64_t ru = repro_find(uf, u);
             int ok;
-            if (ru != repro_find(uf, v)) ok = 1;
-            else if (tested_at[i] >= stamp[ru]) ok = 0;
+            if (repro_find(uf, u) != repro_find(uf, v)) ok = 1;
+            else if (tested_at[i] >= stamp[u] && tested_at[i] >= stamp[v]) ok = 0;
             else {
-                ok = repro_addable(u, v, start, fill, nbr, seen, near, queue, st);
-                if (!ok) tested_at[i] = stamp[ru];
+                ok = repro_addable(u, v, n, start, fill, nbr, seen, near, queue,
+                                   st, &accepted_pass[i]);
+                if (!ok) tested_at[i] = st[0];
             }
             if (ok) {
                 repro_link(u, v, start, fill, nbr, uf, stamp, st);
@@ -367,6 +453,7 @@ int64_t repro_oracle_greedy(
         if (keep == pending) break;
         pending = keep;
     }
+    for (int64_t j = 0; j < pending; j++) accepted_pass[alive[j]] = 0;
     return passes;
 }
 
@@ -374,18 +461,130 @@ int64_t repro_oracle_greedy(
    (limit <= 0: all of them).  Returns how many were written to out. */
 int64_t repro_oracle_first(
     int64_t k, const int64_t *cu, const int64_t *cv, int64_t limit,
-    const int64_t *start, const int64_t *fill, const int64_t *nbr,
+    int64_t n, const int64_t *start, const int64_t *fill, const int64_t *nbr,
     int64_t *uf, int64_t *seen, int64_t *near, int64_t *queue,
     int64_t *st, int64_t *out)
 {
     int64_t found = 0;
     for (int64_t i = 0; i < k && (limit <= 0 || found < limit); i++) {
-        int64_t u = cu[i], v = cv[i];
+        int64_t u = cu[i], v = cv[i], common = 0;
         if (repro_find(uf, u) != repro_find(uf, v)
-            || repro_addable(u, v, start, fill, nbr, seen, near, queue, st))
+            || repro_addable(u, v, n, start, fill, nbr, seen, near, queue,
+                             st, &common))
             out[found++] = i;
     }
     return found;
+}
+
+/* ---- Completion pass set-up (repro.core.maximalize) ---------------------
+   G's rows are sorted; its indices are int64 when wide, else int32.  rows
+   holds H's k edges as interleaved (u, v) pairs.  One merge of each
+   vertex's run of rows with the upper part of its G row visits every row
+   and every candidate: an edge of G that H lacks, in lexicographic order.
+   With capacity, each of them adds one slot at both ends (so H's slots
+   hold whatever the greedy admits, whatever the input); with cu/cv, the
+   candidates are written there.  Returns the number of candidates, or -1
+   when the rows are not canonical (u < v < n, strictly rising). */
+
+#define REPRO_IDX(p) (wide ? ((const int64_t *)indices)[p] \
+                           : (int64_t)((const int32_t *)indices)[p])
+
+static int64_t repro_completion_walk(
+    int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+    int64_t k, const int64_t *rows, int64_t *capacity, int64_t *cu, int64_t *cv)
+{
+    int64_t r = 0, found = 0;
+    for (int64_t u = 0; u < n; u++) {
+        int64_t p = indptr[u], end = indptr[u + 1], last = u;
+        while (p < end && REPRO_IDX(p) <= u) p++;
+        for (int64_t more = 1; more; ) {
+            int64_t v = n;  /* the end of G's row, after the last row */
+            more = r < k && rows[2 * r] == u;
+            if (more) {
+                v = rows[2 * r + 1];
+                if (v <= last || v >= n) return -1;
+                last = v;
+                r++;
+            }
+            for (; p < end && REPRO_IDX(p) < v; p++, found++) {
+                int64_t x = REPRO_IDX(p);
+                if (cu) { cu[found] = u; cv[found] = x; }
+                else { capacity[u]++; capacity[x]++; }
+            }
+            if (more) {
+                if (p < end && REPRO_IDX(p) == v) p++;
+                if (capacity) { capacity[u]++; capacity[v]++; }
+            }
+        }
+    }
+    return r == k ? found : -1;
+}
+
+/* Adds to capacity (zeros on entry) the slots H may need at each vertex. */
+int64_t repro_completion_room(
+    int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+    int64_t k, const int64_t *rows, int64_t *capacity)
+{
+    return repro_completion_walk(n, indptr, indices, wide, k, rows,
+                                 capacity, NULL, NULL);
+}
+
+/* Links the canonical rows into the oracle (sized by
+   repro_completion_room) and writes the candidates to cu/cv. */
+int64_t repro_completion_build(
+    int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+    int64_t k, const int64_t *rows,
+    const int64_t *start, int64_t *fill, int64_t *nbr,
+    int64_t *uf, int64_t *stamp, int64_t *st, int64_t *cu, int64_t *cv)
+{
+    for (int64_t i = 0; i < k; i++)
+        repro_link(rows[2 * i], rows[2 * i + 1], start, fill, nbr, uf, stamp, st);
+    return repro_completion_walk(n, indptr, indices, wide, k, rows,
+                                 NULL, cu, cv);
+}
+
+/* ---- Mutate session (repro.core.incremental) ----------------------------
+   A graph as sorted rows over the first nnz slots of indices (int64 when
+   wide, else int32).  Inserts (insert != 0) or deletes the edge uv,
+   u < v, in place: the arcs between the two edits shift by one slot and
+   those after both by two.  Returns the new nnz, or -1 when uv already
+   is (insert) or is not (delete) an edge; an insert needs two free
+   slots after nnz. */
+
+static int64_t repro_row_find(const void *indices, int64_t wide,
+                              int64_t lo, int64_t hi, int64_t x)
+{
+    while (lo < hi) {  /* the first slot of [lo, hi) holding a value >= x */
+        int64_t mid = lo + (hi - lo) / 2;
+        if (REPRO_IDX(mid) < x) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+int64_t repro_csr_edit(
+    int64_t n, int64_t *indptr, void *indices, int64_t wide, int64_t nnz,
+    int64_t u, int64_t v, int64_t insert)
+{
+    int64_t au = repro_row_find(indices, wide, indptr[u], indptr[u + 1], v);
+    int present = au < indptr[u + 1] && REPRO_IDX(au) == v;
+    if (present == (insert != 0)) return -1;
+    int64_t av = repro_row_find(indices, wide, indptr[v], indptr[v + 1], u);
+    size_t w = wide ? 8 : 4;
+    char *b = (char *)indices;
+    int64_t d = insert ? 1 : -1;
+    if (insert) {  /* au <= av, as row u comes first */
+        memmove(b + (av + 2) * w, b + av * w, (size_t)(nnz - av) * w);
+        memmove(b + (au + 1) * w, b + au * w, (size_t)(av - au) * w);
+        if (wide) { ((int64_t *)b)[au] = v; ((int64_t *)b)[av + 1] = u; }
+        else { ((int32_t *)b)[au] = (int32_t)v; ((int32_t *)b)[av + 1] = (int32_t)u; }
+    } else {  /* au < av */
+        memmove(b + au * w, b + (au + 1) * w, (size_t)(av - au - 1) * w);
+        memmove(b + (av - 1) * w, b + (av + 1) * w, (size_t)(nnz - av - 1) * w);
+    }
+    for (int64_t x = u + 1; x <= v; x++) indptr[x] += d;
+    for (int64_t x = v + 1; x <= n; x++) indptr[x] += 2 * d;
+    return nnz + 2 * d;
 }
 """
 

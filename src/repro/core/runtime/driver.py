@@ -110,7 +110,6 @@ def drive(
             builder.trace if collect_trace else None,
             "numpy",
         )
-    state.reset()
     limit = max_iterations if max_iterations is not None else state.max_degree + 2
     if schedule == "asynchronous":
         if executor.num_slices != 1:
@@ -164,6 +163,8 @@ def backend_run_fn(state_factory, executor_factory):
 def _drive_rounds(
     state, executor, variant: str, builder: TraceBuilder, limit: int
 ) -> DriveResult:
+    state.bind_rounds()
+    state.reset()
     a = state.arrays
     n = state.n
     ctrl = a["control"]
@@ -289,8 +290,10 @@ def _drive_sweep(state, executor, builder: TraceBuilder, limit: int) -> DriveRes
         if native_available():
             # Inside map() so an executor that times its work (perfbench's
             # traced re-drive) counts the compiled sweep as executor time.
-            # No iteration count can exceed max_degree + 2 (see
-            # native_sweep), so a larger caller budget bounds nothing.
+            # The C call lays out its own start (Algorithm 1 lines 2-10)
+            # and returns canonical rows.  No iteration count can exceed
+            # max_degree + 2 (see native_sweep), so a larger caller budget
+            # bounds nothing.
             budget = min(limit, state.max_degree + 2)
             executor.map(lambda _tid: out.append(native_sweep(state, budget)))
             edges, queue_sizes = out[0]
@@ -301,6 +304,7 @@ def _drive_sweep(state, executor, builder: TraceBuilder, limit: int) -> DriveRes
                 )
             return DriveResult(edges, queue_sizes, None, "native")
     # Also inside map(), so executor time means the same on every host.
+    # The reference loop reads only the bound graph, so nothing is reset.
     trace = builder if builder.enabled else None
     executor.map(
         lambda _tid: out.append(

@@ -25,8 +25,13 @@ class LocalState:
     """The array schema as ordinary NumPy arrays, bound to one graph.
 
     Graph CSR arrays are aliased (not copied) when their dtype already
-    matches the schema.  ``num_slices`` sizes the ``cuts`` scratch for the
-    widest executor this state will be driven by.
+    matches the schema.  The arrays every schedule reads (the graph, its
+    arena layout and Algorithm 1's state) exist from the start; the
+    barrier rounds' scratch (``active``, ``parents``, ``snapshot``,
+    ``keys``, ``ok``, ``cuts``, ``control``) is allocated by
+    :meth:`bind_rounds`, which only the synchronous driver calls.
+    ``num_slices`` sizes the ``cuts`` scratch for the widest executor this
+    state will be driven by.
     """
 
     def __init__(self, graph: CSRGraph, num_slices: int = 1) -> None:
@@ -34,35 +39,44 @@ class LocalState:
         self.graph = g
         n = g.num_vertices
         indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-        lower = lower_counts(g.indptr, indices)
-        offsets = arena_offsets(lower)
+        lower, offsets = _layout(g.indptr, indices)
         self.n = n
         self.nnz = int(indices.size)
         self.arena_used = int(offsets[-1])
         self.max_degree = g.max_degree()
-        spec = build_spec(n, self.nnz, self.arena_used, max(1, num_slices))
-        aliased = ("indptr", "indices", "lower", "offsets")
+        self.num_slices = max(1, num_slices)
         self.arrays = {
-            name: np.zeros(shape, dtype=dtype)
-            for name, (dtype, shape) in spec.items()
-            if name not in aliased
+            "indptr": g.indptr,
+            "indices": indices,
+            "lower": lower,
+            "offsets": offsets,
+            "arena": np.empty(self.arena_used, dtype=np.int64),
+            "counts": np.empty(n, dtype=np.int64),
+            "cursor": np.empty(n, dtype=np.int64),
+            "lp": np.empty(n, dtype=np.int64),
         }
-        self.arrays["indptr"] = g.indptr
-        self.arrays["indices"] = indices
-        self.arrays["lower"] = lower
-        self.arrays["offsets"] = offsets
-        self.arrays["control"][CTRL_N] = n
 
     @property
     def trivial(self) -> bool:
         """No vertex can have a parent — every schedule returns no edges."""
         return self.n == 0 or self.arena_used == 0
 
+    def bind_rounds(self) -> None:
+        """Allocate the barrier rounds' scratch arrays (once)."""
+        a = self.arrays
+        if "control" in a:
+            return
+        spec = build_spec(self.n, self.nnz, self.arena_used, self.num_slices)
+        for name, (dtype, shape) in spec.items():
+            if name not in a:
+                a[name] = np.zeros(shape, dtype=dtype)
+        a["control"][CTRL_N] = self.n
+
     def reset(self) -> None:
         """Per-run initialisation (Algorithm 1 lines 2-10).
 
         Zeroes the chordal sets and cursors and points every vertex at its
-        lowest parent.
+        lowest parent.  (The compiled sweep does this itself.)
         """
         a = self.arrays
         n = self.n
@@ -71,3 +85,24 @@ class LocalState:
         a["lp"][:n] = initial_parents(
             a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
         )
+
+
+def _layout(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, offsets)`` of sorted int64 rows: one C loop when the
+    compiled backend resolves, whole-array NumPy otherwise."""
+    # Imported here: resolving the backend must not add to the cost of
+    # importing the CLI.
+    from repro.core.native.build import resolve
+
+    module = resolve()[1]
+    if module is None:
+        lower = lower_counts(indptr, indices)
+        return lower, arena_offsets(lower)
+    n = indptr.size - 1
+    lower = np.empty(n, dtype=np.int64)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    ffi = module.ffi
+    module.lib.repro_sweep_layout(
+        n, *(ffi.from_buffer("int64_t[]", a) for a in (indptr, indices, lower, offsets))
+    )
+    return lower, offsets

@@ -82,7 +82,9 @@ def edge_keys(
 
     Keys are ``u * n + v`` with ``u < v``, sorted and unique: one
     ``np.sort``, then self-loops and adjacent duplicates (either
-    orientation) dropped.  Sorted keys are ``(u, v)`` lexicographic, and
+    orientation) dropped.  Rows whose keys already rise strictly (checked,
+    as canonical rows in lexicographic order do) skip the sort and the
+    dedup.  Sorted keys are ``(u, v)`` lexicographic, and
     :func:`key_index` probes them.  An endpoint outside ``[0, n)`` raises
     :class:`GraphFormatError`, or drops its row under ``allow_out_of_range``.
     """
@@ -94,7 +96,12 @@ def edge_keys(
     if e.ndim != 2 or e.shape[1] != 2:
         raise GraphFormatError(f"edges must have shape (m, 2), got {e.shape}")
     keys = canonical_keys(num_vertices, e)
-    if not allow_out_of_range:
+    if not keys.size:
+        return keys
+    if keys.min() >= 0:  # no self-loop, no endpoint out of range
+        if np.all(keys[1:] > keys[:-1]):
+            return keys
+    elif not allow_out_of_range:
         out = (e < 0).any(axis=1) | (e >= num_vertices).any(axis=1)
         if out.any():
             bad = e[out][0]

@@ -781,11 +781,15 @@ class ReproServer:
         applied = None
         invalidated = 0
         if ops:
+            stats = session.extractor.stats
+            before = stats["inserts"] + stats["deletes"]
             try:
                 applied = session.extractor.apply_batch(ops)
             except ValueError as exc:
-                # Ops before the offending one were applied: keep the
-                # cache coherent with the session graph before bailing.
+                # Ops before the offending one were applied: count them
+                # and keep the cache coherent with the session graph
+                # before bailing.
+                self._bump("mutations", stats["inserts"] + stats["deletes"] - before)
                 invalidated = self._invalidate_session(session)
                 response = error_response(BAD_REQUEST, f"mutation rejected: {exc}")
                 response["invalidated"] = invalidated

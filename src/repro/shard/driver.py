@@ -28,9 +28,10 @@ The driver keeps chordality **by construction** instead:
 The oracle keeps stitching near-linear in practice without touching
 determinism: endpoints in different components of the stitched subgraph
 are addable without a search, endpoints sharing a component but no
-neighbour are rejected without one, and a rejected edge is re-tested
-only after its component has gained an edge, so post-fixpoint rounds
-cost O(pending) instead of O(pending × BFS).
+neighbour are rejected without one, and a rejected edge is searched
+again only after one of its endpoints has gained an edge and its
+common-neighbour count has changed, so post-fixpoint rounds cost
+O(pending) instead of O(pending × search).
 
 Global maximality is certified for boundary edges; edges *rejected
 inside a shard* are only locally certified (re-offering all of them

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import ExtractionConfig, IncrementalExtractor
 from repro.chordality.quality import maximal_chordal_floor
@@ -44,7 +46,8 @@ from repro.chordality.recognition import is_chordal
 from repro.chordality.verify import verify_extraction
 from repro.core.session import Extractor
 from repro.errors import ConfigError
-from repro.graph.builder import build_graph
+from repro.graph.builder import build_graph, from_edge_keys
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     chordal_mutation_stream,
     cycle_graph,
@@ -215,6 +218,98 @@ def test_deleting_retained_edge_repairs_chordality():
     inc.delete_edge(0, 1)
     _assert_valid(inc, "K4 after delete")
     assert inc.num_chordal_edges == 5
+
+
+# ---------------------------------------------------------------------------
+# The session's CSR, edited in place.
+
+
+def _assert_csr_is(inc: IncrementalExtractor, keys: set[int], context: str) -> None:
+    """The session graph is exactly the builder's graph of ``keys`` once
+    an op has applied (until then it is the graph the session opened on)."""
+    if not inc.stats["inserts"] + inc.stats["deletes"]:
+        assert inc.graph.edge_set() == {divmod(k, inc.num_vertices) for k in keys}
+        return
+    got = inc.graph
+    want = from_edge_keys(inc.num_vertices, np.array(sorted(keys), dtype=np.int64))
+    assert got.sorted_adjacency and want.sorted_adjacency, context
+    assert got.indptr.dtype == want.indptr.dtype, context
+    assert got.indices.dtype == want.indices.dtype, context
+    assert np.array_equal(got.indptr, want.indptr), context
+    assert np.array_equal(got.indices, want.indices), context
+    assert inc.num_edges == len(keys), context
+
+
+def _apply_to_keys(n: int, keys: set[int], batch) -> None:
+    """A batch applied to a key set, stopping at the first bad op."""
+    for op, u, v in batch:
+        lo, hi = min(u, v), max(u, v)
+        if not (0 <= lo and hi < n) or lo == hi:
+            return
+        key = lo * n + hi
+        if (op == "insert") == (key in keys):
+            return
+        (keys.add if op == "insert" else keys.remove)(key)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_edited_csr_equals_the_builders_after_every_batch(backend_path, data):
+    # backend_path: the compiled edit, then the NumPy one.
+    n = data.draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    start = data.draw(st.lists(pair, max_size=2 * n))
+    graph = build_graph(n, start)
+    if data.draw(st.booleans()):  # a session may open on 64-bit indices
+        graph = CSRGraph(graph.indptr, graph.indices.astype(np.int64), sorted_adjacency=True)
+    inc = IncrementalExtractor(graph)
+    keys = {min(u, v) * n + max(u, v) for u, v in start if u != v}
+    _assert_csr_is(inc, keys, "opened")
+    op = st.sampled_from(["insert", "delete"])
+    for _ in range(data.draw(st.integers(1, 6))):
+        # u may reach n: out of range, so the batch is rejected there.
+        batch = data.draw(
+            st.lists(
+                st.tuples(op, st.integers(0, n), st.integers(0, n - 1)),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        try:
+            inc.apply_batch(batch)
+        except ValueError:
+            pass  # the ops before the bad one stay applied
+        _apply_to_keys(n, keys, batch)
+        _assert_csr_is(inc, keys, f"after {batch}")
+    _assert_matches_fresh(inc, "end of the edits")
+
+
+def test_edits_at_the_ends_and_on_isolated_vertices(backend_path):
+    n = 7
+    inc = IncrementalExtractor(build_graph(n, [(2, 3), (3, 4)]))  # 0, 1, 5, 6 isolated
+    keys = {2 * n + 3, 3 * n + 4}
+    batches = [
+        [("insert", 0, 6)],  # the first and the last row
+        [("insert", 6, 1), ("insert", 0, 5)],
+        [("delete", 2, 3), ("delete", 3, 4)],  # 2, 3 and 4 isolated again
+        [("insert", 5, 6), ("delete", 0, 6), ("insert", 0, 6)],
+        [("insert", 1, 2), ("delete", 4, 5)],  # rejected at op #1
+        [("delete", 0, 6), ("delete", 1, 6), ("delete", 0, 5), ("delete", 5, 6)],
+        [("insert", 0, 1)],
+    ]
+    for batch in batches:
+        try:
+            inc.apply_batch(batch)
+        except ValueError:
+            pass
+        _apply_to_keys(n, keys, batch)
+        _assert_csr_is(inc, keys, f"after {batch}")
+        _assert_matches_fresh(inc, f"after {batch}")
+    assert keys == {n * 0 + 1, 1 * n + 2}
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,23 @@ def test_mutate_without_session_or_with_bad_ops_is_rejected(server):
         assert ok.num_graph_edges == 3
 
 
+def test_rejected_batch_counts_its_applied_prefix(server):
+    from repro.service import ServiceError
+
+    with ServiceClient(socket_path=server.config.socket_path) as client:
+        client.mutate(graph=build_graph(5, [(0, 1), (1, 2)]))
+        before = client.stats()["mutations"]
+        # Two ops apply, the third is rejected: the session keeps both.
+        with pytest.raises(ServiceError, match="mutation rejected"):
+            client.mutate(ops=[("insert", 0, 2), ("delete", 0, 1), ("delete", 3, 4)])
+        assert client.stats()["mutations"] == before + 2
+        assert client.mutate(ops=[]).num_graph_edges == 2
+        # A batch the protocol cannot decode applies and counts nothing.
+        with pytest.raises(ServiceError, match="unknown op"):
+            client.mutate(ops=[("upsert", 0, 1)])
+        assert client.stats()["mutations"] == before + 2
+
+
 def test_mutate_sessions_are_per_connection(server):
     graph = build_graph(4, [(0, 1), (1, 2)])
     with ServiceClient(socket_path=server.config.socket_path) as c1:

@@ -10,7 +10,8 @@ checks, after every step that answers:
 * every mutate answer equals a local maximalizing extraction of the
   mirror (``Extractor(ExtractionConfig(maximalize=True))``);
 * a batch rejected at op ``k`` leaves ops ``0..k-1`` applied (and a
-  batch the protocol cannot decode applies nothing);
+  batch the protocol cannot decode applies nothing), and the server's
+  ``mutations`` counter counts exactly the applied ops;
 * the bystander graph stays cached through every mutation;
 * an applied batch evicts the pre-mutation graph's cache entry.
 """
@@ -80,6 +81,8 @@ class MutateSessionMachine(RuleBasedStateMachine):
         self.server.start()
         self.client = ServiceClient(socket_path=sock)
         self.mirror: set[tuple[int, int]] | None = None
+        # Ops the server applied, a rejected batch's prefix included.
+        self.mutations = 0
         # Session-sized graphs the cache holds (default config), by edge set.
         self.cached: set[frozenset] = set()
 
@@ -128,6 +131,7 @@ class MutateSessionMachine(RuleBasedStateMachine):
         before = set(self.mirror)
         ops = _valid_ops(data, self.mirror, size)
         result = self.client.mutate(ops=ops)
+        self.mutations += size
         assert result.applied["applied"] == size
         assert result.invalidated == int(frozenset(before) in self.cached)
         self._check_answer(result)
@@ -161,6 +165,7 @@ class MutateSessionMachine(RuleBasedStateMachine):
         else:
             # Rejected at op #prefix: the ops before it stay applied.
             assert "mutation rejected" in str(info.value)
+            self.mutations += prefix
             self.mirror = applied
             self._evicted(before)
         # An empty batch reads the session as the rejection left it.
@@ -180,6 +185,10 @@ class MutateSessionMachine(RuleBasedStateMachine):
     @invariant()
     def bystander_stays_cached(self) -> None:
         assert self.client.extract(BYSTANDER).cached
+
+    @invariant()
+    def mutations_count_every_applied_op(self) -> None:
+        assert self.client.stats()["mutations"] == self.mutations
 
 
 def test_mutate_session_state_machine(tmp_path):
