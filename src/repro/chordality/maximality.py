@@ -110,13 +110,6 @@ def _native_lib():
     return resolve()[1]
 
 
-def _lists(oracle: "AddabilityOracle"):
-    """The interpreted fallback over ``oracle``'s arrays."""
-    from repro.chordality._lists import Lists
-
-    return Lists(oracle)
-
-
 def _as_pairs(edges) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
@@ -141,9 +134,10 @@ class AddabilityOracle:
     * O(deg u + deg v) when they share a component but no neighbour (not
       addable: nothing is removed, and the component connects them);
     * otherwise a search from both ends avoiding ``N(u) ∩ N(v)``: one
-      side grows from ``N(u)``, the other from ``N(v)``, a vertex each in
-      turn, until they meet (not addable) or one runs dry (addable), so a
-      test costs about twice the smaller side.
+      side grows from ``N(u)``, the other from ``N(v)``, a vertex at a
+      time, always on the side with less adjacency queued, until they
+      meet (not addable) or one runs dry (addable); a hub's row is read
+      only once the other side has at least as much queued.
 
     The loops run in C when the compiled backend resolves (exactly when
     the round bodies do) and in an interpreted fallback over the same
@@ -241,7 +235,7 @@ class AddabilityOracle:
         self._check(us, vs)
         module = _native_lib()
         if module is None:
-            lists = _lists(self)
+            lists = _Lists(self)
             for u, v in zip(us.tolist(), vs.tolist()):
                 lists.link(u, v)
             lists.store(self)
@@ -273,7 +267,7 @@ class AddabilityOracle:
         limit = 0 if max_passes is None else int(max_passes)
         module = _native_lib()
         if module is None:
-            lists = _lists(self)
+            lists = _Lists(self)
             accepted, passes = lists.greedy(us.tolist(), vs.tolist(), limit)
             lists.store(self)
             return np.asarray(accepted, dtype=np.int64).reshape(k), passes
@@ -299,7 +293,7 @@ class AddabilityOracle:
         cap = 0 if limit is None else max(int(limit), 1)
         module = _native_lib()
         if module is None:
-            found = _lists(self).first(us.tolist(), vs.tolist(), cap)
+            found = _Lists(self).first(us.tolist(), vs.tolist(), cap)
             return np.asarray(found, dtype=np.int64)
         out = np.zeros(us.size, dtype=np.int64)
         found = module.lib.repro_oracle_first(
@@ -312,6 +306,149 @@ class AddabilityOracle:
         )
         return out[:found].copy()
 
+
+
+class _Lists:
+    """The interpreted fallback: the oracle's arrays as Python lists,
+    running the same loops as the C source in
+    :mod:`repro.core.native.build`; :meth:`store` writes ``H`` back.
+    Visited marks need no write-back: every mark is at most the stored
+    epoch, and later tests use fresh epochs."""
+
+    def __init__(self, oracle: AddabilityOracle) -> None:
+        self.start = oracle._start.tolist()
+        self.fill = oracle._fill.tolist()
+        self.nbr = oracle._nbr.tolist()
+        self.uf = oracle._uf.tolist()
+        self.stamp = oracle._stamp.tolist()
+        self.seen = oracle._seen.tolist()
+        self.near = oracle._near.tolist()
+        self.version, self.epoch = oracle._state.tolist()
+
+    def store(self, oracle: AddabilityOracle) -> None:
+        oracle._fill[:] = self.fill
+        oracle._nbr[:] = self.nbr
+        oracle._uf[:] = self.uf
+        oracle._stamp[:] = self.stamp
+        oracle._state[:] = (self.version, self.epoch)
+
+    def find(self, x: int) -> int:
+        uf = self.uf
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]  # path halving
+            x = uf[x]
+        return x
+
+    def link(self, u: int, v: int) -> None:
+        self.nbr[self.start[u] + self.fill[u]] = v
+        self.fill[u] += 1
+        self.nbr[self.start[v] + self.fill[v]] = u
+        self.fill[v] += 1
+        ru, rv = self.find(u), self.find(v)
+        if ru != rv:
+            self.uf[rv] = ru
+        self.version += 1
+        self.stamp[u] = self.stamp[v] = self.version
+
+    def addable(self, u: int, v: int, common: int = 0) -> tuple[bool, int]:
+        """The test for endpoints sharing a component, and ``|C|``; a
+        ``common`` equal to ``|C|`` answers False with no search."""
+        start, fill, nbr, seen, near = self.start, self.fill, self.nbr, self.seen, self.near
+        self.epoch += 2
+        e = self.epoch
+        for y in nbr[start[v] : start[v] + fill[v]]:
+            near[y] = e - 1
+        seen[u] = e
+        near[v] = e
+        side_u: list[int] = []
+        c = pu = pv = 0
+        for y in nbr[start[u] : start[u] + fill[u]]:
+            if seen[y] == e:
+                continue
+            seen[y] = e
+            if near[y] == e - 1:
+                near[y] = e
+                c += 1
+            else:
+                side_u.append(y)
+                pu += fill[y]
+        if c == 0 or c == common:
+            return False, c
+        side_v: list[int] = []
+        for y in nbr[start[v] : start[v] + fill[v]]:
+            if near[y] == e - 1:
+                near[y] = e
+                side_v.append(y)
+                pv += fill[y]
+        uh = vh = 0
+        while True:  # the lists grow while they are walked: two FIFOs
+            if pu <= pv:  # the side with less adjacency queued goes next
+                if uh == len(side_u):
+                    return True, c
+                x = side_u[uh]
+                uh += 1
+                pu -= fill[x]
+                for y in nbr[start[x] : start[x] + fill[x]]:
+                    if seen[y] == e:
+                        continue
+                    if near[y] == e:
+                        return False, c  # the sides meet: a path avoids C
+                    seen[y] = e
+                    side_u.append(y)
+                    pu += fill[y]
+            else:
+                if vh == len(side_v):
+                    return True, c
+                x = side_v[vh]
+                vh += 1
+                pv -= fill[x]
+                for y in nbr[start[x] : start[x] + fill[x]]:
+                    if near[y] == e:
+                        continue
+                    if seen[y] == e:
+                        return False, c
+                    near[y] = e
+                    side_v.append(y)
+                    pv += fill[y]
+
+    def greedy(self, us: list[int], vs: list[int], max_passes: int) -> tuple[list[int], int]:
+        accepted = [0] * len(us)  # a waiting candidate's |C|, as in C
+        tested_at = [-1] * len(us)
+        alive = list(range(len(us)))
+        stamp, passes = self.stamp, 0
+        while alive and (max_passes <= 0 or passes < max_passes):
+            passes += 1
+            keep = []
+            for i in alive:
+                u, v = us[i], vs[i]
+                if self.find(u) != self.find(v):
+                    ok = True
+                elif tested_at[i] >= stamp[u] and tested_at[i] >= stamp[v]:
+                    ok = False
+                else:
+                    ok, accepted[i] = self.addable(u, v, accepted[i])
+                    if not ok:
+                        tested_at[i] = self.version
+                if ok:
+                    self.link(u, v)
+                    accepted[i] = passes
+                else:
+                    keep.append(i)
+            if len(keep) == len(alive):
+                break
+            alive = keep
+        for i in alive:
+            accepted[i] = 0
+        return accepted, passes
+
+    def first(self, us: list[int], vs: list[int], limit: int) -> list[int]:
+        found: list[int] = []
+        for i, (u, v) in enumerate(zip(us, vs)):
+            if limit > 0 and len(found) >= limit:
+                break
+            if self.find(u) != self.find(v) or self.addable(u, v)[0]:
+                found.append(i)
+        return found
 
 def _missing_edge_array(graph: CSRGraph, subgraph: CSRGraph) -> np.ndarray:
     """:func:`missing_edges` as a ``(k, 2)`` int64 array."""

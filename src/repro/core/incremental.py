@@ -13,12 +13,12 @@ graph, whatever the edit history.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.config import ExtractionConfig
-from repro.core.native.build import resolve
 from repro.core.session import ChordalResult, Extractor
 from repro.errors import ConfigError
 from repro.graph.builder import _best_index_dtype, edge_keys, key_index
@@ -53,8 +53,6 @@ class IncrementalExtractor:
         self._indptr = rows.indptr.copy()
         self._indices = rows.indices.astype(_best_index_dtype(self._n))
         self._nnz = int(rows.indices.size)
-        self._native = resolve()[1]
-        self._ptrs: tuple | None = None  # cffi views of the two arrays
         self._graph: CSRGraph | None = graph
         self._result: ChordalResult | None = None
         self.stats: dict[str, int] = {"inserts": 0, "deletes": 0, "full_rebuilds": 0}
@@ -147,35 +145,19 @@ class IncrementalExtractor:
 
     def _edit(self, u: int, v: int, insert: bool) -> bool:
         """Insert or delete the edge ``u < v`` in the rows, in place; False
-        when it already is (insert) or is not (delete) an edge.  One C call
-        when the compiled backend resolves (``repro_csr_edit``), the same
-        shifts as NumPy slices otherwise."""
+        when it already is (insert) or is not (delete) an edge."""
         nnz = self._nnz
         if insert and nnz + 2 > self._indices.size:  # full: double the slack
             grown = np.empty(max(2 * nnz, 16), dtype=self._indices.dtype)
             grown[:nnz] = self._indices[:nnz]
             self._indices = grown
-            self._ptrs = None
-        if self._native is not None:
-            if self._ptrs is None:
-                ffi = self._native.ffi
-                self._ptrs = (
-                    ffi.from_buffer("int64_t[]", self._indptr),
-                    ffi.from_buffer(self._indices),
-                    int(self._indices.dtype == np.int64),
-                )
-            nnz = self._native.lib.repro_csr_edit(self._n, *self._ptrs, nnz, u, v, insert)
-            if nnz < 0:
-                return False
-            self._nnz = nnz
-            return True
-        indptr, ind = self._indptr, self._indices
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        au = lo + int(np.searchsorted(ind[lo:hi], v))
-        if insert == (au < hi and int(ind[au]) == v):
+        indptr = self._indptr
+        ind = memoryview(self._indices)  # Python ints, no NumPy call per probe
+        hi = int(indptr[u + 1])
+        au = bisect_left(ind, v, int(indptr[u]), hi)
+        if insert == (au < hi and ind[au] == v):
             return False
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        av = lo + int(np.searchsorted(ind[lo:hi], u))
+        av = bisect_left(ind, u, int(indptr[v]), int(indptr[v + 1]))
         # Row u comes first, so au <= av: the arcs between the two edits
         # shift by one slot, those after both by two.
         if insert:

@@ -68,9 +68,6 @@ int64_t repro_sweep(
     int64_t *head, int64_t *tail, int64_t *next,
     int64_t *queue, int64_t *next_queue, int64_t *mark,
     int64_t *qsizes, int64_t *edges, int64_t *iterations);
-int64_t repro_sweep_layout(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    int64_t *lower, int64_t *offsets);
 void repro_oracle_add(
     int64_t k, const int64_t *eu, const int64_t *ev,
     const int64_t *start, int64_t *fill, int64_t *nbr,
@@ -94,9 +91,6 @@ int64_t repro_completion_build(
     int64_t k, const int64_t *rows,
     const int64_t *start, int64_t *fill, int64_t *nbr,
     int64_t *uf, int64_t *stamp, int64_t *st, int64_t *cu, int64_t *cv);
-int64_t repro_csr_edit(
-    int64_t n, int64_t *indptr, void *indices, int64_t wide, int64_t nnz,
-    int64_t u, int64_t v, int64_t insert);
 """
 
 #: The C translation of rounds.run_sync_slice.  Kept semantically
@@ -106,8 +100,7 @@ int64_t repro_csr_edit(
 #: asynchronous sweep serves the same turns as the asynchronous loop of
 #: repro/core/reference.py, and the addability oracle's greedy and
 #: certificate loops mirror the interpreted fallback in
-#: repro/chordality/_lists.py, and the mutate session's edge edit
-#: mirrors the NumPy one in repro/core/incremental.py.
+#: repro/chordality/maximality.py.
 SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -184,25 +177,6 @@ static void repro_push_child(int64_t x, int64_t w,
     next[w] = -1;
     if (head[x] < 0) head[x] = w; else next[tail[x]] = w;
     tail[x] = w;
-}
-
-/* The sweep's arena layout over sorted rows: lower[w] counts w's
-   neighbours below w (its parent capacity), offsets[w] is where its arena
-   run starts.  Returns offsets[n], the arena size. */
-int64_t repro_sweep_layout(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    int64_t *lower, int64_t *offsets)
-{
-    int64_t total = 0;
-    for (int64_t w = 0; w < n; w++) {
-        int64_t p = indptr[w], end = indptr[w + 1];
-        while (p < end && indices[p] < w) p++;
-        lower[w] = p - indptr[w];
-        offsets[w] = total;
-        total += lower[w];
-    }
-    offsets[n] = total;
-    return total;
 }
 
 /* Runs the sweep to convergence, starting with Algorithm 1's lines 2-10:
@@ -346,9 +320,11 @@ static void repro_link(int64_t u, int64_t v,
    v.  *common holds |C| of the last failed search of this pair (0 before
    any); the same count means the same ban set, since neighbourhoods only
    grow, so the path that failed it still exists: 0 with no search.
-   Otherwise the sides expand one vertex each in turn until they meet (0)
-   or one runs dry (1).  Side U fills queue from the front and side V from
-   the back; they never share a vertex, so n words hold both. */
+   Otherwise the side with less adjacency queued (pu, pv) expands one
+   vertex, and again, until the sides meet (0) or one runs dry (1); every
+   queued vertex has an edge, so a side is dry when it has none queued.
+   Side U fills queue from the front and side V from the back; they never
+   share a vertex, so n words hold both. */
 static int repro_addable(int64_t u, int64_t v, int64_t n,
                          const int64_t *start, const int64_t *fill,
                          const int64_t *nbr, int64_t *seen, int64_t *near,
@@ -356,7 +332,7 @@ static int repro_addable(int64_t u, int64_t v, int64_t n,
 {
     int64_t e = (st[1] += 2);
     const int64_t *nu = nbr + start[u], *nv = nbr + start[v];
-    int64_t ut = 0, vt = n, c = 0;
+    int64_t ut = 0, vt = n, c = 0, pu = 0, pv = 0;
     for (int64_t i = 0; i < fill[v]; i++) near[nv[i]] = e - 1;
     seen[u] = e;
     near[v] = e;
@@ -365,7 +341,7 @@ static int repro_addable(int64_t u, int64_t v, int64_t n,
         if (seen[y] == e) continue;
         seen[y] = e;
         if (near[y] == e - 1) { near[y] = e; c++; }
-        else queue[ut++] = y;
+        else { queue[ut++] = y; pu += fill[y]; }
     }
     if (c == 0 || c == *common) { *common = c; return 0; }
     *common = c;
@@ -374,28 +350,36 @@ static int repro_addable(int64_t u, int64_t v, int64_t n,
         if (near[y] != e - 1) continue;
         near[y] = e;
         queue[--vt] = y;
+        pv += fill[y];
     }
     int64_t uh = 0, vh = n;
     for (;;) {
-        if (uh == ut) return 1;
-        int64_t x = queue[uh++];
-        const int64_t *nx = nbr + start[x];
-        for (int64_t j = 0; j < fill[x]; j++) {
-            int64_t y = nx[j];
-            if (seen[y] == e) continue;
-            if (near[y] == e) return 0;  /* the sides meet: a path avoids C */
-            seen[y] = e;
-            queue[ut++] = y;
-        }
-        if (vh == vt) return 1;
-        x = queue[--vh];
-        nx = nbr + start[x];
-        for (int64_t j = 0; j < fill[x]; j++) {
-            int64_t y = nx[j];
-            if (near[y] == e) continue;
-            if (seen[y] == e) return 0;
-            near[y] = e;
-            queue[--vt] = y;
+        if (pu <= pv) {
+            if (uh == ut) return 1;
+            int64_t x = queue[uh++];
+            const int64_t *nx = nbr + start[x];
+            pu -= fill[x];
+            for (int64_t j = 0; j < fill[x]; j++) {
+                int64_t y = nx[j];
+                if (seen[y] == e) continue;
+                if (near[y] == e) return 0;  /* the sides meet: a path avoids C */
+                seen[y] = e;
+                queue[ut++] = y;
+                pu += fill[y];
+            }
+        } else {
+            if (vh == vt) return 1;
+            int64_t x = queue[--vh];
+            const int64_t *nx = nbr + start[x];
+            pv -= fill[x];
+            for (int64_t j = 0; j < fill[x]; j++) {
+                int64_t y = nx[j];
+                if (near[y] == e) continue;
+                if (seen[y] == e) return 0;
+                near[y] = e;
+                queue[--vt] = y;
+                pv += fill[y];
+            }
         }
     }
 }
@@ -541,50 +525,6 @@ int64_t repro_completion_build(
         repro_link(rows[2 * i], rows[2 * i + 1], start, fill, nbr, uf, stamp, st);
     return repro_completion_walk(n, indptr, indices, wide, k, rows,
                                  NULL, cu, cv);
-}
-
-/* ---- Mutate session (repro.core.incremental) ----------------------------
-   A graph as sorted rows over the first nnz slots of indices (int64 when
-   wide, else int32).  Inserts (insert != 0) or deletes the edge uv,
-   u < v, in place: the arcs between the two edits shift by one slot and
-   those after both by two.  Returns the new nnz, or -1 when uv already
-   is (insert) or is not (delete) an edge; an insert needs two free
-   slots after nnz. */
-
-static int64_t repro_row_find(const void *indices, int64_t wide,
-                              int64_t lo, int64_t hi, int64_t x)
-{
-    while (lo < hi) {  /* the first slot of [lo, hi) holding a value >= x */
-        int64_t mid = lo + (hi - lo) / 2;
-        if (REPRO_IDX(mid) < x) lo = mid + 1;
-        else hi = mid;
-    }
-    return lo;
-}
-
-int64_t repro_csr_edit(
-    int64_t n, int64_t *indptr, void *indices, int64_t wide, int64_t nnz,
-    int64_t u, int64_t v, int64_t insert)
-{
-    int64_t au = repro_row_find(indices, wide, indptr[u], indptr[u + 1], v);
-    int present = au < indptr[u + 1] && REPRO_IDX(au) == v;
-    if (present == (insert != 0)) return -1;
-    int64_t av = repro_row_find(indices, wide, indptr[v], indptr[v + 1], u);
-    size_t w = wide ? 8 : 4;
-    char *b = (char *)indices;
-    int64_t d = insert ? 1 : -1;
-    if (insert) {  /* au <= av, as row u comes first */
-        memmove(b + (av + 2) * w, b + av * w, (size_t)(nnz - av) * w);
-        memmove(b + (au + 1) * w, b + au * w, (size_t)(av - au) * w);
-        if (wide) { ((int64_t *)b)[au] = v; ((int64_t *)b)[av + 1] = u; }
-        else { ((int32_t *)b)[au] = (int32_t)v; ((int32_t *)b)[av + 1] = (int32_t)u; }
-    } else {  /* au < av */
-        memmove(b + au * w, b + (au + 1) * w, (size_t)(av - au - 1) * w);
-        memmove(b + (av - 1) * w, b + (av + 1) * w, (size_t)(nnz - av - 1) * w);
-    }
-    for (int64_t x = u + 1; x <= v; x++) indptr[x] += d;
-    for (int64_t x = v + 1; x <= n; x++) indptr[x] += 2 * d;
-    return nnz + 2 * d;
 }
 """
 

@@ -39,7 +39,8 @@ class LocalState:
         self.graph = g
         n = g.num_vertices
         indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-        lower, offsets = _layout(g.indptr, indices)
+        lower = lower_counts(g.indptr, indices)
+        offsets = arena_offsets(lower)
         self.n = n
         self.nnz = int(indices.size)
         self.arena_used = int(offsets[-1])
@@ -85,24 +86,3 @@ class LocalState:
         a["lp"][:n] = initial_parents(
             a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
         )
-
-
-def _layout(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lower, offsets)`` of sorted int64 rows: one C loop when the
-    compiled backend resolves, whole-array NumPy otherwise."""
-    # Imported here: resolving the backend must not add to the cost of
-    # importing the CLI.
-    from repro.core.native.build import resolve
-
-    module = resolve()[1]
-    if module is None:
-        lower = lower_counts(indptr, indices)
-        return lower, arena_offsets(lower)
-    n = indptr.size - 1
-    lower = np.empty(n, dtype=np.int64)
-    offsets = np.empty(n + 1, dtype=np.int64)
-    ffi = module.ffi
-    module.lib.repro_sweep_layout(
-        n, *(ffi.from_buffer("int64_t[]", a) for a in (indptr, indices, lower, offsets))
-    )
-    return lower, offsets

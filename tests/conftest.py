@@ -122,24 +122,6 @@ def pytest_collection_modifyitems(config, items) -> None:
 RETIRED_ALIASES = {"threaded": "superstep", "process": "superstep", "native": "superstep"}
 
 
-@pytest.fixture(params=[pytest.param("native", marks=pytest.mark.native), "fallback"])
-def backend_path(request):
-    """Run the test with the compiled backend resolved or disabled; the
-    backend memo is restored after the environment, so later tests see
-    the real resolution."""
-    from repro.core.native import DISABLE_ENV
-    from repro.core.native.build import resolve
-
-    mp = pytest.MonkeyPatch()
-    if request.param == "fallback":
-        mp.setenv(DISABLE_ENV, "0")
-    module = resolve(force=True)[1]
-    assert (module is not None) == (request.param == "native")
-    yield request.param
-    mp.undo()
-    resolve(force=True)
-
-
 def live_engine(label: str) -> str:
     """The registered engine that a case label (engine name or retired
     alias) runs."""

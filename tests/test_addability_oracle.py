@@ -43,6 +43,8 @@ from repro.chordality.maximality import (
 )
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.core.maximalize import maximalize_chordal_edges
+from repro.core.native import DISABLE_ENV
+from repro.core.native.build import resolve
 from repro.errors import GraphFormatError
 from repro.graph.bfs import bfs_renumber
 from repro.graph.builder import from_edge_array
@@ -58,6 +60,20 @@ from repro.shard import (
     run_shards,
     stitch_shards,
 )
+
+
+@pytest.fixture(params=[pytest.param("native", marks=pytest.mark.native), "fallback"])
+def oracle_path(request):
+    """Run the test on one oracle path; the backend memo is restored
+    after the environment, so later tests see the real resolution."""
+    mp = pytest.MonkeyPatch()
+    if request.param == "fallback":
+        mp.setenv(DISABLE_ENV, "0")
+    module = resolve(force=True)[1]
+    assert (module is not None) == (request.param == "native")
+    yield request.param
+    mp.undo()
+    resolve(force=True)
 
 
 def adjacency_sets(n: int, edges) -> list[set[int]]:
@@ -212,7 +228,7 @@ class TestAnswers:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(chordal_hosts())
-    def test_matches_both_references(self, backend_path, case):
+    def test_matches_both_references(self, oracle_path, case):
         graph, sub = case
         candidates = np.asarray(missing_edges(graph, sub), dtype=np.int64).reshape(-1, 2)
         hits = AddabilityOracle.of_graph(sub).first_addable(candidates)
@@ -229,7 +245,7 @@ class TestAnswers:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(chordal_hosts())
-    def test_greedy_matches_reference_loop(self, backend_path, case):
+    def test_greedy_matches_reference_loop(self, oracle_path, case):
         graph, sub = case
         expected, gap = reference_maximalize(graph, sub.edge_array())
         got, got_gap = maximalize_chordal_edges(graph, sub.edge_array())
@@ -242,7 +258,7 @@ class TestAnswers:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(chordal_hosts(), st.randoms(use_true_random=False), st.sampled_from([None, 1, 2]))
-    def test_greedy_matches_the_component_rule(self, backend_path, case, rnd, max_passes):
+    def test_greedy_matches_the_component_rule(self, oracle_path, case, rnd, max_passes):
         # The endpoint stamps, the common-count gate and the two-sided
         # search change what is searched, never what is admitted.
         graph, sub = case
@@ -260,7 +276,7 @@ class TestAnswers:
         assert accepted.tolist() == expected
         assert passes == expected_passes
 
-    def test_component_cases(self, backend_path):
+    def test_component_cases(self, oracle_path):
         # Path 0-1-2-3 plus an isolated vertex 4.
         oracle = AddabilityOracle.of_graph(from_edge_array(5, path_graph(4).edge_array()))
         cands = np.array([[0, 4], [0, 2], [0, 3], [1, 3]])
@@ -269,7 +285,7 @@ class TestAnswers:
         assert oracle.first_addable(cands).tolist() == [0, 1, 3]
         assert oracle.first_addable(cands, limit=2).tolist() == [0, 1]
 
-    def test_greedy_passes_and_admission_order(self, backend_path):
+    def test_greedy_passes_and_admission_order(self, oracle_path):
         # H = path 0-1-2-3.  Offered (0, 3) first: same component, no
         # common neighbour -> rejected.  (0, 2) and (1, 3) triangulate,
         # after which (0, 3) has common neighbours {1, 2} and is addable
@@ -280,14 +296,14 @@ class TestAnswers:
         assert accepted.tolist() == [2, 1, 1]
         assert passes == 2
 
-    def test_single_pass_limit(self, backend_path):
+    def test_single_pass_limit(self, oracle_path):
         oracle = AddabilityOracle(4, np.full(4, 3))
         oracle.add_edges(path_graph(4).edge_array())
         accepted, passes = oracle.greedy(np.array([[0, 3], [0, 2], [1, 3]]), max_passes=1)
         assert accepted.tolist() == [0, 1, 1]
         assert passes == 1
 
-    def test_capacity_and_range_are_checked(self, backend_path):
+    def test_capacity_and_range_are_checked(self, oracle_path):
         with pytest.raises(ValueError, match="non-negative"):
             AddabilityOracle(2, np.array([5, -3]))
         oracle = AddabilityOracle(3, np.array([1, 1, 0]))
@@ -326,7 +342,7 @@ class TestMaximalizeBitIdentity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("scale", [9, 10])
     @pytest.mark.parametrize("family", ["er", "b"])
-    def test_rmat(self, backend_path, family, scale, seed, weighted):
+    def test_rmat(self, oracle_path, family, scale, seed, weighted):
         graph, base, weights, expected, gap = rmat_case(family, scale, seed, weighted)
         got, got_gap = maximalize_chordal_edges(graph, base, weights=weights)
         assert got_gap == gap > 0
@@ -334,7 +350,7 @@ class TestMaximalizeBitIdentity:
 
 
 class TestCallers:
-    def test_theorem2_counterexample(self, backend_path):
+    def test_theorem2_counterexample(self, oracle_path):
         graph, _ = bfs_renumber(rmat_b(8, seed=42))
         result = extract_maximal_chordal_subgraph(graph)
         found = addable_edges(graph, result.subgraph, limit=3)
@@ -345,7 +361,7 @@ class TestCallers:
         np.testing.assert_array_equal(fixed, expected)
         assert addable_edges(graph, from_edge_array(graph.num_vertices, fixed)) == []
 
-    def test_stitch_unchanged(self, backend_path, tmp_path):
+    def test_stitch_unchanged(self, oracle_path, tmp_path):
         graph = rmat_er(9, seed=4)
         save_graph(graph, tmp_path / "g.mtx")
         plan, _ = build_plan(tmp_path / "g.mtx", 3, tmp_path / "spill")
@@ -385,7 +401,7 @@ STITCH_PINS = {
 
 
 @pytest.mark.parametrize("family, scale, shards", sorted(STITCH_PINS))
-def test_stitch_matches_the_pinned_outputs(backend_path, tmp_path, family, scale, shards):
+def test_stitch_matches_the_pinned_outputs(oracle_path, tmp_path, family, scale, shards):
     graph = (rmat_er if family == "er" else rmat_b)(scale, seed=1)
     save_graph(graph, tmp_path / "g.mtx")
     plan, _ = build_plan(tmp_path / "g.mtx", shards, tmp_path / "spill")

@@ -258,8 +258,7 @@ def _apply_to_keys(n: int, keys: set[int], batch) -> None:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(st.data())
-def test_edited_csr_equals_the_builders_after_every_batch(backend_path, data):
-    # backend_path: the compiled edit, then the NumPy one.
+def test_edited_csr_equals_the_builders_after_every_batch(data):
     n = data.draw(st.integers(2, 12))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     start = data.draw(st.lists(pair, max_size=2 * n))
@@ -288,7 +287,7 @@ def test_edited_csr_equals_the_builders_after_every_batch(backend_path, data):
     _assert_matches_fresh(inc, "end of the edits")
 
 
-def test_edits_at_the_ends_and_on_isolated_vertices(backend_path):
+def test_edits_at_the_ends_and_on_isolated_vertices():
     n = 7
     inc = IncrementalExtractor(build_graph(n, [(2, 3), (3, 4)]))  # 0, 1, 5, 6 isolated
     keys = {2 * n + 3, 3 * n + 4}
