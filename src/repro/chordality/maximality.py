@@ -52,6 +52,7 @@ from collections import deque
 import numpy as np
 
 from repro.chordality.recognition import is_chordal
+from repro.core.native.bodies import native_module, pointers
 from repro.errors import GraphFormatError
 from repro.graph.builder import (
     canonical_keys,
@@ -101,22 +102,9 @@ def edge_addable(adj: list[set[int]], u: int, v: int) -> bool:
     return True
 
 
-def _native_lib():
-    """The compiled oracle loops, or ``None`` when the backend does not
-    resolve.  Imported on first use: :mod:`repro.core` imports this
-    package, so a module-level import would be a cycle."""
-    from repro.core.native.build import resolve
-
-    return resolve()[1]
-
-
 def _as_pairs(edges) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
-
-
-def _ptrs(ffi, *arrays: np.ndarray) -> list:
-    return [ffi.from_buffer("int64_t[]", a) for a in arrays]
 
 
 class AddabilityOracle:
@@ -181,7 +169,7 @@ class AddabilityOracle:
         lacks get their own slots."""
         n = graph.num_vertices
         rows = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-        module = _native_lib()
+        module = native_module(required=False)
         if module is None:
             have = edge_keys(n, rows)
             keys = graph_keys(graph)
@@ -193,19 +181,22 @@ class AddabilityOracle:
         ffi, lib = module.ffi, module.lib
         g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
         wide = int(g.indices.dtype == np.int64)
-        graph_ptrs = (n, *_ptrs(ffi, g.indptr), ffi.from_buffer(g.indices), wide)
+        graph_ptrs = (
+            n, *pointers(ffi, g.indptr), *pointers(ffi, g.indices, dtype=g.indices.dtype), wide
+        )
         capacity = np.zeros(n, dtype=np.int64)
-        k = lib.repro_completion_room(*graph_ptrs, rows.shape[0], *_ptrs(ffi, rows, capacity))
+        room = lib.repro_completion_room
+        k = room(*graph_ptrs, rows.shape[0], *pointers(ffi, rows, capacity))
         if k < 0:  # not canonical: sort, drop loops and repeats
             rows = key_pairs(n, edge_keys(n, rows))
             capacity[:] = 0
-            k = lib.repro_completion_room(*graph_ptrs, rows.shape[0], *_ptrs(ffi, rows, capacity))
+            k = room(*graph_ptrs, rows.shape[0], *pointers(ffi, rows, capacity))
         oracle = cls(n, capacity)
         pairs = np.empty((2, k), dtype=np.int64)
         lib.repro_completion_build(
             *graph_ptrs, rows.shape[0],
-            *_ptrs(ffi, rows, oracle._start, oracle._fill, oracle._nbr, oracle._uf,
-                   oracle._stamp, oracle._state, pairs[0], pairs[1]),
+            *pointers(ffi, rows, oracle._start, oracle._fill, oracle._nbr, oracle._uf,
+                      oracle._stamp, oracle._state, pairs[0], pairs[1]),
         )
         return oracle, pairs.T
 
@@ -233,7 +224,7 @@ class AddabilityOracle:
         """Add ``(k, 2)`` edges to ``H`` unconditionally."""
         us, vs = _as_pairs(edges)
         self._check(us, vs)
-        module = _native_lib()
+        module = native_module(required=False)
         if module is None:
             lists = _Lists(self)
             for u, v in zip(us.tolist(), vs.tolist()):
@@ -242,8 +233,8 @@ class AddabilityOracle:
             return
         module.lib.repro_oracle_add(
             us.size,
-            *_ptrs(module.ffi, us, vs, self._start, self._fill, self._nbr,
-                   self._uf, self._stamp, self._state),
+            *pointers(module.ffi, us, vs, self._start, self._fill, self._nbr,
+                      self._uf, self._stamp, self._state),
         )
 
     def greedy(self, candidates, *, max_passes: int | None = None) -> tuple[np.ndarray, int]:
@@ -265,7 +256,7 @@ class AddabilityOracle:
         self._check(us, vs)
         k = us.size
         limit = 0 if max_passes is None else int(max_passes)
-        module = _native_lib()
+        module = native_module(required=False)
         if module is None:
             lists = _Lists(self)
             accepted, passes = lists.greedy(us.tolist(), vs.tolist(), limit)
@@ -275,12 +266,12 @@ class AddabilityOracle:
         scratch = np.zeros((2, k), dtype=np.int64)
         passes = module.lib.repro_oracle_greedy(
             k,
-            *_ptrs(module.ffi, us, vs),
+            *pointers(module.ffi, us, vs),
             limit,
             self.num_vertices,
-            *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
-                   self._stamp, self._seen, self._near, self._queue,
-                   self._state, scratch[0], scratch[1], accepted),
+            *pointers(module.ffi, self._start, self._fill, self._nbr, self._uf,
+                      self._stamp, self._seen, self._near, self._queue,
+                      self._state, scratch[0], scratch[1], accepted),
         )
         return accepted, int(passes)
 
@@ -291,18 +282,18 @@ class AddabilityOracle:
         us, vs = _as_pairs(candidates)
         self._check(us, vs, grows=False)
         cap = 0 if limit is None else max(int(limit), 1)
-        module = _native_lib()
+        module = native_module(required=False)
         if module is None:
             found = _Lists(self).first(us.tolist(), vs.tolist(), cap)
             return np.asarray(found, dtype=np.int64)
         out = np.zeros(us.size, dtype=np.int64)
         found = module.lib.repro_oracle_first(
             us.size,
-            *_ptrs(module.ffi, us, vs),
+            *pointers(module.ffi, us, vs),
             cap,
             self.num_vertices,
-            *_ptrs(module.ffi, self._start, self._fill, self._nbr, self._uf,
-                   self._seen, self._near, self._queue, self._state, out),
+            *pointers(module.ffi, self._start, self._fill, self._nbr, self._uf,
+                      self._seen, self._near, self._queue, self._state, out),
         )
         return out[:found].copy()
 
@@ -524,21 +515,21 @@ def addable_edges_slow(
 
 def is_maximal_chordal_subgraph(graph: CSRGraph, subgraph: CSRGraph) -> bool:
     """True iff ``subgraph`` is chordal, is a subgraph of ``graph``, and no
-    edge of ``graph`` can be added without breaking chordality."""
+    edge of ``graph`` can be added without breaking chordality: a
+    :func:`~repro.chordality.verify.verify_extraction` verdict."""
     if graph.num_vertices != subgraph.num_vertices:
         return False
-    if _missing_edge_array(subgraph, graph).size:
-        return False
-    if not is_chordal(subgraph):
-        return False
-    return not _addable_edges(graph, subgraph, 1)
+    from repro.chordality.verify import verify_extraction  # verify imports this module
+
+    return verify_extraction(graph, subgraph, max_counterexamples=1).ok
 
 
 def assert_valid_extraction(
     graph: CSRGraph, subgraph: CSRGraph, *, check_maximal: bool = True
 ) -> None:
-    """Raise ``AssertionError`` with a specific diagnosis if ``subgraph`` is
-    not a (maximal, when requested) chordal subgraph of ``graph``.
+    """Raise ``AssertionError`` with :func:`~repro.chordality.verify.verify_extraction`'s
+    diagnosis if ``subgraph`` is not a (maximal, when requested) chordal
+    subgraph of ``graph``.
 
     Used by integration tests and the examples' ``--verify`` mode.
     """
@@ -546,17 +537,6 @@ def assert_valid_extraction(
         raise AssertionError(
             f"vertex count mismatch: {graph.num_vertices} != {subgraph.num_vertices}"
         )
-    extra = missing_edges(subgraph, graph)
-    if extra:
-        raise AssertionError(f"subgraph invents edges not in parent: {extra[:5]}")
-    if not is_chordal(subgraph):
-        from repro.chordality.recognition import find_hole
+    from repro.chordality.verify import verify_extraction
 
-        hole = find_hole(subgraph)
-        raise AssertionError(f"extracted subgraph is not chordal; hole: {hole}")
-    if check_maximal:
-        violations = _addable_edges(graph, subgraph, 3)
-        if violations:
-            raise AssertionError(
-                f"subgraph is not maximal; addable edges include {violations}"
-            )
+    verify_extraction(graph, subgraph, check_maximal=check_maximal).raise_if_invalid()

@@ -10,11 +10,14 @@ library's oracles — :func:`repro.chordality.recognition.is_chordal` /
 verdict object that tests, the property suite and ``repro extract
 --verify`` all share.
 
-Unlike :func:`repro.chordality.maximality.assert_valid_extraction` (which
-raises on first failure), :func:`verify_extraction` always runs every
-applicable check and returns a :class:`VerificationReport` carrying the
-counterexamples, so a failing property seed prints a complete diagnosis
-in one go.
+:func:`verify_extraction` always runs every applicable check and
+returns a :class:`VerificationReport` carrying the counterexamples, so a
+failing property seed prints a complete diagnosis in one go.
+:func:`repro.chordality.maximality.assert_valid_extraction` and
+:func:`~repro.chordality.maximality.is_maximal_chordal_subgraph` are thin
+wrappers over it.  The explicit hole of a non-chordal output is looked
+for only up to :data:`HOLE_DIAGNOSIS_MAX_VERTICES` vertices
+(:func:`diagnose_hole`, which the sharded certificate shares).
 
 Reports are **deterministic**: for a given ``(graph, extracted)`` pair
 the counterexamples are always the same, run to run and machine to
@@ -37,7 +40,26 @@ from repro.chordality.recognition import find_hole, is_chordal
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
 
-__all__ = ["VerificationReport", "verify_extraction"]
+__all__ = [
+    "HOLE_DIAGNOSIS_MAX_VERTICES",
+    "VerificationReport",
+    "diagnose_hole",
+    "verify_extraction",
+]
+
+#: ``find_hole`` is a quadratic diagnostic (it BFSes per non-adjacent
+#: neighbour pair, and a *chordal* graph is its worst case); above this
+#: vertex count a chordality failure is reported without the explicit
+#: cycle instead of stalling the certification for minutes.
+HOLE_DIAGNOSIS_MAX_VERTICES = 1 << 14
+
+
+def diagnose_hole(subgraph: CSRGraph) -> list[int] | None:
+    """:func:`~repro.chordality.recognition.find_hole` for a graph known
+    not to be chordal, or ``None`` above :data:`HOLE_DIAGNOSIS_MAX_VERTICES`."""
+    if subgraph.num_vertices > HOLE_DIAGNOSIS_MAX_VERTICES:
+        return None
+    return find_hole(subgraph)
 
 
 @dataclass(frozen=True)
@@ -55,7 +77,8 @@ class VerificationReport:
         ``None`` when the check was skipped (``check_maximal=False``).
     invented_edges / hole / addable:
         Counterexamples for the respective failed check (bounded samples;
-        empty/``None`` when the check passed or was skipped).
+        empty/``None`` when the check passed or was skipped; ``hole`` is
+        also ``None`` above :data:`HOLE_DIAGNOSIS_MAX_VERTICES`).
     """
 
     edges_valid: bool
@@ -79,7 +102,9 @@ class VerificationReport:
             problems.append(
                 f"output invents edges not in the input: {self.invented_edges}"
             )
-        if not self.chordal:
+        if not self.chordal and self.hole is None:
+            problems.append("output is not chordal (too large for hole extraction)")
+        elif not self.chordal:
             problems.append(f"output is not chordal; hole: {self.hole}")
         if self.maximal is False:
             problems.append(
@@ -156,7 +181,7 @@ def verify_extraction(
         invented = sorted(set(bad_rows)) + invented
     edges_valid = not invented
     chordal = is_chordal(subgraph)
-    hole = None if chordal else find_hole(subgraph)
+    hole = None if chordal else diagnose_hole(subgraph)
     maximal: bool | None = None
     addable: list[tuple[int, int]] = []
     if check_maximal and edges_valid and chordal:

@@ -137,7 +137,10 @@ class EngineSpec:
 # thread team's barrier rounds for the synchronous one.
 
 _run_superstep = backend_run_fn(
-    lambda graph, num_slices, config: LocalState(graph, num_slices),
+    # The middle argument (the executor's slice count) is unused: the
+    # executor slices each round.  perfbench/tracing.py passes it (its
+    # only reader); goes with the next benchmark change.
+    lambda graph, _num_slices, config: LocalState(graph),
     lambda config: (
         NativeThreadTeamExecutor(config.num_threads)
         if config.schedule == "synchronous"

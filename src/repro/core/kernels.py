@@ -9,8 +9,8 @@ it is the interpreted synchronous round body
 executor and by the thread team when the compiled backend does not
 resolve.
 
-The kernels operate on the canonical flat data layout of
-:mod:`repro.core.runtime.layout`:
+The kernels operate on the flat arrays of
+:class:`repro.core.runtime.state.LocalState`:
 
 * ``offsets`` / ``arena`` / ``counts`` — per-vertex chordal sets ``C[v]``
   stored as sorted runs in one flat arena (``C[v]`` is
@@ -32,7 +32,7 @@ of the paper's "ordered chordal set" observation: sortedness is what makes
 the subset test batchable.
 
 All kernels are pure functions over arrays (no object state), so any
-slice of a round can apply them to the shared schema arrays.
+slice of a round can apply them to the state's shared arrays.
 """
 
 from __future__ import annotations

@@ -4,11 +4,15 @@ The paper's headline claim is multithreaded scaling on shared memory;
 CPython's GIL keeps Python round bodies on one core.  This package
 closes that gap: the synchronous round body of
 :mod:`repro.core.runtime.rounds` translated to C, compiled once via cffi
-into a cached ``.so`` (:mod:`~repro.core.native.build`), and exposed as
-a drop-in slice function (:mod:`~repro.core.native.bodies`) that
-operates on the canonical schema arrays in place and releases the GIL —
-so the ``superstep`` engine's synchronous thread team
-(:mod:`repro.core.engines`) runs genuinely in parallel in one process.
+into a cached ``.so`` (:mod:`~repro.core.native.build`), and bound to
+one state's arrays by :func:`bind_sync_slice`
+(:mod:`~repro.core.native.bodies`): a slice body that works on them in
+place and releases the GIL — so the ``superstep`` engine's synchronous
+thread team (:mod:`repro.core.engines`) runs genuinely in parallel in
+one process.  :func:`native_module` is the one accessor for the loaded
+module and :func:`pointers` the one dtype- and contiguity-checked way to
+hand it arrays, for the round body, the sweep and the addability
+oracle alike.
 
 The same ``.so`` carries the paper's asynchronous maximal-progress sweep
 (:func:`native_sweep`), which the driver runs for the asynchronous
@@ -25,8 +29,10 @@ speed.  Tier-1 passes either way.
 
 from repro.core.native.bodies import (
     NativeUnavailableError,
-    native_run_sync_slice,
+    bind_sync_slice,
+    native_module,
     native_sweep,
+    pointers,
 )
 from repro.core.native.build import CACHE_ENV, DISABLE_ENV, NativeStatus, resolve
 
@@ -35,10 +41,12 @@ __all__ = [
     "DISABLE_ENV",
     "NativeStatus",
     "NativeUnavailableError",
+    "bind_sync_slice",
     "native_available",
+    "native_module",
     "native_status",
-    "native_run_sync_slice",
     "native_sweep",
+    "pointers",
 ]
 
 

@@ -1,13 +1,17 @@
 """Wrappers over the compiled kernels: the sync round body and the sweep.
 
-:func:`native_run_sync_slice` has the exact ``(tid, arrays)`` signature
-of :func:`repro.core.runtime.rounds.run_sync_slice`, so the
-:class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` swaps it
-in without the driver noticing.  Each call hands the C function raw
-pointers into the canonical schema arrays of a
-:class:`~repro.core.runtime.state.LocalState` — and cffi releases the GIL
-for the duration of the C call, which
-is what lets a thread team run slices genuinely in parallel.
+:func:`bind_sync_slice` binds the compiled twin of
+:func:`repro.core.runtime.rounds.run_sync_slice` to one
+:class:`~repro.core.runtime.state.LocalState`: it takes raw pointers into
+the state's arrays once and returns a ``body(start, stop)`` the
+:class:`~repro.core.runtime.executors.NativeThreadTeamExecutor` runs per
+slice.  cffi releases the GIL for the duration of each C call, which is
+what lets a thread team run slices genuinely in parallel.
+
+Every C call in the package hands over its arrays through
+:func:`pointers`, which checks dtype and contiguity (the C loops read raw
+memory and check nothing), and reaches the loaded module through
+:func:`native_module`.
 
 Equivalence to the interpreted code (the determinism contract):
 
@@ -36,15 +40,21 @@ from repro.errors import ReproError
 
 __all__ = [
     "NativeUnavailableError",
-    "native_run_sync_slice",
+    "bind_sync_slice",
+    "native_module",
     "native_sweep",
+    "pointers",
 ]
 
-_I64 = np.dtype(np.int64)
-_U8 = np.dtype(np.uint8)
+_CTYPES = {
+    np.dtype(np.int64): "int64_t[]",
+    np.dtype(np.int32): "int32_t[]",
+    np.dtype(np.uint8): "uint8_t[]",
+}
 
-#: Schema arrays handed to the C bodies, in cast order.
-_INT_ARRAYS = (
+#: The state arrays the compiled round body takes, in argument order
+#: (``ok``, the uint8 accept mask, comes last).
+_SYNC_ARRAYS = (
     "active",
     "parents",
     "arena",
@@ -63,78 +73,59 @@ class NativeUnavailableError(ReproError):
     """The compiled backend was required but could not be resolved."""
 
 
-def _module():
+def native_module(required: bool = True):
+    """The loaded compiled module (``.ffi``, ``.lib``).
+
+    When the backend does not resolve, raises
+    :class:`NativeUnavailableError`, or returns ``None`` when not
+    ``required`` (callers with an interpreted fallback).
+    """
     status, module = resolve()
-    if module is None:
+    if module is None and required:
         raise NativeUnavailableError(
             f"native kernel backend unavailable: {status.detail}"
         )
     return module
 
 
-#: id(arrays-dict) -> (strong refs to every array handed to C, pointer
-#: dict).  A hit requires each schema entry to be the *same ndarray
-#: object* as the cached one; the held references keep those objects
-#: alive, so id() reuse after GC is impossible and a replaced array
-#: (fresh object) misses and rebuilds.  An ndarray's buffer cannot
-#: move while referenced (in-place resize refuses when references
-#: exist), so object identity implies pointer validity — and the
-#: identity probe is far cheaper than re-deriving twelve addresses.
-_ptr_cache: dict[int, tuple[dict[str, np.ndarray], dict[str, object]]] = {}
-
-_ALL_ARRAYS = _INT_ARRAYS + ("ok",)
-
-
-def _pointers(ffi, a: dict[str, np.ndarray]) -> dict[str, object]:
-    key = id(a)
-    hit = _ptr_cache.get(key)
-    if hit is not None:
-        cached, ptrs = hit
-        if all(a[name] is cached[name] for name in _ALL_ARRAYS):
-            return ptrs
-    ptrs = {}
-    for name in _INT_ARRAYS:
-        arr = a[name]
-        if arr.dtype != _I64 or not arr.flags["C_CONTIGUOUS"]:
+def pointers(ffi, *arrays: np.ndarray, dtype=np.int64) -> list:
+    """cffi pointers into ``arrays``, each checked to be C-contiguous with
+    ``dtype`` (int64, int32 or uint8); a ``TypeError`` otherwise."""
+    want = np.dtype(dtype)
+    ctype = _CTYPES[want]
+    out = []
+    for arr in arrays:
+        if arr.dtype != want or not arr.flags.c_contiguous:
+            layout = "contiguous" if arr.flags.c_contiguous else "non-contiguous"
             raise TypeError(
-                f"native kernels need contiguous int64 schema arrays; "
-                f"{name!r} is {arr.dtype}"
+                f"native kernels need contiguous {want} arrays, got a "
+                f"{layout} {arr.dtype} array"
             )
-        ptrs[name] = ffi.from_buffer("int64_t[]", arr)
-    ok = a["ok"]
-    if ok.dtype != _U8 or not ok.flags["C_CONTIGUOUS"]:
-        raise TypeError(f"native kernels need a contiguous uint8 'ok' array, got {ok.dtype}")
-    ptrs["ok"] = ffi.from_buffer("uint8_t[]", ok)
-    if len(_ptr_cache) > 64:  # transient LocalStates; keep the cache bounded
-        _ptr_cache.clear()
-    _ptr_cache[key] = ({name: a[name] for name in _ALL_ARRAYS}, ptrs)
-    return ptrs
+        out.append(ffi.from_buffer(ctype, arr))
+    return out
 
 
-def native_run_sync_slice(tid: int, a: dict[str, np.ndarray]) -> None:
-    """Compiled :func:`~repro.core.runtime.rounds.run_sync_slice`."""
-    module = _module()
-    cuts = a["cuts"]
-    start, stop = int(cuts[tid]), int(cuts[tid + 1])
-    if start >= stop:
-        return
-    p = _pointers(module.ffi, a)
-    module.lib.repro_sync_slice(
-        start,
-        stop,
-        p["active"],
-        p["parents"],
-        p["arena"],
-        p["offsets"],
-        p["snapshot"],
-        p["counts"],
-        p["indptr"],
-        p["indices"],
-        p["lower"],
-        p["cursor"],
-        p["lp"],
-        p["ok"],
+def bind_sync_slice(state):
+    """The compiled :func:`~repro.core.runtime.rounds.run_sync_slice`
+    bound to ``state``: returns ``body(start, stop)``.
+
+    The pointers are taken once, here; they hold the arrays alive, and
+    stay valid because a state never replaces an array it has allocated
+    (call after :meth:`~repro.core.runtime.state.LocalState.bind_rounds`).
+    """
+    module = native_module()
+    a = state.arrays
+    args = (
+        *pointers(module.ffi, *(a[name] for name in _SYNC_ARRAYS)),
+        *pointers(module.ffi, a["ok"], dtype=np.uint8),
     )
+    sync_slice = module.lib.repro_sync_slice
+
+    def body(start: int, stop: int) -> None:
+        if start < stop:
+            sync_slice(start, stop, *args)
+
+    return body
 
 
 def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
@@ -151,8 +142,8 @@ def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
     entries, ending with the pending queue size, exactly where the
     reference loop raises; the caller raises the ConvergenceError.
     """
-    module = _module()
-    ffi, lib = module.ffi, module.lib
+    module = native_module()
+    ffi = module.ffi
     a = state.arrays
     n = state.n
     cap = state.max_degree + 2
@@ -163,26 +154,17 @@ def native_sweep(state, limit: int) -> tuple[np.ndarray, list[int]]:
     qsizes = np.empty(cap + 1, dtype=np.int64)
     edges = np.empty((state.arena_used, 2), dtype=np.int64)
     iterations = ffi.new("int64_t *")
-
-    def ptr(arr: np.ndarray):
-        if arr.dtype != _I64 or not arr.flags["C_CONTIGUOUS"]:
-            raise TypeError(f"the native sweep needs contiguous int64 arrays, got {arr.dtype}")
-        return ffi.from_buffer("int64_t[]", arr)
-
-    num_edges = lib.repro_sweep(
+    num_edges = module.lib.repro_sweep(
         n,
         limit,
-        ptr(a["arena"]),
-        ptr(a["offsets"]),
-        ptr(a["counts"]),
-        ptr(a["indptr"]),
-        ptr(a["indices"]),
-        ptr(a["lower"]),
-        ptr(a["cursor"]),
-        ptr(a["lp"]),
-        *(ptr(row) for row in scratch),
-        ptr(qsizes),
-        ptr(edges),
+        *pointers(
+            ffi,
+            *(a[name] for name in ("arena", "offsets", "counts", "indptr",
+                                   "indices", "lower", "cursor", "lp")),
+            *scratch,
+            qsizes,
+            edges,
+        ),
         iterations,
     )
     return edges[: max(num_edges, 0)], qsizes[: iterations[0]].tolist()

@@ -26,9 +26,10 @@ Why C at all: the round bodies are memory-bound pointer-chasing loops
 (per-pair binary searches over sorted arena runs), the shape where a
 compiled inner loop beats further NumPy batching.  The sweep is a scalar
 loop with nothing to batch, so only a compiled loop speeds it up.  The C functions take
-raw pointers into the *same* canonical schema arrays
-(:mod:`repro.core.runtime.layout`) — the LocalState NumPy buffers,
-zero copies — and cffi releases the GIL
+raw pointers into the *same* NumPy buffers the interpreted code uses
+(a :class:`~repro.core.runtime.state.LocalState`'s arrays, the addability
+oracle's), zero copies, handed over by
+:func:`repro.core.native.bodies.pointers` — and cffi releases the GIL
 around every call, so a thread team running them is genuinely parallel.
 """
 

@@ -32,9 +32,7 @@ import numpy as np
 from repro.core.instrument import CostModelParams, TraceBuilder
 from repro.core.kernels import assemble_edges, build_arena_keys
 from repro.core.reference import SCHEDULES, reference_max_chordal
-from repro.core.runtime.layout import CTRL_NKEYS
 from repro.errors import ConfigError, ConvergenceError
-from repro.parallel.partition import balanced_chunks
 
 __all__ = ["drive", "backend_run_fn", "DriveResult", "VARIANTS"]
 
@@ -128,7 +126,10 @@ def backend_run_fn(state_factory, executor_factory):
     ``executor_factory(config)`` makes the executor;
     ``state_factory(graph, num_slices, config)`` makes the bound state.
     The returned callable has the engine table's uniform ``(graph,
-    config)`` signature; ``superstep`` is built this way.  The pairing is
+    config)`` signature; ``superstep`` is built this way.  ``num_slices``
+    is the executor's; the engine's :class:`LocalState` needs none (the
+    executor slices each round), and the argument stays because
+    perfbench's traced re-drive calls the factory with it.  The pairing is
     kept as a closure over the two factories because perfbench's traced
     run splits it (``split_pairing`` reads them back to time the executor
     apart from the driver).  The executor only needs the documented
@@ -167,8 +168,6 @@ def _drive_rounds(
     state.reset()
     a = state.arrays
     n = state.n
-    ctrl = a["control"]
-    num_slices = executor.num_slices
     degrees = state.graph.degrees() if builder.enabled else None
 
     queue_sizes: list[int] = []
@@ -178,7 +177,7 @@ def _drive_rounds(
     pmask = np.zeros(n, dtype=bool)
 
     while True:
-        active = np.flatnonzero(a["lp"][:n] >= 0)
+        active = np.flatnonzero(a["lp"] >= 0)
         na = active.size
         if na == 0:
             break
@@ -187,7 +186,7 @@ def _drive_rounds(
                 f"exceeded iteration budget {limit} with {na} active "
                 "vertices; this indicates an internal bug"
             )
-        parents = a["lp"][:n][active]
+        parents = a["lp"][active]
         # |Q1| = number of distinct parents.  A scatter-mask count is
         # O(n + active) and beats np.unique's sort — at scale 14 the
         # unique() call alone cost more than the compiled round bodies.
@@ -200,25 +199,17 @@ def _drive_rounds(
         # compress the filled arena into the sorted key array — unless the
         # executor's bodies probe arena runs directly (the compiled path
         # advertises needs_keys=False).
-        a["snapshot"][:n] = a["counts"][:n]
+        # The executor reads the round's size and key count off the state
+        # and cuts the round into its own slices.
+        a["snapshot"][:] = a["counts"]
         if getattr(executor, "needs_keys", True):
             nkeys = build_arena_keys(
-                a["arena"], a["offsets"], a["snapshot"][:n], n, out=a["keys"]
+                a["arena"], a["offsets"], a["snapshot"], n, out=a["keys"]
             ).size
         else:
             nkeys = 0
-        if num_slices == 1:
-            a["cuts"][0] = 0
-            a["cuts"][1] = na
-        else:
-            # Balance slices by expected service cost: subset tests probe
-            # min(|C[w]|, prefix) elements, so the snapshot chordal-set
-            # sizes plus a constant are the per-vertex proxy.
-            weights = a["snapshot"][:n][active].astype(np.float64) + 1.0
-            ranges = balanced_chunks(weights, num_slices)
-            a["cuts"][:num_slices] = [r[0] for r in ranges]
-            a["cuts"][num_slices] = ranges[-1][1]
-        ctrl[CTRL_NKEYS] = nkeys
+        state.round_size = na
+        state.num_keys = nkeys
         executor.run_round(state, "synchronous")
         # uint8 -> bool is a free reinterpret; the mask is consumed by
         # the gathers below before the next round overwrites 'ok'.
@@ -226,7 +217,7 @@ def _drive_rounds(
         chunks.append((parents[accepted], active[accepted]))
         if builder.enabled:
             _record_sync_round(
-                builder, degrees, a["snapshot"][:n], active, parents, accepted, variant
+                builder, degrees, a["snapshot"], active, parents, accepted, variant
             )
 
     return DriveResult(

@@ -7,9 +7,10 @@ type:
 
 * ``run_round(state, schedule)`` — execute one published synchronous
   barrier round (the round body of :mod:`repro.core.runtime.rounds` or
-  its compiled twin) over every slice and return after the implicit
-  barrier.  ``schedule`` is always ``"synchronous"``: the asynchronous
-  schedule has no barrier rounds.
+  its compiled twin): cut the round's ``state.round_size`` vertices
+  into the executor's slices, run the body on each and return after
+  the implicit barrier.  ``schedule`` is always ``"synchronous"``: the
+  asynchronous schedule has no barrier rounds.
 * ``map(body)`` — run an in-process callable ``body(0)`` for the serial
   executor's one slice (the asynchronous sweep: one call into the
   compiled sweep, or into the reference loop of
@@ -33,7 +34,12 @@ schedule:
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
+
 from repro.core.runtime.rounds import run_sync_slice
+from repro.parallel.partition import balanced_chunks
 from repro.parallel.runtime import ThreadTeam
 
 __all__ = ["SerialExecutor", "NativeThreadTeamExecutor"]
@@ -45,7 +51,7 @@ class SerialExecutor:
     num_slices = 1
 
     def run_round(self, state, schedule: str) -> None:
-        run_sync_slice(0, state.arrays)
+        run_sync_slice(state, 0, state.round_size)
 
     def map(self, body) -> None:
         body(0)
@@ -64,8 +70,13 @@ class NativeThreadTeamExecutor:
     """Thread team dispatching the compiled (GIL-releasing) round body.
 
     * Rounds call the C body of :mod:`repro.core.native`, which operates
-      on the schema arrays in place and releases the GIL, so the slices of
-      a round execute concurrently on real cores.
+      on the state's arrays in place and releases the GIL, so the slices
+      of a round execute concurrently on real cores.
+    * The executor owns the slicing: each round's vertices are cut into
+      ``num_slices`` contiguous ranges of near-equal expected cost.
+    * The body is bound to a state once (the compiled one takes its
+      pointers then); the binding is dropped on :meth:`close` or when
+      another state comes in.
     * ``needs_keys`` is ``False`` on the compiled path: the C subset test
       binary-searches each parent's arena run directly, so the driver
       skips building the global key array every round.
@@ -78,12 +89,12 @@ class NativeThreadTeamExecutor:
     def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        from repro.core.native import native_available, native_run_sync_slice
+        from repro.core.native import native_available
 
         self.num_slices = num_threads
         self._team: ThreadTeam | None = None
         self._native = native_available()
-        self._body = native_run_sync_slice if self._native else run_sync_slice
+        self._bound: tuple[object, object] | None = None  # (state, body)
 
     @property
     def needs_keys(self) -> bool:
@@ -95,19 +106,37 @@ class NativeThreadTeamExecutor:
         """Which body this executor dispatches: ``native`` or ``numpy``."""
         return "native" if self._native else "numpy"
 
+    def _body(self, state):
+        if self._bound is None or self._bound[0] is not state:
+            if self._native:
+                from repro.core.native import bind_sync_slice
+
+                body = bind_sync_slice(state)
+            else:
+                body = partial(run_sync_slice, state)
+            self._bound = (state, body)
+        return self._bound[1]
+
     def run_round(self, state, schedule: str) -> None:
-        body = self._body
-        arrays = state.arrays
+        body = self._body(state)
+        size = state.round_size
         if self.num_slices == 1:
             # One slice owns the whole round: the barrier team would only
             # add handoff latency around a single call.
-            body(0, arrays)
+            body(0, size)
             return
+        # Balance slices by expected service cost: subset tests probe
+        # min(|C[w]|, prefix) elements, so the snapshot chordal-set
+        # sizes plus a constant are the per-vertex proxy.
+        a = state.arrays
+        weights = a["snapshot"][a["active"][:size]].astype(np.float64) + 1.0
+        ranges = balanced_chunks(weights, self.num_slices)
         if self._team is None:
             self._team = ThreadTeam(self.num_slices)
-        self._team.run(lambda tid: body(tid, arrays))
+        self._team.run(lambda tid: body(*ranges[tid]))
 
     def close(self) -> None:
+        self._bound = None
         if self._team is not None:
             self._team.close()
             self._team = None

@@ -1,13 +1,12 @@
 """The state backend: where Algorithm 1's arrays live.
 
-:class:`LocalState` owns one instance of the canonical array schema
-(:func:`~repro.core.runtime.layout.build_spec`) as plain NumPy arrays in
+:class:`LocalState` holds Algorithm 1's arrays as plain NumPy arrays in
 the calling process, bound to one graph, plus the per-run reset logic.
 The schedule driver (:mod:`repro.core.runtime.driver`), the round
 bodies (:mod:`repro.core.runtime.rounds`, :mod:`repro.core.native`) and
-the compiled sweep are written against the schema only; the interpreted
-asynchronous sweep (:mod:`repro.core.reference`) reads just the bound,
-sorted :attr:`LocalState.graph`.
+the compiled sweep read and write :attr:`LocalState.arrays` by name; the
+interpreted asynchronous sweep (:mod:`repro.core.reference`) reads just
+the bound, sorted :attr:`LocalState.graph`.
 """
 
 from __future__ import annotations
@@ -15,26 +14,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import arena_offsets, initial_parents, lower_counts
-from repro.core.runtime.layout import CTRL_N, build_spec
 from repro.graph.csr import CSRGraph
 
 __all__ = ["LocalState"]
 
 
 class LocalState:
-    """The array schema as ordinary NumPy arrays, bound to one graph.
+    """Algorithm 1's arrays as ordinary NumPy arrays, bound to one graph.
 
-    Graph CSR arrays are aliased (not copied) when their dtype already
-    matches the schema.  The arrays every schedule reads (the graph, its
-    arena layout and Algorithm 1's state) exist from the start; the
-    barrier rounds' scratch (``active``, ``parents``, ``snapshot``,
-    ``keys``, ``ok``, ``cuts``, ``control``) is allocated by
-    :meth:`bind_rounds`, which only the synchronous driver calls.
-    ``num_slices`` sizes the ``cuts`` scratch for the widest executor this
-    state will be driven by.
+    * graph: ``indptr`` / ``indices`` (sorted CSR, aliased, not copied,
+      when the dtype is already int64), ``lower`` (per-vertex
+      lower-neighbour count) and ``offsets`` (the arena layout);
+    * algorithm state: ``lp`` / ``cursor`` / ``counts`` / ``arena``, the
+      paper's lowest parents, consumed-parent cursors and chordal sets;
+    * barrier-round scratch: ``active`` / ``parents`` / ``snapshot`` /
+      ``keys`` / ``ok``, allocated by :meth:`bind_rounds`, which only the
+      synchronous driver calls.  The driver publishes each round's size
+      and key count as :attr:`round_size` and :attr:`num_keys`.
+
+    Every array is int64 and C-contiguous except ``ok`` (uint8), and
+    none is replaced once allocated, so an executor may take pointers
+    into them once per state.
     """
 
-    def __init__(self, graph: CSRGraph, num_slices: int = 1) -> None:
+    def __init__(self, graph: CSRGraph) -> None:
         g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
         self.graph = g
         n = g.num_vertices
@@ -45,7 +48,8 @@ class LocalState:
         self.nnz = int(indices.size)
         self.arena_used = int(offsets[-1])
         self.max_degree = g.max_degree()
-        self.num_slices = max(1, num_slices)
+        self.round_size = 0
+        self.num_keys = 0
         self.arrays = {
             "indptr": g.indptr,
             "indices": indices,
@@ -65,13 +69,13 @@ class LocalState:
     def bind_rounds(self) -> None:
         """Allocate the barrier rounds' scratch arrays (once)."""
         a = self.arrays
-        if "control" in a:
+        if "ok" in a:
             return
-        spec = build_spec(self.n, self.nnz, self.arena_used, self.num_slices)
-        for name, (dtype, shape) in spec.items():
-            if name not in a:
-                a[name] = np.zeros(shape, dtype=dtype)
-        a["control"][CTRL_N] = self.n
+        n = self.n
+        for name in ("active", "parents", "snapshot"):
+            a[name] = np.zeros(n, dtype=np.int64)
+        a["keys"] = np.zeros(self.arena_used, dtype=np.int64)
+        a["ok"] = np.zeros(n, dtype=np.uint8)
 
     def reset(self) -> None:
         """Per-run initialisation (Algorithm 1 lines 2-10).
@@ -80,9 +84,6 @@ class LocalState:
         lowest parent.  (The compiled sweep does this itself.)
         """
         a = self.arrays
-        n = self.n
-        a["counts"][:n] = 0
-        a["cursor"][:n] = 0
-        a["lp"][:n] = initial_parents(
-            a["indptr"][: n + 1], a["indices"][: self.nnz], a["lower"][:n]
-        )
+        a["counts"][:] = 0
+        a["cursor"][:] = 0
+        a["lp"][:] = initial_parents(a["indptr"], a["indices"], a["lower"])

@@ -55,7 +55,7 @@ def measure_engines(graph, workers=DEFAULT_WORKERS, repeats: int = 2) -> dict:
         with NativeThreadTeamExecutor(w) as executor:
 
             def once():
-                drive(LocalState(graph, w), executor, schedule="synchronous")
+                drive(LocalState(graph), executor, schedule="synchronous")
 
             once()  # warm-up: spawn the team, resolve the compiled bodies
             team[w] = best_of(once, repeats)

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.chordality.maximality import AddabilityOracle
 from repro.chordality.recognition import find_hole, is_chordal
-from repro.chordality.verify import verify_extraction
+from repro.chordality.verify import diagnose_hole, verify_extraction
 from repro.core.config import ExtractionConfig
 from repro.core.session import Extractor
 from repro.errors import ShardError
@@ -347,13 +347,6 @@ def extract_sharded(
     return dataclasses.replace(result, shard_stats=tuple(stats))
 
 
-#: ``find_hole`` is a quadratic diagnostic (it BFSes per non-adjacent
-#: neighbour pair, and a *chordal* graph is its worst case); above this
-#: vertex count a chordality failure is reported without the explicit
-#: cycle instead of stalling the certification for minutes.
-_HOLE_DIAGNOSIS_MAX_VERTICES = 1 << 14
-
-
 def certify_stitched(
     result: ShardedResult,
     *,
@@ -365,23 +358,26 @@ def certify_stitched(
     Chordality is checked with :func:`is_chordal` (linear-time MCS + PEO
     — scales to out-of-core results); the explicit hole is extracted for
     the failure message only on graphs small enough for
-    :func:`find_hole`'s pair-wise BFS scan.  The sampled boundary seam
-    certificates from :func:`sampled_boundary_report` are appended.
+    :func:`~repro.chordality.verify.diagnose_hole`.  The sampled boundary
+    seam certificates of :func:`sampled_boundary_report` are appended;
+    its hole sample runs only when :func:`is_chordal` fails, because every
+    induced subgraph of a chordal graph is chordal (it then names a
+    concrete cycle at the seam even above the diagnosis size gate).
     """
     problems: list[str] = []
     subgraph = result.subgraph()
-    if not is_chordal(subgraph):
-        if subgraph.num_vertices <= _HOLE_DIAGNOSIS_MAX_VERTICES:
-            problems.append(
-                f"stitched result is not chordal; hole: {find_hole(subgraph)}"
-            )
+    chordal = is_chordal(subgraph)
+    if not chordal:
+        hole = diagnose_hole(subgraph)
+        if hole is not None:
+            problems.append(f"stitched result is not chordal; hole: {hole}")
         else:
             problems.append(
                 "stitched result is not chordal (too large for hole "
                 f"extraction; replay: repro shard stitch --spill-dir "
                 f"{result.plan.spill_dir} --certify)"
             )
-    report = sampled_boundary_report(result, samples=samples, seed=seed)
+    report = _boundary_report(result, subgraph, samples, seed, holes=not chordal)
     problems.extend(report["maximality_violations"])
     problems.extend(report["hole_violations"])
     return problems
@@ -408,9 +404,15 @@ def sampled_boundary_report(
 
     Violations carry a replay tag with the spill dir, seed, and edge.
     """
-    rng = np.random.default_rng(seed)
-    subgraph = result.subgraph()
+    return _boundary_report(result, result.subgraph(), samples, seed, holes=True)
 
+
+def _boundary_report(
+    result: ShardedResult, subgraph: CSRGraph, samples: int, seed: int, *, holes: bool
+) -> dict:
+    """:func:`sampled_boundary_report` on the materialised ``subgraph``;
+    the hole sample is skipped (no neighbourhood checked) unless ``holes``."""
+    rng = np.random.default_rng(seed)
     rejected = result.rejected
     k = min(samples, rejected.shape[0])
     picks = (
@@ -430,7 +432,7 @@ def sampled_boundary_report(
     boundary_vertices = np.unique(
         np.concatenate([rejected.ravel(), result.admitted.ravel()])
     )
-    j = min(samples, boundary_vertices.size)
+    j = min(samples, boundary_vertices.size) if holes else 0
     vertex_picks = (
         rng.choice(boundary_vertices.size, size=j, replace=False)
         if j

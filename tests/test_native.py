@@ -24,7 +24,7 @@ from repro.chordality.verify import verify_extraction
 from repro.core.config import ExtractionConfig
 from repro.core.engines import get_engine
 from repro.core.extract import extract_maximal_chordal_subgraph
-from repro.core.native import DISABLE_ENV, native_status
+from repro.core.native import DISABLE_ENV, native_module, native_status, pointers
 from repro.core.native.build import resolve
 from repro.core.runtime import (
     LocalState,
@@ -122,6 +122,16 @@ class TestCompiledPath:
         assert status.available
         assert "_repro_native_" in status.detail
 
+    def test_pointers_refuse_wrong_dtype_and_strides(self):
+        """Every C call takes its arrays through one checked helper: the
+        C loops read raw memory and would not notice."""
+        ffi = native_module().ffi
+        assert len(pointers(ffi, np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))) == 2
+        with pytest.raises(TypeError, match="int64"):
+            pointers(ffi, np.zeros(3, dtype=np.int32))
+        with pytest.raises(TypeError, match="non-contiguous"):
+            pointers(ffi, np.zeros(6, dtype=np.int64)[::2])
+
     def test_executor_flags(self):
         with NativeThreadTeamExecutor(2) as executor:
             assert not executor.needs_keys  # C probes arena runs directly
@@ -138,7 +148,7 @@ class TestCompiledPath:
         )
         with NativeThreadTeamExecutor(threads) as executor:
             edges, qs, _ = drive(
-                LocalState(graph, threads), executor, schedule="synchronous"
+                LocalState(graph), executor, schedule="synchronous"
             )
         assert np.array_equal(edges, base_edges), (name, threads)
         assert qs == base_qs, (name, threads)
@@ -197,6 +207,6 @@ class TestCompiledPath:
         for k in (3, 5, 8):
             with NativeThreadTeamExecutor(2) as executor:
                 _, qs, _ = drive(
-                    LocalState(complete_graph(k), 2), executor, schedule="synchronous"
+                    LocalState(complete_graph(k)), executor, schedule="synchronous"
                 )
             assert len(qs) == k - 1

@@ -21,6 +21,9 @@ The refactor's contract, pinned here:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,12 +66,12 @@ class TestSyncDeterminismAcrossPairings:
 
         pairings = []
         for slices in (1, 3):
-            pairings.append((LocalState(graph, slices), SerialExecutor()))
+            pairings.append((LocalState(graph), SerialExecutor()))
         # Thread team: compiled bodies when available, NumPy fallback
         # otherwise — both must reproduce the same rows at any width.
         for threads in (1, 2, 4, 5):
             pairings.append(
-                (LocalState(graph, threads), NativeThreadTeamExecutor(threads))
+                (LocalState(graph), NativeThreadTeamExecutor(threads))
             )
 
         for state, executor in pairings:
@@ -77,6 +80,31 @@ class TestSyncDeterminismAcrossPairings:
             label = (executor.num_slices, type(executor).__name__, seed)
             assert np.array_equal(edges, base_edges), label
             assert qs == base_qs, label
+
+    @pytest.mark.parametrize("threads", (2, 3, 4, 5))
+    def test_team_slices_any_state(self, threads):
+        """The executor owns the slice count: a state built without one
+        runs on a team of any width and reproduces the serial rows."""
+        graph = GENERATORS["rmat_b"](1)
+        base_edges, base_qs, _ = drive(
+            LocalState(graph), SerialExecutor(), schedule="synchronous"
+        )
+        with NativeThreadTeamExecutor(threads) as executor:
+            edges, qs, _ = drive(LocalState(graph), executor, schedule="synchronous")
+        assert np.array_equal(edges, base_edges), threads
+        assert qs == base_qs, threads
+
+    @pytest.mark.native
+    def test_closed_team_releases_the_state(self):
+        """Nothing outlives a closed executor's binding: once the state
+        is dropped, its arrays are freed."""
+        state = LocalState(GENERATORS["rmat_er"](0))
+        arena = weakref.ref(state.arrays["arena"])
+        with NativeThreadTeamExecutor(2) as executor:
+            assert drive(state, executor, schedule="synchronous").kernel_path == "native"
+        del state
+        gc.collect()
+        assert arena() is None
 
     @pytest.mark.parametrize("threads", (1, 3, 6))
     def test_process_team_matches_serial(self, threads):
@@ -105,7 +133,7 @@ class TestCrossBackendTraceEquivalence:
         )
         with NativeThreadTeamExecutor(3) as executor:
             _, _, team_trace = drive(
-                LocalState(graph, 3),
+                LocalState(graph),
                 executor,
                 schedule="synchronous",
                 variant=variant,
@@ -172,10 +200,10 @@ class TestDriverValidation:
             num_slices = 2
 
         with pytest.raises(ConfigError, match="serial"):
-            drive(LocalState(complete_graph(5), 2), TwoSlices(), schedule="asynchronous")
+            drive(LocalState(complete_graph(5)), TwoSlices(), schedule="asynchronous")
         with NativeThreadTeamExecutor(2) as team:
             with pytest.raises(ConfigError, match="serial"):
-                drive(LocalState(complete_graph(5), 2), team, schedule="asynchronous")
+                drive(LocalState(complete_graph(5)), team, schedule="asynchronous")
 
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError, match="iteration budget"):
@@ -201,7 +229,7 @@ class TestThirdPartyBackendRecipe:
 
     def test_pairing_matches_superstep_synchronous(self):
         run_fn = backend_run_fn(
-            lambda graph, num_slices, config: LocalState(graph, num_slices),
+            lambda graph, num_slices, config: LocalState(graph),
             lambda config: NativeThreadTeamExecutor(2),
         )
         graph = GENERATORS["rmat_er"](0)

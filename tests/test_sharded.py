@@ -25,6 +25,7 @@ path cannot lives in ``tests/test_sharded_stress.py``
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -41,12 +42,14 @@ from repro.core.config import ExtractionConfig
 from repro.core.session import Extractor
 from repro.errors import ShardError
 from repro.graph.builder import build_graph
+from repro.graph.generators.classic import complete_graph
 from repro.graph.generators.chordal import random_chordal
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b, rmat_er
 from repro.graph.io import save_graph
 from repro.shard import (
     build_plan,
+    certify_stitched,
     clear_shard_results,
     extract_shard,
     extract_sharded,
@@ -387,6 +390,18 @@ class TestCacheAndResume:
 
 
 class TestStitchedStructure:
+    def test_certify_reports_a_planted_hole(self, tmp_path):
+        """A stitched result that is not chordal fails certification with
+        the explicit hole, and the seam's hole sample names it too."""
+        result = _spill(tmp_path, complete_graph(4), 2)
+        assert certify_stitched(result) == []
+        square = np.array([[0, 1], [0, 3], [1, 2], [2, 3]], dtype=np.int64)
+        problems = certify_stitched(dataclasses.replace(result, edges=square))
+        assert problems[0].startswith("stitched result is not chordal; hole: ")
+        hole = json.loads(problems[0].split("hole: ")[1])
+        assert sorted(hole) == [0, 1, 2, 3]
+        assert any(p.startswith("hole ") for p in problems[1:]), problems
+
     def test_union_without_boundary_is_chordal(self, tmp_path):
         """Sanity for the 'chordal by construction' argument: the
         pre-stitch union (intra-shard edges only) is already chordal."""

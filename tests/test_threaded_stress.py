@@ -21,7 +21,7 @@ from repro.graph.generators.rmat import rmat_b
 def _team_matches_serial(graph, threads: int) -> None:
     serial, qs, _ = drive(LocalState(graph), SerialExecutor(), schedule="synchronous")
     with NativeThreadTeamExecutor(threads) as executor:
-        edges, tqs, _ = drive(LocalState(graph, threads), executor, schedule="synchronous")
+        edges, tqs, _ = drive(LocalState(graph), executor, schedule="synchronous")
     assert np.array_equal(edges, serial), threads
     assert tqs == qs, threads
 

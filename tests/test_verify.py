@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chordality import verify
 from repro.chordality.verify import VerificationReport, verify_extraction
 from repro.core.extract import extract_maximal_chordal_subgraph
 from repro.graph.builder import build_graph
@@ -52,6 +53,15 @@ class TestDiagnosedFailures:
         assert not report.ok and not report.chordal
         assert report.hole is not None and len(report.hole) >= 4
         assert "hole" in str(report)
+
+    def test_hole_diagnosis_is_size_gated(self, monkeypatch):
+        """Above the shared size gate a non-chordal output is reported
+        without the (quadratic) explicit hole."""
+        monkeypatch.setattr(verify, "HOLE_DIAGNOSIS_MAX_VERTICES", 3)
+        square = cycle_graph(4)
+        report = verify_extraction(square, square.edge_array())
+        assert not report.chordal and report.hole is None
+        assert "too large for hole extraction" in str(report)
 
     def test_invented_edge_reported_not_raised(self, graph):
         report = verify_extraction(
